@@ -7,13 +7,16 @@ from .estimators import (
     build_e2_data,
     build_e3_data,
     estimator_e1,
+    estimator_e1_block,
     estimator_e2,
     estimator_e2_dd,
     estimator_e3,
+    evaluate,
     log_uniform_sampler,
     q_coefficients,
     true_error,
     x_dimension,
+    x_matrix,
     x_vector,
 )
 from .experiments import (
@@ -35,6 +38,7 @@ from .fem import (
     analytic_derivative,
     analytic_solution,
     assemble,
+    check_parameters,
     h1_error_vs_analytic,
     h1_inner,
     h1_norm,
@@ -50,6 +54,7 @@ from .reduced import (
     add_snapshot,
     greedy_build,
     solve_reduced,
+    solve_reduced_block,
 )
 
 __version__ = "0.1.0"

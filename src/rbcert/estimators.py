@@ -25,6 +25,10 @@ same number along different routes with very different round-off floors:
   solving T lambda = X(mu).  All summands are non-negative at the
   reference points, hence no cancellation.
 
+``evaluate`` computes the true error and all four estimators for a block
+of parameters at once, bit for bit equal to the per-point functions
+above, which stay as the reference.
+
 Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
 Gram-matrix inner products in double-double and store both the dd values
 and their correctly-rounded doubles; the working-precision estimator is
@@ -54,13 +58,17 @@ class EstimatorBuildError(RuntimeError):
 
 # --- E1: full-size reference ---------------------------------------------
 
-def _pairwise_sum(vectors):
-    """Balanced pairwise sum of a list of equal-length vectors."""
-    n = len(vectors)
+def _pairwise_sum(n, term, first=0):
+    """Balanced pairwise sum of term(first), ..., term(first + n - 1).
+
+    The front half is summed, then the back half, then the two added.
+    Terms are made only when the tree reaches them, so besides the term
+    at hand only one partial sum per tree level is alive.
+    """
     if n == 1:
-        return vectors[0]
+        return term(first)
     half = n // 2
-    return _pairwise_sum(vectors[:half]) + _pairwise_sum(vectors[half:])
+    return _pairwise_sum(half, term, first) + _pairwise_sum(n - half, term, first + half)
 
 
 def estimator_e1(sys: TruthSystem, model, sol) -> float:
@@ -75,9 +83,9 @@ def estimator_e1(sys: TruthSystem, model, sol) -> float:
     terms = [model.riesz_b]
     if gamma.size:
         terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
-        part1 = _pairwise_sum([g * r for g, r in zip(gamma, model.riesz_a1)])
+        part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
         terms.append(sol.mu * part1)
-    g = _pairwise_sum(terms)
+    g = _pairwise_sum(len(terms), terms.__getitem__)
     return math.sqrt(max(h1_inner(sys, g, g), 0.0)) / model.beta
 
 
@@ -323,14 +331,16 @@ def _lu_factor(A: np.ndarray):
 
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve with a (d,) or (d, m) right-hand side; columns independently."""
     LU, piv = lu
     n = LU.shape[0]
     x = b[piv].astype(float, copy=True)
+    cols = x.reshape(n, -1)
     for k in range(n - 1):
-        x[k + 1:] -= LU[k + 1:, k] * x[k]
+        cols[k + 1:] -= LU[k + 1:, k, None] * cols[k]
     for k in range(n - 1, -1, -1):
-        x[k] /= LU[k, k]
-        x[:k] -= LU[:k, k] * x[k]
+        cols[k] /= LU[k, k]
+        cols[:k] -= LU[:k, k, None] * cols[k]
     return x
 
 
@@ -354,20 +364,17 @@ def build_e3_data(
     only if T is numerically singular (zero LU pivot / non-finite); if
     every retry fails, the build fails advising oversampling.
     """
-    from .reduced import solve_reduced
+    from .reduced import solve_reduced_block
 
     d = x_dimension(model.n_hat)
     n_cols = d + oversample
     failure = None
     for attempt in range(max_retries + 1):
         mus = np.asarray(sampler(n_cols, seed + attempt), dtype=float)
-        T = np.empty((d, n_cols))
-        V = np.empty(n_cols)
-        for r, mu_r in enumerate(mus):
-            sol = solve_reduced(model, float(mu_r))
-            T[:, r] = x_vector(sol)
-            e1 = estimator_e1(sys, model, sol)
-            V[r] = (model.beta * e1) ** 2
+        gamma = solve_reduced_block(model, mus)
+        T = x_matrix(mus, gamma)
+        e1 = estimator_e1_block(sys, model, mus, gamma)
+        V = np.array([(model.beta * e) ** 2 for e in e1.tolist()])
         if not np.all(np.isfinite(T)):
             failure = "non-finite entries in T"
             continue
@@ -440,3 +447,171 @@ def true_error(sys: TruthSystem, model, sol) -> float:
     if model.n_hat:
         u = u - model.basis_matrix @ np.asarray(sol.gamma, dtype=float)
     return math.sqrt(max(h1_inner(sys, u, u), 0.0))
+
+
+# --- block evaluation ------------------------------------------------------
+#
+# The functions below evaluate a block of parameters at once.  Each applies
+# its per-point counterpart's operations element by element across the
+# block, in the same order, so every value equals the per-point one bit for
+# bit.  Reductions that BLAS or LAPACK may order differently for a matrix
+# than for a vector (the Gram and V dots, the basis lift, the least-squares
+# solve) are still made one vector at a time.
+
+# Block sizes come from budgets of float64 entries per block temporary.
+# evaluate: a block's Thomas arrays hold N entries per point and its e3
+# solve d, so at the paper's size (N=199, d=91) a block is 41 points and
+# every temporary stays under 64 KiB, which the allocator reuses instead
+# of growing the process.  The block Thomas sweep only overtakes the
+# scalar solve from about 16 columns, hence the floor of 32 points.
+_BLOCK_ELEMENTS = 2 ** 13
+_MIN_BLOCK_POINTS = 32
+# e1 streams N_hat + 2 vectors per point through its tree, so its
+# sub-blocks must stay in cache: at N=9999, N_hat=12 this budget (6 points)
+# ran 200 points in 43 ms against 71 ms point by point, and four times the
+# budget took 66 ms.
+_E1_BLOCK_ELEMENTS = 2 ** 16
+
+
+def block_points(n: int, d: int) -> int:
+    """Points per :func:`evaluate` block for truth size n and X dimension d."""
+    return max(_MIN_BLOCK_POINTS, _BLOCK_ELEMENTS // max(n, d))
+
+
+def _h1_squares(sys: TruthSystem, G: np.ndarray) -> np.ndarray:
+    """h1_inner(g, g) for every row g of the (m, n) stack G."""
+    W = sys.Gram.matvec(G)
+    return np.array([g @ w for g, w in zip(G, W)])
+
+
+def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """:func:`estimator_e1` at every mus[j] with reduced coefficients gamma[j].
+
+    gamma is (m, N_hat); N_hat = 0 is the empty model.  The pairwise tree
+    runs on (m, N) stacks, in sub-blocks of at most _E1_BLOCK_ELEMENTS.
+    """
+    step = max(1, _E1_BLOCK_ELEMENTS // sys.n)
+    out = np.empty(len(mus))
+    for k in range(0, len(mus), step):
+        out[k:k + step] = _e1_rows(sys, model, mus[k:k + step], gamma[k:k + step])
+    return out
+
+
+def _e1_rows(sys, model, mus, gamma):
+    n_hat = gamma.shape[1]
+    a0, a1 = model.riesz_a0, model.riesz_a1
+
+    def term(k):
+        if k == 0:
+            return model.riesz_b
+        if k <= n_hat:
+            return gamma[:, k - 1, None] * a0[k - 1]
+        return mus[:, None] * _pairwise_sum(n_hat, lambda i: gamma[:, i, None] * a1[i])
+
+    g = _pairwise_sum(n_hat + 2 if n_hat else 1, term)
+    g = np.broadcast_to(g, (len(mus), sys.n))
+    return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0)) / model.beta
+
+
+def _small_x_columns(mus, gamma):
+    """Column j is _small_x at (mus[j], gamma[j]): shape (2*N_hat, m)."""
+    return np.concatenate([gamma.T, mus * gamma.T])
+
+
+def _monomials(x):
+    """Column j is X(mu_j) for column j of the small-x matrix x."""
+    i, j = np.triu_indices(len(x))
+    return np.concatenate([np.ones((1, x.shape[1])), x, x[i] * x[j]])
+
+
+def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The (d, m) matrix whose column j is :func:`x_vector` at (mus[j], gamma[j])."""
+    return _monomials(_small_x_columns(mus, gamma))
+
+
+def _e2_block(data: E2Data, X):
+    radicand = np.array(
+        [math.fsum(col) for col in (q_coefficients(data)[:, None] * X).T.tolist()]
+    )
+    return np.sqrt(np.maximum(radicand, 0.0)) / data.beta, radicand
+
+
+def _e2dd_block(data: E2Data, x):
+    i, j = np.triu_indices(len(x))
+    sh, sl = data.s_dd
+    Sh, Sl = data.S_dd
+    diag = i == j
+    ch = np.where(diag, Sh[i, j], 2.0 * Sh[i, j])
+    cl = np.where(diag, Sl[i, j], 2.0 * Sl[i, j])
+    lh, ll = dd_mul(((2.0 * sh)[:, None], (2.0 * sl)[:, None]), (x, np.zeros_like(x)))
+    th, tl = dd_mul((ch[:, None], cl[:, None]), two_prod(x[i], x[j]))
+    d2h, d2l = data.delta2_dd
+    first = np.ones((1, x.shape[1]))
+    rh, rl = dd_sum(
+        np.concatenate([d2h * first, lh, th]), np.concatenate([d2l * first, ll, tl])
+    )
+    clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
+    if clamped.any():
+        logger.info("estimator_e2_dd: %d negative dd radicands clamped", clamped.sum())
+    vh, vl = dd_sqrt((np.where(clamped, 0.0, rh), np.where(clamped, 0.0, rl)))
+    return np.where(clamped, 0.0, (vh + vl) / data.beta)
+
+
+def _e3_block(data: E3Data, mus, X):
+    hit = mus[:, None] == data.interp_params
+    node = hit.any(axis=1)
+    total = np.empty(len(mus))
+    total[node] = data.V[hit[node].argmax(axis=1)]
+    free = ~node
+    if free.any():
+        Xf = X[:, free]
+        if data.oversample == 0:
+            if data._lu is None:
+                data._lu = _lu_factor(data.T)
+            lam = _lu_solve(data._lu, Xf)
+        else:  # a many-column lstsq does not give the one-column bits
+            lam = np.column_stack([np.linalg.lstsq(data.T, c, rcond=None)[0] for c in Xf.T])
+        total[free] = [row @ data.V for row in np.ascontiguousarray(lam.T)]
+    clamped = total < 0.0
+    if clamped.any():
+        logger.info("estimator_e3: %d negative interpolated squares clamped", clamped.sum())
+    return np.sqrt(np.maximum(total, 0.0)) / data.beta, clamped
+
+
+def _true_error_block(sys, model, mus, gamma):
+    U = np.ascontiguousarray(solve_truth(sys, mus).T)
+    if model.n_hat:
+        B = model.basis_matrix
+        for u, g in zip(U, gamma):
+            u -= B @ g
+    return np.sqrt(np.maximum(_h1_squares(sys, U), 0.0))
+
+
+def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> dict:
+    """True error and all four estimators at every parameter of a block.
+
+    Returns one array per field of ``experiments.SweepRecord``, keyed by
+    the field name; entry j equals what :func:`true_error`,
+    :func:`estimator_e1`, :func:`estimator_e2`, :func:`estimator_e2_dd`
+    and :func:`estimator_e3` give at mus[j], bit for bit.  A mu that is
+    not finite or below 1 raises ``ValueError``.  The whole block is held
+    at once; callers bound its size with :func:`block_points`.
+    """
+    from .reduced import solve_reduced_block
+
+    mus = np.asarray(mus, dtype=float)
+    gamma = solve_reduced_block(model, mus)
+    x = _small_x_columns(mus, gamma)
+    X = _monomials(x)
+    e2, radicand = _e2_block(e2data, X)
+    e3, e3_clamped = _e3_block(e3data, mus, X)
+    return {
+        "mu": mus,
+        "true_error": _true_error_block(sys, model, mus, gamma),
+        "e1": estimator_e1_block(sys, model, mus, gamma),
+        "e2": e2,
+        "e2_radicand": radicand,
+        "e2dd": _e2dd_block(e2data, x),
+        "e3": e3,
+        "e3_clamped_flag": e3_clamped.astype(int),
+    }

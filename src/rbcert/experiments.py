@@ -61,6 +61,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.n_cells < 2:
             raise ConfigError("n_cells must be >= 2")
+        if not (math.isfinite(self.mu_min) and math.isfinite(self.mu_max)):
+            raise ConfigError("mu_min and mu_max must be finite")
         if not (1.0 <= self.mu_min < self.mu_max):
             raise ConfigError("need 1 <= mu_min < mu_max")
         if self.n_train < 2 or self.n_sweep < 1:
@@ -185,31 +187,40 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
 
 
 def load_artifact(path: str, config: ExperimentConfig):
-    """Deserialize an artifact and check it matches the config dimensions."""
+    """Deserialize an artifact and check it matches the config dimensions.
+
+    An unreadable file, bytes that are not ASCII JSON, and a payload with
+    a missing key all raise ConfigError.
+    """
     try:
         with open(path, "rb") as fh:
             payload = json.loads(fh.read().decode("ascii"))
     except OSError as exc:
         raise ConfigError(f"cannot read artifact {path}: {exc}") from exc
-    if payload.get("format") != reduced.FORMAT_NAME:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid artifact JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != reduced.FORMAT_NAME:
         raise ConfigError(f"{path} is not an artifact file")
     if payload.get("version") != reduced.FORMAT_VERSION:
         raise ConfigError(f"unsupported artifact version {payload.get('version')!r}")
-    echo = payload["config"]
-    if echo["n_cells"] != config.n_cells:
-        raise ConfigError(
-            f"artifact n_cells={echo['n_cells']} does not match config n_cells={config.n_cells}"
-        )
-    if (float.fromhex(echo["mu_min"]), float.fromhex(echo["mu_max"])) != (
-        config.mu_min,
-        config.mu_max,
-    ):
-        raise ConfigError("artifact parameter range does not match config")
-    sys_ = fem.assemble(config.n_cells)
-    model = reduced.model_from_dict(payload["model"], sys_)
-    e2 = reduced.e2data_from_dict(payload["e2"])
-    e3 = reduced.e3data_from_dict(payload["e3"])
-    history = [(float.fromhex(a), float.fromhex(b)) for a, b in payload["history"]]
+    try:
+        echo = payload["config"]
+        if echo["n_cells"] != config.n_cells:
+            raise ConfigError(
+                f"artifact n_cells={echo['n_cells']} does not match config n_cells={config.n_cells}"
+            )
+        if (float.fromhex(echo["mu_min"]), float.fromhex(echo["mu_max"])) != (
+            config.mu_min,
+            config.mu_max,
+        ):
+            raise ConfigError("artifact parameter range does not match config")
+        sys_ = fem.assemble(config.n_cells)
+        model = reduced.model_from_dict(payload["model"], sys_)
+        e2 = reduced.e2data_from_dict(payload["e2"])
+        e3 = reduced.e3data_from_dict(payload["e3"])
+        history = [(float.fromhex(a), float.fromhex(b)) for a, b in payload["history"]]
+    except KeyError as exc:
+        raise ConfigError(f"artifact {path} lacks the key {exc}") from exc
     return sys_, model, e2, e3, history
 
 
@@ -228,17 +239,14 @@ class SweepRecord:
 
 
 def compute_sweep(sys_, model, e2data, e3data, mus) -> list[SweepRecord]:
+    """One SweepRecord per mu, evaluated in blocks by ``estimators.evaluate``."""
+    mus = np.asarray(mus, dtype=float)
+    names = [f.name for f in dataclasses.fields(SweepRecord)]
+    step = estimators.block_points(sys_.n, e3data.d)
     rows = []
-    for mu in mus:
-        sol = reduced.solve_reduced(model, float(mu))
-        err = estimators.true_error(sys_, model, sol)
-        e1 = estimators.estimator_e1(sys_, model, sol)
-        e2, radicand = estimators.estimator_e2(e2data, sol)
-        e2dd, _ = estimators.estimator_e2_dd(e2data, sol)
-        e3, clamped = estimators.estimator_e3(e3data, sol)
-        rows.append(
-            SweepRecord(float(mu), err, e1, e2, radicand, e2dd, e3, int(clamped))
-        )
+    for k in range(0, mus.size, step):
+        cols = estimators.evaluate(sys_, model, e2data, e3data, mus[k:k + step])
+        rows += [SweepRecord(*vals) for vals in zip(*(cols[name].tolist() for name in names))]
     return rows
 
 

@@ -32,12 +32,13 @@ class Tridiagonal:
 
     @property
     def n(self) -> int:
-        return self.diag.size
+        return self.diag.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A*v, or A*v_j for every row v_j of a (m, n) stack."""
         w = self.diag * v
-        w[:-1] += self.off * v[1:]
-        w[1:] += self.off * v[:-1]
+        w[..., :-1] += self.off * v[..., 1:]
+        w[..., 1:] += self.off * v[..., :-1]
         return w
 
     def __add__(self, other: "Tridiagonal") -> "Tridiagonal":
@@ -71,9 +72,19 @@ class TruthSystem:
         """Interior node coordinates x_j = j*h, j = 1..N."""
         return self.h * np.arange(1, self.n_cells)
 
-    def operator(self, mu: float) -> Tridiagonal:
-        """The parametric operator A(mu) = K + mu*M."""
-        return self.K + self.M.scaled(mu)
+    def operator(self, mu) -> Tridiagonal:
+        """The parametric operator A(mu) = K + mu*M.
+
+        For a 1-D array of m parameters the diagonals are (n, m) blocks
+        whose column j holds A(mu[j]), entry for entry as the scalar call.
+        """
+        if np.ndim(mu) == 0:
+            return self.K + self.M.scaled(mu)
+        mu = np.asarray(mu, dtype=float)
+        K, M = self.K, self.M
+        return Tridiagonal(
+            K.diag[:, None] + mu * M.diag[:, None], K.off[:, None] + mu * M.off[:, None]
+        )
 
 
 def assemble(n_cells: int) -> TruthSystem:
@@ -94,33 +105,65 @@ def assemble(n_cells: int) -> TruthSystem:
     return TruthSystem(n_cells, h, K, M, Gram, F)
 
 
-def solve_tridiagonal(A: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Thomas elimination for a symmetric tridiagonal system."""
-    n = A.n
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    piv = A.diag[0]
-    if piv == 0.0:
-        raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination")
+def _thomas(diag, off, rhs, c, d):
+    """Thomas elimination body; c and d are the caller's work buffers.
+
+    Every operand is indexed by mesh row only, so the same body runs on
+    lists of floats (one system) and on (n, m) arrays (m systems, one
+    per column) with the same operations in the same order per column.
+    """
+    n = len(d)
+    piv = diag[0]
     d[0] = rhs[0] / piv
     for i in range(1, n):
-        c[i - 1] = A.off[i - 1] / piv
-        piv = A.diag[i] - A.off[i - 1] * c[i - 1]
-        if piv == 0.0:
-            raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination")
-        d[i] = (rhs[i] - A.off[i - 1] * d[i - 1]) / piv
-    x = d
+        c[i - 1] = off[i - 1] / piv
+        piv = diag[i] - off[i - 1] * c[i - 1]
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / piv
     for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
+        d[i] -= c[i] * d[i + 1]
+    return d
 
 
-def solve_truth(sys: TruthSystem, mu: float) -> np.ndarray:
-    """Truth solve (K + mu*M) u = F."""
-    if mu < 1.0:
-        raise ValueError(f"mu = {mu} outside the parameter domain [1, inf)")
+def solve_tridiagonal(A: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+    """Thomas elimination for a symmetric tridiagonal system.
+
+    With (n,) diagonals and an (n,) right-hand side this is one system.
+    When A's diagonals or rhs are (n, m) blocks, m systems are solved at
+    once: column j of the result solves column j of A (or A itself)
+    against column j of rhs (or rhs itself).  A single system runs on
+    Python floats, which index faster than numpy scalars; a block runs on
+    numpy rows, which pays off from about 16 columns.  Both give the same
+    bits per column.  A zero pivot raises ``LinAlgError``.
+    """
+    n = A.n
+    if rhs.shape[:1] != (n,) or rhs.ndim > 2 or A.diag.ndim > 2:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},) or ({n}, m)")
+    try:
+        if rhs.ndim == A.diag.ndim == 1:
+            x = _thomas(A.diag.tolist(), A.off.tolist(), rhs.tolist(), [0.0] * (n - 1), [0.0] * n)
+            return np.array(x)
+        cols = np.broadcast_shapes(rhs.shape[1:], A.diag.shape[1:])
+        with np.errstate(divide="raise", invalid="raise"):
+            return _thomas(A.diag, A.off, rhs, np.empty((n - 1,) + cols), np.empty((n,) + cols))
+    except (ZeroDivisionError, FloatingPointError) as exc:
+        raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination") from exc
+
+
+def check_parameters(mu) -> None:
+    """Raise ValueError unless mu (a scalar or an array) lies in [1, inf)."""
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    bad = mus[~(np.isfinite(mus) & (mus >= 1.0))]
+    if bad.size:
+        raise ValueError(f"mu = {float(bad[0])} outside the parameter domain [1, inf)")
+
+
+def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
+    """Truth solve (K + mu*M) u = F.
+
+    For a 1-D array of m parameters, one (n, m) block solve whose column
+    j is the solution at mu[j].
+    """
+    check_parameters(mu)
     return solve_tridiagonal(sys.operator(mu), sys.F)
 
 
@@ -149,8 +192,7 @@ def analytic_solution(mu: float, x):
     stays finite for arbitrarily large mu; algebraically identical to the
     cosh/sinh form.  Boundary values are exactly 0.0 in floating point.
     """
-    if mu < 1.0:
-        raise ValueError(f"mu = {mu} outside the parameter domain [1, inf)")
+    check_parameters(mu)
     s = math.sqrt(mu)
     x = np.asarray(x, dtype=float)
     num = np.exp(-s * (1.0 - x)) + np.exp(-s * x)

@@ -7,9 +7,9 @@ less than IEEE binary128 (113 bits, ~34 digits), but the exponent range
 is the full double range and every operation below compiles to ordinary
 double arithmetic, so the kernels vectorize over numpy arrays as-is.
 
-All kernels are branch-free except the square root, so every function
-accepts either Python floats or numpy arrays and broadcasts like any
-ufunc expression.
+All kernels are branch-free except the square root's check for negative
+input, so every function accepts either Python floats or numpy arrays
+and broadcasts like any ufunc expression.
 
 ``math.fma`` is not available on this interpreter, so ``two_prod`` uses
 the Dekker splitting path; :data:`TWO_PROD_PATH` records which path was
@@ -98,40 +98,46 @@ def dd_neg(x):
 
 
 def dd_sqrt(x):
-    """Square root of a scalar double-double ``x = (hi, lo)``.
+    """Square root of a double-double ``x = (hi, lo)``.
 
-    One Newton/Karp correction on top of the double sqrt; raises
-    ``ValueError`` on negative input (callers that want clamping must
-    clamp before calling).
+    One Newton/Karp correction on top of the double sqrt; zero maps to
+    (0, 0), and negative input raises ``ValueError`` (callers that want
+    clamping must clamp before calling).  Array pairs are taken element
+    by element; scalars give a pair of floats.
     """
     hi, lo = x
-    if hi < 0.0:
+    if np.any(np.less(hi, 0.0)):
         raise ValueError("dd_sqrt of negative value")
-    if hi == 0.0:
-        return 0.0, 0.0
-    a = math.sqrt(hi)
+    zero = np.equal(hi, 0.0)
+    a = np.sqrt(np.where(zero, 1.0, hi))
     p, e = two_prod(a, a)
     d = dd_add(x, (-p, -e))
     corr = (d[0] + d[1]) / (2.0 * a)
-    return quick_two_sum(a, corr)
+    s, e = quick_two_sum(a, corr)
+    s, e = np.where(zero, 0.0, s), np.where(zero, 0.0, e)
+    return (float(s), float(e)) if s.ndim == 0 else (s, e)
 
 
 def dd_sum(hi, lo):
     """Sum the double-double entries of paired (hi, lo) arrays.
 
-    Pairwise (balanced-tree) reduction, front half against back half,
-    so the evaluation order is deterministic and independent of any
-    BLAS blocking.  Returns a scalar (hi, lo) pair.
+    Pairwise (balanced-tree) reduction along the first axis, front half
+    against back half, so the evaluation order is deterministic and
+    independent of any BLAS blocking.  1-D input gives a scalar (hi, lo)
+    pair; (d, m) input gives the m column sums, each summed exactly as
+    its column alone would be.
     """
     h = np.asarray(hi, dtype=float).copy()
     l = np.asarray(lo, dtype=float).copy()
-    n = h.size
+    n = h.shape[0]
     while n > 1:
         half = (n + 1) // 2
         m = n - half
         h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
         n = half
-    return float(h[0]), float(l[0])
+    if h.ndim == 1:
+        return float(h[0]), float(l[0])
+    return h[0], l[0]
 
 
 @dataclass(frozen=True)

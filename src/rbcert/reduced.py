@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import E2Data, E3Data, estimator_e1
-from .fem import TruthSystem, h1_inner, riesz_representative, solve_truth
+from .estimators import E2Data, E3Data, estimator_e1_block
+from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +146,7 @@ def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
     """Solve (A0_hat + mu*A1_hat) gamma = b_hat; O(N_hat^3), truth-free."""
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
-    if mu < 1.0:
-        raise ValueError(f"mu = {mu} outside the parameter domain [1, inf)")
+    check_parameters(mu)
     A = model.A0_hat + mu * model.A1_hat
     try:
         gamma = np.linalg.solve(A, model.b_hat)
@@ -156,6 +155,29 @@ def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
             f"singular reduced system at mu={mu!r} (snapshot dependence?): {exc}"
         ) from exc
     return ReducedSolution(float(mu), gamma)
+
+
+def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
+    """Reduced coefficients at every mus[j], as the rows of an (m, N_hat) array.
+
+    One stacked LAPACK solve; row j equals ``solve_reduced(model,
+    mus[j]).gamma`` bit for bit (each matrix of the stack is factored by
+    the same routine on the same entries).
+    """
+    if model.n_hat < 1:
+        raise ValueError("reduced model is empty")
+    check_parameters(mus)
+    mus = np.asarray(mus, dtype=float)
+    A = model.A0_hat + mus[:, None, None] * model.A1_hat
+    b = np.broadcast_to(model.b_hat[:, None], A.shape[:2] + (1,))
+    try:
+        gamma = np.linalg.solve(A, b)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular reduced system for mu in [{mus.min()!r}, {mus.max()!r}] "
+            f"(snapshot dependence?): {exc}"
+        ) from exc
+    return np.ascontiguousarray(gamma)
 
 
 def greedy_build(
@@ -174,10 +196,11 @@ def greedy_build(
     accurate evaluation - a compact-form estimator would stagnate at its
     round-off floor and corrupt the selection), adds its snapshot, and
     stops at n_max, when the max estimator drops to tol, or when the
-    selected snapshot is numerically dependent.  Ties break to the
-    smallest mu: candidates are scanned in ascending order and only a
-    strictly larger estimate displaces the incumbent, so the first pick
-    (all candidates tie at delta) is the smallest training parameter.
+    selected snapshot is numerically dependent.  Each iteration
+    evaluates E1 over all unselected candidates as one block.  Ties
+    break to the smallest mu: candidates are in ascending order and the
+    first maximum wins, so the first pick (all candidates tie at delta)
+    is the smallest training parameter.
 
     Returns (model, history) with one (mu_selected, max_estimator) pair
     per accepted snapshot.
@@ -185,24 +208,24 @@ def greedy_build(
     training = sorted(float(mu) for mu in training_set)
     if not training:
         raise ValueError("empty training set")
-    if training[0] < 1.0:
-        raise ValueError("training parameters must be >= 1")
+    check_parameters(training)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     model = ReducedModel(sys, beta=beta, orthonormalize=orthonormalize)
     history: list[tuple[float, float]] = []
     while model.n_hat < n_max:
         selected = set(model.snapshot_params)
-        best_mu = None
-        best_val = -np.inf
-        for mu in training:
-            if mu in selected:
-                continue
-            sol = solve_reduced(model, mu) if model.n_hat else model.empty_solution(mu)
-            val = estimator_e1(sys, model, sol)
-            if val > best_val:
-                best_mu, best_val = mu, val
-        if best_mu is None or best_val <= tol:
+        candidates = np.array([mu for mu in training if mu not in selected])
+        if not candidates.size:
+            break
+        if model.n_hat:
+            gamma = solve_reduced_block(model, candidates)
+        else:
+            gamma = np.empty((candidates.size, 0))
+        values = estimator_e1_block(sys, model, candidates, gamma)
+        best = int(np.argmax(values))
+        best_mu, best_val = float(candidates[best]), float(values[best])
+        if best_val <= tol:
             break
         try:
             add_snapshot(model, sys, best_mu, dependence_tol=dependence_tol)

@@ -37,6 +37,9 @@ def test_e1_of_empty_model_is_delta(truth):
     for mu in (1.0, 31.0, 999.0):
         assert rb.estimator_e1(truth, model, model.empty_solution(mu)) == model.delta
     assert model.delta == DELTA_200
+    mus = np.array([1.0, 31.0, 999.0])
+    block = rb.estimator_e1_block(truth, model, mus, np.empty((3, 0)))
+    assert block.tolist() == [model.delta] * 3
 
 
 def test_e1_matches_direct_residual_norm(truth, default_model):
@@ -241,7 +244,7 @@ def test_e3_shapes(default_e3):
 
 def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
     model, _ = default_model
-    for r in (0, 17, 90):
+    for r in range(default_e3.d):
         mu_r = float(default_e3.interp_params[r])
         sol = rb.solve_reduced(model, mu_r)
         assert np.array_equal(rb.x_vector(sol), default_e3.T[:, r])
@@ -268,16 +271,19 @@ def test_e3_tracks_e1_between_interpolation_points(truth, default_model, default
         assert v3 == pytest.approx(v1, rel=1e-3)
 
 
-def test_e3_oversampled_least_squares_path(truth, default_model, default_config):
+def test_e3_oversampled_least_squares_path(truth, default_model, default_e2, default_config):
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
     data = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
     assert data.oversample == 7
     assert data.T.shape == (91, 98)
-    for mu in (2.5, 333.0):
+    mus = [2.5, 333.0, float(data.interp_params[96])]
+    block = rb.evaluate(truth, model, default_e2, data, mus)["e3"]
+    for mu, b3 in zip(mus, block.tolist()):
         sol = rb.solve_reduced(model, mu)
         v3, _ = rb.estimator_e3(data, sol)
         assert v3 == pytest.approx(rb.estimator_e1(truth, model, sol), rel=1e-3)
+        assert b3.hex() == v3.hex()
 
 
 def test_e3_build_warns_on_astronomical_condition(truth, default_model, default_config, caplog):
@@ -326,3 +332,96 @@ def test_log_uniform_sampler_is_deterministic():
 def test_small_x_layout():
     sol = ReducedSolution(3.0, np.array([0.5, -2.0]))
     assert np.array_equal(_small_x(sol), [0.5, -2.0, 1.5, -6.0])
+
+
+# --- block evaluation ------------------------------------------------------------
+
+FIELDS = ("mu", "true_error", "e1", "e2", "e2_radicand", "e2dd", "e3", "e3_clamped_flag")
+
+
+def per_point_record(sys_, model, e2data, e3data, mu):
+    """The reference: every sweep quantity from the per-point functions."""
+    sol = rb.solve_reduced(model, float(mu))
+    e2, radicand = rb.estimator_e2(e2data, sol)
+    e3, clamped = rb.estimator_e3(e3data, sol)
+    return {
+        "mu": float(mu),
+        "true_error": rb.true_error(sys_, model, sol),
+        "e1": rb.estimator_e1(sys_, model, sol),
+        "e2": e2,
+        "e2_radicand": radicand,
+        "e2dd": rb.estimator_e2_dd(e2data, sol)[0],
+        "e3": e3,
+        "e3_clamped_flag": int(clamped),
+    }
+
+
+@pytest.fixture(scope="module")
+def small_orthonormal():
+    """n_cells=50, orthonormal basis of 8: d = 153, with e3 clamps at mu = 1."""
+    cfg = rb.ExperimentConfig(
+        n_cells=50, n_train=50, rb_size=8, orthonormalize=True, dependence_tol=1e-30
+    )
+    sys_ = rb.assemble(cfg.n_cells)
+    model, _ = rb.greedy_build(
+        sys_, training_grid(cfg), n_max=cfg.rb_size, orthonormalize=True,
+        dependence_tol=cfg.dependence_tol,
+    )
+    e2data = rb.build_e2_data(sys_, model)
+    e3data = rb.build_e3_data(
+        sys_, model, rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max), seed=cfg.seed
+    )
+    return sys_, model, e2data, e3data
+
+
+@pytest.fixture(params=["default", "small_orthonormal"])
+def evaluation_case(request, truth, default_model, default_e2, default_e3):
+    if request.param == "default":
+        case = truth, default_model[0], default_e2, default_e3
+    else:
+        case = request.getfixturevalue("small_orthonormal")
+    e3data = case[3]
+    # The grid's endpoints clamp e3 (mu = 1000 on the default basis, mu = 1
+    # on the small one); two stored nodes take the exact-lookup path.
+    mus = np.concatenate([np.geomspace(1.0, 1000.0, 31), e3data.interp_params[[3, 40]]])
+    reference = [per_point_record(*case, mu) for mu in mus]
+    assert any(r["e3_clamped_flag"] for r in reference)
+    return case, mus, reference
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
+    case, mus, reference = evaluation_case
+    step = block or len(mus)
+    got = {name: [] for name in FIELDS}
+    for k in range(0, len(mus), step):
+        cols = rb.evaluate(*case, mus[k:k + step])
+        for name in FIELDS:
+            got[name] += cols[name].tolist()
+    for name in FIELDS:
+        expect = [r[name] for r in reference]
+        if name == "e3_clamped_flag":
+            assert got[name] == expect
+        else:
+            assert [v.hex() for v in got[name]] == [v.hex() for v in expect], name
+
+
+def test_compute_sweep_equals_per_point(evaluation_case):
+    case, mus, reference = evaluation_case
+    rows = rb.compute_sweep(*case, mus)
+    assert [[getattr(r, name) for name in FIELDS] for r in rows] == [
+        [rec[name] for name in FIELDS] for rec in reference
+    ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3):
+    model, _ = default_model
+    with pytest.raises(ValueError):
+        rb.solve_truth(truth, bad)
+    with pytest.raises(ValueError):
+        rb.solve_reduced(model, bad)
+    with pytest.raises(ValueError):
+        rb.analytic_solution(bad, 0.5)
+    with pytest.raises(ValueError):
+        rb.evaluate(truth, model, default_e2, default_e3, [2.0, bad])

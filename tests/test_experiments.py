@@ -266,6 +266,39 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_nonfinite_mu_range_exits_2(tmp_path, capsys):
+    for flag in ("--mu-max=inf", "--mu-min=nan", "--mu-max=-inf"):
+        assert cli.main(["offline", flag, "--output-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "artifact.json")
+
+
+def _truncate(blob):
+    return blob[: len(blob) // 2]
+
+
+def _non_ascii(blob):
+    return blob.replace(b"rbcert-artifact", "rbcert-\u00e4rtifact".encode("utf-8"), 1)
+
+
+def _drop_e3_v(blob):
+    payload = json.loads(blob)
+    del payload["e3"]["V"]
+    return json.dumps(payload).encode("ascii")
+
+
+@pytest.mark.parametrize("damage", [_truncate, _non_ascii, _drop_e3_v])
+def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
+    with open(os.path.join(small_sweep_dir, "artifact.json"), "rb") as fh:
+        blob = fh.read()
+    bad = tmp_path / "artifact.json"
+    bad.write_bytes(damage(blob))
+    args = ["--n-cells", "40", "--n-train", "25", "--n-sweep", "30", "--rb-size", "3"]
+    code = cli.main(["sweep", *args, "--artifact", str(bad), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     def explode(config, log=print):
         raise rb.EstimatorBuildError("interpolation matrix is numerically singular")

@@ -97,6 +97,47 @@ def test_thomas_raises_on_zero_pivot():
         rb.solve_tridiagonal(T, np.ones(2))
 
 
+def test_block_thomas_matches_column_solves_bit_for_bit():
+    # Block diagonals and rhs, shared diagonals with block rhs, and block
+    # diagonals with one shared rhs: column j must equal the 1-D solve.
+    rng = np.random.default_rng(11)
+    m = 5
+    for n in (1, 2, 7, 50):
+        diag = 4.0 + rng.uniform(size=(n, m))
+        off = rng.normal(size=(n - 1, m))
+        rhs = rng.normal(size=(n, m))
+        block = Tridiagonal(diag, off)
+        shared = Tridiagonal(diag[:, 0].copy(), off[:, 0].copy())
+        for A, b in ((block, rhs), (shared, rhs), (block, rhs[:, 0].copy())):
+            X = rb.solve_tridiagonal(A, b)
+            assert X.shape == (n, m)
+            for j in range(m):
+                Aj = A if A.diag.ndim == 1 else Tridiagonal(diag[:, j].copy(), off[:, j].copy())
+                bj = b if b.ndim == 1 else b[:, j].copy()
+                assert X[:, j].tolist() == rb.solve_tridiagonal(Aj, bj).tolist()
+
+
+@pytest.mark.parametrize("col", [0, 2, 4])
+def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
+    diag = np.full((3, 5), 4.0)
+    off = np.ones((2, 5))
+    diag[0, col] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+    diag[0, col], diag[1, col] = 1.0, 1.0  # second pivot 1 - 1*1 = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+
+
+def test_block_operator_columns_are_scalar_operators():
+    s = rb.assemble(20)
+    mus = np.array([1.0, 3.7, 999.0])
+    A = s.operator(mus)
+    for j, mu in enumerate(mus):
+        assert A.diag[:, j].tolist() == s.operator(mu).diag.tolist()
+        assert A.off[:, j].tolist() == s.operator(mu).off.tolist()
+
+
 # --- truth solve -----------------------------------------------------------
 
 

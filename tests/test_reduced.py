@@ -118,6 +118,19 @@ def test_solve_reduced_rejects_empty_and_out_of_domain(truth, small_model):
         rb.solve_reduced(ReducedModel(truth), 2.0)
     with pytest.raises(ValueError):
         rb.solve_reduced(small_model, 0.25)
+    with pytest.raises(ValueError):
+        rb.solve_reduced_block(ReducedModel(truth), [2.0])
+    with pytest.raises(ValueError):
+        rb.solve_reduced_block(small_model, [2.0, 0.25])
+
+
+def test_solve_reduced_block_rows_are_solve_reduced_bit_for_bit(default_model):
+    model, _ = default_model
+    mus = np.geomspace(1.0, 1000.0, 57)
+    gamma = rb.solve_reduced_block(model, mus)
+    assert gamma.shape == (57, model.n_hat)
+    for mu, row in zip(mus, gamma):
+        assert row.tolist() == rb.solve_reduced(model, float(mu)).gamma.tolist()
 
 
 def test_orthonormal_basis_is_h1_orthonormal(truth):
