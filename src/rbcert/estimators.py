@@ -30,17 +30,18 @@ of parameters at once, bit for bit equal to the per-point functions
 above, which stay as the reference.
 
 Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
-Gram-matrix inner products in double-double and store both the dd values
-and their correctly-rounded doubles; the working-precision estimator is
-only as good as its offline data, and the interesting floors live in the
-online evaluation, not in data-assembly noise.
+Gram-matrix inner products in double-double; the working-precision
+estimator reads their correctly-rounded doubles.  It is only as good as
+its offline data, and the interesting floors live in the online
+evaluation, not in data-assembly noise.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,30 +121,40 @@ class E2Data:
     the next N_hat to the a1 block; x_I = alpha_k(mu)*gamma_i with
     alpha_0 = 1, alpha_1 = mu.
 
-    The double fields hold the correctly-rounded values of the
-    double-double fields (`*_dd` pairs), which are what
-    :func:`estimator_e2_dd` consumes.
+    Only the double-double pairs (`*_dd`) are stored; they are what
+    :func:`estimator_e2_dd` consumes.  The double fields ``delta``, ``s``
+    and ``S`` are their correctly-rounded values, derived on access.
     """
 
-    delta: float
-    s: np.ndarray            # length 2*N_hat
-    S: np.ndarray            # 2*N_hat x 2*N_hat, symmetric PSD
     delta2_dd: tuple         # (hi, lo)
-    s_dd: tuple              # (hi array, lo array)
-    S_dd: tuple              # (hi matrix, lo matrix)
+    s_dd: tuple              # (hi array, lo array), length 2*N_hat
+    S_dd: tuple              # (hi matrix, lo matrix), 2*N_hat x 2*N_hat, symmetric PSD
     beta: float = 1.0
 
     @property
     def n_hat(self) -> int:
-        return self.s.size // 2
+        return self.s_dd[0].size // 2
 
     @property
     def delta2(self) -> float:
         return self.delta2_dd[0] + self.delta2_dd[1]
 
+    @property
+    def delta(self) -> float:
+        dh, dl = dd_sqrt(self.delta2_dd)
+        return dh + dl
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.s_dd[0] + self.s_dd[1]
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.S_dd[0] + self.S_dd[1]
+
 
 def build_e2_data(sys: TruthSystem, model) -> E2Data:
-    """Assemble delta, s, S from the stored Riesz vectors.
+    """Assemble delta^2, s, S in double-double from the stored Riesz vectors.
 
     Inner products are evaluated with :func:`h1_inner_dd`; S is
     symmetrized after assembly by averaging with its transpose (exact in
@@ -166,17 +177,7 @@ def build_e2_data(sys: TruthSystem, model) -> E2Data:
     # (S + S^T)/2 in dd; division by 2 is exact.
     Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
     Sh, Sl = 0.5 * Sh, 0.5 * Sl
-    dh, dl = dd_sqrt(d2)
-    delta = dh + dl
-    return E2Data(
-        delta=delta,
-        s=sh + sl,
-        S=Sh + Sl,
-        delta2_dd=d2,
-        s_dd=(sh, sl),
-        S_dd=(Sh, Sl),
-        beta=model.beta,
-    )
+    return E2Data(delta2_dd=d2, s_dd=(sh, sl), S_dd=(Sh, Sl), beta=model.beta)
 
 
 def _small_x(sol) -> np.ndarray:
@@ -280,8 +281,9 @@ class E3Data:
     """Interpolation data: T columns are X(mu_r), V_r = (beta*E1(mu_r))^2.
 
     The columns are recomputable bit-for-bit from interp_params and the
-    serialized model, which is what makes exact interpolation-node
-    lookup (and bit-exact round-tripping) possible.
+    model (:func:`interpolation_matrix`), which is what makes exact
+    interpolation-node lookup possible, and why an artifact stores the
+    nodes and V but not T.
     """
 
     interp_params: np.ndarray     # d' parameter values mu_r
@@ -289,7 +291,6 @@ class E3Data:
     V: np.ndarray                 # length d'
     cond_estimate: float
     beta: float = 1.0
-    _lu: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -298,6 +299,18 @@ class E3Data:
     @property
     def oversample(self) -> int:
         return self.T.shape[1] - self.T.shape[0]
+
+    @functools.cached_property
+    def lu(self):
+        """Partial-pivoting LU of square T, factored on first use."""
+        return _lu_factor(self.T)
+
+
+def interpolation_matrix(model, mus: np.ndarray) -> np.ndarray:
+    """T for the nodes mus: column r is X(mus[r]) of the model's reduced solve."""
+    from .reduced import solve_reduced_block
+
+    return x_matrix(mus, solve_reduced_block(model, mus))
 
 
 def log_uniform_sampler(mu_min: float, mu_max: float):
@@ -371,10 +384,7 @@ def build_e3_data(
     failure = None
     for attempt in range(max_retries + 1):
         mus = np.asarray(sampler(n_cols, seed + attempt), dtype=float)
-        gamma = solve_reduced_block(model, mus)
-        T = x_matrix(mus, gamma)
-        e1 = estimator_e1_block(sys, model, mus, gamma)
-        V = np.array([(model.beta * e) ** 2 for e in e1.tolist()])
+        T = interpolation_matrix(model, mus)
         if not np.all(np.isfinite(T)):
             failure = "non-finite entries in T"
             continue
@@ -382,10 +392,12 @@ def build_e3_data(
         if not math.isfinite(cond):
             failure = "numerically singular T (non-finite condition estimate)"
             continue
-        lu = None
+        e1 = estimator_e1_block(sys, model, mus, solve_reduced_block(model, mus))
+        V = np.array([(model.beta * e) ** 2 for e in e1.tolist()])
+        data = E3Data(interp_params=mus, T=T, V=V, cond_estimate=cond, beta=model.beta)
         if oversample == 0:
             try:
-                lu = _lu_factor(T)
+                data.lu  # factors T now; a zero pivot raises
             except np.linalg.LinAlgError:
                 failure = "numerically singular T (zero LU pivot)"
                 continue
@@ -396,14 +408,7 @@ def build_e3_data(
                 cond,
                 COND_WARN_THRESHOLD,
             )
-        return E3Data(
-            interp_params=mus,
-            T=T,
-            V=V,
-            cond_estimate=cond,
-            beta=model.beta,
-            _lu=lu,
-        )
+        return data
     raise EstimatorBuildError(
         f"could not build interpolation data after {max_retries + 1} draws "
         f"({failure}); try a nonzero oversample for a least-squares fit"
@@ -426,9 +431,7 @@ def estimator_e3(data: E3Data, sol):
     else:
         X = x_vector(sol)
         if data.oversample == 0:
-            if data._lu is None:
-                data._lu = _lu_factor(data.T)
-            lam = _lu_solve(data._lu, X)
+            lam = _lu_solve(data.lu, X)
         else:
             lam = np.linalg.lstsq(data.T, X, rcond=None)[0]
         total = float(lam @ data.V)
@@ -566,9 +569,7 @@ def _e3_block(data: E3Data, mus, X):
     if free.any():
         Xf = X[:, free]
         if data.oversample == 0:
-            if data._lu is None:
-                data._lu = _lu_factor(data.T)
-            lam = _lu_solve(data._lu, Xf)
+            lam = _lu_solve(data.lu, Xf)
         else:  # a many-column lstsq does not give the one-column bits
             lam = np.column_stack([np.linalg.lstsq(data.T, c, rcond=None)[0] for c in Xf.T])
         total[free] = [row @ data.V for row in np.ascontiguousarray(lam.T)]

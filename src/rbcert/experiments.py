@@ -71,7 +71,7 @@ class ExperimentConfig:
             raise ConfigError("rb_size must be >= 1")
         if self.seed < 0 or self.oversample < 0:
             raise ConfigError("seed and oversample must be >= 0")
-        if self.tol < 0.0 or self.dependence_tol < 0.0:
+        if not (self.tol >= 0.0 and self.dependence_tol >= 0.0):
             raise ConfigError("tolerances must be >= 0")
         return self
 
@@ -186,11 +186,42 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
     return path
 
 
+def _has_shape(x, *shape: int) -> bool:
+    """Whether x is a nested list of the given shape (its leaves unchecked)."""
+    if not isinstance(x, list) or len(x) != shape[0]:
+        return False
+    return len(shape) == 1 or all(_has_shape(row, *shape[1:]) for row in x)
+
+
+def _check_shapes(payload: dict, n: int) -> None:
+    """Raise ConfigError unless the stored arrays fit truth size n and each other."""
+    model, e2, e3 = payload["model"], payload["e2"], payload["e3"]
+    params = model["snapshot_params"]
+    n_hat = len(params) if isinstance(params, list) else 0
+    if n_hat < 1 or not _has_shape(model["snapshots"], n_hat, n):
+        raise ConfigError(f"artifact needs one snapshot of length {n} per snapshot parameter")
+    if not _has_shape(payload["history"], n_hat, 2):
+        raise ConfigError(f"artifact history needs {n_hat} (mu, estimate) pairs")
+    m = 2 * n_hat
+    if not (
+        _has_shape(e2["delta2_dd"], 2)
+        and _has_shape(e2["s_dd"], 2, m)
+        and _has_shape(e2["S_dd"], 2, m, m)
+    ):
+        raise ConfigError(f"artifact e2 data needs s_dd of length {m} and S_dd of {m}x{m}")
+    nodes = e3["interp_params"]
+    d = estimators.x_dimension(n_hat)
+    if not (isinstance(nodes, list) and len(nodes) >= d and _has_shape(e3["V"], len(nodes))):
+        raise ConfigError(f"artifact e3 data needs as many V entries as nodes, at least {d}")
+
+
 def load_artifact(path: str, config: ExperimentConfig):
     """Deserialize an artifact and check it matches the config dimensions.
 
-    An unreadable file, bytes that are not ASCII JSON, and a payload with
-    a missing key all raise ConfigError.
+    The model, E2Data and E3Data are rebuilt from what the artifact stores
+    (see ``reduced``).  An unreadable file, bytes that are not ASCII JSON,
+    another format version, a missing key, mis-shaped arrays, and entries
+    that are not finite floats all raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -215,12 +246,21 @@ def load_artifact(path: str, config: ExperimentConfig):
         ):
             raise ConfigError("artifact parameter range does not match config")
         sys_ = fem.assemble(config.n_cells)
-        model = reduced.model_from_dict(payload["model"], sys_)
-        e2 = reduced.e2data_from_dict(payload["e2"])
-        e3 = reduced.e3data_from_dict(payload["e3"])
+        _check_shapes(payload, sys_.n)
         history = [(float.fromhex(a), float.fromhex(b)) for a, b in payload["history"]]
+        model = reduced.model_from_dict(payload["model"], sys_)
+        e2 = reduced.e2data_from_dict(payload["e2"], model.beta)
+        e3 = reduced.e3data_from_dict(payload["e3"], model)
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"artifact {path} lacks the key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        # malformed entries, and replay errors (a node below 1, a singular
+        # reduced system) that only a damaged artifact can cause
+        raise ConfigError(f"artifact {path} is damaged: {exc}") from exc
+    if not np.all(np.isfinite(history)):
+        raise ConfigError(f"artifact {path} has a non-finite history entry")
     return sys_, model, e2, e3, history
 
 

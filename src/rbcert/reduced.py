@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import E2Data, E3Data, estimator_e1_block
+from .estimators import E2Data, E3Data, estimator_e1_block, interpolation_matrix
 from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
 
 logger = logging.getLogger(__name__)
@@ -120,26 +120,31 @@ def add_snapshot(
         if pivot <= dependence_tol * nrm2:
             raise DependentSnapshotError(mu_new, pivot / nrm2)
         basis_vec = u
+    _append_basis_vector(model, sys, mu_new, basis_vec)
+    return model
+
+
+def _append_basis_vector(model: ReducedModel, sys: TruthSystem, mu: float, v: np.ndarray) -> None:
+    """Append basis vector v (the snapshot at mu) with its projections and Riesz lifts."""
     n = model.n_hat
     A0 = np.empty((n + 1, n + 1))
     A1 = np.empty((n + 1, n + 1))
     A0[:n, :n] = model.A0_hat
     A1[:n, :n] = model.A1_hat
-    Kv = sys.K.matvec(basis_vec)
-    Mv = sys.M.matvec(basis_vec)
+    Kv = sys.K.matvec(v)
+    Mv = sys.M.matvec(v)
     for i, w in enumerate(model.snapshots):
         A0[i, n] = A0[n, i] = float(w @ Kv)
         A1[i, n] = A1[n, i] = float(w @ Mv)
-    A0[n, n] = float(basis_vec @ Kv)
-    A1[n, n] = float(basis_vec @ Mv)
+    A0[n, n] = float(v @ Kv)
+    A1[n, n] = float(v @ Mv)
     model.A0_hat = A0
     model.A1_hat = A1
-    model.b_hat = np.append(model.b_hat, float(sys.F @ basis_vec))
-    model.snapshots.append(basis_vec)
-    model.snapshot_params.append(mu_new)
+    model.b_hat = np.append(model.b_hat, float(sys.F @ v))
+    model.snapshots.append(v)
+    model.snapshot_params.append(mu)
     model.riesz_a0.append(riesz_representative(sys, Kv))
     model.riesz_a1.append(riesz_representative(sys, Mv))
-    return model
 
 
 def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
@@ -240,23 +245,35 @@ def greedy_build(
 #
 # JSON with every float rendered via float.hex(): bit-exact round-trip,
 # human-greppable, and deterministic bytes (sorted keys, fixed separators).
+#
+# Only what cannot be cheaply recomputed is stored: the snapshots (the
+# model's projections and Riesz lifts are replayed from them), the
+# double-double Gram data of E2 (its doubles are their roundings), and E3's
+# nodes, V and cond(T) (T is recomputed from the nodes).  beta is stored
+# once, with the model.  Decoding refuses non-finite entries.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _enc_vec(v) -> list:
     return [float(x).hex() for x in np.asarray(v, dtype=float)]
 
 def _dec_vec(v) -> np.ndarray:
-    return np.array([float.fromhex(x) for x in v], dtype=float)
+    out = np.array([float.fromhex(x) for x in v], dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("non-finite artifact entry")
+    return out
+
+def _dec(x: str) -> float:
+    return float(_dec_vec([x])[0])
 
 def _enc_mat(A) -> list:
     return [_enc_vec(row) for row in np.asarray(A, dtype=float)]
 
-def _dec_mat(rows, width_hint: int = 0) -> np.ndarray:
+def _dec_mat(rows, width: int) -> np.ndarray:
     if not rows:
-        return np.empty((0, width_hint))
+        return np.empty((0, width))
     return np.vstack([_dec_vec(r) for r in rows])
 
 
@@ -266,75 +283,52 @@ def model_to_dict(model: ReducedModel) -> dict:
         "orthonormalize": model.orthonormalize,
         "snapshot_params": _enc_vec(model.snapshot_params),
         "snapshots": [_enc_vec(u) for u in model.snapshots],
-        "A0_hat": _enc_mat(model.A0_hat),
-        "A1_hat": _enc_mat(model.A1_hat),
-        "b_hat": _enc_vec(model.b_hat),
-        "riesz_b": _enc_vec(model.riesz_b),
-        "riesz_a0": [_enc_vec(u) for u in model.riesz_a0],
-        "riesz_a1": [_enc_vec(u) for u in model.riesz_a1],
     }
 
 
 def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
-    model = ReducedModel.__new__(ReducedModel)
-    model.beta = float.fromhex(d["beta"])
-    model.orthonormalize = bool(d["orthonormalize"])
-    model.snapshot_params = [float(x) for x in _dec_vec(d["snapshot_params"])]
-    model.snapshots = [_dec_vec(u) for u in d["snapshots"]]
-    n = len(model.snapshots)
-    model.A0_hat = _dec_mat(d["A0_hat"], n)
-    model.A1_hat = _dec_mat(d["A1_hat"], n)
-    model.b_hat = _dec_vec(d["b_hat"])
-    model.riesz_b = _dec_vec(d["riesz_b"])
-    model.riesz_a0 = [_dec_vec(u) for u in d["riesz_a0"]]
-    model.riesz_a1 = [_dec_vec(u) for u in d["riesz_a1"]]
-    model.delta = np.sqrt(max(h1_inner(sys, model.riesz_b, model.riesz_b), 0.0))
+    """Rebuild the model by replaying its stored basis vectors."""
+    model = ReducedModel(sys, beta=_dec(d["beta"]), orthonormalize=bool(d["orthonormalize"]))
+    for mu, u in zip(_dec_vec(d["snapshot_params"]).tolist(), d["snapshots"]):
+        _append_basis_vector(model, sys, mu, _dec_vec(u))
     return model
 
 
 def e2data_to_dict(data: E2Data) -> dict:
     return {
-        "delta": float(data.delta).hex(),
-        "s": _enc_vec(data.s),
-        "S": _enc_mat(data.S),
-        "delta2_dd": [float(data.delta2_dd[0]).hex(), float(data.delta2_dd[1]).hex()],
+        "delta2_dd": _enc_vec(data.delta2_dd),
         "s_dd": [_enc_vec(data.s_dd[0]), _enc_vec(data.s_dd[1])],
         "S_dd": [_enc_mat(data.S_dd[0]), _enc_mat(data.S_dd[1])],
-        "beta": float(data.beta).hex(),
     }
 
 
-def e2data_from_dict(d: dict) -> E2Data:
-    m = len(d["s"])
+def e2data_from_dict(d: dict, beta: float) -> E2Data:
+    m = len(d["s_dd"][0])
     return E2Data(
-        delta=float.fromhex(d["delta"]),
-        s=_dec_vec(d["s"]),
-        S=_dec_mat(d["S"], m),
-        delta2_dd=(float.fromhex(d["delta2_dd"][0]), float.fromhex(d["delta2_dd"][1])),
+        delta2_dd=tuple(_dec_vec(d["delta2_dd"]).tolist()),
         s_dd=(_dec_vec(d["s_dd"][0]), _dec_vec(d["s_dd"][1])),
         S_dd=(_dec_mat(d["S_dd"][0], m), _dec_mat(d["S_dd"][1], m)),
-        beta=float.fromhex(d["beta"]),
+        beta=beta,
     )
 
 
 def e3data_to_dict(data: E3Data) -> dict:
     return {
         "interp_params": _enc_vec(data.interp_params),
-        "T": _enc_mat(data.T),
         "V": _enc_vec(data.V),
         "cond_estimate": float(data.cond_estimate).hex(),
-        "beta": float(data.beta).hex(),
     }
 
 
-def e3data_from_dict(d: dict) -> E3Data:
-    T = _dec_mat(d["T"])
+def e3data_from_dict(d: dict, model: ReducedModel) -> E3Data:
+    """Rebuild E3Data, recomputing T from the stored nodes and the model."""
+    mus = _dec_vec(d["interp_params"])
     return E3Data(
-        interp_params=_dec_vec(d["interp_params"]),
-        T=T,
+        interp_params=mus,
+        T=interpolation_matrix(model, mus),
         V=_dec_vec(d["V"]),
-        cond_estimate=float.fromhex(d["cond_estimate"]),
-        beta=float.fromhex(d["beta"]),
+        cond_estimate=_dec(d["cond_estimate"]),
+        beta=model.beta,
     )
 
 

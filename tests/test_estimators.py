@@ -205,9 +205,6 @@ def synthetic_negative_data():
     z = np.zeros(2)
     Z = np.zeros((2, 2))
     return E2Data(
-        delta=1.0,
-        s=np.array([-2.0, 0.0]),
-        S=Z.copy(),
         delta2_dd=(1.0, 0.0),
         s_dd=(np.array([-2.0, 0.0]), z.copy()),
         S_dd=(Z.copy(), Z.copy()),

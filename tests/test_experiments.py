@@ -99,6 +99,8 @@ def test_missing_config_file_rejected():
         {"rb_size": 0},
         {"seed": -1},
         {"tol": -1e-3},
+        {"tol": float("nan")},
+        {"dependence_tol": float("nan")},
     ],
 )
 def test_validate_rejects(bad):
@@ -165,13 +167,48 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     sys_, model, e2data, e3data, meta = rb.load_artifact(path, cfg)
     assert model.n_hat == 3
     assert e3data.T.shape[0] == rb.x_dimension(3)
     # Loading against an incompatible mesh must fail loudly.
     with pytest.raises(ConfigError):
         rb.load_artifact(path, ExperimentConfig(n_cells=50))
+
+
+@pytest.mark.parametrize("orthonormalize", [False, True])
+def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
+    # Every field of the loaded model, E2Data and E3Data, the recomputed
+    # ones included, equals a fresh build bit for bit.
+    cfg = ExperimentConfig(
+        n_cells=40, n_train=25, rb_size=4, orthonormalize=orthonormalize,
+        output_dir=make_output_dir(cli_workdir, f"fresh_{orthonormalize}"),
+    )
+    path = run_offline(cfg, log=lambda *a: None)
+    sys_, model, e2data, e3data, history = rb.load_artifact(path, cfg)
+    fresh, fresh_history = rb.greedy_build(
+        sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
+        orthonormalize=orthonormalize, dependence_tol=cfg.dependence_tol,
+    )
+    fresh_e2 = rb.build_e2_data(sys_, fresh)
+    sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
+    fresh_e3 = rb.build_e3_data(sys_, fresh, sampler, seed=cfg.seed)
+
+    def hexes(x):
+        if isinstance(x, (list, tuple)):
+            return [hexes(e) for e in x]
+        return [float(v).hex() for v in np.ravel(x)]
+
+    assert history == fresh_history
+    assert model.snapshot_params == fresh.snapshot_params
+    for name in ("beta", "delta", "A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
+                 "riesz_a0", "riesz_a1"):
+        assert hexes(getattr(model, name)) == hexes(getattr(fresh, name)), name
+    for name in ("delta2_dd", "s_dd", "S_dd", "delta", "s", "S", "beta"):
+        assert hexes(getattr(e2data, name)) == hexes(getattr(fresh_e2, name)), name
+    for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
+        assert hexes(getattr(e3data, name)) == hexes(getattr(fresh_e3, name)), name
+    assert hexes(e3data.lu) == hexes(fresh_e3.lu)
 
 
 def test_offline_is_deterministic(cli_workdir):
@@ -267,7 +304,7 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
 
 
 def test_cli_nonfinite_mu_range_exits_2(tmp_path, capsys):
-    for flag in ("--mu-max=inf", "--mu-min=nan", "--mu-max=-inf"):
+    for flag in ("--mu-max=inf", "--mu-min=nan", "--mu-max=-inf", "--tol=nan", "--dependence-tol=nan"):
         assert cli.main(["offline", flag, "--output-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "artifact.json")
@@ -281,13 +318,45 @@ def _non_ascii(blob):
     return blob.replace(b"rbcert-artifact", "rbcert-\u00e4rtifact".encode("utf-8"), 1)
 
 
-def _drop_e3_v(blob):
-    payload = json.loads(blob)
+def _edited(edit):
+    def damage(blob):
+        payload = json.loads(blob)
+        edit(payload)
+        return json.dumps(payload).encode("ascii")
+
+    damage.__name__ = edit.__name__
+    return damage
+
+
+@_edited
+def _drop_e3_v(payload):
     del payload["e3"]["V"]
-    return json.dumps(payload).encode("ascii")
 
 
-@pytest.mark.parametrize("damage", [_truncate, _non_ascii, _drop_e3_v])
+@_edited
+def _e3_v_one_short(payload):
+    payload["e3"]["V"].pop()
+
+
+@_edited
+def _snapshot_one_short(payload):
+    payload["model"]["snapshots"][1].pop()
+
+
+@_edited
+def _nan_entry(payload):
+    payload["e2"]["s_dd"][0][2] = "nan"
+
+
+@_edited
+def _version_1(payload):
+    payload["version"] = 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _snapshot_one_short, _nan_entry, _version_1],
+)
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
     with open(os.path.join(small_sweep_dir, "artifact.json"), "rb") as fh:
         blob = fh.read()

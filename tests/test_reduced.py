@@ -209,42 +209,67 @@ def test_greedy_rejects_bad_training_sets(truth):
 # --- serialization -----------------------------------------------------------
 
 
-def test_model_roundtrip_is_bit_exact(truth, small_model):
-    d = model_to_dict(small_model)
-    back = model_from_dict(json.loads(dumps_deterministic(d)), truth)
-    assert back.snapshot_params == small_model.snapshot_params
-    assert np.array_equal(back.A0_hat, small_model.A0_hat)
-    assert np.array_equal(back.A1_hat, small_model.A1_hat)
-    assert np.array_equal(back.b_hat, small_model.b_hat)
-    for a, b in zip(back.snapshots, small_model.snapshots):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.riesz_a0, small_model.riesz_a0):
-        assert np.array_equal(a, b)
-    assert back.delta == small_model.delta
-    assert back.orthonormalize == small_model.orthonormalize
+def _hex(a) -> list:
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _assert_same_model(back, model):
+    assert back.snapshot_params == model.snapshot_params
+    assert back.orthonormalize == model.orthonormalize
+    assert _hex(back.beta) == _hex(model.beta)
+    assert _hex(back.delta) == _hex(model.delta)
+    for name in ("A0_hat", "A1_hat", "b_hat", "riesz_b"):
+        assert _hex(getattr(back, name)) == _hex(getattr(model, name)), name
+    for name in ("snapshots", "riesz_a0", "riesz_a1"):
+        assert len(getattr(back, name)) == model.n_hat
+        for a, b in zip(getattr(back, name), getattr(model, name)):
+            assert _hex(a) == _hex(b), name
+
+
+@pytest.fixture(scope="module")
+def orthonormal_model(truth):
+    model = ReducedModel(truth, orthonormalize=True)
+    for mu in (1.0, 30.0, 1000.0):
+        add_snapshot(model, truth, mu)
+    return model
+
+
+def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
+    # Only beta, the flag, the parameters and the snapshots are stored; the
+    # projections and Riesz lifts are replayed on load, bit for bit.
+    for model in (small_model, orthonormal_model):
+        d = model_to_dict(model)
+        assert sorted(d) == ["beta", "orthonormalize", "snapshot_params", "snapshots"]
+        back = model_from_dict(json.loads(dumps_deterministic(d)), truth)
+        _assert_same_model(back, model)
 
 
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
     d = e2data_to_dict(default_e2)
-    back = e2data_from_dict(json.loads(dumps_deterministic(d)))
-    assert back.delta == default_e2.delta
-    assert np.array_equal(back.s, default_e2.s)
-    assert np.array_equal(back.S, default_e2.S)
-    assert back.delta2_dd == default_e2.delta2_dd
-    assert np.array_equal(back.s_dd[0], default_e2.s_dd[0])
-    assert np.array_equal(back.s_dd[1], default_e2.s_dd[1])
-    assert np.array_equal(back.S_dd[0], default_e2.S_dd[0])
-    assert np.array_equal(back.S_dd[1], default_e2.S_dd[1])
+    assert sorted(d) == ["S_dd", "delta2_dd", "s_dd"]
+    back = e2data_from_dict(json.loads(dumps_deterministic(d)), default_e2.beta)
+    assert _hex(back.delta2_dd) == _hex(default_e2.delta2_dd)
+    for name in ("delta", "s", "S", "beta"):
+        assert _hex(getattr(back, name)) == _hex(getattr(default_e2, name)), name
+    for k in (0, 1):
+        assert _hex(back.s_dd[k]) == _hex(default_e2.s_dd[k])
+        assert _hex(back.S_dd[k]) == _hex(default_e2.S_dd[k])
 
 
-def test_e3data_roundtrip_is_bit_exact(default_e3):
-    d = e3data_to_dict(default_e3)
-    back = e3data_from_dict(json.loads(dumps_deterministic(d)))
-    assert np.array_equal(back.interp_params, default_e3.interp_params)
-    assert np.array_equal(back.T, default_e3.T)
-    assert np.array_equal(back.V, default_e3.V)
-    assert back.cond_estimate == default_e3.cond_estimate
-    assert back.beta == default_e3.beta
+def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
+    # T is not stored: it is rebuilt from the nodes and the model, for the
+    # square build and for an oversampled one (T is d x (d+7)).
+    model, _ = default_model
+    sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
+    oversampled = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
+    assert oversampled.T.shape == (91, 98)
+    for data in (default_e3, oversampled):
+        d = e3data_to_dict(data)
+        assert sorted(d) == ["V", "cond_estimate", "interp_params"]
+        back = e3data_from_dict(json.loads(dumps_deterministic(d)), model)
+        assert back.T.shape == data.T.shape
+        for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
+            assert _hex(getattr(back, name)) == _hex(getattr(data, name)), name
 
 
 def test_dumps_deterministic_is_deterministic(small_model):
@@ -256,11 +281,11 @@ def test_float_hex_survives_extreme_values(truth):
     # The encoding must not lose subnormals or huge magnitudes.
     model = ReducedModel(truth)
     add_snapshot(model, truth, 1.0)
-    model.b_hat = np.array([5e-324])
+    model.snapshots[0][5] = 5e-324
     back = model_from_dict(json.loads(dumps_deterministic(model_to_dict(model))), truth)
-    assert back.b_hat[0] == 5e-324
+    assert back.snapshots[0][5] == 5e-324
 
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 1
+    assert FORMAT_VERSION == 2
