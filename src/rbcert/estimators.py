@@ -33,7 +33,9 @@ Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
 Gram-matrix inner products in double-double; the working-precision
 estimator reads their correctly-rounded doubles.  It is only as good as
 its offline data, and the interesting floors live in the online
-evaluation, not in data-assembly noise.
+evaluation, not in data-assembly noise.  ``build_e2_data`` is one block
+pass over the stacked Riesz vectors, bit for bit equal to one
+``h1_inner_dd`` call per pair, which stays as the reference.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 logger = logging.getLogger(__name__)
 
 COND_WARN_THRESHOLD = 1e14
+
+# Entries per temporary of the two loops that stream length-N stacks: e1's
+# pairwise tree (N_hat + 2 vectors per point) and the E2 build's dd dots
+# (one column per pair).  Both must stay in cache.  At N=9999, N_hat=12
+# this budget (6 columns) ran 200 e1 points in 43 ms against 71 ms point
+# by point, and four times the budget took 66 ms; the E2 build took
+# 320 ms, against 465 ms at 2**14, 660 ms at 2**18 and 683 ms at 2**20
+# entries (2-vCPU Xeon, one BLAS thread).
+_CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
 class EstimatorBuildError(RuntimeError):
@@ -92,6 +103,33 @@ def estimator_e1(sys: TruthSystem, model, sol) -> float:
 
 # --- double-double Gram inner product -------------------------------------
 
+def _dd_gram_matvec(sys: TruthSystem, v: np.ndarray):
+    """Gram*v in double-double, for a vector or each column of an (N, k) stack.
+
+    Every entry is built from error-free products of the double inputs
+    and two dd additions, element by element, so a column of a stack gets
+    the bits the same vector gets alone.
+    """
+    G = sys.Gram
+    col = (slice(None),) + (None,) * (v.ndim - 1)
+    wh, wl = two_prod(G.diag[col], v)
+    ah, al = two_prod(G.off[col], v[1:])
+    bh, bl = two_prod(G.off[col], v[:-1])
+    wh[:-1], wl[:-1] = dd_add((wh[:-1], wl[:-1]), (ah, al))
+    wh[1:], wl[1:] = dd_add((wh[1:], wl[1:]), (bh, bl))
+    return wh, wl
+
+
+def _dd_dot(u: np.ndarray, w):
+    """Sum of u*w over axis 0 in double-double, w = (hi, lo) as u is shaped.
+
+    A 1-D u gives a (hi, lo) pair of floats; (N, m) stacks give the m
+    column sums, each equal to its column's dot alone.
+    """
+    th, tl = dd_mul((u, np.zeros_like(u)), w)
+    return dd_sum(th, tl)
+
+
 def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     """u^T * Gram * v in double-double; returns the (hi, lo) pair.
 
@@ -100,14 +138,7 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     carries ~32 significant digits: effectively the exact value of the
     double-data inner product, to be rounded as the caller requires.
     """
-    G = sys.Gram
-    wh, wl = two_prod(G.diag, v)
-    ah, al = two_prod(G.off, v[1:])
-    bh, bl = two_prod(G.off, v[:-1])
-    wh[:-1], wl[:-1] = dd_add((wh[:-1], wl[:-1]), (ah, al))
-    wh[1:], wl[1:] = dd_add((wh[1:], wl[1:]), (bh, bl))
-    th, tl = dd_mul((u, np.zeros_like(u)), (wh, wl))
-    return dd_sum(th, tl)
+    return _dd_dot(u, _dd_gram_matvec(sys, v))
 
 
 # --- E2: compact offline/online form --------------------------------------
@@ -156,24 +187,38 @@ class E2Data:
 def build_e2_data(sys: TruthSystem, model) -> E2Data:
     """Assemble delta^2, s, S in double-double from the stored Riesz vectors.
 
-    Inner products are evaluated with :func:`h1_inner_dd`; S is
-    symmetrized after assembly by averaging with its transpose (exact in
-    dd: the half-scaling is error-free).  The plain-double fields are the
-    rounded dd values, so the working-precision estimator starts from
-    correctly-rounded data and its floor is purely an online effect.
+    Every entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit for
+    bit, computed in one block pass: the k = 2*N_hat + 1 vectors
+    [riesz_b, riesz_a0..., riesz_a1...] are the columns of one stack, the
+    dd Gram matvec of each is formed once, and the needed (u, v) pairs -
+    (b, b), (b, r_j) and (r_i, r_j) - are reduced column-wise.  Matvecs and
+    pairs go in chunks of at most _CACHE_BLOCK_ELEMENTS entries per
+    temporary, so besides three N x k stacks the build holds only small
+    temporaries.  S is symmetrized after assembly by averaging with its
+    transpose (exact in dd: the half-scaling is error-free).  The
+    plain-double fields are the rounded dd values, so the working-precision
+    estimator starts from correctly-rounded data and its floor is purely an
+    online effect.
     """
-    riesz = list(model.riesz_a0) + list(model.riesz_a1)
-    m = len(riesz)
-    d2 = h1_inner_dd(sys, model.riesz_b, model.riesz_b)
-    sh = np.empty(m)
-    sl = np.empty(m)
-    for i, r in enumerate(riesz):
-        sh[i], sl[i] = h1_inner_dd(sys, model.riesz_b, r)
-    Sh = np.empty((m, m))
-    Sl = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            Sh[i, j], Sl[i, j] = h1_inner_dd(sys, riesz[i], riesz[j])
+    R = np.column_stack([model.riesz_b, *model.riesz_a0, *model.riesz_a1])
+    k = R.shape[1]
+    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
+    Wh = np.empty_like(R)
+    Wl = np.empty_like(R)
+    for c in range(0, k, step):
+        Wh[:, c:c + step], Wl[:, c:c + step] = _dd_gram_matvec(sys, R[:, c:c + step])
+    # Pair p is (R[:, u[p]], R[:, v[p]]); (r_i, b) is not needed.
+    u, v = np.divmod(np.arange(k * k), k)
+    keep = (u == 0) | (v > 0)
+    u, v = u[keep], v[keep]
+    Fh = np.zeros((k, k))
+    Fl = np.zeros((k, k))
+    for c in range(0, len(u), step):
+        uc, vc = u[c:c + step], v[c:c + step]
+        Fh[uc, vc], Fl[uc, vc] = _dd_dot(R[:, uc], (Wh[:, vc], Wl[:, vc]))
+    d2 = (float(Fh[0, 0]), float(Fl[0, 0]))
+    sh, sl = Fh[0, 1:], Fl[0, 1:]
+    Sh, Sl = Fh[1:, 1:], Fl[1:, 1:]
     # (S + S^T)/2 in dd; division by 2 is exact.
     Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
     Sh, Sl = 0.5 * Sh, 0.5 * Sl
@@ -469,11 +514,6 @@ def true_error(sys: TruthSystem, model, sol) -> float:
 # scalar solve from about 16 columns, hence the floor of 32 points.
 _BLOCK_ELEMENTS = 2 ** 13
 _MIN_BLOCK_POINTS = 32
-# e1 streams N_hat + 2 vectors per point through its tree, so its
-# sub-blocks must stay in cache: at N=9999, N_hat=12 this budget (6 points)
-# ran 200 points in 43 ms against 71 ms point by point, and four times the
-# budget took 66 ms.
-_E1_BLOCK_ELEMENTS = 2 ** 16
 
 
 def block_points(n: int, d: int) -> int:
@@ -491,9 +531,9 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
     """:func:`estimator_e1` at every mus[j] with reduced coefficients gamma[j].
 
     gamma is (m, N_hat); N_hat = 0 is the empty model.  The pairwise tree
-    runs on (m, N) stacks, in sub-blocks of at most _E1_BLOCK_ELEMENTS.
+    runs on (m, N) stacks, in sub-blocks of at most _CACHE_BLOCK_ELEMENTS.
     """
-    step = max(1, _E1_BLOCK_ELEMENTS // sys.n)
+    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
     out = np.empty(len(mus))
     for k in range(0, len(mus), step):
         out[k:k + step] = _e1_rows(sys, model, mus[k:k + step], gamma[k:k + step])

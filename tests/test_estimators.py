@@ -15,6 +15,7 @@ from rbcert.estimators import (
     h1_inner_dd,
 )
 from rbcert.experiments import sweep_grid, training_grid
+from rbcert.precision import dd_add
 from rbcert.reduced import ReducedModel, ReducedSolution, add_snapshot
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
@@ -422,3 +423,63 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
         rb.analytic_solution(bad, 0.5)
     with pytest.raises(ValueError):
         rb.evaluate(truth, model, default_e2, default_e3, [2.0, bad])
+
+
+# --- E2 build: block pass against the per-pair reference ---------------------
+
+def per_pair_e2_data(sys_, model):
+    """delta2_dd, s_dd, S_dd from one h1_inner_dd call per pair, then (S + S^T)/2."""
+    riesz = list(model.riesz_a0) + list(model.riesz_a1)
+    m = len(riesz)
+    d2 = h1_inner_dd(sys_, model.riesz_b, model.riesz_b)
+    sh = np.empty(m)
+    sl = np.empty(m)
+    for i, r in enumerate(riesz):
+        sh[i], sl[i] = h1_inner_dd(sys_, model.riesz_b, r)
+    Sh = np.empty((m, m))
+    Sl = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            Sh[i, j], Sl[i, j] = h1_inner_dd(sys_, riesz[i], riesz[j])
+    Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
+    return d2, (sh, sl), (0.5 * Sh, 0.5 * Sl)
+
+
+def assert_e2_data_is_per_pair(data, sys_, model):
+    def hexes(pair):
+        return [[float(x).hex() for x in np.ravel(part)] for part in pair]
+
+    d2, s, S = per_pair_e2_data(sys_, model)
+    assert hexes(data.delta2_dd) == hexes(d2)
+    assert hexes(data.s_dd) == hexes(s)
+    assert hexes(data.S_dd) == hexes(S)
+
+
+@pytest.fixture
+def single_dof():
+    """n_cells=2, so N = 1, with one snapshot: N_hat = 1."""
+    sys_ = rb.assemble(2)
+    model = ReducedModel(sys_)
+    add_snapshot(model, sys_, 10.0)
+    assert (sys_.n, model.n_hat) == (1, 1)
+    return sys_, model, rb.build_e2_data(sys_, model)
+
+
+@pytest.mark.parametrize("case", ["default", "small_orthonormal", "single_dof"])
+def test_e2_build_equals_per_pair(case, request, truth, default_model, default_e2):
+    if case == "default":
+        sys_, model, e2data = truth, default_model[0], default_e2
+    else:
+        sys_, model, e2data = request.getfixturevalue(case)[:3]
+    assert_e2_data_is_per_pair(e2data, sys_, model)
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7])
+def test_e2_build_chunking_is_bit_identical(pairs_per_chunk, truth, default_model, monkeypatch):
+    model = default_model[0]
+    assert model.n_hat == 6
+    # 1 + 12 + 144 = 157 pairs: chunks of 7 leave a last chunk of 3.
+    monkeypatch.setattr(
+        "rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * truth.n
+    )
+    assert_e2_data_is_per_pair(rb.build_e2_data(truth, model), truth, model)
