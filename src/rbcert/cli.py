@@ -2,7 +2,8 @@
 
 Each subcommand takes --config (flat key=value file) plus per-key
 override flags.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+3 numerical failure, 4 a floor check failed (``floors`` still writes
+floors.json).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def main(argv=None) -> int:
             report = measure_floors(config, artifact_path=args.artifact)
             if not report["all_pass"]:
                 print("floors: one or more floor checks FAILED", file=_sys.stderr)
+                return 4
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

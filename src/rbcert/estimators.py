@@ -33,9 +33,12 @@ Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
 Gram-matrix inner products in double-double; the working-precision
 estimator reads their correctly-rounded doubles.  It is only as good as
 its offline data, and the interesting floors live in the online
-evaluation, not in data-assembly noise.  ``build_e2_data`` is one block
-pass over the stacked Riesz vectors, bit for bit equal to one
-``h1_inner_dd`` call per pair, which stays as the reference.
+evaluation, not in data-assembly noise.  E2's data are grown, not built in
+one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
+greedy grows one alongside the basis.  ``build_e2_data`` is the same
+growth run once over all of a model's vectors.  Every entry equals one
+``h1_inner_dd`` call per pair bit for bit; that call stays as the
+reference.
 """
 
 from __future__ import annotations
@@ -184,45 +187,86 @@ class E2Data:
         return self.S_dd[0] + self.S_dd[1]
 
 
+class E2Table:
+    """E2's double-double Gram table, grown with the basis.
+
+    Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
+    a1_1, ...), the dd Gram matvec of each, and F[u, v] =
+    :func:`h1_inner_dd` of vectors u and v, bit for bit, for every needed
+    pair: (b, b), (b, r) and (r, r'); (r, b) is never used.  :meth:`grow`
+    adds the vectors of the snapshots the table has not seen yet, so each
+    new snapshot costs two dd Gram matvecs and the pairs that involve its
+    two vectors.  Matvecs and pairs go in chunks of at most
+    _CACHE_BLOCK_ELEMENTS entries per temporary.  The model must only grow
+    between calls.
+    """
+
+    def __init__(self, sys: TruthSystem):
+        self.sys = sys
+        self.R: list[np.ndarray] = []
+        self.Wh: list[np.ndarray] = []
+        self.Wl: list[np.ndarray] = []
+        self.Fh = np.zeros((0, 0))
+        self.Fl = np.zeros((0, 0))
+
+    def grow(self, model) -> E2Data:
+        """Add the model's Riesz vectors the table lacks; return the model's E2Data."""
+        new = [] if self.R else [model.riesz_b]
+        for i in range(len(self.R) // 2, model.n_hat):  # len(R) = 1 + 2*N_hat
+            new += [model.riesz_a0[i], model.riesz_a1[i]]
+        if new:
+            self._extend(new)
+        return self._e2_data(model.beta)
+
+    def _extend(self, vectors) -> None:
+        k0, k = len(self.R), len(self.R) + len(vectors)
+        step = max(1, _CACHE_BLOCK_ELEMENTS // self.sys.n)
+        V = np.column_stack(vectors)
+        for c in range(0, V.shape[1], step):
+            wh, wl = _dd_gram_matvec(self.sys, V[:, c:c + step])
+            self.Wh += list(wh.T)
+            self.Wl += list(wl.T)
+        self.R += vectors
+        Fh = np.zeros((k, k))
+        Fl = np.zeros((k, k))
+        Fh[:k0, :k0], Fl[:k0, :k0] = self.Fh, self.Fl
+        # The needed pairs (R[u[p]], R[v[p]]) that involve a new vector.
+        u, v = np.divmod(np.arange(k * k), k)
+        keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
+        u, v = u[keep], v[keep]
+        for c in range(0, len(u), step):
+            uc, vc = u[c:c + step], v[c:c + step]
+            U = np.stack([self.R[p] for p in uc], axis=1)
+            Wh = np.stack([self.Wh[q] for q in vc], axis=1)
+            Wl = np.stack([self.Wl[q] for q in vc], axis=1)
+            Fh[uc, vc], Fl[uc, vc] = _dd_dot(U, (Wh, Wl))
+        self.Fh, self.Fl = Fh, Fl
+
+    def _e2_data(self, beta: float) -> E2Data:
+        # Insertion order to E2's layout I = k*N_hat + i, shifted by riesz_b.
+        n = len(self.R) // 2
+        perm = np.concatenate([[0], np.arange(1, 2 * n, 2), np.arange(2, 2 * n + 1, 2)])
+        Fh, Fl = self.Fh[np.ix_(perm, perm)], self.Fl[np.ix_(perm, perm)]
+        d2 = (float(Fh[0, 0]), float(Fl[0, 0]))
+        sh, sl = Fh[0, 1:], Fl[0, 1:]
+        Sh, Sl = Fh[1:, 1:], Fl[1:, 1:]
+        # (S + S^T)/2 in dd; division by 2 is exact.
+        Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
+        return E2Data(delta2_dd=d2, s_dd=(sh, sl), S_dd=(0.5 * Sh, 0.5 * Sl), beta=beta)
+
+
 def build_e2_data(sys: TruthSystem, model) -> E2Data:
     """Assemble delta^2, s, S in double-double from the stored Riesz vectors.
 
-    Every entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit for
-    bit, computed in one block pass: the k = 2*N_hat + 1 vectors
-    [riesz_b, riesz_a0..., riesz_a1...] are the columns of one stack, the
-    dd Gram matvec of each is formed once, and the needed (u, v) pairs -
-    (b, b), (b, r_j) and (r_i, r_j) - are reduced column-wise.  Matvecs and
-    pairs go in chunks of at most _CACHE_BLOCK_ELEMENTS entries per
-    temporary, so besides three N x k stacks the build holds only small
-    temporaries.  S is symmetrized after assembly by averaging with its
-    transpose (exact in dd: the half-scaling is error-free).  The
-    plain-double fields are the rounded dd values, so the working-precision
-    estimator starts from correctly-rounded data and its floor is purely an
-    online effect.
+    One :class:`E2Table` grown from empty over all of the model's Riesz
+    vectors, the same growth the greedy runs one snapshot at a time, so
+    every entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit for
+    bit.  S is symmetrized after assembly by averaging with its transpose
+    (exact in dd: the half-scaling is error-free).  The plain-double fields
+    are the rounded dd values, so the working-precision estimator starts
+    from correctly-rounded data and its floor is purely an online effect.
     """
-    R = np.column_stack([model.riesz_b, *model.riesz_a0, *model.riesz_a1])
-    k = R.shape[1]
-    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
-    Wh = np.empty_like(R)
-    Wl = np.empty_like(R)
-    for c in range(0, k, step):
-        Wh[:, c:c + step], Wl[:, c:c + step] = _dd_gram_matvec(sys, R[:, c:c + step])
-    # Pair p is (R[:, u[p]], R[:, v[p]]); (r_i, b) is not needed.
-    u, v = np.divmod(np.arange(k * k), k)
-    keep = (u == 0) | (v > 0)
-    u, v = u[keep], v[keep]
-    Fh = np.zeros((k, k))
-    Fl = np.zeros((k, k))
-    for c in range(0, len(u), step):
-        uc, vc = u[c:c + step], v[c:c + step]
-        Fh[uc, vc], Fl[uc, vc] = _dd_dot(R[:, uc], (Wh[:, vc], Wl[:, vc]))
-    d2 = (float(Fh[0, 0]), float(Fl[0, 0]))
-    sh, sl = Fh[0, 1:], Fl[0, 1:]
-    Sh, Sl = Fh[1:, 1:], Fl[1:, 1:]
-    # (S + S^T)/2 in dd; division by 2 is exact.
-    Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
-    Sh, Sl = 0.5 * Sh, 0.5 * Sl
-    return E2Data(delta2_dd=d2, s_dd=(sh, sl), S_dd=(Sh, Sl), beta=model.beta)
+    return E2Table(sys).grow(model)
 
 
 def _small_x(sol) -> np.ndarray:

@@ -142,7 +142,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
     """Greedy build + estimator data, serialized to output_dir/artifact.json."""
     config.validate()
     sys_ = fem.assemble(config.n_cells)
-    model, history = reduced.greedy_build(
+    model, history, e2 = reduced.greedy_build(
         sys_,
         training_grid(config),
         n_max=config.rb_size,
@@ -150,7 +150,6 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         orthonormalize=config.orthonormalize,
         dependence_tol=config.dependence_tol,
     )
-    e2 = estimators.build_e2_data(sys_, model)
     sampler = estimators.log_uniform_sampler(config.mu_min, config.mu_max)
     e3 = estimators.build_e3_data(
         sys_, model, sampler, seed=config.seed, oversample=config.oversample

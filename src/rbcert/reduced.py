@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import E2Data, E3Data, estimator_e1_block, interpolation_matrix
+from .estimators import (
+    E2Data,
+    E2Table,
+    E3Data,
+    _e2dd_block,
+    _small_x_columns,
+    estimator_e1_block,
+    interpolation_matrix,
+)
 from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
 
 logger = logging.getLogger(__name__)
@@ -195,20 +203,24 @@ def greedy_build(
     orthonormalize: bool = False,
     dependence_tol: float = 1e-12,
 ):
-    """Greedy basis construction driven by the full-size estimator.
+    """Greedy basis construction driven by the double-double compact form.
 
-    Repeatedly selects the training parameter maximizing E1 (the
-    accurate evaluation - a compact-form estimator would stagnate at its
-    round-off floor and corrupt the selection), adds its snapshot, and
-    stops at n_max, when the max estimator drops to tol, or when the
-    selected snapshot is numerically dependent.  Each iteration
-    evaluates E1 over all unselected candidates as one block.  Ties
-    break to the smallest mu: candidates are in ascending order and the
-    first maximum wins, so the first pick (all candidates tie at delta)
-    is the smallest training parameter.
+    Repeatedly selects the training parameter maximizing e2dd over all
+    unselected candidates, evaluated as one block, adds its snapshot, and
+    stops at n_max, when e1 at the selected parameter drops to tol, or
+    when the selected snapshot is numerically dependent.  e2dd costs
+    O(N_hat^2) per candidate against e1's O(N*N_hat), and its floor lies
+    at or below e1's; the working-precision e2 would stagnate at its
+    delta*sqrt(eps) floor and corrupt the selection.  e1 is evaluated at
+    the selected parameter only, and is what the history records.  E2's
+    data grow with the basis (:class:`E2Table`), two Riesz vectors per
+    snapshot.  Ties break to the smallest mu: candidates are in ascending
+    order and the first maximum wins, so the first pick (all candidates
+    tie at delta) is the smallest training parameter.
 
-    Returns (model, history) with one (mu_selected, max_estimator) pair
-    per accepted snapshot.
+    Returns (model, history, e2data): history has one (mu_selected, e1)
+    pair per accepted snapshot, and e2data is the final model's E2Data,
+    bit for bit what :func:`build_e2_data` gives.
     """
     training = sorted(float(mu) for mu in training_set)
     if not training:
@@ -217,6 +229,8 @@ def greedy_build(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     model = ReducedModel(sys, beta=beta, orthonormalize=orthonormalize)
+    table = E2Table(sys)
+    e2data = table.grow(model)
     history: list[tuple[float, float]] = []
     while model.n_hat < n_max:
         selected = set(model.snapshot_params)
@@ -227,9 +241,10 @@ def greedy_build(
             gamma = solve_reduced_block(model, candidates)
         else:
             gamma = np.empty((candidates.size, 0))
-        values = estimator_e1_block(sys, model, candidates, gamma)
-        best = int(np.argmax(values))
-        best_mu, best_val = float(candidates[best]), float(values[best])
+        best = int(np.argmax(_e2dd_block(e2data, _small_x_columns(candidates, gamma))))
+        pick = slice(best, best + 1)
+        best_mu = float(candidates[best])
+        best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])
         if best_val <= tol:
             break
         try:
@@ -238,7 +253,8 @@ def greedy_build(
             logger.warning("greedy stopped at N_hat=%d: %s", model.n_hat, exc)
             break
         history.append((best_mu, best_val))
-    return model, history
+        e2data = table.grow(model)
+    return model, history, e2data
 
 
 # --- serialization ---------------------------------------------------------
@@ -257,10 +273,10 @@ FORMAT_VERSION = 2
 
 
 def _enc_vec(v) -> list:
-    return [float(x).hex() for x in np.asarray(v, dtype=float)]
+    return list(map(float.hex, np.asarray(v, dtype=float).tolist()))
 
 def _dec_vec(v) -> np.ndarray:
-    out = np.array([float.fromhex(x) for x in v], dtype=float)
+    out = np.array(list(map(float.fromhex, v)), dtype=float)
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite artifact entry")
     return out

@@ -60,7 +60,7 @@ def default_config():
 def default_model(truth, default_config):
     """Greedy basis at the default configuration, with its history."""
     cfg = default_config
-    model, history = rb.greedy_build(
+    model, history, _ = rb.greedy_build(
         truth,
         training_grid(cfg),
         n_max=cfg.rb_size,
@@ -107,6 +107,34 @@ def floors_config(tmp_path_factory):
         dependence_tol=1e-30,
         output_dir=str(out),
     )
+
+
+# Greedy configurations on which the greedy is checked against the e1-driven
+# oracle and its E2 data against the per-pair oracle: the default raw basis,
+# the floors basis (stops on tol at N_hat=12), a small orthonormal one, and a
+# raw one that stops on dependence at N_hat=8.
+GREEDY_CASES = {
+    "default": {},
+    "floors": {"rb_size": 24, "orthonormalize": True, "dependence_tol": 1e-30},
+    "small_orthonormal": {
+        "n_cells": 50, "n_train": 50, "rb_size": 8, "orthonormalize": True,
+        "dependence_tol": 1e-30,
+    },
+    "raw_rb10": {"rb_size": 10},
+}
+
+
+@pytest.fixture(scope="session", params=sorted(GREEDY_CASES))
+def greedy_case(request):
+    """(truth system, training grid, greedy keyword arguments) of one case."""
+    cfg = ExperimentConfig(**GREEDY_CASES[request.param])
+    kwargs = dict(
+        n_max=cfg.rb_size,
+        tol=cfg.tol,
+        orthonormalize=cfg.orthonormalize,
+        dependence_tol=cfg.dependence_tol,
+    )
+    return rb.assemble(cfg.n_cells), training_grid(cfg), kwargs
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ import pytest
 import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
+from rbcert.estimators import _e2_block, _monomials
 from rbcert.precision import dd_add, dd_mul, two_prod, two_sum
 from rbcert.reduced import ReducedSolution
 
@@ -118,7 +119,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     train = training_grid(default_config)
     worst_agree = 0.0
     for n_hat in (1, 2):
-        model, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
+        model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         data = rb.build_e2_data(truth, model)
         for mu in sweep_grid(cfg):
             sol = rb.solve_reduced(model, float(mu))
@@ -128,7 +129,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
             e2, _ = rb.estimator_e2(data, sol)
             worst_agree = max(worst_agree, abs(e2 - e1) / e1)
 
-    model6, _ = rb.greedy_build(truth, train, n_max=6, tol=cfg.tol)
+    model6, _, _ = rb.greedy_build(truth, train, n_max=6, tol=cfg.tol)
     data6 = rb.build_e2_data(truth, model6)
     q = rb.q_coefficients(data6)
     rng = np.random.default_rng(1234)
@@ -221,7 +222,7 @@ def test_criterion_8_conditioning_trend(truth, default_model, default_config, ac
     sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
     conds = []
     for n_hat in range(2, 7):
-        model, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
+        model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         data = rb.build_e3_data(truth, model, sampler, seed=cfg.seed)
         conds.append(data.cond_estimate)
     inversions = sum(1 for a, b in zip(conds, conds[1:]) if b < a)
@@ -268,3 +269,41 @@ def test_criterion_9_determinism(cli_workdir, acceptance):
         f"two offline+sweep runs: CSV byte-identical ({len(payloads[0])} bytes)",
     )
     assert payloads[0] == payloads[1]
+
+
+def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypatch):
+    """A greedy driven by the working-precision compact form e2 stagnates.
+
+    The scan and the value at the pick (history and tol stop) both use e2.
+    Its selection leaves the accurate one at the 9th pick, and its maximum
+    settles at e2's floor delta*sqrt(eps)/beta instead of falling to tol,
+    so it runs to rb_size.
+    """
+    cfg = floors_config
+    kwargs = dict(
+        n_max=cfg.rb_size,
+        tol=cfg.tol,
+        orthonormalize=cfg.orthonormalize,
+        dependence_tol=cfg.dependence_tol,
+    )
+    accurate, _, _ = rb.greedy_build(truth, training_grid(cfg), **kwargs)
+    scanned = []
+
+    def e2_scan(data, x):
+        scanned.append(data)
+        return _e2_block(data, _monomials(x))[0]
+
+    def e2_at_pick(sys_, model, mus, gamma):
+        return _e2_block(scanned[-1], rb.x_matrix(mus, gamma))[0]
+
+    monkeypatch.setattr("rbcert.reduced._e2dd_block", e2_scan)
+    monkeypatch.setattr("rbcert.reduced.estimator_e1_block", e2_at_pick)
+    model, history, e2data = rb.greedy_build(truth, training_grid(cfg), **kwargs)
+
+    assert model.snapshot_params[:8] == accurate.snapshot_params[:8]
+    assert accurate.snapshot_params[8] == pytest.approx(405.546, rel=1e-5)
+    assert model.snapshot_params[8] == pytest.approx(1.3667, rel=1e-4)
+    assert model.n_hat == cfg.rb_size
+    assert history[-1][1] > cfg.tol
+    floor = e2data.delta * math.sqrt(EPS) / e2data.beta
+    assert floor / 30.0 <= history[-1][1] <= floor * 30.0

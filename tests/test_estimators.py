@@ -361,7 +361,7 @@ def small_orthonormal():
         n_cells=50, n_train=50, rb_size=8, orthonormalize=True, dependence_tol=1e-30
     )
     sys_ = rb.assemble(cfg.n_cells)
-    model, _ = rb.greedy_build(
+    model, _, _ = rb.greedy_build(
         sys_, training_grid(cfg), n_max=cfg.rb_size, orthonormalize=True,
         dependence_tol=cfg.dependence_tol,
     )
@@ -483,3 +483,12 @@ def test_e2_build_chunking_is_bit_identical(pairs_per_chunk, truth, default_mode
         "rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * truth.n
     )
     assert_e2_data_is_per_pair(rb.build_e2_data(truth, model), truth, model)
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7])
+def test_greedy_e2_data_equals_per_pair(pairs_per_chunk, greedy_case, monkeypatch):
+    # The greedy grows E2's table two Riesz vectors per snapshot.
+    sys_, training, kwargs = greedy_case
+    monkeypatch.setattr("rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * sys_.n)
+    model, _, e2data = rb.greedy_build(sys_, training, **kwargs)
+    assert_e2_data_is_per_pair(e2data, sys_, model)

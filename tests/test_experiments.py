@@ -186,7 +186,7 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
     )
     path = run_offline(cfg, log=lambda *a: None)
     sys_, model, e2data, e3data, history = rb.load_artifact(path, cfg)
-    fresh, fresh_history = rb.greedy_build(
+    fresh, fresh_history, _ = rb.greedy_build(
         sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
         orthonormalize=orthonormalize, dependence_tol=cfg.dependence_tol,
     )
@@ -261,7 +261,7 @@ def test_flatness_invariant():
         n_train=40, rb_size=20, mu_max=1e6, orthonormalize=True, dependence_tol=1e-30
     )
     sys_ = rb.assemble(cfg.n_cells)
-    model, _ = rb.greedy_build(
+    model, _, _ = rb.greedy_build(
         sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
         orthonormalize=True, dependence_tol=cfg.dependence_tol,
     )
@@ -292,6 +292,18 @@ def test_cli_offline_sweep_floors_happy_path(cli_workdir):
     assert cli.main(["floors", *args]) == 0
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     assert os.path.exists(os.path.join(out, "floors.json"))
+
+
+def test_cli_failed_floor_check_exits_4(tmp_path, capsys):
+    # The default basis is not converged: e1 stays far above its floor.
+    out = str(tmp_path)
+    assert cli.main(["offline", "--output-dir", out]) == 0
+    assert cli.main(["floors", "--output-dir", out]) == 4
+    assert "FAILED" in capsys.readouterr().err
+    with open(os.path.join(out, "floors.json"), encoding="ascii") as fh:
+        report = json.load(fh)
+    assert not report["all_pass"]
+    assert not report["checks"]["e1_within_factor_100"]
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

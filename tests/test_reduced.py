@@ -10,6 +10,7 @@ from rbcert.experiments import training_grid
 from rbcert.reduced import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    DependentSnapshotError,
     ReducedModel,
     add_snapshot,
     dumps_deterministic,
@@ -175,7 +176,7 @@ def test_greedy_stops_on_dependence_with_warning(truth, caplog):
     import logging
 
     with caplog.at_level(logging.WARNING, logger="rbcert.reduced"):
-        model, history = rb.greedy_build(truth, [1.0, 1.0 + 1e-10], n_max=2, tol=1e-14)
+        model, history, _ = rb.greedy_build(truth, [1.0, 1.0 + 1e-10], n_max=2, tol=1e-14)
     assert model.n_hat == 1
     assert len(history) == 1
     assert any("greedy stopped" in r.message for r in caplog.records)
@@ -184,7 +185,7 @@ def test_greedy_stops_on_dependence_with_warning(truth, caplog):
 def test_greedy_stops_on_tol(truth, floors_config):
     # With an orthonormal basis and a tiny dependence threshold the greedy
     # runs until the estimator hits tol, well before n_max.
-    model, history = rb.greedy_build(
+    model, history, _ = rb.greedy_build(
         truth,
         training_grid(floors_config),
         n_max=floors_config.rb_size,
@@ -204,6 +205,45 @@ def test_greedy_rejects_bad_training_sets(truth):
         rb.greedy_build(truth, [0.5, 2.0], n_max=2)
     with pytest.raises(ValueError):
         rb.greedy_build(truth, [1.0, 2.0], n_max=0)
+
+
+def e1_greedy_build(sys_, training_set, n_max, tol, *, orthonormalize, dependence_tol):
+    """The reference greedy: every unselected candidate is scanned with e1.
+
+    Returns (model, history) with one (mu_selected, max e1) pair per
+    accepted snapshot.
+    """
+    training = sorted(float(mu) for mu in training_set)
+    model = ReducedModel(sys_, orthonormalize=orthonormalize)
+    history = []
+    while model.n_hat < n_max:
+        selected = set(model.snapshot_params)
+        candidates = np.array([mu for mu in training if mu not in selected])
+        if not candidates.size:
+            break
+        if model.n_hat:
+            gamma = rb.solve_reduced_block(model, candidates)
+        else:
+            gamma = np.empty((candidates.size, 0))
+        values = rb.estimator_e1_block(sys_, model, candidates, gamma)
+        best = int(np.argmax(values))
+        best_mu, best_val = float(candidates[best]), float(values[best])
+        if best_val <= tol:
+            break
+        try:
+            add_snapshot(model, sys_, best_mu, dependence_tol=dependence_tol)
+        except DependentSnapshotError:
+            break
+        history.append((best_mu, best_val))
+    return model, history
+
+
+def test_greedy_equals_e1_driven_oracle(greedy_case):
+    sys_, training, kwargs = greedy_case
+    model, history, _ = rb.greedy_build(sys_, training, **kwargs)
+    ref_model, ref_history = e1_greedy_build(sys_, training, **kwargs)
+    assert _hex(model.snapshot_params) == _hex(ref_model.snapshot_params)
+    assert [_hex(entry) for entry in history] == [_hex(entry) for entry in ref_history]
 
 
 # --- serialization -----------------------------------------------------------
