@@ -21,13 +21,16 @@ same number along different routes with very different round-off floors:
   practice below E1's own floor.
 * ``estimator_e3`` - cancellation-free form: the squared estimator is a
   linear form q.X(mu) in the monomial vector X(mu), so it can be
-  interpolated from d reference values V_r = (beta*E1(mu_r))^2 by
-  solving T lambda = X(mu).  All summands are non-negative at the
+  interpolated from reference values V_i = (beta*E1(mu_i))^2.  X(mu)
+  spans a space of dimension at most 2*N_hat + 3, not d, so the build
+  picks r nodes and r rows of X on the numerical rank by pivoted
+  Gram-Schmidt (Q-DEIM), and the online stage solves the r x r system
+  T lambda = X(mu)[rows].  All summands are non-negative at the
   reference points, hence no cancellation.
 
 ``evaluate`` computes the true error and all four estimators for a block
 of parameters at once, bit for bit equal to the per-point functions
-above, which stay as the reference.
+above; ``estimator_e3`` is itself ``evaluate``'s e3 at one parameter.
 
 Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
 Gram-matrix inner products in double-double; the working-precision
@@ -55,8 +58,6 @@ from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 
 logger = logging.getLogger(__name__)
 
-COND_WARN_THRESHOLD = 1e14
-
 # Entries per temporary of the two loops that stream length-N stacks: e1's
 # pairwise tree (N_hat + 2 vectors per point) and the E2 build's dd dots
 # (one column per pair).  Both must stay in cache.  At N=9999, N_hat=12
@@ -68,7 +69,7 @@ _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
 class EstimatorBuildError(RuntimeError):
-    """Raised when interpolation data cannot be built (singular T)."""
+    """Raised when interpolation data cannot be built (degenerate pool)."""
 
 
 # --- E1: full-size reference ---------------------------------------------
@@ -365,38 +366,44 @@ def estimator_e2_dd(data: E2Data, sol):
 
 # --- E3: cancellation-free interpolated form -------------------------------
 
+# The numerical rank rule of the E3 build: the pivoted Gram-Schmidt on the
+# pool's matrix of monomial vectors stops once the largest column norm left
+# after projection is at most E3_RANK_TOL times the matrix's largest column
+# norm.  Its rank is at most 2*N_hat + 3 in exact arithmetic; at 1e-12 the
+# default raw basis keeps 20 nodes (N_hat = 6, d = 91) and the converged
+# orthonormal one 17 (N_hat = 12, d = 325).
+E3_RANK_TOL = 1e-12
+
+
 @dataclass
 class E3Data:
-    """Interpolation data: T columns are X(mu_r), V_r = (beta*E1(mu_r))^2.
+    """Interpolation data on the numerical rank r of the monomial map.
 
-    The columns are recomputable bit-for-bit from interp_params and the
-    model (:func:`interpolation_matrix`), which is what makes exact
-    interpolation-node lookup possible, and why an artifact stores the
-    nodes and V but not T.
+    T[k, i] = X(mu_i)[rows[k]] for the r nodes mu_i and the r row indices
+    rows[k] of X; V_i = (beta*E1(mu_i))^2.  T is recomputable bit-for-bit
+    from the nodes, the rows and the model (:func:`interpolation_matrix`),
+    which is what makes exact node lookup possible, and why an artifact
+    stores the nodes, the rows and V but not T.  ``cond_estimate`` is the
+    condition number of the full d x pool matrix the nodes were picked
+    from, a diagnostic only.
     """
 
-    interp_params: np.ndarray     # d' parameter values mu_r
-    T: np.ndarray                 # d x d' matrix
-    V: np.ndarray                 # length d'
+    interp_params: np.ndarray     # r nodes mu_i
+    rows: np.ndarray              # r distinct row indices into X, in [0, d)
+    T: np.ndarray                 # r x r
+    V: np.ndarray                 # length r
+    d: int                        # dimension of X(mu)
     cond_estimate: float
     beta: float = 1.0
 
-    @property
-    def d(self) -> int:
-        return self.T.shape[0]
-
-    @property
-    def oversample(self) -> int:
-        return self.T.shape[1] - self.T.shape[0]
-
     @functools.cached_property
     def lu(self):
-        """Partial-pivoting LU of square T, factored on first use."""
+        """Partial-pivoting LU of T, factored on first use."""
         return _lu_factor(self.T)
 
 
 def interpolation_matrix(model, mus: np.ndarray) -> np.ndarray:
-    """T for the nodes mus: column r is X(mus[r]) of the model's reduced solve."""
+    """The (d, m) matrix whose column r is X(mus[r]) of the model's reduced solve."""
     from .reduced import solve_reduced_block
 
     return x_matrix(mus, solve_reduced_block(model, mus))
@@ -411,6 +418,36 @@ def log_uniform_sampler(mu_min: float, mu_max: float):
         return np.exp(rng.uniform(lo, hi, size=n))
 
     return draw
+
+
+def _pivoted_gram_schmidt(A: np.ndarray, rtol: float):
+    """Column-pivoted Gram-Schmidt of A, orthogonalization run twice.
+
+    Each step picks the column with the largest norm left after projecting
+    out the columns picked so far, and the steps stop when that norm is at
+    most rtol times A's largest column norm, or every column is picked.
+    Returns the picked column indices in pick order and the orthonormal
+    basis Q of their span, one column per pick.
+    """
+    R = np.array(A, dtype=float)
+    Q = np.empty((A.shape[0], 0))
+    picks: list[int] = []
+    norms = np.sqrt((R * R).sum(axis=0))
+    tol = rtol * norms.max()
+    for _ in range(min(A.shape)):
+        norms[picks] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        q = R[:, j]
+        for _ in range(2):  # twice is enough
+            q = q - Q @ (Q.T @ q)
+        q = q / np.linalg.norm(q)
+        Q = np.column_stack([Q, q])
+        R -= np.outer(q, q @ R)
+        picks.append(j)
+        norms = np.sqrt((R * R).sum(axis=0))
+    return picks, Q
 
 
 def _lu_factor(A: np.ndarray):
@@ -433,7 +470,7 @@ def _lu_factor(A: np.ndarray):
 
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve with a (d,) or (d, m) right-hand side; columns independently."""
+    """Solve with a (n,) or (n, m) right-hand side; columns independently."""
     LU, piv = lu
     n = LU.shape[0]
     x = b[piv].astype(float, copy=True)
@@ -452,83 +489,56 @@ def build_e3_data(
     sampler,
     seed: int,
     oversample: int = 0,
-    max_retries: int = 3,
 ) -> E3Data:
-    """Draw interpolation points, assemble T and V.
+    """Pick interpolation nodes and rows on the numerical rank of T.
 
-    Draws d + oversample parameters via ``sampler(n, seed)``
-    (deterministic given the seed), computes X(mu_r) and
-    V_r = (beta*E1(mu_r))^2, and estimates cond(T).  The monomial map
-    mu -> X(mu) traces a low-dimensional manifold, so T is always
-    rank-deficient in exact arithmetic and its condition estimate is
-    astronomically large by construction; that is recorded and warned
-    about, not treated as failure.  A draw is retried with a fresh seed
-    only if T is numerically singular (zero LU pivot / non-finite); if
-    every retry fails, the build fails advising oversampling.
+    Draws a pool of d + oversample parameters via ``sampler(n, seed)``
+    (deterministic given the seed) and forms the pool's d x (d +
+    oversample) matrix of monomial vectors X(mu), whose condition number
+    is kept as a diagnostic.  The monomial map traces a low-dimensional
+    manifold (rank <= 2*N_hat + 3), so that number is astronomically large
+    by construction.  Column-pivoted Gram-Schmidt on the pool's matrix
+    picks the r nodes, stopping at :data:`E3_RANK_TOL`; pivoted
+    Gram-Schmidt on the transposed orthonormal basis of their columns
+    picks r rows of X (Q-DEIM).  V = (beta*E1)^2 is evaluated at the r
+    nodes only.  A pool whose condition number is not finite (repeated
+    parameters, non-finite monomials) raises :class:`EstimatorBuildError`.
     """
     from .reduced import solve_reduced_block
 
     d = x_dimension(model.n_hat)
-    n_cols = d + oversample
-    failure = None
-    for attempt in range(max_retries + 1):
-        mus = np.asarray(sampler(n_cols, seed + attempt), dtype=float)
-        T = interpolation_matrix(model, mus)
-        if not np.all(np.isfinite(T)):
-            failure = "non-finite entries in T"
-            continue
-        cond = float(np.linalg.cond(T))
-        if not math.isfinite(cond):
-            failure = "numerically singular T (non-finite condition estimate)"
-            continue
-        e1 = estimator_e1_block(sys, model, mus, solve_reduced_block(model, mus))
-        V = np.array([(model.beta * e) ** 2 for e in e1.tolist()])
-        data = E3Data(interp_params=mus, T=T, V=V, cond_estimate=cond, beta=model.beta)
-        if oversample == 0:
-            try:
-                data.lu  # factors T now; a zero pivot raises
-            except np.linalg.LinAlgError:
-                failure = "numerically singular T (zero LU pivot)"
-                continue
-        if cond > COND_WARN_THRESHOLD:
-            logger.warning(
-                "cond(T) estimate %.3e exceeds %.0e (structural rank deficiency "
-                "of the monomial map); pivots are nonzero, proceeding",
-                cond,
-                COND_WARN_THRESHOLD,
-            )
-        return data
-    raise EstimatorBuildError(
-        f"could not build interpolation data after {max_retries + 1} draws "
-        f"({failure}); try a nonzero oversample for a least-squares fit"
+    pool = np.asarray(sampler(d + oversample, seed), dtype=float)
+    X = interpolation_matrix(model, pool)
+    cond = float(np.linalg.cond(X))
+    if not math.isfinite(cond):
+        raise EstimatorBuildError(
+            f"interpolation pool is degenerate (cond(T) = {cond}): repeated or non-finite X(mu)"
+        )
+    picks, Q = _pivoted_gram_schmidt(X, E3_RANK_TOL)
+    rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
+    nodes = pool[picks]
+    gamma = solve_reduced_block(model, nodes)
+    e1 = estimator_e1_block(sys, model, nodes, gamma)
+    return E3Data(
+        interp_params=nodes,
+        rows=np.array(rows),
+        T=x_matrix(nodes, gamma)[rows],
+        V=np.array([(model.beta * e) ** 2 for e in e1.tolist()]),
+        d=d,
+        cond_estimate=cond,
+        beta=model.beta,
     )
 
 
 def estimator_e3(data: E3Data, sol):
     """Interpolated estimator; returns (value, clamped).
 
-    At a stored interpolation node (bit-equal mu) the weights are the
-    exact unit vector - T's column r is X(mu_r) bit-for-bit - so the node
-    value is returned by lookup instead of dragging the unit solution
-    through the ill-conditioned trailing pivots.  Elsewhere, square T is
-    solved by the precomputed partial-pivoting LU and oversampled T in
-    the least-squares sense.
+    :func:`evaluate`'s e3 at the one parameter sol.mu: at a stored node
+    (bit-equal mu) the node's value by exact lookup, elsewhere
+    lambda . V with T lambda = X(mu)[rows] solved by T's LU.
     """
-    hits = np.nonzero(data.interp_params == sol.mu)[0]
-    if hits.size:
-        total = float(data.V[hits[0]])
-    else:
-        X = x_vector(sol)
-        if data.oversample == 0:
-            lam = _lu_solve(data.lu, X)
-        else:
-            lam = np.linalg.lstsq(data.T, X, rcond=None)[0]
-        total = float(lam @ data.V)
-    clamped = total < 0.0
-    if clamped:
-        logger.info("estimator_e3: negative interpolated square %r clamped", total)
-    value = math.sqrt(max(total, 0.0)) / data.beta
-    return value, clamped
+    value, clamped = _e3_block(data, np.array([sol.mu], dtype=float), x_vector(sol)[:, None])
+    return float(value[0]), bool(clamped[0])
 
 
 # --- diagnostic ------------------------------------------------------------
@@ -546,15 +556,15 @@ def true_error(sys: TruthSystem, model, sol) -> float:
 # The functions below evaluate a block of parameters at once.  Each applies
 # its per-point counterpart's operations element by element across the
 # block, in the same order, so every value equals the per-point one bit for
-# bit.  Reductions that BLAS or LAPACK may order differently for a matrix
-# than for a vector (the Gram and V dots, the basis lift, the least-squares
-# solve) are still made one vector at a time.
+# bit.  Reductions that BLAS may order differently for a matrix than for a
+# vector (the Gram and V dots, the basis lift) are still made one vector at
+# a time.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate: a block's Thomas arrays hold N entries per point and its e3
-# solve d, so at the paper's size (N=199, d=91) a block is 41 points and
-# every temporary stays under 64 KiB, which the allocator reuses instead
-# of growing the process.  The block Thomas sweep only overtakes the
+# evaluate: a block's Thomas arrays hold N entries per point and its
+# monomial vectors d, so at the paper's size (N=199, d=91) a block is 41
+# points and every temporary stays under 64 KiB, which the allocator reuses
+# instead of growing the process.  The block Thomas sweep only overtakes the
 # scalar solve from about 16 columns, hence the floor of 32 points.
 _BLOCK_ELEMENTS = 2 ** 13
 _MIN_BLOCK_POINTS = 32
@@ -651,11 +661,7 @@ def _e3_block(data: E3Data, mus, X):
     total[node] = data.V[hit[node].argmax(axis=1)]
     free = ~node
     if free.any():
-        Xf = X[:, free]
-        if data.oversample == 0:
-            lam = _lu_solve(data.lu, Xf)
-        else:  # a many-column lstsq does not give the one-column bits
-            lam = np.column_stack([np.linalg.lstsq(data.T, c, rcond=None)[0] for c in Xf.T])
+        lam = _lu_solve(data.lu, X[np.ix_(data.rows, free)])
         total[free] = [row @ data.V for row in np.ascontiguousarray(lam.T)]
     clamped = total < 0.0
     if clamped.any():

@@ -177,8 +177,9 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
     with open(path, "wb") as fh:
         fh.write(reduced.dumps_deterministic(payload))
     log(
-        f"offline: N_hat={model.n_hat} d={e3.d} columns={e3.T.shape[1]} "
-        f"delta={model.delta:.6e} cond(T)={e3.cond_estimate:.3e} "
+        f"offline: N_hat={model.n_hat} d={e3.d} r={e3.T.shape[0]} "
+        f"pool={e3.d + config.oversample} cond(T)={e3.cond_estimate:.3e} "
+        f"delta={model.delta:.6e} "
         f"[two_prod path: {precision.TWO_PROD_PATH}]"
     )
     log(f"offline: wrote {path}")
@@ -208,10 +209,17 @@ def _check_shapes(payload: dict, n: int) -> None:
         and _has_shape(e2["S_dd"], 2, m, m)
     ):
         raise ConfigError(f"artifact e2 data needs s_dd of length {m} and S_dd of {m}x{m}")
-    nodes = e3["interp_params"]
+    nodes, rows = e3["interp_params"], e3["rows"]
     d = estimators.x_dimension(n_hat)
-    if not (isinstance(nodes, list) and len(nodes) >= d and _has_shape(e3["V"], len(nodes))):
-        raise ConfigError(f"artifact e3 data needs as many V entries as nodes, at least {d}")
+    r = len(nodes) if isinstance(nodes, list) else 0
+    if not 1 <= r <= d:
+        raise ConfigError(f"artifact e3 data needs between 1 and {d} nodes, not {r}")
+    if not (_has_shape(e3["V"], r) and _has_shape(rows, r)):
+        raise ConfigError(f"artifact e3 data needs one V entry and one row per node ({r})")
+    if not all(type(k) is int and 0 <= k < d for k in rows):
+        raise ConfigError(f"artifact e3 rows must be integers in [0, {d})")
+    if len(set(rows)) != r:
+        raise ConfigError("artifact e3 rows must be distinct")
 
 
 def load_artifact(path: str, config: ExperimentConfig):
@@ -219,8 +227,10 @@ def load_artifact(path: str, config: ExperimentConfig):
 
     The model, E2Data and E3Data are rebuilt from what the artifact stores
     (see ``reduced``).  An unreadable file, bytes that are not ASCII JSON,
-    another format version, a missing key, mis-shaped arrays, and entries
-    that are not finite floats all raise ConfigError.
+    another format version, a missing key, mis-shaped arrays, e3 data with
+    r outside [1, d], rows that are not distinct integers in [0, d) or
+    repeated nodes, and entries that are not finite floats all raise
+    ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -250,6 +260,8 @@ def load_artifact(path: str, config: ExperimentConfig):
         model = reduced.model_from_dict(payload["model"], sys_)
         e2 = reduced.e2data_from_dict(payload["e2"], model.beta)
         e3 = reduced.e3data_from_dict(payload["e3"], model)
+        if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
+            raise ConfigError("artifact e3 nodes must be distinct")
     except ConfigError:
         raise
     except KeyError as exc:

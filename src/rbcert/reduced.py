@@ -35,6 +35,7 @@ from .estimators import (
     _small_x_columns,
     estimator_e1_block,
     interpolation_matrix,
+    x_dimension,
 )
 from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
 
@@ -265,11 +266,11 @@ def greedy_build(
 # Only what cannot be cheaply recomputed is stored: the snapshots (the
 # model's projections and Riesz lifts are replayed from them), the
 # double-double Gram data of E2 (its doubles are their roundings), and E3's
-# nodes, V and cond(T) (T is recomputed from the nodes).  beta is stored
+# nodes, rows, V and cond(T) (T is recomputed from the nodes and rows).  beta is stored
 # once, with the model.  Decoding refuses non-finite entries.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _enc_vec(v) -> list:
@@ -331,18 +332,22 @@ def e2data_from_dict(d: dict, beta: float) -> E2Data:
 def e3data_to_dict(data: E3Data) -> dict:
     return {
         "interp_params": _enc_vec(data.interp_params),
+        "rows": [int(k) for k in data.rows],
         "V": _enc_vec(data.V),
         "cond_estimate": float(data.cond_estimate).hex(),
     }
 
 
 def e3data_from_dict(d: dict, model: ReducedModel) -> E3Data:
-    """Rebuild E3Data, recomputing T from the stored nodes and the model."""
+    """Rebuild E3Data, recomputing T from the stored nodes and rows and the model."""
     mus = _dec_vec(d["interp_params"])
+    rows = np.array(d["rows"], dtype=int)
     return E3Data(
         interp_params=mus,
-        T=interpolation_matrix(model, mus),
+        rows=rows,
+        T=interpolation_matrix(model, mus)[rows],
         V=_dec_vec(d["V"]),
+        d=x_dimension(model.n_hat),
         cond_estimate=_dec(d["cond_estimate"]),
         beta=model.beta,
     )

@@ -307,3 +307,28 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
     assert history[-1][1] > cfg.tol
     floor = e2data.delta * math.sqrt(EPS) / e2data.beta
     assert floor / 30.0 <= history[-1][1] <= floor * 30.0
+
+
+@pytest.fixture(scope="module")
+def floors_loaded(floors_config, floors_artifact):
+    return rb.load_artifact(floors_artifact, floors_config)
+
+
+def test_e3_tracks_e1_at_range_ends_and_snapshots(floors_config, floors_loaded):
+    """On the converged basis e3 is not clamped and stays within a factor 2
+    of e1 at mu_min, mu_max and every snapshot parameter: points the sweep
+    grid of cell midpoints never visits."""
+    cfg = floors_config
+    sys_, model, e2data, e3data, _ = floors_loaded
+    mus = [cfg.mu_min, cfg.mu_max, *model.snapshot_params]
+    cols = rb.evaluate(sys_, model, e2data, e3data, mus)
+    ratios = cols["e3"] / cols["e1"]
+    assert not cols["e3_clamped_flag"].any()
+    assert 0.5 <= ratios.min() and ratios.max() <= 2.0
+
+
+def test_floors_sweep_has_no_e3_clamps(floors_config, floors_loaded):
+    sys_, model, e2data, e3data, _ = floors_loaded
+    rows = rb.compute_sweep(sys_, model, e2data, e3data, sweep_grid(floors_config))
+    assert len(rows) == floors_config.n_sweep
+    assert sum(r.e3_clamped_flag for r in rows) == 0

@@ -9,10 +9,13 @@ import pytest
 
 import rbcert as rb
 from rbcert.estimators import (
-    COND_WARN_THRESHOLD,
+    E3_RANK_TOL,
     E2Data,
+    _lu_solve,
+    _pivoted_gram_schmidt,
     _small_x,
     h1_inner_dd,
+    interpolation_matrix,
 )
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.precision import dd_add
@@ -233,28 +236,63 @@ def test_e2dd_clamps_negative_radicand_and_flags():
 
 
 def test_e3_shapes(default_e3):
+    r = default_e3.T.shape[0]
     assert default_e3.d == 91
-    assert default_e3.T.shape == (91, 91)
-    assert default_e3.V.shape == (91,)
-    assert default_e3.oversample == 0
-    assert default_e3.cond_estimate > COND_WARN_THRESHOLD  # structural, see docstring
+    assert 1 <= r < 91 // 4  # the numerical rank, far below d
+    assert default_e3.T.shape == (r, r)
+    assert default_e3.V.shape == default_e3.rows.shape == default_e3.interp_params.shape == (r,)
+    assert len(set(default_e3.rows.tolist())) == r
+    assert 0 <= default_e3.rows.min() and default_e3.rows.max() < 91
+    assert default_e3.cond_estimate > 1e14  # structural: rank T <= 2*N_hat + 3
 
 
 def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
     model, _ = default_model
-    for r in range(default_e3.d):
-        mu_r = float(default_e3.interp_params[r])
-        sol = rb.solve_reduced(model, mu_r)
-        assert np.array_equal(rb.x_vector(sol), default_e3.T[:, r])
+    for i, mu_i in enumerate(default_e3.interp_params.tolist()):
+        sol = rb.solve_reduced(model, mu_i)
+        assert np.array_equal(rb.x_vector(sol)[default_e3.rows], default_e3.T[:, i])
         e1 = rb.estimator_e1(truth, model, sol)
-        assert default_e3.V[r] == (default_e3.beta * e1) ** 2
+        assert default_e3.V[i] == (default_e3.beta * e1) ** 2
+
+
+def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config):
+    # Nodes: the pivots of the pool's T, up to the rank tolerance.  Rows: the
+    # pivots of the transposed orthonormal basis of their columns (Q-DEIM).
+    model, _ = default_model
+    cfg = default_config
+    pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
+    T = interpolation_matrix(model, pool)
+    assert default_e3.cond_estimate == np.linalg.cond(T)
+    picks, Q = _pivoted_gram_schmidt(T, E3_RANK_TOL)
+    assert np.array_equal(pool[picks], default_e3.interp_params)
+    assert np.allclose(Q.T @ Q, np.eye(len(picks)), atol=1e-12)
+    rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
+    assert np.array_equal(rows, default_e3.rows)
+    # The columns left out lie in the picked columns' span, to the tolerance.
+    rest = T - Q @ (Q.T @ T)
+    norms = np.linalg.norm(T, axis=0)
+    assert np.linalg.norm(rest, axis=0).max() <= 2.0 * E3_RANK_TOL * norms.max()
+
+
+def test_pivoted_gram_schmidt_picks_and_stops():
+    # Column norms 1, 2, 3, sqrt(5): column 2 first, then column 1 (column 3
+    # ties at 2 after the first projection and loses to the lower index);
+    # column 3's remaining 1e-14 is below the tolerance.
+    A = np.array([[1.0, 0.0, 3.0, 1.0], [0.0, 2.0, 0.0, 2.0], [0.0, 0.0, 0.0, 1e-14]])
+    picks, Q = _pivoted_gram_schmidt(A, 1e-12)
+    assert picks == [2, 1]
+    assert np.array_equal(Q, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    picks, Q = _pivoted_gram_schmidt(A, 0.0)
+    assert picks == [2, 1, 3]
+    assert np.array_equal(Q[:, 2], [0.0, 0.0, 1.0])
 
 
 def test_e3_reproduces_e1_at_interpolation_points(truth, default_model, default_e3):
     model, _ = default_model
-    for r in (0, 45, 90):
-        mu_r = float(default_e3.interp_params[r])
-        sol = rb.solve_reduced(model, mu_r)
+    r = default_e3.interp_params.size
+    for i in (0, r // 2, r - 1):
+        mu_i = float(default_e3.interp_params[i])
+        sol = rb.solve_reduced(model, mu_i)
         v3, clamped = rb.estimator_e3(default_e3, sol)
         assert not clamped
         assert v3 == rb.estimator_e1(truth, model, sol)
@@ -269,13 +307,18 @@ def test_e3_tracks_e1_between_interpolation_points(truth, default_model, default
         assert v3 == pytest.approx(v1, rel=1e-3)
 
 
-def test_e3_oversampled_least_squares_path(truth, default_model, default_e2, default_config):
+def test_e3_oversampled_pool(truth, default_model, default_e2, default_config):
+    # oversample enlarges the pool the nodes are picked from; T stays r x r
+    # and cond(T) is the whole pool's.
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
     data = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
-    assert data.oversample == 7
-    assert data.T.shape == (91, 98)
-    mus = [2.5, 333.0, float(data.interp_params[96])]
+    pool = sampler(98, default_config.seed)
+    assert data.d == 91
+    assert data.T.shape == (data.V.size, data.V.size)
+    assert np.isin(data.interp_params, pool).all()
+    assert data.cond_estimate == np.linalg.cond(interpolation_matrix(model, pool))
+    mus = [2.5, 333.0, float(data.interp_params[-1])]
     block = rb.evaluate(truth, model, default_e2, data, mus)["e3"]
     for mu, b3 in zip(mus, block.tolist()):
         sol = rb.solve_reduced(model, mu)
@@ -284,36 +327,14 @@ def test_e3_oversampled_least_squares_path(truth, default_model, default_e2, def
         assert b3.hex() == v3.hex()
 
 
-def test_e3_build_warns_on_astronomical_condition(truth, default_model, default_config, caplog):
-    model, _ = default_model
-    sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
-    with caplog.at_level(logging.WARNING, logger="rbcert.estimators"):
-        rb.build_e3_data(truth, model, sampler, seed=default_config.seed)
-    assert any("cond" in r.message.lower() for r in caplog.records)
-
-
-def test_e3_build_retries_on_degenerate_draw(truth, default_model, default_config):
-    model, _ = default_model
-    real = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
-    bad_seed = 1000
-
-    def sampler(n, seed):
-        if seed == bad_seed:  # constant draw -> identical columns -> singular
-            return np.full(n, 2.0)
-        return real(n, seed)
-
-    data = rb.build_e3_data(truth, model, sampler, seed=bad_seed)
-    assert len(np.unique(data.interp_params)) == data.T.shape[1]
-
-
-def test_e3_build_fails_after_exhausting_retries(truth, default_model):
+def test_e3_build_fails_on_degenerate_pool(truth, default_model):
     model, _ = default_model
 
-    def sampler(n, seed):
+    def sampler(n, seed):  # constant draw -> identical columns -> cond(T) = inf
         return np.full(n, 2.0)
 
-    with pytest.raises(rb.EstimatorBuildError):
-        rb.build_e3_data(truth, model, sampler, seed=0, max_retries=2)
+    with pytest.raises(rb.EstimatorBuildError, match="degenerate"):
+        rb.build_e3_data(truth, model, sampler, seed=0)
 
 
 def test_log_uniform_sampler_is_deterministic():
@@ -337,11 +358,22 @@ def test_small_x_layout():
 FIELDS = ("mu", "true_error", "e1", "e2", "e2_radicand", "e2dd", "e3", "e3_clamped_flag")
 
 
+def e3_oracle(data, sol):
+    """e3 at one point: exact node lookup, else one vector solve with T's LU."""
+    hits = np.nonzero(data.interp_params == sol.mu)[0]
+    if hits.size:
+        total = float(data.V[hits[0]])
+    else:
+        total = float(_lu_solve(data.lu, rb.x_vector(sol)[data.rows]) @ data.V)
+    return math.sqrt(max(total, 0.0)) / data.beta, total < 0.0
+
+
 def per_point_record(sys_, model, e2data, e3data, mu):
     """The reference: every sweep quantity from the per-point functions."""
     sol = rb.solve_reduced(model, float(mu))
     e2, radicand = rb.estimator_e2(e2data, sol)
-    e3, clamped = rb.estimator_e3(e3data, sol)
+    e3, clamped = e3_oracle(e3data, sol)
+    assert rb.estimator_e3(e3data, sol) == (e3, clamped)
     return {
         "mu": float(mu),
         "true_error": rb.true_error(sys_, model, sol),
@@ -381,7 +413,7 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
     e3data = case[3]
     # The grid's endpoints clamp e3 (mu = 1000 on the default basis, mu = 1
     # on the small one); two stored nodes take the exact-lookup path.
-    mus = np.concatenate([np.geomspace(1.0, 1000.0, 31), e3data.interp_params[[3, 40]]])
+    mus = np.concatenate([np.geomspace(1.0, 1000.0, 31), e3data.interp_params[[3, -1]]])
     reference = [per_point_record(*case, mu) for mu in mus]
     assert any(r["e3_clamped_flag"] for r in reference)
     return case, mus, reference

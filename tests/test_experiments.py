@@ -167,10 +167,13 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 2
+    assert payload["version"] == 3
+    assert sorted(payload["e3"]) == ["V", "cond_estimate", "interp_params", "rows"]
     sys_, model, e2data, e3data, meta = rb.load_artifact(path, cfg)
     assert model.n_hat == 3
-    assert e3data.T.shape[0] == rb.x_dimension(3)
+    assert e3data.d == rb.x_dimension(3)
+    r = len(payload["e3"]["rows"])
+    assert e3data.T.shape == (r, r) and 1 <= r <= e3data.d
     # Loading against an incompatible mesh must fail loudly.
     with pytest.raises(ConfigError):
         rb.load_artifact(path, ExperimentConfig(n_cells=50))
@@ -208,6 +211,8 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
         assert hexes(getattr(e2data, name)) == hexes(getattr(fresh_e2, name)), name
     for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
         assert hexes(getattr(e3data, name)) == hexes(getattr(fresh_e3, name)), name
+    assert e3data.rows.tolist() == fresh_e3.rows.tolist()
+    assert e3data.d == fresh_e3.d
     assert hexes(e3data.lu) == hexes(fresh_e3.lu)
 
 
@@ -365,9 +370,71 @@ def _version_1(payload):
     payload["version"] = 1
 
 
+@_edited
+def _version_2(payload):
+    payload["version"] = 2
+
+
+@_edited
+def _e3_row_negative(payload):
+    payload["e3"]["rows"][0] = -1
+
+
+@_edited
+def _e3_row_past_d(payload):
+    payload["e3"]["rows"][0] = rb.x_dimension(3)
+
+
+@_edited
+def _e3_row_repeated(payload):
+    rows = payload["e3"]["rows"]
+    rows[1] = rows[0]
+
+
+@_edited
+def _e3_row_not_integer(payload):
+    payload["e3"]["rows"][0] += 0.5
+
+
+@_edited
+def _e3_rank_zero(payload):
+    for key in ("interp_params", "V", "rows"):
+        payload["e3"][key] = []
+
+
+@_edited
+def _e3_rank_past_d(payload):
+    e3 = payload["e3"]
+    d = rb.x_dimension(3)
+    e3["interp_params"] = [float(1.0 + k).hex() for k in range(d + 1)]
+    e3["V"] = [e3["V"][0]] * (d + 1)
+    e3["rows"] = list(range(d + 1))
+
+
+@_edited
+def _e3_one_row_short(payload):
+    payload["e3"]["rows"].pop()
+
+
+@_edited
+def _e3_one_node_short(payload):
+    payload["e3"]["interp_params"].pop()
+
+
+@_edited
+def _e3_node_repeated(payload):
+    nodes = payload["e3"]["interp_params"]
+    nodes[1] = nodes[0]
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _snapshot_one_short, _nan_entry, _version_1],
+    [
+        _truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _snapshot_one_short, _nan_entry,
+        _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
+        _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
+        _e3_one_node_short, _e3_node_repeated,
+    ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
     with open(os.path.join(small_sweep_dir, "artifact.json"), "rb") as fh:
@@ -377,7 +444,10 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
     args = ["--n-cells", "40", "--n-train", "25", "--n-sweep", "30", "--rb-size", "3"]
     code = cli.main(["sweep", *args, "--artifact", str(bad), "--output-dir", str(tmp_path)])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if damage is _version_2:
+        assert "unsupported artifact version 2" in err
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):

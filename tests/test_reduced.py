@@ -297,17 +297,18 @@ def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
 
 
 def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
-    # T is not stored: it is rebuilt from the nodes and the model, for the
-    # square build and for an oversampled one (T is d x (d+7)).
+    # T is not stored: it is rebuilt from the nodes, the rows and the model,
+    # for the default build and for one picked from an oversampled pool.
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
     oversampled = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
-    assert oversampled.T.shape == (91, 98)
     for data in (default_e3, oversampled):
         d = e3data_to_dict(data)
-        assert sorted(d) == ["V", "cond_estimate", "interp_params"]
+        assert sorted(d) == ["V", "cond_estimate", "interp_params", "rows"]
         back = e3data_from_dict(json.loads(dumps_deterministic(d)), model)
-        assert back.T.shape == data.T.shape
+        assert back.T.shape == data.T.shape == (data.V.size, data.V.size)
+        assert back.rows.tolist() == data.rows.tolist()
+        assert back.d == data.d == 91
         for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
             assert _hex(getattr(back, name)) == _hex(getattr(data, name)), name
 
@@ -328,4 +329,4 @@ def test_float_hex_survives_extreme_values(truth):
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
