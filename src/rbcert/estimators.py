@@ -58,13 +58,13 @@ from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 
 logger = logging.getLogger(__name__)
 
-# Entries per temporary of the two loops that stream length-N stacks: e1's
-# pairwise tree (N_hat + 2 vectors per point) and the E2 build's dd dots
-# (one column per pair).  Both must stay in cache.  At N=9999, N_hat=12
-# this budget (6 columns) ran 200 e1 points in 43 ms against 71 ms point
-# by point, and four times the budget took 66 ms; the E2 build took
-# 320 ms, against 465 ms at 2**14, 660 ms at 2**18 and 683 ms at 2**20
-# entries (2-vCPU Xeon, one BLAS thread).
+# Entries per temporary of the loops that stream length-N stacks: e1's
+# pairwise tree (N_hat + 2 vectors per point), the true error's lift and
+# the E2 build's dd dots (one column per pair).  All must stay in cache.
+# At N=9999, N_hat=12 this budget (6 columns) ran 200 e1 points in 43 ms
+# against 71 ms point by point, and four times the budget took 66 ms; the
+# E2 build took 320 ms, against 465 ms at 2**14, 660 ms at 2**18 and
+# 683 ms at 2**20 entries (2-vCPU Xeon, one BLAS thread).
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -561,18 +561,26 @@ def true_error(sys: TruthSystem, model, sol) -> float:
 # a time.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate: a block's Thomas arrays hold N entries per point and its
-# monomial vectors d, so at the paper's size (N=199, d=91) a block is 41
-# points and every temporary stays under 64 KiB, which the allocator reuses
-# instead of growing the process.  The block Thomas sweep only overtakes the
-# scalar solve from about 16 columns, hence the floor of 32 points.
+# evaluate: a block's truth solve holds two (N, m) arrays and its monomial
+# vectors d entries per point, so at the paper's size (N=199, d=91) a block
+# is 41 points and every temporary stays under 64 KiB, which the allocator
+# reuses instead of growing the process.  The block Thomas solve costs
+# about the same per mesh row at any width up to 100 points and only
+# overtakes point-by-point scalar solves from about 13 points, hence a floor
+# of 32 points.  Once a 32-point block outgrows the cache budget
+# (max(N, d) > 2**11) that per-row cost dominates the sweep, so the budget
+# becomes a fixed 2**19 entries (4 MiB) per (N, m) array: 52 points at
+# N=9999, where a 100-point sweep takes 2 blocks.
 _BLOCK_ELEMENTS = 2 ** 13
+_SOLVE_ELEMENTS = 2 ** 19
 _MIN_BLOCK_POINTS = 32
 
 
 def block_points(n: int, d: int) -> int:
     """Points per :func:`evaluate` block for truth size n and X dimension d."""
-    return max(_MIN_BLOCK_POINTS, _BLOCK_ELEMENTS // max(n, d))
+    size = max(n, d)
+    cached = size * _MIN_BLOCK_POINTS <= _CACHE_BLOCK_ELEMENTS
+    return max(_MIN_BLOCK_POINTS, (_BLOCK_ELEMENTS if cached else _SOLVE_ELEMENTS) // size)
 
 
 def _h1_squares(sys: TruthSystem, G: np.ndarray) -> np.ndarray:
@@ -670,12 +678,19 @@ def _e3_block(data: E3Data, mus, X):
 
 
 def _true_error_block(sys, model, mus, gamma):
-    U = np.ascontiguousarray(solve_truth(sys, mus).T)
-    if model.n_hat:
-        B = model.basis_matrix
-        for u, g in zip(U, gamma):
-            u -= B @ g
-    return np.sqrt(np.maximum(_h1_squares(sys, U), 0.0))
+    """:func:`true_error` at every mus[j]: one block truth solve, then the
+    lift and the H1 norm in sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
+    U = solve_truth(sys, mus)
+    B = model.basis_matrix
+    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
+    out = np.empty(len(mus))
+    for k in range(0, len(mus), step):
+        E = np.ascontiguousarray(U[:, k:k + step].T)
+        if model.n_hat:
+            for e, g in zip(E, gamma[k:k + step]):
+                e -= B @ g
+        out[k:k + step] = np.sqrt(np.maximum(_h1_squares(sys, E), 0.0))
+    return out
 
 
 def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> dict:

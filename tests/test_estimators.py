@@ -9,11 +9,13 @@ import pytest
 
 import rbcert as rb
 from rbcert.estimators import (
+    _CACHE_BLOCK_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
     _lu_solve,
     _pivoted_gram_schmidt,
     _small_x,
+    block_points,
     h1_inner_dd,
     interpolation_matrix,
 )
@@ -404,18 +406,42 @@ def small_orthonormal():
     return sys_, model, e2data, e3data
 
 
-@pytest.fixture(params=["default", "small_orthonormal"])
+@pytest.fixture(scope="module")
+def large_orthonormal():
+    """n_cells=4000, orthonormal basis of 4: past the cache budget of a
+    32-point block, so block_points takes the large-N rule."""
+    cfg = rb.ExperimentConfig(
+        n_cells=4000, n_train=20, rb_size=4, orthonormalize=True, dependence_tol=1e-30
+    )
+    sys_ = rb.assemble(cfg.n_cells)
+    model, _, e2data = rb.greedy_build(
+        sys_, training_grid(cfg), n_max=cfg.rb_size, orthonormalize=True,
+        dependence_tol=cfg.dependence_tol,
+    )
+    e3data = rb.build_e3_data(
+        sys_, model, rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max), seed=cfg.seed
+    )
+    return sys_, model, e2data, e3data
+
+
+@pytest.fixture(params=["default", "small_orthonormal", "large_orthonormal"])
 def evaluation_case(request, truth, default_model, default_e2, default_e3):
     if request.param == "default":
         case = truth, default_model[0], default_e2, default_e3
     else:
-        case = request.getfixturevalue("small_orthonormal")
+        case = request.getfixturevalue(request.param)
     e3data = case[3]
-    # The grid's endpoints clamp e3 (mu = 1000 on the default basis, mu = 1
-    # on the small one); two stored nodes take the exact-lookup path.
+    # Two stored nodes take e3's exact-lookup path.
     mus = np.concatenate([np.geomspace(1.0, 1000.0, 31), e3data.interp_params[[3, -1]]])
     reference = [per_point_record(*case, mu) for mu in mus]
-    assert any(r["e3_clamped_flag"] for r in reference)
+    if request.param == "large_orthonormal":
+        # One compute_sweep block, and _true_error_block lifts it in sub-blocks.
+        n = case[0].n
+        assert block_points(n, e3data.d) >= len(mus) > _CACHE_BLOCK_ELEMENTS // n
+    else:
+        # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
+        # mu = 1 on the small one).
+        assert any(r["e3_clamped_flag"] for r in reference)
     return case, mus, reference
 
 
@@ -442,6 +468,13 @@ def test_compute_sweep_equals_per_point(evaluation_case):
     assert [[getattr(r, name) for name in FIELDS] for r in rows] == [
         [rec[name] for name in FIELDS] for rec in reference
     ]
+
+
+def test_block_points():
+    assert block_points(199, 91) == 41  # paper default
+    assert block_points(199, 325) == 32  # converged orthonormal basis, N_hat = 12
+    assert math.ceil(100 / block_points(9999, 325)) == 2  # large mesh, 100 points
+    assert block_points(10 ** 6, 325) == 32
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -91,10 +91,48 @@ def test_thomas_rejects_shape_mismatch():
         rb.solve_tridiagonal(T, np.ones(4))
 
 
+@pytest.mark.parametrize("n_off", [3, 6])
+def test_thomas_rejects_off_of_wrong_length(n_off):
+    T = Tridiagonal(4.0 + np.zeros(5), np.ones(n_off))
+    with pytest.raises(ValueError):
+        rb.solve_tridiagonal(T, np.ones(5))
+    B = Tridiagonal(4.0 + np.zeros((5, 3)), np.ones((n_off, 3)))
+    with pytest.raises(ValueError):
+        rb.solve_tridiagonal(B, np.ones(5))
+
+
+@pytest.mark.parametrize("off_shape", [(4,), (4, 2), (4, 1)])
+def test_block_thomas_rejects_off_with_other_columns(off_shape):
+    T = Tridiagonal(4.0 + np.zeros((5, 3)), np.ones(off_shape))
+    with pytest.raises(ValueError):
+        rb.solve_tridiagonal(T, np.ones((5, 3)))
+
+
 def test_thomas_raises_on_zero_pivot():
-    T = Tridiagonal(np.zeros(2), np.ones(1))
-    with pytest.raises(np.linalg.LinAlgError):
-        rb.solve_tridiagonal(T, np.ones(2))
+    # A zero pivot in the first row, then in the last row of 2 and of 3.
+    for diag in ([0.0, 0.0], [1.0, 1.0], [1.0, 2.0, 1.0]):
+        n = len(diag)
+        T = Tridiagonal(np.array(diag), np.ones(n - 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            rb.solve_tridiagonal(T, np.ones(n))
+
+
+def test_thomas_leaves_caller_data_unchanged():
+    rng = np.random.default_rng(12)
+    n, m = 9, 4
+    diag = 4.0 + rng.uniform(size=(n, m))
+    off = rng.normal(size=(n - 1, m))
+    rhs = rng.normal(size=(n, m))
+    cases = (
+        (Tridiagonal(diag[:, 0].copy(), off[:, 0].copy()), rhs[:, 0].copy()),  # one system
+        (Tridiagonal(diag[:, 0].copy(), off[:, 0].copy()), rhs.copy()),  # shared A, block rhs
+        (Tridiagonal(diag.copy(), off.copy()), rhs[:, 0].copy()),  # block A, shared rhs
+        (Tridiagonal(diag.copy(), off.copy()), rhs.copy()),  # block A and rhs
+    )
+    for A, b in cases:
+        before = [a.tobytes() for a in (A.diag, A.off, b)]
+        rb.solve_tridiagonal(A, b)
+        assert [a.tobytes() for a in (A.diag, A.off, b)] == before
 
 
 def test_block_thomas_matches_column_solves_bit_for_bit():
@@ -125,6 +163,9 @@ def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
     with pytest.raises(np.linalg.LinAlgError):
         rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
     diag[0, col], diag[1, col] = 1.0, 1.0  # second pivot 1 - 1*1 = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+    diag[:, col] = [1.0, 2.0, 1.0]  # last pivot 1 - 1*(1/(2 - 1*1)) = 0
     with pytest.raises(np.linalg.LinAlgError):
         rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
 
