@@ -28,9 +28,12 @@ same number along different routes with very different round-off floors:
   T lambda = X(mu)[rows].  All summands are non-negative at the
   reference points, hence no cancellation.
 
-``evaluate`` computes the true error and all four estimators for a block
-of parameters at once, bit for bit equal to the per-point functions
-above; ``estimator_e3`` is itself ``evaluate``'s e3 at one parameter.
+There is one evaluation path: block kernels that take a block of
+parameters with their reduced coefficients and run every operation
+element by element across the block.  ``evaluate`` computes the true
+error and all four estimators for a block; the greedy scan and the E3
+build call the same kernels.  The per-point functions above, with
+``true_error`` and ``x_vector``, are the kernels at a one-point block.
 
 Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
 Gram-matrix inner products in double-double; the working-precision
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, h1_inner, solve_truth
+from .fem import TruthSystem, solve_truth
 from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 
 logger = logging.getLogger(__name__)
@@ -85,24 +88,6 @@ def _pairwise_sum(n, term, first=0):
         return term(first)
     half = n // 2
     return _pairwise_sum(half, term, first) + _pairwise_sum(n - half, term, first + half)
-
-
-def estimator_e1(sys: TruthSystem, model, sol) -> float:
-    """Residual dual norm via the full-size Riesz representative.
-
-    g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i],
-    accumulated with pairwise summation over the N_hat+2 vector terms
-    (the mu-scaled group is itself pairwise-summed before scaling), then
-    a single Gram quadratic form.  Cost O(N*N_hat).
-    """
-    gamma = np.asarray(sol.gamma, dtype=float)
-    terms = [model.riesz_b]
-    if gamma.size:
-        terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
-        part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
-        terms.append(sol.mu * part1)
-    g = _pairwise_sum(len(terms), terms.__getitem__)
-    return math.sqrt(max(h1_inner(sys, g, g), 0.0)) / model.beta
 
 
 # --- double-double Gram inner product -------------------------------------
@@ -156,9 +141,9 @@ class E2Data:
     the next N_hat to the a1 block; x_I = alpha_k(mu)*gamma_i with
     alpha_0 = 1, alpha_1 = mu.
 
-    Only the double-double pairs (`*_dd`) are stored; they are what
-    :func:`estimator_e2_dd` consumes.  The double fields ``delta``, ``s``
-    and ``S`` are their correctly-rounded values, derived on access.
+    Only the double-double pairs (`*_dd`) are stored: the double-double
+    kernel reads them, and the working-precision kernel their
+    correctly-rounded values ``delta``, ``s`` and ``S``, derived on access.
     """
 
     delta2_dd: tuple         # (hi, lo)
@@ -270,37 +255,14 @@ def build_e2_data(sys: TruthSystem, model) -> E2Data:
     return E2Table(sys).grow(model)
 
 
-def _small_x(sol) -> np.ndarray:
-    """x_I = alpha_k(mu)*gamma_i: gamma for the a0 block, mu*gamma for a1."""
-    gamma = np.asarray(sol.gamma, dtype=float)
-    return np.concatenate([gamma, sol.mu * gamma])
-
-
-def _pair_products(x: np.ndarray) -> np.ndarray:
-    """fl(x_I * x_J) for I <= J in lexicographic order."""
-    if x.size == 0:
-        return np.empty(0)
-    return np.concatenate([x[i] * x[i:] for i in range(x.size)])
-
-
-def _upper_coefficients(S: np.ndarray) -> np.ndarray:
-    """Quadratic-form coefficients over the I <= J pairs: S_II, 2*S_IJ."""
-    rows = []
-    for i in range(S.shape[0]):
-        row = 2.0 * S[i, i:]
-        row[0] = S[i, i]
-        rows.append(row)
-    return np.concatenate(rows) if rows else np.empty(0)
-
-
 def x_dimension(n_hat: int) -> int:
     return 1 + 3 * n_hat + 2 * n_hat * n_hat
 
 
-def x_vector(sol) -> np.ndarray:
-    """Monomial vector X(mu) = (1; x_I; x_I*x_J for I <= J, lexicographic)."""
-    x = _small_x(sol)
-    return np.concatenate([[1.0], x, _pair_products(x)])
+def _upper_coefficients(S: np.ndarray) -> np.ndarray:
+    """Quadratic-form coefficients over the I <= J pairs, in triu order: S_II, 2*S_IJ."""
+    i, j = np.triu_indices(len(S))
+    return np.where(i == j, S[i, j], 2.0 * S[i, j])
 
 
 def q_coefficients(data: E2Data) -> np.ndarray:
@@ -310,58 +272,6 @@ def q_coefficients(data: E2Data) -> np.ndarray:
     slots = S_II on the diagonal and 2*S_IJ for I < J.
     """
     return np.concatenate([[data.delta2], 2.0 * data.s, _upper_coefficients(data.S)])
-
-
-def estimator_e2(data: E2Data, sol):
-    """Compact-form estimator; returns (value, radicand).
-
-    The radicand delta^2 + 2 s.x + x.S x is evaluated in working
-    precision as the linear form q.X(mu): each product is a rounded
-    double, and the products are totalled with exact (compensated)
-    summation.  The round-off floor therefore comes from the product
-    roundings - O(eps) relative to the O(delta^2) summands - which is
-    exactly the cancellation effect under study; the signed radicand is
-    returned raw because a negative value is data, not an error.
-    """
-    X = x_vector(sol)
-    q = q_coefficients(data)
-    radicand = math.fsum(q * X)
-    value = math.sqrt(max(radicand, 0.0)) / data.beta
-    return value, radicand
-
-
-def estimator_e2_dd(data: E2Data, sol):
-    """Compact form in double-double; returns (value, clamped).
-
-    Same term-by-term structure as :func:`estimator_e2`, but every
-    product and sum is a double-double operation on the dd offline data;
-    x is promoted exactly (zero trailing part).  The result is rounded
-    back to working precision.  A negative dd radicand is clamped to
-    zero and flagged.
-    """
-    x = _small_x(sol)
-    zeros = np.zeros_like(x)
-    d2h, d2l = data.delta2_dd
-    sh, sl = data.s_dd
-    Sh, Sl = data.S_dd
-    lh, ll = dd_mul((2.0 * sh, 2.0 * sl), (x, zeros))
-    qh_parts = [np.array([d2h]), lh]
-    ql_parts = [np.array([d2l]), ll]
-    for i in range(x.size):
-        # exact x_I*x_J, then dd product with the (doubled) coefficient
-        ph, pl = two_prod(x[i], x[i:])
-        ch = 2.0 * Sh[i, i:]
-        cl = 2.0 * Sl[i, i:]
-        ch[0], cl[0] = Sh[i, i], Sl[i, i]
-        th, tl = dd_mul((ch, cl), (ph, pl))
-        qh_parts.append(th)
-        ql_parts.append(tl)
-    rh, rl = dd_sum(np.concatenate(qh_parts), np.concatenate(ql_parts))
-    if rh < 0.0 or (rh == 0.0 and rl < 0.0):
-        logger.info("estimator_e2_dd: negative dd radicand %r clamped", (rh, rl))
-        return 0.0, True
-    vh, vl = dd_sqrt((rh, rl))
-    return (vh + vl) / data.beta, False
 
 
 # --- E3: cancellation-free interpolated form -------------------------------
@@ -530,35 +440,13 @@ def build_e3_data(
     )
 
 
-def estimator_e3(data: E3Data, sol):
-    """Interpolated estimator; returns (value, clamped).
-
-    :func:`evaluate`'s e3 at the one parameter sol.mu: at a stored node
-    (bit-equal mu) the node's value by exact lookup, elsewhere
-    lambda . V with T lambda = X(mu)[rows] solved by T's LU.
-    """
-    value, clamped = _e3_block(data, np.array([sol.mu], dtype=float), x_vector(sol)[:, None])
-    return float(value[0]), bool(clamped[0])
-
-
-# --- diagnostic ------------------------------------------------------------
-
-def true_error(sys: TruthSystem, model, sol) -> float:
-    """H1 distance between the truth solve and the lifted reduced solution."""
-    u = solve_truth(sys, sol.mu)
-    if model.n_hat:
-        u = u - model.basis_matrix @ np.asarray(sol.gamma, dtype=float)
-    return math.sqrt(max(h1_inner(sys, u, u), 0.0))
-
-
 # --- block evaluation ------------------------------------------------------
 #
-# The functions below evaluate a block of parameters at once.  Each applies
-# its per-point counterpart's operations element by element across the
-# block, in the same order, so every value equals the per-point one bit for
-# bit.  Reductions that BLAS may order differently for a matrix than for a
-# vector (the Gram and V dots, the basis lift) are still made one vector at
-# a time.
+# The functions below evaluate a block of parameters at once.  Each runs one
+# point's operations element by element across the block, so a point gets
+# the same bits alone as in any block.  Reductions that BLAS may order
+# differently for a matrix than for a vector (the Gram and V dots, the basis
+# lift) are made one vector at a time.
 
 # Block sizes come from budgets of float64 entries per block temporary.
 # evaluate: a block's truth solve holds two (N, m) arrays and its monomial
@@ -590,10 +478,15 @@ def _h1_squares(sys: TruthSystem, G: np.ndarray) -> np.ndarray:
 
 
 def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """:func:`estimator_e1` at every mus[j] with reduced coefficients gamma[j].
+    """Residual dual norm via the full-size Riesz representative, at every mus[j].
 
-    gamma is (m, N_hat); N_hat = 0 is the empty model.  The pairwise tree
-    runs on (m, N) stacks, in sub-blocks of at most _CACHE_BLOCK_ELEMENTS.
+    g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i]
+    with gamma = gamma[j], accumulated with pairwise summation over the
+    N_hat+2 vector terms (the mu-scaled group is itself pairwise-summed
+    before scaling), then a single Gram quadratic form.  Cost O(N*N_hat)
+    per point.  gamma is (m, N_hat); N_hat = 0 is the empty model.  The
+    pairwise tree runs on (m, N) stacks, in sub-blocks of at most
+    _CACHE_BLOCK_ELEMENTS.
     """
     step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
     out = np.empty(len(mus))
@@ -619,7 +512,7 @@ def _e1_rows(sys, model, mus, gamma):
 
 
 def _small_x_columns(mus, gamma):
-    """Column j is _small_x at (mus[j], gamma[j]): shape (2*N_hat, m)."""
+    """Column j is x = (gamma[j]; mus[j]*gamma[j]), the a0 then the a1 block: shape (2*N_hat, m)."""
     return np.concatenate([gamma.T, mus * gamma.T])
 
 
@@ -630,11 +523,22 @@ def _monomials(x):
 
 
 def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The (d, m) matrix whose column j is :func:`x_vector` at (mus[j], gamma[j])."""
+    """The (d, m) matrix whose column j is X(mus[j]) = (1; x_I; x_I*x_J for I <= J,
+    lexicographic) with x from (mus[j], gamma[j])."""
     return _monomials(_small_x_columns(mus, gamma))
 
 
 def _e2_block(data: E2Data, X):
+    """Compact-form estimator for the monomial columns X; returns (value, radicand).
+
+    The radicand delta^2 + 2 s.x + x.S x is evaluated in working
+    precision as the linear form q.X(mu): each product is a rounded
+    double, and the products are totalled with exact (compensated)
+    summation.  The round-off floor therefore comes from the product
+    roundings - O(eps) relative to the O(delta^2) summands - which is
+    exactly the cancellation effect under study; the signed radicand is
+    returned raw because a negative value is data, not an error.
+    """
     radicand = np.array(
         [math.fsum(col) for col in (q_coefficients(data)[:, None] * X).T.tolist()]
     )
@@ -642,12 +546,18 @@ def _e2_block(data: E2Data, X):
 
 
 def _e2dd_block(data: E2Data, x):
+    """Compact form in double-double for the small-x columns x; returns (value, clamped).
+
+    The terms of :func:`_e2_block`, but every product and sum is a
+    double-double operation on the dd offline data; x is promoted exactly
+    (zero trailing part) and x_I*x_J is an exact product.  The result is
+    rounded back to working precision.  A negative dd radicand is clamped
+    to zero and flagged.
+    """
     i, j = np.triu_indices(len(x))
     sh, sl = data.s_dd
     Sh, Sl = data.S_dd
-    diag = i == j
-    ch = np.where(diag, Sh[i, j], 2.0 * Sh[i, j])
-    cl = np.where(diag, Sl[i, j], 2.0 * Sl[i, j])
+    ch, cl = _upper_coefficients(Sh), _upper_coefficients(Sl)
     lh, ll = dd_mul(((2.0 * sh)[:, None], (2.0 * sl)[:, None]), (x, np.zeros_like(x)))
     th, tl = dd_mul((ch[:, None], cl[:, None]), two_prod(x[i], x[j]))
     d2h, d2l = data.delta2_dd
@@ -659,10 +569,16 @@ def _e2dd_block(data: E2Data, x):
     if clamped.any():
         logger.info("estimator_e2_dd: %d negative dd radicands clamped", clamped.sum())
     vh, vl = dd_sqrt((np.where(clamped, 0.0, rh), np.where(clamped, 0.0, rl)))
-    return np.where(clamped, 0.0, (vh + vl) / data.beta)
+    return np.where(clamped, 0.0, (vh + vl) / data.beta), clamped
 
 
 def _e3_block(data: E3Data, mus, X):
+    """Interpolated estimator at mus with monomial columns X; returns (value, clamped).
+
+    At a stored node (bit-equal mu) the node's value by exact lookup,
+    elsewhere lambda . V with T lambda = X(mu)[rows] solved by T's LU.  A
+    negative interpolated square is clamped to zero and flagged.
+    """
     hit = mus[:, None] == data.interp_params
     node = hit.any(axis=1)
     total = np.empty(len(mus))
@@ -678,8 +594,9 @@ def _e3_block(data: E3Data, mus, X):
 
 
 def _true_error_block(sys, model, mus, gamma):
-    """:func:`true_error` at every mus[j]: one block truth solve, then the
-    lift and the H1 norm in sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
+    """H1 distance between the truth solve and the lifted reduced solution
+    at every mus[j]: one block truth solve, then the lift and the H1 norm in
+    sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
     U = solve_truth(sys, mus)
     B = model.basis_matrix
     step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
@@ -697,9 +614,9 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     """True error and all four estimators at every parameter of a block.
 
     Returns one array per field of ``experiments.SweepRecord``, keyed by
-    the field name; entry j equals what :func:`true_error`,
+    the field name; entry j is what the one-point views (:func:`true_error`,
     :func:`estimator_e1`, :func:`estimator_e2`, :func:`estimator_e2_dd`
-    and :func:`estimator_e3` give at mus[j], bit for bit.  A mu that is
+    and :func:`estimator_e3`) give at mus[j], bit for bit.  A mu that is
     not finite or below 1 raises ``ValueError``.  The whole block is held
     at once; callers bound its size with :func:`block_points`.
     """
@@ -717,7 +634,64 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
         "e1": estimator_e1_block(sys, model, mus, gamma),
         "e2": e2,
         "e2_radicand": radicand,
-        "e2dd": _e2dd_block(e2data, x),
+        "e2dd": _e2dd_block(e2data, x)[0],
         "e3": e3,
         "e3_clamped_flag": e3_clamped.astype(int),
     }
+
+
+# --- one-point views ---------------------------------------------------------
+#
+# The per-point API: each function runs its block kernel on the one-point
+# block (np.array([sol.mu]), sol.gamma[None]) and unpacks the result.
+
+def _one_point(sol, d: int | None = None):
+    """The one-point block (mus, gamma) of the reduced solution sol.
+
+    With d given, raises ``ValueError`` unless sol.gamma is a vector whose
+    monomial vector X(mu) has dimension d, i.e. one coefficient per basis
+    vector of the data the view reads.
+    """
+    gamma = np.asarray(sol.gamma, dtype=float)
+    if d is not None and (gamma.ndim != 1 or x_dimension(gamma.size) != d):
+        raise ValueError(
+            f"sol.gamma of shape {gamma.shape} does not fit data whose X(mu) has dimension {d}"
+        )
+    return np.array([sol.mu], dtype=float), gamma[None]
+
+
+def x_vector(sol) -> np.ndarray:
+    """Monomial vector X(mu) = (1; x_I; x_I*x_J for I <= J, lexicographic)."""
+    return x_matrix(*_one_point(sol))[:, 0]
+
+
+def estimator_e1(sys: TruthSystem, model, sol) -> float:
+    """Residual dual norm via the full-size Riesz representative (:func:`estimator_e1_block`)."""
+    mus, gamma = _one_point(sol, x_dimension(model.n_hat))
+    return float(estimator_e1_block(sys, model, mus, gamma)[0])
+
+
+def estimator_e2(data: E2Data, sol):
+    """Compact-form estimator (:func:`_e2_block`); returns (value, radicand)."""
+    value, radicand = _e2_block(data, x_matrix(*_one_point(sol, x_dimension(data.n_hat))))
+    return float(value[0]), float(radicand[0])
+
+
+def estimator_e2_dd(data: E2Data, sol):
+    """Compact form in double-double (:func:`_e2dd_block`); returns (value, clamped)."""
+    x = _small_x_columns(*_one_point(sol, x_dimension(data.n_hat)))
+    value, clamped = _e2dd_block(data, x)
+    return float(value[0]), bool(clamped[0])
+
+
+def estimator_e3(data: E3Data, sol):
+    """Interpolated estimator (:func:`_e3_block`); returns (value, clamped)."""
+    mus, gamma = _one_point(sol, data.d)
+    value, clamped = _e3_block(data, mus, x_matrix(mus, gamma))
+    return float(value[0]), bool(clamped[0])
+
+
+def true_error(sys: TruthSystem, model, sol) -> float:
+    """H1 distance between the truth solve and the lifted reduced solution."""
+    mus, gamma = _one_point(sol, x_dimension(model.n_hat))
+    return float(_true_error_block(sys, model, mus, gamma)[0])

@@ -136,11 +136,34 @@ def sweep_grid(config: ExperimentConfig) -> np.ndarray:
     return np.exp(lo + (np.arange(config.n_sweep) + 0.5) * step)
 
 
+def _check_output_dir(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless output_dir is, or can be made, a writable
+    directory: its nearest existing ancestor (or itself) must be one.
+    Nothing is created, so a run that fails later leaves no directory."""
+    head = os.path.abspath(config.output_dir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK)):
+        raise ConfigError(
+            f"cannot create output directory {config.output_dir}: "
+            f"{head} is not a writable directory"
+        )
+
+
+def _make_output_dir(config: ExperimentConfig) -> None:
+    """Create output_dir; a path that cannot be a directory is a ConfigError."""
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.output_dir}: {exc}") from exc
+
+
 # --- offline ----------------------------------------------------------------
 
 def run_offline(config: ExperimentConfig, log=print) -> str:
     """Greedy build + estimator data, serialized to output_dir/artifact.json."""
     config.validate()
+    _check_output_dir(config)
     sys_ = fem.assemble(config.n_cells)
     model, history, e2 = reduced.greedy_build(
         sys_,
@@ -172,7 +195,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         "e3": reduced.e3data_to_dict(e3),
         "history": [[float(mu).hex(), float(est).hex()] for mu, est in history],
     }
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config)
     path = config.artifact_path()
     with open(path, "wb") as fh:
         fh.write(reduced.dumps_deterministic(payload))
@@ -328,11 +351,12 @@ def rows_to_csv(rows: list[SweepRecord]) -> str:
 def run_sweep(config: ExperimentConfig, artifact_path: str | None = None, log=print):
     """Evaluate everything on the sweep grid; write sweep.csv and SVG plots."""
     config.validate()
+    _check_output_dir(config)
     sys_, model, e2data, e3data, _ = load_artifact(
         artifact_path or config.artifact_path(), config
     )
     rows = compute_sweep(sys_, model, e2data, e3data, sweep_grid(config))
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config)
     csv_path = os.path.join(config.output_dir, "sweep.csv")
     with open(csv_path, "wb") as fh:
         fh.write(rows_to_csv(rows).encode("ascii"))
@@ -382,6 +406,7 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     on e2, e1/e2 separation >= 1e4, e2dd no higher than e1).
     """
     config.validate()
+    _check_output_dir(config)
     sys_, model, e2data, e3data, _ = load_artifact(
         artifact_path or config.artifact_path(), config
     )
@@ -421,7 +446,7 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     log(f"floors: observed min e2dd = {min_e2dd:.6e}")
     for name, ok in checks.items():
         log(f"floors: {'PASS' if ok else 'FAIL'} {name}")
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config)
     out = os.path.join(config.output_dir, "floors.json")
     with open(out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

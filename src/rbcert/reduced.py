@@ -157,26 +157,16 @@ def _append_basis_vector(model: ReducedModel, sys: TruthSystem, mu: float, v: np
 
 
 def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
-    """Solve (A0_hat + mu*A1_hat) gamma = b_hat; O(N_hat^3), truth-free."""
-    if model.n_hat < 1:
-        raise ValueError("reduced model is empty")
-    check_parameters(mu)
-    A = model.A0_hat + mu * model.A1_hat
-    try:
-        gamma = np.linalg.solve(A, model.b_hat)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular reduced system at mu={mu!r} (snapshot dependence?): {exc}"
-        ) from exc
-    return ReducedSolution(float(mu), gamma)
+    """Solve (A0_hat + mu*A1_hat) gamma = b_hat; :func:`solve_reduced_block` at one mu."""
+    return ReducedSolution(float(mu), solve_reduced_block(model, [mu])[0])
 
 
 def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
     """Reduced coefficients at every mus[j], as the rows of an (m, N_hat) array.
 
-    One stacked LAPACK solve; row j equals ``solve_reduced(model,
-    mus[j]).gamma`` bit for bit (each matrix of the stack is factored by
-    the same routine on the same entries).
+    One stacked LAPACK solve, O(N_hat^3) per point and truth-free; row j
+    does not depend on the block it was solved in (each matrix of the
+    stack is factored by the same routine on the same entries).
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
@@ -242,7 +232,7 @@ def greedy_build(
             gamma = solve_reduced_block(model, candidates)
         else:
             gamma = np.empty((candidates.size, 0))
-        best = int(np.argmax(_e2dd_block(e2data, _small_x_columns(candidates, gamma))))
+        best = int(np.argmax(_e2dd_block(e2data, _small_x_columns(candidates, gamma))[0]))
         pick = slice(best, best + 1)
         best_mu = float(candidates[best])
         best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])

@@ -291,7 +291,7 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
 
     def e2_scan(data, x):
         scanned.append(data)
-        return _e2_block(data, _monomials(x))[0]
+        return _e2_block(data, _monomials(x))
 
     def e2_at_pick(sys_, model, mus, gamma):
         return _e2_block(scanned[-1], rb.x_matrix(mus, gamma))[0]

@@ -13,14 +13,15 @@ from rbcert.estimators import (
     E3_RANK_TOL,
     E2Data,
     _lu_solve,
+    _pairwise_sum,
     _pivoted_gram_schmidt,
-    _small_x,
+    _small_x_columns,
     block_points,
     h1_inner_dd,
     interpolation_matrix,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.precision import dd_add
+from rbcert.precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 from rbcert.reduced import ReducedModel, ReducedSolution, add_snapshot
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
@@ -351,13 +352,84 @@ def test_log_uniform_sampler_is_deterministic():
 
 
 def test_small_x_layout():
-    sol = ReducedSolution(3.0, np.array([0.5, -2.0]))
-    assert np.array_equal(_small_x(sol), [0.5, -2.0, 1.5, -6.0])
+    x = _small_x_columns(np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]]))
+    assert np.array_equal(x, [[0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]])
 
 
-# --- block evaluation ------------------------------------------------------------
+# --- per-point oracle --------------------------------------------------------------
+#
+# The estimators one mu at a time, in the loop forms the block kernels were
+# derived from: the float.hex reference for evaluate and the one-point views.
 
 FIELDS = ("mu", "true_error", "e1", "e2", "e2_radicand", "e2dd", "e3", "e3_clamped_flag")
+
+
+def solve_reduced_oracle(model, mu):
+    gamma = np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
+    return ReducedSolution(float(mu), gamma)
+
+
+def e1_oracle(sys_, model, sol):
+    """g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i], pairwise."""
+    gamma = np.asarray(sol.gamma, dtype=float)
+    terms = [model.riesz_b]
+    if gamma.size:
+        terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
+        part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
+        terms.append(sol.mu * part1)
+    g = _pairwise_sum(len(terms), terms.__getitem__)
+    return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0)) / model.beta
+
+
+def small_x_oracle(sol):
+    """x_I = alpha_k(mu)*gamma_i: gamma for the a0 block, mu*gamma for a1."""
+    gamma = np.asarray(sol.gamma, dtype=float)
+    return np.concatenate([gamma, sol.mu * gamma])
+
+
+def x_vector_oracle(sol):
+    """(1; x_I; fl(x_I * x_J) for I <= J in lexicographic order)."""
+    x = small_x_oracle(sol)
+    return np.concatenate([[1.0], x, *(x[i] * x[i:] for i in range(x.size))])
+
+
+def q_oracle(data):
+    """delta^2; 2*s_I; then per row I: S_II, 2*S_IJ for J > I."""
+    rows = []
+    for i in range(data.S.shape[0]):
+        row = 2.0 * data.S[i, i:]
+        row[0] = data.S[i, i]
+        rows.append(row)
+    return np.concatenate([[data.delta2], 2.0 * data.s, *rows])
+
+
+def e2_oracle(data, sol):
+    radicand = math.fsum(q_oracle(data) * x_vector_oracle(sol))
+    return math.sqrt(max(radicand, 0.0)) / data.beta, radicand
+
+
+def e2dd_oracle(data, sol):
+    """The terms of e2_oracle in double-double, one row I of pairs at a time."""
+    x = small_x_oracle(sol)
+    d2h, d2l = data.delta2_dd
+    sh, sl = data.s_dd
+    Sh, Sl = data.S_dd
+    lh, ll = dd_mul((2.0 * sh, 2.0 * sl), (x, np.zeros_like(x)))
+    qh_parts = [np.array([d2h]), lh]
+    ql_parts = [np.array([d2l]), ll]
+    for i in range(x.size):
+        ph, pl = two_prod(x[i], x[i:])
+        ch = 2.0 * Sh[i, i:]
+        cl = 2.0 * Sl[i, i:]
+        ch[0], cl[0] = Sh[i, i], Sl[i, i]
+        th, tl = dd_mul((ch, cl), (ph, pl))
+        qh_parts.append(th)
+        ql_parts.append(tl)
+    rh, rl = dd_sum(np.concatenate(qh_parts), np.concatenate(ql_parts))
+    if rh < 0.0 or (rh == 0.0 and rl < 0.0):
+        return 0.0, True
+    vh, vl = dd_sqrt((rh, rl))
+    return (vh + vl) / data.beta, False
 
 
 def e3_oracle(data, sol):
@@ -366,27 +438,61 @@ def e3_oracle(data, sol):
     if hits.size:
         total = float(data.V[hits[0]])
     else:
-        total = float(_lu_solve(data.lu, rb.x_vector(sol)[data.rows]) @ data.V)
+        total = float(_lu_solve(data.lu, x_vector_oracle(sol)[data.rows]) @ data.V)
     return math.sqrt(max(total, 0.0)) / data.beta, total < 0.0
 
 
-def per_point_record(sys_, model, e2data, e3data, mu):
-    """The reference: every sweep quantity from the per-point functions."""
-    sol = rb.solve_reduced(model, float(mu))
-    e2, radicand = rb.estimator_e2(e2data, sol)
-    e3, clamped = e3_oracle(e3data, sol)
-    assert rb.estimator_e3(e3data, sol) == (e3, clamped)
+def true_error_oracle(sys_, model, sol):
+    u = rb.solve_truth(sys_, sol.mu)
+    if model.n_hat:
+        u = u - model.basis_matrix @ np.asarray(sol.gamma, dtype=float)
+    return math.sqrt(max(rb.h1_inner(sys_, u, u), 0.0))
+
+
+ORACLE = {
+    "solve_reduced": solve_reduced_oracle, "x_vector": x_vector_oracle, "e1": e1_oracle,
+    "e2": e2_oracle, "e2dd": e2dd_oracle, "e3": e3_oracle, "true_error": true_error_oracle,
+}
+VIEWS = {
+    "solve_reduced": rb.solve_reduced, "x_vector": rb.x_vector, "e1": rb.estimator_e1,
+    "e2": rb.estimator_e2, "e2dd": rb.estimator_e2_dd, "e3": rb.estimator_e3,
+    "true_error": rb.true_error,
+}
+
+
+def per_point_record(sys_, model, e2data, e3data, mu, f=ORACLE):
+    """Every sweep quantity at mu from the oracle (or the views, f=VIEWS), plus
+    the reduced coefficients, X(mu) and e2dd's clamp flag."""
+    sol = f["solve_reduced"](model, float(mu))
+    e2, radicand = f["e2"](e2data, sol)
+    e2dd, e2dd_clamped = f["e2dd"](e2data, sol)
+    e3, clamped = f["e3"](e3data, sol)
     return {
         "mu": float(mu),
-        "true_error": rb.true_error(sys_, model, sol),
-        "e1": rb.estimator_e1(sys_, model, sol),
+        "true_error": f["true_error"](sys_, model, sol),
+        "e1": f["e1"](sys_, model, sol),
         "e2": e2,
         "e2_radicand": radicand,
-        "e2dd": rb.estimator_e2_dd(e2data, sol)[0],
+        "e2dd": e2dd,
         "e3": e3,
         "e3_clamped_flag": int(clamped),
+        "gamma": sol.gamma.tolist(),
+        "X": f["x_vector"](sol).tolist(),
+        "e2dd_clamped": bool(e2dd_clamped),
     }
 
+
+def hexed(record):
+    """The record with every float as float.hex; ints and flags as they are."""
+    def h(v):
+        if isinstance(v, list):
+            return [h(u) for u in v]
+        return v if isinstance(v, (bool, int)) else float(v).hex()
+
+    return {name: h(v) for name, v in record.items()}
+
+
+# --- block evaluation ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def small_orthonormal():
@@ -424,16 +530,26 @@ def large_orthonormal():
     return sys_, model, e2data, e3data
 
 
-@pytest.fixture(params=["default", "small_orthonormal", "large_orthonormal"])
+@pytest.fixture(scope="module", params=["default", "small_orthonormal", "large_orthonormal"])
 def evaluation_case(request, truth, default_model, default_e2, default_e3):
     if request.param == "default":
         case = truth, default_model[0], default_e2, default_e3
     else:
         case = request.getfixturevalue(request.param)
-    e3data = case[3]
-    # Two stored nodes take e3's exact-lookup path.
-    mus = np.concatenate([np.geomspace(1.0, 1000.0, 31), e3data.interp_params[[3, -1]]])
+    model, e3data = case[1], case[3]
+    # Two stored nodes take e3's exact-lookup path; at the snapshot
+    # parameters e1 sits on its floor.
+    grid = np.geomspace(1.0, 1000.0, 31)
+    mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
+    # A view's true error is a one-column block Thomas solve, about 4 us per
+    # mesh row, so on the large mesh every fifth grid point (both ends
+    # included) stands for the grid; the e3 nodes and snapshots all run.
+    step = 5 if request.param == "large_orthonormal" else 1
+    views = {
+        k: per_point_record(*case, mus[k], f=VIEWS)
+        for k in [*range(0, len(grid), step), *range(len(grid), len(mus))]
+    }
     if request.param == "large_orthonormal":
         # One compute_sweep block, and _true_error_block lifts it in sub-blocks.
         n = case[0].n
@@ -442,12 +558,12 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
         # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
         # mu = 1 on the small one).
         assert any(r["e3_clamped_flag"] for r in reference)
-    return case, mus, reference
+    return case, mus, reference, views
 
 
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
-    case, mus, reference = evaluation_case
+    case, mus, reference, views = evaluation_case
     step = block or len(mus)
     got = {name: [] for name in FIELDS}
     for k in range(0, len(mus), step):
@@ -460,10 +576,12 @@ def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
             assert got[name] == expect
         else:
             assert [v.hex() for v in got[name]] == [v.hex() for v in expect], name
+    # The public one-point views equal the oracle on every field.
+    assert {k: hexed(r) for k, r in views.items()} == {k: hexed(reference[k]) for k in views}
 
 
 def test_compute_sweep_equals_per_point(evaluation_case):
-    case, mus, reference = evaluation_case
+    case, mus, reference, _ = evaluation_case
     rows = rb.compute_sweep(*case, mus)
     assert [[getattr(r, name) for name in FIELDS] for r in rows] == [
         [rec[name] for name in FIELDS] for rec in reference
@@ -475,6 +593,24 @@ def test_block_points():
     assert block_points(199, 325) == 32  # converged orthonormal basis, N_hat = 12
     assert math.ceil(100 / block_points(9999, 325)) == 2  # large mesh, 100 points
     assert block_points(10 ** 6, 325) == 32
+
+
+@pytest.mark.parametrize("size", ["short", "long"])
+@pytest.mark.parametrize("view", ["e1", "e2", "e2dd", "e3", "true_error"])
+def test_views_reject_mis_sized_gamma(view, size, truth, default_model, default_e2, default_e3):
+    # 4 or N_hat + 1 = 7 coefficients for a basis of 6.
+    model, _ = default_model
+    gamma = rb.solve_reduced(model, 50.0).gamma
+    sol = ReducedSolution(50.0, gamma[:4] if size == "short" else np.append(gamma, 0.0))
+    call = {
+        "e1": lambda: rb.estimator_e1(truth, model, sol),
+        "e2": lambda: rb.estimator_e2(default_e2, sol),
+        "e2dd": lambda: rb.estimator_e2_dd(default_e2, sol),
+        "e3": lambda: rb.estimator_e3(default_e3, sol),
+        "true_error": lambda: rb.true_error(truth, model, sol),
+    }[view]
+    with pytest.raises(ValueError, match="does not fit"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

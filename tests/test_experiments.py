@@ -320,6 +320,33 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["offline", "sweep", "floors"])
+def test_cli_unusable_output_dir_exits_2_before_work(command, tmp_path, monkeypatch, capsys):
+    # An existing file, and a path under it: both fail before the greedy
+    # build or the artifact load starts.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was made")
+
+    monkeypatch.setattr("rbcert.reduced.greedy_build", no_work)
+    monkeypatch.setattr("rbcert.experiments.load_artifact", no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main([command, "--output-dir", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "floors"])
+def test_cli_missing_artifact_leaves_no_output_dir(command, tmp_path, capsys):
+    # The output directory is only checked before the artifact load; it is
+    # made when the results are written, so a failed load creates nothing.
+    out = tmp_path / "new" / "out"
+    assert cli.main([command, "--output-dir", str(out)]) == 2
+    assert "cannot read artifact" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_cli_nonfinite_mu_range_exits_2(tmp_path, capsys):
     for flag in ("--mu-max=inf", "--mu-min=nan", "--mu-max=-inf", "--tol=nan", "--dependence-tol=nan"):
         assert cli.main(["offline", flag, "--output-dir", str(tmp_path)]) == 2

@@ -131,7 +131,8 @@ def test_solve_reduced_block_rows_are_solve_reduced_bit_for_bit(default_model):
     gamma = rb.solve_reduced_block(model, mus)
     assert gamma.shape == (57, model.n_hat)
     for mu, row in zip(mus, gamma):
-        assert row.tolist() == rb.solve_reduced(model, float(mu)).gamma.tolist()
+        direct = np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
+        assert row.tolist() == rb.solve_reduced(model, float(mu)).gamma.tolist() == direct.tolist()
 
 
 def test_orthonormal_basis_is_h1_orthonormal(truth):
