@@ -46,7 +46,7 @@ from .fem import (
     solve_tridiagonal,
     solve_truth,
 )
-from .precision import TWO_PROD_PATH, DoubleDouble, dd_add, dd_mul, dd_sqrt, dd_sum, two_prod, two_sum
+from .precision import TWO_PROD_PATH, dd_add, dd_mul, dd_sqrt, dd_sum, two_prod, two_sum
 from .reduced import (
     DependentSnapshotError,
     ReducedModel,

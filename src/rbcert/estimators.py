@@ -3,30 +3,34 @@
 For a reduced solution u_hat = sum_i gamma_i u_i of the affine problem
 a0(u,v) + mu*a1(u,v) = b(v), the dual norm of the residual satisfies
 
-    E(mu) = beta^{-1} * || G00 + sum_I x_I G_I ||_H1,
-    x_I = alpha_k(mu) * gamma_i(mu),   I = k*N_hat + i,
+    E(mu) = beta^{-1} * || sum_I z_I G_I ||_H1,   z = (1; gamma; mu*gamma),
 
-with G00 the (negated) Riesz lift of b and G_I the Riesz lifts of the
-operator terms applied to the basis.  The four evaluators compute the
-same number along different routes with very different round-off floors:
+with G_0 the (negated) Riesz lift of b and G_{1+k*N_hat+i} the Riesz lift
+of operator term k in {a0, a1} applied to basis vector i.  Squared, it is
+one linear form in d = 2*N_hat^2 + 3*N_hat + 1 monomials,
 
-* ``estimator_e1`` - assembles the full-size residual representative and
-  takes one norm.  Accurate (floor ~ delta*eps) but costs O(N*N_hat).
-* ``estimator_e2`` - the compact offline/online form
-  delta^2 + 2 s.x + x.S x, cost O(N_hat^2), whose cancellation floor is
+    (beta*E)^2 = q . X(mu),   X = (z_I*z_J for I <= J, lexicographic),
+
+with q = <G_I, G_I> on the diagonal and 2<G_I, G_J> off it.  X starts
+with 1, then x = (gamma; mu*gamma), then the products x_I*x_J.  The four
+evaluators compute the same number along different routes with very
+different round-off floors:
+
+* ``estimator_e1`` - assembles sum_I z_I G_I at full size and takes one
+  norm.  Accurate (floor ~ delta*eps) but costs O(N*N_hat).
+* ``estimator_e2`` - the compact offline/online form q.X(mu) in working
+  precision, cost O(N_hat^2), whose cancellation floor is
   delta*sqrt(eps): the radicand is a difference of O(delta^2) quantities
   while the true value sits at E^2.
-* ``estimator_e2_dd`` - the same compact form evaluated in double-double
-  arithmetic, which pushes the floor down to ~ delta*eps^2/... in
-  practice below E1's own floor.
-* ``estimator_e3`` - cancellation-free form: the squared estimator is a
-  linear form q.X(mu) in the monomial vector X(mu), so it can be
-  interpolated from reference values V_i = (beta*E1(mu_i))^2.  X(mu)
-  spans a space of dimension at most 2*N_hat + 3, not d, so the build
-  picks r nodes and r rows of X on the numerical rank by pivoted
-  Gram-Schmidt (Q-DEIM), and the online stage solves the r x r system
-  T lambda = X(mu)[rows].  All summands are non-negative at the
-  reference points, hence no cancellation.
+* ``estimator_e2_dd`` - the same q.X(mu) with q in double-double and X
+  as exact products, which pushes the floor down below E1's own.
+* ``estimator_e3`` - cancellation-free form: since the squared estimator
+  is linear in X(mu), it can be interpolated from reference values
+  V_i = (beta*E1(mu_i))^2.  X(mu) spans a space of dimension at most
+  2*N_hat + 3, not d, so the build picks r nodes and r rows of X on the
+  numerical rank by pivoted Gram-Schmidt (Q-DEIM), and the online stage
+  solves the r x r system T lambda = X(mu)[rows].  All summands are
+  non-negative at the reference points, hence no cancellation.
 
 There is one evaluation path: block kernels that take a block of
 parameters with their reduced coefficients and run every operation
@@ -35,15 +39,14 @@ error and all four estimators for a block; the greedy scan and the E3
 build call the same kernels.  The per-point functions above, with
 ``true_error`` and ``x_vector``, are the kernels at a one-point block.
 
-Offline data builders (``build_e2_data``, ``build_e3_data``) compute the
-Gram-matrix inner products in double-double; the working-precision
-estimator reads their correctly-rounded doubles.  It is only as good as
-its offline data, and the interesting floors live in the online
-evaluation, not in data-assembly noise.  E2's data are grown, not built in
+E2's offline data are q itself, in double-double (:class:`E2Data`); the
+working-precision estimator reads its correctly-rounded doubles.  It is
+only as good as its offline data, and the interesting floors live in the
+online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
 greedy grows one alongside the basis.  ``build_e2_data`` is the same
-growth run once over all of a model's vectors.  Every entry equals one
-``h1_inner_dd`` call per pair bit for bit; that call stays as the
+growth run once over all of a model's vectors.  Every Gram entry equals
+one ``h1_inner_dd`` call per pair bit for bit; that call stays as the
 reference.
 """
 
@@ -134,43 +137,23 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
 
 @dataclass(frozen=True)
 class E2Data:
-    """Offline data for the compact estimator.
+    """Offline data for the compact estimator: q in double-double.
 
-    Index convention: I = k*N_hat + i with k in {0,1} and i in 0..N_hat-1
-    (zero-based), i.e. the first N_hat slots belong to the a0 block and
-    the next N_hat to the a1 block; x_I = alpha_k(mu)*gamma_i with
-    alpha_0 = 1, alpha_1 = mu.
-
-    Only the double-double pairs (`*_dd`) are stored: the double-double
-    kernel reads them, and the working-precision kernel their
-    correctly-rounded values ``delta``, ``s`` and ``S``, derived on access.
+    q_dd = (hi, lo) holds two arrays of length d in the order of X(mu)
+    (see :func:`x_matrix`): for each pair I <= J of indices of z = (1;
+    gamma; mu*gamma), <G_I, G_I> on the diagonal and 2<G_I, G_J> off it.
+    The double-double kernel reads the pairs, the working-precision kernel
+    their correctly-rounded values (:func:`q_coefficients`).
     """
 
-    delta2_dd: tuple         # (hi, lo)
-    s_dd: tuple              # (hi array, lo array), length 2*N_hat
-    S_dd: tuple              # (hi matrix, lo matrix), 2*N_hat x 2*N_hat, symmetric PSD
+    q_dd: tuple              # (hi array, lo array), length d
     beta: float = 1.0
 
     @property
-    def n_hat(self) -> int:
-        return self.s_dd[0].size // 2
-
-    @property
-    def delta2(self) -> float:
-        return self.delta2_dd[0] + self.delta2_dd[1]
-
-    @property
     def delta(self) -> float:
-        dh, dl = dd_sqrt(self.delta2_dd)
+        """sqrt(q_0) = ||G_0||, rounded from double-double."""
+        dh, dl = dd_sqrt((self.q_dd[0][0], self.q_dd[1][0]))
         return dh + dl
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.s_dd[0] + self.s_dd[1]
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.S_dd[0] + self.S_dd[1]
 
 
 class E2Table:
@@ -179,12 +162,13 @@ class E2Table:
     Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
     a1_1, ...), the dd Gram matvec of each, and F[u, v] =
     :func:`h1_inner_dd` of vectors u and v, bit for bit, for every needed
-    pair: (b, b), (b, r) and (r, r'); (r, b) is never used.  :meth:`grow`
+    pair: (b, b), (b, r) and (r, r'); (r, b) is never computed.  :meth:`grow`
     adds the vectors of the snapshots the table has not seen yet, so each
     new snapshot costs two dd Gram matvecs and the pairs that involve its
     two vectors.  Matvecs and pairs go in chunks of at most
     _CACHE_BLOCK_ELEMENTS entries per temporary.  The model must only grow
-    between calls.
+    between calls.  q is read off F in z's order: F_II on the diagonal and
+    the dd sum F_IJ + F_JI off it, with (b, r) standing in for (r, b).
     """
 
     def __init__(self, sys: TruthSystem):
@@ -229,28 +213,28 @@ class E2Table:
         self.Fh, self.Fl = Fh, Fl
 
     def _e2_data(self, beta: float) -> E2Data:
-        # Insertion order to E2's layout I = k*N_hat + i, shifted by riesz_b.
+        # Insertion order to z's order: riesz_b, the a0 block, the a1 block.
         n = len(self.R) // 2
         perm = np.concatenate([[0], np.arange(1, 2 * n, 2), np.arange(2, 2 * n + 1, 2)])
         Fh, Fl = self.Fh[np.ix_(perm, perm)], self.Fl[np.ix_(perm, perm)]
-        d2 = (float(Fh[0, 0]), float(Fl[0, 0]))
-        sh, sl = Fh[0, 1:], Fl[0, 1:]
-        Sh, Sl = Fh[1:, 1:], Fl[1:, 1:]
-        # (S + S^T)/2 in dd; division by 2 is exact.
-        Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
-        return E2Data(delta2_dd=d2, s_dd=(sh, sl), S_dd=(0.5 * Sh, 0.5 * Sl), beta=beta)
+        # (r, b) is never computed; the Gram table is symmetric.
+        Fh[1:, 0], Fl[1:, 0] = Fh[0, 1:], Fl[0, 1:]
+        i, j = np.triu_indices(len(perm))
+        qh, ql = dd_add((Fh[i, j], Fl[i, j]), (Fh[j, i], Fl[j, i]))
+        diag = i == j
+        return E2Data(q_dd=(np.where(diag, Fh[i, j], qh), np.where(diag, Fl[i, j], ql)), beta=beta)
 
 
 def build_e2_data(sys: TruthSystem, model) -> E2Data:
-    """Assemble delta^2, s, S in double-double from the stored Riesz vectors.
+    """Assemble q in double-double from the stored Riesz vectors.
 
     One :class:`E2Table` grown from empty over all of the model's Riesz
     vectors, the same growth the greedy runs one snapshot at a time, so
-    every entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit for
-    bit.  S is symmetrized after assembly by averaging with its transpose
-    (exact in dd: the half-scaling is error-free).  The plain-double fields
-    are the rounded dd values, so the working-precision estimator starts
-    from correctly-rounded data and its floor is purely an online effect.
+    every Gram entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit
+    for bit.  An off-diagonal q is the dd sum of the pair's two entries.
+    The working-precision estimator reads q's rounded dd values, so it
+    starts from correctly-rounded data and its floor is purely an online
+    effect.
     """
     return E2Table(sys).grow(model)
 
@@ -259,19 +243,9 @@ def x_dimension(n_hat: int) -> int:
     return 1 + 3 * n_hat + 2 * n_hat * n_hat
 
 
-def _upper_coefficients(S: np.ndarray) -> np.ndarray:
-    """Quadratic-form coefficients over the I <= J pairs, in triu order: S_II, 2*S_IJ."""
-    i, j = np.triu_indices(len(S))
-    return np.where(i == j, S[i, j], 2.0 * S[i, j])
-
-
 def q_coefficients(data: E2Data) -> np.ndarray:
-    """Coefficients q with radicand(mu) = q . X(mu).
-
-    q_0 = delta^2; q over the linear slots = 2*s_I; q over the quadratic
-    slots = S_II on the diagonal and 2*S_IJ for I < J.
-    """
-    return np.concatenate([[data.delta2], 2.0 * data.s, _upper_coefficients(data.S)])
+    """Coefficients q with radicand(mu) = q . X(mu): the roundings of data.q_dd."""
+    return data.q_dd[0] + data.q_dd[1]
 
 
 # --- E3: cancellation-free interpolated form -------------------------------
@@ -511,32 +485,32 @@ def _e1_rows(sys, model, mus, gamma):
     return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0)) / model.beta
 
 
-def _small_x_columns(mus, gamma):
-    """Column j is x = (gamma[j]; mus[j]*gamma[j]), the a0 then the a1 block: shape (2*N_hat, m)."""
-    return np.concatenate([gamma.T, mus * gamma.T])
+def _monomial_factors(mus, gamma):
+    """The factor rows (z_I, z_J), I <= J in lexicographic order, of X at every mus[j].
 
-
-def _monomials(x):
-    """Column j is X(mu_j) for column j of the small-x matrix x."""
-    i, j = np.triu_indices(len(x))
-    return np.concatenate([np.ones((1, x.shape[1])), x, x[i] * x[j]])
+    Column j of z is (1; gamma[j]; mus[j]*gamma[j]); both results are
+    (d, m), and their product is :func:`x_matrix`.
+    """
+    z = np.concatenate([np.ones((1, len(mus))), gamma.T, mus * gamma.T])
+    i, j = np.triu_indices(len(z))
+    return z[i], z[j]
 
 
 def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The (d, m) matrix whose column j is X(mus[j]) = (1; x_I; x_I*x_J for I <= J,
-    lexicographic) with x from (mus[j], gamma[j])."""
-    return _monomials(_small_x_columns(mus, gamma))
+    lexicographic) with x = (gamma[j]; mus[j]*gamma[j])."""
+    zi, zj = _monomial_factors(mus, gamma)
+    return zi * zj
 
 
 def _e2_block(data: E2Data, X):
     """Compact-form estimator for the monomial columns X; returns (value, radicand).
 
-    The radicand delta^2 + 2 s.x + x.S x is evaluated in working
-    precision as the linear form q.X(mu): each product is a rounded
-    double, and the products are totalled with exact (compensated)
-    summation.  The round-off floor therefore comes from the product
-    roundings - O(eps) relative to the O(delta^2) summands - which is
-    exactly the cancellation effect under study; the signed radicand is
+    The radicand q.X(mu) is evaluated in working precision: each product
+    is a rounded double, and the products are totalled with exact
+    (compensated) summation.  The round-off floor therefore comes from the
+    product roundings - O(eps) relative to the O(delta^2) summands - which
+    is exactly the cancellation effect under study; the signed radicand is
     returned raw because a negative value is data, not an error.
     """
     radicand = np.array(
@@ -545,26 +519,17 @@ def _e2_block(data: E2Data, X):
     return np.sqrt(np.maximum(radicand, 0.0)) / data.beta, radicand
 
 
-def _e2dd_block(data: E2Data, x):
-    """Compact form in double-double for the small-x columns x; returns (value, clamped).
+def _e2dd_block(data: E2Data, XX):
+    """Compact form in double-double; returns (value, clamped).
 
-    The terms of :func:`_e2_block`, but every product and sum is a
-    double-double operation on the dd offline data; x is promoted exactly
-    (zero trailing part) and x_I*x_J is an exact product.  The result is
-    rounded back to working precision.  A negative dd radicand is clamped
-    to zero and flagged.
+    XX = (hi, lo) are the monomial columns as exact products, ``two_prod``
+    of :func:`_monomial_factors`.  Each q_p*X_p and the sum over the d
+    monomials are double-double operations on q_dd; the result is rounded
+    back to working precision.  A negative dd radicand is clamped to zero
+    and flagged.
     """
-    i, j = np.triu_indices(len(x))
-    sh, sl = data.s_dd
-    Sh, Sl = data.S_dd
-    ch, cl = _upper_coefficients(Sh), _upper_coefficients(Sl)
-    lh, ll = dd_mul(((2.0 * sh)[:, None], (2.0 * sl)[:, None]), (x, np.zeros_like(x)))
-    th, tl = dd_mul((ch[:, None], cl[:, None]), two_prod(x[i], x[j]))
-    d2h, d2l = data.delta2_dd
-    first = np.ones((1, x.shape[1]))
-    rh, rl = dd_sum(
-        np.concatenate([d2h * first, lh, th]), np.concatenate([d2l * first, ll, tl])
-    )
+    qh, ql = data.q_dd
+    rh, rl = dd_sum(*dd_mul((qh[:, None], ql[:, None]), XX))
     clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
     if clamped.any():
         logger.info("estimator_e2_dd: %d negative dd radicands clamped", clamped.sum())
@@ -624,17 +589,16 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
 
     mus = np.asarray(mus, dtype=float)
     gamma = solve_reduced_block(model, mus)
-    x = _small_x_columns(mus, gamma)
-    X = _monomials(x)
-    e2, radicand = _e2_block(e2data, X)
-    e3, e3_clamped = _e3_block(e3data, mus, X)
+    XX = two_prod(*_monomial_factors(mus, gamma))
+    e2, radicand = _e2_block(e2data, XX[0])
+    e3, e3_clamped = _e3_block(e3data, mus, XX[0])
     return {
         "mu": mus,
         "true_error": _true_error_block(sys, model, mus, gamma),
         "e1": estimator_e1_block(sys, model, mus, gamma),
         "e2": e2,
         "e2_radicand": radicand,
-        "e2dd": _e2dd_block(e2data, x)[0],
+        "e2dd": _e2dd_block(e2data, XX)[0],
         "e3": e3,
         "e3_clamped_flag": e3_clamped.astype(int),
     }
@@ -673,14 +637,14 @@ def estimator_e1(sys: TruthSystem, model, sol) -> float:
 
 def estimator_e2(data: E2Data, sol):
     """Compact-form estimator (:func:`_e2_block`); returns (value, radicand)."""
-    value, radicand = _e2_block(data, x_matrix(*_one_point(sol, x_dimension(data.n_hat))))
+    value, radicand = _e2_block(data, x_matrix(*_one_point(sol, data.q_dd[0].size)))
     return float(value[0]), float(radicand[0])
 
 
 def estimator_e2_dd(data: E2Data, sol):
     """Compact form in double-double (:func:`_e2dd_block`); returns (value, clamped)."""
-    x = _small_x_columns(*_one_point(sol, x_dimension(data.n_hat)))
-    value, clamped = _e2dd_block(data, x)
+    XX = two_prod(*_monomial_factors(*_one_point(sol, data.q_dd[0].size)))
+    value, clamped = _e2dd_block(data, XX)
     return float(value[0]), bool(clamped[0])
 
 

@@ -225,15 +225,10 @@ def _check_shapes(payload: dict, n: int) -> None:
         raise ConfigError(f"artifact needs one snapshot of length {n} per snapshot parameter")
     if not _has_shape(payload["history"], n_hat, 2):
         raise ConfigError(f"artifact history needs {n_hat} (mu, estimate) pairs")
-    m = 2 * n_hat
-    if not (
-        _has_shape(e2["delta2_dd"], 2)
-        and _has_shape(e2["s_dd"], 2, m)
-        and _has_shape(e2["S_dd"], 2, m, m)
-    ):
-        raise ConfigError(f"artifact e2 data needs s_dd of length {m} and S_dd of {m}x{m}")
-    nodes, rows = e3["interp_params"], e3["rows"]
     d = estimators.x_dimension(n_hat)
+    if not _has_shape(e2["q_dd"], 2, d):
+        raise ConfigError(f"artifact e2 data needs q_dd of 2 x {d} entries")
+    nodes, rows = e3["interp_params"], e3["rows"]
     r = len(nodes) if isinstance(nodes, list) else 0
     if not 1 <= r <= d:
         raise ConfigError(f"artifact e3 data needs between 1 and {d} nodes, not {r}")
@@ -495,6 +490,8 @@ def write_svg_loglog(path: str, title: str, series, xlabel: str = "mu"):
         raise ValueError("nothing positive to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_lo == x_hi:
+        x_lo, x_hi = x_lo / 10.0, x_hi * 10.0
     if y_lo == y_hi:
         y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
     lx0, lx1 = math.log10(x_lo), math.log10(x_hi)

@@ -18,9 +18,6 @@ compiled in so build logs can report it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 # Dekker's splitter for binary64: 2**27 + 1.
@@ -93,10 +90,6 @@ def dd_mul(x, y):
     return quick_two_sum(p, e)
 
 
-def dd_neg(x):
-    return -x[0], -x[1]
-
-
 def dd_sqrt(x):
     """Square root of a double-double ``x = (hi, lo)``.
 
@@ -138,37 +131,3 @@ def dd_sum(hi, lo):
     if h.ndim == 1:
         return float(h[0]), float(l[0])
     return h[0], l[0]
-
-
-@dataclass(frozen=True)
-class DoubleDouble:
-    """Convenience wrapper over the (hi, lo) pair kernels.
-
-    The functional kernels above are what the numerical code calls (they
-    vectorize); this class exists for scalar work and tests.
-    """
-
-    hi: float
-    lo: float = 0.0
-
-    @staticmethod
-    def from_float(a: float) -> "DoubleDouble":
-        return DoubleDouble(float(a), 0.0)
-
-    def __add__(self, other: "DoubleDouble") -> "DoubleDouble":
-        return DoubleDouble(*dd_add((self.hi, self.lo), (other.hi, other.lo)))
-
-    def __sub__(self, other: "DoubleDouble") -> "DoubleDouble":
-        return DoubleDouble(*dd_add((self.hi, self.lo), (-other.hi, -other.lo)))
-
-    def __mul__(self, other: "DoubleDouble") -> "DoubleDouble":
-        return DoubleDouble(*dd_mul((self.hi, self.lo), (other.hi, other.lo)))
-
-    def __neg__(self) -> "DoubleDouble":
-        return DoubleDouble(-self.hi, -self.lo)
-
-    def sqrt(self) -> "DoubleDouble":
-        return DoubleDouble(*dd_sqrt((self.hi, self.lo)))
-
-    def __float__(self) -> float:
-        return self.hi + self.lo

@@ -32,12 +32,13 @@ from .estimators import (
     E2Table,
     E3Data,
     _e2dd_block,
-    _small_x_columns,
+    _monomial_factors,
     estimator_e1_block,
     interpolation_matrix,
     x_dimension,
 )
 from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
+from .precision import two_prod
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +233,8 @@ def greedy_build(
             gamma = solve_reduced_block(model, candidates)
         else:
             gamma = np.empty((candidates.size, 0))
-        best = int(np.argmax(_e2dd_block(e2data, _small_x_columns(candidates, gamma))[0]))
+        XX = two_prod(*_monomial_factors(candidates, gamma))
+        best = int(np.argmax(_e2dd_block(e2data, XX)[0]))
         pick = slice(best, best + 1)
         best_mu = float(candidates[best])
         best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])
@@ -255,12 +257,12 @@ def greedy_build(
 #
 # Only what cannot be cheaply recomputed is stored: the snapshots (the
 # model's projections and Riesz lifts are replayed from them), the
-# double-double Gram data of E2 (its doubles are their roundings), and E3's
-# nodes, rows, V and cond(T) (T is recomputed from the nodes and rows).  beta is stored
-# once, with the model.  Decoding refuses non-finite entries.
+# double-double coefficients q of E2 (its doubles are their roundings), and
+# E3's nodes, rows, V and cond(T) (T is recomputed from the nodes and rows).
+# beta is stored once, with the model.  Decoding refuses non-finite entries.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _enc_vec(v) -> list:
@@ -274,14 +276,6 @@ def _dec_vec(v) -> np.ndarray:
 
 def _dec(x: str) -> float:
     return float(_dec_vec([x])[0])
-
-def _enc_mat(A) -> list:
-    return [_enc_vec(row) for row in np.asarray(A, dtype=float)]
-
-def _dec_mat(rows, width: int) -> np.ndarray:
-    if not rows:
-        return np.empty((0, width))
-    return np.vstack([_dec_vec(r) for r in rows])
 
 
 def model_to_dict(model: ReducedModel) -> dict:
@@ -302,21 +296,12 @@ def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
 
 
 def e2data_to_dict(data: E2Data) -> dict:
-    return {
-        "delta2_dd": _enc_vec(data.delta2_dd),
-        "s_dd": [_enc_vec(data.s_dd[0]), _enc_vec(data.s_dd[1])],
-        "S_dd": [_enc_mat(data.S_dd[0]), _enc_mat(data.S_dd[1])],
-    }
+    return {"q_dd": [_enc_vec(data.q_dd[0]), _enc_vec(data.q_dd[1])]}
 
 
 def e2data_from_dict(d: dict, beta: float) -> E2Data:
-    m = len(d["s_dd"][0])
-    return E2Data(
-        delta2_dd=tuple(_dec_vec(d["delta2_dd"]).tolist()),
-        s_dd=(_dec_vec(d["s_dd"][0]), _dec_vec(d["s_dd"][1])),
-        S_dd=(_dec_mat(d["S_dd"][0], m), _dec_mat(d["S_dd"][1], m)),
-        beta=beta,
-    )
+    hi, lo = d["q_dd"]
+    return E2Data(q_dd=(_dec_vec(hi), _dec_vec(lo)), beta=beta)
 
 
 def e3data_to_dict(data: E3Data) -> dict:

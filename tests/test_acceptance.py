@@ -17,7 +17,7 @@ import pytest
 import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
-from rbcert.estimators import _e2_block, _monomials
+from rbcert.estimators import _e2_block
 from rbcert.precision import dd_add, dd_mul, two_prod, two_sum
 from rbcert.reduced import ReducedSolution
 
@@ -289,9 +289,9 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
     accurate, _, _ = rb.greedy_build(truth, training_grid(cfg), **kwargs)
     scanned = []
 
-    def e2_scan(data, x):
+    def e2_scan(data, XX):
         scanned.append(data)
-        return _e2_block(data, _monomials(x))
+        return _e2_block(data, XX[0])
 
     def e2_at_pick(sys_, model, mus, gamma):
         return _e2_block(scanned[-1], rb.x_matrix(mus, gamma))[0]

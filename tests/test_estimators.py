@@ -1,5 +1,6 @@
 """Estimators: reference form, compact forms, interpolated form."""
 
+import dataclasses
 import logging
 import math
 
@@ -13,9 +14,9 @@ from rbcert.estimators import (
     E3_RANK_TOL,
     E2Data,
     _lu_solve,
+    _monomial_factors,
     _pairwise_sum,
     _pivoted_gram_schmidt,
-    _small_x_columns,
     block_points,
     h1_inner_dd,
     interpolation_matrix,
@@ -79,18 +80,22 @@ def test_e1_is_an_upper_bound(truth, default_model):
 
 
 def test_e2_data_shapes_and_symmetry(default_e2):
-    n = default_e2.n_hat
-    assert n == 6
-    assert default_e2.s.shape == (2 * n,)
-    assert default_e2.S.shape == (2 * n, 2 * n)
-    assert np.array_equal(default_e2.S, default_e2.S.T)
-    assert np.array_equal(default_e2.S_dd[0], default_e2.S_dd[0].T)
-    assert np.array_equal(default_e2.S_dd[1], default_e2.S_dd[1].T)
+    # E2Data is q alone: the symmetric Gram data once per pair I <= J, as
+    # normalized dd pairs.
+    assert [f.name for f in dataclasses.fields(E2Data)] == ["q_dd", "beta"]
+    qh, ql = default_e2.q_dd
+    assert qh.shape == ql.shape == (rb.x_dimension(6),)
+    assert np.array_equal(qh + ql, qh)
 
 
 def test_e2_data_is_positive_semidefinite(default_e2):
-    # S is a Gram matrix of Riesz representatives.
-    w = np.linalg.eigvalsh(default_e2.S)
+    # S is a Gram matrix of Riesz representatives.  Rebuilt from q: q_II on
+    # the diagonal, q_IJ / 2 (exact) on both sides of it; z's index 0 is b.
+    q = rb.q_coefficients(default_e2)
+    i, j = np.triu_indices(13)
+    G = np.empty((13, 13))
+    G[i, j] = G[j, i] = np.where(i == j, q, 0.5 * q)
+    w = np.linalg.eigvalsh(G[1:, 1:])
     assert w.min() >= -1e-12 * w.max()
 
 
@@ -100,24 +105,26 @@ def test_e2_delta_is_rounded_dd_value(default_e2):
     # differs from it in exactly those low bits.
     assert default_e2.delta == DELTA_200_DD
     assert abs(default_e2.delta - DELTA_200) <= 1e-13 * DELTA_200
-    d2h, d2l = default_e2.delta2_dd
-    assert default_e2.delta2 == d2h + d2l
-    assert default_e2.delta2 == pytest.approx(default_e2.delta**2, rel=1e-15)
+    d2h, d2l = default_e2.q_dd[0][0], default_e2.q_dd[1][0]
+    delta2 = rb.q_coefficients(default_e2)[0]
+    assert delta2 == d2h + d2l
+    assert delta2 == pytest.approx(default_e2.delta**2, rel=1e-15)
 
 
 def test_e2_data_single_snapshot_oracle(truth):
-    # For one snapshot the blocks are inner products of three vectors:
-    # g = riesz_b, r0, r1.  Each stored double must be the dd-accurate
-    # value, which agrees with the plain-double inner product to ~1e-13.
+    # For one snapshot q holds the inner products of three vectors:
+    # g = riesz_b, r0, r1, in the order of X = (1, x0, x1, x0^2, x0 x1, x1^2).
+    # Each stored double must be the dd-accurate value, which agrees with the
+    # plain-double inner product to ~1e-13.
     model = ReducedModel(truth)
     add_snapshot(model, truth, 10.0)
-    data = rb.build_e2_data(truth, model)
+    q = rb.q_coefficients(rb.build_e2_data(truth, model))
     g, r0, r1 = model.riesz_b, model.riesz_a0[0], model.riesz_a1[0]
-    assert data.s[0] == pytest.approx(rb.h1_inner(truth, g, r0), rel=1e-13)
-    assert data.s[1] == pytest.approx(rb.h1_inner(truth, g, r1), rel=1e-13)
-    assert data.S[0, 0] == pytest.approx(rb.h1_inner(truth, r0, r0), rel=1e-13)
-    assert data.S[0, 1] == pytest.approx(rb.h1_inner(truth, r0, r1), rel=1e-13)
-    assert data.S[1, 1] == pytest.approx(rb.h1_inner(truth, r1, r1), rel=1e-13)
+    assert q[1] == pytest.approx(2.0 * rb.h1_inner(truth, g, r0), rel=1e-13)
+    assert q[2] == pytest.approx(2.0 * rb.h1_inner(truth, g, r1), rel=1e-13)
+    assert q[3] == pytest.approx(rb.h1_inner(truth, r0, r0), rel=1e-13)
+    assert q[4] == pytest.approx(2.0 * rb.h1_inner(truth, r0, r1), rel=1e-13)
+    assert q[5] == pytest.approx(rb.h1_inner(truth, r1, r1), rel=1e-13)
 
 
 def test_h1_inner_dd_against_mpmath(truth):
@@ -155,29 +162,33 @@ def test_x_dimension():
     assert [rb.x_dimension(n) for n in (1, 2, 6)] == [6, 15, 91]
 
 
-def test_q_coefficients_layout(default_e2):
+def test_q_coefficients_layout(truth, default_model, default_e2):
+    # q is the rounding of q_dd, and q . X(mu) is ||sum_I z_I G_I||^2 for
+    # z = (1; gamma; mu*gamma) and any gamma: diagonal coefficients once,
+    # off-diagonal ones doubled, in X's order.
+    model, _ = default_model
     q = rb.q_coefficients(default_e2)
-    n2 = 2 * default_e2.n_hat
-    assert q.shape == (rb.x_dimension(default_e2.n_hat),)
-    assert q[0] == default_e2.delta2
-    assert np.array_equal(q[1 : 1 + n2], 2.0 * default_e2.s)
-    # Quadratic block: diagonal coefficient once, off-diagonal doubled.
-    k = 1 + n2
-    for i in range(n2):
-        assert q[k] == default_e2.S[i, i]
-        assert np.array_equal(q[k + 1 : k + n2 - i], 2.0 * default_e2.S[i, i + 1 :])
-        k += n2 - i
+    assert q.shape == (rb.x_dimension(6),)
+    assert np.array_equal(q, default_e2.q_dd[0] + default_e2.q_dd[1])
+    lifts = [model.riesz_b, *model.riesz_a0, *model.riesz_a1]
+    rng = np.random.default_rng(14)
+    for mu in (2.0, 90.0, 800.0):
+        gamma = rng.normal(size=6)
+        z = np.concatenate([[1.0], gamma, mu * gamma])
+        g = sum(c * r for c, r in zip(z, lifts))
+        X = rb.x_vector(ReducedSolution(mu, gamma))
+        assert math.fsum(q * X) == pytest.approx(rb.h1_inner(truth, g, g), rel=1e-10)
 
 
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
-    sol = ReducedSolution(5.0, np.zeros(default_e2.n_hat))
+    sol = ReducedSolution(5.0, np.zeros(6))
     value, radicand = rb.estimator_e2(default_e2, sol)
     assert value == default_e2.delta
-    assert radicand == default_e2.delta2
+    assert radicand == rb.q_coefficients(default_e2)[0]
 
 
 def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
-    sol = ReducedSolution(5.0, np.zeros(default_e2.n_hat))
+    sol = ReducedSolution(5.0, np.zeros(6))
     value, clamped = rb.estimator_e2_dd(default_e2, sol)
     assert not clamped
     assert value == pytest.approx(default_e2.delta, rel=1e-15)
@@ -207,16 +218,9 @@ def test_e2_and_e2dd_agree_before_convergence(truth):
 
 
 def synthetic_negative_data():
-    # delta^2 = 1, s = (-2, 0), S = 0: at gamma=1, mu=1 the radicand is
-    # 1 + 2*(-2)*1 = -3.
-    z = np.zeros(2)
-    Z = np.zeros((2, 2))
-    return E2Data(
-        delta2_dd=(1.0, 0.0),
-        s_dd=(np.array([-2.0, 0.0]), z.copy()),
-        S_dd=(Z.copy(), Z.copy()),
-        beta=1.0,
-    )
+    # q = (delta^2, 2 s, S) = (1; -4, 0; 0, 0, 0): at gamma=1, mu=1 the
+    # radicand is 1 - 4*1 = -3.
+    return E2Data(q_dd=(np.array([1.0, -4.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(6)), beta=1.0)
 
 
 def test_e2_clamps_negative_radicand():
@@ -352,8 +356,16 @@ def test_log_uniform_sampler_is_deterministic():
 
 
 def test_small_x_layout():
-    x = _small_x_columns(np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]]))
-    assert np.array_equal(x, [[0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]])
+    # Column j of z is (1; x) with x = (gamma[j]; mus[j]*gamma[j]); the factor
+    # rows run over the pairs I <= J of z, row I = 0 first.
+    mus, gamma = np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]])
+    zi, zj = _monomial_factors(mus, gamma)
+    z = [[1.0, 1.0], [0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]]
+    assert zi.shape == zj.shape == (rb.x_dimension(2), 2)
+    assert np.array_equal(zi[:5], np.ones((5, 2))) and np.array_equal(zj[:5], z)
+    assert np.array_equal(zi[5:9], [z[1]] * 4) and np.array_equal(zj[5:9], z[1:])
+    assert np.array_equal(zi[-1], z[4]) and np.array_equal(zj[-1], z[4])
+    assert np.array_equal(zi * zj, rb.x_matrix(mus, gamma))
 
 
 # --- per-point oracle --------------------------------------------------------------
@@ -393,39 +405,23 @@ def x_vector_oracle(sol):
     return np.concatenate([[1.0], x, *(x[i] * x[i:] for i in range(x.size))])
 
 
-def q_oracle(data):
-    """delta^2; 2*s_I; then per row I: S_II, 2*S_IJ for J > I."""
-    rows = []
-    for i in range(data.S.shape[0]):
-        row = 2.0 * data.S[i, i:]
-        row[0] = data.S[i, i]
-        rows.append(row)
-    return np.concatenate([[data.delta2], 2.0 * data.s, *rows])
-
-
 def e2_oracle(data, sol):
-    radicand = math.fsum(q_oracle(data) * x_vector_oracle(sol))
+    q = data.q_dd[0] + data.q_dd[1]
+    radicand = math.fsum(q * x_vector_oracle(sol))
     return math.sqrt(max(radicand, 0.0)) / data.beta, radicand
 
 
 def e2dd_oracle(data, sol):
-    """The terms of e2_oracle in double-double, one row I of pairs at a time."""
+    """q.X in double-double, the exact monomials built one row I of pairs at a time."""
     x = small_x_oracle(sol)
-    d2h, d2l = data.delta2_dd
-    sh, sl = data.s_dd
-    Sh, Sl = data.S_dd
-    lh, ll = dd_mul((2.0 * sh, 2.0 * sl), (x, np.zeros_like(x)))
-    qh_parts = [np.array([d2h]), lh]
-    ql_parts = [np.array([d2l]), ll]
+    ph_parts = [np.array([1.0]), x]
+    pl_parts = [np.array([0.0]), np.zeros_like(x)]
     for i in range(x.size):
         ph, pl = two_prod(x[i], x[i:])
-        ch = 2.0 * Sh[i, i:]
-        cl = 2.0 * Sl[i, i:]
-        ch[0], cl[0] = Sh[i, i], Sl[i, i]
-        th, tl = dd_mul((ch, cl), (ph, pl))
-        qh_parts.append(th)
-        ql_parts.append(tl)
-    rh, rl = dd_sum(np.concatenate(qh_parts), np.concatenate(ql_parts))
+        ph_parts.append(ph)
+        pl_parts.append(pl)
+    th, tl = dd_mul(data.q_dd, (np.concatenate(ph_parts), np.concatenate(pl_parts)))
+    rh, rl = dd_sum(th, tl)
     if rh < 0.0 or (rh == 0.0 and rl < 0.0):
         return 0.0, True
     vh, vl = dd_sqrt((rh, rl))
@@ -629,7 +625,8 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
 # --- E2 build: block pass against the per-pair reference ---------------------
 
 def per_pair_e2_data(sys_, model):
-    """delta2_dd, s_dd, S_dd from one h1_inner_dd call per pair, then (S + S^T)/2."""
+    """q_dd from one h1_inner_dd call per pair: delta^2, then 2*s_I, then per
+    row I of S = (S + S^T)/2 the entries S_II, 2*S_IJ for J > I."""
     riesz = list(model.riesz_a0) + list(model.riesz_a1)
     m = len(riesz)
     d2 = h1_inner_dd(sys_, model.riesz_b, model.riesz_b)
@@ -643,17 +640,21 @@ def per_pair_e2_data(sys_, model):
         for j in range(m):
             Sh[i, j], Sl[i, j] = h1_inner_dd(sys_, riesz[i], riesz[j])
     Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
-    return d2, (sh, sl), (0.5 * Sh, 0.5 * Sl)
+    Sh, Sl = 0.5 * Sh, 0.5 * Sl
+    qh, ql = [np.array([d2[0]]), 2.0 * sh], [np.array([d2[1]]), 2.0 * sl]
+    for i in range(m):
+        rh, rl = 2.0 * Sh[i, i:], 2.0 * Sl[i, i:]
+        rh[0], rl[0] = Sh[i, i], Sl[i, i]
+        qh.append(rh)
+        ql.append(rl)
+    return np.concatenate(qh), np.concatenate(ql)
 
 
 def assert_e2_data_is_per_pair(data, sys_, model):
     def hexes(pair):
-        return [[float(x).hex() for x in np.ravel(part)] for part in pair]
+        return [[float(x).hex() for x in part] for part in pair]
 
-    d2, s, S = per_pair_e2_data(sys_, model)
-    assert hexes(data.delta2_dd) == hexes(d2)
-    assert hexes(data.s_dd) == hexes(s)
-    assert hexes(data.S_dd) == hexes(S)
+    assert hexes(data.q_dd) == hexes(per_pair_e2_data(sys_, model))
 
 
 @pytest.fixture

@@ -167,7 +167,9 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 3
+    assert payload["version"] == 4
+    assert sorted(payload["e2"]) == ["q_dd"]
+    assert [len(part) for part in payload["e2"]["q_dd"]] == [rb.x_dimension(3)] * 2
     assert sorted(payload["e3"]) == ["V", "cond_estimate", "interp_params", "rows"]
     sys_, model, e2data, e3data, meta = rb.load_artifact(path, cfg)
     assert model.n_hat == 3
@@ -207,7 +209,7 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
     for name in ("beta", "delta", "A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
                  "riesz_a0", "riesz_a1"):
         assert hexes(getattr(model, name)) == hexes(getattr(fresh, name)), name
-    for name in ("delta2_dd", "s_dd", "S_dd", "delta", "s", "S", "beta"):
+    for name in ("q_dd", "delta", "beta"):
         assert hexes(getattr(e2data, name)) == hexes(getattr(fresh_e2, name)), name
     for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
         assert hexes(getattr(e3data, name)) == hexes(getattr(fresh_e3, name)), name
@@ -297,6 +299,17 @@ def test_cli_offline_sweep_floors_happy_path(cli_workdir):
     assert cli.main(["floors", *args]) == 0
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     assert os.path.exists(os.path.join(out, "floors.json"))
+
+
+def test_cli_one_point_sweep_exits_0(small_sweep_dir, tmp_path):
+    # One sweep point gives every plotted series a zero-width mu range.
+    artifact = os.path.join(small_sweep_dir, "artifact.json")
+    args = ["--n-cells", "40", "--n-train", "25", "--rb-size", "3", "--n-sweep", "1"]
+    assert cli.main(["sweep", *args, "--artifact", artifact, "--output-dir", str(tmp_path)]) == 0
+    for name in ("figure_left.svg", "figure_right.svg"):
+        body = (tmp_path / name).read_text()
+        assert ET.fromstring(body).tag.endswith("svg")
+        assert body.count("<circle") == 3
 
 
 def test_cli_failed_floor_check_exits_4(tmp_path, capsys):
@@ -389,7 +402,27 @@ def _snapshot_one_short(payload):
 
 @_edited
 def _nan_entry(payload):
-    payload["e2"]["s_dd"][0][2] = "nan"
+    payload["e2"]["q_dd"][0][2] = "nan"
+
+
+@_edited
+def _e2_one_short(payload):
+    payload["e2"]["q_dd"][1].pop()
+
+
+@_edited
+def _drop_e2(payload):
+    del payload["e2"]
+
+
+@_edited
+def _history_one_short(payload):
+    payload["history"].pop()
+
+
+@_edited
+def _history_nan(payload):
+    payload["history"][0][1] = "nan"
 
 
 @_edited
@@ -400,6 +433,11 @@ def _version_1(payload):
 @_edited
 def _version_2(payload):
     payload["version"] = 2
+
+
+@_edited
+def _version_3(payload):
+    payload["version"] = 3
 
 
 @_edited
@@ -460,7 +498,8 @@ def _e3_node_repeated(payload):
         _truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _snapshot_one_short, _nan_entry,
         _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
         _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
-        _e3_one_node_short, _e3_node_repeated,
+        _e3_one_node_short, _e3_node_repeated, _e2_one_short, _drop_e2,
+        _history_one_short, _history_nan, _version_3,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -473,8 +512,16 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if damage is _version_2:
-        assert "unsupported artifact version 2" in err
+    # The cases below each reach one check of load_artifact.
+    reached = {
+        _version_2: "unsupported artifact version 2",
+        _version_3: "unsupported artifact version 3",
+        _e2_one_short: "e2 data needs q_dd",
+        _drop_e2: "lacks the key 'e2'",
+        _history_one_short: "history needs 3 (mu, estimate) pairs",
+        _history_nan: "non-finite history entry",
+    }
+    assert reached.get(damage, "") in err
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):

@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 from rbcert.precision import (
     TWO_PROD_PATH,
-    DoubleDouble,
     dd_add,
     dd_mul,
-    dd_neg,
     dd_sqrt,
     dd_sum,
     quick_two_sum,
@@ -138,10 +136,6 @@ def test_dd_result_is_normalized(a):
         assert abs(lo) <= 0.5 * math.ulp(hi) * (1 + 1e-15)
 
 
-def test_dd_neg():
-    assert dd_neg((1.5, -1e-20)) == (-1.5, 1e-20)
-
-
 def test_dd_mul_by_one_is_identity():
     x = (0.1, 1e-18)
     assert dd_mul(x, (1.0, 0.0)) == x
@@ -197,15 +191,3 @@ def test_dd_sum_beats_naive_on_cancellation():
     sh, sl = dd_sum(hi, lo)
     ref = n * Fraction(1e-17)
     assert float(abs(exact(sh, sl) - ref)) <= 1e-28
-
-
-def test_double_double_wrapper_roundtrip():
-    a = DoubleDouble.from_float(0.1)
-    b = DoubleDouble.from_float(0.2)
-    c = a + b
-    ref = Fraction(0.1) + Fraction(0.2)
-    assert rel_err(exact(c.hi, c.lo), ref) <= 1e-30
-    assert float(a * b) == pytest.approx(0.02, rel=1e-15)
-    d = (a * a).sqrt()
-    assert abs(float(d) - 0.1) <= 1e-17
-    assert (-a).hi == -0.1

@@ -287,14 +287,12 @@ def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
 
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
     d = e2data_to_dict(default_e2)
-    assert sorted(d) == ["S_dd", "delta2_dd", "s_dd"]
+    assert sorted(d) == ["q_dd"]
     back = e2data_from_dict(json.loads(dumps_deterministic(d)), default_e2.beta)
-    assert _hex(back.delta2_dd) == _hex(default_e2.delta2_dd)
-    for name in ("delta", "s", "S", "beta"):
+    for name in ("delta", "beta"):
         assert _hex(getattr(back, name)) == _hex(getattr(default_e2, name)), name
     for k in (0, 1):
-        assert _hex(back.s_dd[k]) == _hex(default_e2.s_dd[k])
-        assert _hex(back.S_dd[k]) == _hex(default_e2.S_dd[k])
+        assert _hex(back.q_dd[k]) == _hex(default_e2.q_dd[k])
 
 
 def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
@@ -330,4 +328,4 @@ def test_float_hex_survives_extreme_values(truth):
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
