@@ -193,7 +193,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         "model": reduced.model_to_dict(model),
         "e2": reduced.e2data_to_dict(e2),
         "e3": reduced.e3data_to_dict(e3),
-        "history": [[float(mu).hex(), float(est).hex()] for mu, est in history],
+        "history": [float(est).hex() for _, est in history],
     }
     _make_output_dir(config)
     path = config.artifact_path()
@@ -216,15 +216,15 @@ def _has_shape(x, *shape: int) -> bool:
     return len(shape) == 1 or all(_has_shape(row, *shape[1:]) for row in x)
 
 
-def _check_shapes(payload: dict, n: int) -> None:
-    """Raise ConfigError unless the stored arrays fit truth size n and each other."""
-    model, e2, e3 = payload["model"], payload["e2"], payload["e3"]
-    params = model["snapshot_params"]
+def _check_shapes(payload: dict) -> None:
+    """Raise ConfigError unless the stored arrays fit each other."""
+    e2, e3 = payload["e2"], payload["e3"]
+    params = payload["model"]["snapshot_params"]
     n_hat = len(params) if isinstance(params, list) else 0
-    if n_hat < 1 or not _has_shape(model["snapshots"], n_hat, n):
-        raise ConfigError(f"artifact needs one snapshot of length {n} per snapshot parameter")
-    if not _has_shape(payload["history"], n_hat, 2):
-        raise ConfigError(f"artifact history needs {n_hat} (mu, estimate) pairs")
+    if n_hat < 1:
+        raise ConfigError("artifact needs at least one snapshot parameter")
+    if not _has_shape(payload["history"], n_hat):
+        raise ConfigError(f"artifact history needs {n_hat} e1 entries, one per snapshot")
     d = estimators.x_dimension(n_hat)
     if not _has_shape(e2["q_dd"], 2, d):
         raise ConfigError(f"artifact e2 data needs q_dd of 2 x {d} entries")
@@ -244,11 +244,13 @@ def load_artifact(path: str, config: ExperimentConfig):
     """Deserialize an artifact and check it matches the config dimensions.
 
     The model, E2Data and E3Data are rebuilt from what the artifact stores
-    (see ``reduced``).  An unreadable file, bytes that are not ASCII JSON,
+    (see ``reduced``); the history pairs each replayed snapshot parameter
+    with its stored e1.  An unreadable file, bytes that are not ASCII JSON,
     another format version, a missing key, mis-shaped arrays, e3 data with
     r outside [1, d], rows that are not distinct integers in [0, d) or
-    repeated nodes, and entries that are not finite floats all raise
-    ConfigError.
+    repeated nodes, entries that are not finite floats, beta <= 0, a
+    snapshot the replay rejects and a replayed basis that misses the
+    stored sha256 all raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -273,9 +275,9 @@ def load_artifact(path: str, config: ExperimentConfig):
         ):
             raise ConfigError("artifact parameter range does not match config")
         sys_ = fem.assemble(config.n_cells)
-        _check_shapes(payload, sys_.n)
-        history = [(float.fromhex(a), float.fromhex(b)) for a, b in payload["history"]]
+        _check_shapes(payload)
         model = reduced.model_from_dict(payload["model"], sys_)
+        history = list(zip(model.snapshot_params, map(float.fromhex, payload["history"])))
         e2 = reduced.e2data_from_dict(payload["e2"], model.beta)
         e3 = reduced.e3data_from_dict(payload["e3"], model)
         if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
@@ -284,9 +286,10 @@ def load_artifact(path: str, config: ExperimentConfig):
         raise
     except KeyError as exc:
         raise ConfigError(f"artifact {path} lacks the key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        # malformed entries, and replay errors (a node below 1, a singular
-        # reduced system) that only a damaged artifact can cause
+    except (TypeError, ValueError, OverflowError, reduced.DependentSnapshotError) as exc:
+        # malformed entries, and replay errors (a dependent snapshot, a
+        # basis hash miss, a node below 1, a singular reduced system) that
+        # only a damaged artifact can cause
         raise ConfigError(f"artifact {path} is damaged: {exc}") from exc
     if not np.all(np.isfinite(history)):
         raise ConfigError(f"artifact {path} has a non-finite history entry")

@@ -12,17 +12,23 @@ Riesz-lifted quantity the online stage needs:
   the residual representative is riesz_b + sum_I x_I * riesz-terms with
   no extra minus anywhere downstream.
 
-Snapshots are stored raw by default (the conditioning of the derived
+Snapshots are kept raw by default (the conditioning of the derived
 interpolation matrix at larger basis sizes is itself an effect under
 study); an optional Gram-Schmidt flag orthonormalizes the basis vectors
 as they are added, which is what a run pushed to round-off-floor
 convergence needs.
+
+:func:`add_snapshot` is the only code that extends a model: the greedy
+calls it offline, and loading an artifact replays it at the stored
+snapshot parameters, so the artifact holds no truth-size vector.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +71,8 @@ class ReducedModel:
     """Snapshot basis plus projected operators and Riesz lifts."""
 
     def __init__(self, sys: TruthSystem, beta: float = 1.0, orthonormalize: bool = False):
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta must be finite and > 0, not {beta!r}")
         self.beta = float(beta)
         self.orthonormalize = bool(orthonormalize)
         self.snapshots: list[np.ndarray] = []
@@ -97,45 +105,41 @@ def add_snapshot(
 ) -> ReducedModel:
     """Solve the truth problem at mu_new and extend the model in place.
 
+    Appends the basis vector (the truth solution, or what survives
+    Gram-Schmidt of it, normalized) with its projections and Riesz lifts.
     The new snapshot is rejected (``ValueError``) if mu_new is already a
     snapshot parameter, and rejected with :class:`DependentSnapshotError`
-    if its Gram pivot against the current basis falls below
+    if its Gram pivot against the current basis is at most
     dependence_tol * ||u_new||^2 - for a raw basis the pivot is the
     Schur complement of the snapshot Gram matrix, for an orthonormalized
-    basis it is the squared norm surviving Gram-Schmidt.
+    basis it is the squared norm surviving Gram-Schmidt.  Replaying the
+    calls of a build in order, at any dependence_tol at or below the
+    build's, rebuilds its model bit for bit (:func:`model_from_dict`).
     """
     mu_new = float(mu_new)
     if mu_new in model.snapshot_params:
         raise ValueError(f"mu={mu_new!r} is already a snapshot parameter")
     u = solve_truth(sys, mu_new)
     nrm2 = h1_inner(sys, u, u)
+    v = u
     if model.orthonormalize:
         v = u.copy()
         for _ in range(2):  # twice-is-enough re-orthogonalization
             for w in model.snapshots:
                 v -= h1_inner(sys, w, v) * w
         pivot = h1_inner(sys, v, v)
-        if pivot <= dependence_tol * nrm2:
-            raise DependentSnapshotError(mu_new, pivot / nrm2)
-        basis_vec = v / np.sqrt(pivot)
+    elif model.n_hat:
+        g = np.array([h1_inner(sys, w, u) for w in model.snapshots])
+        Gb = np.array(
+            [[h1_inner(sys, wi, wj) for wj in model.snapshots] for wi in model.snapshots]
+        )
+        pivot = nrm2 - float(g @ np.linalg.solve(Gb, g))
     else:
-        if model.n_hat:
-            g = np.array([h1_inner(sys, w, u) for w in model.snapshots])
-            Gb = np.array(
-                [[h1_inner(sys, wi, wj) for wj in model.snapshots] for wi in model.snapshots]
-            )
-            pivot = nrm2 - float(g @ np.linalg.solve(Gb, g))
-        else:
-            pivot = nrm2
-        if pivot <= dependence_tol * nrm2:
-            raise DependentSnapshotError(mu_new, pivot / nrm2)
-        basis_vec = u
-    _append_basis_vector(model, sys, mu_new, basis_vec)
-    return model
-
-
-def _append_basis_vector(model: ReducedModel, sys: TruthSystem, mu: float, v: np.ndarray) -> None:
-    """Append basis vector v (the snapshot at mu) with its projections and Riesz lifts."""
+        pivot = nrm2
+    if pivot <= dependence_tol * nrm2:
+        raise DependentSnapshotError(mu_new, pivot / nrm2)
+    if model.orthonormalize:
+        v = v / np.sqrt(pivot)
     n = model.n_hat
     A0 = np.empty((n + 1, n + 1))
     A1 = np.empty((n + 1, n + 1))
@@ -152,9 +156,10 @@ def _append_basis_vector(model: ReducedModel, sys: TruthSystem, mu: float, v: np
     model.A1_hat = A1
     model.b_hat = np.append(model.b_hat, float(sys.F @ v))
     model.snapshots.append(v)
-    model.snapshot_params.append(mu)
+    model.snapshot_params.append(mu_new)
     model.riesz_a0.append(riesz_representative(sys, Kv))
     model.riesz_a1.append(riesz_representative(sys, Mv))
+    return model
 
 
 def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
@@ -255,14 +260,20 @@ def greedy_build(
 # JSON with every float rendered via float.hex(): bit-exact round-trip,
 # human-greppable, and deterministic bytes (sorted keys, fixed separators).
 #
-# Only what cannot be cheaply recomputed is stored: the snapshots (the
-# model's projections and Riesz lifts are replayed from them), the
-# double-double coefficients q of E2 (its doubles are their roundings), and
-# E3's nodes, rows, V and cond(T) (T is recomputed from the nodes and rows).
-# beta is stored once, with the model.  Decoding refuses non-finite entries.
+# Only what cannot be cheaply recomputed is stored: the snapshot
+# parameters (the model is replayed from them by add_snapshot, and a sha256
+# of the replayed basis must match the stored one), the double-double
+# coefficients q of E2 (its doubles are their roundings), and E3's nodes,
+# rows, V and cond(T) (T is recomputed from the nodes and rows).  beta is
+# stored once, with the model.  Decoding refuses non-finite entries.
+#
+# A raw basis vector is a truth solve in Python floats, so its bits do not
+# depend on the BLAS; an orthonormal one goes through BLAS dot products in
+# Gram-Schmidt, and another BLAS build may replay it with other bits than
+# those q and V were built from.  The hash turns that into a load error.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _enc_vec(v) -> list:
@@ -278,20 +289,36 @@ def _dec(x: str) -> float:
     return float(_dec_vec([x])[0])
 
 
+def basis_sha256(model: ReducedModel) -> str:
+    """sha256 hex digest of the basis vectors, in order, as little-endian float64."""
+    h = hashlib.sha256()
+    for u in model.snapshots:
+        h.update(np.asarray(u, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def model_to_dict(model: ReducedModel) -> dict:
     return {
+        "basis_sha256": basis_sha256(model),
         "beta": float(model.beta).hex(),
         "orthonormalize": model.orthonormalize,
         "snapshot_params": _enc_vec(model.snapshot_params),
-        "snapshots": [_enc_vec(u) for u in model.snapshots],
     }
 
 
 def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
-    """Rebuild the model by replaying its stored basis vectors."""
+    """Rebuild the model by replaying add_snapshot at the stored parameters.
+
+    Tolerance 0 accepts every snapshot the build accepted (each had a
+    positive pivot) and rejects only a pivot that cannot be normalized.
+    Raises ValueError if the replayed basis misses the stored sha256.
+    """
     model = ReducedModel(sys, beta=_dec(d["beta"]), orthonormalize=bool(d["orthonormalize"]))
-    for mu, u in zip(_dec_vec(d["snapshot_params"]).tolist(), d["snapshots"]):
-        _append_basis_vector(model, sys, mu, _dec_vec(u))
+    stored = d["basis_sha256"]
+    for mu in _dec_vec(d["snapshot_params"]).tolist():
+        add_snapshot(model, sys, mu, dependence_tol=0.0)
+    if basis_sha256(model) != stored:
+        raise ValueError("the replayed basis misses the stored basis_sha256")
     return model
 
 

@@ -167,7 +167,7 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 4
+    assert payload["version"] == 5
     assert sorted(payload["e2"]) == ["q_dd"]
     assert [len(part) for part in payload["e2"]["q_dd"]] == [rb.x_dimension(3)] * 2
     assert sorted(payload["e3"]) == ["V", "cond_estimate", "interp_params", "rows"]
@@ -216,6 +216,30 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
     assert e3data.rows.tolist() == fresh_e3.rows.tolist()
     assert e3data.d == fresh_e3.d
     assert hexes(e3data.lu) == hexes(fresh_e3.lu)
+
+
+@pytest.mark.parametrize("orthonormalize", [False, True])
+def test_replay_under_perturbed_h1_inner(cli_workdir, monkeypatch, orthonormalize):
+    # h1_inner scaled by (1 + 2^-52) stands in for another BLAS build.  A raw
+    # basis is a truth solve in Python floats and replays hex-equal; an
+    # orthonormal one goes through h1_inner in Gram-Schmidt, so its replay
+    # misses the stored hash and the load is refused.
+    cfg = ExperimentConfig(
+        n_cells=40, n_train=25, rb_size=4, orthonormalize=orthonormalize,
+        output_dir=make_output_dir(cli_workdir, f"perturbed_{orthonormalize}"),
+    )
+    path = run_offline(cfg, log=lambda *a: None)
+    _, model, _, _, _ = rb.load_artifact(path, cfg)
+    h1_inner = rb.reduced.h1_inner
+    monkeypatch.setattr(rb.reduced, "h1_inner", lambda *args: h1_inner(*args) * (1.0 + EPS))
+    if orthonormalize:
+        with pytest.raises(ConfigError, match="basis_sha256"):
+            rb.load_artifact(path, cfg)
+        return
+    _, replayed, _, _, _ = rb.load_artifact(path, cfg)
+    for name in ("snapshots", "A0_hat", "A1_hat", "b_hat", "riesz_b", "riesz_a0", "riesz_a1"):
+        got, want = (np.ravel(getattr(m, name)).tolist() for m in (replayed, model))
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), name
 
 
 def test_offline_is_deterministic(cli_workdir):
@@ -396,8 +420,40 @@ def _e3_v_one_short(payload):
 
 
 @_edited
-def _snapshot_one_short(payload):
-    payload["model"]["snapshots"][1].pop()
+def _sha256_altered(payload):
+    digest = payload["model"]["basis_sha256"]
+    payload["model"]["basis_sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
+
+
+@_edited
+def _sha256_dropped(payload):
+    del payload["model"]["basis_sha256"]
+
+
+@_edited
+def _mu_one_ulp(payload):
+    # mu_max = 1000 one ulp down: at n_cells=40 that changes the truth
+    # solve's bits, while an ulp at mu = 1 or at the third snapshot (42.17)
+    # rounds away and replays the same basis.
+    params = payload["model"]["snapshot_params"]
+    k = params.index((1000.0).hex())
+    params[k] = math.nextafter(1000.0, 0.0).hex()
+
+
+@_edited
+def _mu_near_duplicate(payload):
+    params = payload["model"]["snapshot_params"]
+    params[1] = math.nextafter(float.fromhex(params[0]), math.inf).hex()
+
+
+@_edited
+def _beta_zero(payload):
+    payload["model"]["beta"] = (0.0).hex()
+
+
+@_edited
+def _beta_negative(payload):
+    payload["model"]["beta"] = (-1.0).hex()
 
 
 @_edited
@@ -422,7 +478,7 @@ def _history_one_short(payload):
 
 @_edited
 def _history_nan(payload):
-    payload["history"][0][1] = "nan"
+    payload["history"][0] = "nan"
 
 
 @_edited
@@ -438,6 +494,11 @@ def _version_2(payload):
 @_edited
 def _version_3(payload):
     payload["version"] = 3
+
+
+@_edited
+def _version_4(payload):
+    payload["version"] = 4
 
 
 @_edited
@@ -495,11 +556,12 @@ def _e3_node_repeated(payload):
 @pytest.mark.parametrize(
     "damage",
     [
-        _truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _snapshot_one_short, _nan_entry,
+        _truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _nan_entry,
         _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
         _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
         _e3_one_node_short, _e3_node_repeated, _e2_one_short, _drop_e2,
-        _history_one_short, _history_nan, _version_3,
+        _history_one_short, _history_nan, _version_3, _version_4, _sha256_altered,
+        _sha256_dropped, _mu_one_ulp, _mu_near_duplicate, _beta_zero, _beta_negative,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -516,10 +578,17 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
     reached = {
         _version_2: "unsupported artifact version 2",
         _version_3: "unsupported artifact version 3",
+        _version_4: "unsupported artifact version 4",
         _e2_one_short: "e2 data needs q_dd",
         _drop_e2: "lacks the key 'e2'",
-        _history_one_short: "history needs 3 (mu, estimate) pairs",
+        _history_one_short: "history needs 3 e1 entries",
         _history_nan: "non-finite history entry",
+        _sha256_altered: "misses the stored basis_sha256",
+        _sha256_dropped: "lacks the key 'basis_sha256'",
+        _mu_one_ulp: "misses the stored basis_sha256",
+        _mu_near_duplicate: "signals linear dependence",
+        _beta_zero: "beta must be finite and > 0",
+        _beta_negative: "beta must be finite and > 0",
     }
     assert reached.get(damage, "") in err
 

@@ -276,11 +276,11 @@ def orthonormal_model(truth):
 
 
 def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
-    # Only beta, the flag, the parameters and the snapshots are stored; the
-    # projections and Riesz lifts are replayed on load, bit for bit.
+    # Only beta, the flag, the parameters and the basis hash are stored; the
+    # snapshots, projections and Riesz lifts are replayed on load, bit for bit.
     for model in (small_model, orthonormal_model):
         d = model_to_dict(model)
-        assert sorted(d) == ["beta", "orthonormalize", "snapshot_params", "snapshots"]
+        assert sorted(d) == ["basis_sha256", "beta", "orthonormalize", "snapshot_params"]
         back = model_from_dict(json.loads(dumps_deterministic(d)), truth)
         _assert_same_model(back, model)
 
@@ -317,15 +317,24 @@ def test_dumps_deterministic_is_deterministic(small_model):
     assert dumps_deterministic(d) == dumps_deterministic(json.loads(dumps_deterministic(d)))
 
 
-def test_float_hex_survives_extreme_values(truth):
+def test_float_hex_survives_extreme_values(default_e2):
     # The encoding must not lose subnormals or huge magnitudes.
-    model = ReducedModel(truth)
-    add_snapshot(model, truth, 1.0)
-    model.snapshots[0][5] = 5e-324
-    back = model_from_dict(json.loads(dumps_deterministic(model_to_dict(model))), truth)
-    assert back.snapshots[0][5] == 5e-324
+    hi, lo = (part.copy() for part in default_e2.q_dd)
+    hi[3] = 1.7976931348623157e308
+    lo[5] = 5e-324
+    data = rb.E2Data(q_dd=(hi, lo), beta=default_e2.beta)
+    back = e2data_from_dict(json.loads(dumps_deterministic(e2data_to_dict(data))), data.beta)
+    assert back.q_dd[0][3] == 1.7976931348623157e308
+    assert back.q_dd[1][5] == 5e-324
+    assert _hex(back.q_dd) == _hex(data.q_dd)
+
+
+def test_model_rejects_nonpositive_beta(truth):
+    for beta in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            ReducedModel(truth, beta=beta)
 
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
