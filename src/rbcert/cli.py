@@ -9,27 +9,25 @@ floors.json).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 
 import numpy as np
 
 from .estimators import EstimatorBuildError
-from .experiments import ConfigError, load_config, measure_floors, run_offline, run_sweep
+from .experiments import (
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    measure_floors,
+    run_offline,
+    run_sweep,
+)
 from .reduced import DependentSnapshotError
 
+# One --flag per config field, in field order: "--" plus the name with "-".
 _OVERRIDE_FLAGS = [
-    ("--n-cells", "n_cells"),
-    ("--mu-min", "mu_min"),
-    ("--mu-max", "mu_max"),
-    ("--n-train", "n_train"),
-    ("--n-sweep", "n_sweep"),
-    ("--rb-size", "rb_size"),
-    ("--seed", "seed"),
-    ("--oversample", "oversample"),
-    ("--orthonormalize", "orthonormalize"),
-    ("--tol", "tol"),
-    ("--dependence-tol", "dependence_tol"),
-    ("--output-dir", "output_dir"),
+    ("--" + f.name.replace("_", "-"), f.name) for f in dataclasses.fields(ExperimentConfig)
 ]
 
 

@@ -264,12 +264,10 @@ class E3Data:
     """Interpolation data on the numerical rank r of the monomial map.
 
     T[k, i] = X(mu_i)[rows[k]] for the r nodes mu_i and the r row indices
-    rows[k] of X; V_i = (beta*E1(mu_i))^2.  T is recomputable bit-for-bit
-    from the nodes, the rows and the model (:func:`interpolation_matrix`),
-    which is what makes exact node lookup possible, and why an artifact
-    stores the nodes, the rows and V but not T.  ``cond_estimate`` is the
-    condition number of the full d x pool matrix the nodes were picked
-    from, a diagnostic only.
+    rows[k] of X; V_i = (beta*E1(mu_i))^2.  T and V are recomputable bit
+    for bit from the nodes, the rows and the model (:func:`e3_data`), which
+    is what makes exact node lookup possible, and why an artifact stores
+    only the nodes and the rows.
     """
 
     interp_params: np.ndarray     # r nodes mu_i
@@ -277,7 +275,6 @@ class E3Data:
     T: np.ndarray                 # r x r
     V: np.ndarray                 # length r
     d: int                        # dimension of X(mu)
-    cond_estimate: float
     beta: float = 1.0
 
     @functools.cached_property
@@ -367,6 +364,28 @@ def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
+    """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = (beta*E1(nodes))^2.
+
+    The build calls it with its picks, and loading an artifact with the
+    stored ones, so both get the same bits.
+    """
+    from .reduced import solve_reduced_block
+
+    nodes = np.asarray(nodes, dtype=float)
+    rows = np.asarray(rows, dtype=int)
+    gamma = solve_reduced_block(model, nodes)
+    e1 = estimator_e1_block(sys, model, nodes, gamma)
+    return E3Data(
+        interp_params=nodes,
+        rows=rows,
+        T=x_matrix(nodes, gamma)[rows],
+        V=np.array([(model.beta * e) ** 2 for e in e1.tolist()]),
+        d=x_dimension(model.n_hat),
+        beta=model.beta,
+    )
+
+
 def build_e3_data(
     sys: TruthSystem,
     model,
@@ -378,40 +397,23 @@ def build_e3_data(
 
     Draws a pool of d + oversample parameters via ``sampler(n, seed)``
     (deterministic given the seed) and forms the pool's d x (d +
-    oversample) matrix of monomial vectors X(mu), whose condition number
-    is kept as a diagnostic.  The monomial map traces a low-dimensional
-    manifold (rank <= 2*N_hat + 3), so that number is astronomically large
-    by construction.  Column-pivoted Gram-Schmidt on the pool's matrix
+    oversample) matrix of monomial vectors X(mu).  The monomial map traces
+    a low-dimensional manifold (rank <= 2*N_hat + 3), so that matrix is
+    rank-deficient by construction.  Column-pivoted Gram-Schmidt on it
     picks the r nodes, stopping at :data:`E3_RANK_TOL`; pivoted
     Gram-Schmidt on the transposed orthonormal basis of their columns
-    picks r rows of X (Q-DEIM).  V = (beta*E1)^2 is evaluated at the r
-    nodes only.  A pool whose condition number is not finite (repeated
-    parameters, non-finite monomials) raises :class:`EstimatorBuildError`.
+    picks r rows of X (Q-DEIM).  :func:`e3_data` then forms T and V at the
+    r nodes.  A pool that repeats a parameter raises
+    :class:`EstimatorBuildError`.
     """
-    from .reduced import solve_reduced_block
-
     d = x_dimension(model.n_hat)
     pool = np.asarray(sampler(d + oversample, seed), dtype=float)
+    if len(set(pool.tolist())) != pool.size:
+        raise EstimatorBuildError("interpolation pool is degenerate: it repeats a parameter")
     X = interpolation_matrix(model, pool)
-    cond = float(np.linalg.cond(X))
-    if not math.isfinite(cond):
-        raise EstimatorBuildError(
-            f"interpolation pool is degenerate (cond(T) = {cond}): repeated or non-finite X(mu)"
-        )
     picks, Q = _pivoted_gram_schmidt(X, E3_RANK_TOL)
     rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
-    nodes = pool[picks]
-    gamma = solve_reduced_block(model, nodes)
-    e1 = estimator_e1_block(sys, model, nodes, gamma)
-    return E3Data(
-        interp_params=nodes,
-        rows=np.array(rows),
-        T=x_matrix(nodes, gamma)[rows],
-        V=np.array([(model.beta * e) ** 2 for e in e1.tolist()]),
-        d=d,
-        cond_estimate=cond,
-        beta=model.beta,
-    )
+    return e3_data(sys, model, pool[picks], rows)
 
 
 # --- block evaluation ------------------------------------------------------

@@ -26,8 +26,6 @@ from . import estimators, fem, precision, reduced
 
 EPS = 2.0 ** -52
 
-CSV_HEADER = "mu,true_error,e1,e2,e2_radicand,e2dd,e3,e3_clamped_flag"
-
 
 class ConfigError(ValueError):
     """Invalid configuration value, file, or artifact/config mismatch."""
@@ -52,7 +50,6 @@ class ExperimentConfig:
     n_sweep: int = 400
     rb_size: int = 6
     seed: int = 28
-    oversample: int = 0
     orthonormalize: bool = False
     tol: float = 1e-14
     dependence_tol: float = 1e-12
@@ -69,8 +66,8 @@ class ExperimentConfig:
             raise ConfigError("n_train must be >= 2 and n_sweep >= 1")
         if self.rb_size < 1:
             raise ConfigError("rb_size must be >= 1")
-        if self.seed < 0 or self.oversample < 0:
-            raise ConfigError("seed and oversample must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (self.tol >= 0.0 and self.dependence_tol >= 0.0):
             raise ConfigError("tolerances must be >= 0")
         return self
@@ -174,9 +171,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         dependence_tol=config.dependence_tol,
     )
     sampler = estimators.log_uniform_sampler(config.mu_min, config.mu_max)
-    e3 = estimators.build_e3_data(
-        sys_, model, sampler, seed=config.seed, oversample=config.oversample
-    )
+    e3 = estimators.build_e3_data(sys_, model, sampler, seed=config.seed)
     payload = {
         "format": reduced.FORMAT_NAME,
         "version": reduced.FORMAT_VERSION,
@@ -187,7 +182,6 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
             "n_train": config.n_train,
             "rb_size": config.rb_size,
             "seed": config.seed,
-            "oversample": config.oversample,
             "orthonormalize": config.orthonormalize,
         },
         "model": reduced.model_to_dict(model),
@@ -201,8 +195,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         fh.write(reduced.dumps_deterministic(payload))
     log(
         f"offline: N_hat={model.n_hat} d={e3.d} r={e3.T.shape[0]} "
-        f"pool={e3.d + config.oversample} cond(T)={e3.cond_estimate:.3e} "
-        f"delta={model.delta:.6e} "
+        f"cond(T)={np.linalg.cond(e3.T):.3e} delta={e2.delta:.6e} "
         f"[two_prod path: {precision.TWO_PROD_PATH}]"
     )
     log(f"offline: wrote {path}")
@@ -232,8 +225,8 @@ def _check_shapes(payload: dict) -> None:
     r = len(nodes) if isinstance(nodes, list) else 0
     if not 1 <= r <= d:
         raise ConfigError(f"artifact e3 data needs between 1 and {d} nodes, not {r}")
-    if not (_has_shape(e3["V"], r) and _has_shape(rows, r)):
-        raise ConfigError(f"artifact e3 data needs one V entry and one row per node ({r})")
+    if not _has_shape(rows, r):
+        raise ConfigError(f"artifact e3 data needs one row per node ({r})")
     if not all(type(k) is int and 0 <= k < d for k in rows):
         raise ConfigError(f"artifact e3 rows must be integers in [0, {d})")
     if len(set(rows)) != r:
@@ -244,13 +237,15 @@ def load_artifact(path: str, config: ExperimentConfig):
     """Deserialize an artifact and check it matches the config dimensions.
 
     The model, E2Data and E3Data are rebuilt from what the artifact stores
-    (see ``reduced``); the history pairs each replayed snapshot parameter
-    with its stored e1.  An unreadable file, bytes that are not ASCII JSON,
-    another format version, a missing key, mis-shaped arrays, e3 data with
-    r outside [1, d], rows that are not distinct integers in [0, d) or
-    repeated nodes, entries that are not finite floats, beta <= 0, a
-    snapshot the replay rejects and a replayed basis that misses the
-    stored sha256 all raise ConfigError.
+    (see ``reduced``): the model by replaying its snapshot parameters, E3's
+    T and V at the stored nodes and rows on the replayed model.  The
+    history pairs each replayed snapshot parameter with its stored e1.  An
+    unreadable file, bytes that are not ASCII JSON, another format version,
+    a missing key, mis-shaped arrays, e3 data with r outside [1, d], rows
+    that are not distinct integers in [0, d) or repeated nodes, entries
+    that are not finite floats, beta <= 0, a snapshot the replay rejects
+    and parameters or a replayed basis that miss the stored sha256 all
+    raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -279,7 +274,7 @@ def load_artifact(path: str, config: ExperimentConfig):
         model = reduced.model_from_dict(payload["model"], sys_)
         history = list(zip(model.snapshot_params, map(float.fromhex, payload["history"])))
         e2 = reduced.e2data_from_dict(payload["e2"], model.beta)
-        e3 = reduced.e3data_from_dict(payload["e3"], model)
+        e3 = reduced.e3data_from_dict(payload["e3"], sys_, model)
         if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
             raise ConfigError("artifact e3 nodes must be distinct")
     except ConfigError:
@@ -310,10 +305,14 @@ class SweepRecord:
     e3_clamped_flag: int
 
 
+_SWEEP_FIELDS = dataclasses.fields(SweepRecord)
+CSV_HEADER = ",".join(f.name for f in _SWEEP_FIELDS)
+
+
 def compute_sweep(sys_, model, e2data, e3data, mus) -> list[SweepRecord]:
     """One SweepRecord per mu, evaluated in blocks by ``estimators.evaluate``."""
     mus = np.asarray(mus, dtype=float)
-    names = [f.name for f in dataclasses.fields(SweepRecord)]
+    names = [f.name for f in _SWEEP_FIELDS]
     step = estimators.block_points(sys_.n, e3data.d)
     rows = []
     for k in range(0, mus.size, step):
@@ -327,22 +326,11 @@ def _fmt(x: float) -> str:
 
 
 def rows_to_csv(rows: list[SweepRecord]) -> str:
+    """CSV_HEADER, then one line per record: floats as %.17g, ints as they are."""
+    fmts = [str if f.type == "int" else _fmt for f in _SWEEP_FIELDS]
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.mu),
-                    _fmt(r.true_error),
-                    _fmt(r.e1),
-                    _fmt(r.e2),
-                    _fmt(r.e2_radicand),
-                    _fmt(r.e2dd),
-                    _fmt(r.e3),
-                    str(r.e3_clamped_flag),
-                ]
-            )
-        )
+        lines.append(",".join(fmt(getattr(r, f.name)) for fmt, f in zip(fmts, _SWEEP_FIELDS)))
     return "\n".join(lines) + "\n"
 
 

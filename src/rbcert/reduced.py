@@ -39,9 +39,8 @@ from .estimators import (
     E3Data,
     _e2dd_block,
     _monomial_factors,
+    e3_data,
     estimator_e1_block,
-    interpolation_matrix,
-    x_dimension,
 )
 from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
 from .precision import two_prod
@@ -83,7 +82,6 @@ class ReducedModel:
         self.riesz_b = -riesz_representative(sys, sys.F)
         self.riesz_a0: list[np.ndarray] = []
         self.riesz_a1: list[np.ndarray] = []
-        self.delta = np.sqrt(max(h1_inner(sys, self.riesz_b, self.riesz_b), 0.0))
 
     @property
     def n_hat(self) -> int:
@@ -262,18 +260,19 @@ def greedy_build(
 #
 # Only what cannot be cheaply recomputed is stored: the snapshot
 # parameters (the model is replayed from them by add_snapshot, and a sha256
-# of the replayed basis must match the stored one), the double-double
-# coefficients q of E2 (its doubles are their roundings), and E3's nodes,
-# rows, V and cond(T) (T is recomputed from the nodes and rows).  beta is
+# of the parameters and the replayed basis must match the stored one), the
+# double-double coefficients q of E2 (its doubles are their roundings), and
+# E3's nodes and rows (e3_data recomputes T and V from them).  beta is
 # stored once, with the model.  Decoding refuses non-finite entries.
 #
 # A raw basis vector is a truth solve in Python floats, so its bits do not
 # depend on the BLAS; an orthonormal one goes through BLAS dot products in
 # Gram-Schmidt, and another BLAS build may replay it with other bits than
-# those q and V were built from.  The hash turns that into a load error.
+# those q was built from.  The hash turns that into a load error.  V is
+# recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def _enc_vec(v) -> list:
@@ -290,8 +289,13 @@ def _dec(x: str) -> float:
 
 
 def basis_sha256(model: ReducedModel) -> str:
-    """sha256 hex digest of the basis vectors, in order, as little-endian float64."""
+    """sha256 hex digest of the snapshot parameters, then the basis vectors.
+
+    Both in order, as little-endian float64, so a stored parameter that
+    changed is caught even where it replays the same basis bits.
+    """
     h = hashlib.sha256()
+    h.update(np.asarray(model.snapshot_params, dtype="<f8").tobytes())
     for u in model.snapshots:
         h.update(np.asarray(u, dtype="<f8").tobytes())
     return h.hexdigest()
@@ -335,24 +339,12 @@ def e3data_to_dict(data: E3Data) -> dict:
     return {
         "interp_params": _enc_vec(data.interp_params),
         "rows": [int(k) for k in data.rows],
-        "V": _enc_vec(data.V),
-        "cond_estimate": float(data.cond_estimate).hex(),
     }
 
 
-def e3data_from_dict(d: dict, model: ReducedModel) -> E3Data:
-    """Rebuild E3Data, recomputing T from the stored nodes and rows and the model."""
-    mus = _dec_vec(d["interp_params"])
-    rows = np.array(d["rows"], dtype=int)
-    return E3Data(
-        interp_params=mus,
-        rows=rows,
-        T=interpolation_matrix(model, mus)[rows],
-        V=_dec_vec(d["V"]),
-        d=x_dimension(model.n_hat),
-        cond_estimate=_dec(d["cond_estimate"]),
-        beta=model.beta,
-    )
+def e3data_from_dict(d: dict, sys: TruthSystem, model: ReducedModel) -> E3Data:
+    """Rebuild E3Data at the stored nodes and rows: T and V come from :func:`e3_data`."""
+    return e3_data(sys, model, _dec_vec(d["interp_params"]), np.array(d["rows"], dtype=int))
 
 
 def dumps_deterministic(payload: dict) -> bytes:

@@ -82,7 +82,7 @@ def default_e3(truth, default_model, default_config):
     model, _ = default_model
     cfg = default_config
     sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
-    return rb.build_e3_data(truth, model, sampler, seed=cfg.seed, oversample=cfg.oversample)
+    return rb.build_e3_data(truth, model, sampler, seed=cfg.seed)
 
 
 @pytest.fixture(scope="session")

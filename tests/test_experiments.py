@@ -1,5 +1,6 @@
 """Experiment harness: config, artifacts, CSV/SVG outputs, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,6 @@ def test_defaults():
     assert (cfg.n_cells, cfg.mu_min, cfg.mu_max) == (200, 1.0, 1000.0)
     assert (cfg.n_train, cfg.n_sweep, cfg.rb_size) == (200, 400, 6)
     assert cfg.seed == 28
-    assert cfg.oversample == 0
     assert cfg.orthonormalize is False
     assert cfg.tol == 1e-14
 
@@ -63,6 +63,23 @@ def test_overrides_beat_file(tmp_path):
     p.write_text("n_cells = 50\n")
     cfg = load_config(str(p), {"n_cells": "75"})
     assert cfg.n_cells == 75
+
+
+def test_cli_has_one_flag_per_config_field(capsys):
+    # "--" plus the field name with "-", metavar the upper-case name.
+    parser = cli._build_parser()
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert "oversample" not in names
+    argv = ["offline"]
+    for name in names:
+        argv += ["--" + name.replace("_", "-"), name]
+    args = parser.parse_args(argv)
+    assert [getattr(args, name) for name in names] == names
+    with pytest.raises(SystemExit):
+        parser.parse_args(["offline", "--help"])
+    assert "--n-cells N_CELLS" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        parser.parse_args(["offline", "--oversample", "3"])
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -167,10 +184,10 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 5
+    assert payload["version"] == 6
     assert sorted(payload["e2"]) == ["q_dd"]
     assert [len(part) for part in payload["e2"]["q_dd"]] == [rb.x_dimension(3)] * 2
-    assert sorted(payload["e3"]) == ["V", "cond_estimate", "interp_params", "rows"]
+    assert sorted(payload["e3"]) == ["interp_params", "rows"]
     sys_, model, e2data, e3data, meta = rb.load_artifact(path, cfg)
     assert model.n_hat == 3
     assert e3data.d == rb.x_dimension(3)
@@ -184,7 +201,7 @@ def test_offline_artifact_roundtrip(cli_workdir):
 @pytest.mark.parametrize("orthonormalize", [False, True])
 def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
     # Every field of the loaded model, E2Data and E3Data, the recomputed
-    # ones included, equals a fresh build bit for bit.
+    # ones (T and V among them) included, equals a fresh build bit for bit.
     cfg = ExperimentConfig(
         n_cells=40, n_train=25, rb_size=4, orthonormalize=orthonormalize,
         output_dir=make_output_dir(cli_workdir, f"fresh_{orthonormalize}"),
@@ -206,12 +223,12 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
 
     assert history == fresh_history
     assert model.snapshot_params == fresh.snapshot_params
-    for name in ("beta", "delta", "A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
+    for name in ("beta", "A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
                  "riesz_a0", "riesz_a1"):
         assert hexes(getattr(model, name)) == hexes(getattr(fresh, name)), name
     for name in ("q_dd", "delta", "beta"):
         assert hexes(getattr(e2data, name)) == hexes(getattr(fresh_e2, name)), name
-    for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
+    for name in ("interp_params", "T", "V", "beta"):
         assert hexes(getattr(e3data, name)) == hexes(getattr(fresh_e3, name)), name
     assert e3data.rows.tolist() == fresh_e3.rows.tolist()
     assert e3data.d == fresh_e3.d
@@ -410,16 +427,6 @@ def _edited(edit):
 
 
 @_edited
-def _drop_e3_v(payload):
-    del payload["e3"]["V"]
-
-
-@_edited
-def _e3_v_one_short(payload):
-    payload["e3"]["V"].pop()
-
-
-@_edited
 def _sha256_altered(payload):
     digest = payload["model"]["basis_sha256"]
     payload["model"]["basis_sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
@@ -433,11 +440,18 @@ def _sha256_dropped(payload):
 @_edited
 def _mu_one_ulp(payload):
     # mu_max = 1000 one ulp down: at n_cells=40 that changes the truth
-    # solve's bits, while an ulp at mu = 1 or at the third snapshot (42.17)
-    # rounds away and replays the same basis.
+    # solve's bits (an ulp at mu = 1 does not: _mu_first_one_ulp).
     params = payload["model"]["snapshot_params"]
     k = params.index((1000.0).hex())
     params[k] = math.nextafter(1000.0, 0.0).hex()
+
+
+@_edited
+def _mu_first_one_ulp(payload):
+    # mu = 1 one ulp up replays the same basis bits at n_cells=40; the hash
+    # covers the parameters too.
+    params = payload["model"]["snapshot_params"]
+    params[params.index((1.0).hex())] = math.nextafter(1.0, 2.0).hex()
 
 
 @_edited
@@ -502,6 +516,11 @@ def _version_4(payload):
 
 
 @_edited
+def _version_5(payload):
+    payload["version"] = 5
+
+
+@_edited
 def _e3_row_negative(payload):
     payload["e3"]["rows"][0] = -1
 
@@ -524,7 +543,7 @@ def _e3_row_not_integer(payload):
 
 @_edited
 def _e3_rank_zero(payload):
-    for key in ("interp_params", "V", "rows"):
+    for key in ("interp_params", "rows"):
         payload["e3"][key] = []
 
 
@@ -533,7 +552,6 @@ def _e3_rank_past_d(payload):
     e3 = payload["e3"]
     d = rb.x_dimension(3)
     e3["interp_params"] = [float(1.0 + k).hex() for k in range(d + 1)]
-    e3["V"] = [e3["V"][0]] * (d + 1)
     e3["rows"] = list(range(d + 1))
 
 
@@ -556,12 +574,13 @@ def _e3_node_repeated(payload):
 @pytest.mark.parametrize(
     "damage",
     [
-        _truncate, _non_ascii, _drop_e3_v, _e3_v_one_short, _nan_entry,
+        _truncate, _non_ascii, _nan_entry,
         _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
         _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
         _e3_one_node_short, _e3_node_repeated, _e2_one_short, _drop_e2,
-        _history_one_short, _history_nan, _version_3, _version_4, _sha256_altered,
-        _sha256_dropped, _mu_one_ulp, _mu_near_duplicate, _beta_zero, _beta_negative,
+        _history_one_short, _history_nan, _version_3, _version_4, _version_5,
+        _sha256_altered, _sha256_dropped, _mu_one_ulp, _mu_first_one_ulp,
+        _mu_near_duplicate, _beta_zero, _beta_negative,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -579,6 +598,7 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _version_2: "unsupported artifact version 2",
         _version_3: "unsupported artifact version 3",
         _version_4: "unsupported artifact version 4",
+        _version_5: "unsupported artifact version 5",
         _e2_one_short: "e2 data needs q_dd",
         _drop_e2: "lacks the key 'e2'",
         _history_one_short: "history needs 3 e1 entries",
@@ -586,6 +606,7 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _sha256_altered: "misses the stored basis_sha256",
         _sha256_dropped: "lacks the key 'basis_sha256'",
         _mu_one_ulp: "misses the stored basis_sha256",
+        _mu_first_one_ulp: "misses the stored basis_sha256",
         _mu_near_duplicate: "signals linear dependence",
         _beta_zero: "beta must be finite and > 0",
         _beta_negative: "beta must be finite and > 0",

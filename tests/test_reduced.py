@@ -43,7 +43,7 @@ def test_empty_model(truth):
     assert model.A0_hat.shape == (0, 0)
     sol = model.empty_solution(5.0)
     assert sol.gamma.size == 0
-    assert model.delta == DELTA_200
+    assert rb.h1_norm(truth, model.riesz_b) == DELTA_200
 
 
 def test_delta_matches_dense_computation(truth):
@@ -258,7 +258,6 @@ def _assert_same_model(back, model):
     assert back.snapshot_params == model.snapshot_params
     assert back.orthonormalize == model.orthonormalize
     assert _hex(back.beta) == _hex(model.beta)
-    assert _hex(back.delta) == _hex(model.delta)
     for name in ("A0_hat", "A1_hat", "b_hat", "riesz_b"):
         assert _hex(getattr(back, name)) == _hex(getattr(model, name)), name
     for name in ("snapshots", "riesz_a0", "riesz_a1"):
@@ -296,19 +295,20 @@ def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
 
 
 def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
-    # T is not stored: it is rebuilt from the nodes, the rows and the model,
-    # for the default build and for one picked from an oversampled pool.
+    # T and V are not stored: they are rebuilt from the nodes, the rows and
+    # the model, for the default build and for one picked from an
+    # oversampled pool.
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
     oversampled = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
     for data in (default_e3, oversampled):
         d = e3data_to_dict(data)
-        assert sorted(d) == ["V", "cond_estimate", "interp_params", "rows"]
-        back = e3data_from_dict(json.loads(dumps_deterministic(d)), model)
+        assert sorted(d) == ["interp_params", "rows"]
+        back = e3data_from_dict(json.loads(dumps_deterministic(d)), truth, model)
         assert back.T.shape == data.T.shape == (data.V.size, data.V.size)
         assert back.rows.tolist() == data.rows.tolist()
         assert back.d == data.d == 91
-        for name in ("interp_params", "T", "V", "cond_estimate", "beta"):
+        for name in ("interp_params", "T", "V", "beta"):
             assert _hex(getattr(back, name)) == _hex(getattr(data, name)), name
 
 
@@ -337,4 +337,4 @@ def test_model_rejects_nonpositive_beta(truth):
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
