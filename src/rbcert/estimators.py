@@ -60,17 +60,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, solve_truth
-from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
+from .precision import SPLITTER, dd_add, dd_mul, dd_sqrt, dd_sum, dd_sum_into, two_prod
 
 logger = logging.getLogger(__name__)
 
 # Entries per temporary of the loops that stream length-N stacks: e1's
 # pairwise tree (N_hat + 2 vectors per point), the true error's lift and
-# the E2 build's dd dots (one column per pair).  All must stay in cache.
-# At N=9999, N_hat=12 this budget (6 columns) ran 200 e1 points in 43 ms
-# against 71 ms point by point, and four times the budget took 66 ms; the
-# E2 build took 320 ms, against 465 ms at 2**14, 660 ms at 2**18 and
-# 683 ms at 2**20 entries (2-vCPU Xeon, one BLAS thread).
+# the E2 build's dd dots (one column per pair, on seven reused buffers of
+# this size).  All must stay in cache.  At N=9999, N_hat=12 this budget
+# (6 columns) ran 200 e1 points in 43 ms against 71 ms point by point, and
+# four times the budget took 66 ms; a whole E2 build took 194 ms, against
+# 257 ms at 2**14 (one pair per chunk), 311 ms at 2**18 and 397 ms at
+# 2**20 entries, and 320 ms with the former allocating dd kernels (2-vCPU
+# Xeon, one BLAS thread).
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -96,30 +98,65 @@ def _pairwise_sum(n, term, first=0):
 # --- double-double Gram inner product -------------------------------------
 
 def _dd_gram_matvec(sys: TruthSystem, v: np.ndarray):
-    """Gram*v in double-double, for a vector or each column of an (N, k) stack.
+    """Gram*v in double-double, for a vector or each row of a (k, N) stack.
 
     Every entry is built from error-free products of the double inputs
-    and two dd additions, element by element, so a column of a stack gets
+    and two dd additions, element by element, so a row of a stack gets
     the bits the same vector gets alone.
     """
     G = sys.Gram
-    col = (slice(None),) + (None,) * (v.ndim - 1)
-    wh, wl = two_prod(G.diag[col], v)
-    ah, al = two_prod(G.off[col], v[1:])
-    bh, bl = two_prod(G.off[col], v[:-1])
-    wh[:-1], wl[:-1] = dd_add((wh[:-1], wl[:-1]), (ah, al))
-    wh[1:], wl[1:] = dd_add((wh[1:], wl[1:]), (bh, bl))
+    wh, wl = two_prod(G.diag, v)
+    ah, al = two_prod(G.off, v[..., 1:])
+    bh, bl = two_prod(G.off, v[..., :-1])
+    wh[..., :-1], wl[..., :-1] = dd_add((wh[..., :-1], wl[..., :-1]), (ah, al))
+    wh[..., 1:], wl[..., 1:] = dd_add((wh[..., 1:], wl[..., 1:]), (bh, bl))
     return wh, wl
 
 
-def _dd_dot(u: np.ndarray, w):
-    """Sum of u*w over axis 0 in double-double, w = (hi, lo) as u is shaped.
+def _dd_dots(us, whs, wls, buf):
+    """sum_i u_i*(wh_i + wl_i) in double-double for every column j = (us[j], whs[j], wls[j]).
 
-    A 1-D u gives a (hi, lo) pair of floats; (N, m) stacks give the m
-    column sums, each equal to its column's dot alone.
+    The dot of the double u with the dd w = (wh, wl) is ``dd_mul((u, 0),
+    w)`` then :func:`precision.dd_sum`, run in place: the same operations
+    in the same order (the zero low part's 0*wh included, for the sign of
+    a zero), so each column's (hi, lo) equals that route's bit for bit.
+    buf holds seven flat float arrays of at least N*m entries, reused from
+    call to call: the operands are gathered into (N, m) views of them, one
+    call each, and no other array is allocated.  Each vector is still
+    Dekker-split again for every pair it enters.  Returns views into buf
+    holding the m sums.
     """
-    th, tl = dd_mul((u, np.zeros_like(u)), w)
-    return dd_sum(th, tl)
+    n, m = us[0].shape[0], len(us)
+    U, Wh, Wl, P, E, T1, T2 = (b[: n * m].reshape(n, m) for b in buf)
+    np.stack(us, axis=1, out=U)
+    np.stack(whs, axis=1, out=Wh)
+    np.stack(wls, axis=1, out=Wl)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    mul(U, Wl, Wl)           # dd_mul's cross term u*wl + 0*wh
+    mul(0.0, Wh, P)
+    add(Wl, P, Wl)
+    mul(U, Wh, P)            # two_prod(u, wh) = (P, E)
+    mul(SPLITTER, U, T1)     # split(u) = (T1, U)
+    sub(T1, U, E)
+    sub(T1, E, T1)
+    sub(U, T1, U)
+    mul(SPLITTER, Wh, T2)    # split(wh) = (T2, Wh)
+    sub(T2, Wh, E)
+    sub(T2, E, T2)
+    sub(Wh, T2, Wh)
+    mul(T1, T2, E)           # ((uh*wh_h - p) + uh*wh_l + ul*wh_h) + ul*wh_l
+    sub(E, P, E)
+    mul(T1, Wh, T1)
+    add(E, T1, E)
+    mul(U, T2, T2)
+    add(E, T2, E)
+    mul(U, Wh, U)
+    add(E, U, E)
+    add(E, Wl, E)            # + the cross term
+    add(P, E, U)             # quick_two_sum(p, e) = (U, E)
+    sub(U, P, P)
+    sub(E, P, E)
+    return dd_sum_into(U, E, buf[1:4] + buf[5:6])
 
 
 def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
@@ -130,7 +167,9 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     carries ~32 significant digits: effectively the exact value of the
     double-data inner product, to be rounded as the caller requires.
     """
-    return _dd_dot(u, _dd_gram_matvec(sys, v))
+    wh, wl = _dd_gram_matvec(sys, v)
+    h, l = _dd_dots([u], [wh], [wl], [np.empty(sys.n) for _ in range(7)])
+    return float(h[0]), float(l[0])
 
 
 # --- E2: compact offline/online form --------------------------------------
@@ -166,7 +205,9 @@ class E2Table:
     adds the vectors of the snapshots the table has not seen yet, so each
     new snapshot costs two dd Gram matvecs and the pairs that involve its
     two vectors.  Matvecs and pairs go in chunks of at most
-    _CACHE_BLOCK_ELEMENTS entries per temporary.  The model must only grow
+    _CACHE_BLOCK_ELEMENTS entries per temporary, the budget as it is at
+    each growth; the pairs run in place on seven buffers that each growth
+    allocates once (:func:`_dd_dots`).  The model must only grow
     between calls.  q is read off F in z's order: F_II on the diagonal and
     the dd sum F_IJ + F_JI off it, with (b, r) standing in for (r, b).
     """
@@ -191,11 +232,10 @@ class E2Table:
     def _extend(self, vectors) -> None:
         k0, k = len(self.R), len(self.R) + len(vectors)
         step = max(1, _CACHE_BLOCK_ELEMENTS // self.sys.n)
-        V = np.column_stack(vectors)
-        for c in range(0, V.shape[1], step):
-            wh, wl = _dd_gram_matvec(self.sys, V[:, c:c + step])
-            self.Wh += list(wh.T)
-            self.Wl += list(wl.T)
+        for c in range(0, len(vectors), step):
+            wh, wl = _dd_gram_matvec(self.sys, np.array(vectors[c:c + step]))
+            self.Wh += list(wh)
+            self.Wl += list(wl)
         self.R += vectors
         Fh = np.zeros((k, k))
         Fl = np.zeros((k, k))
@@ -204,12 +244,12 @@ class E2Table:
         u, v = np.divmod(np.arange(k * k), k)
         keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
         u, v = u[keep], v[keep]
+        buf = [np.empty(self.sys.n * min(step, len(u))) for _ in range(7)]
         for c in range(0, len(u), step):
             uc, vc = u[c:c + step], v[c:c + step]
-            U = np.stack([self.R[p] for p in uc], axis=1)
-            Wh = np.stack([self.Wh[q] for q in vc], axis=1)
-            Wl = np.stack([self.Wl[q] for q in vc], axis=1)
-            Fh[uc, vc], Fl[uc, vc] = _dd_dot(U, (Wh, Wl))
+            Fh[uc, vc], Fl[uc, vc] = _dd_dots(
+                [self.R[p] for p in uc], [self.Wh[q] for q in vc], [self.Wl[q] for q in vc], buf
+            )
         self.Fh, self.Fl = Fh, Fl
 
     def _e2_data(self, beta: float) -> E2Data:

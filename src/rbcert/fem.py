@@ -20,7 +20,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +56,11 @@ class TruthSystem:
     """Assembled truth-level operators for one mesh.
 
     Vectors of length N = n_cells - 1 hold interior nodal values; the
-    boundary values are identically zero and never stored.
+    boundary values are identically zero and never stored.  Gram does not
+    depend on mu, so its Thomas factors are kept with it: ``gram_thomas``
+    holds Gram's off-diagonal, multipliers and pivots (:func:`_thomas_factor`)
+    as ``array("d")``, which iterate as Python floats in a quarter of a
+    list's memory, for :func:`riesz_representative`.
     """
 
     n_cells: int
@@ -64,6 +69,7 @@ class TruthSystem:
     M: Tridiagonal
     Gram: Tridiagonal
     F: np.ndarray
+    gram_thomas: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -108,25 +114,42 @@ def assemble(n_cells: int) -> TruthSystem:
     M = Tridiagonal(np.full(n, 2.0 * h / 3.0), np.full(n - 1, h / 6.0))
     Gram = K + M
     F = np.full(n, h)
-    return TruthSystem(n_cells, h, K, M, Gram, F)
+    off = Gram.off.tolist()
+    factors = (off, *_thomas_factor(Gram.diag.tolist(), off))
+    return TruthSystem(n_cells, h, K, M, Gram, F, tuple(array("d", x) for x in factors))
 
 
-def _thomas_scalar(diag, off, rhs):
-    """Thomas elimination of one system held in lists of Python floats.
+def _thomas_factor(diag, off):
+    """Thomas elimination's multipliers and pivots of one system.
 
-    A zip-driven loop: no indexing, and Python floats, which combine
-    faster than numpy scalars.  Row for row it makes the operations of
-    :func:`_thomas_block` in the same order, so both give the same bits.
-    Returns the solution as a list.
+    diag and off are lists of Python floats, and so are the multipliers
+    c_i = off[i-1]/piv[i-1] and pivots piv_i = diag[i] - off[i-1]*c_i
+    returned, formed row for row as :func:`_thomas_block` forms them.  A
+    zero pivot raises ``ZeroDivisionError`` here or in the substitution.
     """
     piv = diag[0]
-    x = rhs[0] / piv
-    cs, xs = [], [x]
-    for a, o, r in zip(diag[1:], off, rhs[1:]):
+    cs, pivs = [], [piv]
+    for a, o in zip(diag[1:], off):
         c = o / piv
         piv = a - o * c
-        x = (r - o * x) / piv
         cs.append(c)
+        pivs.append(piv)
+    return cs, pivs
+
+
+def _thomas_substitute(off, cs, pivs, rhs):
+    """The two substitution sweeps of a system factored by :func:`_thomas_factor`.
+
+    A zip-driven loop over sequences that yield Python floats (lists, or
+    the ``array("d")`` factors of a :class:`TruthSystem`): no indexing, and
+    Python floats, which combine faster than numpy scalars.  Row for row
+    it makes the operations of :func:`_thomas_block` in the same order,
+    so both give the same bits.  Returns the solution as a list.
+    """
+    x = rhs[0] / pivs[0]
+    xs = [x]
+    for o, p, r in zip(off, pivs[1:], rhs[1:]):
+        x = (r - o * x) / p
         xs.append(x)
     for i, c in zip(range(len(cs) - 1, -1, -1), reversed(cs)):
         x = xs[i] = xs[i] - c * x
@@ -139,10 +162,13 @@ def _thomas_block(diag, off, rhs):
     diag (n, m) and off (n-1, m) are overwritten: the solution goes over
     diag, and the multiplier of row i over off[i-1] (the first one into
     a spare row), once that row of off is no longer read.  rhs is (n, m)
-    or a shared (n,) and is only read.  Rows are iterated, not indexed,
-    and every ufunc writes into a preallocated row, so the solve holds no
-    (n, m) array besides diag and off, and no list of rows.  Returns diag.
+    or a shared (n,), iterated as stride-0 rows, and is only read.  Rows
+    are iterated, not indexed, and every ufunc writes into a preallocated
+    row, so the solve holds no (n, m) array besides diag and off, and no
+    list of rows.  Returns diag.
     """
+    if rhs.ndim == 1:
+        rhs = np.broadcast_to(rhs[:, None], diag.shape)
     div, mul, sub = np.divide, np.multiply, np.subtract
     spare = np.empty(diag.shape[1])
     t = np.empty_like(spare)
@@ -180,11 +206,14 @@ def solve_tridiagonal(A: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     With (n,) diagonals and an (n,) right-hand side this is one system.
     When A's diagonals or rhs are (n, m) blocks, m systems are solved at
     once: column j of the result solves column j of A (or A itself)
-    against column j of rhs (or rhs itself).  One system runs on Python
-    floats, about 0.3 us per mesh row; a block runs in place on a copy of
-    A's diagonals, about 4 us per mesh row at any width up to 100 columns
-    (N=9999, 2-vCPU Xeon), so it pays off from about 13 columns.  Both
-    give the same bits per column, and A and rhs are left as they were.
+    against column j of rhs (or rhs itself).  One system is factored
+    (:func:`_thomas_factor`) and substituted (:func:`_thomas_substitute`)
+    on Python floats, about 0.34 us per mesh row, of which the
+    substitution, all a Riesz lift runs on Gram's stored factors, is
+    0.2; a block runs in place on a copy of A's diagonals, about 4.2 us
+    per mesh row at any width up to 100 columns (N=9999, 2-vCPU Xeon), so
+    it pays off from about 13 columns.  Both give the same bits per
+    column, and A and rhs are left as they were.
     A zero pivot raises ``LinAlgError``; an off-diagonal that is not
     n - 1 rows of A's columns raises ``ValueError``.
     """
@@ -195,7 +224,8 @@ def solve_tridiagonal(A: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"off has shape {A.off.shape}, expected {(n - 1,) + A.diag.shape[1:]}")
     with _pivot_errors():
         if rhs.ndim == A.diag.ndim == 1:
-            return np.array(_thomas_scalar(A.diag.tolist(), A.off.tolist(), rhs.tolist()))
+            off = A.off.tolist()
+            return np.array(_thomas_substitute(off, *_thomas_factor(A.diag.tolist(), off), rhs.tolist()))
         cols = np.broadcast_shapes(rhs.shape[1:], A.diag.shape[1:])
         return _thomas_block(_columns(A.diag, cols), _columns(A.off, cols), rhs)
 
@@ -242,8 +272,17 @@ def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
 
 
 def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray:
-    """Riesz representative w = Gram^{-1} f, so h1_inner(w, v) = f^T v."""
-    return solve_tridiagonal(sys.Gram, functional)
+    """Riesz representative w = Gram^{-1} f, so h1_inner(w, v) = f^T v.
+
+    Gram does not depend on mu, so only the two substitution sweeps run,
+    on its Thomas factors from assembly (``sys.gram_thomas``): w has the
+    bits of ``solve_tridiagonal(sys.Gram, f)`` at 1.96 ms against 2.79 ms
+    for a solve that factors Gram again (N=9999, 2-vCPU Xeon).  f must be
+    one (N,) functional; any other shape raises ``ValueError``.
+    """
+    if functional.shape != (sys.n,):
+        raise ValueError(f"functional has shape {functional.shape}, expected ({sys.n},)")
+    return np.array(_thomas_substitute(*sys.gram_thomas, functional.tolist()))
 
 
 # --- analytic reference -------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 # Dekker's splitter for binary64: 2**27 + 1.
-_SPLITTER = 134217729.0
+SPLITTER = 134217729.0
 
 # No math.fma in this interpreter (added in CPython 3.13); the product
 # residual comes from Dekker splitting instead.
@@ -49,7 +49,7 @@ def quick_two_sum(a, b):
 
 def split(a):
     """Dekker split: ``a == hi + lo`` with both halves 26-bit exact."""
-    t = _SPLITTER * a
+    t = SPLITTER * a
     hi = t - (t - a)
     lo = a - hi
     return hi, lo
@@ -118,16 +118,62 @@ def dd_sum(hi, lo):
     against back half, so the evaluation order is deterministic and
     independent of any BLAS blocking.  1-D input gives a scalar (hi, lo)
     pair; (d, m) input gives the m column sums, each summed exactly as
-    its column alone would be.
+    its column alone would be.  The tree runs in place on copies of the
+    inputs (:func:`dd_sum_into`).
     """
-    h = np.asarray(hi, dtype=float).copy()
-    l = np.asarray(lo, dtype=float).copy()
+    h = np.array(hi, dtype=float)
+    l = np.array(lo, dtype=float)
+    sh, sl = dd_sum_into(h, l, np.empty((4, h[: h.shape[0] // 2].size)))
+    if h.ndim == 1:
+        return float(sh), float(sl)
+    return sh, sl
+
+
+def dd_sum_into(h, l, scratch):
+    """:func:`dd_sum`'s tree over (n, ...) arrays h and l, in place.
+
+    Each level is :func:`dd_add` of the front half and the back half,
+    written over the front half by :func:`_dd_add_into`, the same
+    operations in the same order, so every bit is :func:`dd_sum`'s.  h and
+    l are overwritten; scratch holds four flat float arrays of at least
+    h[:n // 2].size entries, and no other array is allocated.  Returns
+    views (h[0], l[0]) of the sums.
+    """
     n = h.shape[0]
     while n > 1:
         half = (n + 1) // 2
         m = n - half
-        h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
+        x = h[:m]
+        tmp = [s[: x.size].reshape(x.shape) for s in scratch]
+        _dd_add_into(x, l[:m], h[half:n], l[half:n], *tmp)
         n = half
-    if h.ndim == 1:
-        return float(h[0]), float(l[0])
     return h[0], l[0]
+
+
+def _dd_add_into(xh, xl, yh, yl, a, b, c, d):
+    """``dd_add((xh, xl), (yh, yl))`` written over (xh, xl).
+
+    The operations and their order are dd_add's, so the bits are too;
+    y is only read, and a, b, c, d are scratch arrays shaped like xh.
+    """
+    add, sub = np.add, np.subtract
+    add(xh, yh, a)   # two_sum(xh, yh) = (a, c)
+    sub(a, xh, b)
+    sub(a, b, c)
+    sub(xh, c, c)
+    sub(yh, b, b)
+    add(c, b, c)
+    add(xl, yl, b)   # two_sum(xl, yl) = (b, d), with xh as scratch
+    sub(b, xl, d)
+    sub(b, d, xh)
+    sub(xl, xh, xh)
+    sub(yl, d, d)
+    add(xh, d, d)
+    add(c, b, c)     # e + t
+    add(a, c, b)     # quick_two_sum(s, e) = (b, c)
+    sub(b, a, a)
+    sub(c, a, c)
+    add(c, d, c)     # e + f
+    add(b, c, xh)    # quick_two_sum(s, e) = (xh, xl)
+    sub(xh, b, a)
+    sub(c, a, xl)

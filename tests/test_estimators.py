@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from rbcert.estimators import (
     _CACHE_BLOCK_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
+    _dd_dots,
     _lu_solve,
     _monomial_factors,
     _pairwise_sum,
@@ -709,3 +711,94 @@ def test_greedy_e2_data_equals_per_pair(pairs_per_chunk, greedy_case, monkeypatc
     monkeypatch.setattr("rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * sys_.n)
     model, _, e2data = rb.greedy_build(sys_, training, **kwargs)
     assert_e2_data_is_per_pair(e2data, sys_, model)
+
+
+# --- the in-place dd dot against the allocating route -------------------------
+
+def dd_dot_oracle(u, wh, wl):
+    """The former E2 dot, down axis 0 of (N, m) stacks: dd_mul with a zero low
+    part, then dd_sum's pairwise tree made of allocating dd_add calls."""
+    th, tl = dd_mul((u, np.zeros_like(u)), (wh, wl))
+    n = th.shape[0]
+    while n > 1:
+        half = (n + 1) // 2
+        m = n - half
+        th[:m], tl[:m] = dd_add((th[:m], tl[:m]), (th[half:n], tl[half:n]))
+        n = half
+    return th[0], tl[0]
+
+
+def special_stacks(n, seed):
+    """(u, wh, wl) as (n, 6) stacks with +-0.0, subnormals and exactly
+    representable products among ordinary values.
+
+    Column 0 has a zero u throughout, column 1 a zero low part, column 2
+    small integers times powers of two (exact products, zero product
+    errors), column 3 only zeros, column 4 subnormals, column 5 a mix.
+    Every zero gets a random sign: the sign of a zero low part is where an
+    in-place rewrite can drift.
+    """
+    rng = np.random.default_rng(seed)
+
+    def zeros():
+        return rng.choice(np.array([0.0, -0.0]), size=n)
+
+    def ordinary():
+        return rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+
+    u, wh = np.empty((n, 6)), np.empty((n, 6))
+    for j in range(6):
+        u[:, j], wh[:, j] = ordinary(), ordinary()
+    wl = wh * rng.uniform(-(2.0**-53), 2.0**-53, size=(n, 6))
+    u[:, 0] = zeros()
+    wl[:, 1] = zeros()
+    u[:, 2] = rng.integers(-9, 10, size=n).astype(float)
+    wh[:, 2] = 2.0 ** rng.integers(-20, 20, size=n) * rng.choice([-1.0, 1.0], size=n)
+    wl[:, 2] = zeros()
+    u[:, 3], wh[:, 3], wl[:, 3] = zeros(), zeros(), zeros()
+    u[:, 4] = 5e-324 * rng.integers(-3, 4, size=n)
+    wl[:, 4] = 2.0**-1070 * rng.integers(-3, 4, size=n)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 0.5, -4.0, 3.0])
+    for a in (u, wh, wl):
+        pick = rng.uniform(size=n) < 0.4
+        a[pick, 5] = rng.choice(specials, size=pick.sum())
+    return u, wh, wl
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
+def test_dd_dots_equal_the_allocating_route_bit_for_bit(n):
+    def hexes(pair):
+        return [[float(x).hex() for x in part] for part in pair]
+
+    u, wh, wl = special_stacks(n, seed=n)
+    ref = dd_dot_oracle(u, wh, wl)
+    buf = [np.empty(n * 6) for _ in range(7)]
+    got = _dd_dots(list(u.T), list(wh.T), list(wl.T), buf)
+    assert hexes(got) == hexes(ref)
+    # The buffers are reused: a narrower chunk runs on a prefix of them.
+    cols = [5, 3, 0]
+    got = _dd_dots(list(u.T[cols]), list(wh.T[cols]), list(wl.T[cols]), buf)
+    assert hexes(got) == hexes((ref[0][cols], ref[1][cols]))
+    # One column alone, as h1_inner_dd runs it.
+    got = _dd_dots([u[:, 3]], [wh[:, 3]], [wl[:, 3]], buf)
+    assert hexes(got) == hexes((ref[0][3:4], ref[1][3:4]))
+
+
+def test_e2_build_holds_no_per_operation_temporaries():
+    # The dd dots run in place on seven chunk buffers of at most
+    # _CACHE_BLOCK_ELEMENTS entries each, allocated once per growth.  At
+    # n_cells = 4000 with N_hat = 4 (73 pairs of Riesz vectors, 16 per
+    # chunk) the traced peak of the build was 6,503,043 bytes with the
+    # allocating dd kernels (12.4 budget-sized arrays) and is 4,172,867 in
+    # place (7.96); the bound is nine budget-sized arrays, 4,718,592 bytes.
+    sys_ = rb.assemble(4000)
+    model = ReducedModel(sys_, orthonormalize=True)
+    for mu in (1.0, 10.0, 100.0, 1000.0):
+        add_snapshot(model, sys_, mu)
+    tracemalloc.start()
+    try:
+        rb.build_e2_data(sys_, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * _CACHE_BLOCK_ELEMENTS

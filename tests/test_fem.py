@@ -261,6 +261,28 @@ def test_riesz_norm_squared_equals_functional_applied_to_it():
     assert rb.h1_inner(s, w, w) == pytest.approx(float(s.F @ w), rel=1e-13)
 
 
+@pytest.mark.parametrize("n_cells", [2, 3, 200, 10000])
+def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
+    # Gram is factored once, at assembly, and a Riesz lift runs only the
+    # substitution sweeps.  It must give the bits of a fresh scalar solve
+    # and of the block Thomas, a separate loop, on a one-column block.
+    # n_cells = 2 is N = 1: no multiplier at all.
+    s = rb.assemble(n_cells)
+    rng = np.random.default_rng(n_cells)
+    one_column = Tridiagonal(s.Gram.diag[:, None], s.Gram.off[:, None])
+    for f in (s.F, rng.normal(size=s.n), s.K.matvec(rng.normal(size=s.n))):
+        w = list(map(float.hex, rb.riesz_representative(s, f).tolist()))
+        assert w == list(map(float.hex, rb.solve_tridiagonal(s.Gram, f).tolist()))
+        column = rb.solve_tridiagonal(one_column, f[:, None])[:, 0]
+        assert w == list(map(float.hex, column.tolist()))
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 2)])
+def test_riesz_rejects_a_mis_shaped_functional(shape):
+    with pytest.raises(ValueError):
+        rb.riesz_representative(rb.assemble(6), np.ones(shape))
+
+
 # --- analytic reference ------------------------------------------------------
 
 
