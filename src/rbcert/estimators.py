@@ -3,13 +3,18 @@
 For a reduced solution u_hat = sum_i gamma_i u_i of the affine problem
 a0(u,v) + mu*a1(u,v) = b(v), the dual norm of the residual satisfies
 
-    E(mu) = beta^{-1} * || sum_I z_I G_I ||_H1,   z = (1; gamma; mu*gamma),
+    E(mu) = || sum_I z_I G_I ||_H1,   z = (1; gamma; mu*gamma),
 
 with G_0 the (negated) Riesz lift of b and G_{1+k*N_hat+i} the Riesz lift
-of operator term k in {a0, a1} applied to basis vector i.  Squared, it is
-one linear form in d = 2*N_hat^2 + 3*N_hat + 1 monomials,
+of operator term k in {a0, a1} applied to basis vector i.  The H1 error
+of u_hat is at most E/beta for a lower bound beta of the coercivity
+constant, and beta = 1: a(v,v;mu) = v'Kv + mu*v'Mv >= v'(K+M)v =
+||v||_H1^2 on mu >= 1, the domain ``fem.check_parameters`` enforces.  So
+no estimator divides by beta, and the floors delta*eps/beta and
+delta*sqrt(eps)/beta keep the paper's form.  Squared, E is one linear
+form in d = 2*N_hat^2 + 3*N_hat + 1 monomials,
 
-    (beta*E)^2 = q . X(mu),   X = (z_I*z_J for I <= J, lexicographic),
+    E^2 = q . X(mu),   X = (z_I*z_J for I <= J, lexicographic),
 
 with q = <G_I, G_I> on the diagonal and 2<G_I, G_J> off it.  X starts
 with 1, then x = (gamma; mu*gamma), then the products x_I*x_J.  The four
@@ -26,7 +31,7 @@ different round-off floors:
   as exact products, which pushes the floor down below E1's own.
 * ``estimator_e3`` - cancellation-free form: since the squared estimator
   is linear in X(mu), it can be interpolated from reference values
-  V_i = (beta*E1(mu_i))^2.  X(mu) spans a space of dimension at most
+  V_i = E1(mu_i)^2.  X(mu) spans a space of dimension at most
   2*N_hat + 3, not d, so the build picks r nodes and r rows of X on the
   numerical rank by pivoted Gram-Schmidt (Q-DEIM), and the online stage
   solves the r x r system T lambda = X(mu)[rows].  All summands are
@@ -186,7 +191,9 @@ class E2Data:
     """
 
     q_dd: tuple              # (hi array, lo array), length d
-    beta: float = 1.0
+    # The coercivity bound of the problem, not data: a(v,v;mu) >= ||v||_H1^2
+    # on mu >= 1 (see the module docstring).  A class attribute, not a field.
+    beta = 1.0
 
     @property
     def delta(self) -> float:
@@ -227,7 +234,7 @@ class E2Table:
             new += [model.riesz_a0[i], model.riesz_a1[i]]
         if new:
             self._extend(new)
-        return self._e2_data(model.beta)
+        return self._e2_data()
 
     def _extend(self, vectors) -> None:
         k0, k = len(self.R), len(self.R) + len(vectors)
@@ -252,7 +259,7 @@ class E2Table:
             )
         self.Fh, self.Fl = Fh, Fl
 
-    def _e2_data(self, beta: float) -> E2Data:
+    def _e2_data(self) -> E2Data:
         # Insertion order to z's order: riesz_b, the a0 block, the a1 block.
         n = len(self.R) // 2
         perm = np.concatenate([[0], np.arange(1, 2 * n, 2), np.arange(2, 2 * n + 1, 2)])
@@ -262,7 +269,7 @@ class E2Table:
         i, j = np.triu_indices(len(perm))
         qh, ql = dd_add((Fh[i, j], Fl[i, j]), (Fh[j, i], Fl[j, i]))
         diag = i == j
-        return E2Data(q_dd=(np.where(diag, Fh[i, j], qh), np.where(diag, Fl[i, j], ql)), beta=beta)
+        return E2Data(q_dd=(np.where(diag, Fh[i, j], qh), np.where(diag, Fl[i, j], ql)))
 
 
 def build_e2_data(sys: TruthSystem, model) -> E2Data:
@@ -304,7 +311,7 @@ class E3Data:
     """Interpolation data on the numerical rank r of the monomial map.
 
     T[k, i] = X(mu_i)[rows[k]] for the r nodes mu_i and the r row indices
-    rows[k] of X; V_i = (beta*E1(mu_i))^2.  T and V are recomputable bit
+    rows[k] of X; V_i = E1(mu_i)^2.  T and V are recomputable bit
     for bit from the nodes, the rows and the model (:func:`e3_data`), which
     is what makes exact node lookup possible, and why an artifact stores
     only the nodes and the rows.
@@ -315,7 +322,6 @@ class E3Data:
     T: np.ndarray                 # r x r
     V: np.ndarray                 # length r
     d: int                        # dimension of X(mu)
-    beta: float = 1.0
 
     @functools.cached_property
     def lu(self):
@@ -405,7 +411,7 @@ def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
 
 
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
-    """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = (beta*E1(nodes))^2.
+    """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = E1(nodes)^2.
 
     The build calls it with its picks, and loading an artifact with the
     stored ones, so both get the same bits.
@@ -420,34 +426,27 @@ def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
         interp_params=nodes,
         rows=rows,
         T=x_matrix(nodes, gamma)[rows],
-        V=np.array([(model.beta * e) ** 2 for e in e1.tolist()]),
+        V=np.array([e ** 2 for e in e1.tolist()]),
         d=x_dimension(model.n_hat),
-        beta=model.beta,
     )
 
 
-def build_e3_data(
-    sys: TruthSystem,
-    model,
-    sampler,
-    seed: int,
-    oversample: int = 0,
-) -> E3Data:
+def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
     """Pick interpolation nodes and rows on the numerical rank of T.
 
-    Draws a pool of d + oversample parameters via ``sampler(n, seed)``
-    (deterministic given the seed) and forms the pool's d x (d +
-    oversample) matrix of monomial vectors X(mu).  The monomial map traces
-    a low-dimensional manifold (rank <= 2*N_hat + 3), so that matrix is
-    rank-deficient by construction.  Column-pivoted Gram-Schmidt on it
-    picks the r nodes, stopping at :data:`E3_RANK_TOL`; pivoted
-    Gram-Schmidt on the transposed orthonormal basis of their columns
-    picks r rows of X (Q-DEIM).  :func:`e3_data` then forms T and V at the
-    r nodes.  A pool that repeats a parameter raises
+    Draws a pool of d parameters via ``sampler(d, seed)`` (deterministic
+    given the seed; a sampler that draws more enlarges the pool) and forms
+    the pool's matrix of monomial vectors X(mu), one column per parameter.
+    The monomial map traces a low-dimensional manifold (rank <= 2*N_hat +
+    3), so that matrix is rank-deficient by construction.  Column-pivoted
+    Gram-Schmidt on it picks the r nodes, stopping at :data:`E3_RANK_TOL`;
+    pivoted Gram-Schmidt on the transposed orthonormal basis of their
+    columns picks r rows of X (Q-DEIM).  :func:`e3_data` then forms T and
+    V at the r nodes.  A pool that repeats a parameter raises
     :class:`EstimatorBuildError`.
     """
     d = x_dimension(model.n_hat)
-    pool = np.asarray(sampler(d + oversample, seed), dtype=float)
+    pool = np.asarray(sampler(d, seed), dtype=float)
     if len(set(pool.tolist())) != pool.size:
         raise EstimatorBuildError("interpolation pool is degenerate: it repeats a parameter")
     X = interpolation_matrix(model, pool)
@@ -524,7 +523,7 @@ def _e1_rows(sys, model, mus, gamma):
 
     g = _pairwise_sum(n_hat + 2 if n_hat else 1, term)
     g = np.broadcast_to(g, (len(mus), sys.n))
-    return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0)) / model.beta
+    return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0))
 
 
 def _monomial_factors(mus, gamma):
@@ -558,7 +557,7 @@ def _e2_block(data: E2Data, X):
     radicand = np.array(
         [math.fsum(col) for col in (q_coefficients(data)[:, None] * X).T.tolist()]
     )
-    return np.sqrt(np.maximum(radicand, 0.0)) / data.beta, radicand
+    return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
 def _e2dd_block(data: E2Data, XX):
@@ -576,7 +575,7 @@ def _e2dd_block(data: E2Data, XX):
     if clamped.any():
         logger.info("estimator_e2_dd: %d negative dd radicands clamped", clamped.sum())
     vh, vl = dd_sqrt((np.where(clamped, 0.0, rh), np.where(clamped, 0.0, rl)))
-    return np.where(clamped, 0.0, (vh + vl) / data.beta), clamped
+    return np.where(clamped, 0.0, vh + vl), clamped
 
 
 def _e3_block(data: E3Data, mus, X):
@@ -597,7 +596,7 @@ def _e3_block(data: E3Data, mus, X):
     clamped = total < 0.0
     if clamped.any():
         logger.info("estimator_e3: %d negative interpolated squares clamped", clamped.sum())
-    return np.sqrt(np.maximum(total, 0.0)) / data.beta, clamped
+    return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
 def _true_error_block(sys, model, mus, gamma):

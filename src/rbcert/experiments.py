@@ -5,7 +5,7 @@ log-spaced training grid, an online sweep on a distinct (offset) grid
 evaluating the true error and all four estimators, and a floor
 measurement comparing the observed minima against the predicted
 round-off floors delta*eps/beta (full-size form) and
-delta*sqrt(eps)/beta (compact form).
+delta*sqrt(eps)/beta (compact form), with beta = 1 (``estimators``).
 
 Everything is deterministic given the config: the sampler is seeded, the
 serialization is canonical, and two identical runs produce byte-equal
@@ -68,8 +68,12 @@ class ExperimentConfig:
             raise ConfigError("rb_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not (self.tol >= 0.0 and self.dependence_tol >= 0.0):
-            raise ConfigError("tolerances must be >= 0")
+        if not (0.0 <= self.tol < math.inf):
+            raise ConfigError("tol must be finite and >= 0")
+        # The first snapshot's pivot ratio is exactly 1, so dependence_tol >= 1
+        # would reject it and leave the model empty.
+        if not (0.0 <= self.dependence_tol < 1.0):
+            raise ConfigError("dependence_tol must be in [0, 1)")
         return self
 
     def artifact_path(self) -> str:
@@ -179,10 +183,6 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
             "n_cells": config.n_cells,
             "mu_min": float(config.mu_min).hex(),
             "mu_max": float(config.mu_max).hex(),
-            "n_train": config.n_train,
-            "rb_size": config.rb_size,
-            "seed": config.seed,
-            "orthonormalize": config.orthonormalize,
         },
         "model": reduced.model_to_dict(model),
         "e2": reduced.e2data_to_dict(e2),
@@ -239,13 +239,14 @@ def load_artifact(path: str, config: ExperimentConfig):
     The model, E2Data and E3Data are rebuilt from what the artifact stores
     (see ``reduced``): the model by replaying its snapshot parameters, E3's
     T and V at the stored nodes and rows on the replayed model.  The
-    history pairs each replayed snapshot parameter with its stored e1.  An
-    unreadable file, bytes that are not ASCII JSON, another format version,
-    a missing key, mis-shaped arrays, e3 data with r outside [1, d], rows
-    that are not distinct integers in [0, d) or repeated nodes, entries
-    that are not finite floats, beta <= 0, a snapshot the replay rejects
-    and parameters or a replayed basis that miss the stored sha256 all
-    raise ConfigError.
+    history pairs each replayed snapshot parameter with its stored e1.  No
+    beta is stored or read: it is 1 on mu >= 1 (``estimators``), so an
+    artifact cannot change the certified bound.  An unreadable file, bytes
+    that are not ASCII JSON, another format version, a missing key,
+    mis-shaped arrays, e3 data with r outside [1, d], rows that are not
+    distinct integers in [0, d) or repeated nodes, entries that are not
+    finite floats, q_0 <= 0, a snapshot the replay rejects and parameters
+    or a replayed basis that miss the stored sha256 all raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -273,7 +274,7 @@ def load_artifact(path: str, config: ExperimentConfig):
         _check_shapes(payload)
         model = reduced.model_from_dict(payload["model"], sys_)
         history = list(zip(model.snapshot_params, map(float.fromhex, payload["history"])))
-        e2 = reduced.e2data_from_dict(payload["e2"], model.beta)
+        e2 = reduced.e2data_from_dict(payload["e2"])
         e3 = reduced.e3data_from_dict(payload["e3"], sys_, model)
         if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
             raise ConfigError("artifact e3 nodes must be distinct")
@@ -387,7 +388,8 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     default-size raw basis does not get there; build the artifact with
     orthonormalize=true and a generous rb_size so the greedy stops on
     tol instead).  Reports delta, eps, predicted floors delta*eps/beta
-    and delta*sqrt(eps)/beta, observed minima of e1/e2/e2dd, and
+    and delta*sqrt(eps)/beta with beta = 1 (a(v,v;mu) >= ||v||_H1^2 on
+    mu >= 1, see ``estimators``), observed minima of e1/e2/e2dd, and
     pass/fail against the acceptance bands (factor 100 on e1, factor 30
     on e2, e1/e2 separation >= 1e4, e2dd no higher than e1).
     """
@@ -398,9 +400,8 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     )
     rows = compute_sweep(sys_, model, e2data, e3data, sweep_grid(config))
     delta = e2data.delta
-    beta = e2data.beta
-    floor_e1 = delta * EPS / beta
-    floor_e2 = delta * math.sqrt(EPS) / beta
+    floor_e1 = delta * EPS
+    floor_e2 = delta * math.sqrt(EPS)
     min_e1 = min(r.e1 for r in rows)
     positive_e2 = [r.e2 for r in rows if r.e2_radicand > 0.0]
     min_e2 = min(positive_e2) if positive_e2 else 0.0
@@ -469,7 +470,7 @@ def _ticks_log(lo: float, hi: float):
     return [10.0 ** k for k in range(first, last + 1)]
 
 
-def write_svg_loglog(path: str, title: str, series, xlabel: str = "mu"):
+def write_svg_loglog(path: str, title: str, series):
     """Minimal hand-rolled log-log chart: polylines, decade ticks, legend.
 
     Non-positive values cannot be drawn on a log axis; they break the
@@ -516,7 +517,7 @@ def write_svg_loglog(path: str, title: str, series, xlabel: str = "mu"):
             f'<text x="{_ML - 6}" y="{Y + 4:.1f}" text-anchor="end">1e{int(round(math.log10(ty)))}</text>'
         )
     out.append(
-        f'<text x="{_ML + pw / 2:.1f}" y="{_SVG_H - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{_ML + pw / 2:.1f}" y="{_SVG_H - 10}" text-anchor="middle">mu</text>'
     )
     for idx, (label, xs, ys, color, dash) in enumerate(series):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

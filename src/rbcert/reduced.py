@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +68,7 @@ class ReducedSolution:
 class ReducedModel:
     """Snapshot basis plus projected operators and Riesz lifts."""
 
-    def __init__(self, sys: TruthSystem, beta: float = 1.0, orthonormalize: bool = False):
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise ValueError(f"beta must be finite and > 0, not {beta!r}")
-        self.beta = float(beta)
+    def __init__(self, sys: TruthSystem, orthonormalize: bool = False):
         self.orthonormalize = bool(orthonormalize)
         self.snapshots: list[np.ndarray] = []
         self.snapshot_params: list[float] = []
@@ -194,7 +190,6 @@ def greedy_build(
     n_max: int,
     tol: float = 1e-14,
     *,
-    beta: float = 1.0,
     orthonormalize: bool = False,
     dependence_tol: float = 1e-12,
 ):
@@ -223,7 +218,7 @@ def greedy_build(
     check_parameters(training)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    model = ReducedModel(sys, beta=beta, orthonormalize=orthonormalize)
+    model = ReducedModel(sys, orthonormalize=orthonormalize)
     table = E2Table(sys)
     e2data = table.grow(model)
     history: list[tuple[float, float]] = []
@@ -262,8 +257,9 @@ def greedy_build(
 # parameters (the model is replayed from them by add_snapshot, and a sha256
 # of the parameters and the replayed basis must match the stored one), the
 # double-double coefficients q of E2 (its doubles are their roundings), and
-# E3's nodes and rows (e3_data recomputes T and V from them).  beta is
-# stored once, with the model.  Decoding refuses non-finite entries.
+# E3's nodes and rows (e3_data recomputes T and V from them).  beta is the
+# problem's constant (see estimators), not data.  Decoding refuses
+# non-finite entries.
 #
 # A raw basis vector is a truth solve in Python floats, so its bits do not
 # depend on the BLAS; an orthonormal one goes through BLAS dot products in
@@ -272,7 +268,7 @@ def greedy_build(
 # recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def _enc_vec(v) -> list:
@@ -283,9 +279,6 @@ def _dec_vec(v) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite artifact entry")
     return out
-
-def _dec(x: str) -> float:
-    return float(_dec_vec([x])[0])
 
 
 def basis_sha256(model: ReducedModel) -> str:
@@ -304,7 +297,6 @@ def basis_sha256(model: ReducedModel) -> str:
 def model_to_dict(model: ReducedModel) -> dict:
     return {
         "basis_sha256": basis_sha256(model),
-        "beta": float(model.beta).hex(),
         "orthonormalize": model.orthonormalize,
         "snapshot_params": _enc_vec(model.snapshot_params),
     }
@@ -317,7 +309,7 @@ def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
     positive pivot) and rejects only a pivot that cannot be normalized.
     Raises ValueError if the replayed basis misses the stored sha256.
     """
-    model = ReducedModel(sys, beta=_dec(d["beta"]), orthonormalize=bool(d["orthonormalize"]))
+    model = ReducedModel(sys, orthonormalize=bool(d["orthonormalize"]))
     stored = d["basis_sha256"]
     for mu in _dec_vec(d["snapshot_params"]).tolist():
         add_snapshot(model, sys, mu, dependence_tol=0.0)
@@ -330,9 +322,12 @@ def e2data_to_dict(data: E2Data) -> dict:
     return {"q_dd": [_enc_vec(data.q_dd[0]), _enc_vec(data.q_dd[1])]}
 
 
-def e2data_from_dict(d: dict, beta: float) -> E2Data:
-    hi, lo = d["q_dd"]
-    return E2Data(q_dd=(_dec_vec(hi), _dec_vec(lo)), beta=beta)
+def e2data_from_dict(d: dict) -> E2Data:
+    """Decode q; raises ValueError unless q_0 = delta^2 = ||G_0||^2 is > 0."""
+    hi, lo = map(_dec_vec, d["q_dd"])
+    if not hi[0] + lo[0] > 0.0:
+        raise ValueError("e2 data needs q_0 = delta^2 > 0")
+    return E2Data(q_dd=(hi, lo))
 
 
 def e3data_to_dict(data: E3Data) -> dict:

@@ -232,7 +232,7 @@ def test_criterion_8_conditioning_trend(truth, default_model, default_config, ac
     d = rb.x_dimension(model6.n_hat)
     square = rb.build_e3_data(truth, model6, sampler, seed=cfg.seed)
     over = rb.build_e3_data(
-        truth, model6, sampler, seed=cfg.seed, oversample=(d + 1) // 2
+        truth, model6, lambda n, seed: sampler(n + (d + 1) // 2, seed), seed=cfg.seed
     )
     ratios = []
     for mu in sweep_grid(cfg):

@@ -83,7 +83,8 @@ def test_e1_is_an_upper_bound(truth, default_model):
 def test_e2_data_shapes_and_symmetry(default_e2):
     # E2Data is q alone: the symmetric Gram data once per pair I <= J, as
     # normalized dd pairs.
-    assert [f.name for f in dataclasses.fields(E2Data)] == ["q_dd", "beta"]
+    assert [f.name for f in dataclasses.fields(E2Data)] == ["q_dd"]
+    assert E2Data.beta == default_e2.beta == 1.0
     qh, ql = default_e2.q_dd
     assert qh.shape == ql.shape == (rb.x_dimension(6),)
     assert np.array_equal(qh + ql, qh)
@@ -221,7 +222,7 @@ def test_e2_and_e2dd_agree_before_convergence(truth):
 def synthetic_negative_data():
     # q = (delta^2, 2 s, S) = (1; -4, 0; 0, 0, 0): at gamma=1, mu=1 the
     # radicand is 1 - 4*1 = -3.
-    return E2Data(q_dd=(np.array([1.0, -4.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(6)), beta=1.0)
+    return E2Data(q_dd=(np.array([1.0, -4.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(6)))
 
 
 def test_e2_clamps_negative_radicand():
@@ -264,7 +265,7 @@ def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
         sol = rb.solve_reduced(model, mu_i)
         assert np.array_equal(rb.x_vector(sol)[default_e3.rows], default_e3.T[:, i])
         e1 = rb.estimator_e1(truth, model, sol)
-        assert default_e3.V[i] == (default_e3.beta * e1) ** 2
+        assert default_e3.V[i] == e1 ** 2
 
 
 def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config):
@@ -319,10 +320,13 @@ def test_e3_tracks_e1_between_interpolation_points(truth, default_model, default
 
 
 def test_e3_oversampled_pool(truth, default_model, default_e2, default_config):
-    # oversample enlarges the pool the nodes are picked from; T stays r x r.
+    # A sampler that draws 7 more enlarges the pool the nodes are picked
+    # from; T stays r x r.
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
-    data = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
+    data = rb.build_e3_data(
+        truth, model, lambda n, seed: sampler(n + 7, seed), seed=default_config.seed
+    )
     pool = sampler(98, default_config.seed)
     assert data.d == 91
     assert data.T.shape == (data.V.size, data.V.size)
@@ -407,7 +411,7 @@ def e1_oracle(sys_, model, sol):
         part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
         terms.append(sol.mu * part1)
     g = _pairwise_sum(len(terms), terms.__getitem__)
-    return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0)) / model.beta
+    return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0))
 
 
 def small_x_oracle(sol):
@@ -425,7 +429,7 @@ def x_vector_oracle(sol):
 def e2_oracle(data, sol):
     q = data.q_dd[0] + data.q_dd[1]
     radicand = math.fsum(q * x_vector_oracle(sol))
-    return math.sqrt(max(radicand, 0.0)) / data.beta, radicand
+    return math.sqrt(max(radicand, 0.0)), radicand
 
 
 def e2dd_oracle(data, sol):
@@ -442,7 +446,7 @@ def e2dd_oracle(data, sol):
     if rh < 0.0 or (rh == 0.0 and rl < 0.0):
         return 0.0, True
     vh, vl = dd_sqrt((rh, rl))
-    return (vh + vl) / data.beta, False
+    return vh + vl, False
 
 
 def e3_oracle(data, sol):
@@ -452,7 +456,7 @@ def e3_oracle(data, sol):
         total = float(data.V[hits[0]])
     else:
         total = float(_lu_solve(data.lu, x_vector_oracle(sol)[data.rows]) @ data.V)
-    return math.sqrt(max(total, 0.0)) / data.beta, total < 0.0
+    return math.sqrt(max(total, 0.0)), total < 0.0
 
 
 def true_error_oracle(sys_, model, sol):

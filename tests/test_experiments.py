@@ -118,6 +118,9 @@ def test_missing_config_file_rejected():
         {"tol": -1e-3},
         {"tol": float("nan")},
         {"dependence_tol": float("nan")},
+        {"tol": float("inf")},
+        {"dependence_tol": float("inf")},
+        {"dependence_tol": 1.0},
     ],
 )
 def test_validate_rejects(bad):
@@ -184,7 +187,9 @@ def test_offline_artifact_roundtrip(cli_workdir):
     assert os.path.basename(path) == "artifact.json"
     payload = json.loads(open(path, "rb").read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 6
+    assert payload["version"] == 7
+    assert sorted(payload["config"]) == ["mu_max", "mu_min", "n_cells"]
+    assert sorted(payload["model"]) == ["basis_sha256", "orthonormalize", "snapshot_params"]
     assert sorted(payload["e2"]) == ["q_dd"]
     assert [len(part) for part in payload["e2"]["q_dd"]] == [rb.x_dimension(3)] * 2
     assert sorted(payload["e3"]) == ["interp_params", "rows"]
@@ -223,12 +228,12 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
 
     assert history == fresh_history
     assert model.snapshot_params == fresh.snapshot_params
-    for name in ("beta", "A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
+    for name in ("A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
                  "riesz_a0", "riesz_a1"):
         assert hexes(getattr(model, name)) == hexes(getattr(fresh, name)), name
-    for name in ("q_dd", "delta", "beta"):
+    for name in ("q_dd", "delta"):
         assert hexes(getattr(e2data, name)) == hexes(getattr(fresh_e2, name)), name
-    for name in ("interp_params", "T", "V", "beta"):
+    for name in ("interp_params", "T", "V"):
         assert hexes(getattr(e3data, name)) == hexes(getattr(fresh_e3, name)), name
     assert e3data.rows.tolist() == fresh_e3.rows.tolist()
     assert e3data.d == fresh_e3.d
@@ -402,7 +407,10 @@ def test_cli_missing_artifact_leaves_no_output_dir(command, tmp_path, capsys):
 
 
 def test_cli_nonfinite_mu_range_exits_2(tmp_path, capsys):
-    for flag in ("--mu-max=inf", "--mu-min=nan", "--mu-max=-inf", "--tol=nan", "--dependence-tol=nan"):
+    for flag in (
+        "--mu-max=inf", "--mu-min=nan", "--mu-max=-inf", "--tol=nan", "--dependence-tol=nan",
+        "--tol=inf", "--dependence-tol=inf",
+    ):
         assert cli.main(["offline", flag, "--output-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "artifact.json")
@@ -461,13 +469,8 @@ def _mu_near_duplicate(payload):
 
 
 @_edited
-def _beta_zero(payload):
-    payload["model"]["beta"] = (0.0).hex()
-
-
-@_edited
-def _beta_negative(payload):
-    payload["model"]["beta"] = (-1.0).hex()
+def _q0_negative(payload):
+    payload["e2"]["q_dd"][0][0] = (-1.0).hex()
 
 
 @_edited
@@ -518,6 +521,11 @@ def _version_4(payload):
 @_edited
 def _version_5(payload):
     payload["version"] = 5
+
+
+@_edited
+def _version_6(payload):
+    payload["version"] = 6
 
 
 @_edited
@@ -580,7 +588,7 @@ def _e3_node_repeated(payload):
         _e3_one_node_short, _e3_node_repeated, _e2_one_short, _drop_e2,
         _history_one_short, _history_nan, _version_3, _version_4, _version_5,
         _sha256_altered, _sha256_dropped, _mu_one_ulp, _mu_first_one_ulp,
-        _mu_near_duplicate, _beta_zero, _beta_negative,
+        _mu_near_duplicate, _q0_negative, _version_6,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -599,6 +607,7 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _version_3: "unsupported artifact version 3",
         _version_4: "unsupported artifact version 4",
         _version_5: "unsupported artifact version 5",
+        _version_6: "unsupported artifact version 6",
         _e2_one_short: "e2 data needs q_dd",
         _drop_e2: "lacks the key 'e2'",
         _history_one_short: "history needs 3 e1 entries",
@@ -608,10 +617,23 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _mu_one_ulp: "misses the stored basis_sha256",
         _mu_first_one_ulp: "misses the stored basis_sha256",
         _mu_near_duplicate: "signals linear dependence",
-        _beta_zero: "beta must be finite and > 0",
-        _beta_negative: "beta must be finite and > 0",
+        _q0_negative: "e2 data needs q_0 = delta^2 > 0",
     }
     assert reached.get(damage, "") in err
+
+
+def test_stored_beta_cannot_change_an_estimate(small_sweep_dir, tmp_path):
+    # beta = 1 is the problem's coercivity bound, not data: a "beta" added to
+    # the model part is never read, so the sweep CSV keeps its bytes.
+    with open(os.path.join(small_sweep_dir, "artifact.json"), "rb") as fh:
+        payload = json.loads(fh.read())
+    payload["model"]["beta"] = (4.0).hex()
+    edited = tmp_path / "artifact.json"
+    edited.write_bytes(json.dumps(payload).encode("ascii"))
+    cfg = ExperimentConfig(n_cells=40, n_train=25, n_sweep=30, rb_size=3, output_dir=str(tmp_path))
+    run_sweep(cfg, artifact_path=str(edited), log=lambda *a: None)
+    with open(os.path.join(small_sweep_dir, "sweep.csv"), "rb") as fh:
+        assert (tmp_path / "sweep.csv").read_bytes() == fh.read()
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):

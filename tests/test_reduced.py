@@ -257,7 +257,6 @@ def _hex(a) -> list:
 def _assert_same_model(back, model):
     assert back.snapshot_params == model.snapshot_params
     assert back.orthonormalize == model.orthonormalize
-    assert _hex(back.beta) == _hex(model.beta)
     for name in ("A0_hat", "A1_hat", "b_hat", "riesz_b"):
         assert _hex(getattr(back, name)) == _hex(getattr(model, name)), name
     for name in ("snapshots", "riesz_a0", "riesz_a1"):
@@ -275,11 +274,11 @@ def orthonormal_model(truth):
 
 
 def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
-    # Only beta, the flag, the parameters and the basis hash are stored; the
+    # Only the flag, the parameters and the basis hash are stored; the
     # snapshots, projections and Riesz lifts are replayed on load, bit for bit.
     for model in (small_model, orthonormal_model):
         d = model_to_dict(model)
-        assert sorted(d) == ["basis_sha256", "beta", "orthonormalize", "snapshot_params"]
+        assert sorted(d) == ["basis_sha256", "orthonormalize", "snapshot_params"]
         back = model_from_dict(json.loads(dumps_deterministic(d)), truth)
         _assert_same_model(back, model)
 
@@ -287,20 +286,21 @@ def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
     d = e2data_to_dict(default_e2)
     assert sorted(d) == ["q_dd"]
-    back = e2data_from_dict(json.loads(dumps_deterministic(d)), default_e2.beta)
-    for name in ("delta", "beta"):
-        assert _hex(getattr(back, name)) == _hex(getattr(default_e2, name)), name
+    back = e2data_from_dict(json.loads(dumps_deterministic(d)))
+    assert _hex(back.delta) == _hex(default_e2.delta)
     for k in (0, 1):
         assert _hex(back.q_dd[k]) == _hex(default_e2.q_dd[k])
 
 
 def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
     # T and V are not stored: they are rebuilt from the nodes, the rows and
-    # the model, for the default build and for one picked from an
-    # oversampled pool.
+    # the model, for the default build and for one picked from a pool that
+    # the sampler enlarges by 7.
     model, _ = default_model
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
-    oversampled = rb.build_e3_data(truth, model, sampler, seed=default_config.seed, oversample=7)
+    oversampled = rb.build_e3_data(
+        truth, model, lambda n, seed: sampler(n + 7, seed), seed=default_config.seed
+    )
     for data in (default_e3, oversampled):
         d = e3data_to_dict(data)
         assert sorted(d) == ["interp_params", "rows"]
@@ -308,7 +308,7 @@ def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default
         assert back.T.shape == data.T.shape == (data.V.size, data.V.size)
         assert back.rows.tolist() == data.rows.tolist()
         assert back.d == data.d == 91
-        for name in ("interp_params", "T", "V", "beta"):
+        for name in ("interp_params", "T", "V"):
             assert _hex(getattr(back, name)) == _hex(getattr(data, name)), name
 
 
@@ -322,19 +322,13 @@ def test_float_hex_survives_extreme_values(default_e2):
     hi, lo = (part.copy() for part in default_e2.q_dd)
     hi[3] = 1.7976931348623157e308
     lo[5] = 5e-324
-    data = rb.E2Data(q_dd=(hi, lo), beta=default_e2.beta)
-    back = e2data_from_dict(json.loads(dumps_deterministic(e2data_to_dict(data))), data.beta)
+    data = rb.E2Data(q_dd=(hi, lo))
+    back = e2data_from_dict(json.loads(dumps_deterministic(e2data_to_dict(data))))
     assert back.q_dd[0][3] == 1.7976931348623157e308
     assert back.q_dd[1][5] == 5e-324
     assert _hex(back.q_dd) == _hex(data.q_dd)
 
 
-def test_model_rejects_nonpositive_beta(truth):
-    for beta in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="beta must be finite and > 0"):
-            ReducedModel(truth, beta=beta)
-
-
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
