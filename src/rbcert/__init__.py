@@ -6,18 +6,12 @@ from .estimators import (
     EstimatorBuildError,
     build_e2_data,
     build_e3_data,
-    estimator_e1,
     estimator_e1_block,
-    estimator_e2,
-    estimator_e2_dd,
-    estimator_e3,
     evaluate,
     log_uniform_sampler,
     q_coefficients,
-    true_error,
     x_dimension,
     x_matrix,
-    x_vector,
 )
 from .experiments import (
     ConfigError,
@@ -50,10 +44,8 @@ from .precision import TWO_PROD_PATH, dd_add, dd_mul, dd_sqrt, dd_sum, two_prod,
 from .reduced import (
     DependentSnapshotError,
     ReducedModel,
-    ReducedSolution,
     add_snapshot,
     greedy_build,
-    solve_reduced,
     solve_reduced_block,
 )
 

@@ -18,31 +18,33 @@ form in d = 2*N_hat^2 + 3*N_hat + 1 monomials,
 
 with q = <G_I, G_I> on the diagonal and 2<G_I, G_J> off it.  X starts
 with 1, then x = (gamma; mu*gamma), then the products x_I*x_J.  The four
-evaluators compute the same number along different routes with very
+estimators compute the same number along different routes with very
 different round-off floors:
 
-* ``estimator_e1`` - assembles sum_I z_I G_I at full size and takes one
-  norm.  Accurate (floor ~ delta*eps) but costs O(N*N_hat).
-* ``estimator_e2`` - the compact offline/online form q.X(mu) in working
-  precision, cost O(N_hat^2), whose cancellation floor is
-  delta*sqrt(eps): the radicand is a difference of O(delta^2) quantities
-  while the true value sits at E^2.
-* ``estimator_e2_dd`` - the same q.X(mu) with q in double-double and X
-  as exact products, which pushes the floor down below E1's own.
-* ``estimator_e3`` - cancellation-free form: since the squared estimator
-  is linear in X(mu), it can be interpolated from reference values
-  V_i = E1(mu_i)^2.  X(mu) spans a space of dimension at most
-  2*N_hat + 3, not d, so the build picks r nodes and r rows of X on the
-  numerical rank by pivoted Gram-Schmidt (Q-DEIM), and the online stage
-  solves the r x r system T lambda = X(mu)[rows].  All summands are
-  non-negative at the reference points, hence no cancellation.
+* e1 - assembles sum_I z_I G_I at full size and takes one norm.
+  Accurate (floor ~ delta*eps) but costs O(N*N_hat).
+* e2 - the compact offline/online form q.X(mu) in working precision,
+  cost O(N_hat^2), whose cancellation floor is delta*sqrt(eps): the
+  radicand is a difference of O(delta^2) quantities while the true
+  value sits at E^2.
+* e2dd - the same q.X(mu) with q in double-double and X as exact
+  products, which pushes the floor down below E1's own.
+* e3 - cancellation-free form: since the squared estimator is linear in
+  X(mu), it can be interpolated from reference values V_i = E1(mu_i)^2.
+  X(mu) spans a space of dimension at most 2*N_hat + 3, not d, so the
+  build picks r nodes and r rows of X on the numerical rank by pivoted
+  Gram-Schmidt (Q-DEIM), and the online stage solves the r x r system
+  T lambda = X(mu)[rows].  All summands are non-negative at the
+  reference points, hence no cancellation.
 
 There is one evaluation path: block kernels that take a block of
 parameters with their reduced coefficients and run every operation
-element by element across the block.  ``evaluate`` computes the true
-error and all four estimators for a block; the greedy scan and the E3
-build call the same kernels.  The per-point functions above, with
-``true_error`` and ``x_vector``, are the kernels at a one-point block.
+element by element across the block.  The API is :func:`evaluate`, the
+true error and all four estimators for a block of parameters, and
+:func:`estimator_e1_block`, e1 alone for given reduced coefficients;
+:func:`x_matrix` gives the monomial vectors.  The greedy scan and the E3
+build call the same kernels, and a single parameter is a one-point
+block.
 
 E2's offline data are q itself, in double-double (:class:`E2Data`); the
 working-precision estimator reads its correctly-rounded doubles.  It is
@@ -499,10 +501,16 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
     with gamma = gamma[j], accumulated with pairwise summation over the
     N_hat+2 vector terms (the mu-scaled group is itself pairwise-summed
     before scaling), then a single Gram quadratic form.  Cost O(N*N_hat)
-    per point.  gamma is (m, N_hat); N_hat = 0 is the empty model.  The
-    pairwise tree runs on (m, N) stacks, in sub-blocks of at most
-    _CACHE_BLOCK_ELEMENTS.
+    per point.  gamma is (m, N_hat), one row per point and one coefficient
+    per basis vector, or ``ValueError`` is raised; N_hat = 0 is the empty
+    model.  The pairwise tree runs on (m, N) stacks, in sub-blocks of at
+    most _CACHE_BLOCK_ELEMENTS.
     """
+    if np.shape(gamma) != (len(mus), model.n_hat):
+        raise ValueError(
+            f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
+            f"on a basis of {model.n_hat}"
+        )
     step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
     out = np.empty(len(mus))
     for k in range(0, len(mus), step):
@@ -573,7 +581,7 @@ def _e2dd_block(data: E2Data, XX):
     rh, rl = dd_sum(*dd_mul((qh[:, None], ql[:, None]), XX))
     clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
     if clamped.any():
-        logger.info("estimator_e2_dd: %d negative dd radicands clamped", clamped.sum())
+        logger.info("e2dd: %d negative dd radicands clamped", clamped.sum())
     vh, vl = dd_sqrt((np.where(clamped, 0.0, rh), np.where(clamped, 0.0, rl)))
     return np.where(clamped, 0.0, vh + vl), clamped
 
@@ -595,7 +603,7 @@ def _e3_block(data: E3Data, mus, X):
         total[free] = [row @ data.V for row in np.ascontiguousarray(lam.T)]
     clamped = total < 0.0
     if clamped.any():
-        logger.info("estimator_e3: %d negative interpolated squares clamped", clamped.sum())
+        logger.info("e3: %d negative interpolated squares clamped", clamped.sum())
     return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
@@ -620,11 +628,11 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     """True error and all four estimators at every parameter of a block.
 
     Returns one array per field of ``experiments.SweepRecord``, keyed by
-    the field name; entry j is what the one-point views (:func:`true_error`,
-    :func:`estimator_e1`, :func:`estimator_e2`, :func:`estimator_e2_dd`
-    and :func:`estimator_e3`) give at mus[j], bit for bit.  A mu that is
-    not finite or below 1 raises ``ValueError``.  The whole block is held
-    at once; callers bound its size with :func:`block_points`.
+    the field name.  Entry j has the same bits in any block that holds
+    mus[j], so the one-point block ``evaluate(..., [mu])`` is the per-point
+    evaluation.  A mu that is not finite or below 1 raises
+    ``ValueError``.  The whole block is held at once; callers bound its
+    size with :func:`block_points`.
     """
     from .reduced import solve_reduced_block
 
@@ -643,60 +651,3 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
         "e3": e3,
         "e3_clamped_flag": e3_clamped.astype(int),
     }
-
-
-# --- one-point views ---------------------------------------------------------
-#
-# The per-point API: each function runs its block kernel on the one-point
-# block (np.array([sol.mu]), sol.gamma[None]) and unpacks the result.
-
-def _one_point(sol, d: int | None = None):
-    """The one-point block (mus, gamma) of the reduced solution sol.
-
-    With d given, raises ``ValueError`` unless sol.gamma is a vector whose
-    monomial vector X(mu) has dimension d, i.e. one coefficient per basis
-    vector of the data the view reads.
-    """
-    gamma = np.asarray(sol.gamma, dtype=float)
-    if d is not None and (gamma.ndim != 1 or x_dimension(gamma.size) != d):
-        raise ValueError(
-            f"sol.gamma of shape {gamma.shape} does not fit data whose X(mu) has dimension {d}"
-        )
-    return np.array([sol.mu], dtype=float), gamma[None]
-
-
-def x_vector(sol) -> np.ndarray:
-    """Monomial vector X(mu) = (1; x_I; x_I*x_J for I <= J, lexicographic)."""
-    return x_matrix(*_one_point(sol))[:, 0]
-
-
-def estimator_e1(sys: TruthSystem, model, sol) -> float:
-    """Residual dual norm via the full-size Riesz representative (:func:`estimator_e1_block`)."""
-    mus, gamma = _one_point(sol, x_dimension(model.n_hat))
-    return float(estimator_e1_block(sys, model, mus, gamma)[0])
-
-
-def estimator_e2(data: E2Data, sol):
-    """Compact-form estimator (:func:`_e2_block`); returns (value, radicand)."""
-    value, radicand = _e2_block(data, x_matrix(*_one_point(sol, data.q_dd[0].size)))
-    return float(value[0]), float(radicand[0])
-
-
-def estimator_e2_dd(data: E2Data, sol):
-    """Compact form in double-double (:func:`_e2dd_block`); returns (value, clamped)."""
-    XX = two_prod(*_monomial_factors(*_one_point(sol, data.q_dd[0].size)))
-    value, clamped = _e2dd_block(data, XX)
-    return float(value[0]), bool(clamped[0])
-
-
-def estimator_e3(data: E3Data, sol):
-    """Interpolated estimator (:func:`_e3_block`); returns (value, clamped)."""
-    mus, gamma = _one_point(sol, data.d)
-    value, clamped = _e3_block(data, mus, x_matrix(mus, gamma))
-    return float(value[0]), bool(clamped[0])
-
-
-def true_error(sys: TruthSystem, model, sol) -> float:
-    """H1 distance between the truth solve and the lifted reduced solution."""
-    mus, gamma = _one_point(sol, x_dimension(model.n_hat))
-    return float(_true_error_block(sys, model, mus, gamma)[0])

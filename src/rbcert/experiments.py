@@ -442,16 +442,15 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     return report
 
 
-def flatness_stats(rows: list[SweepRecord], *, floor: float | None = None):
+def flatness_stats(rows: list[SweepRecord]):
     """Spread of log10(e2) vs log10(e1) over e2's lowest decade.
 
     On a converged run e2 sits at its floor: the region where e2 is
-    within a decade of its minimum (or of ``floor``, when the caller
-    passes the predicted one) should be flat in e2 (stdev of log10
+    within a decade of its minimum should be flat in e2 (stdev of log10
     < 0.5) while e1 still varies (stdev > 0.5) there.
     """
     pos = [r for r in rows if r.e2 > 0.0 and r.e1 > 0.0]
-    lo = floor if floor is not None else min(r.e2 for r in pos)
+    lo = min(r.e2 for r in pos)
     region = [r for r in pos if r.e2 <= 10.0 * lo]
     log_e2 = np.log10([r.e2 for r in region])
     log_e1 = np.log10([r.e1 for r in region])

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +58,6 @@ class DependentSnapshotError(RuntimeError):
         self.pivot_ratio = pivot_ratio
 
 
-@dataclass(frozen=True)
-class ReducedSolution:
-    mu: float
-    gamma: np.ndarray
-
-
 class ReducedModel:
     """Snapshot basis plus projected operators and Riesz lifts."""
 
@@ -86,9 +79,6 @@ class ReducedModel:
     @property
     def basis_matrix(self) -> np.ndarray:
         return np.column_stack(self.snapshots) if self.snapshots else np.empty((0, 0))
-
-    def empty_solution(self, mu: float) -> ReducedSolution:
-        return ReducedSolution(float(mu), np.empty(0))
 
 
 def add_snapshot(
@@ -154,11 +144,6 @@ def add_snapshot(
     model.riesz_a0.append(riesz_representative(sys, Kv))
     model.riesz_a1.append(riesz_representative(sys, Mv))
     return model
-
-
-def solve_reduced(model: ReducedModel, mu: float) -> ReducedSolution:
-    """Solve (A0_hat + mu*A1_hat) gamma = b_hat; :func:`solve_reduced_block` at one mu."""
-    return ReducedSolution(float(mu), solve_reduced_block(model, [mu])[0])
 
 
 def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:

@@ -19,7 +19,6 @@ from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
 from rbcert.estimators import _e2_block, interpolation_matrix
 from rbcert.precision import dd_add, dd_mul, two_prod, two_sum
-from rbcert.reduced import ReducedSolution
 
 from conftest import make_output_dir
 
@@ -65,18 +64,14 @@ def test_criterion_2_quadruple_precision_remedy(floors_report, acceptance):
 
 
 def test_criterion_3_interpolated_equals_reference(
-    truth, default_model, default_e3, default_rows, acceptance
+    truth, default_model, default_e2, default_e3, default_rows, acceptance
 ):
     """E3 follows E1 pointwise over the sweep and reproduces it exactly
     at the interpolation parameters (bit-equal lookup)."""
     model, _ = default_model
     ratios = [r.e3 / r.e1 for r in default_rows if r.e1 >= 1e-14]
-    worst_rel = 0.0
-    for mu_r in default_e3.interp_params:
-        sol = rb.solve_reduced(model, float(mu_r))
-        v3, _ = rb.estimator_e3(default_e3, sol)
-        v1 = rb.estimator_e1(truth, model, sol)
-        worst_rel = max(worst_rel, abs(v3 - v1) / v1)
+    nodes = rb.evaluate(truth, model, default_e2, default_e3, default_e3.interp_params)
+    worst_rel = float(np.max(np.abs(nodes["e3"] - nodes["e1"]) / nodes["e1"]))
     ok = min(ratios) >= 0.5 and max(ratios) <= 2.0 and worst_rel <= 1e-12
     acceptance(
         3,
@@ -121,13 +116,12 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     for n_hat in (1, 2):
         model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         data = rb.build_e2_data(truth, model)
-        for mu in sweep_grid(cfg):
-            sol = rb.solve_reduced(model, float(mu))
-            e1 = rb.estimator_e1(truth, model, sol)
-            if e1 < 1e-4:
-                continue
-            e2, _ = rb.estimator_e2(data, sol)
-            worst_agree = max(worst_agree, abs(e2 - e1) / e1)
+        mus = sweep_grid(cfg)
+        gamma = rb.solve_reduced_block(model, mus)
+        e1 = rb.estimator_e1_block(truth, model, mus, gamma)
+        e2, _ = _e2_block(data, rb.x_matrix(mus, gamma))
+        keep = e1 >= 1e-4
+        worst_agree = max([worst_agree, *(np.abs(e2 - e1) / e1)[keep].tolist()])
 
     model6, _, _ = rb.greedy_build(truth, train, n_max=6, tol=cfg.tol)
     data6 = rb.build_e2_data(truth, model6)
@@ -136,11 +130,10 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     worst_form = 0.0
     for _ in range(300):
         mu = float(np.exp(rng.uniform(0.0, math.log(1000.0))))
-        sol = ReducedSolution(mu, rng.normal(size=6))
-        _, radicand = rb.estimator_e2(data6, sol)
-        X = rb.x_vector(sol)
+        X = rb.x_matrix(np.array([mu]), rng.normal(size=6)[None])
+        radicand = float(_e2_block(data6, X)[1][0])
         exact = sum(
-            (Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, X)), Fraction(0)
+            (Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, X[:, 0])), Fraction(0)
         )
         if exact != 0:
             worst_form = max(worst_form, float(abs(Fraction(radicand) - exact) / abs(exact)))
@@ -214,7 +207,9 @@ def test_criterion_7_precision_kernels(acceptance):
     assert worst <= 1e-30
 
 
-def test_criterion_8_conditioning_trend(truth, default_model, default_config, acceptance):
+def test_criterion_8_conditioning_trend(
+    truth, default_model, default_e2, default_config, acceptance
+):
     """The cond of the d-parameter pool's monomial matrix grows (at most one
     inversion) with basis size, and the oversampled build tracks the square
     build."""
@@ -234,14 +229,9 @@ def test_criterion_8_conditioning_trend(truth, default_model, default_config, ac
     over = rb.build_e3_data(
         truth, model6, lambda n, seed: sampler(n + (d + 1) // 2, seed), seed=cfg.seed
     )
-    ratios = []
-    for mu in sweep_grid(cfg):
-        sol = rb.solve_reduced(model6, float(mu))
-        if rb.estimator_e1(truth, model6, sol) < 1e-12:
-            continue
-        vs, _ = rb.estimator_e3(square, sol)
-        vo, _ = rb.estimator_e3(over, sol)
-        ratios.append(vo / vs)
+    vs = rb.evaluate(truth, model6, default_e2, square, sweep_grid(cfg))
+    vo = rb.evaluate(truth, model6, default_e2, over, sweep_grid(cfg))
+    ratios = (vo["e3"] / vs["e3"])[vs["e1"] >= 1e-12].tolist()
     ok = inversions <= 1 and min(ratios) >= 0.5 and max(ratios) <= 2.0
     acceptance(
         8,
@@ -261,7 +251,8 @@ def test_criterion_9_determinism(cli_workdir, acceptance):
         out = make_output_dir(cli_workdir, name)
         assert cli.main(["offline", "--output-dir", out]) == 0
         assert cli.main(["sweep", "--output-dir", out]) == 0
-        payloads.append(open(os.path.join(out, "sweep.csv"), "rb").read())
+        with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+            payloads.append(fh.read())
     ok = payloads[0] == payloads[1]
     acceptance(
         9,

@@ -15,6 +15,8 @@ from rbcert.estimators import (
     E3_RANK_TOL,
     E2Data,
     _dd_dots,
+    _e2_block,
+    _e2dd_block,
     _lu_solve,
     _monomial_factors,
     _pairwise_sum,
@@ -25,7 +27,7 @@ from rbcert.estimators import (
 )
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
-from rbcert.reduced import ReducedModel, ReducedSolution, add_snapshot
+from rbcert.reduced import ReducedModel, add_snapshot
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -35,17 +37,11 @@ DELTA_200 = 0.27525243598751564
 DELTA_200_DD = 0.2752524359875254
 
 
-def sample_solutions(model, mus):
-    return [rb.solve_reduced(model, float(mu)) for mu in mus]
-
-
 # --- E1 ----------------------------------------------------------------------
 
 
 def test_e1_of_empty_model_is_delta(truth):
     model = ReducedModel(truth)
-    for mu in (1.0, 31.0, 999.0):
-        assert rb.estimator_e1(truth, model, model.empty_solution(mu)) == DELTA_200
     mus = np.array([1.0, 31.0, 999.0])
     block = rb.estimator_e1_block(truth, model, mus, np.empty((3, 0)))
     assert block.tolist() == [DELTA_200] * 3
@@ -58,23 +54,22 @@ def test_e1_matches_direct_residual_norm(truth, default_model):
     rng = np.random.default_rng(12)
     B = model.basis_matrix
     for mu in (1.5, 70.0, 640.0):
-        sol = rb.solve_reduced(model, mu)
-        for gamma in (sol.gamma, sol.gamma * (1 + 1e-3), rng.normal(size=model.n_hat)):
-            cand = ReducedSolution(mu, np.asarray(gamma))
-            residual = truth.operator(mu).matvec(B @ cand.gamma) - truth.F
+        mus = np.array([mu])
+        galerkin = rb.solve_reduced_block(model, mus)[0]
+        for gamma in (galerkin, galerkin * (1 + 1e-3), rng.normal(size=model.n_hat)):
+            residual = truth.operator(mu).matvec(B @ gamma) - truth.F
             w = rb.riesz_representative(truth, residual)
             direct = math.sqrt(rb.h1_inner(truth, w, w))
-            assert rb.estimator_e1(truth, model, cand) == pytest.approx(direct, rel=1e-11)
+            e1 = rb.estimator_e1_block(truth, model, mus, gamma[None])[0]
+            assert e1 == pytest.approx(direct, rel=1e-11)
 
 
-def test_e1_is_an_upper_bound(truth, default_model):
+def test_e1_is_an_upper_bound(truth, default_model, default_e2, default_e3):
     # Off-snapshot parameters: at a snapshot both sides are ~1e-12
     # round-off noise and the comparison is meaningless.
     model, _ = default_model
-    for mu in np.geomspace(1.3, 970.0, 17):
-        sol = rb.solve_reduced(model, float(mu))
-        err = rb.true_error(truth, model, sol)
-        assert err <= rb.estimator_e1(truth, model, sol) * (1 + 1e-10)
+    cols = rb.evaluate(truth, model, default_e2, default_e3, np.geomspace(1.3, 970.0, 17))
+    assert (cols["true_error"] <= cols["e1"] * (1 + 1e-10)).all()
 
 
 # --- E2 offline data ---------------------------------------------------------
@@ -153,10 +148,9 @@ def test_h1_inner_dd_against_mpmath(truth):
 
 def test_x_vector_layout_single_snapshot():
     mu, gamma = 7.0, 0.3
-    sol = ReducedSolution(mu, np.array([gamma]))
     mg = mu * gamma
     expected = np.array([1.0, gamma, mg, gamma * gamma, gamma * mg, mg * mg])
-    assert np.array_equal(rb.x_vector(sol), expected)
+    assert np.array_equal(rb.x_matrix(np.array([mu]), np.array([[gamma]]))[:, 0], expected)
     assert rb.x_dimension(1) == 6
 
 
@@ -178,45 +172,49 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
         gamma = rng.normal(size=6)
         z = np.concatenate([[1.0], gamma, mu * gamma])
         g = sum(c * r for c, r in zip(z, lifts))
-        X = rb.x_vector(ReducedSolution(mu, gamma))
+        X = rb.x_matrix(np.array([mu]), gamma[None])[:, 0]
         assert math.fsum(q * X) == pytest.approx(rb.h1_inner(truth, g, g), rel=1e-10)
 
 
+def monomials(mu, gamma):
+    """The monomial columns of one parameter and its coefficients:
+    X(mu) for _e2_block, its exact products for _e2dd_block."""
+    zi, zj = _monomial_factors(np.array([mu]), np.array([gamma], dtype=float))
+    return zi * zj, two_prod(zi, zj)
+
+
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
-    sol = ReducedSolution(5.0, np.zeros(6))
-    value, radicand = rb.estimator_e2(default_e2, sol)
-    assert value == default_e2.delta
-    assert radicand == rb.q_coefficients(default_e2)[0]
+    value, radicand = _e2_block(default_e2, monomials(5.0, np.zeros(6))[0])
+    assert value.tolist() == [default_e2.delta]
+    assert radicand.tolist() == [rb.q_coefficients(default_e2)[0]]
 
 
 def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
-    sol = ReducedSolution(5.0, np.zeros(6))
-    value, clamped = rb.estimator_e2_dd(default_e2, sol)
-    assert not clamped
-    assert value == pytest.approx(default_e2.delta, rel=1e-15)
+    value, clamped = _e2dd_block(default_e2, monomials(5.0, np.zeros(6))[1])
+    assert clamped.tolist() == [False]
+    assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
 
-def test_e2_radicand_is_the_assembled_linear_form(default_e2, default_model):
+def test_e2_radicand_is_the_assembled_linear_form(truth, default_e2, default_e3, default_model):
     model, _ = default_model
     q = rb.q_coefficients(default_e2)
-    for mu in (2.0, 90.0, 800.0):
-        sol = rb.solve_reduced(model, mu)
-        _, radicand = rb.estimator_e2(default_e2, sol)
-        assert radicand == math.fsum(q * rb.x_vector(sol))
+    mus = np.array([2.0, 90.0, 800.0])
+    radicands = rb.evaluate(truth, model, default_e2, default_e3, mus)["e2_radicand"]
+    X = rb.x_matrix(mus, rb.solve_reduced_block(model, mus))
+    assert radicands.tolist() == [math.fsum(q * x) for x in X.T]
 
 
-def test_e2_and_e2dd_agree_before_convergence(truth):
+def test_e2_and_e2dd_agree_before_convergence(truth, default_config):
     # With one snapshot the residual is huge, no cancellation occurs, and
     # the two precisions must agree to ~1e-11.
     model = ReducedModel(truth)
     add_snapshot(model, truth, 1.0)
-    data = rb.build_e2_data(truth, model)
-    for mu in (3.0, 50.0, 900.0):
-        sol = rb.solve_reduced(model, mu)
-        v2, _ = rb.estimator_e2(data, sol)
-        vdd, clamped = rb.estimator_e2_dd(data, sol)
-        assert not clamped
-        assert v2 == pytest.approx(vdd, rel=1e-9)
+    e2data = rb.build_e2_data(truth, model)
+    sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
+    e3data = rb.build_e3_data(truth, model, sampler, seed=default_config.seed)
+    cols = rb.evaluate(truth, model, e2data, e3data, [3.0, 50.0, 900.0])
+    assert (cols["e2dd"] > 0.0).all()
+    assert cols["e2"] == pytest.approx(cols["e2dd"], rel=1e-9)
 
 
 def synthetic_negative_data():
@@ -226,19 +224,27 @@ def synthetic_negative_data():
 
 
 def test_e2_clamps_negative_radicand():
-    data = synthetic_negative_data()
-    sol = ReducedSolution(1.0, np.array([1.0]))
-    value, radicand = rb.estimator_e2(data, sol)
-    assert radicand == -3.0
-    assert value == 0.0
+    value, radicand = _e2_block(synthetic_negative_data(), monomials(1.0, [1.0])[0])
+    assert radicand.tolist() == [-3.0]
+    assert value.tolist() == [0.0]
 
 
 def test_e2dd_clamps_negative_radicand_and_flags():
-    data = synthetic_negative_data()
-    sol = ReducedSolution(1.0, np.array([1.0]))
-    value, clamped = rb.estimator_e2_dd(data, sol)
-    assert value == 0.0
-    assert clamped
+    value, clamped = _e2dd_block(synthetic_negative_data(), monomials(1.0, [1.0])[1])
+    assert value.tolist() == [0.0]
+    assert clamped.tolist() == [True]
+
+
+def test_clamp_logs_name_the_sweep_fields(caplog, truth, default_model, default_e2, default_e3):
+    # The clamp counts log under the SweepRecord field names; on the default
+    # basis e3 clamps at mu = 1000.
+    with caplog.at_level(logging.INFO, logger="rbcert.estimators"):
+        _e2dd_block(synthetic_negative_data(), monomials(1.0, [1.0])[1])
+        rb.evaluate(truth, default_model[0], default_e2, default_e3, [1000.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        "e2dd: 1 negative dd radicands clamped",
+        "e3: 1 negative interpolated squares clamped",
+    ]
 
 
 # --- E3 ------------------------------------------------------------------------
@@ -262,9 +268,10 @@ def test_e3_shapes(default_model, default_e3, default_config):
 def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
     model, _ = default_model
     for i, mu_i in enumerate(default_e3.interp_params.tolist()):
-        sol = rb.solve_reduced(model, mu_i)
-        assert np.array_equal(rb.x_vector(sol)[default_e3.rows], default_e3.T[:, i])
-        e1 = rb.estimator_e1(truth, model, sol)
+        mus = np.array([mu_i])
+        gamma = rb.solve_reduced_block(model, mus)
+        assert np.array_equal(rb.x_matrix(mus, gamma)[default_e3.rows, 0], default_e3.T[:, i])
+        e1 = float(rb.estimator_e1_block(truth, model, mus, gamma)[0])
         assert default_e3.V[i] == e1 ** 2
 
 
@@ -299,24 +306,19 @@ def test_pivoted_gram_schmidt_picks_and_stops():
     assert np.array_equal(Q[:, 2], [0.0, 0.0, 1.0])
 
 
-def test_e3_reproduces_e1_at_interpolation_points(truth, default_model, default_e3):
+def test_e3_reproduces_e1_at_interpolation_points(truth, default_model, default_e2, default_e3):
     model, _ = default_model
     r = default_e3.interp_params.size
-    for i in (0, r // 2, r - 1):
-        mu_i = float(default_e3.interp_params[i])
-        sol = rb.solve_reduced(model, mu_i)
-        v3, clamped = rb.estimator_e3(default_e3, sol)
-        assert not clamped
-        assert v3 == rb.estimator_e1(truth, model, sol)
+    nodes = default_e3.interp_params[[0, r // 2, r - 1]]
+    cols = rb.evaluate(truth, model, default_e2, default_e3, nodes)
+    assert not cols["e3_clamped_flag"].any()
+    assert cols["e3"].tolist() == cols["e1"].tolist()
 
 
-def test_e3_tracks_e1_between_interpolation_points(truth, default_model, default_e3):
+def test_e3_tracks_e1_between_interpolation_points(truth, default_model, default_e2, default_e3):
     model, _ = default_model
-    for mu in np.geomspace(1.3, 970.0, 15):
-        sol = rb.solve_reduced(model, float(mu))
-        v3, _ = rb.estimator_e3(default_e3, sol)
-        v1 = rb.estimator_e1(truth, model, sol)
-        assert v3 == pytest.approx(v1, rel=1e-3)
+    cols = rb.evaluate(truth, model, default_e2, default_e3, np.geomspace(1.3, 970.0, 15))
+    assert cols["e3"] == pytest.approx(cols["e1"], rel=1e-3)
 
 
 def test_e3_oversampled_pool(truth, default_model, default_e2, default_config):
@@ -332,12 +334,11 @@ def test_e3_oversampled_pool(truth, default_model, default_e2, default_config):
     assert data.T.shape == (data.V.size, data.V.size)
     assert np.isin(data.interp_params, pool).all()
     mus = [2.5, 333.0, float(data.interp_params[-1])]
-    block = rb.evaluate(truth, model, default_e2, data, mus)["e3"]
-    for mu, b3 in zip(mus, block.tolist()):
-        sol = rb.solve_reduced(model, mu)
-        v3, _ = rb.estimator_e3(data, sol)
-        assert v3 == pytest.approx(rb.estimator_e1(truth, model, sol), rel=1e-3)
-        assert b3.hex() == v3.hex()
+    block = rb.evaluate(truth, model, default_e2, data, mus)
+    assert block["e3"] == pytest.approx(block["e1"], rel=1e-3)
+    for mu, b3 in zip(mus, block["e3"].tolist()):
+        v3 = rb.evaluate(truth, model, default_e2, data, [mu])["e3"][0]
+        assert b3.hex() == float(v3).hex()
 
 
 def test_e3_build_fails_on_degenerate_pool(truth, default_model):
@@ -392,49 +393,47 @@ def test_small_x_layout():
 # --- per-point oracle --------------------------------------------------------------
 #
 # The estimators one mu at a time, in the loop forms the block kernels were
-# derived from: the float.hex reference for evaluate and the one-point views.
+# derived from: the float.hex reference for evaluate, whose one-point blocks
+# are the API's per-point evaluation.
 
 FIELDS = ("mu", "true_error", "e1", "e2", "e2_radicand", "e2dd", "e3", "e3_clamped_flag")
 
 
 def solve_reduced_oracle(model, mu):
-    gamma = np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
-    return ReducedSolution(float(mu), gamma)
+    return np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
 
 
-def e1_oracle(sys_, model, sol):
+def e1_oracle(sys_, model, mu, gamma):
     """g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i], pairwise."""
-    gamma = np.asarray(sol.gamma, dtype=float)
     terms = [model.riesz_b]
     if gamma.size:
         terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
         part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
-        terms.append(sol.mu * part1)
+        terms.append(mu * part1)
     g = _pairwise_sum(len(terms), terms.__getitem__)
     return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0))
 
 
-def small_x_oracle(sol):
+def small_x_oracle(mu, gamma):
     """x_I = alpha_k(mu)*gamma_i: gamma for the a0 block, mu*gamma for a1."""
-    gamma = np.asarray(sol.gamma, dtype=float)
-    return np.concatenate([gamma, sol.mu * gamma])
+    return np.concatenate([gamma, mu * gamma])
 
 
-def x_vector_oracle(sol):
+def x_vector_oracle(mu, gamma):
     """(1; x_I; fl(x_I * x_J) for I <= J in lexicographic order)."""
-    x = small_x_oracle(sol)
+    x = small_x_oracle(mu, gamma)
     return np.concatenate([[1.0], x, *(x[i] * x[i:] for i in range(x.size))])
 
 
-def e2_oracle(data, sol):
+def e2_oracle(data, mu, gamma):
     q = data.q_dd[0] + data.q_dd[1]
-    radicand = math.fsum(q * x_vector_oracle(sol))
+    radicand = math.fsum(q * x_vector_oracle(mu, gamma))
     return math.sqrt(max(radicand, 0.0)), radicand
 
 
-def e2dd_oracle(data, sol):
+def e2dd_oracle(data, mu, gamma):
     """q.X in double-double, the exact monomials built one row I of pairs at a time."""
-    x = small_x_oracle(sol)
+    x = small_x_oracle(mu, gamma)
     ph_parts = [np.array([1.0]), x]
     pl_parts = [np.array([0.0]), np.zeros_like(x)]
     for i in range(x.size):
@@ -449,64 +448,45 @@ def e2dd_oracle(data, sol):
     return vh + vl, False
 
 
-def e3_oracle(data, sol):
+def e3_oracle(data, mu, gamma):
     """e3 at one point: exact node lookup, else one vector solve with T's LU."""
-    hits = np.nonzero(data.interp_params == sol.mu)[0]
+    hits = np.nonzero(data.interp_params == mu)[0]
     if hits.size:
         total = float(data.V[hits[0]])
     else:
-        total = float(_lu_solve(data.lu, x_vector_oracle(sol)[data.rows]) @ data.V)
+        total = float(_lu_solve(data.lu, x_vector_oracle(mu, gamma)[data.rows]) @ data.V)
     return math.sqrt(max(total, 0.0)), total < 0.0
 
 
-def true_error_oracle(sys_, model, sol):
-    u = rb.solve_truth(sys_, sol.mu)
+def true_error_oracle(sys_, model, mu, gamma):
+    u = rb.solve_truth(sys_, mu)
     if model.n_hat:
-        u = u - model.basis_matrix @ np.asarray(sol.gamma, dtype=float)
+        u = u - model.basis_matrix @ gamma
     return math.sqrt(max(rb.h1_inner(sys_, u, u), 0.0))
 
 
 ORACLE = {
-    "solve_reduced": solve_reduced_oracle, "x_vector": x_vector_oracle, "e1": e1_oracle,
-    "e2": e2_oracle, "e2dd": e2dd_oracle, "e3": e3_oracle, "true_error": true_error_oracle,
-}
-VIEWS = {
-    "solve_reduced": rb.solve_reduced, "x_vector": rb.x_vector, "e1": rb.estimator_e1,
-    "e2": rb.estimator_e2, "e2dd": rb.estimator_e2_dd, "e3": rb.estimator_e3,
-    "true_error": rb.true_error,
+    "gamma": solve_reduced_oracle, "e1": e1_oracle, "e2": e2_oracle, "e2dd": e2dd_oracle,
+    "e3": e3_oracle, "true_error": true_error_oracle,
 }
 
 
-def per_point_record(sys_, model, e2data, e3data, mu, f=ORACLE):
-    """Every sweep quantity at mu from the oracle (or the views, f=VIEWS), plus
-    the reduced coefficients, X(mu) and e2dd's clamp flag."""
-    sol = f["solve_reduced"](model, float(mu))
-    e2, radicand = f["e2"](e2data, sol)
-    e2dd, e2dd_clamped = f["e2dd"](e2data, sol)
-    e3, clamped = f["e3"](e3data, sol)
+def per_point_record(sys_, model, e2data, e3data, mu):
+    """Every sweep quantity at mu from the oracle, keyed by FIELDS."""
+    mu = float(mu)
+    gamma = ORACLE["gamma"](model, mu)
+    e2, radicand = ORACLE["e2"](e2data, mu, gamma)
+    e3, clamped = ORACLE["e3"](e3data, mu, gamma)
     return {
-        "mu": float(mu),
-        "true_error": f["true_error"](sys_, model, sol),
-        "e1": f["e1"](sys_, model, sol),
+        "mu": mu,
+        "true_error": ORACLE["true_error"](sys_, model, mu, gamma),
+        "e1": ORACLE["e1"](sys_, model, mu, gamma),
         "e2": e2,
         "e2_radicand": radicand,
-        "e2dd": e2dd,
+        "e2dd": ORACLE["e2dd"](e2data, mu, gamma)[0],
         "e3": e3,
         "e3_clamped_flag": int(clamped),
-        "gamma": sol.gamma.tolist(),
-        "X": f["x_vector"](sol).tolist(),
-        "e2dd_clamped": bool(e2dd_clamped),
     }
-
-
-def hexed(record):
-    """The record with every float as float.hex; ints and flags as they are."""
-    def h(v):
-        if isinstance(v, list):
-            return [h(u) for u in v]
-        return v if isinstance(v, (bool, int)) else float(v).hex()
-
-    return {name: h(v) for name, v in record.items()}
 
 
 # --- block evaluation ------------------------------------------------------------
@@ -559,14 +539,6 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
     grid = np.geomspace(1.0, 1000.0, 31)
     mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
-    # A view's true error is a one-column block Thomas solve, about 4 us per
-    # mesh row, so on the large mesh every fifth grid point (both ends
-    # included) stands for the grid; the e3 nodes and snapshots all run.
-    step = 5 if request.param == "large_orthonormal" else 1
-    views = {
-        k: per_point_record(*case, mus[k], f=VIEWS)
-        for k in [*range(0, len(grid), step), *range(len(grid), len(mus))]
-    }
     if request.param == "large_orthonormal":
         # One compute_sweep block, and _true_error_block lifts it in sub-blocks.
         n = case[0].n
@@ -575,12 +547,12 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
         # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
         # mu = 1 on the small one).
         assert any(r["e3_clamped_flag"] for r in reference)
-    return case, mus, reference, views
+    return case, mus, reference
 
 
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
-    case, mus, reference, views = evaluation_case
+    case, mus, reference = evaluation_case
     step = block or len(mus)
     got = {name: [] for name in FIELDS}
     for k in range(0, len(mus), step):
@@ -593,12 +565,10 @@ def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
             assert got[name] == expect
         else:
             assert [v.hex() for v in got[name]] == [v.hex() for v in expect], name
-    # The public one-point views equal the oracle on every field.
-    assert {k: hexed(r) for k, r in views.items()} == {k: hexed(reference[k]) for k in views}
 
 
 def test_compute_sweep_equals_per_point(evaluation_case):
-    case, mus, reference, _ = evaluation_case
+    case, mus, reference = evaluation_case
     rows = rb.compute_sweep(*case, mus)
     assert [[getattr(r, name) for name in FIELDS] for r in rows] == [
         [rec[name] for name in FIELDS] for rec in reference
@@ -612,22 +582,20 @@ def test_block_points():
     assert block_points(10 ** 6, 325) == 32
 
 
-@pytest.mark.parametrize("size", ["short", "long"])
-@pytest.mark.parametrize("view", ["e1", "e2", "e2dd", "e3", "true_error"])
-def test_views_reject_mis_sized_gamma(view, size, truth, default_model, default_e2, default_e3):
-    # 4 or N_hat + 1 = 7 coefficients for a basis of 6.
+@pytest.mark.parametrize("misfit", ["short", "long", "rows"])
+def test_e1_block_rejects_mis_sized_gamma(misfit, truth, default_model):
+    # 4 or N_hat + 1 = 7 coefficients for a basis of 6, or one row of
+    # coefficients for two points.
     model, _ = default_model
-    gamma = rb.solve_reduced(model, 50.0).gamma
-    sol = ReducedSolution(50.0, gamma[:4] if size == "short" else np.append(gamma, 0.0))
-    call = {
-        "e1": lambda: rb.estimator_e1(truth, model, sol),
-        "e2": lambda: rb.estimator_e2(default_e2, sol),
-        "e2dd": lambda: rb.estimator_e2_dd(default_e2, sol),
-        "e3": lambda: rb.estimator_e3(default_e3, sol),
-        "true_error": lambda: rb.true_error(truth, model, sol),
-    }[view]
+    mus = np.array([50.0])
+    gamma = rb.solve_reduced_block(model, mus)
+    mus, gamma = {
+        "short": (mus, gamma[:, :4]),
+        "long": (mus, np.append(gamma, [[0.0]], axis=1)),
+        "rows": (np.array([50.0, 60.0]), gamma),
+    }[misfit]
     with pytest.raises(ValueError, match="does not fit"):
-        call()
+        rb.estimator_e1_block(truth, model, mus, gamma)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -636,7 +604,7 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
     with pytest.raises(ValueError):
         rb.solve_truth(truth, bad)
     with pytest.raises(ValueError):
-        rb.solve_reduced(model, bad)
+        rb.solve_reduced_block(model, [bad])
     with pytest.raises(ValueError):
         rb.analytic_solution(bad, 0.5)
     with pytest.raises(ValueError):

@@ -41,8 +41,6 @@ def test_empty_model(truth):
     model = ReducedModel(truth)
     assert model.n_hat == 0
     assert model.A0_hat.shape == (0, 0)
-    sol = model.empty_solution(5.0)
-    assert sol.gamma.size == 0
     assert rb.h1_norm(truth, model.riesz_b) == DELTA_200
 
 
@@ -100,25 +98,22 @@ def test_single_snapshot_solve_is_scalar_division(truth):
     model = ReducedModel(truth)
     add_snapshot(model, truth, 2.0)
     mu = 17.0
-    sol = rb.solve_reduced(model, mu)
+    gamma = rb.solve_reduced_block(model, [mu])
     expected = model.b_hat[0] / (model.A0_hat[0, 0] + mu * model.A1_hat[0, 0])
-    assert sol.gamma[0] == pytest.approx(expected, rel=1e-15)
+    assert gamma.shape == (1, 1)
+    assert gamma[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_galerkin_reproduces_snapshots(truth, small_model):
     # At a snapshot parameter the reduced solution is the truth solution.
     for mu in small_model.snapshot_params:
         u = rb.solve_truth(truth, mu)
-        u_rb = small_model.basis_matrix @ rb.solve_reduced(small_model, mu).gamma
+        u_rb = small_model.basis_matrix @ rb.solve_reduced_block(small_model, [mu])[0]
         err = rb.h1_norm(truth, u_rb - u) / rb.h1_norm(truth, u)
         assert err <= 1e-10
 
 
 def test_solve_reduced_rejects_empty_and_out_of_domain(truth, small_model):
-    with pytest.raises(ValueError):
-        rb.solve_reduced(ReducedModel(truth), 2.0)
-    with pytest.raises(ValueError):
-        rb.solve_reduced(small_model, 0.25)
     with pytest.raises(ValueError):
         rb.solve_reduced_block(ReducedModel(truth), [2.0])
     with pytest.raises(ValueError):
@@ -132,7 +127,8 @@ def test_solve_reduced_block_rows_are_solve_reduced_bit_for_bit(default_model):
     assert gamma.shape == (57, model.n_hat)
     for mu, row in zip(mus, gamma):
         direct = np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
-        assert row.tolist() == rb.solve_reduced(model, float(mu)).gamma.tolist() == direct.tolist()
+        one = rb.solve_reduced_block(model, [mu])[0]
+        assert row.tolist() == one.tolist() == direct.tolist()
 
 
 def test_orthonormal_basis_is_h1_orthonormal(truth):
