@@ -4,7 +4,6 @@ from .estimators import (
     E2Data,
     E3Data,
     EstimatorBuildError,
-    build_e2_data,
     build_e3_data,
     estimator_e1_block,
     evaluate,
@@ -18,7 +17,6 @@ from .experiments import (
     ExperimentConfig,
     SweepRecord,
     compute_sweep,
-    flatness_stats,
     load_artifact,
     load_config,
     measure_floors,
@@ -29,15 +27,11 @@ from .experiments import (
 )
 from .fem import (
     TruthSystem,
-    analytic_derivative,
-    analytic_solution,
     assemble,
     check_parameters,
-    h1_error_vs_analytic,
     h1_inner,
     h1_norm,
     riesz_representative,
-    solve_tridiagonal,
     solve_truth,
 )
 from .precision import TWO_PROD_PATH, dd_add, dd_mul, dd_sqrt, dd_sum, two_prod, two_sum

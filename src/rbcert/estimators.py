@@ -51,10 +51,9 @@ working-precision estimator reads its correctly-rounded doubles.  It is
 only as good as its offline data, and the interesting floors live in the
 online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
-greedy grows one alongside the basis.  ``build_e2_data`` is the same
-growth run once over all of a model's vectors.  Every Gram entry equals
-one ``h1_inner_dd`` call per pair bit for bit; that call stays as the
-reference.
+greedy grows one alongside the basis.  Every Gram entry is the dd Gram
+matvec of one vector dotted in dd with the other; the tests keep that
+per-pair computation as the reference.
 """
 
 from __future__ import annotations
@@ -166,19 +165,6 @@ def _dd_dots(us, whs, wls, buf):
     return dd_sum_into(U, E, buf[1:4] + buf[5:6])
 
 
-def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
-    """u^T * Gram * v in double-double; returns the (hi, lo) pair.
-
-    All products are error-free transforms of the double inputs, and the
-    final reduction is a pairwise double-double tree, so the result
-    carries ~32 significant digits: effectively the exact value of the
-    double-data inner product, to be rounded as the caller requires.
-    """
-    wh, wl = _dd_gram_matvec(sys, v)
-    h, l = _dd_dots([u], [wh], [wl], [np.empty(sys.n) for _ in range(7)])
-    return float(h[0]), float(l[0])
-
-
 # --- E2: compact offline/online form --------------------------------------
 
 @dataclass(frozen=True)
@@ -208,15 +194,15 @@ class E2Table:
     """E2's double-double Gram table, grown with the basis.
 
     Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
-    a1_1, ...), the dd Gram matvec of each, and F[u, v] =
-    :func:`h1_inner_dd` of vectors u and v, bit for bit, for every needed
-    pair: (b, b), (b, r) and (r, r'); (r, b) is never computed.  :meth:`grow`
-    adds the vectors of the snapshots the table has not seen yet, so each
-    new snapshot costs two dd Gram matvecs and the pairs that involve its
-    two vectors.  Matvecs and pairs go in chunks of at most
-    _CACHE_BLOCK_ELEMENTS entries per temporary, the budget as it is at
-    each growth; the pairs run in place on seven buffers that each growth
-    allocates once (:func:`_dd_dots`).  The model must only grow
+    a1_1, ...), the dd Gram matvec of each, and F[u, v] = u^T Gram v in
+    double-double (u dotted with v's dd matvec by :func:`_dd_dots`), for
+    every needed pair: (b, b), (b, r) and (r, r'); (r, b) is never
+    computed.  :meth:`grow` adds the vectors of the snapshots the table
+    has not seen yet, so each new snapshot costs two dd Gram matvecs and
+    the pairs that involve its two vectors.  Matvecs and pairs go in
+    chunks of at most _CACHE_BLOCK_ELEMENTS entries per temporary, the
+    budget as it is at each growth; the pairs run in place on seven
+    buffers that each growth allocates once.  The model must only grow
     between calls.  q is read off F in z's order: F_II on the diagonal and
     the dd sum F_IJ + F_JI off it, with (b, r) standing in for (r, b).
     """
@@ -274,20 +260,6 @@ class E2Table:
         return E2Data(q_dd=(np.where(diag, Fh[i, j], qh), np.where(diag, Fl[i, j], ql)))
 
 
-def build_e2_data(sys: TruthSystem, model) -> E2Data:
-    """Assemble q in double-double from the stored Riesz vectors.
-
-    One :class:`E2Table` grown from empty over all of the model's Riesz
-    vectors, the same growth the greedy runs one snapshot at a time, so
-    every Gram entry is :func:`h1_inner_dd` of a pair of Riesz vectors, bit
-    for bit.  An off-diagonal q is the dd sum of the pair's two entries.
-    The working-precision estimator reads q's rounded dd values, so it
-    starts from correctly-rounded data and its floor is purely an online
-    effect.
-    """
-    return E2Table(sys).grow(model)
-
-
 def x_dimension(n_hat: int) -> int:
     return 1 + 3 * n_hat + 2 * n_hat * n_hat
 
@@ -329,13 +301,6 @@ class E3Data:
     def lu(self):
         """Partial-pivoting LU of T, factored on first use."""
         return _lu_factor(self.T)
-
-
-def interpolation_matrix(model, mus: np.ndarray) -> np.ndarray:
-    """The (d, m) matrix whose column r is X(mus[r]) of the model's reduced solve."""
-    from .reduced import solve_reduced_block
-
-    return x_matrix(mus, solve_reduced_block(model, mus))
 
 
 def log_uniform_sampler(mu_min: float, mu_max: float):
@@ -447,11 +412,13 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
     V at the r nodes.  A pool that repeats a parameter raises
     :class:`EstimatorBuildError`.
     """
+    from .reduced import solve_reduced_block
+
     d = x_dimension(model.n_hat)
     pool = np.asarray(sampler(d, seed), dtype=float)
     if len(set(pool.tolist())) != pool.size:
         raise EstimatorBuildError("interpolation pool is degenerate: it repeats a parameter")
-    X = interpolation_matrix(model, pool)
+    X = x_matrix(pool, solve_reduced_block(model, pool))
     picks, Q = _pivoted_gram_schmidt(X, E3_RANK_TOL)
     rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
     return e3_data(sys, model, pool[picks], rows)
@@ -460,10 +427,12 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # --- block evaluation ------------------------------------------------------
 #
 # The functions below evaluate a block of parameters at once.  Each runs one
-# point's operations element by element across the block, so a point gets
-# the same bits alone as in any block.  Reductions that BLAS may order
-# differently for a matrix than for a vector (the Gram and V dots, the basis
-# lift) are made one vector at a time.
+# point's operations element by element across the block, and makes the
+# reductions that BLAS may order differently for a matrix than for a vector
+# (the Gram and V dots, the basis lift) one vector at a time.  So a point
+# gets the same bits alone as in any block on the same machine with the
+# same OpenBLAS kernel and numpy SIMD target.  That is the measured scope:
+# under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
 
 # Block sizes come from budgets of float64 entries per block temporary.
 # evaluate: a block's truth solve holds two (N, m) arrays and its monomial
@@ -502,10 +471,12 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
     N_hat+2 vector terms (the mu-scaled group is itself pairwise-summed
     before scaling), then a single Gram quadratic form.  Cost O(N*N_hat)
     per point.  gamma is (m, N_hat), one row per point and one coefficient
-    per basis vector, or ``ValueError`` is raised; N_hat = 0 is the empty
+    per basis vector, or ``ValueError`` is raised, as it is for the empty
     model.  The pairwise tree runs on (m, N) stacks, in sub-blocks of at
     most _CACHE_BLOCK_ELEMENTS.
     """
+    if model.n_hat < 1:
+        raise ValueError("reduced model is empty")
     if np.shape(gamma) != (len(mus), model.n_hat):
         raise ValueError(
             f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
@@ -529,8 +500,7 @@ def _e1_rows(sys, model, mus, gamma):
             return gamma[:, k - 1, None] * a0[k - 1]
         return mus[:, None] * _pairwise_sum(n_hat, lambda i: gamma[:, i, None] * a1[i])
 
-    g = _pairwise_sum(n_hat + 2 if n_hat else 1, term)
-    g = np.broadcast_to(g, (len(mus), sys.n))
+    g = _pairwise_sum(n_hat + 2, term)
     return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0))
 
 
@@ -617,9 +587,8 @@ def _true_error_block(sys, model, mus, gamma):
     out = np.empty(len(mus))
     for k in range(0, len(mus), step):
         E = np.ascontiguousarray(U[:, k:k + step].T)
-        if model.n_hat:
-            for e, g in zip(E, gamma[k:k + step]):
-                e -= B @ g
+        for e, g in zip(E, gamma[k:k + step]):
+            e -= B @ g
         out[k:k + step] = np.sqrt(np.maximum(_h1_squares(sys, E), 0.0))
     return out
 

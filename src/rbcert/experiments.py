@@ -115,7 +115,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
                         raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                     key, raw = line.split("=", 1)
                     values[key.strip()] = _coerce(key.strip(), raw)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for key, raw in (overrides or {}).items():
         values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
@@ -440,21 +440,6 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
         fh.write("\n")
     log(f"floors: wrote {out}")
     return report
-
-
-def flatness_stats(rows: list[SweepRecord]):
-    """Spread of log10(e2) vs log10(e1) over e2's lowest decade.
-
-    On a converged run e2 sits at its floor: the region where e2 is
-    within a decade of its minimum should be flat in e2 (stdev of log10
-    < 0.5) while e1 still varies (stdev > 0.5) there.
-    """
-    pos = [r for r in rows if r.e2 > 0.0 and r.e1 > 0.0]
-    lo = min(r.e2 for r in pos)
-    region = [r for r in pos if r.e2 <= 10.0 * lo]
-    log_e2 = np.log10([r.e2 for r in region])
-    log_e1 = np.log10([r.e1 for r in region])
-    return float(np.std(log_e2)), float(np.std(log_e1)), len(region)
 
 
 # --- SVG --------------------------------------------------------------------

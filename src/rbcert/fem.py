@@ -9,10 +9,6 @@ mass, and load assemble in closed form:
 
 The parametric operator is affine, A(mu) = K + mu*M, which is what the
 reduced-basis machinery in :mod:`rbcert.reduced` relies on.
-
-Also provides the analytic reference solution in an overflow-safe form
-(rearranged in exp(-sqrt(mu)*x) factors; the textbook cosh/sinh form
-overflows for mu around 1e5 and beyond).
 """
 
 from __future__ import annotations
@@ -32,10 +28,6 @@ class Tridiagonal:
 
     diag: np.ndarray
     off: np.ndarray  # length len(diag) - 1
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A*v, or A*v_j for every row v_j of a (m, n) stack."""
@@ -74,11 +66,6 @@ class TruthSystem:
     @property
     def n(self) -> int:
         return self.n_cells - 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Interior node coordinates x_j = j*h, j = 1..N."""
-        return self.h * np.arange(1, self.n_cells)
 
     def operator(self, mu) -> Tridiagonal:
         """The parametric operator A(mu) = K + mu*M.
@@ -200,43 +187,6 @@ def _pivot_errors():
         raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination") from exc
 
 
-def solve_tridiagonal(A: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Thomas elimination for a symmetric tridiagonal system.
-
-    With (n,) diagonals and an (n,) right-hand side this is one system.
-    When A's diagonals or rhs are (n, m) blocks, m systems are solved at
-    once: column j of the result solves column j of A (or A itself)
-    against column j of rhs (or rhs itself).  One system is factored
-    (:func:`_thomas_factor`) and substituted (:func:`_thomas_substitute`)
-    on Python floats, about 0.34 us per mesh row, of which the
-    substitution, all a Riesz lift runs on Gram's stored factors, is
-    0.2; a block runs in place on a copy of A's diagonals, about 4.2 us
-    per mesh row at any width up to 100 columns (N=9999, 2-vCPU Xeon), so
-    it pays off from about 13 columns.  Both give the same bits per
-    column, and A and rhs are left as they were.
-    A zero pivot raises ``LinAlgError``; an off-diagonal that is not
-    n - 1 rows of A's columns raises ``ValueError``.
-    """
-    n = A.n
-    if rhs.shape[:1] != (n,) or rhs.ndim > 2 or A.diag.ndim > 2:
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},) or ({n}, m)")
-    if A.off.shape != (n - 1,) + A.diag.shape[1:]:
-        raise ValueError(f"off has shape {A.off.shape}, expected {(n - 1,) + A.diag.shape[1:]}")
-    with _pivot_errors():
-        if rhs.ndim == A.diag.ndim == 1:
-            off = A.off.tolist()
-            return np.array(_thomas_substitute(off, *_thomas_factor(A.diag.tolist(), off), rhs.tolist()))
-        cols = np.broadcast_shapes(rhs.shape[1:], A.diag.shape[1:])
-        return _thomas_block(_columns(A.diag, cols), _columns(A.off, cols), rhs)
-
-
-def _columns(a: np.ndarray, cols: tuple) -> np.ndarray:
-    """A fresh (len(a),) + cols array; a shared (n,) vector fills every column."""
-    out = np.empty(a.shape[:1] + cols)
-    out[...] = a if a.ndim == 2 else a[:, None]
-    return out
-
-
 def check_parameters(mu) -> None:
     """Raise ValueError unless mu (a scalar or an array) lies in [1, inf)."""
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -246,17 +196,26 @@ def check_parameters(mu) -> None:
 
 
 def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
-    """Truth solve (K + mu*M) u = F.
+    """Truth solve (K + mu*M) u = F by Thomas elimination.
 
-    For a 1-D array of m parameters, one (n, m) block solve whose column
-    j is the solution at mu[j].  The block operator is built here, so the
-    solve overwrites it: the solution is its diagonal block.
+    One parameter is factored (:func:`_thomas_factor`) and substituted
+    (:func:`_thomas_substitute`) on Python floats, about 0.34 us per mesh
+    row, of which the substitution, all a Riesz lift runs on Gram's stored
+    factors, is 0.2.  For a 1-D array of m parameters, one (n, m) block
+    solve (:func:`_thomas_block`) whose column j is the solution at mu[j],
+    with the bits of the one-parameter solve; the block operator is built
+    here, so the solve overwrites it and the solution is its diagonal
+    block.  A block costs about 4.2 us per mesh row at any width up to 100
+    columns (N=9999, 2-vCPU Xeon), so it pays off from about 13 columns.
+    A zero pivot raises ``LinAlgError``.
     """
     check_parameters(mu)
     A = sys.operator(mu)
-    if A.diag.ndim == 1:
-        return solve_tridiagonal(A, sys.F)
     with _pivot_errors():
+        if A.diag.ndim == 1:
+            off = A.off.tolist()
+            factors = _thomas_factor(A.diag.tolist(), off)
+            return np.array(_thomas_substitute(off, *factors, sys.F.tolist()))
         return _thomas_block(A.diag, A.off, sys.F)
 
 
@@ -276,73 +235,11 @@ def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray
 
     Gram does not depend on mu, so only the two substitution sweeps run,
     on its Thomas factors from assembly (``sys.gram_thomas``): w has the
-    bits of ``solve_tridiagonal(sys.Gram, f)`` at 1.96 ms against 2.79 ms
-    for a solve that factors Gram again (N=9999, 2-vCPU Xeon).  f must be
-    one (N,) functional; any other shape raises ``ValueError``.
+    bits of a solve that factors Gram again, at 1.96 ms against 2.79 ms
+    (N=9999, 2-vCPU Xeon).  f must be one (N,) functional; any other shape
+    raises ``ValueError``.
     """
     if functional.shape != (sys.n,):
         raise ValueError(f"functional has shape {functional.shape}, expected ({sys.n},)")
     return np.array(_thomas_substitute(*sys.gram_thomas, functional.tolist()))
 
-
-# --- analytic reference -------------------------------------------------
-
-def analytic_solution(mu: float, x):
-    """Exact solution of -u'' + mu*u = 1, u(0) = u(1) = 0.
-
-    Written with exp(-sqrt(mu)*(1-x)) and exp(-sqrt(mu)*x) factors so it
-    stays finite for arbitrarily large mu; algebraically identical to the
-    cosh/sinh form.  Boundary values are exactly 0.0 in floating point.
-    """
-    check_parameters(mu)
-    s = math.sqrt(mu)
-    x = np.asarray(x, dtype=float)
-    num = np.exp(-s * (1.0 - x)) + np.exp(-s * x)
-    den = 1.0 + math.exp(-s)
-    u = (1.0 - num / den) / mu
-    return u if u.ndim else float(u)
-
-
-def analytic_derivative(mu: float, x):
-    """Derivative of :func:`analytic_solution` (same overflow-safe form)."""
-    s = math.sqrt(mu)
-    x = np.asarray(x, dtype=float)
-    num = np.exp(-s * x) - np.exp(-s * (1.0 - x))
-    den = 1.0 + math.exp(-s)
-    du = s * num / (den * mu)
-    return du if du.ndim else float(du)
-
-
-# 4-point Gauss-Legendre on [-1, 1]: exact through degree 7, which makes
-# the per-cell quadrature error negligible next to the O(h) FE error.
-_GAUSS_X = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GAUSS_W = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
-
-
-def h1_error_vs_analytic(sys: TruthSystem, u: np.ndarray, mu: float) -> float:
-    """H1-norm distance between a discrete field and the analytic solution.
-
-    The discrete field is the P1 interpolant of the interior nodal values
-    `u` (zero at the boundary); the integral of (e')^2 + e^2 is taken
-    cell by cell with 4-point Gauss quadrature.
-    """
-    h = sys.h
-    full = np.zeros(sys.n_cells + 1)
-    full[1:-1] = u
-    left = full[:-1]
-    right = full[1:]
-    slope = (right - left) / h
-    x_left = h * np.arange(sys.n_cells)
-    total = 0.0
-    for xi, w in zip(_GAUSS_X, _GAUSS_W):
-        t = 0.5 * (xi + 1.0)
-        x = x_left + t * h
-        uh = left + t * (right - left)
-        e = uh - analytic_solution(mu, x)
-        de = slope - analytic_derivative(mu, x)
-        total += w * float(np.sum(de * de + e * e))
-    return math.sqrt(0.5 * h * total)

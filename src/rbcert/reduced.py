@@ -40,7 +40,14 @@ from .estimators import (
     e3_data,
     estimator_e1_block,
 )
-from .fem import TruthSystem, check_parameters, h1_inner, riesz_representative, solve_truth
+from .fem import (
+    TruthSystem,
+    check_parameters,
+    h1_inner,
+    h1_norm,
+    riesz_representative,
+    solve_truth,
+)
 from .precision import two_prod
 
 logger = logging.getLogger(__name__)
@@ -78,7 +85,7 @@ class ReducedModel:
 
     @property
     def basis_matrix(self) -> np.ndarray:
-        return np.column_stack(self.snapshots) if self.snapshots else np.empty((0, 0))
+        return np.column_stack(self.snapshots)
 
 
 def add_snapshot(
@@ -180,22 +187,26 @@ def greedy_build(
 ):
     """Greedy basis construction driven by the double-double compact form.
 
-    Repeatedly selects the training parameter maximizing e2dd over all
-    unselected candidates, evaluated as one block, adds its snapshot, and
-    stops at n_max, when e1 at the selected parameter drops to tol, or
-    when the selected snapshot is numerically dependent.  e2dd costs
-    O(N_hat^2) per candidate against e1's O(N*N_hat), and its floor lies
-    at or below e1's; the working-precision e2 would stagnate at its
+    The first snapshot is the smallest training parameter: the empty model's
+    estimator is delta = ||riesz_b|| at every parameter, so every candidate
+    ties, and that delta is its recorded e1.  If delta is already at or
+    below tol there is nothing to build and ``ValueError`` is raised.  Then
+    the greedy repeatedly selects the training parameter maximizing e2dd
+    over all unselected candidates, evaluated as one block, adds its
+    snapshot, and stops at n_max, when e1 at the selected parameter drops
+    to tol, or when the selected snapshot is numerically dependent.  e2dd
+    costs O(N_hat^2) per candidate against e1's O(N*N_hat), and its floor
+    lies at or below e1's; the working-precision e2 would stagnate at its
     delta*sqrt(eps) floor and corrupt the selection.  e1 is evaluated at
     the selected parameter only, and is what the history records.  E2's
     data grow with the basis (:class:`E2Table`), two Riesz vectors per
     snapshot.  Ties break to the smallest mu: candidates are in ascending
-    order and the first maximum wins, so the first pick (all candidates
-    tie at delta) is the smallest training parameter.
+    order and the first maximum wins.
 
     Returns (model, history, e2data): history has one (mu_selected, e1)
     pair per accepted snapshot, and e2data is the final model's E2Data,
-    bit for bit what :func:`build_e2_data` gives.
+    bit for bit what one table grown over all of the model's Riesz vectors
+    gives.
     """
     training = sorted(float(mu) for mu in training_set)
     if not training:
@@ -204,18 +215,19 @@ def greedy_build(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     model = ReducedModel(sys, orthonormalize=orthonormalize)
+    delta = h1_norm(sys, model.riesz_b)
+    if delta <= tol:
+        raise ValueError(f"tol = {tol!r} is at or above the empty model's estimator {delta!r}")
+    add_snapshot(model, sys, training[0], dependence_tol=dependence_tol)
+    history = [(training[0], delta)]
     table = E2Table(sys)
     e2data = table.grow(model)
-    history: list[tuple[float, float]] = []
     while model.n_hat < n_max:
         selected = set(model.snapshot_params)
         candidates = np.array([mu for mu in training if mu not in selected])
         if not candidates.size:
             break
-        if model.n_hat:
-            gamma = solve_reduced_block(model, candidates)
-        else:
-            gamma = np.empty((candidates.size, 0))
+        gamma = solve_reduced_block(model, candidates)
         XX = two_prod(*_monomial_factors(candidates, gamma))
         best = int(np.argmax(_e2dd_block(e2data, XX)[0]))
         pick = slice(best, best + 1)
@@ -246,10 +258,13 @@ def greedy_build(
 # problem's constant (see estimators), not data.  Decoding refuses
 # non-finite entries.
 #
-# A raw basis vector is a truth solve in Python floats, so its bits do not
-# depend on the BLAS; an orthonormal one goes through BLAS dot products in
-# Gram-Schmidt, and another BLAS build may replay it with other bits than
-# those q was built from.  The hash turns that into a load error.  V is
+# Bytes are reproducible on the same machine with the same OpenBLAS kernel
+# and numpy SIMD target, and no further: artifacts built under two OpenBLAS
+# kernels differ, raw basis included.  A raw basis vector is a truth solve
+# in Python floats and does not depend on the BLAS, but the e1 history and
+# the E3 picks go through BLAS dots.  An orthonormal basis goes through BLAS
+# dots in Gram-Schmidt, so another kernel replays it with other bits than
+# those q was built from; the hash turns that into a load error.  V is
 # recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"

@@ -1,15 +1,22 @@
-"""Shared fixtures: assembled truth systems and prebuilt artifacts.
+"""Shared fixtures and references: truth systems, prebuilt artifacts, the
+analytic solution.
 
 The greedy build, the double-double Gram assembly, and the interpolation
 data are the expensive pieces, so they are session-scoped; every consumer
-treats them as read-only.
+treats them as read-only.  The analytic solution of the truth problem and
+the H1 error against it are references the truth-solver tests (and
+acceptance criterion 6) check the finite elements with.
 """
 
+import math
 import os
 
+import numpy as np
 import pytest
 
 import rbcert as rb
+from rbcert.estimators import E2Table
+from rbcert.fem import TruthSystem, check_parameters
 from rbcert.experiments import (
     ExperimentConfig,
     compute_sweep,
@@ -71,10 +78,15 @@ def default_model(truth, default_config):
     return model, history
 
 
+def build_e2_data(sys_, model):
+    """The model's E2Data: one E2Table grown from empty over all its Riesz vectors."""
+    return E2Table(sys_).grow(model)
+
+
 @pytest.fixture(scope="session")
 def default_e2(truth, default_model):
     model, _ = default_model
-    return rb.build_e2_data(truth, model)
+    return build_e2_data(truth, model)
 
 
 @pytest.fixture(scope="session")
@@ -157,3 +169,66 @@ def make_output_dir(base: str, name: str) -> str:
     path = os.path.join(base, name)
     os.makedirs(path, exist_ok=True)
     return path
+
+
+# --- analytic reference -------------------------------------------------
+
+def analytic_solution(mu: float, x):
+    """Exact solution of -u'' + mu*u = 1, u(0) = u(1) = 0.
+
+    Written with exp(-sqrt(mu)*(1-x)) and exp(-sqrt(mu)*x) factors so it
+    stays finite for arbitrarily large mu; algebraically identical to the
+    cosh/sinh form.  Boundary values are exactly 0.0 in floating point.
+    """
+    check_parameters(mu)
+    s = math.sqrt(mu)
+    x = np.asarray(x, dtype=float)
+    num = np.exp(-s * (1.0 - x)) + np.exp(-s * x)
+    den = 1.0 + math.exp(-s)
+    u = (1.0 - num / den) / mu
+    return u if u.ndim else float(u)
+
+
+def analytic_derivative(mu: float, x):
+    """Derivative of :func:`analytic_solution` (same overflow-safe form)."""
+    s = math.sqrt(mu)
+    x = np.asarray(x, dtype=float)
+    num = np.exp(-s * x) - np.exp(-s * (1.0 - x))
+    den = 1.0 + math.exp(-s)
+    du = s * num / (den * mu)
+    return du if du.ndim else float(du)
+
+
+# 4-point Gauss-Legendre on [-1, 1]: exact through degree 7, which makes
+# the per-cell quadrature error negligible next to the O(h) FE error.
+_GAUSS_X = np.array(
+    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
+)
+_GAUSS_W = np.array(
+    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
+)
+
+
+def h1_error_vs_analytic(sys: TruthSystem, u: np.ndarray, mu: float) -> float:
+    """H1-norm distance between a discrete field and the analytic solution.
+
+    The discrete field is the P1 interpolant of the interior nodal values
+    `u` (zero at the boundary); the integral of (e')^2 + e^2 is taken
+    cell by cell with 4-point Gauss quadrature.
+    """
+    h = sys.h
+    full = np.zeros(sys.n_cells + 1)
+    full[1:-1] = u
+    left = full[:-1]
+    right = full[1:]
+    slope = (right - left) / h
+    x_left = h * np.arange(sys.n_cells)
+    total = 0.0
+    for xi, w in zip(_GAUSS_X, _GAUSS_W):
+        t = 0.5 * (xi + 1.0)
+        x = x_left + t * h
+        uh = left + t * (right - left)
+        e = uh - analytic_solution(mu, x)
+        de = slope - analytic_derivative(mu, x)
+        total += w * float(np.sum(de * de + e * e))
+    return math.sqrt(0.5 * h * total)

@@ -17,10 +17,10 @@ import pytest
 import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
-from rbcert.estimators import _e2_block, interpolation_matrix
+from rbcert.estimators import _e2_block
 from rbcert.precision import dd_add, dd_mul, two_prod, two_sum
 
-from conftest import make_output_dir
+from conftest import analytic_solution, build_e2_data, h1_error_vs_analytic, make_output_dir
 
 
 def test_criterion_1_floor_reproduction(floors_report, acceptance):
@@ -115,7 +115,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     worst_agree = 0.0
     for n_hat in (1, 2):
         model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
-        data = rb.build_e2_data(truth, model)
+        data = build_e2_data(truth, model)
         mus = sweep_grid(cfg)
         gamma = rb.solve_reduced_block(model, mus)
         e1 = rb.estimator_e1_block(truth, model, mus, gamma)
@@ -124,7 +124,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
         worst_agree = max([worst_agree, *(np.abs(e2 - e1) / e1)[keep].tolist()])
 
     model6, _, _ = rb.greedy_build(truth, train, n_max=6, tol=cfg.tol)
-    data6 = rb.build_e2_data(truth, model6)
+    data6 = build_e2_data(truth, model6)
     q = rb.q_coefficients(data6)
     rng = np.random.default_rng(1234)
     worst_form = 0.0
@@ -158,9 +158,9 @@ def test_criterion_6_truth_solver_verification(acceptance):
         errs = []
         for n_cells in (100, 200):
             s = rb.assemble(n_cells)
-            errs.append(rb.h1_error_vs_analytic(s, rb.solve_truth(s, mu), mu))
+            errs.append(h1_error_vs_analytic(s, rb.solve_truth(s, mu), mu))
         ratios.append(errs[0] / errs[1])
-    boundary = [float(rb.analytic_solution(mu, np.array([0.0, 1.0])).max()) for mu in (1.0, 1e6)]
+    boundary = [float(analytic_solution(mu, np.array([0.0, 1.0])).max()) for mu in (1.0, 1e6)]
     ok = all(abs(r - 2.0) <= 0.2 for r in ratios) and all(b == 0.0 for b in boundary)
     acceptance(
         6,
@@ -220,7 +220,7 @@ def test_criterion_8_conditioning_trend(
     for n_hat in range(2, 7):
         model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         pool = sampler(rb.x_dimension(n_hat), cfg.seed)
-        conds.append(np.linalg.cond(interpolation_matrix(model, pool)))
+        conds.append(np.linalg.cond(rb.x_matrix(pool, rb.solve_reduced_block(model, pool))))
     inversions = sum(1 for a, b in zip(conds, conds[1:]) if b < a)
 
     model6, _ = default_model

@@ -15,6 +15,7 @@ from rbcert.estimators import (
     E3_RANK_TOL,
     E2Data,
     _dd_dots,
+    _dd_gram_matvec,
     _e2_block,
     _e2dd_block,
     _lu_solve,
@@ -22,12 +23,13 @@ from rbcert.estimators import (
     _pairwise_sum,
     _pivoted_gram_schmidt,
     block_points,
-    h1_inner_dd,
-    interpolation_matrix,
 )
 from rbcert.experiments import sweep_grid, training_grid
+from rbcert.fem import TruthSystem
 from rbcert.precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
+
+from conftest import analytic_solution, build_e2_data
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -40,11 +42,11 @@ DELTA_200_DD = 0.2752524359875254
 # --- E1 ----------------------------------------------------------------------
 
 
-def test_e1_of_empty_model_is_delta(truth):
-    model = ReducedModel(truth)
-    mus = np.array([1.0, 31.0, 999.0])
-    block = rb.estimator_e1_block(truth, model, mus, np.empty((3, 0)))
-    assert block.tolist() == [DELTA_200] * 3
+def test_e1_block_rejects_the_empty_model(truth):
+    # The greedy seeds its first snapshot without an estimate, so the empty
+    # model is never evaluated: its e1 would be delta at every mu.
+    with pytest.raises(ValueError, match="reduced model is empty"):
+        rb.estimator_e1_block(truth, ReducedModel(truth), np.array([1.0, 31.0]), np.empty((2, 0)))
 
 
 def test_e1_matches_direct_residual_norm(truth, default_model):
@@ -115,13 +117,26 @@ def test_e2_data_single_snapshot_oracle(truth):
     # plain-double inner product to ~1e-13.
     model = ReducedModel(truth)
     add_snapshot(model, truth, 10.0)
-    q = rb.q_coefficients(rb.build_e2_data(truth, model))
+    q = rb.q_coefficients(build_e2_data(truth, model))
     g, r0, r1 = model.riesz_b, model.riesz_a0[0], model.riesz_a1[0]
     assert q[1] == pytest.approx(2.0 * rb.h1_inner(truth, g, r0), rel=1e-13)
     assert q[2] == pytest.approx(2.0 * rb.h1_inner(truth, g, r1), rel=1e-13)
     assert q[3] == pytest.approx(rb.h1_inner(truth, r0, r0), rel=1e-13)
     assert q[4] == pytest.approx(2.0 * rb.h1_inner(truth, r0, r1), rel=1e-13)
     assert q[5] == pytest.approx(rb.h1_inner(truth, r1, r1), rel=1e-13)
+
+
+def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
+    """u^T * Gram * v in double-double; returns the (hi, lo) pair.
+
+    All products are error-free transforms of the double inputs, and the
+    final reduction is a pairwise double-double tree, so the result
+    carries ~32 significant digits: effectively the exact value of the
+    double-data inner product, to be rounded as the caller requires.
+    """
+    wh, wl = _dd_gram_matvec(sys, v)
+    h, l = _dd_dots([u], [wh], [wl], [np.empty(sys.n) for _ in range(7)])
+    return float(h[0]), float(l[0])
 
 
 def test_h1_inner_dd_against_mpmath(truth):
@@ -209,7 +224,7 @@ def test_e2_and_e2dd_agree_before_convergence(truth, default_config):
     # the two precisions must agree to ~1e-11.
     model = ReducedModel(truth)
     add_snapshot(model, truth, 1.0)
-    e2data = rb.build_e2_data(truth, model)
+    e2data = build_e2_data(truth, model)
     sampler = rb.log_uniform_sampler(default_config.mu_min, default_config.mu_max)
     e3data = rb.build_e3_data(truth, model, sampler, seed=default_config.seed)
     cols = rb.evaluate(truth, model, e2data, e3data, [3.0, 50.0, 900.0])
@@ -262,7 +277,7 @@ def test_e3_shapes(default_model, default_e3, default_config):
     model, _ = default_model
     cfg = default_config
     pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
-    assert np.linalg.cond(interpolation_matrix(model, pool)) > 1e14
+    assert np.linalg.cond(rb.x_matrix(pool, rb.solve_reduced_block(model, pool))) > 1e14
 
 
 def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
@@ -281,7 +296,7 @@ def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config)
     model, _ = default_model
     cfg = default_config
     pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
-    T = interpolation_matrix(model, pool)
+    T = rb.x_matrix(pool, rb.solve_reduced_block(model, pool))
     picks, Q = _pivoted_gram_schmidt(T, E3_RANK_TOL)
     assert np.array_equal(pool[picks], default_e3.interp_params)
     assert np.allclose(Q.T @ Q, np.eye(len(picks)), atol=1e-12)
@@ -502,7 +517,7 @@ def small_orthonormal():
         sys_, training_grid(cfg), n_max=cfg.rb_size, orthonormalize=True,
         dependence_tol=cfg.dependence_tol,
     )
-    e2data = rb.build_e2_data(sys_, model)
+    e2data = build_e2_data(sys_, model)
     e3data = rb.build_e3_data(
         sys_, model, rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max), seed=cfg.seed
     )
@@ -606,7 +621,7 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
     with pytest.raises(ValueError):
         rb.solve_reduced_block(model, [bad])
     with pytest.raises(ValueError):
-        rb.analytic_solution(bad, 0.5)
+        analytic_solution(bad, 0.5)
     with pytest.raises(ValueError):
         rb.evaluate(truth, model, default_e2, default_e3, [2.0, bad])
 
@@ -653,7 +668,7 @@ def single_dof():
     model = ReducedModel(sys_)
     add_snapshot(model, sys_, 10.0)
     assert (sys_.n, model.n_hat) == (1, 1)
-    return sys_, model, rb.build_e2_data(sys_, model)
+    return sys_, model, build_e2_data(sys_, model)
 
 
 @pytest.mark.parametrize("case", ["default", "small_orthonormal", "single_dof"])
@@ -673,7 +688,7 @@ def test_e2_build_chunking_is_bit_identical(pairs_per_chunk, truth, default_mode
     monkeypatch.setattr(
         "rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * truth.n
     )
-    assert_e2_data_is_per_pair(rb.build_e2_data(truth, model), truth, model)
+    assert_e2_data_is_per_pair(build_e2_data(truth, model), truth, model)
 
 
 @pytest.mark.parametrize("pairs_per_chunk", [1, 7])
@@ -769,7 +784,7 @@ def test_e2_build_holds_no_per_operation_temporaries():
         add_snapshot(model, sys_, mu)
     tracemalloc.start()
     try:
-        rb.build_e2_data(sys_, model)
+        build_e2_data(sys_, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,12 @@
 """Experiment harness: config, artifacts, CSV/SVG outputs, CLI exit codes."""
 
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,8 +19,8 @@ from rbcert.experiments import (
     EPS,
     ConfigError,
     ExperimentConfig,
+    SweepRecord,
     compute_sweep,
-    flatness_stats,
     load_config,
     rows_to_csv,
     run_offline,
@@ -26,7 +29,7 @@ from rbcert.experiments import (
     training_grid,
 )
 
-from conftest import make_output_dir
+from conftest import build_e2_data, make_output_dir
 
 
 # --- configuration -------------------------------------------------------------
@@ -104,6 +107,15 @@ def test_malformed_values_rejected(tmp_path):
 def test_missing_config_file_rejected():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
+
+
+def test_config_file_that_is_not_utf8_rejected(tmp_path):
+    # A UnicodeDecodeError is a ValueError, which the CLI would report as a
+    # numerical failure; the loader makes it a ConfigError.
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(b"rb_size = 3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(str(p))
 
 
 @pytest.mark.parametrize(
@@ -218,7 +230,7 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
         sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
         orthonormalize=orthonormalize, dependence_tol=cfg.dependence_tol,
     )
-    fresh_e2 = rb.build_e2_data(sys_, fresh)
+    fresh_e2 = build_e2_data(sys_, fresh)
     sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
     fresh_e3 = rb.build_e3_data(sys_, fresh, sampler, seed=cfg.seed)
 
@@ -309,6 +321,21 @@ def test_figures_are_valid_svg(small_sweep_dir):
         assert "true error" in body or "e1" in body
 
 
+def flatness_stats(rows: list[SweepRecord]):
+    """Spread of log10(e2) vs log10(e1) over e2's lowest decade.
+
+    On a converged run e2 sits at its floor: the region where e2 is
+    within a decade of its minimum should be flat in e2 (stdev of log10
+    < 0.5) while e1 still varies (stdev > 0.5) there.
+    """
+    pos = [r for r in rows if r.e2 > 0.0 and r.e1 > 0.0]
+    lo = min(r.e2 for r in pos)
+    region = [r for r in pos if r.e2 <= 10.0 * lo]
+    log_e2 = np.log10([r.e2 for r in region])
+    log_e1 = np.log10([r.e1 for r in region])
+    return float(np.std(log_e2)), float(np.std(log_e1)), len(region)
+
+
 def test_flatness_invariant():
     # A converged basis over a wide range, trained on a sparse grid so the
     # sweep sees plenty of between-sample ripple: e2 sits flat at its
@@ -322,7 +349,7 @@ def test_flatness_invariant():
         sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
         orthonormalize=True, dependence_tol=cfg.dependence_tol,
     )
-    e2data = rb.build_e2_data(sys_, model)
+    e2data = build_e2_data(sys_, model)
     sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
     e3data = rb.build_e3_data(sys_, model, sampler, seed=cfg.seed)
     rows = compute_sweep(sys_, model, e2data, e3data, sweep_grid(cfg))
@@ -376,9 +403,22 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("n_cels = 50\n")
     assert cli.main(["offline", "--config", str(p)]) == 2
+    p.write_bytes(b"n_cells = 200\n# caf\xe9\n")  # not UTF-8
+    assert cli.main(["offline", "--config", str(p)]) == 2
     assert cli.main(["offline", "--n-cells", "1"]) == 2
     assert cli.main(["sweep", "--artifact", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_tol_at_the_empty_models_estimate_exits_3(tmp_path, capsys):
+    # The empty model's estimator is delta = 0.275 at n_cells = 200: a tol
+    # of 1 leaves nothing to build, which the greedy says before its first
+    # snapshot.
+    out = tmp_path / "out"
+    assert cli.main(["offline", "--tol", "1", "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: tol = 1.0 ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["offline", "sweep", "floors"])
@@ -645,6 +685,42 @@ def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_offline", explode)
     assert cli.main(["offline"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# The package is the pipeline: every public module-level function of these
+# modules must be entered by offline, sweep and floors.
+PIPELINE_MODULES = ("fem", "precision", "estimators", "reduced", "experiments", "cli")
+
+
+def test_the_pipeline_enters_every_public_function(tmp_path):
+    public = {}
+    for layer in PIPELINE_MODULES:
+        module = importlib.import_module(f"rbcert.{layer}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_":
+                public[fn.__code__] = f"{layer}.{name}"
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    smoke = ["--n-cells", "50", "--rb-size", "3", "--n-train", "20", "--n-sweep", "10"]
+    orthonormal = smoke + ["--rb-size", "8", "--orthonormalize", "true"]
+    orthonormal += ["--dependence-tol", "1e-30"]
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for k, flags in enumerate((smoke, orthonormal)):
+            for command in ("offline", "sweep", "floors"):
+                codes.append(cli.main([command, *flags, "--output-dir", str(tmp_path / str(k))]))
+    finally:
+        sys.setprofile(previous)
+    assert codes[0] == codes[1] == codes[3] == codes[4] == 0
+    assert codes[2] in (0, 4) and codes[5] in (0, 4)
+    missed = sorted(name for code, name in public.items() if code not in entered)
+    assert not missed, f"never entered: {missed}"
 
 
 def test_cli_rejects_unknown_subcommand(capsys):

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 import rbcert as rb
-from rbcert.fem import Tridiagonal
+from rbcert.fem import (
+    Tridiagonal,
+    _pivot_errors,
+    _thomas_block,
+    _thomas_factor,
+    _thomas_substitute,
+)
+
+from conftest import analytic_derivative, analytic_solution, h1_error_vs_analytic
 
 
 def dense(T: Tridiagonal) -> np.ndarray:
     A = np.diag(T.diag.copy())
-    n = T.n
+    n = len(T.diag)
     for i in range(n - 1):
         A[i, i + 1] = A[i + 1, i] = T.off[i]
     return A
@@ -60,11 +68,6 @@ def test_operator_is_affine():
     assert np.allclose(dense(A), dense(s.K) + mu * dense(s.M), rtol=1e-15, atol=0)
 
 
-def test_nodes():
-    s = rb.assemble(4)
-    assert np.allclose(s.nodes, [0.25, 0.5, 0.75], rtol=0, atol=1e-16)
-
-
 # --- tridiagonal linear algebra -------------------------------------------
 
 
@@ -75,84 +78,69 @@ def test_matvec_matches_dense():
     assert np.allclose(T.matvec(v), dense(T) @ v, rtol=1e-14, atol=1e-14)
 
 
+def thomas(diag, off, rhs):
+    """One system through the scalar kernels on Python floats, as solve_truth runs it."""
+    diag, off, rhs = (np.asarray(a, dtype=float).tolist() for a in (diag, off, rhs))
+    with _pivot_errors():
+        return np.array(_thomas_substitute(off, *_thomas_factor(diag, off), rhs))
+
+
+def thomas_block(diag, off, rhs):
+    """Columns through the block kernel, on copies of the diagonals it overwrites."""
+    with _pivot_errors():
+        return _thomas_block(np.array(diag, dtype=float), np.array(off, dtype=float), rhs)
+
+
 def test_thomas_matches_dense_solve():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 50):
         # Diagonally dominant, so both solvers are stable.
         T = Tridiagonal(4.0 + rng.uniform(size=n), rng.normal(size=n - 1))
         rhs = rng.normal(size=n)
-        x = rb.solve_tridiagonal(T, rhs)
+        x = thomas(T.diag, T.off, rhs)
         assert np.allclose(x, np.linalg.solve(dense(T), rhs), rtol=1e-12, atol=1e-14)
-
-
-def test_thomas_rejects_shape_mismatch():
-    T = Tridiagonal(np.ones(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        rb.solve_tridiagonal(T, np.ones(4))
-
-
-@pytest.mark.parametrize("n_off", [3, 6])
-def test_thomas_rejects_off_of_wrong_length(n_off):
-    T = Tridiagonal(4.0 + np.zeros(5), np.ones(n_off))
-    with pytest.raises(ValueError):
-        rb.solve_tridiagonal(T, np.ones(5))
-    B = Tridiagonal(4.0 + np.zeros((5, 3)), np.ones((n_off, 3)))
-    with pytest.raises(ValueError):
-        rb.solve_tridiagonal(B, np.ones(5))
-
-
-@pytest.mark.parametrize("off_shape", [(4,), (4, 2), (4, 1)])
-def test_block_thomas_rejects_off_with_other_columns(off_shape):
-    T = Tridiagonal(4.0 + np.zeros((5, 3)), np.ones(off_shape))
-    with pytest.raises(ValueError):
-        rb.solve_tridiagonal(T, np.ones((5, 3)))
 
 
 def test_thomas_raises_on_zero_pivot():
     # A zero pivot in the first row, then in the last row of 2 and of 3.
     for diag in ([0.0, 0.0], [1.0, 1.0], [1.0, 2.0, 1.0]):
         n = len(diag)
-        T = Tridiagonal(np.array(diag), np.ones(n - 1))
         with pytest.raises(np.linalg.LinAlgError):
-            rb.solve_tridiagonal(T, np.ones(n))
+            thomas(diag, [1.0] * (n - 1), [1.0] * n)
 
 
 def test_thomas_leaves_caller_data_unchanged():
+    # The scalar kernels read their lists; the block kernel overwrites its
+    # diagonals by design and only reads rhs, a block or a shared vector.
     rng = np.random.default_rng(12)
     n, m = 9, 4
-    diag = 4.0 + rng.uniform(size=(n, m))
-    off = rng.normal(size=(n - 1, m))
-    rhs = rng.normal(size=(n, m))
-    cases = (
-        (Tridiagonal(diag[:, 0].copy(), off[:, 0].copy()), rhs[:, 0].copy()),  # one system
-        (Tridiagonal(diag[:, 0].copy(), off[:, 0].copy()), rhs.copy()),  # shared A, block rhs
-        (Tridiagonal(diag.copy(), off.copy()), rhs[:, 0].copy()),  # block A, shared rhs
-        (Tridiagonal(diag.copy(), off.copy()), rhs.copy()),  # block A and rhs
-    )
-    for A, b in cases:
-        before = [a.tobytes() for a in (A.diag, A.off, b)]
-        rb.solve_tridiagonal(A, b)
-        assert [a.tobytes() for a in (A.diag, A.off, b)] == before
+    diag = (4.0 + rng.uniform(size=n)).tolist()
+    off = rng.normal(size=n - 1).tolist()
+    rhs = rng.normal(size=n).tolist()
+    before = [list(a) for a in (diag, off, rhs)]
+    _thomas_substitute(off, *_thomas_factor(diag, off), rhs)
+    assert [diag, off, rhs] == before
+    for b in (rng.normal(size=(n, m)), rng.normal(size=n)):
+        saved = b.tobytes()
+        thomas_block(4.0 + rng.uniform(size=(n, m)), rng.normal(size=(n - 1, m)), b)
+        assert b.tobytes() == saved
 
 
 def test_block_thomas_matches_column_solves_bit_for_bit():
-    # Block diagonals and rhs, shared diagonals with block rhs, and block
-    # diagonals with one shared rhs: column j must equal the 1-D solve.
+    # Block diagonals with block rhs and with one shared rhs: column j must
+    # equal the one-system solve.
     rng = np.random.default_rng(11)
     m = 5
     for n in (1, 2, 7, 50):
         diag = 4.0 + rng.uniform(size=(n, m))
         off = rng.normal(size=(n - 1, m))
         rhs = rng.normal(size=(n, m))
-        block = Tridiagonal(diag, off)
-        shared = Tridiagonal(diag[:, 0].copy(), off[:, 0].copy())
-        for A, b in ((block, rhs), (shared, rhs), (block, rhs[:, 0].copy())):
-            X = rb.solve_tridiagonal(A, b)
+        for b in (rhs, rhs[:, 0].copy()):
+            X = thomas_block(diag, off, b)
             assert X.shape == (n, m)
             for j in range(m):
-                Aj = A if A.diag.ndim == 1 else Tridiagonal(diag[:, j].copy(), off[:, j].copy())
-                bj = b if b.ndim == 1 else b[:, j].copy()
-                assert X[:, j].tolist() == rb.solve_tridiagonal(Aj, bj).tolist()
+                bj = b if b.ndim == 1 else b[:, j]
+                assert X[:, j].tolist() == thomas(diag[:, j], off[:, j], bj).tolist()
 
 
 @pytest.mark.parametrize("col", [0, 2, 4])
@@ -161,13 +149,13 @@ def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
     off = np.ones((2, 5))
     diag[0, col] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+        thomas_block(diag, off, np.ones((3, 5)))
     diag[0, col], diag[1, col] = 1.0, 1.0  # second pivot 1 - 1*1 = 0
     with pytest.raises(np.linalg.LinAlgError):
-        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+        thomas_block(diag, off, np.ones((3, 5)))
     diag[:, col] = [1.0, 2.0, 1.0]  # last pivot 1 - 1*(1/(2 - 1*1)) = 0
     with pytest.raises(np.linalg.LinAlgError):
-        rb.solve_tridiagonal(Tridiagonal(diag, off), np.ones((3, 5)))
+        thomas_block(diag, off, np.ones((3, 5)))
 
 
 def test_block_operator_columns_are_scalar_operators():
@@ -188,6 +176,17 @@ def test_solve_truth_rejects_mu_below_domain():
         rb.solve_truth(s, 0.5)
 
 
+@pytest.mark.parametrize("n_cells", [2, 200])
+def test_block_truth_solve_columns_are_scalar_solves(n_cells):
+    # solve_truth's two branches: the block kernel on an (N, m) operator and
+    # the scalar kernels on Python floats give the same bits per parameter.
+    s = rb.assemble(n_cells)
+    mus = np.array([1.0, 3.7, 999.0])
+    U = rb.solve_truth(s, mus)
+    for j, mu in enumerate(mus.tolist()):
+        assert U[:, j].tolist() == rb.solve_truth(s, mu).tolist()
+
+
 def test_truth_solution_satisfies_discrete_system():
     # Thomas elimination is backward stable: the residual scales with
     # ||A||*||u||, which dwarfs ||F|| here (entries of K are 2/h = 400).
@@ -204,7 +203,7 @@ def test_midpoint_value_close_to_analytic():
     mu = 10.0
     u = rb.solve_truth(s, mu)
     mid = s.n // 2  # node at x = 0.5
-    exact = rb.analytic_solution(mu, 0.5)
+    exact = analytic_solution(mu, 0.5)
     # Nodal error is O(h^2) ~ 2.5e-5 at h = 1/200.
     assert abs(u[mid] - exact) <= 1e-4 * abs(exact)
 
@@ -269,11 +268,10 @@ def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
     # n_cells = 2 is N = 1: no multiplier at all.
     s = rb.assemble(n_cells)
     rng = np.random.default_rng(n_cells)
-    one_column = Tridiagonal(s.Gram.diag[:, None], s.Gram.off[:, None])
     for f in (s.F, rng.normal(size=s.n), s.K.matvec(rng.normal(size=s.n))):
         w = list(map(float.hex, rb.riesz_representative(s, f).tolist()))
-        assert w == list(map(float.hex, rb.solve_tridiagonal(s.Gram, f).tolist()))
-        column = rb.solve_tridiagonal(one_column, f[:, None])[:, 0]
+        assert w == list(map(float.hex, thomas(s.Gram.diag, s.Gram.off, f).tolist()))
+        column = thomas_block(s.Gram.diag[:, None], s.Gram.off[:, None], f[:, None])[:, 0]
         assert w == list(map(float.hex, column.tolist()))
 
 
@@ -288,19 +286,19 @@ def test_riesz_rejects_a_mis_shaped_functional(shape):
 
 def test_analytic_boundary_values_are_exact_zeros():
     for mu in (1.0, 100.0, 1e6, 1e12):
-        u = rb.analytic_solution(mu, np.array([0.0, 1.0]))
+        u = analytic_solution(mu, np.array([0.0, 1.0]))
         assert u[0] == 0.0 and u[1] == 0.0
 
 
 def test_analytic_rejects_mu_below_domain():
     with pytest.raises(ValueError):
-        rb.analytic_solution(0.0, 0.5)
+        analytic_solution(0.0, 0.5)
 
 
 def test_analytic_is_symmetric_about_half():
     mu = 250.0
     x = np.linspace(0.0, 1.0, 41)
-    u = rb.analytic_solution(mu, x)
+    u = analytic_solution(mu, x)
     assert np.allclose(u, u[::-1], rtol=1e-14, atol=0)
 
 
@@ -310,8 +308,8 @@ def test_analytic_satisfies_ode():
     mu = 30.0
     x = np.linspace(0.1, 0.9, 17)
     d = 1e-6
-    ddu = (rb.analytic_derivative(mu, x + d) - rb.analytic_derivative(mu, x - d)) / (2 * d)
-    r = -ddu + mu * rb.analytic_solution(mu, x)
+    ddu = (analytic_derivative(mu, x + d) - analytic_derivative(mu, x - d)) / (2 * d)
+    r = -ddu + mu * analytic_solution(mu, x)
     assert np.allclose(r, 1.0, rtol=0, atol=1e-3)
 
 
@@ -319,8 +317,8 @@ def test_analytic_derivative_matches_difference_quotient():
     mu = 7.0
     x = np.linspace(0.05, 0.95, 13)
     d = 1e-7
-    fd = (rb.analytic_solution(mu, x + d) - rb.analytic_solution(mu, x - d)) / (2 * d)
-    assert np.allclose(rb.analytic_derivative(mu, x), fd, rtol=1e-6, atol=1e-12)
+    fd = (analytic_solution(mu, x + d) - analytic_solution(mu, x - d)) / (2 * d)
+    assert np.allclose(analytic_derivative(mu, x), fd, rtol=1e-6, atol=1e-12)
 
 
 def test_h1_error_first_order_convergence():
@@ -330,7 +328,7 @@ def test_h1_error_first_order_convergence():
         for n_cells in (50, 100, 200):
             s = rb.assemble(n_cells)
             u = rb.solve_truth(s, mu)
-            errs.append(rb.h1_error_vs_analytic(s, u, mu))
+            errs.append(h1_error_vs_analytic(s, u, mu))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
 
@@ -341,8 +339,8 @@ def test_h1_error_of_manufactured_interpolant():
     s = rb.assemble(100)
     mu = 5.0
     u = rb.solve_truth(s, mu)
-    base = rb.h1_error_vs_analytic(s, u, mu)
+    base = h1_error_vs_analytic(s, u, mu)
     bumped = u.copy()
     bumped[s.n // 2] += 1e-3
     assert base > 0.0
-    assert rb.h1_error_vs_analytic(s, bumped, mu) > base
+    assert h1_error_vs_analytic(s, bumped, mu) > base

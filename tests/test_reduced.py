@@ -204,6 +204,21 @@ def test_greedy_rejects_bad_training_sets(truth):
         rb.greedy_build(truth, [1.0, 2.0], n_max=0)
 
 
+def test_greedy_rejects_a_tol_the_empty_model_meets(truth):
+    # Nothing to build: the empty model's estimator delta is already <= tol.
+    with pytest.raises(ValueError, match="tol = 1.0 "):
+        rb.greedy_build(truth, [1.0, 2.0], n_max=2, tol=1.0)
+    model, history, _ = rb.greedy_build(truth, [1.0, 2.0], n_max=1, tol=0.5 * DELTA_200)
+    assert history == [(1.0, DELTA_200)]
+
+
+def test_greedy_raises_when_its_first_snapshot_is_rejected(truth):
+    # The first pivot ratio is exactly 1: a dependence_tol of 1 rejects the
+    # seed, and the greedy raises instead of returning an empty model.
+    with pytest.raises(DependentSnapshotError):
+        rb.greedy_build(truth, [1.0, 2.0], n_max=2, dependence_tol=1.0)
+
+
 def e1_greedy_build(sys_, training_set, n_max, tol, *, orthonormalize, dependence_tol):
     """The reference greedy: every unselected candidate is scanned with e1.
 
@@ -220,9 +235,9 @@ def e1_greedy_build(sys_, training_set, n_max, tol, *, orthonormalize, dependenc
             break
         if model.n_hat:
             gamma = rb.solve_reduced_block(model, candidates)
-        else:
-            gamma = np.empty((candidates.size, 0))
-        values = rb.estimator_e1_block(sys_, model, candidates, gamma)
+            values = rb.estimator_e1_block(sys_, model, candidates, gamma)
+        else:  # the empty model's residual is -F, whatever mu
+            values = np.full(candidates.size, rb.h1_norm(sys_, model.riesz_b))
         best = int(np.argmax(values))
         best_mu, best_val = float(candidates[best]), float(values[best])
         if best_val <= tol:
