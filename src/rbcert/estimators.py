@@ -435,26 +435,17 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate: a block's truth solve holds two (N, m) arrays and its monomial
-# vectors d entries per point, so at the paper's size (N=199, d=91) a block
-# is 41 points and every temporary stays under 64 KiB, which the allocator
-# reuses instead of growing the process.  The block Thomas solve costs
-# about the same per mesh row at any width up to 100 points and only
-# overtakes point-by-point scalar solves from about 13 points, hence a floor
-# of 32 points.  Once a 32-point block outgrows the cache budget
-# (max(N, d) > 2**11) that per-row cost dominates the sweep, so the budget
-# becomes a fixed 2**19 entries (4 MiB) per (N, m) array: 52 points at
-# N=9999, where a 100-point sweep takes 2 blocks.
+# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters: a
+# block Thomas solve holds two (N, m) arrays and costs about 4.2 us per mesh
+# row at any width up to 100 columns, so one wide solve beats several narrow
+# ones, and 2**19 entries (4 MiB) per array bound its memory.  That is 2634
+# points at N=199, the whole 400-point sweep in one solve, and 52 at N=9999.
+# Every other stage runs on sub-blocks of _BLOCK_ELEMENTS // d points, whose
+# monomial vectors (d entries per point) stay under 64 KiB, which the
+# allocator reuses instead of growing the process: 90 points at the paper's
+# size (d=91), 25 at d=325.
 _BLOCK_ELEMENTS = 2 ** 13
 _SOLVE_ELEMENTS = 2 ** 19
-_MIN_BLOCK_POINTS = 32
-
-
-def block_points(n: int, d: int) -> int:
-    """Points per :func:`evaluate` block for truth size n and X dimension d."""
-    size = max(n, d)
-    cached = size * _MIN_BLOCK_POINTS <= _CACHE_BLOCK_ELEMENTS
-    return max(_MIN_BLOCK_POINTS, (_BLOCK_ELEMENTS if cached else _SOLVE_ELEMENTS) // size)
 
 
 def _h1_squares(sys: TruthSystem, G: np.ndarray) -> np.ndarray:
@@ -577,15 +568,12 @@ def _e3_block(data: E3Data, mus, X):
     return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
-def _true_error_block(sys, model, mus, gamma):
-    """H1 distance between the truth solve and the lifted reduced solution
-    at every mus[j]: one block truth solve, then the lift and the H1 norm in
-    sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
-    U = solve_truth(sys, mus)
-    B = model.basis_matrix
+def _true_error_block(sys, B, U, gamma):
+    """H1 distance between each truth solution U[:, j] and the basis matrix B
+    times gamma[j], in sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
     step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
-    out = np.empty(len(mus))
-    for k in range(0, len(mus), step):
+    out = np.empty(len(gamma))
+    for k in range(0, len(gamma), step):
         E = np.ascontiguousarray(U[:, k:k + step].T)
         for e, g in zip(E, gamma[k:k + step]):
             e -= B @ g
@@ -600,23 +588,31 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     the field name.  Entry j has the same bits in any block that holds
     mus[j], so the one-point block ``evaluate(..., [mu])`` is the per-point
     evaluation.  A mu that is not finite or below 1 raises
-    ``ValueError``.  The whole block is held at once; callers bound its
-    size with :func:`block_points`.
+    ``ValueError``.  A block of any size runs in bounded working memory: the
+    truth is solved in chunks of _SOLVE_ELEMENTS entries per (N, m) array,
+    and the reduced solve, the estimators and the true error's lift run on
+    sub-blocks of each chunk of _BLOCK_ELEMENTS entries per monomial array.
     """
     from .reduced import solve_reduced_block
 
     mus = np.asarray(mus, dtype=float)
-    gamma = solve_reduced_block(model, mus)
-    XX = two_prod(*_monomial_factors(mus, gamma))
-    e2, radicand = _e2_block(e2data, XX[0])
-    e3, e3_clamped = _e3_block(e3data, mus, XX[0])
-    return {
-        "mu": mus,
-        "true_error": _true_error_block(sys, model, mus, gamma),
-        "e1": estimator_e1_block(sys, model, mus, gamma),
-        "e2": e2,
-        "e2_radicand": radicand,
-        "e2dd": _e2dd_block(e2data, XX)[0],
-        "e3": e3,
-        "e3_clamped_flag": e3_clamped.astype(int),
-    }
+    names = ("true_error", "e1", "e2", "e2_radicand", "e2dd", "e3")
+    cols = {name: np.empty(mus.size) for name in names}
+    cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)
+    chunk = max(1, _SOLVE_ELEMENTS // sys.n)
+    step = max(1, _BLOCK_ELEMENTS // e3data.d)
+    for c in range(0, mus.size, chunk):
+        U = solve_truth(sys, mus[c:c + chunk])
+        B = model.basis_matrix
+        for k in range(0, U.shape[1], step):
+            part = slice(c + k, c + min(k + step, U.shape[1]))
+            m = mus[part]
+            gamma = solve_reduced_block(model, m)
+            XX = two_prod(*_monomial_factors(m, gamma))
+            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(e2data, XX[0])
+            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m, XX[0])
+            cols["e2dd"][part] = _e2dd_block(e2data, XX)[0]
+            cols["e1"][part] = estimator_e1_block(sys, model, m, gamma)
+            cols["true_error"][part] = _true_error_block(sys, B, U[:, k:k + step], gamma)
+        del U, B  # not alive beside the next chunk's solve
+    return {"mu": mus, **cols}

@@ -74,6 +74,9 @@ class ExperimentConfig:
         # would reject it and leave the model empty.
         if not (0.0 <= self.dependence_tol < 1.0):
             raise ConfigError("dependence_tol must be in [0, 1)")
+        # os.makedirs and open raise ValueError, not OSError, on a NUL byte.
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir {self.output_dir!r} holds a NUL byte")
         return self
 
     def artifact_path(self) -> str:
@@ -311,15 +314,9 @@ CSV_HEADER = ",".join(f.name for f in _SWEEP_FIELDS)
 
 
 def compute_sweep(sys_, model, e2data, e3data, mus) -> list[SweepRecord]:
-    """One SweepRecord per mu, evaluated in blocks by ``estimators.evaluate``."""
-    mus = np.asarray(mus, dtype=float)
-    names = [f.name for f in _SWEEP_FIELDS]
-    step = estimators.block_points(sys_.n, e3data.d)
-    rows = []
-    for k in range(0, mus.size, step):
-        cols = estimators.evaluate(sys_, model, e2data, e3data, mus[k:k + step])
-        rows += [SweepRecord(*vals) for vals in zip(*(cols[name].tolist() for name in names))]
-    return rows
+    """One SweepRecord per mu, from one ``estimators.evaluate`` call."""
+    cols = estimators.evaluate(sys_, model, e2data, e3data, mus)
+    return [SweepRecord(*vals) for vals in zip(*(cols[f.name].tolist() for f in _SWEEP_FIELDS))]
 
 
 def _fmt(x: float) -> str:

@@ -12,6 +12,7 @@ import pytest
 import rbcert as rb
 from rbcert.estimators import (
     _CACHE_BLOCK_ELEMENTS,
+    _SOLVE_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
     _dd_dots,
@@ -22,7 +23,6 @@ from rbcert.estimators import (
     _monomial_factors,
     _pairwise_sum,
     _pivoted_gram_schmidt,
-    block_points,
 )
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.fem import TruthSystem
@@ -526,8 +526,8 @@ def small_orthonormal():
 
 @pytest.fixture(scope="module")
 def large_orthonormal():
-    """n_cells=4000, orthonormal basis of 4: past the cache budget of a
-    32-point block, so block_points takes the large-N rule."""
+    """n_cells=4000, orthonormal basis of 4: one truth chunk holds more
+    points than the cache budget, so the true error lifts it in sub-blocks."""
     cfg = rb.ExperimentConfig(
         n_cells=4000, n_train=20, rb_size=4, orthonormalize=True, dependence_tol=1e-30
     )
@@ -555,14 +555,24 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
     mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
     if request.param == "large_orthonormal":
-        # One compute_sweep block, and _true_error_block lifts it in sub-blocks.
+        # One truth chunk, whose lift _true_error_block runs in sub-blocks.
         n = case[0].n
-        assert block_points(n, e3data.d) >= len(mus) > _CACHE_BLOCK_ELEMENTS // n
+        assert _SOLVE_ELEMENTS // n >= len(mus) > _CACHE_BLOCK_ELEMENTS // n
     else:
         # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
         # mu = 1 on the small one).
         assert any(r["e3_clamped_flag"] for r in reference)
     return case, mus, reference
+
+
+def assert_same_bits(got, reference):
+    """Every field of got (lists keyed by FIELDS) equals the reference by float.hex."""
+    for name in FIELDS:
+        expect = [r[name] for r in reference]
+        if name == "e3_clamped_flag":
+            assert got[name] == expect
+        else:
+            assert [v.hex() for v in got[name]] == [v.hex() for v in expect], name
 
 
 @pytest.mark.parametrize("block", [1, 3, None])
@@ -574,27 +584,42 @@ def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
         cols = rb.evaluate(*case, mus[k:k + step])
         for name in FIELDS:
             got[name] += cols[name].tolist()
-    for name in FIELDS:
-        expect = [r[name] for r in reference]
-        if name == "e3_clamped_flag":
-            assert got[name] == expect
-        else:
-            assert [v.hex() for v in got[name]] == [v.hex() for v in expect], name
+    assert_same_bits(got, reference)
 
 
 def test_compute_sweep_equals_per_point(evaluation_case):
     case, mus, reference = evaluation_case
     rows = rb.compute_sweep(*case, mus)
-    assert [[getattr(r, name) for name in FIELDS] for r in rows] == [
-        [rec[name] for name in FIELDS] for rec in reference
-    ]
+    assert_same_bits({name: [getattr(r, name) for r in rows] for name in FIELDS}, reference)
 
 
-def test_block_points():
-    assert block_points(199, 91) == 41  # paper default
-    assert block_points(199, 325) == 32  # converged orthonormal basis, N_hat = 12
-    assert math.ceil(100 / block_points(9999, 325)) == 2  # large mesh, 100 points
-    assert block_points(10 ** 6, 325) == 32
+def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch):
+    # 7-point truth chunks with a ragged tail, 3-point sub-blocks that leave
+    # one point at each chunk's end, and e1 and the lift in steps of 2.
+    case, mus, reference = evaluation_case
+    n, d = case[0].n, case[3].d
+    monkeypatch.setattr("rbcert.estimators._SOLVE_ELEMENTS", 7 * n)
+    monkeypatch.setattr("rbcert.estimators._BLOCK_ELEMENTS", 3 * d)
+    monkeypatch.setattr("rbcert.estimators._CACHE_BLOCK_ELEMENTS", 2 * n)
+    assert len(mus) > 3 * 7 and len(mus) % 7
+    cols = rb.evaluate(*case, mus)
+    assert_same_bits({name: cols[name].tolist() for name in FIELDS}, reference)
+    rows = rb.compute_sweep(*case, mus)
+    assert_same_bits({name: [getattr(r, name) for r in rows] for name in FIELDS}, reference)
+
+
+def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, default_config):
+    # The default 400-point grid is one truth chunk (two (N, 400) arrays,
+    # 1.3 MB), and every other stage runs on sub-blocks of it: 1.97 MB
+    # traced, against 5.1 MB with every stage across the whole chunk.
+    mus = sweep_grid(default_config)
+    tracemalloc.start()
+    try:
+        rb.compute_sweep(truth, default_model[0], default_e2, default_e3, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 @pytest.mark.parametrize("misfit", ["short", "long", "rows"])

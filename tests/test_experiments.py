@@ -438,6 +438,20 @@ def test_cli_unusable_output_dir_exits_2_before_work(command, tmp_path, monkeypa
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["offline", "sweep", "floors"])
+def test_cli_nul_byte_in_output_dir_exits_2_before_work(command, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a NUL byte in the output directory")
+
+    monkeypatch.setattr("rbcert.reduced.greedy_build", no_work)
+    monkeypatch.setattr("rbcert.experiments.load_artifact", no_work)
+    p = tmp_path / "nul.cfg"
+    p.write_text(f"output_dir = {tmp_path / 'o'}\0x\nn_cells = 50\nrb_size = 3\nn_train = 20\n")
+    assert cli.main([command, "--config", str(p)]) == 2
+    assert "holds a NUL byte" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["nul.cfg"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "floors"])
 def test_cli_missing_artifact_leaves_no_output_dir(command, tmp_path, capsys):
     # The output directory is only checked before the artifact load; it is
