@@ -66,19 +66,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, solve_truth
-from .precision import SPLITTER, dd_add, dd_mul, dd_sqrt, dd_sum, dd_sum_into, two_prod
+from .precision import (
+    SPLITTER,
+    dd_add,
+    dd_add_into,
+    dd_mul,
+    dd_sqrt,
+    dd_sum,
+    dd_sum_into,
+    split,
+    two_prod,
+)
 
 logger = logging.getLogger(__name__)
 
 # Entries per temporary of the loops that stream length-N stacks: e1's
 # pairwise tree (N_hat + 2 vectors per point), the true error's lift and
-# the E2 build's dd dots (one column per pair, on seven reused buffers of
-# this size).  All must stay in cache.  At N=9999, N_hat=12 this budget
-# (6 columns) ran 200 e1 points in 43 ms against 71 ms point by point, and
-# four times the budget took 66 ms; a whole E2 build took 194 ms, against
-# 257 ms at 2**14 (one pair per chunk), 311 ms at 2**18 and 397 ms at
-# 2**20 entries, and 320 ms with the former allocating dd kernels (2-vCPU
-# Xeon, one BLAS thread).
+# the E2 build's dd matvecs and dots (one vector or one pair per column).
+# All must stay in cache.  At N=9999, N_hat=12 this budget (6 columns) ran
+# 200 e1 points in 43 ms against 71 ms point by point, and four times the
+# budget took 66 ms; a whole E2 build took 194 ms, against 257 ms at 2**14
+# (one pair per chunk), 311 ms at 2**18 and 397 ms at 2**20 entries, and
+# 320 ms with the former allocating dd kernels (2-vCPU Xeon, one BLAS
+# thread).  Each loop writes into buffers of this size that it allocates
+# once per call.  Allocating per operation is slow beside a large live
+# array: glibc serves a request above its mmap threshold (128 KiB at
+# start) with a fresh mmap, so fresh page faults, and raises the threshold
+# only when it frees such a mapping.  While an 8 MB truth chunk is alive
+# and nothing as large has been freed, every 480 KB temporary is mapped
+# anew: the allocating e1 over 100 points at N=9999 took 103 ms so, and
+# 30 ms once the chunk was freed, as e1 on reused buffers takes either way.
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -88,35 +105,89 @@ class EstimatorBuildError(RuntimeError):
 
 # --- E1: full-size reference ---------------------------------------------
 
-def _pairwise_sum(n, term, first=0):
-    """Balanced pairwise sum of term(first), ..., term(first + n - 1).
+class _Workspace:
+    """(k, N) views into (step, N) buffers, allocated on first use and reused.
 
-    The front half is summed, then the back half, then the two added.
-    Terms are made only when the tree reaches them, so besides the term
-    at hand only one partial sum per tree level is alive.
+    e1's pairwise tree, the true error's lift and their Gram quadratic
+    forms take every temporary here and write it with ``out=``, so a call
+    allocates each buffer once, however many steps it runs (see
+    _CACHE_BLOCK_ELEMENTS for why that matters).
+    """
+
+    def __init__(self, step: int, n: int):
+        self.step, self.n = step, n
+        self._free: list[np.ndarray] = []
+
+    def take(self, k: int) -> np.ndarray:
+        """A (k, N) view, k <= step, of a free buffer."""
+        buf = self._free.pop() if self._free else np.empty((self.step, self.n))
+        return buf[:k]
+
+    def give(self, *views) -> None:
+        """Return the buffers of views taken earlier."""
+        self._free += [v.base for v in views]
+
+
+def _pairwise_sum(n, term, work, first=0):
+    """Balanced pairwise sum of term(first), ..., term(first + n - 1), in place.
+
+    term(k) returns its term in a buffer taken from work.  The front half
+    is summed, then the back half, then the back added into the front and
+    its buffer given back, so besides the term at hand only one partial
+    sum per tree level is alive.  Returns the buffer holding the sum.
     """
     if n == 1:
         return term(first)
     half = n // 2
-    return _pairwise_sum(half, term, first) + _pairwise_sum(n - half, term, first + half)
+    front = _pairwise_sum(half, term, work, first)
+    back = _pairwise_sum(n - half, term, work, first + half)
+    np.add(front, back, front)
+    work.give(back)
+    return front
 
 
 # --- double-double Gram inner product -------------------------------------
 
-def _dd_gram_matvec(sys: TruthSystem, v: np.ndarray):
-    """Gram*v in double-double, for a vector or each row of a (k, N) stack.
+def _two_prod_into(c, v, p, e, vh, vl, x):
+    """``two_prod(c, v)`` into (p, e), for a row of coefficients c.
 
-    Every entry is built from error-free products of the double inputs
-    and two dd additions, element by element, so a row of a stack gets
-    the bits the same vector gets alone.
+    v is only read; vh, vl and x are scratch shaped like v.  The
+    operations of :func:`precision.two_prod` in its order.
+    """
+    ch, cl = split(c)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    mul(c, v, p)
+    mul(SPLITTER, v, vh)     # split(v) = (vh, vl)
+    sub(vh, v, vl)
+    sub(vh, vl, vh)
+    sub(v, vh, vl)
+    mul(ch, vh, e)           # ((ch*vh - p) + ch*vl + cl*vh) + cl*vl
+    sub(e, p, e)
+    for a, b in ((ch, vl), (cl, vh), (cl, vl)):
+        mul(a, b, x)
+        add(e, x, e)
+
+
+def _dd_gram_matvec(sys: TruthSystem, vs, buf, wh, wl) -> None:
+    """Gram*v in double-double for every vector v of the list vs, into (wh, wl).
+
+    Row j of the (k, N) arrays wh and wl gets Gram*vs[j]: two_prod of the
+    diagonal with v, then the dd_add of two_prod of the off-diagonal with
+    each shifted v, element by element, so a vector gets the same bits
+    alone as in a stack.  buf holds seven flat float arrays of at least
+    N*k entries, as for :func:`_dd_dots`: the vectors are gathered into
+    one with one ``np.stack``, and every operation writes into buf or into
+    wh and wl, so no array of that size is allocated.
     """
     G = sys.Gram
-    wh, wl = two_prod(G.diag, v)
-    ah, al = two_prod(G.off, v[..., 1:])
-    bh, bl = two_prod(G.off, v[..., :-1])
-    wh[..., :-1], wl[..., :-1] = dd_add((wh[..., :-1], wl[..., :-1]), (ah, al))
-    wh[..., 1:], wl[..., 1:] = dd_add((wh[..., 1:], wl[..., 1:]), (bh, bl))
-    return wh, wl
+    k, n = wh.shape
+    V, P, E, *scratch = (b[: n * k].reshape(k, n) for b in buf)
+    np.stack(vs, out=V)
+    _two_prod_into(G.diag, V, wh, wl, *scratch[:3])
+    scratch = [b[:, 1:] for b in scratch]
+    for w, v in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:, 1:], np.s_[:, :-1])):
+        _two_prod_into(G.off, V[v], P[:, 1:], E[:, 1:], *scratch[:3])
+        dd_add_into(wh[w], wl[w], P[:, 1:], E[:, 1:], *scratch)
 
 
 def _dd_dots(us, whs, wls, buf):
@@ -201,8 +272,8 @@ class E2Table:
     has not seen yet, so each new snapshot costs two dd Gram matvecs and
     the pairs that involve its two vectors.  Matvecs and pairs go in
     chunks of at most _CACHE_BLOCK_ELEMENTS entries per temporary, the
-    budget as it is at each growth; the pairs run in place on seven
-    buffers that each growth allocates once.  The model must only grow
+    budget as it is at each growth; matvecs and pairs run in place on
+    seven buffers that each growth allocates once.  The model must only grow
     between calls.  q is read off F in z's order: F_II on the diagonal and
     the dd sum F_IJ + F_JI off it, with (b, r) standing in for (r, b).
     """
@@ -226,20 +297,22 @@ class E2Table:
 
     def _extend(self, vectors) -> None:
         k0, k = len(self.R), len(self.R) + len(vectors)
-        step = max(1, _CACHE_BLOCK_ELEMENTS // self.sys.n)
-        for c in range(0, len(vectors), step):
-            wh, wl = _dd_gram_matvec(self.sys, np.array(vectors[c:c + step]))
-            self.Wh += list(wh)
-            self.Wl += list(wl)
-        self.R += vectors
+        Wh, Wl = np.empty((len(vectors), self.sys.n)), np.empty((len(vectors), self.sys.n))
         Fh = np.zeros((k, k))
         Fl = np.zeros((k, k))
         Fh[:k0, :k0], Fl[:k0, :k0] = self.Fh, self.Fl
-        # The needed pairs (R[u[p]], R[v[p]]) that involve a new vector.
+        # The needed pairs (R[u[p]], R[v[p]]) that involve a new vector:
+        # at least one per new vector, so the buffers fit a matvec chunk.
         u, v = np.divmod(np.arange(k * k), k)
         keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
         u, v = u[keep], v[keep]
+        step = max(1, _CACHE_BLOCK_ELEMENTS // self.sys.n)
         buf = [np.empty(self.sys.n * min(step, len(u))) for _ in range(7)]
+        for c in range(0, len(vectors), step):
+            _dd_gram_matvec(self.sys, vectors[c:c + step], buf, Wh[c:c + step], Wl[c:c + step])
+        self.R += vectors
+        self.Wh += list(Wh)
+        self.Wl += list(Wl)
         for c in range(0, len(u), step):
             uc, vc = u[c:c + step], v[c:c + step]
             Fh[uc, vc], Fl[uc, vc] = _dd_dots(
@@ -435,23 +508,56 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters: a
-# block Thomas solve holds two (N, m) arrays and costs about 4.2 us per mesh
-# row at any width up to 100 columns, so one wide solve beats several narrow
-# ones, and 2**19 entries (4 MiB) per array bound its memory.  That is 2634
-# points at N=199, the whole 400-point sweep in one solve, and 52 at N=9999.
-# Every other stage runs on sub-blocks of _BLOCK_ELEMENTS // d points, whose
-# monomial vectors (d entries per point) stay under 64 KiB, which the
-# allocator reuses instead of growing the process: 90 points at the paper's
-# size (d=91), 25 at d=325.
+# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters: the
+# block Thomas solve holds one (N, m) array, its solution, and costs about
+# 4.7 us per mesh row at any width from 13 to 100 columns (N=9999, 2-vCPU
+# Xeon; eleven ufunc calls on (m,) rows, mostly call overhead), so one wide
+# solve beats several narrow ones, and 2**20 entries (8 MiB) bound its
+# memory.  That is 5269 points at N=199, and 104 at N=9999, so a 100-point
+# sweep there is one solve: 47 ms, against 95 ms for two 52-point chunks
+# of a kernel that held two (N, m) arrays.  The true error's lift and e1
+# then stream the chunk's length-N stacks in steps, on one workspace
+# (:func:`_n_length_work`).  The d-length stages run on sub-blocks of
+# _BLOCK_ELEMENTS // d points, whose monomial vectors (d entries per point)
+# stay under 64 KiB, which the allocator reuses instead of growing the
+# process: 90 points at the paper's size (d=91), 25 at d=325.
 _BLOCK_ELEMENTS = 2 ** 13
-_SOLVE_ELEMENTS = 2 ** 19
+_SOLVE_ELEMENTS = 2 ** 20
 
 
-def _h1_squares(sys: TruthSystem, G: np.ndarray) -> np.ndarray:
-    """h1_inner(g, g) for every row g of the (m, n) stack G."""
-    W = sys.Gram.matvec(G)
-    return np.array([g @ w for g, w in zip(G, W)])
+def _n_length_work(sys: TruthSystem, model, m: int) -> _Workspace:
+    """The workspace of e1's tree and the lift for m points.
+
+    Its steps take as many points as the cache budget allows, but no more
+    than m, nor than a d-length sub-block, which bounds the buffers at
+    small N (90 points of N=199 at d=91, not 329).
+    """
+    d = x_dimension(model.n_hat)
+    step = min(m, _CACHE_BLOCK_ELEMENTS // sys.n, _BLOCK_ELEMENTS // d)
+    return _Workspace(max(1, step), sys.n)
+
+
+def _h1_norms(sys: TruthSystem, work: _Workspace, m: int, stack) -> np.ndarray:
+    """The H1 norms of m vectors, work.step at a time.
+
+    stack(rows) returns the (k, N) stack of the vectors at rows, in a
+    buffer taken from work; its Gram quadratic forms run on two more.
+    The matvec is ``Gram.matvec`` with ``out=``, and each form one dot.
+    """
+    out = np.empty(m)
+    diag, off = sys.Gram.diag, sys.Gram.off
+    mul, add = np.multiply, np.add
+    for k in range(0, m, work.step):
+        G = stack(slice(k, k + work.step))
+        W, T = work.take(len(G)), work.take(len(G))
+        mul(diag, G, W)
+        mul(off, G[:, 1:], T[:, 1:])
+        add(W[:, :-1], T[:, 1:], W[:, :-1])
+        mul(off, G[:, :-1], T[:, 1:])
+        add(W[:, 1:], T[:, 1:], W[:, 1:])
+        out[k:k + len(G)] = [g @ w for g, w in zip(G, W)]
+        work.give(G, W, T)
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -463,8 +569,8 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
     before scaling), then a single Gram quadratic form.  Cost O(N*N_hat)
     per point.  gamma is (m, N_hat), one row per point and one coefficient
     per basis vector, or ``ValueError`` is raised, as it is for the empty
-    model.  The pairwise tree runs on (m, N) stacks, in sub-blocks of at
-    most _CACHE_BLOCK_ELEMENTS.
+    model.  The pairwise tree runs on (k, N) stacks of at most
+    _CACHE_BLOCK_ELEMENTS entries, on buffers allocated once per call.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
@@ -473,26 +579,35 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
             f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
             f"on a basis of {model.n_hat}"
         )
-    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
-    out = np.empty(len(mus))
-    for k in range(0, len(mus), step):
-        out[k:k + step] = _e1_rows(sys, model, mus[k:k + step], gamma[k:k + step])
-    return out
+    return _e1_norms(sys, model, mus, gamma, _n_length_work(sys, model, len(mus)))
 
 
-def _e1_rows(sys, model, mus, gamma):
-    n_hat = gamma.shape[1]
+def _e1_norms(sys, model, mus, gamma, work):
+    n_hat = model.n_hat
     a0, a1 = model.riesz_a0, model.riesz_a1
 
-    def term(k):
-        if k == 0:
-            return model.riesz_b
-        if k <= n_hat:
-            return gamma[:, k - 1, None] * a0[k - 1]
-        return mus[:, None] * _pairwise_sum(n_hat, lambda i: gamma[:, i, None] * a1[i])
+    def stack(rows):
+        mu, ga = mus[rows], gamma[rows]
 
-    g = _pairwise_sum(n_hat + 2, term)
-    return np.sqrt(np.maximum(_h1_squares(sys, g), 0.0))
+        def scaled(a, i):
+            return np.multiply(ga[:, i, None], a[i], work.take(len(ga)))
+
+        # The mu-scaled group first, so its tree is not alive beside the
+        # outer one's.  No bit changes: every node still adds the same
+        # front and back sums.
+        group = _pairwise_sum(n_hat, lambda i: scaled(a1, i), work)
+        np.multiply(mu[:, None], group, group)
+
+        def term(k):
+            if k == 0:
+                b = work.take(len(ga))
+                b[:] = model.riesz_b
+                return b
+            return scaled(a0, k - 1) if k <= n_hat else group
+
+        return _pairwise_sum(n_hat + 2, term, work)
+
+    return _h1_norms(sys, work, len(mus), stack)
 
 
 def _monomial_factors(mus, gamma):
@@ -568,17 +683,21 @@ def _e3_block(data: E3Data, mus, X):
     return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
-def _true_error_block(sys, B, U, gamma):
+def _true_error_block(sys, B, U, gamma, work):
     """H1 distance between each truth solution U[:, j] and the basis matrix B
-    times gamma[j], in sub-blocks of _CACHE_BLOCK_ELEMENTS entries."""
-    step = max(1, _CACHE_BLOCK_ELEMENTS // sys.n)
-    out = np.empty(len(gamma))
-    for k in range(0, len(gamma), step):
-        E = np.ascontiguousarray(U[:, k:k + step].T)
-        for e, g in zip(E, gamma[k:k + step]):
-            e -= B @ g
-        out[k:k + step] = np.sqrt(np.maximum(_h1_squares(sys, E), 0.0))
-    return out
+    times gamma[j]; the lift B @ gamma[j] is one matrix-vector product per
+    point, into a row allocated once per call."""
+    lift = np.empty(sys.n)
+
+    def stack(rows):
+        E = work.take(len(gamma[rows]))
+        np.copyto(E, U[:, rows].T)
+        for e, g in zip(E, gamma[rows]):
+            np.matmul(B, g, out=lift)
+            np.subtract(e, lift, e)
+        return E
+
+    return _h1_norms(sys, work, len(gamma), stack)
 
 
 def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> dict:
@@ -588,10 +707,14 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     the field name.  Entry j has the same bits in any block that holds
     mus[j], so the one-point block ``evaluate(..., [mu])`` is the per-point
     evaluation.  A mu that is not finite or below 1 raises
-    ``ValueError``.  A block of any size runs in bounded working memory: the
-    truth is solved in chunks of _SOLVE_ELEMENTS entries per (N, m) array,
-    and the reduced solve, the estimators and the true error's lift run on
-    sub-blocks of each chunk of _BLOCK_ELEMENTS entries per monomial array.
+    ``ValueError``.  A block of any size runs in bounded working memory.
+    It is taken in chunks of _SOLVE_ELEMENTS // N points, each with one
+    reduced solve and one truth solve, whose (N, m) solution is the only
+    chunk-sized array.  The true error's lift and then e1 stream the chunk
+    in steps of at most _CACHE_BLOCK_ELEMENTS entries, on buffers
+    allocated once per call, and the solution is released before e1.  The
+    monomials, e2, e2dd and e3 run on sub-blocks of the chunk of
+    _BLOCK_ELEMENTS entries per monomial array.
     """
     from .reduced import solve_reduced_block
 
@@ -601,18 +724,18 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)
     chunk = max(1, _SOLVE_ELEMENTS // sys.n)
     step = max(1, _BLOCK_ELEMENTS // e3data.d)
+    work = _n_length_work(sys, model, min(chunk, mus.size))
     for c in range(0, mus.size, chunk):
-        U = solve_truth(sys, mus[c:c + chunk])
-        B = model.basis_matrix
-        for k in range(0, U.shape[1], step):
-            part = slice(c + k, c + min(k + step, U.shape[1]))
-            m = mus[part]
-            gamma = solve_reduced_block(model, m)
-            XX = two_prod(*_monomial_factors(m, gamma))
+        m = mus[c:c + chunk]
+        gamma = solve_reduced_block(model, m)
+        U = solve_truth(sys, m)
+        cols["true_error"][c:c + len(m)] = _true_error_block(sys, model.basis_matrix, U, gamma, work)
+        del U  # not alive beside e1's tree or the next chunk's solve
+        cols["e1"][c:c + len(m)] = _e1_norms(sys, model, m, gamma, work)
+        for k in range(0, len(m), step):
+            part = slice(c + k, c + min(k + step, len(m)))
+            XX = two_prod(*_monomial_factors(m[k:k + step], gamma[k:k + step]))
             cols["e2"][part], cols["e2_radicand"][part] = _e2_block(e2data, XX[0])
-            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m, XX[0])
+            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], XX[0])
             cols["e2dd"][part] = _e2dd_block(e2data, XX)[0]
-            cols["e1"][part] = estimator_e1_block(sys, model, m, gamma)
-            cols["true_error"][part] = _true_error_block(sys, B, U[:, k:k + step], gamma)
-        del U, B  # not alive beside the next chunk's solve
     return {"mu": mus, **cols}

@@ -14,7 +14,6 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -67,23 +66,9 @@ class TruthSystem:
     def n(self) -> int:
         return self.n_cells - 1
 
-    def operator(self, mu) -> Tridiagonal:
-        """The parametric operator A(mu) = K + mu*M.
-
-        For a 1-D array of m parameters the diagonals are (n, m) blocks
-        whose column j holds A(mu[j]), entry for entry as the scalar call.
-        Each block is mu*M formed in place and K added to it, with no
-        other (n, m) array; IEEE addition and multiplication commute, so
-        the bits are those of K + mu*M.
-        """
-        if np.ndim(mu) == 0:
-            return self.K + self.M.scaled(mu)
-        mu = np.asarray(mu, dtype=float)
-        diag = np.multiply(self.M.diag[:, None], mu)
-        diag += self.K.diag[:, None]
-        off = np.multiply(self.M.off[:, None], mu)
-        off += self.K.off[:, None]
-        return Tridiagonal(diag, off)
+    def operator(self, mu: float) -> Tridiagonal:
+        """The parametric operator A(mu) = K + mu*M at one parameter."""
+        return self.K + self.M.scaled(mu)
 
 
 def assemble(n_cells: int) -> TruthSystem:
@@ -111,7 +96,7 @@ def _thomas_factor(diag, off):
 
     diag and off are lists of Python floats, and so are the multipliers
     c_i = off[i-1]/piv[i-1] and pivots piv_i = diag[i] - off[i-1]*c_i
-    returned, formed row for row as :func:`_thomas_block` forms them.  A
+    returned, formed row for row as :func:`_thomas_equal_rows` forms them.  A
     zero pivot raises ``ZeroDivisionError`` here or in the substitution.
     """
     piv = diag[0]
@@ -130,7 +115,7 @@ def _thomas_substitute(off, cs, pivs, rhs):
     A zip-driven loop over sequences that yield Python floats (lists, or
     the ``array("d")`` factors of a :class:`TruthSystem`): no indexing, and
     Python floats, which combine faster than numpy scalars.  Row for row
-    it makes the operations of :func:`_thomas_block` in the same order,
+    it makes the operations of :func:`_thomas_equal_rows` in the same order,
     so both give the same bits.  Returns the solution as a list.
     """
     x = rhs[0] / pivs[0]
@@ -143,38 +128,55 @@ def _thomas_substitute(off, cs, pivs, rhs):
     return xs
 
 
-def _thomas_block(diag, off, rhs):
-    """Thomas elimination of m systems at once, one per column, in place.
+def _thomas_equal_rows(n, diag, off, rhs):
+    """Thomas elimination of m systems of n equal rows at once, one per column.
 
-    diag (n, m) and off (n-1, m) are overwritten: the solution goes over
-    diag, and the multiplier of row i over off[i-1] (the first one into
-    a spare row), once that row of off is no longer read.  rhs is (n, m)
-    or a shared (n,), iterated as stride-0 rows, and is only read.  Rows
-    are iterated, not indexed, and every ufunc writes into a preallocated
-    row, so the solve holds no (n, m) array besides diag and off, and no
-    list of rows.  Returns diag.
+    Column j is the n x n system whose every row has diagonal diag[j],
+    off-diagonal off[j] and right-hand side rhs[j] (all (m,) arrays;
+    off is not read when n = 1).  The forward sweep writes its values
+    into the one (n, m) array returned, and keeps the pivot of every
+    s-th row, s = isqrt(n).  The back substitution then runs segment by
+    segment from the last: it recomputes a segment's s multipliers from
+    its kept pivot with the forward sweep's operations in the same order,
+    so they have the forward sweep's bits, and applies them.  Rows are
+    iterated, not indexed, and every ufunc writes into a preallocated
+    row, so besides the solution the solve holds about 2*sqrt(n) rows.
+    Row for row it makes the operations of :func:`_thomas_factor` and
+    :func:`_thomas_substitute`, so each column has the bits of the
+    scalar solve.
     """
-    if rhs.ndim == 1:
-        rhs = np.broadcast_to(rhs[:, None], diag.shape)
+    s = max(1, math.isqrt(n))
+    X = np.empty((n, diag.shape[0]))
+    kept = np.empty((-(-(n - 1) // s), diag.shape[0]))  # rows 0, s, ... < n - 1
+    cs = np.empty((s, diag.shape[0]))
     div, mul, sub = np.divide, np.multiply, np.subtract
-    spare = np.empty(diag.shape[1])
-    t = np.empty_like(spare)
-    piv = diag[0].copy()
-    x = diag[0]
-    div(rhs[0], piv, x)
-    for o, c, a, r in zip(off, itertools.chain([spare], off), diag[1:], rhs[1:]):
-        div(o, piv, c)
-        mul(o, c, t)
-        sub(a, t, piv)
-        mul(o, x, t)
-        sub(r, t, t)
-        div(t, piv, a)
-        x = a
-    for c, y in zip(itertools.chain(off[-2::-1], [spare]), diag[-2::-1]):
-        mul(c, x, t)
-        sub(y, t, y)
-        x = y
-    return diag
+    piv = diag.copy()
+    c, t = np.empty_like(piv), np.empty_like(piv)
+    x = X[0]
+    div(rhs, piv, x)
+    for k, p in enumerate(kept):
+        np.copyto(p, piv)
+        for y in X[k * s + 1:k * s + s + 1]:
+            div(off, piv, c)
+            mul(off, c, t)
+            sub(diag, t, piv)
+            mul(off, x, t)
+            sub(rhs, t, t)
+            div(t, piv, y)
+            x = y
+    for k in range(len(kept) - 1, -1, -1):
+        # Segment k: row i = k*s + j takes the multiplier of row i + 1.
+        seg = cs[: min(s, n - 1 - k * s)]
+        np.copyto(piv, kept[k])
+        for c in seg:
+            div(off, piv, c)
+            mul(off, c, t)
+            sub(diag, t, piv)
+        for c, y in zip(seg[::-1], X[k * s + len(seg) - 1::-1]):
+            mul(c, x, t)
+            sub(y, t, y)
+            x = y
+    return X
 
 
 @contextlib.contextmanager
@@ -201,22 +203,29 @@ def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     One parameter is factored (:func:`_thomas_factor`) and substituted
     (:func:`_thomas_substitute`) on Python floats, about 0.34 us per mesh
     row, of which the substitution, all a Riesz lift runs on Gram's stored
-    factors, is 0.2.  For a 1-D array of m parameters, one (n, m) block
-    solve (:func:`_thomas_block`) whose column j is the solution at mu[j],
-    with the bits of the one-parameter solve; the block operator is built
-    here, so the solve overwrites it and the solution is its diagonal
-    block.  A block costs about 4.2 us per mesh row at any width up to 100
-    columns (N=9999, 2-vCPU Xeon), so it pays off from about 13 columns.
-    A zero pivot raises ``LinAlgError``.
+    factors, is 0.2.  For a 1-D array of m parameters, one block solve
+    (:func:`_thomas_equal_rows`) returns an (n, m) array whose column j is
+    the solution at mu[j], with the bits of the one-parameter solve.  It
+    relies on the uniform mesh: every row of A(mu) and of F is the same,
+    so column j is given by one diagonal K_d + mu[j]*M_d, one off-diagonal
+    and one load value, and the solve holds no (n, m) array besides the
+    solution.  A coefficient that varies along the mesh would need runs of
+    equal rows, one kernel call per run.  A zero pivot raises
+    ``LinAlgError``.
     """
     check_parameters(mu)
-    A = sys.operator(mu)
     with _pivot_errors():
-        if A.diag.ndim == 1:
+        if np.ndim(mu) == 0:
+            A = sys.operator(mu)
             off = A.off.tolist()
             factors = _thomas_factor(A.diag.tolist(), off)
             return np.array(_thomas_substitute(off, *factors, sys.F.tolist()))
-        return _thomas_block(A.diag, A.off, sys.F)
+        # The entries of A(mu) = K + mu*M, as the scalar branch forms them.
+        mu = np.asarray(mu, dtype=float)
+        K, M = sys.K, sys.M
+        diag = K.diag[0] + mu * M.diag[0]
+        off = K.off[0] + mu * M.off[0] if sys.n > 1 else diag
+        return _thomas_equal_rows(sys.n, diag, off, np.full_like(mu, sys.F[0]))
 
 
 def h1_inner(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:

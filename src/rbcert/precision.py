@@ -133,7 +133,7 @@ def dd_sum_into(h, l, scratch):
     """:func:`dd_sum`'s tree over (n, ...) arrays h and l, in place.
 
     Each level is :func:`dd_add` of the front half and the back half,
-    written over the front half by :func:`_dd_add_into`, the same
+    written over the front half by :func:`dd_add_into`, the same
     operations in the same order, so every bit is :func:`dd_sum`'s.  h and
     l are overwritten; scratch holds four flat float arrays of at least
     h[:n // 2].size entries, and no other array is allocated.  Returns
@@ -145,12 +145,12 @@ def dd_sum_into(h, l, scratch):
         m = n - half
         x = h[:m]
         tmp = [s[: x.size].reshape(x.shape) for s in scratch]
-        _dd_add_into(x, l[:m], h[half:n], l[half:n], *tmp)
+        dd_add_into(x, l[:m], h[half:n], l[half:n], *tmp)
         n = half
     return h[0], l[0]
 
 
-def _dd_add_into(xh, xl, yh, yl, a, b, c, d):
+def dd_add_into(xh, xl, yh, yl, a, b, c, d):
     """``dd_add((xh, xl), (yh, yl))`` written over (xh, xl).
 
     The operations and their order are dd_add's, so the bits are too;

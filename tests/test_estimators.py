@@ -21,7 +21,6 @@ from rbcert.estimators import (
     _e2dd_block,
     _lu_solve,
     _monomial_factors,
-    _pairwise_sum,
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
@@ -134,8 +133,10 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     carries ~32 significant digits: effectively the exact value of the
     double-data inner product, to be rounded as the caller requires.
     """
-    wh, wl = _dd_gram_matvec(sys, v)
-    h, l = _dd_dots([u], [wh], [wl], [np.empty(sys.n) for _ in range(7)])
+    buf = [np.empty(sys.n) for _ in range(7)]
+    wh, wl = np.empty((1, sys.n)), np.empty((1, sys.n))
+    _dd_gram_matvec(sys, [v], buf, wh, wl)
+    h, l = _dd_dots([u], wh, wl, buf)
     return float(h[0]), float(l[0])
 
 
@@ -418,14 +419,23 @@ def solve_reduced_oracle(model, mu):
     return np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
 
 
+def pairwise_sum(n, term, first=0):
+    """Balanced pairwise sum of term(first), ..., term(first + n - 1): the
+    front half, then the back half, then the two added."""
+    if n == 1:
+        return term(first)
+    half = n // 2
+    return pairwise_sum(half, term, first) + pairwise_sum(n - half, term, first + half)
+
+
 def e1_oracle(sys_, model, mu, gamma):
     """g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i], pairwise."""
     terms = [model.riesz_b]
     if gamma.size:
         terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
-        part1 = _pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
+        part1 = pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
         terms.append(mu * part1)
-    g = _pairwise_sum(len(terms), terms.__getitem__)
+    g = pairwise_sum(len(terms), terms.__getitem__)
     return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0))
 
 
@@ -609,9 +619,11 @@ def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch)
 
 
 def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, default_config):
-    # The default 400-point grid is one truth chunk (two (N, 400) arrays,
-    # 1.3 MB), and every other stage runs on sub-blocks of it: 1.97 MB
-    # traced, against 5.1 MB with every stage across the whole chunk.
+    # The default 400-point grid is one truth chunk, whose solve holds one
+    # (N, 400) array (0.64 MB); e1 and the lift stream it in 90-point steps
+    # and the other stages run on sub-blocks of it: 1.41 MB traced, against
+    # 1.97 MB with the two-array solve and 5.1 MB with every stage across
+    # the whole chunk.
     mus = sweep_grid(default_config)
     tracemalloc.start()
     try:
@@ -797,20 +809,61 @@ def test_dd_dots_equal_the_allocating_route_bit_for_bit(n):
 
 
 def test_e2_build_holds_no_per_operation_temporaries():
-    # The dd dots run in place on seven chunk buffers of at most
-    # _CACHE_BLOCK_ELEMENTS entries each, allocated once per growth.  At
-    # n_cells = 4000 with N_hat = 4 (73 pairs of Riesz vectors, 16 per
+    # The dd Gram matvecs and dots run in place on seven chunk buffers of
+    # at most _CACHE_BLOCK_ELEMENTS entries each, allocated once per
+    # growth; the matvecs allocate only the dd vectors the table keeps.
+    # At n_cells = 4000 with N_hat = 4 (73 pairs of Riesz vectors, 16 per
     # chunk) the traced peak of the build was 6,503,043 bytes with the
-    # allocating dd kernels (12.4 budget-sized arrays) and is 4,172,867 in
-    # place (7.96); the bound is nine budget-sized arrays, 4,718,592 bytes.
-    sys_ = rb.assemble(4000)
-    model = ReducedModel(sys_, orthonormalize=True)
-    for mu in (1.0, 10.0, 100.0, 1000.0):
-        add_snapshot(model, sys_, mu)
-    tracemalloc.start()
-    try:
-        build_e2_data(sys_, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 8 * _CACHE_BLOCK_ELEMENTS
+    # allocating dd kernels (12.4 budget-sized arrays), 4,172,867 with
+    # in-place dots (7.96) and is 4,295,323 with in-place matvecs too.  With
+    # N_hat = 6 the allocating matvec of the 13 vectors set the peak,
+    # 5,824,090 bytes; in place it is 4,553,739.  The bound is nine
+    # budget-sized arrays, 4,718,592 bytes.
+    for n_hat in (4, 6):
+        sys_ = rb.assemble(4000)
+        model = ReducedModel(sys_, orthonormalize=True)
+        for mu in (1.0, 10.0, 100.0, 1000.0, 3.0, 300.0)[:n_hat]:
+            add_snapshot(model, sys_, mu)
+        tracemalloc.start()
+        try:
+            build_e2_data(sys_, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 8 * _CACHE_BLOCK_ELEMENTS, n_hat
+
+
+def dd_gram_matvec_oracle(sys_, V):
+    """Gram*v in double-double for each row of V, with the allocating kernels."""
+    G = sys_.Gram
+    wh, wl = two_prod(G.diag, V)
+    ah, al = two_prod(G.off, V[:, 1:])
+    bh, bl = two_prod(G.off, V[:, :-1])
+    wh[:, :-1], wl[:, :-1] = dd_add((wh[:, :-1], wl[:, :-1]), (ah, al))
+    wh[:, 1:], wl[:, 1:] = dd_add((wh[:, 1:], wl[:, 1:]), (bh, bl))
+    return wh, wl
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 200])
+def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
+    # In place on reused buffers, alone and in a stack, for random rows,
+    # rows near underflow, alternating signs (the dd sums cancel) and
+    # Gram's own diagonal.
+    sys_ = rb.assemble(n_cells)
+    n = sys_.n
+    rng = np.random.default_rng(n_cells)
+    V = np.vstack([
+        rng.normal(size=(3, n)),
+        np.cos(np.arange(n)) * 1e-300,
+        (-1.0) ** np.arange(n),
+        sys_.Gram.diag / 3.0,
+    ])
+    ref = dd_gram_matvec_oracle(sys_, V)
+    buf = [np.empty(n * len(V)) for _ in range(7)]
+    for rows in (range(len(V)), [4], [5, 0]):
+        wh, wl = np.empty((len(rows), n)), np.empty((len(rows), n))
+        _dd_gram_matvec(sys_, [V[r] for r in rows], buf, wh, wl)
+        for got, expect in zip((wh, wl), ref):
+            assert [x.hex() for x in got.ravel().tolist()] == [
+                x.hex() for x in expect[list(rows)].ravel().tolist()
+            ]

@@ -1,6 +1,7 @@
 """Truth solver: assembly oracles, Thomas solve, analytic reference, quadrature."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import rbcert as rb
 from rbcert.fem import (
     Tridiagonal,
     _pivot_errors,
-    _thomas_block,
+    _thomas_equal_rows,
     _thomas_factor,
     _thomas_substitute,
 )
@@ -85,10 +86,10 @@ def thomas(diag, off, rhs):
         return np.array(_thomas_substitute(off, *_thomas_factor(diag, off), rhs))
 
 
-def thomas_block(diag, off, rhs):
-    """Columns through the block kernel, on copies of the diagonals it overwrites."""
+def thomas_equal_rows(n, diag, off, rhs):
+    """Columns of n equal rows through the block kernel, as solve_truth runs it."""
     with _pivot_errors():
-        return _thomas_block(np.array(diag, dtype=float), np.array(off, dtype=float), rhs)
+        return _thomas_equal_rows(n, *(np.asarray(a, dtype=float) for a in (diag, off, rhs)))
 
 
 def test_thomas_matches_dense_solve():
@@ -110,8 +111,8 @@ def test_thomas_raises_on_zero_pivot():
 
 
 def test_thomas_leaves_caller_data_unchanged():
-    # The scalar kernels read their lists; the block kernel overwrites its
-    # diagonals by design and only reads rhs, a block or a shared vector.
+    # The kernels only read their operands: lists for the scalar ones, one
+    # (m,) row each of diagonal, off-diagonal and rhs for the block one.
     rng = np.random.default_rng(12)
     n, m = 9, 4
     diag = (4.0 + rng.uniform(size=n)).tolist()
@@ -120,51 +121,42 @@ def test_thomas_leaves_caller_data_unchanged():
     before = [list(a) for a in (diag, off, rhs)]
     _thomas_substitute(off, *_thomas_factor(diag, off), rhs)
     assert [diag, off, rhs] == before
-    for b in (rng.normal(size=(n, m)), rng.normal(size=n)):
-        saved = b.tobytes()
-        thomas_block(4.0 + rng.uniform(size=(n, m)), rng.normal(size=(n - 1, m)), b)
-        assert b.tobytes() == saved
+    rows = [4.0 + rng.uniform(size=m), rng.normal(size=m), rng.normal(size=m)]
+    saved = [r.tobytes() for r in rows]
+    thomas_equal_rows(n, *rows)
+    assert [r.tobytes() for r in rows] == saved
 
 
 def test_block_thomas_matches_column_solves_bit_for_bit():
-    # Block diagonals with block rhs and with one shared rhs: column j must
-    # equal the one-system solve.
+    # Column j of the block kernel must equal the scalar solve of its n
+    # equal rows.  The kernel keeps the pivot of every s-th row, s =
+    # isqrt(n), and recomputes a segment of multipliers on the way back:
+    # n = 1, 2, 3 have one segment at most, and n = t*t - 1, t*t, t*t + 1
+    # end one row short of a segment boundary, on it, and one past it.
     rng = np.random.default_rng(11)
-    m = 5
-    for n in (1, 2, 7, 50):
-        diag = 4.0 + rng.uniform(size=(n, m))
-        off = rng.normal(size=(n - 1, m))
-        rhs = rng.normal(size=(n, m))
-        for b in (rhs, rhs[:, 0].copy()):
-            X = thomas_block(diag, off, b)
+    sizes = [1, 2, 3] + [t * t + k for t in (3, 7) for k in (-1, 0, 1)]
+    for n in sizes:
+        for m in (1, 5):
+            diag = 4.0 + rng.uniform(size=m)
+            off = rng.normal(size=m)
+            rhs = rng.normal(size=m)
+            X = thomas_equal_rows(n, diag, off, rhs)
             assert X.shape == (n, m)
             for j in range(m):
-                bj = b if b.ndim == 1 else b[:, j]
-                assert X[:, j].tolist() == thomas(diag[:, j], off[:, j], bj).tolist()
+                ref = thomas([diag[j]] * n, [off[j]] * (n - 1), [rhs[j]] * n)
+                assert X[:, j].tolist() == ref.tolist(), (n, m, j)
 
 
 @pytest.mark.parametrize("col", [0, 2, 4])
 def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
-    diag = np.full((3, 5), 4.0)
-    off = np.ones((2, 5))
-    diag[0, col] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        thomas_block(diag, off, np.ones((3, 5)))
-    diag[0, col], diag[1, col] = 1.0, 1.0  # second pivot 1 - 1*1 = 0
-    with pytest.raises(np.linalg.LinAlgError):
-        thomas_block(diag, off, np.ones((3, 5)))
-    diag[:, col] = [1.0, 2.0, 1.0]  # last pivot 1 - 1*(1/(2 - 1*1)) = 0
-    with pytest.raises(np.linalg.LinAlgError):
-        thomas_block(diag, off, np.ones((3, 5)))
-
-
-def test_block_operator_columns_are_scalar_operators():
-    s = rb.assemble(20)
-    mus = np.array([1.0, 3.7, 999.0])
-    A = s.operator(mus)
-    for j, mu in enumerate(mus):
-        assert A.diag[:, j].tolist() == s.operator(mu).diag.tolist()
-        assert A.off[:, j].tolist() == s.operator(mu).off.tolist()
+    # In column col only: a zero first pivot, a zero last pivot (1 - 1*1
+    # in the second of two rows), and that second pivot followed by more
+    # rows, where the next multiplier divides by it.
+    diag, off, rhs = np.full(5, 4.0), np.ones(5), np.ones(5)
+    for d, n in ((0.0, 3), (1.0, 2), (1.0, 50)):
+        diag[col] = d
+        with pytest.raises(np.linalg.LinAlgError):
+            thomas_equal_rows(n, diag, off, rhs)
 
 
 # --- truth solve -----------------------------------------------------------
@@ -176,10 +168,25 @@ def test_solve_truth_rejects_mu_below_domain():
         rb.solve_truth(s, 0.5)
 
 
+def test_block_truth_solve_holds_one_solution_sized_array():
+    # The solution is the only (N, m) array: the kept pivots and one
+    # segment of multipliers add about 2*sqrt(N) rows, 4.5 % at N = 1999.
+    s = rb.assemble(2000)
+    mus = np.geomspace(1.0, 1000.0, 64)
+    tracemalloc.start()
+    try:
+        U = rb.solve_truth(s, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (s.n, 64)
+    assert peak <= 1.1 * U.nbytes
+
+
 @pytest.mark.parametrize("n_cells", [2, 200])
 def test_block_truth_solve_columns_are_scalar_solves(n_cells):
-    # solve_truth's two branches: the block kernel on an (N, m) operator and
-    # the scalar kernels on Python floats give the same bits per parameter.
+    # solve_truth's two branches: the block kernel on one row per parameter
+    # and the scalar kernels on Python floats give the same bits.
     s = rb.assemble(n_cells)
     mus = np.array([1.0, 3.7, 999.0])
     U = rb.solve_truth(s, mus)
@@ -263,16 +270,20 @@ def test_riesz_norm_squared_equals_functional_applied_to_it():
 @pytest.mark.parametrize("n_cells", [2, 3, 200, 10000])
 def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
     # Gram is factored once, at assembly, and a Riesz lift runs only the
-    # substitution sweeps.  It must give the bits of a fresh scalar solve
-    # and of the block Thomas, a separate loop, on a one-column block.
-    # n_cells = 2 is N = 1: no multiplier at all.
+    # substitution sweeps.  It must give the bits of a fresh scalar solve,
+    # and for the load, whose rows are all equal, those of the block
+    # kernel, a separate loop, on one column.  n_cells = 2 is N = 1: no
+    # multiplier at all.
     s = rb.assemble(n_cells)
     rng = np.random.default_rng(n_cells)
     for f in (s.F, rng.normal(size=s.n), s.K.matvec(rng.normal(size=s.n))):
         w = list(map(float.hex, rb.riesz_representative(s, f).tolist()))
         assert w == list(map(float.hex, thomas(s.Gram.diag, s.Gram.off, f).tolist()))
-        column = thomas_block(s.Gram.diag[:, None], s.Gram.off[:, None], f[:, None])[:, 0]
-        assert w == list(map(float.hex, column.tolist()))
+    G = s.Gram
+    off = G.off[:1] if s.n > 1 else [0.0]
+    column = thomas_equal_rows(s.n, G.diag[:1], off, s.F[:1])[:, 0]
+    w = rb.riesz_representative(s, s.F)
+    assert list(map(float.hex, column.tolist())) == list(map(float.hex, w.tolist()))
 
 
 @pytest.mark.parametrize("shape", [(4,), (6,), (5, 2)])
