@@ -38,9 +38,6 @@ class Tridiagonal:
     def __add__(self, other: "Tridiagonal") -> "Tridiagonal":
         return Tridiagonal(self.diag + other.diag, self.off + other.off)
 
-    def scaled(self, c: float) -> "Tridiagonal":
-        return Tridiagonal(c * self.diag, c * self.off)
-
 
 @dataclass(frozen=True)
 class TruthSystem:
@@ -51,7 +48,7 @@ class TruthSystem:
     depend on mu, so its Thomas factors are kept with it: ``gram_thomas``
     holds Gram's off-diagonal, multipliers and pivots (:func:`_thomas_factor`)
     as ``array("d")``, which iterate as Python floats in a quarter of a
-    list's memory, for :func:`riesz_representative`.
+    list's memory, for the Riesz lifts.
     """
 
     n_cells: int
@@ -65,10 +62,6 @@ class TruthSystem:
     @property
     def n(self) -> int:
         return self.n_cells - 1
-
-    def operator(self, mu: float) -> Tridiagonal:
-        """The parametric operator A(mu) = K + mu*M at one parameter."""
-        return self.K + self.M.scaled(mu)
 
 
 def assemble(n_cells: int) -> TruthSystem:
@@ -124,6 +117,28 @@ def _thomas_substitute(off, cs, pivs, rhs):
         x = (r - o * x) / p
         xs.append(x)
     for i, c in zip(range(len(cs) - 1, -1, -1), reversed(cs)):
+        x = xs[i] = xs[i] - c * x
+    return xs
+
+
+def _thomas_fused(n, diag, off, rhs):
+    """Thomas elimination of n equal rows (diag, off, rhs) on Python floats.
+
+    One loop forms each row's multiplier, pivot and forward value (off is
+    not read when n = 1), then the back substitution runs: row for row the
+    operations of :func:`_thomas_factor` and :func:`_thomas_substitute`, so
+    the same bits.  Returns a list.
+    """
+    piv = diag
+    x = rhs / piv
+    xs, cs = [x], []
+    for _ in range(n - 1):
+        c = off / piv
+        piv = diag - off * c
+        x = (rhs - off * x) / piv
+        cs.append(c)
+        xs.append(x)
+    for i, c in zip(range(n - 2, -1, -1), reversed(cs)):
         x = xs[i] = xs[i] - c * x
     return xs
 
@@ -200,31 +215,27 @@ def check_parameters(mu) -> None:
 def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     """Truth solve (K + mu*M) u = F by Thomas elimination.
 
-    One parameter is factored (:func:`_thomas_factor`) and substituted
-    (:func:`_thomas_substitute`) on Python floats, about 0.34 us per mesh
-    row, of which the substitution, all a Riesz lift runs on Gram's stored
-    factors, is 0.2.  For a 1-D array of m parameters, one block solve
-    (:func:`_thomas_equal_rows`) returns an (n, m) array whose column j is
-    the solution at mu[j], with the bits of the one-parameter solve.  It
-    relies on the uniform mesh: every row of A(mu) and of F is the same,
-    so column j is given by one diagonal K_d + mu[j]*M_d, one off-diagonal
-    and one load value, and the solve holds no (n, m) array besides the
-    solution.  A coefficient that varies along the mesh would need runs of
-    equal rows, one kernel call per run.  A zero pivot raises
+    Both branches rely on the uniform mesh: every row of A(mu) and of F is
+    the same, so the system at mu is one diagonal K_d + mu*M_d, one
+    off-diagonal K_o + mu*M_o and one load value.  One parameter runs the
+    fused scalar loop (:func:`_thomas_fused`) on Python floats, 0.22-0.27
+    us per mesh row, 0.65 times the two-pass kernels' time.  For a 1-D
+    array of m parameters, one block solve (:func:`_thomas_equal_rows`)
+    returns an (n, m) array whose column j is the solution at mu[j], with
+    the bits of the one-parameter solve, holding no other (n, m) array.  A
+    coefficient that varies along the mesh would need runs of equal rows in
+    both branches, one kernel call per run.  A zero pivot raises
     ``LinAlgError``.
     """
     check_parameters(mu)
+    scalar = np.ndim(mu) == 0
+    mu = np.asarray(mu, dtype=float)
     with _pivot_errors():
-        if np.ndim(mu) == 0:
-            A = sys.operator(mu)
-            off = A.off.tolist()
-            factors = _thomas_factor(A.diag.tolist(), off)
-            return np.array(_thomas_substitute(off, *factors, sys.F.tolist()))
-        # The entries of A(mu) = K + mu*M, as the scalar branch forms them.
-        mu = np.asarray(mu, dtype=float)
         K, M = sys.K, sys.M
         diag = K.diag[0] + mu * M.diag[0]
         off = K.off[0] + mu * M.off[0] if sys.n > 1 else diag
+        if scalar:
+            return np.array(_thomas_fused(sys.n, float(diag), float(off), float(sys.F[0])))
         return _thomas_equal_rows(sys.n, diag, off, np.full_like(mu, sys.F[0]))
 
 
@@ -244,11 +255,35 @@ def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray
 
     Gram does not depend on mu, so only the two substitution sweeps run,
     on its Thomas factors from assembly (``sys.gram_thomas``): w has the
-    bits of a solve that factors Gram again, at 1.96 ms against 2.79 ms
-    (N=9999, 2-vCPU Xeon).  f must be one (N,) functional; any other shape
-    raises ``ValueError``.
+    bits of a solve that factors Gram again, at 1.9-2.4 ms against
+    2.6-3.6 ms (N=9999, 2-vCPU Xeon).  f must be one (N,) functional; any
+    other shape raises ``ValueError``.
     """
     if functional.shape != (sys.n,):
         raise ValueError(f"functional has shape {functional.shape}, expected ({sys.n},)")
     return np.array(_thomas_substitute(*sys.gram_thomas, functional.tolist()))
 
+
+def _gram_substitute_block(sys: TruthSystem, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite the (N, m) rhs with Gram^{-1} rhs, and return it.
+
+    :func:`riesz_representative`'s sweeps, one mesh row of all m columns
+    per ufunc, so each column has its bits.  Five ufunc calls a row cost
+    about the same at any m: 22-36 ms at N=9999, which beats one-by-one
+    lifts from about 12-16 columns (2-vCPU Xeon).
+    """
+    off, cs, pivs = sys.gram_thomas
+    div, mul, sub = np.divide, np.multiply, np.subtract
+    t = np.empty(rhs.shape[1])
+    x = rhs[0]
+    div(x, pivs[0], x)
+    for o, p, y in zip(off, pivs[1:], rhs[1:]):
+        mul(o, x, t)
+        sub(y, t, y)
+        div(y, p, y)
+        x = y
+    for c, y in zip(reversed(cs), rhs[-2::-1]):
+        mul(c, x, t)
+        sub(y, t, y)
+        x = y
+    return rhs

@@ -18,9 +18,9 @@ study); an optional Gram-Schmidt flag orthonormalizes the basis vectors
 as they are added, which is what a run pushed to round-off-floor
 convergence needs.
 
-:func:`add_snapshot` is the only code that extends a model: the greedy
-calls it offline, and loading an artifact replays it at the stored
-snapshot parameters, so the artifact holds no truth-size vector.
+:func:`_extend_basis` is the only code that extends a basis: the greedy
+runs it in :func:`add_snapshot`, and loading an artifact replays it at
+the stored snapshot parameters, so the artifact holds no truth-size vector.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .estimators import (
 )
 from .fem import (
     TruthSystem,
+    _gram_substitute_block,
     check_parameters,
     h1_inner,
     h1_norm,
@@ -96,16 +97,26 @@ def add_snapshot(
 ) -> ReducedModel:
     """Solve the truth problem at mu_new and extend the model in place.
 
-    Appends the basis vector (the truth solution, or what survives
-    Gram-Schmidt of it, normalized) with its projections and Riesz lifts.
-    The new snapshot is rejected (``ValueError``) if mu_new is already a
-    snapshot parameter, and rejected with :class:`DependentSnapshotError`
-    if its Gram pivot against the current basis is at most
-    dependence_tol * ||u_new||^2 - for a raw basis the pivot is the
-    Schur complement of the snapshot Gram matrix, for an orthonormalized
-    basis it is the squared norm surviving Gram-Schmidt.  Replaying the
-    calls of a build in order, at any dependence_tol at or below the
-    build's, rebuilds its model bit for bit (:func:`model_from_dict`).
+    :func:`_extend_basis`, then the two Riesz lifts, one vector at a time.
+    Replaying a build's calls in order, at any dependence_tol at or below
+    the build's, rebuilds its model bit for bit (:func:`model_from_dict`).
+    """
+    Kv, Mv = _extend_basis(model, sys, mu_new, dependence_tol)
+    model.riesz_a0.append(riesz_representative(sys, Kv))
+    model.riesz_a1.append(riesz_representative(sys, Mv))
+    return model
+
+
+def _extend_basis(model, sys, mu_new, dependence_tol):
+    """Append the basis vector v at mu_new, its projections and parameter.
+
+    v is the truth solution, or what survives Gram-Schmidt of it,
+    normalized.  Returns (K v, M v), the functionals to Riesz-lift.  Raises
+    ``ValueError`` if mu_new is already a snapshot parameter, and
+    :class:`DependentSnapshotError` if v's Gram pivot against the basis is
+    at most dependence_tol * ||u_new||^2: the Schur complement of the
+    snapshot Gram matrix for a raw basis, the squared norm surviving
+    Gram-Schmidt for an orthonormalized one.
     """
     mu_new = float(mu_new)
     if mu_new in model.snapshot_params:
@@ -148,9 +159,7 @@ def add_snapshot(
     model.b_hat = np.append(model.b_hat, float(sys.F @ v))
     model.snapshots.append(v)
     model.snapshot_params.append(mu_new)
-    model.riesz_a0.append(riesz_representative(sys, Kv))
-    model.riesz_a1.append(riesz_representative(sys, Mv))
-    return model
+    return Kv, Mv
 
 
 def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
@@ -251,7 +260,7 @@ def greedy_build(
 # human-greppable, and deterministic bytes (sorted keys, fixed separators).
 #
 # Only what cannot be cheaply recomputed is stored: the snapshot
-# parameters (the model is replayed from them by add_snapshot, and a sha256
+# parameters (the model is replayed from them by model_from_dict, and a sha256
 # of the parameters and the replayed basis must match the stored one), the
 # double-double coefficients q of E2 (its doubles are their roundings), and
 # E3's nodes and rows (e3_data recomputes T and V from them).  beta is the
@@ -303,18 +312,24 @@ def model_to_dict(model: ReducedModel) -> dict:
 
 
 def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
-    """Rebuild the model by replaying add_snapshot at the stored parameters.
+    """Rebuild the model: extend the basis at each stored parameter, then lift.
 
+    The 2 N_hat functionals are lifted in one block, with the bits of
+    :func:`add_snapshot`'s one-vector lifts, and kept as contiguous rows.
     Tolerance 0 accepts every snapshot the build accepted (each had a
     positive pivot) and rejects only a pivot that cannot be normalized.
     Raises ValueError if the replayed basis misses the stored sha256.
     """
     model = ReducedModel(sys, orthonormalize=bool(d["orthonormalize"]))
-    stored = d["basis_sha256"]
-    for mu in _dec_vec(d["snapshot_params"]).tolist():
-        add_snapshot(model, sys, mu, dependence_tol=0.0)
-    if basis_sha256(model) != stored:
+    mus = _dec_vec(d["snapshot_params"]).tolist()
+    n = len(mus)
+    functionals = np.empty((sys.n, 2 * n))  # K v_0 ... K v_n-1, M v_0 ... M v_n-1
+    for k, mu in enumerate(mus):
+        functionals[:, k], functionals[:, n + k] = _extend_basis(model, sys, mu, 0.0)
+    if basis_sha256(model) != d["basis_sha256"]:
         raise ValueError("the replayed basis misses the stored basis_sha256")
+    lifts = np.ascontiguousarray(_gram_substitute_block(sys, functionals).T)
+    model.riesz_a0, model.riesz_a1 = list(lifts[:n]), list(lifts[n:])
     return model
 
 

@@ -5,7 +5,8 @@ The greedy build, the double-double Gram assembly, and the interpolation
 data are the expensive pieces, so they are session-scoped; every consumer
 treats them as read-only.  The analytic solution of the truth problem and
 the H1 error against it are references the truth-solver tests (and
-acceptance criterion 6) check the finite elements with.
+acceptance criterion 6) check the finite elements with, and ``operator``
+forms the A(mu) whose residual the truth and e1 tests check.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 import rbcert as rb
 from rbcert.estimators import E2Table
-from rbcert.fem import TruthSystem, check_parameters
+from rbcert.fem import Tridiagonal, TruthSystem, check_parameters
 from rbcert.experiments import (
     ExperimentConfig,
     compute_sweep,
@@ -169,6 +170,17 @@ def make_output_dir(base: str, name: str) -> str:
     path = os.path.join(base, name)
     os.makedirs(path, exist_ok=True)
     return path
+
+
+# --- the parametric operator ----------------------------------------------
+
+def scaled(T: Tridiagonal, c: float) -> Tridiagonal:
+    return Tridiagonal(c * T.diag, c * T.off)
+
+
+def operator(sys: TruthSystem, mu: float) -> Tridiagonal:
+    """The parametric operator A(mu) = K + mu*M at one parameter."""
+    return sys.K + scaled(sys.M, mu)
 
 
 # --- analytic reference -------------------------------------------------

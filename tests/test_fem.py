@@ -10,13 +10,15 @@ import pytest
 import rbcert as rb
 from rbcert.fem import (
     Tridiagonal,
+    _gram_substitute_block,
     _pivot_errors,
     _thomas_equal_rows,
     _thomas_factor,
+    _thomas_fused,
     _thomas_substitute,
 )
 
-from conftest import analytic_derivative, analytic_solution, h1_error_vs_analytic
+from conftest import analytic_derivative, analytic_solution, h1_error_vs_analytic, operator
 
 
 def dense(T: Tridiagonal) -> np.ndarray:
@@ -65,7 +67,7 @@ def test_assemble_rejects_degenerate_mesh():
 def test_operator_is_affine():
     s = rb.assemble(10)
     mu = 37.5
-    A = s.operator(mu)
+    A = operator(s, mu)
     assert np.allclose(dense(A), dense(s.K) + mu * dense(s.M), rtol=1e-15, atol=0)
 
 
@@ -147,6 +149,14 @@ def test_block_thomas_matches_column_solves_bit_for_bit():
                 assert X[:, j].tolist() == ref.tolist(), (n, m, j)
 
 
+def test_fused_thomas_raises_on_zero_pivot():
+    # A zero first pivot, a zero last pivot (1 - 1*1 in the second of two
+    # rows), and that second pivot followed by more rows.
+    for diag, n in ((0.0, 3), (0.0, 1), (1.0, 2), (1.0, 50)):
+        with pytest.raises(np.linalg.LinAlgError), _pivot_errors():
+            _thomas_fused(n, diag, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("col", [0, 2, 4])
 def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
     # In column col only: a zero first pivot, a zero last pivot (1 - 1*1
@@ -194,13 +204,27 @@ def test_block_truth_solve_columns_are_scalar_solves(n_cells):
         assert U[:, j].tolist() == rb.solve_truth(s, mu).tolist()
 
 
+@pytest.mark.parametrize("n_cells", [2, 3, 4, 200, 10000])
+def test_fused_truth_solve_equals_the_two_pass_solve(n_cells):
+    # The scalar branch fuses factor and substitution into one loop on the
+    # equal rows of A(mu); it must give the bits of the two-pass kernels on
+    # A(mu)'s lists.  n_cells = 2 is N = 1: no off-diagonal to read.
+    s = rb.assemble(n_cells)
+    for mu in (1.0, 37.5, 1000.0):
+        A = operator(s, mu)
+        off = A.off.tolist()
+        ref = _thomas_substitute(off, *_thomas_factor(A.diag.tolist(), off), s.F.tolist())
+        u = rb.solve_truth(s, mu)
+        assert list(map(float.hex, u.tolist())) == list(map(float.hex, ref)), mu
+
+
 def test_truth_solution_satisfies_discrete_system():
     # Thomas elimination is backward stable: the residual scales with
     # ||A||*||u||, which dwarfs ||F|| here (entries of K are 2/h = 400).
     s = rb.assemble(200)
     for mu in (1.0, 42.0, 1000.0):
         u = rb.solve_truth(s, mu)
-        res = s.operator(mu).matvec(u) - s.F
+        res = operator(s, mu).matvec(u) - s.F
         scale = (4.0 / s.h + 2.0 * mu * s.h) * np.max(np.abs(u))
         assert np.max(np.abs(res)) <= 1e-13 * scale
 
@@ -284,6 +308,23 @@ def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
     column = thomas_equal_rows(s.n, G.diag[:1], off, s.F[:1])[:, 0]
     w = rb.riesz_representative(s, s.F)
     assert list(map(float.hex, column.tolist())) == list(map(float.hex, w.tolist()))
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 4, 200, 10000])
+def test_block_gram_substitution_equals_one_vector_lifts(n_cells):
+    # The block runs riesz_representative's sweeps one mesh row of every
+    # column at a time; each column must keep the one-vector bits.  It
+    # overwrites its right-hand sides and returns them.
+    s = rb.assemble(n_cells)
+    rng = np.random.default_rng(n_cells)
+    for m in (1, 2, 25):
+        rhs = rng.normal(size=(s.n, m))
+        cols = [rhs[:, j].copy() for j in range(m)]
+        W = _gram_substitute_block(s, rhs)
+        assert W is rhs and W.shape == (s.n, m)
+        for j, f in enumerate(cols):
+            w = rb.riesz_representative(s, f)
+            assert list(map(float.hex, W[:, j].tolist())) == list(map(float.hex, w.tolist()))
 
 
 @pytest.mark.parametrize("shape", [(4,), (6,), (5, 2)])

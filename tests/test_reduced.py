@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rbcert as rb
+from rbcert import reduced
 from rbcert.experiments import training_grid
 from rbcert.reduced import (
     FORMAT_NAME,
@@ -284,14 +285,60 @@ def orthonormal_model(truth):
     return model
 
 
-def test_model_roundtrip_is_bit_exact(truth, small_model, orthonormal_model):
+@pytest.fixture(scope="module")
+def large_truth():
+    return rb.assemble(10000)
+
+
+@pytest.fixture(scope="module")
+def large_orthonormal_model(large_truth):
+    """12 orthonormal snapshots at N = 9999, the large-mesh benchmark's size."""
+    model = ReducedModel(large_truth, orthonormalize=True)
+    for mu in np.geomspace(1.0, 1000.0, 12).tolist():
+        add_snapshot(model, large_truth, mu, dependence_tol=1e-30)
+    return model
+
+
+def test_model_roundtrip_is_bit_exact(
+    truth, small_model, orthonormal_model, large_truth, large_orthonormal_model
+):
     # Only the flag, the parameters and the basis hash are stored; the
-    # snapshots, projections and Riesz lifts are replayed on load, bit for bit.
-    for model in (small_model, orthonormal_model):
+    # snapshots, projections and Riesz lifts are replayed on load, bit for
+    # bit: the replay's block lifts against the greedy's one-vector lifts.
+    for sys_, model in (
+        (truth, small_model),
+        (truth, orthonormal_model),
+        (large_truth, large_orthonormal_model),
+    ):
         d = model_to_dict(model)
         assert sorted(d) == ["basis_sha256", "orthonormalize", "snapshot_params"]
-        back = model_from_dict(json.loads(dumps_deterministic(d)), truth)
+        back = model_from_dict(json.loads(dumps_deterministic(d)), sys_)
         _assert_same_model(back, model)
+        for lift in back.riesz_a0 + back.riesz_a1:
+            assert lift.shape == (sys_.n,) and lift.flags.c_contiguous
+
+
+def test_loading_lifts_every_functional_in_one_block(
+    monkeypatch, large_truth, large_orthonormal_model
+):
+    # The replay extends the basis at all 12 parameters, then lifts the 24
+    # functionals K v_i, M v_i as one block; riesz_b is the one lift alone.
+    widths, one = [], []
+    block, single = reduced._gram_substitute_block, reduced.riesz_representative
+
+    def counted_block(sys_, rhs):
+        widths.append(rhs.shape)
+        return block(sys_, rhs)
+
+    def counted_single(sys_, functional):
+        one.append(functional.shape)
+        return single(sys_, functional)
+
+    monkeypatch.setattr(reduced, "_gram_substitute_block", counted_block)
+    monkeypatch.setattr(reduced, "riesz_representative", counted_single)
+    model_from_dict(model_to_dict(large_orthonormal_model), large_truth)
+    assert widths == [(large_truth.n, 24)]
+    assert len(one) <= 1
 
 
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
