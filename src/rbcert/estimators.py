@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, solve_truth
+from .fem import TruthSystem, parameter_block, solve_truth
 from .precision import (
     SPLITTER,
     dd_add,
@@ -509,15 +509,15 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 
 # Block sizes come from budgets of float64 entries per block temporary.
 # evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters: the
-# block Thomas solve holds one (N, m) array, its solution, and costs about
-# 4.7 us per mesh row at any width from 13 to 100 columns (N=9999, 2-vCPU
-# Xeon; eleven ufunc calls on (m,) rows, mostly call overhead), so one wide
-# solve beats several narrow ones, and 2**20 entries (8 MiB) bound its
-# memory.  That is 5269 points at N=199, and 104 at N=9999, so a 100-point
-# sweep there is one solve: 47 ms, against 95 ms for two 52-point chunks
-# of a kernel that held two (N, m) arrays.  The true error's lift and e1
-# then stream the chunk's length-N stacks in steps, on one workspace
-# (:func:`_n_length_work`).  The d-length stages run on sub-blocks of
+# block Thomas solve holds one (N, m) array, its solution, plus about 4.5 %
+# of it from N = 2000 up, and costs about 3.5-5.5 us per mesh row at any
+# width from 13 to 104 columns (N=9999, 2-vCPU Xeon; about 6.6 ufunc calls
+# a row, mostly call overhead), so one wide solve beats several narrow
+# ones, and 2**20 entries (8 MiB) bound its memory.  That is 5269 points at
+# N=199, and 104 at N=9999, so a 100-point sweep there is one solve of
+# 35-55 ms.  The true error's lift and e1 then stream the chunk's
+# length-N stacks in steps, on one workspace (:func:`_n_length_work`).
+# The d-length stages run on sub-blocks of
 # _BLOCK_ELEMENTS // d points, whose monomial vectors (d entries per point)
 # stay under 64 KiB, which the allocator reuses instead of growing the
 # process: 90 points at the paper's size (d=91), 25 at d=325.
@@ -706,11 +706,11 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     Returns one array per field of ``experiments.SweepRecord``, keyed by
     the field name.  Entry j has the same bits in any block that holds
     mus[j], so the one-point block ``evaluate(..., [mu])`` is the per-point
-    evaluation.  A mu that is not finite or below 1 raises
-    ``ValueError``.  A block of any size runs in bounded working memory.
-    It is taken in chunks of _SOLVE_ELEMENTS // N points, each with one
-    reduced solve and one truth solve, whose (N, m) solution is the only
-    chunk-sized array.  The true error's lift and then e1 stream the chunk
+    evaluation.  A mu that is not finite or below 1, or a block that is not
+    1-D, raises ``ValueError``.  A block of any size runs in bounded
+    working memory.  It is taken in chunks of _SOLVE_ELEMENTS // N points,
+    each with one reduced solve and one truth solve, whose (N, m) solution
+    is the only chunk-sized array.  The true error's lift and then e1 stream the chunk
     in steps of at most _CACHE_BLOCK_ELEMENTS entries, on buffers
     allocated once per call, and the solution is released before e1.  The
     monomials, e2, e2dd and e3 run on sub-blocks of the chunk of
@@ -718,7 +718,7 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     """
     from .reduced import solve_reduced_block
 
-    mus = np.asarray(mus, dtype=float)
+    mus = parameter_block(mus)
     names = ("true_error", "e1", "e2", "e2_radicand", "e2dd", "e3")
     cols = {name: np.empty(mus.size) for name in names}
     cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)

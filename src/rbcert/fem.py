@@ -143,54 +143,82 @@ def _thomas_fused(n, diag, off, rhs):
     return xs
 
 
+# The block solve's back sweep recomputes the multipliers of g = ceil(N /
+# _SLAB_ROWS) segments at once, on (g, m) slabs, and its segments have
+# isqrt(N // g) rows: g = 1 up to N = 2048, 5 at N = 9999.  A slab cuts
+# the recompute's three calls a row g-fold, for about 2*sqrt(g*N) rows of
+# memory (kept pivots and one slab): 4.5 % of the solution from N = 2000 up.
+_SLAB_ROWS = 2 ** 11
+
+
 def _thomas_equal_rows(n, diag, off, rhs):
     """Thomas elimination of m systems of n equal rows at once, one per column.
 
     Column j is the n x n system whose every row has diagonal diag[j],
-    off-diagonal off[j] and right-hand side rhs[j] (all (m,) arrays;
-    off is not read when n = 1).  The forward sweep writes its values
-    into the one (n, m) array returned, and keeps the pivot of every
-    s-th row, s = isqrt(n).  The back substitution then runs segment by
-    segment from the last: it recomputes a segment's s multipliers from
-    its kept pivot with the forward sweep's operations in the same order,
-    so they have the forward sweep's bits, and applies them.  Rows are
-    iterated, not indexed, and every ufunc writes into a preallocated
-    row, so besides the solution the solve holds about 2*sqrt(n) rows.
-    Row for row it makes the operations of :func:`_thomas_factor` and
-    :func:`_thomas_substitute`, so each column has the bits of the
-    scalar solve.
+    off-diagonal off[j] and right-hand side rhs[j] (all (m,) arrays).
+    The forward sweep writes its values into the one (n, m) array
+    returned.  Row i first holds its multiplier c_i, so (x_{i-1}; c_i) is
+    one read-only (2, m) window of it, and two same-shape calls against
+    the stacked (off; off) and (rhs; diag) form (t_i; piv_i) together:
+    four ufunc calls a row.  The forward sweep keeps the pivot of every
+    s-th row.  The back substitution then runs slab by slab from the
+    last: each slab recomputes the multipliers of g segments of s rows at
+    once from their kept pivots, with the forward sweep's operations in
+    the same order, so they have its bits, and never past the last row
+    (the last segment may be short); then it applies them, two calls a
+    row.  That is about 6 + 3/g calls a mesh row, g and s as
+    ``_SLAB_ROWS`` sets them (6.6 at N = 9999: about 3.5-5.5 us per row
+    at any width from 13 to 104 columns, 2-vCPU Xeon), and besides the
+    solution about 2*sqrt(g*n) rows.  Rows are iterated, not indexed, and
+    every ufunc writes into a preallocated array.  Row for row it makes the
+    operations of :func:`_thomas_factor` and :func:`_thomas_substitute`,
+    so each column has the bits of the scalar solve.
     """
-    s = max(1, math.isqrt(n))
-    X = np.empty((n, diag.shape[0]))
-    kept = np.empty((-(-(n - 1) // s), diag.shape[0]))  # rows 0, s, ... < n - 1
-    cs = np.empty((s, diag.shape[0]))
+    m = diag.shape[0]
+    g = -(-n // _SLAB_ROWS)
+    s = max(1, math.isqrt(n // g))
+    X = np.empty((n, m))
+    kept = np.empty((-(-(n - 1) // s), m))  # pivots of rows 0, s, ... < n - 1
+    windows = np.lib.stride_tricks.as_strided(
+        X, (n - 1, 2, m), X.strides[:1] + X.strides, writeable=False
+    )  # windows[i - 1] is rows i - 1 and i
     div, mul, sub = np.divide, np.multiply, np.subtract
-    piv = diag.copy()
-    c, t = np.empty_like(piv), np.empty_like(piv)
-    x = X[0]
-    div(rhs, piv, x)
+    offs, rhs_diag, t_piv = np.array((off, off)), np.array((rhs, diag)), np.empty((2, m))
+    t, piv = t_piv
+    np.copyto(piv, diag)
+    div(rhs, piv, X[0])
     for k, p in enumerate(kept):
         np.copyto(p, piv)
-        for y in X[k * s + 1:k * s + s + 1]:
-            div(off, piv, c)
-            mul(off, c, t)
-            sub(diag, t, piv)
-            mul(off, x, t)
-            sub(rhs, t, t)
+        for w, y in zip(windows[k * s:k * s + s], X[k * s + 1:k * s + s + 1]):
+            div(off, piv, y)
+            mul(offs, w, t_piv)
+            sub(rhs_diag, t_piv, t_piv)
             div(t, piv, y)
-            x = y
-    for k in range(len(kept) - 1, -1, -1):
-        # Segment k: row i = k*s + j takes the multiplier of row i + 1.
-        seg = cs[: min(s, n - 1 - k * s)]
-        np.copyto(piv, kept[k])
-        for c in seg:
-            div(off, piv, c)
-            mul(off, c, t)
-            sub(diag, t, piv)
-        for c, y in zip(seg[::-1], X[k * s + len(seg) - 1::-1]):
-            mul(c, x, t)
-            sub(y, t, y)
-            x = y
+    K = len(kept)
+    last = n - 1 - (K - 1) * s  # multipliers in segment K - 1
+    g = max(1, min(g, K))
+    C = np.empty((s, g, m))  # C[j, k - a]: multiplier of row k*s + j + 1
+    T = np.empty((g, m))
+    off_g, diag_g = np.tile(off, (g, 1)), np.tile(diag, (g, 1))
+    x = X[-1]
+    for b in range(K, 0, -g):
+        # The slab of segments a, ..., b - 1 runs its pivot recurrence over
+        # its kept pivots; segment K - 1 leaves it after its last multiplier.
+        a = max(0, b - g)
+        slab = kept[a:b]
+        full = last if b == K else s
+        for r, cs in ((b - a, C[:full, :b - a]), (b - a - 1, C[full:, :b - a - 1])):
+            p, o, d, u = slab[:r], off_g[:r], diag_g[:r], T[:r]
+            for c in cs:
+                div(o, p, c)
+                mul(o, c, u)
+                sub(d, u, p)
+        for k in range(b - 1, a - 1, -1):
+            seg = C[:last if k == K - 1 else s, k - a]
+            for c, y in zip(seg[::-1], X[k * s + len(seg) - 1::-1]):
+                mul(c, x, t)
+                sub(y, t, y)
+                x = y
     return X
 
 
@@ -212,6 +240,18 @@ def check_parameters(mu) -> None:
         raise ValueError(f"mu = {float(bad[0])} outside the parameter domain [1, inf)")
 
 
+def parameter_block(mus) -> np.ndarray:
+    """mus as a 1-D float array of parameters in [1, inf), or ``ValueError``.
+
+    A block of any other shape (one scalar, a 2-D array) raises naming it.
+    """
+    mus = np.asarray(mus, dtype=float)
+    if mus.ndim != 1:
+        raise ValueError(f"mu of shape {mus.shape} is not a 1-D block of parameters")
+    check_parameters(mus)
+    return mus
+
+
 def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     """Truth solve (K + mu*M) u = F by Thomas elimination.
 
@@ -222,14 +262,18 @@ def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     us per mesh row, 0.65 times the two-pass kernels' time.  For a 1-D
     array of m parameters, one block solve (:func:`_thomas_equal_rows`)
     returns an (n, m) array whose column j is the solution at mu[j], with
-    the bits of the one-parameter solve, holding no other (n, m) array.  A
-    coefficient that varies along the mesh would need runs of equal rows in
-    both branches, one kernel call per run.  A zero pivot raises
+    the bits of the one-parameter solve, holding no other (n, m) array and
+    about 4.5 % of one more from n = 2000 up.  It makes about 6.6 ufunc
+    calls a mesh row at n = 9999, 3.5-5.5 us at any width from 13 to 104
+    parameters.  A mu of any other shape raises ``ValueError`` naming it.
+    A coefficient that varies along the mesh would need runs of equal rows
+    in both branches, one kernel call per run.  A zero pivot raises
     ``LinAlgError``.
     """
-    check_parameters(mu)
     scalar = np.ndim(mu) == 0
-    mu = np.asarray(mu, dtype=float)
+    if scalar:
+        check_parameters(mu)
+    mu = np.asarray(mu, dtype=float) if scalar else parameter_block(mu)
     with _pivot_errors():
         K, M = sys.K, sys.M
         diag = K.diag[0] + mu * M.diag[0]

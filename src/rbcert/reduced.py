@@ -46,6 +46,7 @@ from .fem import (
     check_parameters,
     h1_inner,
     h1_norm,
+    parameter_block,
     riesz_representative,
     solve_truth,
 )
@@ -167,12 +168,12 @@ def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
 
     One stacked LAPACK solve, O(N_hat^3) per point and truth-free; row j
     does not depend on the block it was solved in (each matrix of the
-    stack is factored by the same routine on the same entries).
+    stack is factored by the same routine on the same entries).  mus must
+    be a 1-D block of valid parameters, or ``ValueError`` is raised.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
-    check_parameters(mus)
-    mus = np.asarray(mus, dtype=float)
+    mus = parameter_block(mus)
     A = model.A0_hat + mus[:, None, None] * model.A1_hat
     b = np.broadcast_to(model.b_hat[:, None], A.shape[:2] + (1,))
     try:

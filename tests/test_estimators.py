@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -648,6 +649,12 @@ def test_e1_block_rejects_mis_sized_gamma(misfit, truth, default_model):
     }[misfit]
     with pytest.raises(ValueError, match="does not fit"):
         rb.estimator_e1_block(truth, model, mus, gamma)
+
+
+@pytest.mark.parametrize("mus", [5.0, [[2.0, 3.0]]], ids=["scalar", "2d"])
+def test_evaluate_rejects_a_block_that_is_not_1d(mus, truth, default_model, default_e2, default_e3):
+    with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(mus)}")):
+        rb.evaluate(truth, default_model[0], default_e2, default_e3, mus)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -149,6 +149,41 @@ def test_block_thomas_matches_column_solves_bit_for_bit():
                 assert X[:, j].tolist() == ref.tolist(), (n, m, j)
 
 
+@pytest.mark.parametrize("budget", [1, 16])
+def test_block_thomas_slabs_and_segments_match_column_solves(budget, monkeypatch):
+    # A row budget of B gives g = ceil(n / B) segments per back-sweep slab
+    # (at most the number of segments) and segments of s = isqrt(n // g)
+    # rows.  With B = 16, n = 1..49 spans g = 1..4, short last segments
+    # (n = 38: s = 3, 13 segments, the last with 1 multiplier) and short
+    # last slabs (13 = 4*3 + 1); B = 1 puts every segment in one slab.
+    # n = 1 and 2 leave the (n - 1, 2, m) window view 0 rows and 1.  The
+    # forward sweep divides for x_0 and for c_i and x_i at every later
+    # row, and the back sweep must form the n - 1 multipliers again and
+    # no more: its pivot recurrence never runs past the last row.
+    monkeypatch.setattr("rbcert.fem._SLAB_ROWS", budget)
+    divide = np.divide
+    divided = []
+
+    def counting_divide(a, b, out):
+        divided.append(out.size)
+        return divide(a, b, out)
+
+    rng = np.random.default_rng(13)
+    for n in range(1, 50):
+        for m in (1, 5):
+            diag = 4.0 + rng.uniform(size=m)
+            off = rng.normal(size=m)
+            rhs = rng.normal(size=m)
+            divided.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "divide", counting_divide)
+                X = thomas_equal_rows(n, diag, off, rhs)
+            assert sum(divided) == (3 * n - 2) * m, (n, m)
+            for j in range(m):
+                ref = thomas([diag[j]] * n, [off[j]] * (n - 1), [rhs[j]] * n)
+                assert X[:, j].tolist() == ref.tolist(), (n, m, j)
+
+
 def test_fused_thomas_raises_on_zero_pivot():
     # A zero first pivot, a zero last pivot (1 - 1*1 in the second of two
     # rows), and that second pivot followed by more rows.
@@ -193,7 +228,30 @@ def test_block_truth_solve_holds_one_solution_sized_array():
     assert peak <= 1.1 * U.nbytes
 
 
-@pytest.mark.parametrize("n_cells", [2, 200])
+def test_block_truth_solve_at_the_large_mesh_chunk_holds_one_solution_sized_array():
+    # A 104-point chunk at N = 9999 (the large-mesh sweep's shape): five
+    # segments of 44 rows per back-sweep slab, so the kept pivots and one
+    # slab add about 450 rows, 4.5 %.
+    s = rb.assemble(10000)
+    mus = np.geomspace(1.0, 1000.0, 104)
+    tracemalloc.start()
+    try:
+        U = rb.solve_truth(s, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (s.n, 104)
+    assert peak <= 1.1 * U.nbytes
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2)])
+def test_solve_truth_rejects_a_block_that_is_not_1d(shape):
+    s = rb.assemble(10)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+        rb.solve_truth(s, np.full(shape, 2.0))
+
+
+@pytest.mark.parametrize("n_cells", [2, 200, 10000])
 def test_block_truth_solve_columns_are_scalar_solves(n_cells):
     # solve_truth's two branches: the block kernel on one row per parameter
     # and the scalar kernels on Python floats give the same bits.

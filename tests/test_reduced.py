@@ -1,6 +1,7 @@
 """Reduced model: projection algebra, greedy selection, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ def test_solve_reduced_rejects_empty_and_out_of_domain(truth, small_model):
         rb.solve_reduced_block(ReducedModel(truth), [2.0])
     with pytest.raises(ValueError):
         rb.solve_reduced_block(small_model, [2.0, 0.25])
+
+
+@pytest.mark.parametrize("mus", [5.0, [[2.0, 3.0]]], ids=["scalar", "2d"])
+def test_solve_reduced_block_rejects_a_block_that_is_not_1d(mus, small_model):
+    shape = np.shape(mus)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        rb.solve_reduced_block(small_model, mus)
 
 
 def test_solve_reduced_block_rows_are_solve_reduced_bit_for_bit(default_model):
