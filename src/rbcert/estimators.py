@@ -508,15 +508,17 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters: the
-# block Thomas solve holds one (N, m) array, its solution, plus about 4.5 %
-# of it from N = 2000 up, and costs about 3.5-5.5 us per mesh row at any
-# width from 13 to 104 columns (N=9999, 2-vCPU Xeon; about 6.6 ufunc calls
-# a row, mostly call overhead), so one wide solve beats several narrow
-# ones, and 2**20 entries (8 MiB) bound its memory.  That is 5269 points at
-# N=199, and 104 at N=9999, so a 100-point sweep there is one solve of
-# 35-55 ms.  The true error's lift and e1 then stream the chunk's
-# length-N stacks in steps, on one workspace (:func:`_n_length_work`).
+# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters.
+# The compiled block Thomas solve holds one (N, m) array, its solution,
+# plus about 2*sqrt(N) rows.  Its cost per entry is flat from about 13
+# columns up (4.7-5.5 ns at N=9999, against 34 ns for one column), so the
+# chunk bounds memory only: 2**20 entries, 8 MiB, 5269 points at N=199 and
+# 104 at N=9999, where a 100-point sweep is one solve.  A narrower
+# chunk costs time elsewhere, since each chunk runs its own reduced solves
+# and monomials: at N=9999, d=325, 2**17 entries cut the sweep's peak RSS
+# from 49.1 to 44.6 MB but took its time from 56-63 to 71-72 ms, and 2**16
+# to 80-82 ms (2-vCPU Xeon).  The true error's lift and e1 then stream the
+# chunk's length-N stacks in steps, on one workspace (:func:`_n_length_work`).
 # The d-length stages run on sub-blocks of
 # _BLOCK_ELEMENTS // d points, whose monomial vectors (d entries per point)
 # stay under 64 KiB, which the allocator reuses instead of growing the

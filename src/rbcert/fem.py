@@ -9,14 +9,27 @@ mass, and load assemble in closed form:
 
 The parametric operator is affine, A(mu) = K + mu*M, which is what the
 reduced-basis machinery in :mod:`rbcert.reduced` relies on.
+
+Every row of A(mu), of Gram and of F is the same, so each truth solve and
+Riesz lift is Thomas elimination of n equal rows.  One C kernel,
+``thomas`` in ``_SOURCE``, runs them all, m systems at once with the
+columns as the inner loop.  It is compiled when this module is imported,
+with ``cc`` and ``_FLAGS``, into ``__pycache__`` beside this file, and
+loaded with ``ctypes``; a missing or failing compiler is an
+``ImportError``.  ``-ffp-contract=off`` keeps its arithmetic free of fused
+multiply-adds, and it calls no BLAS and no libm, so its bits do not
+depend on the host.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
+import hashlib
 import math
-from array import array
-from dataclasses import dataclass, field
+import os
+import platform
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +57,7 @@ class TruthSystem:
     """Assembled truth-level operators for one mesh.
 
     Vectors of length N = n_cells - 1 hold interior nodal values; the
-    boundary values are identically zero and never stored.  Gram does not
-    depend on mu, so its Thomas factors are kept with it: ``gram_thomas``
-    holds Gram's off-diagonal, multipliers and pivots (:func:`_thomas_factor`)
-    as ``array("d")``, which iterate as Python floats in a quarter of a
-    list's memory, for the Riesz lifts.
+    boundary values are identically zero and never stored.
     """
 
     n_cells: int
@@ -57,7 +66,6 @@ class TruthSystem:
     M: Tridiagonal
     Gram: Tridiagonal
     F: np.ndarray
-    gram_thomas: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -77,159 +85,142 @@ def assemble(n_cells: int) -> TruthSystem:
     h = 1.0 / n_cells
     K = Tridiagonal(np.full(n, 2.0 / h), np.full(n - 1, -(1.0 / h)))
     M = Tridiagonal(np.full(n, 2.0 * h / 3.0), np.full(n - 1, h / 6.0))
-    Gram = K + M
-    F = np.full(n, h)
-    off = Gram.off.tolist()
-    factors = (off, *_thomas_factor(Gram.diag.tolist(), off))
-    return TruthSystem(n_cells, h, K, M, Gram, F, tuple(array("d", x) for x in factors))
+    return TruthSystem(n_cells, h, K, M, K + M, np.full(n, h))
 
 
-def _thomas_factor(diag, off):
-    """Thomas elimination's multipliers and pivots of one system.
+_SOURCE = r"""
+#include <stddef.h>
+#include <string.h>
 
-    diag and off are lists of Python floats, and so are the multipliers
-    c_i = off[i-1]/piv[i-1] and pivots piv_i = diag[i] - off[i-1]*c_i
-    returned, formed row for row as :func:`_thomas_equal_rows` forms them.  A
-    zero pivot raises ``ZeroDivisionError`` here or in the substitution.
+/* Thomas elimination of m systems of n equal rows, column j of the
+   row-major (n, m) array X.  Column j's rows have diagonal diag[j] and
+   off-diagonal off[j] (off is not read when n = 1).  Row i of the
+   right-hand side starts at rhs + i*rs: rs = 0 shares one row of m
+   values, and rhs may be X itself.  Row for row, and column by column,
+   the operations are those of the two-pass solve on Python floats,
+       c_i = off/piv_{i-1},  piv_i = diag - off*c_i,
+       x_i = (rhs_i - off*x_{i-1})/piv_i,  x_i = x_i - c_{i+1}*x_{i+1},
+   so each column has its bits.  The forward sweep keeps the pivots of
+   rows 0, s, 2s, ... below n - 1 in kept (ceil((n-1)/s) rows of m) and
+   the running pivot in work (s rows of m).  The back sweep recomputes
+   each segment's s multipliers into work from its kept pivot, with the
+   forward sweep's operations, then applies them.  Returns 1 on a zero
+   pivot, 0 otherwise. */
+int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
+           const double *restrict off, const double *rhs, ptrdiff_t rs,
+           double *X, ptrdiff_t s, double *restrict kept, double *restrict work)
+{
+    double *piv = work;
+    ptrdiff_t i, j, k, r;
+    int zero = 0;
+    for (j = 0; j < m; j++) {
+        piv[j] = diag[j];
+        zero |= piv[j] == 0.0;
+        X[j] = rhs[j] / piv[j];
+    }
+    for (i = 1; i < n && !zero; i++) {
+        const double *b = rhs + i * rs, *xp = X + (i - 1) * m;
+        double *x = X + i * m;
+        if ((i - 1) % s == 0)
+            memcpy(kept + (i - 1) / s * m, piv, m * sizeof *piv);
+        for (j = 0; j < m; j++) {
+            double c = off[j] / piv[j];
+            piv[j] = diag[j] - off[j] * c;
+            x[j] = (b[j] - off[j] * xp[j]) / piv[j];
+        }
+        for (j = 0; j < m; j++)
+            zero |= piv[j] == 0.0;
+    }
+    if (zero)
+        return 1;
+    for (k = (n - 2) / s; n > 1 && k >= 0; k--) {
+        ptrdiff_t a = k * s, len = n - 1 - a < s ? n - 1 - a : s;
+        double *p = kept + k * m;
+        for (r = 0; r < len; r++) {
+            double *c = work + r * m;
+            for (j = 0; j < m; j++) {
+                c[j] = off[j] / p[j];
+                p[j] = diag[j] - off[j] * c[j];
+            }
+        }
+        for (r = len - 1; r >= 0; r--) {
+            const double *c = work + r * m, *xn = X + (a + r + 1) * m;
+            double *x = X + (a + r) * m;
+            for (j = 0; j < m; j++)
+                x[j] = x[j] - c[j] * xn[j];
+        }
+    }
+    return 0;
+}
+"""
+
+# No -march: the kernel's bits must not depend on the build host's
+# instruction set, and -ffp-contract=off forbids fused multiply-adds.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _build(source: str, flags: tuple) -> ctypes.CDLL:
+    """Load the shared library of source, compiling it once per host.
+
+    The library is ``__pycache__/_rows-<sha256>.so`` beside this file,
+    keyed on the source, the flags and the platform.  The compiler writes
+    a temporary file there, which ``os.replace`` moves into place, so
+    concurrent first imports each load a whole library.  A compiler that
+    is missing or fails raises ``ImportError`` naming the command.
     """
-    piv = diag[0]
-    cs, pivs = [], [piv]
-    for a, o in zip(diag[1:], off):
-        c = o / piv
-        piv = a - o * c
-        cs.append(c)
-        pivs.append(piv)
-    return cs, pivs
+    key = "\0".join((source, *flags, sys.platform, platform.machine()))
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    path = os.path.join(cache, f"_rows-{hashlib.sha256(key.encode()).hexdigest()}.so")
+    if not os.path.exists(path):
+        import subprocess
+        import tempfile
+
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_rows-", suffix=".tmp", dir=cache)
+        os.close(fd)
+        cmd = ["cc", *flags, "-o", tmp, "-x", "c", "-"]
+        try:
+            subprocess.run(cmd, input=source, capture_output=True, text=True, check=True)
+            os.chmod(tmp, 0o755)
+            os.replace(tmp, path)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise ImportError(
+                f"rbcert.fem: building its C kernel with `{' '.join(cmd)}` failed: {detail}"
+            ) from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return ctypes.CDLL(path)
 
 
-def _thomas_substitute(off, cs, pivs, rhs):
-    """The two substitution sweeps of a system factored by :func:`_thomas_factor`.
+_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+_thomas_kernel = _build(_SOURCE, _FLAGS).thomas
+_thomas_kernel.argtypes = (
+    ctypes.c_ssize_t, ctypes.c_ssize_t, _f64, _f64,
+    _f64, ctypes.c_ssize_t, _out, ctypes.c_ssize_t, _out, _out,
+)
+_thomas_kernel.restype = ctypes.c_int
 
-    A zip-driven loop over sequences that yield Python floats (lists, or
-    the ``array("d")`` factors of a :class:`TruthSystem`): no indexing, and
-    Python floats, which combine faster than numpy scalars.  Row for row
-    it makes the operations of :func:`_thomas_equal_rows` in the same order,
-    so both give the same bits.  Returns the solution as a list.
+
+def _thomas(diag, off, rhs, X, s=None):
+    """Solve m systems of n equal rows into the (n, m) array X, and return X.
+
+    Column j's rows have diagonal diag[j] and off-diagonal off[j], (m,)
+    arrays (off is not read when n = 1).  rhs is one (m,) row that every
+    row shares, or (n, m), and may be X itself.  The kernel keeps the
+    pivot of every s-th row, s = isqrt(n) unless given, so it holds about
+    2*sqrt(n) rows of m besides X.  A zero pivot raises ``LinAlgError``.
     """
-    x = rhs[0] / pivs[0]
-    xs = [x]
-    for o, p, r in zip(off, pivs[1:], rhs[1:]):
-        x = (r - o * x) / p
-        xs.append(x)
-    for i, c in zip(range(len(cs) - 1, -1, -1), reversed(cs)):
-        x = xs[i] = xs[i] - c * x
-    return xs
-
-
-def _thomas_fused(n, diag, off, rhs):
-    """Thomas elimination of n equal rows (diag, off, rhs) on Python floats.
-
-    One loop forms each row's multiplier, pivot and forward value (off is
-    not read when n = 1), then the back substitution runs: row for row the
-    operations of :func:`_thomas_factor` and :func:`_thomas_substitute`, so
-    the same bits.  Returns a list.
-    """
-    piv = diag
-    x = rhs / piv
-    xs, cs = [x], []
-    for _ in range(n - 1):
-        c = off / piv
-        piv = diag - off * c
-        x = (rhs - off * x) / piv
-        cs.append(c)
-        xs.append(x)
-    for i, c in zip(range(n - 2, -1, -1), reversed(cs)):
-        x = xs[i] = xs[i] - c * x
-    return xs
-
-
-# The block solve's back sweep recomputes the multipliers of g = ceil(N /
-# _SLAB_ROWS) segments at once, on (g, m) slabs, and its segments have
-# isqrt(N // g) rows: g = 1 up to N = 2048, 5 at N = 9999.  A slab cuts
-# the recompute's three calls a row g-fold, for about 2*sqrt(g*N) rows of
-# memory (kept pivots and one slab): 4.5 % of the solution from N = 2000 up.
-_SLAB_ROWS = 2 ** 11
-
-
-def _thomas_equal_rows(n, diag, off, rhs):
-    """Thomas elimination of m systems of n equal rows at once, one per column.
-
-    Column j is the n x n system whose every row has diagonal diag[j],
-    off-diagonal off[j] and right-hand side rhs[j] (all (m,) arrays).
-    The forward sweep writes its values into the one (n, m) array
-    returned.  Row i first holds its multiplier c_i, so (x_{i-1}; c_i) is
-    one read-only (2, m) window of it, and two same-shape calls against
-    the stacked (off; off) and (rhs; diag) form (t_i; piv_i) together:
-    four ufunc calls a row.  The forward sweep keeps the pivot of every
-    s-th row.  The back substitution then runs slab by slab from the
-    last: each slab recomputes the multipliers of g segments of s rows at
-    once from their kept pivots, with the forward sweep's operations in
-    the same order, so they have its bits, and never past the last row
-    (the last segment may be short); then it applies them, two calls a
-    row.  That is about 6 + 3/g calls a mesh row, g and s as
-    ``_SLAB_ROWS`` sets them (6.6 at N = 9999: about 3.5-5.5 us per row
-    at any width from 13 to 104 columns, 2-vCPU Xeon), and besides the
-    solution about 2*sqrt(g*n) rows.  Rows are iterated, not indexed, and
-    every ufunc writes into a preallocated array.  Row for row it makes the
-    operations of :func:`_thomas_factor` and :func:`_thomas_substitute`,
-    so each column has the bits of the scalar solve.
-    """
-    m = diag.shape[0]
-    g = -(-n // _SLAB_ROWS)
-    s = max(1, math.isqrt(n // g))
-    X = np.empty((n, m))
-    kept = np.empty((-(-(n - 1) // s), m))  # pivots of rows 0, s, ... < n - 1
-    windows = np.lib.stride_tricks.as_strided(
-        X, (n - 1, 2, m), X.strides[:1] + X.strides, writeable=False
-    )  # windows[i - 1] is rows i - 1 and i
-    div, mul, sub = np.divide, np.multiply, np.subtract
-    offs, rhs_diag, t_piv = np.array((off, off)), np.array((rhs, diag)), np.empty((2, m))
-    t, piv = t_piv
-    np.copyto(piv, diag)
-    div(rhs, piv, X[0])
-    for k, p in enumerate(kept):
-        np.copyto(p, piv)
-        for w, y in zip(windows[k * s:k * s + s], X[k * s + 1:k * s + s + 1]):
-            div(off, piv, y)
-            mul(offs, w, t_piv)
-            sub(rhs_diag, t_piv, t_piv)
-            div(t, piv, y)
-    K = len(kept)
-    last = n - 1 - (K - 1) * s  # multipliers in segment K - 1
-    g = max(1, min(g, K))
-    C = np.empty((s, g, m))  # C[j, k - a]: multiplier of row k*s + j + 1
-    T = np.empty((g, m))
-    off_g, diag_g = np.tile(off, (g, 1)), np.tile(diag, (g, 1))
-    x = X[-1]
-    for b in range(K, 0, -g):
-        # The slab of segments a, ..., b - 1 runs its pivot recurrence over
-        # its kept pivots; segment K - 1 leaves it after its last multiplier.
-        a = max(0, b - g)
-        slab = kept[a:b]
-        full = last if b == K else s
-        for r, cs in ((b - a, C[:full, :b - a]), (b - a - 1, C[full:, :b - a - 1])):
-            p, o, d, u = slab[:r], off_g[:r], diag_g[:r], T[:r]
-            for c in cs:
-                div(o, p, c)
-                mul(o, c, u)
-                sub(d, u, p)
-        for k in range(b - 1, a - 1, -1):
-            seg = C[:last if k == K - 1 else s, k - a]
-            for c, y in zip(seg[::-1], X[k * s + len(seg) - 1::-1]):
-                mul(c, x, t)
-                sub(y, t, y)
-                x = y
+    n, m = X.shape
+    if diag.shape != (m,) or off.shape != (m,) or rhs.shape not in ((m,), (n, m)):
+        raise ValueError(f"rows {diag.shape}, {off.shape} and rhs {rhs.shape} do not fit {X.shape}")
+    s = max(1, s or math.isqrt(n))
+    kept, work = np.empty(-(-(n - 1) // s) * m), np.empty(s * m)
+    if n and _thomas_kernel(n, m, diag, off, rhs, m * (rhs.ndim - 1), X, s, kept, work):
+        raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination")
     return X
-
-
-@contextlib.contextmanager
-def _pivot_errors():
-    """Turn a zero pivot (a division by zero, or 0/0) into ``LinAlgError``."""
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            yield
-    except (ZeroDivisionError, FloatingPointError) as exc:
-        raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination") from exc
 
 
 def check_parameters(mu) -> None:
@@ -255,32 +246,25 @@ def parameter_block(mus) -> np.ndarray:
 def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     """Truth solve (K + mu*M) u = F by Thomas elimination.
 
-    Both branches rely on the uniform mesh: every row of A(mu) and of F is
-    the same, so the system at mu is one diagonal K_d + mu*M_d, one
-    off-diagonal K_o + mu*M_o and one load value.  One parameter runs the
-    fused scalar loop (:func:`_thomas_fused`) on Python floats, 0.22-0.27
-    us per mesh row, 0.65 times the two-pass kernels' time.  For a 1-D
-    array of m parameters, one block solve (:func:`_thomas_equal_rows`)
-    returns an (n, m) array whose column j is the solution at mu[j], with
-    the bits of the one-parameter solve, holding no other (n, m) array and
-    about 4.5 % of one more from n = 2000 up.  It makes about 6.6 ufunc
-    calls a mesh row at n = 9999, 3.5-5.5 us at any width from 13 to 104
-    parameters.  A mu of any other shape raises ``ValueError`` naming it.
-    A coefficient that varies along the mesh would need runs of equal rows
-    in both branches, one kernel call per run.  A zero pivot raises
-    ``LinAlgError``.
+    The uniform mesh makes every row of A(mu) and of F the same, so the
+    system at mu is one diagonal K_d + mu*M_d, one off-diagonal
+    K_o + mu*M_o and one load value, and one call of the C kernel solves
+    it.  One parameter returns the (n,) solution; a 1-D array of m
+    parameters returns an (n, m) array whose column j is the solution at
+    mu[j], with the bits of the one-parameter solve, and holds no other
+    (n, m) array.  A mu of any other shape raises ``ValueError`` naming
+    it.  A coefficient that varies along the mesh would need runs of equal
+    rows, one kernel call per run.  A zero pivot raises ``LinAlgError``.
     """
     scalar = np.ndim(mu) == 0
     if scalar:
         check_parameters(mu)
-    mu = np.asarray(mu, dtype=float) if scalar else parameter_block(mu)
-    with _pivot_errors():
-        K, M = sys.K, sys.M
-        diag = K.diag[0] + mu * M.diag[0]
-        off = K.off[0] + mu * M.off[0] if sys.n > 1 else diag
-        if scalar:
-            return np.array(_thomas_fused(sys.n, float(diag), float(off), float(sys.F[0])))
-        return _thomas_equal_rows(sys.n, diag, off, np.full_like(mu, sys.F[0]))
+    mus = np.atleast_1d(np.asarray(mu, dtype=float)) if scalar else parameter_block(mu)
+    K, M = sys.K, sys.M
+    diag = K.diag[0] + mus * M.diag[0]
+    off = K.off[0] + mus * M.off[0] if sys.n > 1 else diag
+    U = _thomas(diag, off, np.full_like(mus, sys.F[0]), np.empty((sys.n, mus.size)))
+    return U[:, 0] if scalar else U
 
 
 def h1_inner(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:
@@ -294,40 +278,22 @@ def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
     return math.sqrt(max(h1_inner(sys, u, u), 0.0))
 
 
+def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Gram^{-1} F into X, both (N, m); F may be X itself.  Returns X."""
+    m = X.shape[1]
+    diag = np.full(m, sys.Gram.diag[0])
+    return _thomas(diag, np.full(m, sys.Gram.off[0]) if sys.n > 1 else diag, F, X)
+
+
 def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray:
     """Riesz representative w = Gram^{-1} f, so h1_inner(w, v) = f^T v.
 
-    Gram does not depend on mu, so only the two substitution sweeps run,
-    on its Thomas factors from assembly (``sys.gram_thomas``): w has the
-    bits of a solve that factors Gram again, at 1.9-2.4 ms against
-    2.6-3.6 ms (N=9999, 2-vCPU Xeon).  f must be one (N,) functional; any
-    other shape raises ``ValueError``.
+    Gram's rows are all equal, so one column of the C kernel solves it,
+    factoring Gram again on the way: that costs the bits nothing and
+    stores no factors.  f must be one (N,) functional; any other shape
+    raises ``ValueError``.
     """
     if functional.shape != (sys.n,):
         raise ValueError(f"functional has shape {functional.shape}, expected ({sys.n},)")
-    return np.array(_thomas_substitute(*sys.gram_thomas, functional.tolist()))
-
-
-def _gram_substitute_block(sys: TruthSystem, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite the (N, m) rhs with Gram^{-1} rhs, and return it.
-
-    :func:`riesz_representative`'s sweeps, one mesh row of all m columns
-    per ufunc, so each column has its bits.  Five ufunc calls a row cost
-    about the same at any m: 22-36 ms at N=9999, which beats one-by-one
-    lifts from about 12-16 columns (2-vCPU Xeon).
-    """
-    off, cs, pivs = sys.gram_thomas
-    div, mul, sub = np.divide, np.multiply, np.subtract
-    t = np.empty(rhs.shape[1])
-    x = rhs[0]
-    div(x, pivs[0], x)
-    for o, p, y in zip(off, pivs[1:], rhs[1:]):
-        mul(o, x, t)
-        sub(y, t, y)
-        div(y, p, y)
-        x = y
-    for c, y in zip(reversed(cs), rhs[-2::-1]):
-        mul(c, x, t)
-        sub(y, t, y)
-        x = y
-    return rhs
+    F = np.ascontiguousarray(functional, dtype=float).reshape(sys.n, 1)
+    return _lift(sys, F, np.empty((sys.n, 1)))[:, 0]

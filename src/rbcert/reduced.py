@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .fem import (
     TruthSystem,
-    _gram_substitute_block,
+    _lift,
     check_parameters,
     h1_inner,
     h1_norm,
@@ -329,7 +329,7 @@ def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
         functionals[:, k], functionals[:, n + k] = _extend_basis(model, sys, mu, 0.0)
     if basis_sha256(model) != d["basis_sha256"]:
         raise ValueError("the replayed basis misses the stored basis_sha256")
-    lifts = np.ascontiguousarray(_gram_substitute_block(sys, functionals).T)
+    lifts = np.ascontiguousarray(_lift(sys, functionals, functionals).T)
     model.riesz_a0, model.riesz_a1 = list(lifts[:n]), list(lifts[n:])
     return model
 

@@ -6,7 +6,9 @@ data are the expensive pieces, so they are session-scoped; every consumer
 treats them as read-only.  The analytic solution of the truth problem and
 the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
-forms the A(mu) whose residual the truth and e1 tests check.
+forms the A(mu) whose residual the truth and e1 tests check.  The
+two-pass Thomas solve on Python floats is the reference the compiled
+kernel in :mod:`rbcert.fem` is checked against by ``float.hex``.
 """
 
 import math
@@ -181,6 +183,53 @@ def scaled(T: Tridiagonal, c: float) -> Tridiagonal:
 def operator(sys: TruthSystem, mu: float) -> Tridiagonal:
     """The parametric operator A(mu) = K + mu*M at one parameter."""
     return sys.K + scaled(sys.M, mu)
+
+
+# --- the two-pass Thomas solve -------------------------------------------
+
+def thomas_factor(diag, off):
+    """Thomas elimination's multipliers and pivots of one system.
+
+    diag and off are lists of Python floats, and so are the multipliers
+    c_i = off[i-1]/piv[i-1] and pivots piv_i = diag[i] - off[i-1]*c_i
+    returned.  A zero pivot raises ``ZeroDivisionError`` here or in the
+    substitution.
+    """
+    piv = diag[0]
+    cs, pivs = [], [piv]
+    for a, o in zip(diag[1:], off):
+        c = o / piv
+        piv = a - o * c
+        cs.append(c)
+        pivs.append(piv)
+    return cs, pivs
+
+
+def thomas_substitute(off, cs, pivs, rhs):
+    """The two substitution sweeps of a system factored by :func:`thomas_factor`.
+
+    Python floats throughout; returns the solution as a list.
+    """
+    x = rhs[0] / pivs[0]
+    xs = [x]
+    for o, p, r in zip(off, pivs[1:], rhs[1:]):
+        x = (r - o * x) / p
+        xs.append(x)
+    for i, c in zip(range(len(cs) - 1, -1, -1), reversed(cs)):
+        x = xs[i] = xs[i] - c * x
+    return xs
+
+
+def thomas(diag, off, rhs):
+    """One tridiagonal system solved by the two passes, as an array.
+
+    A zero pivot raises ``LinAlgError``, as the compiled kernel's wrapper does.
+    """
+    diag, off, rhs = (np.asarray(a, dtype=float).tolist() for a in (diag, off, rhs))
+    try:
+        return np.array(thomas_substitute(off, *thomas_factor(diag, off), rhs))
+    except ZeroDivisionError as exc:
+        raise np.linalg.LinAlgError("zero pivot") from exc
 
 
 # --- analytic reference -------------------------------------------------

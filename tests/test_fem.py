@@ -1,6 +1,10 @@
 """Truth solver: assembly oracles, Thomas solve, analytic reference, quadrature."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,17 +12,18 @@ import numpy as np
 import pytest
 
 import rbcert as rb
-from rbcert.fem import (
-    Tridiagonal,
-    _gram_substitute_block,
-    _pivot_errors,
-    _thomas_equal_rows,
-    _thomas_factor,
-    _thomas_fused,
-    _thomas_substitute,
-)
+from rbcert import fem
+from rbcert.fem import Tridiagonal, _lift, _thomas, _thomas_kernel
 
-from conftest import analytic_derivative, analytic_solution, h1_error_vs_analytic, operator
+from conftest import (
+    analytic_derivative,
+    analytic_solution,
+    h1_error_vs_analytic,
+    operator,
+    thomas,
+    thomas_factor,
+    thomas_substitute,
+)
 
 
 def dense(T: Tridiagonal) -> np.ndarray:
@@ -81,17 +86,23 @@ def test_matvec_matches_dense():
     assert np.allclose(T.matvec(v), dense(T) @ v, rtol=1e-14, atol=1e-14)
 
 
-def thomas(diag, off, rhs):
-    """One system through the scalar kernels on Python floats, as solve_truth runs it."""
-    diag, off, rhs = (np.asarray(a, dtype=float).tolist() for a in (diag, off, rhs))
-    with _pivot_errors():
-        return np.array(_thomas_substitute(off, *_thomas_factor(diag, off), rhs))
+def hexes(a):
+    return list(map(float.hex, np.asarray(a).ravel().tolist()))
 
 
-def thomas_equal_rows(n, diag, off, rhs):
-    """Columns of n equal rows through the block kernel, as solve_truth runs it."""
-    with _pivot_errors():
-        return _thomas_equal_rows(n, *(np.asarray(a, dtype=float) for a in (diag, off, rhs)))
+def thomas_equal_rows(n, diag, off, rhs, s=None):
+    """Columns of n equal rows through the compiled kernel, as solve_truth runs it.
+
+    rhs is one (m,) row every row shares, or (n, m); s as the kernel takes it.
+    """
+    diag, off, rhs = (np.asarray(a, dtype=float) for a in (diag, off, rhs))
+    return _thomas(diag, off, rhs, np.empty((n, diag.size)), s)
+
+
+def column_oracle(n, diag, off, rhs, j):
+    """Column j of :func:`thomas_equal_rows` by the two-pass solve."""
+    b = rhs[:, j] if rhs.ndim == 2 else [rhs[j]] * n
+    return thomas([diag[j]] * n, [off[j]] * (n - 1), b)
 
 
 def test_thomas_matches_dense_solve():
@@ -112,84 +123,87 @@ def test_thomas_raises_on_zero_pivot():
             thomas(diag, [1.0] * (n - 1), [1.0] * n)
 
 
+@pytest.mark.parametrize("s", [1, 16])
+def test_thomas_kernel_writes_nothing_past_its_buffers(s):
+    # The kernel writes X (n rows of m), the kept pivots of rows 0, s, 2s,
+    # ... below n - 1 (ceil((n - 1)/s) rows) and its work rows (s), the
+    # sizes _thomas allocates.  Each buffer is passed with NaN guards on
+    # both sides, which must survive, while all of X is written.  n = 1..49
+    # spans short last segments (s = 16, n = 20: 16 multipliers, then 3)
+    # and segments of one multiplier (s = 1); the back sweep's pivot
+    # recurrence stays in its kept row.
+    pad = 7
+    rng = np.random.default_rng(13)
+    for n in range(1, 50):
+        for m in (1, 5):
+            diag = 4.0 + rng.uniform(size=m)
+            off = rng.normal(size=m)
+            rhs = rng.normal(size=(n, m) if n % 2 else m)
+            sizes = (n * m, -(-(n - 1) // s) * m, s * m)
+            X, kept, work = (np.full(k + 2 * pad, np.nan) for k in sizes)
+            status = _thomas_kernel(
+                n, m, diag, off, rhs, m * (rhs.ndim - 1), X[pad:], s, kept[pad:], work[pad:]
+            )
+            assert status == 0
+            for buf, k in zip((X, kept, work), sizes):
+                assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + k:]).all(), (n, m)
+            X = X[pad:pad + n * m].reshape(n, m)
+            for j in range(m):
+                assert hexes(X[:, j]) == hexes(column_oracle(n, diag, off, rhs, j)), (n, m, j)
+
+
 def test_thomas_leaves_caller_data_unchanged():
-    # The kernels only read their operands: lists for the scalar ones, one
-    # (m,) row each of diagonal, off-diagonal and rhs for the block one.
+    # The two passes only read their lists, and the kernel its (m,) rows of
+    # diagonal and off-diagonal and its right-hand side, one (m,) row that
+    # every row shares or one row per mesh row.
     rng = np.random.default_rng(12)
     n, m = 9, 4
     diag = (4.0 + rng.uniform(size=n)).tolist()
     off = rng.normal(size=n - 1).tolist()
     rhs = rng.normal(size=n).tolist()
     before = [list(a) for a in (diag, off, rhs)]
-    _thomas_substitute(off, *_thomas_factor(diag, off), rhs)
+    thomas_substitute(off, *thomas_factor(diag, off), rhs)
     assert [diag, off, rhs] == before
     rows = [4.0 + rng.uniform(size=m), rng.normal(size=m), rng.normal(size=m)]
+    rows.append(rng.normal(size=(n, m)))
     saved = [r.tobytes() for r in rows]
-    thomas_equal_rows(n, *rows)
+    thomas_equal_rows(n, *rows[:3])
+    thomas_equal_rows(n, *rows[:2], rows[3])
     assert [r.tobytes() for r in rows] == saved
 
 
 def test_block_thomas_matches_column_solves_bit_for_bit():
-    # Column j of the block kernel must equal the scalar solve of its n
-    # equal rows.  The kernel keeps the pivot of every s-th row, s =
-    # isqrt(n), and recomputes a segment of multipliers on the way back:
-    # n = 1, 2, 3 have one segment at most, and n = t*t - 1, t*t, t*t + 1
-    # end one row short of a segment boundary, on it, and one past it.
+    # Column j of the kernel must equal the two-pass solve of its n equal
+    # rows.  The kernel keeps the pivot of every s-th row, s = isqrt(n)
+    # unless given, and recomputes a segment of multipliers on the way
+    # back: n = 1, 2, 3 have one segment at most, and n = t*t - 1, t*t,
+    # t*t + 1 end one row short of a segment boundary, on it, and one past
+    # it.  s = 2 leaves a short last segment whenever n is even.  The
+    # right-hand side is shared by every row (the truth solve) or one per
+    # row (the Riesz lift).
     rng = np.random.default_rng(11)
     sizes = [1, 2, 3] + [t * t + k for t in (3, 7) for k in (-1, 0, 1)]
     for n in sizes:
-        for m in (1, 5):
-            diag = 4.0 + rng.uniform(size=m)
-            off = rng.normal(size=m)
-            rhs = rng.normal(size=m)
-            X = thomas_equal_rows(n, diag, off, rhs)
-            assert X.shape == (n, m)
-            for j in range(m):
-                ref = thomas([diag[j]] * n, [off[j]] * (n - 1), [rhs[j]] * n)
-                assert X[:, j].tolist() == ref.tolist(), (n, m, j)
-
-
-@pytest.mark.parametrize("budget", [1, 16])
-def test_block_thomas_slabs_and_segments_match_column_solves(budget, monkeypatch):
-    # A row budget of B gives g = ceil(n / B) segments per back-sweep slab
-    # (at most the number of segments) and segments of s = isqrt(n // g)
-    # rows.  With B = 16, n = 1..49 spans g = 1..4, short last segments
-    # (n = 38: s = 3, 13 segments, the last with 1 multiplier) and short
-    # last slabs (13 = 4*3 + 1); B = 1 puts every segment in one slab.
-    # n = 1 and 2 leave the (n - 1, 2, m) window view 0 rows and 1.  The
-    # forward sweep divides for x_0 and for c_i and x_i at every later
-    # row, and the back sweep must form the n - 1 multipliers again and
-    # no more: its pivot recurrence never runs past the last row.
-    monkeypatch.setattr("rbcert.fem._SLAB_ROWS", budget)
-    divide = np.divide
-    divided = []
-
-    def counting_divide(a, b, out):
-        divided.append(out.size)
-        return divide(a, b, out)
-
-    rng = np.random.default_rng(13)
-    for n in range(1, 50):
-        for m in (1, 5):
-            diag = 4.0 + rng.uniform(size=m)
-            off = rng.normal(size=m)
-            rhs = rng.normal(size=m)
-            divided.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "divide", counting_divide)
-                X = thomas_equal_rows(n, diag, off, rhs)
-            assert sum(divided) == (3 * n - 2) * m, (n, m)
-            for j in range(m):
-                ref = thomas([diag[j]] * n, [off[j]] * (n - 1), [rhs[j]] * n)
-                assert X[:, j].tolist() == ref.tolist(), (n, m, j)
+        for m in (1, 5, 100):
+            for s in (None, 2):
+                for rhs_shape in ((m,), (n, m)):
+                    diag = 4.0 + rng.uniform(size=m)
+                    off = rng.normal(size=m)
+                    rhs = rng.normal(size=rhs_shape)
+                    X = thomas_equal_rows(n, diag, off, rhs, s)
+                    assert X.shape == (n, m)
+                    for j in range(m):
+                        ref = column_oracle(n, diag, off, rhs, j)
+                        assert hexes(X[:, j]) == hexes(ref), (n, m, s, rhs_shape, j)
 
 
 def test_fused_thomas_raises_on_zero_pivot():
-    # A zero first pivot, a zero last pivot (1 - 1*1 in the second of two
-    # rows), and that second pivot followed by more rows.
+    # One column, as the one-parameter solve runs the kernel: a zero first
+    # pivot, a zero last pivot (1 - 1*1 in the second of two rows), and
+    # that second pivot followed by more rows.
     for diag, n in ((0.0, 3), (0.0, 1), (1.0, 2), (1.0, 50)):
-        with pytest.raises(np.linalg.LinAlgError), _pivot_errors():
-            _thomas_fused(n, diag, 1.0, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            thomas_equal_rows(n, [diag], [1.0], [1.0])
 
 
 @pytest.mark.parametrize("col", [0, 2, 4])
@@ -204,6 +218,55 @@ def test_block_thomas_raises_on_zero_pivot_in_one_column(col):
             thomas_equal_rows(n, diag, off, rhs)
 
 
+# --- the kernel's build cache ------------------------------------------------
+
+
+def package_copy(tmp_path):
+    """A copy of the rbcert package under tmp_path, without its build cache."""
+    pkg = os.path.dirname(rb.__file__)
+    shutil.copytree(pkg, tmp_path / "rbcert", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "rbcert"
+
+
+def import_rbcert(path, **env):
+    """Start a fresh interpreter that imports rbcert from path."""
+    env = dict(os.environ, PYTHONPATH=str(path), **env)
+    return subprocess.Popen(
+        [sys.executable, "-c", "import rbcert"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def test_a_second_import_loads_the_cached_kernel():
+    # Importing rbcert.fem built the kernel; building it again finds the
+    # same library and leaves it as it was.
+    lib = fem._build(fem._SOURCE, fem._FLAGS)
+    before = os.stat(lib._name).st_mtime_ns
+    assert os.path.basename(lib._name).startswith("_rows-")
+    again = fem._build(fem._SOURCE, fem._FLAGS)
+    assert again._name == lib._name
+    assert os.stat(lib._name).st_mtime_ns == before
+
+
+def test_concurrent_first_imports_leave_one_library(tmp_path):
+    pkg = package_copy(tmp_path)
+    procs = [import_rbcert(tmp_path) for _ in range(2)]
+    results = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], results
+    built = [p.name for p in (pkg / "__pycache__").iterdir() if not p.name.endswith(".pyc")]
+    assert built == [os.path.basename(fem._build(fem._SOURCE, fem._FLAGS)._name)]
+
+
+def test_import_without_a_compiler_names_it(tmp_path):
+    package_copy(tmp_path)
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    proc = import_rbcert(tmp_path, PATH=str(empty))
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode != 0
+    assert "ImportError" in err and "`cc -O3 -ffp-contract=off" in err, err
+
+
 # --- truth solve -----------------------------------------------------------
 
 
@@ -215,7 +278,7 @@ def test_solve_truth_rejects_mu_below_domain():
 
 def test_block_truth_solve_holds_one_solution_sized_array():
     # The solution is the only (N, m) array: the kept pivots and one
-    # segment of multipliers add about 2*sqrt(N) rows, 4.5 % at N = 1999.
+    # segment of multipliers add about 2*sqrt(N) rows, 2 % at N = 1999.
     s = rb.assemble(2000)
     mus = np.geomspace(1.0, 1000.0, 64)
     tracemalloc.start()
@@ -229,9 +292,9 @@ def test_block_truth_solve_holds_one_solution_sized_array():
 
 
 def test_block_truth_solve_at_the_large_mesh_chunk_holds_one_solution_sized_array():
-    # A 104-point chunk at N = 9999 (the large-mesh sweep's shape): five
-    # segments of 44 rows per back-sweep slab, so the kept pivots and one
-    # slab add about 450 rows, 4.5 %.
+    # A 104-point chunk at N = 9999 (the large-mesh sweep's shape): the
+    # kept pivots of 101 segments and one segment of 99 multipliers add
+    # 200 rows, 2 %.
     s = rb.assemble(10000)
     mus = np.geomspace(1.0, 1000.0, 104)
     tracemalloc.start()
@@ -253,8 +316,8 @@ def test_solve_truth_rejects_a_block_that_is_not_1d(shape):
 
 @pytest.mark.parametrize("n_cells", [2, 200, 10000])
 def test_block_truth_solve_columns_are_scalar_solves(n_cells):
-    # solve_truth's two branches: the block kernel on one row per parameter
-    # and the scalar kernels on Python floats give the same bits.
+    # A block and one parameter at a time, m columns of the kernel and one,
+    # give the same bits.
     s = rb.assemble(n_cells)
     mus = np.array([1.0, 3.7, 999.0])
     U = rb.solve_truth(s, mus)
@@ -264,16 +327,14 @@ def test_block_truth_solve_columns_are_scalar_solves(n_cells):
 
 @pytest.mark.parametrize("n_cells", [2, 3, 4, 200, 10000])
 def test_fused_truth_solve_equals_the_two_pass_solve(n_cells):
-    # The scalar branch fuses factor and substitution into one loop on the
-    # equal rows of A(mu); it must give the bits of the two-pass kernels on
-    # A(mu)'s lists.  n_cells = 2 is N = 1: no off-diagonal to read.
+    # The kernel's forward sweep fuses factor and forward substitution on
+    # the equal rows of A(mu); it must give the bits of the two-pass solve
+    # on A(mu)'s lists.  n_cells = 2 is N = 1: no off-diagonal to read.
     s = rb.assemble(n_cells)
     for mu in (1.0, 37.5, 1000.0):
         A = operator(s, mu)
-        off = A.off.tolist()
-        ref = _thomas_substitute(off, *_thomas_factor(A.diag.tolist(), off), s.F.tolist())
         u = rb.solve_truth(s, mu)
-        assert list(map(float.hex, u.tolist())) == list(map(float.hex, ref)), mu
+        assert hexes(u) == hexes(thomas(A.diag, A.off, s.F)), mu
 
 
 def test_truth_solution_satisfies_discrete_system():
@@ -351,38 +412,39 @@ def test_riesz_norm_squared_equals_functional_applied_to_it():
 
 @pytest.mark.parametrize("n_cells", [2, 3, 200, 10000])
 def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
-    # Gram is factored once, at assembly, and a Riesz lift runs only the
-    # substitution sweeps.  It must give the bits of a fresh scalar solve,
-    # and for the load, whose rows are all equal, those of the block
-    # kernel, a separate loop, on one column.  n_cells = 2 is N = 1: no
-    # multiplier at all.
+    # A Riesz lift factors Gram again inside the kernel, one mesh row at a
+    # time.  It must give the bits of the two-pass solve, and for the load,
+    # whose rows are all equal, those of the kernel on one shared row, the
+    # truth solve's path.  n_cells = 2 is N = 1: no multiplier at all.
     s = rb.assemble(n_cells)
     rng = np.random.default_rng(n_cells)
     for f in (s.F, rng.normal(size=s.n), s.K.matvec(rng.normal(size=s.n))):
-        w = list(map(float.hex, rb.riesz_representative(s, f).tolist()))
-        assert w == list(map(float.hex, thomas(s.Gram.diag, s.Gram.off, f).tolist()))
+        w = rb.riesz_representative(s, f)
+        assert hexes(w) == hexes(thomas(s.Gram.diag, s.Gram.off, f))
     G = s.Gram
     off = G.off[:1] if s.n > 1 else [0.0]
     column = thomas_equal_rows(s.n, G.diag[:1], off, s.F[:1])[:, 0]
-    w = rb.riesz_representative(s, s.F)
-    assert list(map(float.hex, column.tolist())) == list(map(float.hex, w.tolist()))
+    assert hexes(column) == hexes(rb.riesz_representative(s, s.F))
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 4, 200, 10000])
 def test_block_gram_substitution_equals_one_vector_lifts(n_cells):
-    # The block runs riesz_representative's sweeps one mesh row of every
-    # column at a time; each column must keep the one-vector bits.  It
-    # overwrites its right-hand sides and returns them.
+    # The loader lifts its functionals as one block, in place: the kernel's
+    # right-hand side is its solution array.  Each column must keep the
+    # one-vector bits, and neither Gram nor a lifted functional changes.
     s = rb.assemble(n_cells)
+    gram = [s.Gram.diag.tobytes(), s.Gram.off.tobytes()]
     rng = np.random.default_rng(n_cells)
     for m in (1, 2, 25):
         rhs = rng.normal(size=(s.n, m))
         cols = [rhs[:, j].copy() for j in range(m)]
-        W = _gram_substitute_block(s, rhs)
+        W = _lift(s, rhs, rhs)
         assert W is rhs and W.shape == (s.n, m)
         for j, f in enumerate(cols):
-            w = rb.riesz_representative(s, f)
-            assert list(map(float.hex, W[:, j].tolist())) == list(map(float.hex, w.tolist()))
+            before = f.tobytes()
+            assert hexes(W[:, j]) == hexes(rb.riesz_representative(s, f))
+            assert f.tobytes() == before
+    assert [s.Gram.diag.tobytes(), s.Gram.off.tobytes()] == gram
 
 
 @pytest.mark.parametrize("shape", [(4,), (6,), (5, 2)])

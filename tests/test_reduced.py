@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rbcert as rb
-from rbcert import reduced
+from rbcert import fem
 from rbcert.experiments import training_grid
 from rbcert.reduced import (
     FORMAT_NAME,
@@ -329,24 +329,19 @@ def test_model_roundtrip_is_bit_exact(
 def test_loading_lifts_every_functional_in_one_block(
     monkeypatch, large_truth, large_orthonormal_model
 ):
-    # The replay extends the basis at all 12 parameters, then lifts the 24
-    # functionals K v_i, M v_i as one block; riesz_b is the one lift alone.
-    widths, one = [], []
-    block, single = reduced._gram_substitute_block, reduced.riesz_representative
+    # The replay solves the truth at all 12 parameters, then lifts the 24
+    # functionals K v_i, M v_i as one block; riesz_b is one lift alone.
+    # Each is one call of the kernel: 13 of width 1 and one of width 24.
+    widths = []
+    kernel = fem._thomas
 
-    def counted_block(sys_, rhs):
-        widths.append(rhs.shape)
-        return block(sys_, rhs)
+    def counted(diag, off, rhs, X, s=None):
+        widths.append(X.shape[1])
+        return kernel(diag, off, rhs, X, s)
 
-    def counted_single(sys_, functional):
-        one.append(functional.shape)
-        return single(sys_, functional)
-
-    monkeypatch.setattr(reduced, "_gram_substitute_block", counted_block)
-    monkeypatch.setattr(reduced, "riesz_representative", counted_single)
+    monkeypatch.setattr(fem, "_thomas", counted)
     model_from_dict(model_to_dict(large_orthonormal_model), large_truth)
-    assert widths == [(large_truth.n, 24)]
-    assert len(one) <= 1
+    assert sorted(widths) == [1] * 13 + [24]
 
 
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
