@@ -52,8 +52,11 @@ only as good as its offline data, and the interesting floors live in the
 online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
 greedy grows one alongside the basis.  Every Gram entry is the dd Gram
-matvec of one vector dotted in dd with the other; the tests keep that
-per-pair computation as the reference.
+matvec of one vector dotted in dd with the other.  Each growth makes one
+call of each of the compiled kernels ``fem.dd_gram_matvec`` and
+``fem.dd_dots``, which make the operations of :mod:`rbcert.precision` in
+their order; the tests keep the per-pair computation with the numpy dd
+kernels as the reference.
 """
 
 from __future__ import annotations
@@ -65,37 +68,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, parameter_block, solve_truth
-from .precision import (
-    SPLITTER,
-    dd_add,
-    dd_add_into,
-    dd_mul,
-    dd_sqrt,
-    dd_sum,
-    dd_sum_into,
-    split,
-    two_prod,
-)
+from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
+from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 
 logger = logging.getLogger(__name__)
 
 # Entries per temporary of the loops that stream length-N stacks: e1's
-# pairwise tree (N_hat + 2 vectors per point), the true error's lift and
-# the E2 build's dd matvecs and dots (one vector or one pair per column).
-# All must stay in cache.  At N=9999, N_hat=12 this budget (6 columns) ran
+# pairwise tree (N_hat + 2 vectors per point) and the true error's lift.
+# Both must stay in cache.  At N=9999, N_hat=12 this budget (6 columns) ran
 # 200 e1 points in 43 ms against 71 ms point by point, and four times the
-# budget took 66 ms; a whole E2 build took 194 ms, against 257 ms at 2**14
-# (one pair per chunk), 311 ms at 2**18 and 397 ms at 2**20 entries, and
-# 320 ms with the former allocating dd kernels (2-vCPU Xeon, one BLAS
-# thread).  Each loop writes into buffers of this size that it allocates
-# once per call.  Allocating per operation is slow beside a large live
-# array: glibc serves a request above its mmap threshold (128 KiB at
-# start) with a fresh mmap, so fresh page faults, and raises the threshold
-# only when it frees such a mapping.  While an 8 MB truth chunk is alive
-# and nothing as large has been freed, every 480 KB temporary is mapped
-# anew: the allocating e1 over 100 points at N=9999 took 103 ms so, and
-# 30 ms once the chunk was freed, as e1 on reused buffers takes either way.
+# budget took 66 ms (2-vCPU Xeon, one BLAS thread).  Each loop writes into
+# buffers of this size that it allocates once per call.  Allocating per
+# operation is slow beside a large live array: glibc serves a request
+# above its mmap threshold (128 KiB at start) with a fresh mmap, so fresh
+# page faults, and raises the threshold only when it frees such a
+# mapping.  While an 8 MB truth chunk is alive and nothing as large has
+# been freed, every 480 KB temporary is mapped anew: the allocating e1
+# over 100 points at N=9999 took 103 ms so, and 30 ms once the chunk was
+# freed, as e1 on reused buffers takes either way.
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -146,96 +136,6 @@ def _pairwise_sum(n, term, work, first=0):
     return front
 
 
-# --- double-double Gram inner product -------------------------------------
-
-def _two_prod_into(c, v, p, e, vh, vl, x):
-    """``two_prod(c, v)`` into (p, e), for a row of coefficients c.
-
-    v is only read; vh, vl and x are scratch shaped like v.  The
-    operations of :func:`precision.two_prod` in its order.
-    """
-    ch, cl = split(c)
-    mul, add, sub = np.multiply, np.add, np.subtract
-    mul(c, v, p)
-    mul(SPLITTER, v, vh)     # split(v) = (vh, vl)
-    sub(vh, v, vl)
-    sub(vh, vl, vh)
-    sub(v, vh, vl)
-    mul(ch, vh, e)           # ((ch*vh - p) + ch*vl + cl*vh) + cl*vl
-    sub(e, p, e)
-    for a, b in ((ch, vl), (cl, vh), (cl, vl)):
-        mul(a, b, x)
-        add(e, x, e)
-
-
-def _dd_gram_matvec(sys: TruthSystem, vs, buf, wh, wl) -> None:
-    """Gram*v in double-double for every vector v of the list vs, into (wh, wl).
-
-    Row j of the (k, N) arrays wh and wl gets Gram*vs[j]: two_prod of the
-    diagonal with v, then the dd_add of two_prod of the off-diagonal with
-    each shifted v, element by element, so a vector gets the same bits
-    alone as in a stack.  buf holds seven flat float arrays of at least
-    N*k entries, as for :func:`_dd_dots`: the vectors are gathered into
-    one with one ``np.stack``, and every operation writes into buf or into
-    wh and wl, so no array of that size is allocated.
-    """
-    G = sys.Gram
-    k, n = wh.shape
-    V, P, E, *scratch = (b[: n * k].reshape(k, n) for b in buf)
-    np.stack(vs, out=V)
-    _two_prod_into(G.diag, V, wh, wl, *scratch[:3])
-    scratch = [b[:, 1:] for b in scratch]
-    for w, v in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:, 1:], np.s_[:, :-1])):
-        _two_prod_into(G.off, V[v], P[:, 1:], E[:, 1:], *scratch[:3])
-        dd_add_into(wh[w], wl[w], P[:, 1:], E[:, 1:], *scratch)
-
-
-def _dd_dots(us, whs, wls, buf):
-    """sum_i u_i*(wh_i + wl_i) in double-double for every column j = (us[j], whs[j], wls[j]).
-
-    The dot of the double u with the dd w = (wh, wl) is ``dd_mul((u, 0),
-    w)`` then :func:`precision.dd_sum`, run in place: the same operations
-    in the same order (the zero low part's 0*wh included, for the sign of
-    a zero), so each column's (hi, lo) equals that route's bit for bit.
-    buf holds seven flat float arrays of at least N*m entries, reused from
-    call to call: the operands are gathered into (N, m) views of them, one
-    call each, and no other array is allocated.  Each vector is still
-    Dekker-split again for every pair it enters.  Returns views into buf
-    holding the m sums.
-    """
-    n, m = us[0].shape[0], len(us)
-    U, Wh, Wl, P, E, T1, T2 = (b[: n * m].reshape(n, m) for b in buf)
-    np.stack(us, axis=1, out=U)
-    np.stack(whs, axis=1, out=Wh)
-    np.stack(wls, axis=1, out=Wl)
-    mul, add, sub = np.multiply, np.add, np.subtract
-    mul(U, Wl, Wl)           # dd_mul's cross term u*wl + 0*wh
-    mul(0.0, Wh, P)
-    add(Wl, P, Wl)
-    mul(U, Wh, P)            # two_prod(u, wh) = (P, E)
-    mul(SPLITTER, U, T1)     # split(u) = (T1, U)
-    sub(T1, U, E)
-    sub(T1, E, T1)
-    sub(U, T1, U)
-    mul(SPLITTER, Wh, T2)    # split(wh) = (T2, Wh)
-    sub(T2, Wh, E)
-    sub(T2, E, T2)
-    sub(Wh, T2, Wh)
-    mul(T1, T2, E)           # ((uh*wh_h - p) + uh*wh_l + ul*wh_h) + ul*wh_l
-    sub(E, P, E)
-    mul(T1, Wh, T1)
-    add(E, T1, E)
-    mul(U, T2, T2)
-    add(E, T2, E)
-    mul(U, Wh, U)
-    add(E, U, E)
-    add(E, Wl, E)            # + the cross term
-    add(P, E, U)             # quick_two_sum(p, e) = (U, E)
-    sub(U, P, P)
-    sub(E, P, E)
-    return dd_sum_into(U, E, buf[1:4] + buf[5:6])
-
-
 # --- E2: compact offline/online form --------------------------------------
 
 @dataclass(frozen=True)
@@ -266,16 +166,14 @@ class E2Table:
 
     Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
     a1_1, ...), the dd Gram matvec of each, and F[u, v] = u^T Gram v in
-    double-double (u dotted with v's dd matvec by :func:`_dd_dots`), for
-    every needed pair: (b, b), (b, r) and (r, r'); (r, b) is never
-    computed.  :meth:`grow` adds the vectors of the snapshots the table
-    has not seen yet, so each new snapshot costs two dd Gram matvecs and
-    the pairs that involve its two vectors.  Matvecs and pairs go in
-    chunks of at most _CACHE_BLOCK_ELEMENTS entries per temporary, the
-    budget as it is at each growth; matvecs and pairs run in place on
-    seven buffers that each growth allocates once.  The model must only grow
-    between calls.  q is read off F in z's order: F_II on the diagonal and
-    the dd sum F_IJ + F_JI off it, with (b, r) standing in for (r, b).
+    double-double (u dotted with v's dd matvec), for every needed pair:
+    (b, b), (b, r) and (r, r'); (r, b) is never computed.  :meth:`grow`
+    adds the vectors of the snapshots the table has not seen yet: one
+    ``dd_gram_matvec`` call forms their dd matvecs, and one ``dd_dots``
+    call reduces every pair that involves one of them, on a scratch of 2N
+    doubles.  The model must only grow between calls.  q is read off F in
+    z's order: F_II on the diagonal and the dd sum F_IJ + F_JI off it,
+    with (b, r) standing in for (r, b).
     """
 
     def __init__(self, sys: TruthSystem):
@@ -297,27 +195,18 @@ class E2Table:
 
     def _extend(self, vectors) -> None:
         k0, k = len(self.R), len(self.R) + len(vectors)
-        Wh, Wl = np.empty((len(vectors), self.sys.n)), np.empty((len(vectors), self.sys.n))
-        Fh = np.zeros((k, k))
-        Fl = np.zeros((k, k))
-        Fh[:k0, :k0], Fl[:k0, :k0] = self.Fh, self.Fl
-        # The needed pairs (R[u[p]], R[v[p]]) that involve a new vector:
-        # at least one per new vector, so the buffers fit a matvec chunk.
-        u, v = np.divmod(np.arange(k * k), k)
-        keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
-        u, v = u[keep], v[keep]
-        step = max(1, _CACHE_BLOCK_ELEMENTS // self.sys.n)
-        buf = [np.empty(self.sys.n * min(step, len(u))) for _ in range(7)]
-        for c in range(0, len(vectors), step):
-            _dd_gram_matvec(self.sys, vectors[c:c + step], buf, Wh[c:c + step], Wl[c:c + step])
+        Wh, Wl = dd_gram_matvec(self.sys, vectors)
         self.R += vectors
         self.Wh += list(Wh)
         self.Wl += list(Wl)
-        for c in range(0, len(u), step):
-            uc, vc = u[c:c + step], v[c:c + step]
-            Fh[uc, vc], Fl[uc, vc] = _dd_dots(
-                [self.R[p] for p in uc], [self.Wh[q] for q in vc], [self.Wl[q] for q in vc], buf
-            )
+        # The needed pairs (R[u], R[v]) that involve a new vector.
+        u, v = np.divmod(np.arange(k * k), k)
+        keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
+        u, v = u[keep], v[keep]
+        Fh = np.zeros((k, k))
+        Fl = np.zeros((k, k))
+        Fh[:k0, :k0], Fl[:k0, :k0] = self.Fh, self.Fl
+        Fh[u, v], Fl[u, v] = dd_dots(self.R, self.Wh, self.Wl, np.stack([u, v], axis=1))
         self.Fh, self.Fl = Fh, Fl
 
     def _e2_data(self) -> E2Data:

@@ -11,14 +11,16 @@ The parametric operator is affine, A(mu) = K + mu*M, which is what the
 reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 
 Every row of A(mu), of Gram and of F is the same, so each truth solve and
-Riesz lift is Thomas elimination of n equal rows.  One C kernel,
-``thomas`` in ``_SOURCE``, runs them all, m systems at once with the
-columns as the inner loop.  It is compiled when this module is imported,
-with ``cc`` and ``_FLAGS``, into ``__pycache__`` beside this file, and
-loaded with ``ctypes``; a missing or failing compiler is an
-``ImportError``.  ``-ffp-contract=off`` keeps its arithmetic free of fused
-multiply-adds, and it calls no BLAS and no libm, so its bits do not
-depend on the host.
+Riesz lift is Thomas elimination of n equal rows.  One C source,
+``_SOURCE``, holds three kernels: ``thomas`` runs every solve and lift, m systems at once with the columns as the inner loop,
+and ``dd_gram_matvec`` and ``dd_dots`` grow E2's double-double Gram
+table (:class:`rbcert.estimators.E2Table`).  It is compiled when this
+module is imported, with ``cc`` and ``_FLAGS``, into one library in
+``__pycache__`` beside this file, and loaded with ``ctypes``; a missing
+or failing compiler is an ``ImportError``.  ``-ffp-contract=off`` keeps
+its arithmetic free of fused multiply-adds, and it calls no BLAS and no
+libm, so its bits do not depend on the host.  The kernels take bare
+addresses: every array passes one check per call (:func:`_address`).
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ def assemble(n_cells: int) -> TruthSystem:
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 /* Thomas elimination of m systems of n equal rows, column j of the
@@ -101,15 +104,16 @@ _SOURCE = r"""
        c_i = off/piv_{i-1},  piv_i = diag - off*c_i,
        x_i = (rhs_i - off*x_{i-1})/piv_i,  x_i = x_i - c_{i+1}*x_{i+1},
    so each column has its bits.  The forward sweep keeps the pivots of
-   rows 0, s, 2s, ... below n - 1 in kept (ceil((n-1)/s) rows of m) and
-   the running pivot in work (s rows of m).  The back sweep recomputes
-   each segment's s multipliers into work from its kept pivot, with the
-   forward sweep's operations, then applies them.  Returns 1 on a zero
-   pivot, 0 otherwise. */
+   rows 0, s, 2s, ... below n - 1 in kept, the first ceil((n-1)/s) rows
+   of m of scratch, and the running pivot in work, the s rows of m after
+   them.  The back sweep recomputes each segment's s multipliers into
+   work from its kept pivot, with the forward sweep's operations, then
+   applies them.  Returns 1 on a zero pivot, 0 otherwise. */
 int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
            const double *restrict off, const double *rhs, ptrdiff_t rs,
-           double *X, ptrdiff_t s, double *restrict kept, double *restrict work)
+           double *X, ptrdiff_t s, double *restrict scratch)
 {
+    double *restrict kept = scratch, *restrict work = scratch + (n - 2 + s) / s * m;
     double *piv = work;
     ptrdiff_t i, j, k, r;
     int zero = 0;
@@ -152,9 +156,107 @@ int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
     }
     return 0;
 }
+
+/* The double-double operations of rbcert.precision, each with the
+   operations of its Python form in their order, so with its bits. */
+
+/* split(a) = (hi, lo), with Dekker's splitter 2**27 + 1. */
+static void split(double a, double *hi, double *lo)
+{
+    double t = 134217729.0 * a;
+    *hi = t - (t - a);
+    *lo = a - *hi;
+}
+
+/* two_prod(a, b) = (p, e), for a already split into (ah, al). */
+static void two_prod(double a, double ah, double al, double b, double *p, double *e)
+{
+    double bh, bl;
+    split(b, &bh, &bl);
+    *p = a * b;
+    *e = ((ah * bh - *p) + ah * bl + al * bh) + al * bl;
+}
+
+/* dd_add((xh, xl), (yh, yl)) written over (xh, xl). */
+static void dd_add(double *xh, double *xl, double yh, double yl)
+{
+    double s = *xh + yh, v = s - *xh, e = (*xh - (s - v)) + (yh - v);
+    double t = *xl + yl, w = t - *xl, f = (*xl - (t - w)) + (yl - w);
+    e = e + t;
+    t = s + e;                /* quick_two_sum(s, e) = (t, e) */
+    e = e - (t - s);
+    e = e + f;
+    *xh = t + e;              /* quick_two_sum(t, e) */
+    *xl = e - (*xh - t);
+}
+
+/* Gram*v in double-double for k vectors v of n entries, at the addresses
+   in vs, into rows of n of wh and wl.  Every row of Gram is (off, diag,
+   off) (off is not read when n = 1).  Entry i is two_prod(diag, v_i),
+   then dd_add of two_prod(off, v_{i+1}), then of two_prod(off, v_{i-1}),
+   where those exist: the operations of the numpy dd matvec, entry by
+   entry, so a vector has the same bits alone as among others. */
+void dd_gram_matvec(ptrdiff_t n, ptrdiff_t k, double diag, double off,
+                    const uintptr_t *vs, double *restrict wh, double *restrict wl)
+{
+    double dh, dl, oh, ol, p, e;
+    ptrdiff_t i, j;
+    split(diag, &dh, &dl);
+    split(off, &oh, &ol);
+    for (j = 0; j < k; j++) {
+        const double *v = (const double *)vs[j];
+        double *h = wh + j * n, *l = wl + j * n;
+        for (i = 0; i < n; i++)
+            two_prod(diag, dh, dl, v[i], &h[i], &l[i]);
+        for (i = 0; i + 1 < n; i++) {
+            two_prod(off, oh, ol, v[i + 1], &p, &e);
+            dd_add(&h[i], &l[i], p, e);
+        }
+        for (i = 1; i < n; i++) {
+            two_prod(off, oh, ol, v[i - 1], &p, &e);
+            dd_add(&h[i], &l[i], p, e);
+        }
+    }
+}
+
+/* sum_i u_i*(wh_i + wl_i) in double-double for each of the p index pairs
+   (a, b) = pairs[2q], pairs[2q + 1]: u at address us[a], wh and wl of n
+   entries at whs[b] and wls[b].  Each term is dd_mul((u_i, 0), (wh_i,
+   wl_i)), its zero low part's 0*wh_i included, into the 2n doubles of
+   scratch; the terms are then summed by dd_sum's pairwise tree, each
+   level the dd_add of its front half and its back half.  Pair q's sum
+   goes to (out[q], out[p + q]). */
+void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs,
+             const uintptr_t *wls, const ptrdiff_t *pairs, double *restrict out,
+             double *restrict scratch)
+{
+    double *th = scratch, *tl = scratch + n;
+    ptrdiff_t q, i, len, half;
+    for (q = 0; q < p; q++) {
+        const double *u = (const double *)us[pairs[2 * q]];
+        const double *wh = (const double *)whs[pairs[2 * q + 1]];
+        const double *wl = (const double *)wls[pairs[2 * q + 1]];
+        for (i = 0; i < n; i++) {
+            double cross = u[i] * wl[i] + 0.0 * wh[i];
+            double uh, ul, x, e;
+            split(u[i], &uh, &ul);
+            two_prod(u[i], uh, ul, wh[i], &x, &e);
+            e = e + cross;
+            th[i] = x + e;    /* quick_two_sum(x, e) */
+            tl[i] = e - (th[i] - x);
+        }
+        for (len = n; len > 1; len = half) {
+            half = (len + 1) / 2;
+            for (i = 0; i < len - half; i++)
+                dd_add(&th[i], &tl[i], th[half + i], tl[half + i]);
+        }
+        out[q] = th[0];
+        out[p + q] = tl[0];
+    }
+}
 """
 
-# No -march: the kernel's bits must not depend on the build host's
+# No -march: the kernels' bits must not depend on the build host's
 # instruction set, and -ffp-contract=off forbids fused multiply-adds.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -194,14 +296,42 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
     return ctypes.CDLL(path)
 
 
-_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-_thomas_kernel = _build(_SOURCE, _FLAGS).thomas
-_thomas_kernel.argtypes = (
-    ctypes.c_ssize_t, ctypes.c_ssize_t, _f64, _f64,
-    _f64, ctypes.c_ssize_t, _out, ctypes.c_ssize_t, _out, _out,
-)
-_thomas_kernel.restype = ctypes.c_int
+_lib = _build(_SOURCE, _FLAGS)
+_n, _p = ctypes.c_ssize_t, ctypes.c_void_p
+_lib.thomas.argtypes = (_n, _n, _p, _p, _p, _n, _p, _n, _p)
+_lib.thomas.restype = ctypes.c_int
+_lib.dd_gram_matvec.argtypes = (_n, _n, ctypes.c_double, ctypes.c_double, _p, _p, _p)
+_lib.dd_gram_matvec.restype = None
+_lib.dd_dots.argtypes = (_n, _n, _p, _p, _p, _p, _p, _p)
+_lib.dd_dots.restype = None
+_VIEW = ctypes.c_char * 0
+
+
+def _address(a, name: str, out: bool = False, dtype=np.float64) -> int:
+    """The data address of a, a C-contiguous array of dtype, writeable if out.
+
+    The kernels take bare addresses, so this is their only check: any other
+    a raises ``TypeError`` naming it, before a kernel runs.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
+        raise TypeError(f"{name} is not a C-contiguous {np.dtype(dtype)} array")
+    if a.flags.writeable:
+        return ctypes.addressof(_VIEW.from_buffer(a))  # a third of a.ctypes.data's time
+    if out:
+        raise TypeError(f"{name} is read-only")
+    return a.ctypes.data
+
+
+def _table(vectors, name: str, n: int) -> np.ndarray:
+    """The data addresses of a list of (n,) vectors, as a uintp array.
+
+    Each vector is checked as :func:`_address` checks it, and for its
+    length; the first that fails raises naming it.
+    """
+    for i, v in enumerate(vectors):
+        if np.shape(v) != (n,):
+            raise ValueError(f"{name}[{i}] has shape {np.shape(v)}, expected ({n},)")
+    return np.array([_address(v, f"{name}[{i}]") for i, v in enumerate(vectors)], dtype=np.uintp)
 
 
 def _thomas(diag, off, rhs, X, s=None):
@@ -210,17 +340,66 @@ def _thomas(diag, off, rhs, X, s=None):
     Column j's rows have diagonal diag[j] and off-diagonal off[j], (m,)
     arrays (off is not read when n = 1).  rhs is one (m,) row that every
     row shares, or (n, m), and may be X itself.  The kernel keeps the
-    pivot of every s-th row, s = isqrt(n) unless given, so it holds about
-    2*sqrt(n) rows of m besides X.  A zero pivot raises ``LinAlgError``.
+    pivot of every s-th row, s = isqrt(n) unless given, so it holds one
+    scratch array of about 2*sqrt(n) rows of m besides X.  A zero pivot
+    raises ``LinAlgError``.
     """
     n, m = X.shape
     if diag.shape != (m,) or off.shape != (m,) or rhs.shape not in ((m,), (n, m)):
         raise ValueError(f"rows {diag.shape}, {off.shape} and rhs {rhs.shape} do not fit {X.shape}")
     s = max(1, s or math.isqrt(n))
-    kept, work = np.empty(-(-(n - 1) // s) * m), np.empty(s * m)
-    if n and _thomas_kernel(n, m, diag, off, rhs, m * (rhs.ndim - 1), X, s, kept, work):
+    scratch = np.empty((-(-(n - 1) // s) + s) * m)
+    args = (
+        _address(diag, "diag"), _address(off, "off"), _address(rhs, "rhs"), m * (rhs.ndim - 1),
+        _address(X, "X", out=True), s, _address(scratch, "scratch", out=True),
+    )
+    if n and _lib.thomas(n, m, *args):
         raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination")
     return X
+
+
+def dd_gram_matvec(sys: TruthSystem, vectors) -> tuple:
+    """Gram*v in double-double for every (N,) vector v of a list, in one kernel call.
+
+    Returns (wh, wl), two (k, N) arrays whose row j is Gram*vectors[j]:
+    the operations of ``precision.two_prod`` and ``precision.dd_add``,
+    entry by entry, so a vector has the same bits alone as in any list.
+    """
+    n, k = sys.n, len(vectors)
+    table = _table(vectors, "vectors", n)
+    wh, wl = np.empty((k, n)), np.empty((k, n))
+    G = sys.Gram
+    _lib.dd_gram_matvec(
+        n, k, G.diag[0], G.off[0] if n > 1 else 0.0, table.ctypes.data,
+        _address(wh, "wh", out=True), _address(wl, "wl", out=True),
+    )
+    return wh, wl
+
+
+def dd_dots(us, whs, wls, pairs) -> tuple:
+    """sum_i u_i*(wh_i + wl_i) in double-double for every index pair (a, b).
+
+    us, whs and wls are lists of (N,) float64 vectors, and pairs is a
+    (p, 2) integer array of pairs (a, b) that take u = us[a], wh = whs[b]
+    and wl = wls[b].  Each dot is ``dd_mul((u, 0), (wh, wl))`` then
+    :func:`precision.dd_sum`'s pairwise tree, the same operations in the
+    same order, so the same bits; one kernel call runs them all on a
+    scratch of 2N entries.  Returns (hi, lo), two (p,) arrays.
+    """
+    n = len(us[0])
+    tables = [_table(vs, name, n) for name, vs in (("us", us), ("whs", whs), ("wls", wls))]
+    pairs = np.ascontiguousarray(pairs, dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs of shape {pairs.shape} are not a (p, 2) array")
+    if pairs.size and not (pairs.min() >= 0 and pairs[:, 0].max() < len(us)
+                           and pairs[:, 1].max() < min(len(whs), len(wls))):
+        raise ValueError("a pair indexes past the end of its list of vectors")
+    out, scratch = np.empty((2, len(pairs))), np.empty(2 * n)
+    _lib.dd_dots(
+        n, len(pairs), *(t.ctypes.data for t in tables), _address(pairs, "pairs", dtype=np.intp),
+        _address(out, "out", out=True), _address(scratch, "scratch", out=True),
+    )
+    return out[0], out[1]
 
 
 def check_parameters(mu) -> None:

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 import rbcert as rb
+from rbcert import estimators, fem
 from rbcert.estimators import (
     _CACHE_BLOCK_ELEMENTS,
     _SOLVE_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
-    _dd_dots,
-    _dd_gram_matvec,
     _e2_block,
     _e2dd_block,
     _lu_solve,
@@ -25,7 +24,7 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem
+from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec
 from rbcert.precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
@@ -126,6 +125,30 @@ def test_e2_data_single_snapshot_oracle(truth):
     assert q[5] == pytest.approx(rb.h1_inner(truth, r1, r1), rel=1e-13)
 
 
+def dd_gram_matvec_oracle(sys_, V):
+    """Gram*v in double-double for each row of V, with the allocating kernels."""
+    G = sys_.Gram
+    wh, wl = two_prod(G.diag, V)
+    ah, al = two_prod(G.off, V[:, 1:])
+    bh, bl = two_prod(G.off, V[:, :-1])
+    wh[:, :-1], wl[:, :-1] = dd_add((wh[:, :-1], wl[:, :-1]), (ah, al))
+    wh[:, 1:], wl[:, 1:] = dd_add((wh[:, 1:], wl[:, 1:]), (bh, bl))
+    return wh, wl
+
+
+def dd_dot_oracle(u, wh, wl):
+    """The dd dot down axis 0 of (N, m) stacks: dd_mul with a zero low part,
+    then dd_sum's pairwise tree made of allocating dd_add calls."""
+    th, tl = dd_mul((u, np.zeros_like(u)), (wh, wl))
+    n = th.shape[0]
+    while n > 1:
+        half = (n + 1) // 2
+        m = n - half
+        th[:m], tl[:m] = dd_add((th[:m], tl[:m]), (th[half:n], tl[half:n]))
+        n = half
+    return th[0], tl[0]
+
+
 def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     """u^T * Gram * v in double-double; returns the (hi, lo) pair.
 
@@ -133,11 +156,11 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
     final reduction is a pairwise double-double tree, so the result
     carries ~32 significant digits: effectively the exact value of the
     double-data inner product, to be rounded as the caller requires.
+    It runs the allocating numpy kernels, the reference that the compiled
+    E2 growth is checked against.
     """
-    buf = [np.empty(sys.n) for _ in range(7)]
-    wh, wl = np.empty((1, sys.n)), np.empty((1, sys.n))
-    _dd_gram_matvec(sys, [v], buf, wh, wl)
-    h, l = _dd_dots([u], wh, wl, buf)
+    wh, wl = dd_gram_matvec_oracle(sys, v[None])
+    h, l = dd_dot_oracle(u[:, None], wh.T, wl.T)
     return float(h[0]), float(l[0])
 
 
@@ -724,40 +747,38 @@ def test_e2_build_equals_per_pair(case, request, truth, default_model, default_e
     assert_e2_data_is_per_pair(e2data, sys_, model)
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [1, 7])
-def test_e2_build_chunking_is_bit_identical(pairs_per_chunk, truth, default_model, monkeypatch):
-    model = default_model[0]
-    assert model.n_hat == 6
-    # 1 + 12 + 144 = 157 pairs: chunks of 7 leave a last chunk of 3.
-    monkeypatch.setattr(
-        "rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * truth.n
-    )
-    assert_e2_data_is_per_pair(build_e2_data(truth, model), truth, model)
-
-
-@pytest.mark.parametrize("pairs_per_chunk", [1, 7])
-def test_greedy_e2_data_equals_per_pair(pairs_per_chunk, greedy_case, monkeypatch):
+def test_greedy_e2_data_equals_per_pair(greedy_case):
     # The greedy grows E2's table two Riesz vectors per snapshot.
     sys_, training, kwargs = greedy_case
-    monkeypatch.setattr("rbcert.estimators._CACHE_BLOCK_ELEMENTS", pairs_per_chunk * sys_.n)
     model, _, e2data = rb.greedy_build(sys_, training, **kwargs)
     assert_e2_data_is_per_pair(e2data, sys_, model)
 
 
-# --- the in-place dd dot against the allocating route -------------------------
+def test_each_growth_is_one_matvec_call_and_one_dots_call(truth, monkeypatch):
+    # One snapshot at a time, as the greedy grows the table, and three at
+    # once into a fresh table; a growth with nothing new calls neither.
+    calls = []
+    for name in ("dd_gram_matvec", "dd_dots"):
+        def counted(*args, _kernel=getattr(estimators, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
 
-def dd_dot_oracle(u, wh, wl):
-    """The former E2 dot, down axis 0 of (N, m) stacks: dd_mul with a zero low
-    part, then dd_sum's pairwise tree made of allocating dd_add calls."""
-    th, tl = dd_mul((u, np.zeros_like(u)), (wh, wl))
-    n = th.shape[0]
-    while n > 1:
-        half = (n + 1) // 2
-        m = n - half
-        th[:m], tl[:m] = dd_add((th[:m], tl[:m]), (th[half:n], tl[half:n]))
-        n = half
-    return th[0], tl[0]
+        monkeypatch.setattr(estimators, name, counted)
+    model, table = ReducedModel(truth), estimators.E2Table(truth)
+    for mu in (1.0, 10.0, 100.0):
+        add_snapshot(model, truth, mu)
+        calls.clear()
+        table.grow(model)
+        assert calls == ["dd_gram_matvec", "dd_dots"], mu
+    calls.clear()
+    table.grow(model)
+    assert calls == []
+    fresh = estimators.E2Table(truth).grow(model)
+    assert calls == ["dd_gram_matvec", "dd_dots"]
+    assert [a.tobytes() for a in fresh.q_dd] == [a.tobytes() for a in table.grow(model).q_dd]
 
+
+# --- the compiled dd kernels against the allocating route -------------------
 
 def special_stacks(n, seed):
     """(u, wh, wl) as (n, 6) stacks with +-0.0, subnormals and exactly
@@ -796,36 +817,82 @@ def special_stacks(n, seed):
     return u, wh, wl
 
 
+def hexes(pair):
+    return [[float(x).hex() for x in part] for part in pair]
+
+
+def columns(a):
+    """The columns of an (N, m) stack as a list of m contiguous (N,) vectors."""
+    return list(np.ascontiguousarray(a.T))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
 def test_dd_dots_equal_the_allocating_route_bit_for_bit(n):
-    def hexes(pair):
-        return [[float(x).hex() for x in part] for part in pair]
-
     u, wh, wl = special_stacks(n, seed=n)
     ref = dd_dot_oracle(u, wh, wl)
-    buf = [np.empty(n * 6) for _ in range(7)]
-    got = _dd_dots(list(u.T), list(wh.T), list(wl.T), buf)
+    us, whs, wls = columns(u), columns(wh), columns(wl)
+    got = dd_dots(us, whs, wls, [(j, j) for j in range(6)])
     assert hexes(got) == hexes(ref)
-    # The buffers are reused: a narrower chunk runs on a prefix of them.
+    # Some columns in another order, and one column alone.
     cols = [5, 3, 0]
-    got = _dd_dots(list(u.T[cols]), list(wh.T[cols]), list(wl.T[cols]), buf)
+    got = dd_dots(us, whs, wls, [(j, j) for j in cols])
     assert hexes(got) == hexes((ref[0][cols], ref[1][cols]))
-    # One column alone, as h1_inner_dd runs it.
-    got = _dd_dots([u[:, 3]], [wh[:, 3]], [wl[:, 3]], buf)
+    got = dd_dots([us[3]], [whs[3]], [wls[3]], [(0, 0)])
     assert hexes(got) == hexes((ref[0][3:4], ref[1][3:4]))
+    # u of one column against w of another, as E2's pairs take them.
+    pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
+    got = dd_dots(us, whs, wls, pairs)
+    expect = [dd_dot_oracle(u[:, [a]], wh[:, [b]], wl[:, [b]]) for a, b in pairs]
+    assert hexes(got) == hexes(([h[0] for h, _ in expect], [l[0] for _, l in expect]))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 9999])
+def test_dd_kernels_write_nothing_past_their_buffers(n):
+    # The dots write their 2n scratch entries (the terms, then the tree
+    # over them) and p entries of each output half, the matvec k rows of
+    # n of wh and of wl.  Each buffer is passed with NaN guards on both
+    # sides, which must survive, while the results equal the allocating
+    # route's.  n = 1..9 spans trees of every shape up to four levels.
+    pad = 7
+    u, wh, wl = special_stacks(n, seed=100 + n)
+    us, whs, wls = columns(u), columns(wh), columns(wl)
+    pairs = np.array([(5, 0), (2, 2), (0, 5), (4, 1)], dtype=np.intp)
+    p = len(pairs)
+    out, scratch = np.full(2 * p + 2 * pad, np.nan), np.full(2 * n + 2 * pad, np.nan)
+    tables = [np.array([v.ctypes.data for v in vs], dtype=np.uintp) for vs in (us, whs, wls)]
+    fem._lib.dd_dots(
+        n, p, *(t.ctypes.data for t in tables), pairs.ctypes.data,
+        out[pad:].ctypes.data, scratch[pad:].ctypes.data,
+    )
+    for buf, k in ((out, 2 * p), (scratch, 2 * n)):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + k:]).all()
+    expect = [dd_dot_oracle(u[:, [a]], wh[:, [b]], wl[:, [b]]) for a, b in pairs]
+    got = out[pad:pad + 2 * p].reshape(2, p)
+    assert hexes(got) == hexes(([h[0] for h, _ in expect], [l[0] for _, l in expect]))
+
+    sys_ = rb.assemble(n + 1)
+    V = np.ascontiguousarray(u.T[:3])
+    Wh, Wl = (np.full(3 * n + 2 * pad, np.nan) for _ in range(2))
+    G = sys_.Gram
+    fem._lib.dd_gram_matvec(
+        n, 3, G.diag[0], G.off[0] if n > 1 else 0.0,
+        np.array([v.ctypes.data for v in V], dtype=np.uintp).ctypes.data,
+        Wh[pad:].ctypes.data, Wl[pad:].ctypes.data,
+    )
+    for buf in (Wh, Wl):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + 3 * n:]).all()
+    ref = dd_gram_matvec_oracle(sys_, V)
+    got = (Wh[pad:pad + 3 * n], Wl[pad:pad + 3 * n])
+    assert hexes(got) == hexes((ref[0].ravel(), ref[1].ravel()))
 
 
 def test_e2_build_holds_no_per_operation_temporaries():
-    # The dd Gram matvecs and dots run in place on seven chunk buffers of
-    # at most _CACHE_BLOCK_ELEMENTS entries each, allocated once per
-    # growth; the matvecs allocate only the dd vectors the table keeps.
-    # At n_cells = 4000 with N_hat = 4 (73 pairs of Riesz vectors, 16 per
-    # chunk) the traced peak of the build was 6,503,043 bytes with the
-    # allocating dd kernels (12.4 budget-sized arrays), 4,172,867 with
-    # in-place dots (7.96) and is 4,295,323 with in-place matvecs too.  With
-    # N_hat = 6 the allocating matvec of the 13 vectors set the peak,
-    # 5,824,090 bytes; in place it is 4,553,739.  The bound is nine
-    # budget-sized arrays, 4,718,592 bytes.
+    # The compiled kernels allocate nothing: a growth holds the dd vectors
+    # the table keeps, the 2N entries of the dots' scratch and arrays of
+    # the size of the table.  At n_cells = 4000 the traced peak of the
+    # build is 653,387 bytes with N_hat = 4 and 916,391 with N_hat = 6.
+    # The bound is nine arrays of _CACHE_BLOCK_ELEMENTS entries, 4,718,592
+    # bytes.
     for n_hat in (4, 6):
         sys_ = rb.assemble(4000)
         model = ReducedModel(sys_, orthonormalize=True)
@@ -840,20 +907,9 @@ def test_e2_build_holds_no_per_operation_temporaries():
         assert peak <= 9 * 8 * _CACHE_BLOCK_ELEMENTS, n_hat
 
 
-def dd_gram_matvec_oracle(sys_, V):
-    """Gram*v in double-double for each row of V, with the allocating kernels."""
-    G = sys_.Gram
-    wh, wl = two_prod(G.diag, V)
-    ah, al = two_prod(G.off, V[:, 1:])
-    bh, bl = two_prod(G.off, V[:, :-1])
-    wh[:, :-1], wl[:, :-1] = dd_add((wh[:, :-1], wl[:, :-1]), (ah, al))
-    wh[:, 1:], wl[:, 1:] = dd_add((wh[:, 1:], wl[:, 1:]), (bh, bl))
-    return wh, wl
-
-
 @pytest.mark.parametrize("n_cells", [2, 3, 200])
 def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
-    # In place on reused buffers, alone and in a stack, for random rows,
+    # Alone and in a list, for random rows,
     # rows near underflow, alternating signs (the dd sums cancel) and
     # Gram's own diagonal.
     sys_ = rb.assemble(n_cells)
@@ -866,11 +922,8 @@ def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
         sys_.Gram.diag / 3.0,
     ])
     ref = dd_gram_matvec_oracle(sys_, V)
-    buf = [np.empty(n * len(V)) for _ in range(7)]
     for rows in (range(len(V)), [4], [5, 0]):
-        wh, wl = np.empty((len(rows), n)), np.empty((len(rows), n))
-        _dd_gram_matvec(sys_, [V[r] for r in rows], buf, wh, wl)
-        for got, expect in zip((wh, wl), ref):
+        for got, expect in zip(dd_gram_matvec(sys_, [V[r] for r in rows]), ref):
             assert [x.hex() for x in got.ravel().tolist()] == [
                 x.hex() for x in expect[list(rows)].ravel().tolist()
             ]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import rbcert as rb
 from rbcert import fem
-from rbcert.fem import Tridiagonal, _lift, _thomas, _thomas_kernel
+from rbcert.fem import Tridiagonal, _lift, _thomas
 
 from conftest import (
     analytic_derivative,
@@ -125,13 +126,13 @@ def test_thomas_raises_on_zero_pivot():
 
 @pytest.mark.parametrize("s", [1, 16])
 def test_thomas_kernel_writes_nothing_past_its_buffers(s):
-    # The kernel writes X (n rows of m), the kept pivots of rows 0, s, 2s,
-    # ... below n - 1 (ceil((n - 1)/s) rows) and its work rows (s), the
-    # sizes _thomas allocates.  Each buffer is passed with NaN guards on
-    # both sides, which must survive, while all of X is written.  n = 1..49
-    # spans short last segments (s = 16, n = 20: 16 multipliers, then 3)
-    # and segments of one multiplier (s = 1); the back sweep's pivot
-    # recurrence stays in its kept row.
+    # The kernel writes X (n rows of m) and one scratch array: the kept
+    # pivots of rows 0, s, 2s, ... below n - 1 (ceil((n - 1)/s) rows),
+    # then its work rows (s), the sizes _thomas allocates.  Each buffer is
+    # passed with NaN guards on both sides, which must survive, while all
+    # of X is written.  n = 1..49 spans short last segments (s = 16, n =
+    # 20: 16 multipliers, then 3) and segments of one multiplier (s = 1);
+    # the back sweep's pivot recurrence stays in its kept row.
     pad = 7
     rng = np.random.default_rng(13)
     for n in range(1, 50):
@@ -139,17 +140,61 @@ def test_thomas_kernel_writes_nothing_past_its_buffers(s):
             diag = 4.0 + rng.uniform(size=m)
             off = rng.normal(size=m)
             rhs = rng.normal(size=(n, m) if n % 2 else m)
-            sizes = (n * m, -(-(n - 1) // s) * m, s * m)
-            X, kept, work = (np.full(k + 2 * pad, np.nan) for k in sizes)
-            status = _thomas_kernel(
-                n, m, diag, off, rhs, m * (rhs.ndim - 1), X[pad:], s, kept[pad:], work[pad:]
+            sizes = (n * m, (-(-(n - 1) // s) + s) * m)
+            X, scratch = (np.full(k + 2 * pad, np.nan) for k in sizes)
+            status = fem._lib.thomas(
+                n, m, diag.ctypes.data, off.ctypes.data, rhs.ctypes.data, m * (rhs.ndim - 1),
+                X[pad:].ctypes.data, s, scratch[pad:].ctypes.data,
             )
             assert status == 0
-            for buf, k in zip((X, kept, work), sizes):
+            for buf, k in zip((X, scratch), sizes):
                 assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + k:]).all(), (n, m)
             X = X[pad:pad + n * m].reshape(n, m)
             for j in range(m):
                 assert hexes(X[:, j]) == hexes(column_oracle(n, diag, off, rhs, j)), (n, m, j)
+
+
+class NoKernel:
+    """Stands in for the kernel library and fails any call that reaches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"kernel {name} called")
+
+
+@pytest.mark.parametrize("flaw", ["strided", "float32", "read-only"])
+def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
+    # The kernels take bare addresses, so each entry point checks every
+    # array once per call, names the one it refuses, and runs no kernel.
+    # A read-only array is refused as an output only.
+    def spoil(a):
+        if flaw == "strided":
+            return np.repeat(a, 2, axis=-1)[..., ::2]
+        if flaw == "float32":
+            return a.astype(np.float32)
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+
+    sys_ = rb.assemble(6)
+    n = sys_.n
+    row, v = np.full(3, 4.0), np.linspace(1.0, 2.0, n)
+    cases = {"X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3))))}
+    if flaw != "read-only":
+        cases.update({
+            "diag": lambda: _thomas(spoil(row), row, row, np.empty((n, 3))),
+            "rhs": lambda: _thomas(row, row, spoil(np.ones((n, 3))), np.empty((n, 3))),
+            "vectors[1]": lambda: fem.dd_gram_matvec(sys_, [v, spoil(v)]),
+            "whs[0]": lambda: fem.dd_dots([v], [spoil(v)], [v], [(0, 0)]),
+        })
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "_lib", NoKernel())
+        for name, call in cases.items():
+            with pytest.raises(TypeError, match=re.escape(name)):
+                call()
+    if flaw == "read-only":
+        one = np.ones(3)
+        X = _thomas(spoil(row), spoil(one), spoil(one), np.empty((n, 3)))
+        assert hexes(X[:, 0]) == hexes(column_oracle(n, row, one, one, 0))
 
 
 def test_thomas_leaves_caller_data_unchanged():
