@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -747,11 +748,39 @@ def test_e2_build_equals_per_pair(case, request, truth, default_model, default_e
     assert_e2_data_is_per_pair(e2data, sys_, model)
 
 
-def test_greedy_e2_data_equals_per_pair(greedy_case):
-    # The greedy grows E2's table two Riesz vectors per snapshot.
+def grown_in_steps(sys_, model, snapshots_per_growth):
+    """The model's E2Data from one E2Table grown over prefixes of its basis,
+    snapshots_per_growth snapshots at a time."""
+    table = estimators.E2Table(sys_)
+    for end in range(snapshots_per_growth, model.n_hat + snapshots_per_growth, snapshots_per_growth):
+        n = min(end, model.n_hat)
+        prefix = SimpleNamespace(
+            n_hat=n,
+            riesz_b=model.riesz_b,
+            riesz_a0=model.riesz_a0[:n],
+            riesz_a1=model.riesz_a1[:n],
+        )
+        data = table.grow(prefix)
+    return data
+
+
+@pytest.mark.parametrize("snapshots_per_growth", [1, 7])
+def test_e2_build_chunking_is_bit_identical(snapshots_per_growth, truth, default_model):
+    # N_hat = 6: six growths of one snapshot, or the whole basis in one.
+    model = default_model[0]
+    assert model.n_hat == 6
+    assert_e2_data_is_per_pair(grown_in_steps(truth, model, snapshots_per_growth), truth, model)
+
+
+@pytest.mark.parametrize("snapshots_per_growth", [1, 7])
+def test_greedy_e2_data_equals_per_pair(snapshots_per_growth, greedy_case):
+    # The greedy grows E2's table two Riesz vectors per snapshot; a table
+    # grown over its basis in steps of 1 or 7 snapshots holds the same bits.
     sys_, training, kwargs = greedy_case
     model, _, e2data = rb.greedy_build(sys_, training, **kwargs)
     assert_e2_data_is_per_pair(e2data, sys_, model)
+    regrown = grown_in_steps(sys_, model, snapshots_per_growth)
+    assert [a.tobytes() for a in regrown.q_dd] == [a.tobytes() for a in e2data.q_dd]
 
 
 def test_each_growth_is_one_matvec_call_and_one_dots_call(truth, monkeypatch):
