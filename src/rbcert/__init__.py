@@ -34,7 +34,7 @@ from .fem import (
     riesz_representative,
     solve_truth,
 )
-from .precision import TWO_PROD_PATH, dd_add, dd_mul, dd_sqrt, dd_sum, two_prod, two_sum
+from .precision import TWO_PROD_PATH, dd_add, dd_sqrt, two_prod, two_sum
 from .reduced import (
     DependentSnapshotError,
     ReducedModel,

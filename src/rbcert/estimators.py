@@ -52,11 +52,15 @@ only as good as its offline data, and the interesting floors live in the
 online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
 greedy grows one alongside the basis.  Every Gram entry is the dd Gram
-matvec of one vector dotted in dd with the other.  Each growth makes one
-call of each of the compiled kernels ``fem.dd_gram_matvec`` and
-``fem.dd_dots``, which make the operations of :mod:`rbcert.precision` in
-their order; the tests keep the per-pair computation with the numpy dd
-kernels as the reference.
+matvec of one vector dotted in dd with the other.
+
+The length-N and double-double stages run in the compiled kernels of
+:mod:`rbcert.fem`: E2's growth (``dd_gram_matvec``, ``dd_dots``), e1's
+residual rows (``residual_rows``), the Gram products of e1 and the true
+error (``gram_rows``) and e2dd's radicands (``dd_radicands``).  Each makes
+the operations of the numpy code it replaced in their order, so its bits,
+and the tests keep that code as the reference.  The dots of the H1 norms,
+the basis lift and the small solves stay numpy and BLAS.
 """
 
 from __future__ import annotations
@@ -69,71 +73,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
-from .precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
+from .fem import dd_radicands, gram_rows, residual_rows
+from .precision import dd_add, dd_sqrt
 
 logger = logging.getLogger(__name__)
 
-# Entries per temporary of the loops that stream length-N stacks: e1's
-# pairwise tree (N_hat + 2 vectors per point) and the true error's lift.
-# Both must stay in cache.  At N=9999, N_hat=12 this budget (6 columns) ran
-# 200 e1 points in 43 ms against 71 ms point by point, and four times the
-# budget took 66 ms (2-vCPU Xeon, one BLAS thread).  Each loop writes into
-# buffers of this size that it allocates once per call.  Allocating per
-# operation is slow beside a large live array: glibc serves a request
-# above its mmap threshold (128 KiB at start) with a fresh mmap, so fresh
-# page faults, and raises the threshold only when it frees such a
-# mapping.  While an 8 MB truth chunk is alive and nothing as large has
-# been freed, every 480 KB temporary is mapped anew: the allocating e1
-# over 100 points at N=9999 took 103 ms so, and 30 ms once the chunk was
-# freed, as e1 on reused buffers takes either way.
+# Entries per (step, N) buffer of e1's or the true error's rows, and of
+# their Gram products; residual_rows reads a block of each Riesz vector
+# once per step.  At N=9999, N_hat=12 (6 points a step) 200 e1 points took
+# 36-52 ms, 64-82 ms point by point and 46-50 ms at four times the budget
+# (2-vCPU host, medians of 7 in two processes).
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
 class EstimatorBuildError(RuntimeError):
     """Raised when interpolation data cannot be built (degenerate pool)."""
-
-
-# --- E1: full-size reference ---------------------------------------------
-
-class _Workspace:
-    """(k, N) views into (step, N) buffers, allocated on first use and reused.
-
-    e1's pairwise tree, the true error's lift and their Gram quadratic
-    forms take every temporary here and write it with ``out=``, so a call
-    allocates each buffer once, however many steps it runs (see
-    _CACHE_BLOCK_ELEMENTS for why that matters).
-    """
-
-    def __init__(self, step: int, n: int):
-        self.step, self.n = step, n
-        self._free: list[np.ndarray] = []
-
-    def take(self, k: int) -> np.ndarray:
-        """A (k, N) view, k <= step, of a free buffer."""
-        buf = self._free.pop() if self._free else np.empty((self.step, self.n))
-        return buf[:k]
-
-    def give(self, *views) -> None:
-        """Return the buffers of views taken earlier."""
-        self._free += [v.base for v in views]
-
-
-def _pairwise_sum(n, term, work, first=0):
-    """Balanced pairwise sum of term(first), ..., term(first + n - 1), in place.
-
-    term(k) returns its term in a buffer taken from work.  The front half
-    is summed, then the back half, then the back added into the front and
-    its buffer given back, so besides the term at hand only one partial
-    sum per tree level is alive.  Returns the buffer holding the sum.
-    """
-    if n == 1:
-        return term(first)
-    half = n // 2
-    front = _pairwise_sum(half, term, work, first)
-    back = _pairwise_sum(n - half, term, work, first + half)
-    np.add(front, back, front)
-    work.give(back)
-    return front
 
 
 # --- E2: compact offline/online form --------------------------------------
@@ -397,57 +351,32 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
 
 # Block sizes come from budgets of float64 entries per block temporary.
-# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters.
-# The compiled block Thomas solve holds one (N, m) array, its solution,
-# plus about 2*sqrt(N) rows.  Its cost per entry is flat from about 13
-# columns up (4.7-5.5 ns at N=9999, against 34 ns for one column), so the
-# chunk bounds memory only: 2**20 entries, 8 MiB, 5269 points at N=199 and
-# 104 at N=9999, where a 100-point sweep is one solve.  A narrower
-# chunk costs time elsewhere, since each chunk runs its own reduced solves
-# and monomials: at N=9999, d=325, 2**17 entries cut the sweep's peak RSS
-# from 49.1 to 44.6 MB but took its time from 56-63 to 71-72 ms, and 2**16
-# to 80-82 ms (2-vCPU Xeon).  The true error's lift and e1 then stream the
-# chunk's length-N stacks in steps, on one workspace (:func:`_n_length_work`).
-# The d-length stages run on sub-blocks of
-# _BLOCK_ELEMENTS // d points, whose monomial vectors (d entries per point)
-# stay under 64 KiB, which the allocator reuses instead of growing the
-# process: 90 points at the paper's size (d=91), 25 at d=325.
+# evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters:
+# the compiled block Thomas solve holds one (N, m) array, its solution,
+# and costs the same per entry from about 13 columns up, so the chunk
+# bounds memory only (8 MiB; 5269 points at N=199, 104 at N=9999).  A
+# narrower chunk runs more reduced solves and monomials: at N=9999, d=325,
+# 2**17 entries cut the sweep's peak RSS from 49.1 to 44.6 MB and cost it
+# 15-25 % of its time.  The true error and e1 take a chunk in steps of
+# _CACHE_BLOCK_ELEMENTS // N points, on two (step, N) buffers.  The
+# d-length stages run on sub-blocks of _BLOCK_ELEMENTS // d points, whose
+# monomial vectors stay under 64 KiB, which the allocator reuses instead
+# of growing the process: 90 points at d=91, 25 at d=325.  No step is
+# longer than a sub-block.
 _BLOCK_ELEMENTS = 2 ** 13
 _SOLVE_ELEMENTS = 2 ** 20
 
 
-def _n_length_work(sys: TruthSystem, model, m: int) -> _Workspace:
-    """The workspace of e1's tree and the lift for m points.
-
-    Its steps take as many points as the cache budget allows, but no more
-    than m, nor than a d-length sub-block, which bounds the buffers at
-    small N (90 points of N=199 at d=91, not 329).
-    """
-    d = x_dimension(model.n_hat)
-    step = min(m, _CACHE_BLOCK_ELEMENTS // sys.n, _BLOCK_ELEMENTS // d)
-    return _Workspace(max(1, step), sys.n)
-
-
-def _h1_norms(sys: TruthSystem, work: _Workspace, m: int, stack) -> np.ndarray:
-    """The H1 norms of m vectors, work.step at a time.
-
-    stack(rows) returns the (k, N) stack of the vectors at rows, in a
-    buffer taken from work; its Gram quadratic forms run on two more.
-    The matvec is ``Gram.matvec`` with ``out=``, and each form one dot.
-    """
+def _h1_norms(sys: TruthSystem, m: int, fill, rows) -> np.ndarray:
+    """The H1 norms of m vectors, a step at a time, on the (2, step, N) buffers rows:
+    fill(part, G) writes the vectors of the slice part into G, a view of
+    rows[0], ``fem.gram_rows`` forms Gram*G in rows[1], and each norm is one dot."""
     out = np.empty(m)
-    diag, off = sys.Gram.diag, sys.Gram.off
-    mul, add = np.multiply, np.add
-    for k in range(0, m, work.step):
-        G = stack(slice(k, k + work.step))
-        W, T = work.take(len(G)), work.take(len(G))
-        mul(diag, G, W)
-        mul(off, G[:, 1:], T[:, 1:])
-        add(W[:, :-1], T[:, 1:], W[:, :-1])
-        mul(off, G[:, :-1], T[:, 1:])
-        add(W[:, 1:], T[:, 1:], W[:, 1:])
+    for k in range(0, m, rows.shape[1]):
+        G, W = rows[:, :min(rows.shape[1], m - k)]
+        fill(slice(k, k + len(G)), G)
+        gram_rows(sys, G, W)
         out[k:k + len(G)] = [g @ w for g, w in zip(G, W)]
-        work.give(G, W, T)
     return np.sqrt(np.maximum(out, 0.0))
 
 
@@ -455,50 +384,26 @@ def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarr
     """Residual dual norm via the full-size Riesz representative, at every mus[j].
 
     g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i]
-    with gamma = gamma[j], accumulated with pairwise summation over the
-    N_hat+2 vector terms (the mu-scaled group is itself pairwise-summed
-    before scaling), then a single Gram quadratic form.  Cost O(N*N_hat)
-    per point.  gamma is (m, N_hat), one row per point and one coefficient
-    per basis vector, or ``ValueError`` is raised, as it is for the empty
-    model.  The pairwise tree runs on (k, N) stacks of at most
-    _CACHE_BLOCK_ELEMENTS entries, on buffers allocated once per call.
+    with gamma = gamma[j], summed pairwise over the N_hat+2 vector terms
+    (the mu-scaled group pairwise before scaling) by
+    :func:`fem.residual_rows`, then a single Gram quadratic form.  Cost
+    O(N*N_hat) per point, in steps of _CACHE_BLOCK_ELEMENTS // N points.
+    gamma is (m, N_hat), one row per point and one coefficient per basis
+    vector, or ``ValueError`` is raised, as it is for the empty model.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
     if np.shape(gamma) != (len(mus), model.n_hat):
-        raise ValueError(
-            f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
-            f"on a basis of {model.n_hat}"
-        )
-    return _e1_norms(sys, model, mus, gamma, _n_length_work(sys, model, len(mus)))
+        raise ValueError(f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
+                         f"on a basis of {model.n_hat}")
+    rows = np.empty((2, max(1, min(len(mus), _CACHE_BLOCK_ELEMENTS // sys.n)), sys.n))
+    mus, gamma = (np.ascontiguousarray(a, dtype=float) for a in (mus, gamma))
+    return _e1_norms(sys, model, mus, gamma, rows)
 
 
-def _e1_norms(sys, model, mus, gamma, work):
-    n_hat = model.n_hat
-    a0, a1 = model.riesz_a0, model.riesz_a1
-
-    def stack(rows):
-        mu, ga = mus[rows], gamma[rows]
-
-        def scaled(a, i):
-            return np.multiply(ga[:, i, None], a[i], work.take(len(ga)))
-
-        # The mu-scaled group first, so its tree is not alive beside the
-        # outer one's.  No bit changes: every node still adds the same
-        # front and back sums.
-        group = _pairwise_sum(n_hat, lambda i: scaled(a1, i), work)
-        np.multiply(mu[:, None], group, group)
-
-        def term(k):
-            if k == 0:
-                b = work.take(len(ga))
-                b[:] = model.riesz_b
-                return b
-            return scaled(a0, k - 1) if k <= n_hat else group
-
-        return _pairwise_sum(n_hat + 2, term, work)
-
-    return _h1_norms(sys, work, len(mus), stack)
+def _e1_norms(sys, model, mus, gamma, rows):
+    vectors = [model.riesz_b, *model.riesz_a0, *model.riesz_a1]
+    return _h1_norms(sys, len(mus), lambda p, G: residual_rows(vectors, mus[p], gamma[p], G), rows)
 
 
 def _monomial_factors(mus, gamma):
@@ -535,17 +440,16 @@ def _e2_block(data: E2Data, X):
     return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
-def _e2dd_block(data: E2Data, XX):
+def _e2dd_block(data: E2Data, zi, zj):
     """Compact form in double-double; returns (value, clamped).
 
-    XX = (hi, lo) are the monomial columns as exact products, ``two_prod``
-    of :func:`_monomial_factors`.  Each q_p*X_p and the sum over the d
-    monomials are double-double operations on q_dd; the result is rounded
-    back to working precision.  A negative dd radicand is clamped to zero
-    and flagged.
+    zi and zj are the monomials' factor rows (:func:`_monomial_factors`).
+    Each q_p*X_p, X_p the exact product of its factors, and the sum over
+    the d monomials are dd operations on q_dd (:func:`fem.dd_radicands`),
+    rounded back to working precision.  A negative dd radicand is clamped
+    to zero and flagged.
     """
-    qh, ql = data.q_dd
-    rh, rl = dd_sum(*dd_mul((qh[:, None], ql[:, None]), XX))
+    rh, rl = dd_radicands(data.q_dd, zi, zj)
     clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
     if clamped.any():
         logger.info("e2dd: %d negative dd radicands clamped", clamped.sum())
@@ -574,21 +478,19 @@ def _e3_block(data: E3Data, mus, X):
     return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
-def _true_error_block(sys, B, U, gamma, work):
+def _true_error_block(sys, B, U, gamma, rows):
     """H1 distance between each truth solution U[:, j] and the basis matrix B
     times gamma[j]; the lift B @ gamma[j] is one matrix-vector product per
     point, into a row allocated once per call."""
     lift = np.empty(sys.n)
 
-    def stack(rows):
-        E = work.take(len(gamma[rows]))
-        np.copyto(E, U[:, rows].T)
-        for e, g in zip(E, gamma[rows]):
+    def fill(part, E):
+        np.copyto(E, U[:, part].T)
+        for e, g in zip(E, gamma[part]):
             np.matmul(B, g, out=lift)
             np.subtract(e, lift, e)
-        return E
 
-    return _h1_norms(sys, work, len(gamma), stack)
+    return _h1_norms(sys, len(gamma), fill, rows)
 
 
 def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> dict:
@@ -599,13 +501,11 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     mus[j], so the one-point block ``evaluate(..., [mu])`` is the per-point
     evaluation.  A mu that is not finite or below 1, or a block that is not
     1-D, raises ``ValueError``.  A block of any size runs in bounded
-    working memory.  It is taken in chunks of _SOLVE_ELEMENTS // N points,
-    each with one reduced solve and one truth solve, whose (N, m) solution
-    is the only chunk-sized array.  The true error's lift and then e1 stream the chunk
-    in steps of at most _CACHE_BLOCK_ELEMENTS entries, on buffers
-    allocated once per call, and the solution is released before e1.  The
-    monomials, e2, e2dd and e3 run on sub-blocks of the chunk of
-    _BLOCK_ELEMENTS entries per monomial array.
+    working memory: chunks of _SOLVE_ELEMENTS // N points, each with one
+    reduced and one truth solve, whose (N, m) solution is released before
+    e1; the true error and e1 take a chunk in steps, on two (step, N)
+    buffers allocated once per call, and the monomials, e2, e2dd and e3 in
+    sub-blocks of _BLOCK_ELEMENTS entries per monomial array.
     """
     from .reduced import solve_reduced_block
 
@@ -615,18 +515,19 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)
     chunk = max(1, _SOLVE_ELEMENTS // sys.n)
     step = max(1, _BLOCK_ELEMENTS // e3data.d)
-    work = _n_length_work(sys, model, min(chunk, mus.size))
+    rows = np.empty((2, max(1, min(chunk, mus.size, step, _CACHE_BLOCK_ELEMENTS // sys.n)), sys.n))
     for c in range(0, mus.size, chunk):
         m = mus[c:c + chunk]
         gamma = solve_reduced_block(model, m)
         U = solve_truth(sys, m)
-        cols["true_error"][c:c + len(m)] = _true_error_block(sys, model.basis_matrix, U, gamma, work)
-        del U  # not alive beside e1's tree or the next chunk's solve
-        cols["e1"][c:c + len(m)] = _e1_norms(sys, model, m, gamma, work)
+        cols["true_error"][c:c + len(m)] = _true_error_block(sys, model.basis_matrix, U, gamma, rows)
+        del U  # not alive beside e1's rows or the next chunk's solve
+        cols["e1"][c:c + len(m)] = _e1_norms(sys, model, m, gamma, rows)
         for k in range(0, len(m), step):
             part = slice(c + k, c + min(k + step, len(m)))
-            XX = two_prod(*_monomial_factors(m[k:k + step], gamma[k:k + step]))
-            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(e2data, XX[0])
-            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], XX[0])
-            cols["e2dd"][part] = _e2dd_block(e2data, XX)[0]
+            zi, zj = _monomial_factors(m[k:k + step], gamma[k:k + step])
+            X = zi * zj
+            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(e2data, X)
+            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], X)
+            cols["e2dd"][part] = _e2dd_block(e2data, zi, zj)[0]
     return {"mu": mus, **cols}

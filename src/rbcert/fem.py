@@ -12,15 +12,18 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 
 Every row of A(mu), of Gram and of F is the same, so each truth solve and
 Riesz lift is Thomas elimination of n equal rows.  One C source,
-``_SOURCE``, holds three kernels: ``thomas`` runs every solve and lift, m systems at once with the columns as the inner loop,
-and ``dd_gram_matvec`` and ``dd_dots`` grow E2's double-double Gram
-table (:class:`rbcert.estimators.E2Table`).  It is compiled when this
-module is imported, with ``cc`` and ``_FLAGS``, into one library in
-``__pycache__`` beside this file, and loaded with ``ctypes``; a missing
-or failing compiler is an ``ImportError``.  ``-ffp-contract=off`` keeps
-its arithmetic free of fused multiply-adds, and it calls no BLAS and no
-libm, so its bits do not depend on the host.  The kernels take bare
-addresses: every array passes one check per call (:func:`_address`).
+``_SOURCE``, holds six kernels: ``thomas`` runs every solve and lift, m
+systems at once; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram
+table; ``residual_rows`` forms e1's residual rows, ``gram_rows`` the Gram
+products of e1 and the true error, and ``dd_radicands`` e2dd's radicands.
+Each makes the operations of the reference the tests keep for it, in
+their order, so its bits.  It is compiled when this module is imported, with ``cc``
+and ``_FLAGS``, into one library in ``__pycache__`` beside this file, and
+loaded with ``ctypes``; a missing or failing compiler is an
+``ImportError``.  ``-ffp-contract=off`` keeps its arithmetic free of
+fused multiply-adds, and it calls no BLAS and no libm, so its bits do not
+depend on the host.  The kernels take bare addresses: every array passes
+one check per call (:func:`_address`).
 """
 
 from __future__ import annotations
@@ -168,10 +171,11 @@ static void split(double a, double *hi, double *lo)
     *lo = a - *hi;
 }
 
-/* two_prod(a, b) = (p, e), for a already split into (ah, al). */
-static void two_prod(double a, double ah, double al, double b, double *p, double *e)
+/* two_prod(a, b) = (p, e). */
+static void two_prod(double a, double b, double *p, double *e)
 {
-    double bh, bl;
+    double ah, al, bh, bl;
+    split(a, &ah, &al);
     split(b, &bh, &bl);
     *p = a * b;
     *e = ((ah * bh - *p) + ah * bl + al * bh) + al * bl;
@@ -190,68 +194,161 @@ static void dd_add(double *xh, double *xl, double yh, double yl)
     *xl = e - (*xh - t);
 }
 
-/* Gram*v in double-double for k vectors v of n entries, at the addresses
-   in vs, into rows of n of wh and wl.  Every row of Gram is (off, diag,
-   off) (off is not read when n = 1).  Entry i is two_prod(diag, v_i),
-   then dd_add of two_prod(off, v_{i+1}), then of two_prod(off, v_{i-1}),
-   where those exist: the operations of the numpy dd matvec, entry by
-   entry, so a vector has the same bits alone as among others. */
+/* dd_mul((xh, xl), (yh, yl)) = (h, l). */
+static void dd_mul(double xh, double xl, double yh, double yl, double *h, double *l)
+{
+    double p, e;
+    two_prod(xh, yh, &p, &e);
+    e = e + (xh * yl + xl * yh);
+    *h = p + e;               /* quick_two_sum(p, e) */
+    *l = e - (*h - p);
+}
+
+/* dd_sum's pairwise tree over n rows of m double-doubles (th, tl), in
+   place: each level dd_adds its back half into its front half, so row 0
+   ends with the m column sums. */
+static void dd_tree(ptrdiff_t n, ptrdiff_t m, double *th, double *tl)
+{
+    ptrdiff_t len, half, i;
+    for (len = n; len > 1; len = half) {
+        half = (len + 1) / 2;
+        for (i = 0; i < (len - half) * m; i++)
+            dd_add(&th[i], &tl[i], th[half * m + i], tl[half * m + i]);
+    }
+}
+
+/* Gram*v in double-double for the k vectors of n at the addresses vs,
+   into rows of n of wh and wl; Gram's rows are (off, diag, off).  Entry
+   i is two_prod(diag, v_i), then dd_add of two_prod(off, v_{i+1}), then
+   of two_prod(off, v_{i-1}), where those exist. */
 void dd_gram_matvec(ptrdiff_t n, ptrdiff_t k, double diag, double off,
                     const uintptr_t *vs, double *restrict wh, double *restrict wl)
 {
-    double dh, dl, oh, ol, p, e;
+    double p, e;
     ptrdiff_t i, j;
-    split(diag, &dh, &dl);
-    split(off, &oh, &ol);
     for (j = 0; j < k; j++) {
         const double *v = (const double *)vs[j];
         double *h = wh + j * n, *l = wl + j * n;
         for (i = 0; i < n; i++)
-            two_prod(diag, dh, dl, v[i], &h[i], &l[i]);
+            two_prod(diag, v[i], &h[i], &l[i]);
         for (i = 0; i + 1 < n; i++) {
-            two_prod(off, oh, ol, v[i + 1], &p, &e);
+            two_prod(off, v[i + 1], &p, &e);
             dd_add(&h[i], &l[i], p, e);
         }
         for (i = 1; i < n; i++) {
-            two_prod(off, oh, ol, v[i - 1], &p, &e);
+            two_prod(off, v[i - 1], &p, &e);
             dd_add(&h[i], &l[i], p, e);
         }
     }
 }
 
 /* sum_i u_i*(wh_i + wl_i) in double-double for each of the p index pairs
-   (a, b) = pairs[2q], pairs[2q + 1]: u at address us[a], wh and wl of n
-   entries at whs[b] and wls[b].  Each term is dd_mul((u_i, 0), (wh_i,
-   wl_i)), its zero low part's 0*wh_i included, into the 2n doubles of
-   scratch; the terms are then summed by dd_sum's pairwise tree, each
-   level the dd_add of its front half and its back half.  Pair q's sum
-   goes to (out[q], out[p + q]). */
+   (a, b) = pairs[2q], pairs[2q + 1], u at us[a], wh at whs[b] and wl at
+   wls[b]: the terms dd_mul((u_i, 0), (wh_i, wl_i)) go to the 2n doubles
+   of scratch, and dd_tree sums them into (out[q], out[p + q]). */
 void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs,
              const uintptr_t *wls, const ptrdiff_t *pairs, double *restrict out,
              double *restrict scratch)
 {
     double *th = scratch, *tl = scratch + n;
-    ptrdiff_t q, i, len, half;
+    ptrdiff_t q, i;
     for (q = 0; q < p; q++) {
         const double *u = (const double *)us[pairs[2 * q]];
         const double *wh = (const double *)whs[pairs[2 * q + 1]];
         const double *wl = (const double *)wls[pairs[2 * q + 1]];
-        for (i = 0; i < n; i++) {
-            double cross = u[i] * wl[i] + 0.0 * wh[i];
-            double uh, ul, x, e;
-            split(u[i], &uh, &ul);
-            two_prod(u[i], uh, ul, wh[i], &x, &e);
-            e = e + cross;
-            th[i] = x + e;    /* quick_two_sum(x, e) */
-            tl[i] = e - (th[i] - x);
-        }
-        for (len = n; len > 1; len = half) {
-            half = (len + 1) / 2;
-            for (i = 0; i < len - half; i++)
-                dd_add(&th[i], &tl[i], th[half + i], tl[half + i]);
-        }
+        for (i = 0; i < n; i++)
+            dd_mul(u[i], 0.0, wh[i], wl[i], &th[i], &tl[i]);
+        dd_tree(n, 1, th, tl);
         out[q] = th[0];
         out[p + q] = tl[0];
+    }
+}
+
+/* e2dd's radicand q.X in double-double for the m columns of X = zi*zj,
+   zi and zj row-major (d, m): term p is dd_mul((qh_p, ql_p),
+   two_prod(zi_p, zj_p)), into t, 2dm doubles, and dd_tree leaves column
+   j's sum at (t[j], t[dm + j]). */
+void dd_radicands(ptrdiff_t d, ptrdiff_t m, const double *qh, const double *ql,
+                  const double *zi, const double *zj, double *restrict t)
+{
+    double xh, xl;
+    ptrdiff_t p, j;
+    for (p = 0; p < d; p++)
+        for (j = p * m; j < (p + 1) * m; j++) {
+            two_prod(zi[j], zj[j], &xh, &xl);
+            dd_mul(qh[p], ql[p], xh, xl, &t[j], &t[d * m + j]);
+        }
+    dd_tree(d, m, t, t + d * m);
+}
+
+/* e1's g = z . vs, z = (1; gamma; mu*gamma), at one point over the len
+   mesh entries from i0.  residual_tree sums terms first, ...,
+   first + n - 1 into out: the front n/2 terms, then the back's into
+   scratch, added into them; the back's own tree runs on the scratch after
+   it.  Outer term t is gamma[t-1]*vs[t] (1.0*vs[0] at t = 0), and term
+   nh + 1 mu times the same tree over the nh terms gamma[t]*vs[nh+1+t]. */
+struct residual {
+    ptrdiff_t nh, i0, len;
+    const uintptr_t *vs;
+    const double *gamma;
+    double mu;
+};
+
+static void residual_tree(const struct residual *r, int group, ptrdiff_t first,
+                          ptrdiff_t n, double *out, double *scratch)
+{
+    ptrdiff_t i;
+    const double *a = out;
+    double c = r->mu;
+    if (n > 1) {
+        residual_tree(r, group, first, n / 2, out, scratch);
+        residual_tree(r, group, first + n / 2, n - n / 2, scratch, scratch + r->len);
+        for (i = 0; i < r->len; i++)
+            out[i] = out[i] + scratch[i];
+        return;
+    }
+    if (!group && first > r->nh) {
+        residual_tree(r, 1, 0, r->nh, out, scratch);
+    } else {
+        a = (const double *)r->vs[first + group * (r->nh + 1)] + r->i0;
+        c = group ? r->gamma[first] : first ? r->gamma[first - 1] : 1.0;
+    }
+    for (i = 0; i < r->len; i++)
+        out[i] = c * a[i];
+}
+
+/* e1's g for k points into the k rows of n of G, point j at mus[j] with
+   the nh coefficients at gamma + j*nh, s mesh entries at a time for
+   every point; scratch holds ceil(log2(nh + 2)) + ceil(log2(nh)) rows of
+   s partial sums. */
+void residual_rows(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
+                   const double *mus, const double *gamma, double *G, ptrdiff_t s,
+                   double *scratch)
+{
+    struct residual r = {nh, 0, 0, vs, gamma, 0.0};
+    ptrdiff_t j;
+    for (r.i0 = 0; r.i0 < n; r.i0 += s) {
+        r.len = n - r.i0 < s ? n - r.i0 : s;
+        for (j = 0; j < k; j++) {
+            r.gamma = gamma + j * nh;
+            r.mu = mus[j];
+            residual_tree(&r, 0, 0, nh + 2, G + j * n + r.i0, scratch);
+        }
+    }
+}
+
+/* Gram*g for the k rows g of n of G into the rows of W: entry i is
+   (diag*g_i + off*g_{i+1}) + off*g_{i-1}, where those exist. */
+void gram_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
+               const double *restrict G, double *restrict W)
+{
+    ptrdiff_t i, j;
+    for (j = 0; j < k; j++, G += n, W += n) {
+        W[0] = n > 1 ? diag * G[0] + off * G[1] : diag * G[0];
+        for (i = 1; i < n - 1; i++)
+            W[i] = (diag * G[i] + off * G[i + 1]) + off * G[i - 1];
+        if (n > 1)
+            W[n - 1] = diag * G[n - 1] + off * G[n - 2];
     }
 }
 """
@@ -268,7 +365,8 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
     keyed on the source, the flags and the platform.  The compiler writes
     a temporary file there, which ``os.replace`` moves into place, so
     concurrent first imports each load a whole library.  A compiler that
-    is missing or fails raises ``ImportError`` naming the command.
+    is missing or fails, or a cache that cannot be written, raises
+    ``ImportError`` naming the cache and the command.
     """
     key = "\0".join((source, *flags, sys.platform, platform.machine()))
     cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
@@ -277,33 +375,37 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
         import subprocess
         import tempfile
 
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="_rows-", suffix=".tmp", dir=cache)
-        os.close(fd)
-        cmd = ["cc", *flags, "-o", tmp, "-x", "c", "-"]
+        tmp, cmd = None, ["cc", *flags]
         try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_rows-", suffix=".tmp", dir=cache)
+            os.close(fd)
+            cmd += ["-o", tmp, "-x", "c", "-"]
             subprocess.run(cmd, input=source, capture_output=True, text=True, check=True)
             os.chmod(tmp, 0o755)
             os.replace(tmp, path)
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
             raise ImportError(
-                f"rbcert.fem: building its C kernel with `{' '.join(cmd)}` failed: {detail}"
+                f"rbcert.fem: building its C kernel in {cache} with `{' '.join(cmd)}` failed: {detail}"
             ) from exc
         finally:
-            if os.path.exists(tmp):
+            if tmp and os.path.exists(tmp):
                 os.unlink(tmp)
     return ctypes.CDLL(path)
 
 
 _lib = _build(_SOURCE, _FLAGS)
-_n, _p = ctypes.c_ssize_t, ctypes.c_void_p
+_n, _p, _d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _lib.thomas.argtypes = (_n, _n, _p, _p, _p, _n, _p, _n, _p)
 _lib.thomas.restype = ctypes.c_int
-_lib.dd_gram_matvec.argtypes = (_n, _n, ctypes.c_double, ctypes.c_double, _p, _p, _p)
-_lib.dd_gram_matvec.restype = None
+_lib.dd_gram_matvec.argtypes = (_n, _n, _d, _d, _p, _p, _p)
 _lib.dd_dots.argtypes = (_n, _n, _p, _p, _p, _p, _p, _p)
-_lib.dd_dots.restype = None
+_lib.dd_radicands.argtypes = (_n, _n, _p, _p, _p, _p, _p)
+_lib.residual_rows.argtypes = (_n, _n, _n, _p, _p, _p, _p, _n, _p)
+_lib.gram_rows.argtypes = (_n, _n, _d, _d, _p, _p)
+for _name in ("dd_gram_matvec", "dd_dots", "dd_radicands", "residual_rows", "gram_rows"):
+    getattr(_lib, _name).restype = None
 _VIEW = ctypes.c_char * 0
 
 
@@ -368,11 +470,8 @@ def dd_gram_matvec(sys: TruthSystem, vectors) -> tuple:
     n, k = sys.n, len(vectors)
     table = _table(vectors, "vectors", n)
     wh, wl = np.empty((k, n)), np.empty((k, n))
-    G = sys.Gram
-    _lib.dd_gram_matvec(
-        n, k, G.diag[0], G.off[0] if n > 1 else 0.0, table.ctypes.data,
-        _address(wh, "wh", out=True), _address(wl, "wl", out=True),
-    )
+    args = table.ctypes.data, _address(wh, "wh", out=True), _address(wl, "wl", out=True)
+    _lib.dd_gram_matvec(n, k, sys.Gram.diag[0], sys.Gram.off[0] if n > 1 else 0.0, *args)
     return wh, wl
 
 
@@ -381,10 +480,10 @@ def dd_dots(us, whs, wls, pairs) -> tuple:
 
     us, whs and wls are lists of (N,) float64 vectors, and pairs is a
     (p, 2) integer array of pairs (a, b) that take u = us[a], wh = whs[b]
-    and wl = wls[b].  Each dot is ``dd_mul((u, 0), (wh, wl))`` then
-    :func:`precision.dd_sum`'s pairwise tree, the same operations in the
-    same order, so the same bits; one kernel call runs them all on a
-    scratch of 2N entries.  Returns (hi, lo), two (p,) arrays.
+    and wl = wls[b].  Each dot is the numpy ``dd_mul((u, 0), (wh, wl))``
+    then ``dd_sum``'s pairwise tree, the same operations in the same
+    order, so the same bits; one kernel call runs them all on a scratch
+    of 2N entries.  Returns (hi, lo), two (p,) arrays.
     """
     n = len(us[0])
     tables = [_table(vs, name, n) for name, vs in (("us", us), ("whs", whs), ("wls", wls))]
@@ -400,6 +499,55 @@ def dd_dots(us, whs, wls, pairs) -> tuple:
         _address(out, "out", out=True), _address(scratch, "scratch", out=True),
     )
     return out[0], out[1]
+
+
+def dd_radicands(q_dd, zi, zj) -> tuple:
+    """q.X in double-double for every column of X = zi*zj, in one kernel call.
+
+    q_dd = (qh, ql) are (d,) arrays and zi, zj the (d, m) factor rows of X.
+    Column j is ``dd_sum(*dd_mul(q_dd, two_prod(zi[:, j], zj[:, j])))`` of
+    the numpy dd kernels, the same operations in the same order.  Returns
+    (hi, lo), two (m,) arrays.
+    """
+    d, m = np.shape(zi)
+    if np.shape(zj) != (d, m) or any(np.shape(q) != (d,) for q in q_dd):
+        raise ValueError(f"q_dd does not fit the factor rows {np.shape(zi)} and {np.shape(zj)}")
+    t = np.empty((2, d, m))
+    args = [_address(a, name) for a, name in zip((*q_dd, zi, zj), ("qh", "ql", "zi", "zj"))]
+    _lib.dd_radicands(d, m, *args, _address(t, "t", out=True))
+    return t[0, 0], t[1, 0]
+
+
+def residual_rows(vectors, mus, gamma, G) -> np.ndarray:
+    """e1's residual representatives g = z . vectors into the rows of the (k, N) array G.
+
+    vectors are the 2*N_hat + 1 (N,) vectors (b, a0_0, ..., a1_0, ...), and
+    row j's z is (1; gamma[j]; mus[j]*gamma[j]), mus (k,) and gamma (k,
+    N_hat).  The terms b, gamma_i*a0_i and mu times the a1 group (summed
+    alike) are summed pairwise, front half then back half: the tests'
+    numpy tree, operation for operation.  One kernel call; returns G.
+    """
+    (k, n), nh = G.shape, (len(vectors) - 1) // 2
+    if nh < 1 or np.shape(mus) != (k,) or np.shape(gamma) != (k, nh) or len(vectors) != 2 * nh + 1:
+        raise ValueError(f"{len(vectors)} vectors, mus and gamma do not fit rows {G.shape}")
+    table, s = _table(vectors, "vectors", n), 256  # mesh entries a block: 2 KiB partial sums
+    scratch = np.empty(((nh + 1).bit_length() + (nh - 1).bit_length()) * s)
+    args = [_address(a, name) for a, name in ((mus, "mus"), (gamma, "gamma"))]
+    args += [_address(G, "G", out=True), s, _address(scratch, "scratch", out=True)]
+    _lib.residual_rows(n, k, nh, table.ctypes.data, *args)
+    return G
+
+
+def gram_rows(sys: TruthSystem, G, W) -> np.ndarray:
+    """Gram*g for every row g of the (k, N) array G, into the rows of W; returns W.
+
+    The operations of ``Gram.matvec``, entry by entry, in one kernel call.
+    """
+    if G.shape != W.shape or G.shape[1:] != (sys.n,):
+        raise ValueError(f"rows {G.shape} and {W.shape} do not fit N = {sys.n}")
+    args = _address(G, "G"), _address(W, "W", out=True)
+    _lib.gram_rows(sys.n, len(G), sys.Gram.diag[0], sys.Gram.off[0] if sys.n > 1 else 0.0, *args)
+    return W
 
 
 def check_parameters(mu) -> None:

@@ -9,7 +9,9 @@ double arithmetic, so the kernels vectorize over numpy arrays as-is.
 
 All kernels are branch-free except the square root's check for negative
 input, so every function accepts either Python floats or numpy arrays
-and broadcasts like any ufunc expression.
+and broadcasts like any ufunc expression.  The compiled kernels of
+:mod:`rbcert.fem` make these operations, and the dd product and pairwise
+dd sum built from them, in C with the same bits.
 
 ``math.fma`` is not available on this interpreter, so ``two_prod`` uses
 the Dekker splitting path; :data:`TWO_PROD_PATH` records which path was
@@ -81,15 +83,6 @@ def dd_add(x, y):
     return quick_two_sum(s, e)
 
 
-def dd_mul(x, y):
-    """Multiply two double-double values given as (hi, lo) pairs."""
-    xh, xl = x
-    yh, yl = y
-    p, e = two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    return quick_two_sum(p, e)
-
-
 def dd_sqrt(x):
     """Square root of a double-double ``x = (hi, lo)``.
 
@@ -109,71 +102,3 @@ def dd_sqrt(x):
     s, e = quick_two_sum(a, corr)
     s, e = np.where(zero, 0.0, s), np.where(zero, 0.0, e)
     return (float(s), float(e)) if s.ndim == 0 else (s, e)
-
-
-def dd_sum(hi, lo):
-    """Sum the double-double entries of paired (hi, lo) arrays.
-
-    Pairwise (balanced-tree) reduction along the first axis, front half
-    against back half, so the evaluation order is deterministic and
-    independent of any BLAS blocking.  1-D input gives a scalar (hi, lo)
-    pair; (d, m) input gives the m column sums, each summed exactly as
-    its column alone would be.  The tree runs in place on copies of the
-    inputs (:func:`dd_sum_into`).
-    """
-    h = np.array(hi, dtype=float)
-    l = np.array(lo, dtype=float)
-    sh, sl = dd_sum_into(h, l, np.empty((4, h[: h.shape[0] // 2].size)))
-    if h.ndim == 1:
-        return float(sh), float(sl)
-    return sh, sl
-
-
-def dd_sum_into(h, l, scratch):
-    """:func:`dd_sum`'s tree over (n, ...) arrays h and l, in place.
-
-    Each level is :func:`dd_add` of the front half and the back half,
-    written over the front half by :func:`dd_add_into`, the same
-    operations in the same order, so every bit is :func:`dd_sum`'s.  h and
-    l are overwritten; scratch holds four flat float arrays of at least
-    h[:n // 2].size entries, and no other array is allocated.  Returns
-    views (h[0], l[0]) of the sums.
-    """
-    n = h.shape[0]
-    while n > 1:
-        half = (n + 1) // 2
-        m = n - half
-        x = h[:m]
-        tmp = [s[: x.size].reshape(x.shape) for s in scratch]
-        dd_add_into(x, l[:m], h[half:n], l[half:n], *tmp)
-        n = half
-    return h[0], l[0]
-
-
-def dd_add_into(xh, xl, yh, yl, a, b, c, d):
-    """``dd_add((xh, xl), (yh, yl))`` written over (xh, xl).
-
-    The operations and their order are dd_add's, so the bits are too;
-    y is only read, and a, b, c, d are scratch arrays shaped like xh.
-    """
-    add, sub = np.add, np.subtract
-    add(xh, yh, a)   # two_sum(xh, yh) = (a, c)
-    sub(a, xh, b)
-    sub(a, b, c)
-    sub(xh, c, c)
-    sub(yh, b, b)
-    add(c, b, c)
-    add(xl, yl, b)   # two_sum(xl, yl) = (b, d), with xh as scratch
-    sub(b, xl, d)
-    sub(b, d, xh)
-    sub(xl, xh, xh)
-    sub(yl, d, d)
-    add(xh, d, d)
-    add(c, b, c)     # e + t
-    add(a, c, b)     # quick_two_sum(s, e) = (b, c)
-    sub(b, a, a)
-    sub(c, a, c)
-    add(c, d, c)     # e + f
-    add(b, c, xh)    # quick_two_sum(s, e) = (xh, xl)
-    sub(xh, b, a)
-    sub(c, a, xl)

@@ -50,7 +50,6 @@ from .fem import (
     riesz_representative,
     solve_truth,
 )
-from .precision import two_prod
 
 logger = logging.getLogger(__name__)
 
@@ -238,8 +237,7 @@ def greedy_build(
         if not candidates.size:
             break
         gamma = solve_reduced_block(model, candidates)
-        XX = two_prod(*_monomial_factors(candidates, gamma))
-        best = int(np.argmax(_e2dd_block(e2data, XX)[0]))
+        best = int(np.argmax(_e2dd_block(e2data, *_monomial_factors(candidates, gamma))[0]))
         pick = slice(best, best + 1)
         best_mu = float(candidates[best])
         best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])

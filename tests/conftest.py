@@ -8,7 +8,9 @@ the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
 forms the A(mu) whose residual the truth and e1 tests check.  The
 two-pass Thomas solve on Python floats is the reference the compiled
-kernel in :mod:`rbcert.fem` is checked against by ``float.hex``.
+kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, and the
+allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
+:func:`dd_sum`) are the references of its dd kernels.
 """
 
 import math
@@ -27,6 +29,7 @@ from rbcert.experiments import (
     sweep_grid,
     training_grid,
 )
+from rbcert.precision import dd_add, quick_two_sum, two_prod
 
 # Populated by the tests in test_acceptance.py, printed at the end of the
 # run so every criterion gets exactly one visible pass/fail line.
@@ -230,6 +233,36 @@ def thomas(diag, off, rhs):
         return np.array(thomas_substitute(off, *thomas_factor(diag, off), rhs))
     except ZeroDivisionError as exc:
         raise np.linalg.LinAlgError("zero pivot") from exc
+
+
+# --- the numpy double-double references ------------------------------------
+
+def dd_mul(x, y):
+    """Multiply two double-double values given as (hi, lo) pairs."""
+    xh, xl = x
+    yh, yl = y
+    p, e = two_prod(xh, yh)
+    e = e + (xh * yl + xl * yh)
+    return quick_two_sum(p, e)
+
+
+def dd_sum(hi, lo):
+    """Sum the double-double entries of paired (hi, lo) arrays.
+
+    Pairwise (balanced-tree) reduction along the first axis, each level
+    the :func:`dd_add` of the front half (the larger when the length is
+    odd) and the back half, on copies of the inputs.  1-D input gives a
+    scalar (hi, lo) pair; (d, m) input gives the m column sums, each
+    summed exactly as its column alone would be.
+    """
+    h, l = np.array(hi, dtype=float), np.array(lo, dtype=float)
+    n = h.shape[0]
+    while n > 1:
+        half = (n + 1) // 2
+        m = n - half
+        h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
+        n = half
+    return (float(h[0]), float(l[0])) if h.ndim == 1 else (h[0], l[0])
 
 
 # --- analytic reference -------------------------------------------------

@@ -18,9 +18,15 @@ import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
 from rbcert.estimators import _e2_block
-from rbcert.precision import dd_add, dd_mul, two_prod, two_sum
+from rbcert.precision import dd_add, two_prod, two_sum
 
-from conftest import analytic_solution, build_e2_data, h1_error_vs_analytic, make_output_dir
+from conftest import (
+    analytic_solution,
+    build_e2_data,
+    dd_mul,
+    h1_error_vs_analytic,
+    make_output_dir,
+)
 
 
 def test_criterion_1_floor_reproduction(floors_report, acceptance):
@@ -281,9 +287,9 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
     accurate, _, _ = rb.greedy_build(truth, training_grid(cfg), **kwargs)
     scanned = []
 
-    def e2_scan(data, XX):
+    def e2_scan(data, zi, zj):
         scanned.append(data)
-        return _e2_block(data, XX[0])
+        return _e2_block(data, zi * zj)
 
     def e2_at_pick(sys_, model, mus, gamma):
         return _e2_block(scanned[-1], rb.x_matrix(mus, gamma))[0]

@@ -25,11 +25,11 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec
-from rbcert.precision import dd_add, dd_mul, dd_sqrt, dd_sum, two_prod
+from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, gram_rows, residual_rows
+from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
-from conftest import analytic_solution, build_e2_data, operator
+from conftest import analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -140,14 +140,7 @@ def dd_gram_matvec_oracle(sys_, V):
 def dd_dot_oracle(u, wh, wl):
     """The dd dot down axis 0 of (N, m) stacks: dd_mul with a zero low part,
     then dd_sum's pairwise tree made of allocating dd_add calls."""
-    th, tl = dd_mul((u, np.zeros_like(u)), (wh, wl))
-    n = th.shape[0]
-    while n > 1:
-        half = (n + 1) // 2
-        m = n - half
-        th[:m], tl[:m] = dd_add((th[:m], tl[:m]), (th[half:n], tl[half:n]))
-        n = half
-    return th[0], tl[0]
+    return dd_sum(*dd_mul((u, np.zeros_like(u)), (wh, wl)))
 
 
 def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
@@ -219,9 +212,9 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
 
 def monomials(mu, gamma):
     """The monomial columns of one parameter and its coefficients:
-    X(mu) for _e2_block, its exact products for _e2dd_block."""
+    X(mu) for _e2_block, its factor rows for _e2dd_block."""
     zi, zj = _monomial_factors(np.array([mu]), np.array([gamma], dtype=float))
-    return zi * zj, two_prod(zi, zj)
+    return zi * zj, (zi, zj)
 
 
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
@@ -231,7 +224,7 @@ def test_e2_at_zero_coefficients_returns_delta(default_e2):
 
 
 def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
-    value, clamped = _e2dd_block(default_e2, monomials(5.0, np.zeros(6))[1])
+    value, clamped = _e2dd_block(default_e2, *monomials(5.0, np.zeros(6))[1])
     assert clamped.tolist() == [False]
     assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
@@ -271,7 +264,7 @@ def test_e2_clamps_negative_radicand():
 
 
 def test_e2dd_clamps_negative_radicand_and_flags():
-    value, clamped = _e2dd_block(synthetic_negative_data(), monomials(1.0, [1.0])[1])
+    value, clamped = _e2dd_block(synthetic_negative_data(), *monomials(1.0, [1.0])[1])
     assert value.tolist() == [0.0]
     assert clamped.tolist() == [True]
 
@@ -280,7 +273,7 @@ def test_clamp_logs_name_the_sweep_fields(caplog, truth, default_model, default_
     # The clamp counts log under the SweepRecord field names; on the default
     # basis e3 clamps at mu = 1000.
     with caplog.at_level(logging.INFO, logger="rbcert.estimators"):
-        _e2dd_block(synthetic_negative_data(), monomials(1.0, [1.0])[1])
+        _e2dd_block(synthetic_negative_data(), *monomials(1.0, [1.0])[1])
         rb.evaluate(truth, default_model[0], default_e2, default_e3, [1000.0])
     assert [r.getMessage() for r in caplog.records] == [
         "e2dd: 1 negative dd radicands clamped",
@@ -453,14 +446,15 @@ def pairwise_sum(n, term, first=0):
     return pairwise_sum(half, term, first) + pairwise_sum(n - half, term, first + half)
 
 
+def residual_oracle(b, a0, a1, mu, gamma):
+    """g = b + sum_i gamma_i*a0[i] + mu*sum_i gamma_i*a1[i], pairwise, in numpy."""
+    terms = [b] + [g * r for g, r in zip(gamma, a0)]
+    terms.append(mu * pairwise_sum(gamma.size, lambda i: gamma[i] * a1[i]))
+    return pairwise_sum(len(terms), terms.__getitem__)
+
+
 def e1_oracle(sys_, model, mu, gamma):
-    """g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i], pairwise."""
-    terms = [model.riesz_b]
-    if gamma.size:
-        terms += [g * r for g, r in zip(gamma, model.riesz_a0)]
-        part1 = pairwise_sum(gamma.size, lambda i: gamma[i] * model.riesz_a1[i])
-        terms.append(mu * part1)
-    g = pairwise_sum(len(terms), terms.__getitem__)
+    g = residual_oracle(model.riesz_b, model.riesz_a0, model.riesz_a1, mu, gamma)
     return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0))
 
 
@@ -914,6 +908,17 @@ def test_dd_kernels_write_nothing_past_their_buffers(n):
     got = (Wh[pad:pad + 3 * n], Wl[pad:pad + 3 * n])
     assert hexes(got) == hexes((ref[0].ravel(), ref[1].ravel()))
 
+    # The radicands write the 2*n*6 doubles of their terms: n monomials of
+    # six columns, q the rows of u.
+    qh, ql, zi, zj = u[:, 5].copy(), wl[:, 5].copy(), wh, u
+    t = np.full(12 * n + 2 * pad, np.nan)
+    fem._lib.dd_radicands(
+        n, 6, qh.ctypes.data, ql.ctypes.data, zi.ctypes.data, zj.ctypes.data, t[pad:].ctypes.data,
+    )
+    assert np.isnan(t[:pad]).all() and np.isnan(t[pad + 12 * n:]).all()
+    got = t[pad:pad + 12 * n].reshape(2, n, 6)[:, 0]
+    assert hexes(got) == hexes(dd_sum(*dd_mul((qh[:, None], ql[:, None]), two_prod(zi, zj))))
+
 
 def test_e2_build_holds_no_per_operation_temporaries():
     # The compiled kernels allocate nothing: a growth holds the dd vectors
@@ -956,3 +961,92 @@ def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
             assert [x.hex() for x in got.ravel().tolist()] == [
                 x.hex() for x in expect[list(rows)].ravel().tolist()
             ]
+
+
+# --- the compiled row kernels of e1 and the H1 norms against numpy --------------
+
+def special_rows(k, n, seed):
+    """A (k, n) array of ordinary values with signed zeros and values near
+    underflow at random entries, and row k // 2 of alternating signs."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-6, 6, size=(k, n))
+    specials = np.array([0.0, -0.0, 2.0**-1020, -(2.0**-1021), 5e-324])
+    pick = rng.uniform(size=(k, n)) < 0.3
+    rows[pick] = rng.choice(specials, size=pick.sum())
+    rows[k // 2] = (-1.0) ** np.arange(n) * rng.uniform(1.0, 2.0)
+    return rows
+
+
+def hex_list(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+@pytest.mark.parametrize("n_hat", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 199, 513])
+def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
+    # N = 513 spans two blocks of 256 mesh entries and one more, N_hat = 1
+    # makes the a1 group one term.  Each row of the compiled residual
+    # equals the numpy tree's, and its Gram product Gram.matvec's.
+    sys_ = rb.assemble(n + 1)
+    vectors = special_rows(2 * n_hat + 1, n, seed=n + n_hat)
+    b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
+    mus = np.array([1.0, 3.0, 1e3, 0.5])
+    gamma = special_rows(4, n_hat, seed=n * n_hat)
+    G = residual_rows(list(vectors), mus, gamma, np.empty((4, n)))
+    W = gram_rows(sys_, G, np.empty_like(G))
+    for g, w, mu, ga in zip(G, W, mus, gamma):
+        assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
+        assert hex_list(w) == hex_list(sys_.Gram.matvec(g))
+
+
+@pytest.mark.parametrize("n_hat", [1, 3])
+@pytest.mark.parametrize("n", [*range(1, 10), 600])
+def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
+    # residual_rows writes k rows of n of G and its scratch, levels rows of
+    # s entries, with s = 4 leaving a ragged last block; gram_rows writes k
+    # rows of n of W.  NaN guards on both sides of each must survive,
+    # while the results equal the numpy forms'.
+    pad, k, s = 7, 3, 4
+    vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
+    b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
+    mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
+    levels = (n_hat + 1).bit_length() + (n_hat - 1).bit_length()
+    sizes = (k * n, levels * s, k * n)
+    G, scratch, W = (np.full(size + 2 * pad, np.nan) for size in sizes)
+    table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
+    fem._lib.residual_rows(
+        n, k, n_hat, table.ctypes.data, mus.ctypes.data, gamma.ctypes.data, G[pad:].ctypes.data,
+        s, scratch[pad:].ctypes.data,
+    )
+    Gram = rb.assemble(n + 1).Gram
+    fem._lib.gram_rows(
+        n, k, Gram.diag[0], Gram.off[0] if n > 1 else 0.0, G[pad:].ctypes.data, W[pad:].ctypes.data,
+    )
+    for buf, size in zip((G, scratch, W), sizes):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+    rows = (G[pad:pad + k * n].reshape(k, n), W[pad:pad + k * n].reshape(k, n))
+    for g, w, mu, ga in zip(*rows, mus, gamma):
+        assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
+        assert hex_list(w) == hex_list(Gram.matvec(g))
+
+
+def test_e1_block_holds_two_step_buffers():
+    # At n_cells = 4000 a step is 2**16 // 3999 = 16 points, and e1 holds
+    # two (16, 3999) buffers, its residual rows and their Gram products,
+    # besides arrays of a point's size: about 1,038,000 bytes traced with
+    # N_hat = 4 and 50 points, against about 2,116,000 for the numpy tree.
+    sys_ = rb.assemble(4000)
+    model = ReducedModel(sys_, orthonormalize=True)
+    for mu in (1.0, 10.0, 100.0, 1000.0):
+        add_snapshot(model, sys_, mu)
+    mus = np.geomspace(1.0, 1000.0, 50)
+    gamma = rb.solve_reduced_block(model, mus)
+    step_bytes = (_CACHE_BLOCK_ELEMENTS // sys_.n) * sys_.n * 8
+    assert step_bytes == 511_872
+    tracemalloc.start()
+    try:
+        rb.estimator_e1_block(sys_, model, mus, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * step_bytes

@@ -177,14 +177,29 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
 
     sys_ = rb.assemble(6)
     n = sys_.n
-    row, v = np.full(3, 4.0), np.linspace(1.0, 2.0, n)
-    cases = {"X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3))))}
+    row, v, rows = np.full(3, 4.0), np.linspace(1.0, 2.0, n), np.ones((2, n))
+    two, z = np.ones(2), np.ones((3, 2))
+
+    def residual(b=v, a1=v, mus=two, gamma=np.ones((2, 2)), G=np.empty((2, n))):
+        return fem.residual_rows([b, v, v, v, a1], mus, gamma, G)
+
+    cases = {
+        "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
+        "G": lambda: residual(G=spoil(np.empty((2, n)))),
+        "W": lambda: fem.gram_rows(sys_, rows, spoil(np.empty((2, n)))),
+    }
     if flaw != "read-only":
         cases.update({
             "diag": lambda: _thomas(spoil(row), row, row, np.empty((n, 3))),
             "rhs": lambda: _thomas(row, row, spoil(np.ones((n, 3))), np.empty((n, 3))),
             "vectors[1]": lambda: fem.dd_gram_matvec(sys_, [v, spoil(v)]),
             "whs[0]": lambda: fem.dd_dots([v], [spoil(v)], [v], [(0, 0)]),
+            "vectors[0]": lambda: residual(b=spoil(v)),
+            "vectors[4]": lambda: residual(a1=spoil(v)),
+            "mus": lambda: residual(mus=spoil(two)),
+            "gamma": lambda: residual(gamma=spoil(np.ones((2, 2)))),
+            "ql": lambda: fem.dd_radicands((row, spoil(row)), z, z),
+            "zj": lambda: fem.dd_radicands((row, row), z, spoil(z)),
         })
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_lib", NoKernel())
@@ -192,9 +207,15 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             with pytest.raises(TypeError, match=re.escape(name)):
                 call()
     if flaw == "read-only":
-        one = np.ones(3)
-        X = _thomas(spoil(row), spoil(one), spoil(one), np.empty((n, 3)))
-        assert hexes(X[:, 0]) == hexes(column_oracle(n, row, one, one, 0))
+        ones = np.ones(3)
+        X = _thomas(spoil(row), spoil(ones), spoil(ones), np.empty((n, 3)))
+        assert hexes(X[:, 0]) == hexes(column_oracle(n, row, ones, ones, 0))
+        W = fem.gram_rows(sys_, spoil(rows), np.empty((2, n)))
+        assert hexes(W[0]) == hexes(sys_.Gram.matvec(rows[0]))
+        G = residual(spoil(v), spoil(v), spoil(two), spoil(np.ones((2, 2))))
+        assert hexes(G[1]) == hexes((v + v) + (v + (v + v)))
+        hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
+        assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
 
 
 def test_thomas_leaves_caller_data_unchanged():
@@ -300,6 +321,21 @@ def test_concurrent_first_imports_leave_one_library(tmp_path):
     assert [proc.returncode for proc in procs] == [0, 0], results
     built = [p.name for p in (pkg / "__pycache__").iterdir() if not p.name.endswith(".pyc")]
     assert built == [os.path.basename(fem._build(fem._SOURCE, fem._FLAGS)._name)]
+
+
+def test_an_unwritable_build_cache_is_an_import_error(monkeypatch):
+    # A __pycache__ that cannot be made, whoever runs the test: the denial
+    # is patched in, and the source is one whose library was never built.
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "makedirs", denied)
+    cache = os.path.join(os.path.dirname(fem.__file__), "__pycache__")
+    before = sorted(os.listdir(cache))
+    with pytest.raises(ImportError, match=re.escape(f"building its C kernel in {cache}")) as info:
+        fem._build(fem._SOURCE + "/* never built */\n", fem._FLAGS)
+    assert "Permission denied" in str(info.value)
+    assert sorted(os.listdir(cache)) == before
 
 
 def test_import_without_a_compiler_names_it(tmp_path):

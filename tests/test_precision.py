@@ -2,7 +2,9 @@
 
 Every binary64 value is an exact rational, so Fraction gives a bit-exact
 oracle for the error-free transformations and a >30-digit reference for the
-compound double-double operations.
+compound double-double operations.  The numpy dd product and pairwise sum
+live in conftest as the references of the compiled dd kernels, which are
+checked against them by ``float.hex``.
 """
 
 import math
@@ -14,17 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbcert.fem import dd_radicands
 from rbcert.precision import (
     TWO_PROD_PATH,
     dd_add,
-    dd_mul,
     dd_sqrt,
-    dd_sum,
     quick_two_sum,
     split,
     two_prod,
     two_sum,
 )
+
+from conftest import dd_mul, dd_sum
 
 # Magnitudes kept well inside the range where Dekker's splitting cannot
 # overflow (|a| < 2^996) and products stay normal.
@@ -193,34 +196,31 @@ def test_dd_sum_beats_naive_on_cancellation():
     assert float(abs(exact(sh, sl) - ref)) <= 1e-28
 
 
-def dd_sum_oracle(hi, lo):
-    """dd_sum's pairwise tree of allocating dd_add calls, as it ran before the
-    tree moved in place."""
-    h, l = np.array(hi, dtype=float), np.array(lo, dtype=float)
-    n = h.shape[0]
-    while n > 1:
-        half = (n + 1) // 2
-        m = n - half
-        h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
-        n = half
-    return h[0], l[0]
-
-
 @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (100,), (1, 3), (6, 4), (325, 52)])
 def test_dd_sum_equals_the_allocating_tree_bit_for_bit(shape):
-    # Signed zeros and subnormals among ordinary values; the inputs are
-    # left as they were.
-    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
-    hi = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    lo = hi * rng.uniform(-(2.0**-53), 2.0**-53, size=shape)
-    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
-    for a in (hi, lo):
-        pick = rng.uniform(size=shape) < 0.3
+    # dd_sum's tree runs compiled in fem.dd_radicands, over the d terms
+    # dd_mul(q_p, two_prod(zi_p, zj_p)) of each column, and must give the
+    # allocating tree's bits.  The factors and q hold signed zeros,
+    # subnormals and alternating signs among ordinary values; the inputs
+    # are left as they were.
+    d, m = (*shape, 1)[:2]
+    rng = np.random.default_rng(len(shape) * 1000 + d)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000, 1.0, -1.0])
+
+    def values(size):
+        a = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        pick = rng.uniform(size=size) < 0.3
         a[pick] = rng.choice(specials, size=pick.sum())
-    before = hi.tobytes() + lo.tobytes()
+        return a
+
+    zi, zj = values((d, m)), values((d, m)) * (-1.0) ** np.arange(d)[:, None]
+    qh = values(d)
+    ql = qh * rng.uniform(-(2.0**-53), 2.0**-53, size=d)
+    before = [a.tobytes() for a in (zi, zj, qh, ql)]
 
     def hexes(pair):
         return [[float(x).hex() for x in np.ravel(part)] for part in pair]
 
-    assert hexes(dd_sum(hi, lo)) == hexes(dd_sum_oracle(hi, lo))
-    assert hi.tobytes() + lo.tobytes() == before
+    expect = dd_sum(*dd_mul((qh[:, None], ql[:, None]), two_prod(zi, zj)))
+    assert hexes(dd_radicands((qh, ql), zi, zj)) == hexes(expect)
+    assert [a.tobytes() for a in (zi, zj, qh, ql)] == before
