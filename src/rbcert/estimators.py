@@ -81,8 +81,10 @@ logger = logging.getLogger(__name__)
 # Entries per (step, N) buffer of e1's or the true error's rows, and of
 # their Gram products; residual_rows reads a block of each Riesz vector
 # once per step.  At N=9999, N_hat=12 (6 points a step) 200 e1 points took
-# 36-52 ms, 64-82 ms point by point and 46-50 ms at four times the budget
-# (2-vCPU host, medians of 7 in two processes).
+# 22-32 ms, 36-58 ms point by point and 22-27 ms at four times the budget
+# (2-vCPU AVX-512 host, the kernels' AVX-512 clones, medians of 7 in two
+# processes).  Four times the budget is about 10 % faster in e1 alone, but
+# the large-mesh sweep would then take 25 points a step and hold 3 MB more.
 _CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 

@@ -20,10 +20,15 @@ Each makes the operations of the reference the tests keep for it, in
 their order, so its bits.  It is compiled when this module is imported, with ``cc``
 and ``_FLAGS``, into one library in ``__pycache__`` beside this file, and
 loaded with ``ctypes``; a missing or failing compiler is an
-``ImportError``.  ``-ffp-contract=off`` keeps its arithmetic free of
-fused multiply-adds, and it calls no BLAS and no libm, so its bits do not
-depend on the host.  The kernels take bare addresses: every array passes
-one check per call (:func:`_address`).
+``ImportError``.  With GCC and glibc on x86-64, each kernel is compiled
+three times, for the baseline, AVX2 and AVX-512, and the loader picks the
+widest clone the host runs.  The clones make the same IEEE operations,
+element by element and in the same order: vectors of 2, 4 or 8 doubles
+round each element as one double operation would.  ``-ffp-contract=off``
+keeps fused multiply-adds out of every clone, and the kernels call no BLAS
+and no libm, so their bits depend neither on the host nor on the clone.
+The kernels take bare addresses: every array passes one check per call
+(:func:`_address`).
 """
 
 from __future__ import annotations
@@ -98,6 +103,23 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+/* WIDE clones a function for x86-64-v3 (AVX2) and x86-64-v4 (AVX-512)
+   besides the baseline, and the loader's resolver (an ifunc) picks the
+   widest clone that the CPU and the OS support.  Every loop below makes
+   IEEE operations element by element, in the source's order, and
+   -ffp-contract=off keeps fused multiply-adds out of every clone, so a
+   wider vector changes the speed and not the bits.  It marks the six
+   kernels and the two helpers that are never inlined: dd_tree, and
+   residual_tree, which is recursive.  Off x86-64, GCC or glibc, or with
+   -DWIDE= on the command line, it is empty: one baseline build. */
+#ifndef WIDE
+#if defined(__x86_64__) && defined(__GNUC__) && __GNUC__ >= 12 && defined(__GLIBC__)
+#define WIDE __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
+#else
+#define WIDE
+#endif
+#endif
+
 /* Thomas elimination of m systems of n equal rows, column j of the
    row-major (n, m) array X.  Column j's rows have diagonal diag[j] and
    off-diagonal off[j] (off is not read when n = 1).  Row i of the
@@ -112,6 +134,7 @@ _SOURCE = r"""
    them.  The back sweep recomputes each segment's s multipliers into
    work from its kept pivot, with the forward sweep's operations, then
    applies them.  Returns 1 on a zero pivot, 0 otherwise. */
+WIDE
 int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
            const double *restrict off, const double *rhs, ptrdiff_t rs,
            double *X, ptrdiff_t s, double *restrict scratch)
@@ -204,9 +227,25 @@ static void dd_mul(double xh, double xl, double yh, double yl, double *h, double
     *l = e - (*h - p);
 }
 
+/* dd_mul((a, 0), (yh, yl)) = (h, l) without its cross term 0*yh, which
+   changes no bit.  two_prod's error e is never -0: its first operation,
+   ah*bh - p, is zero only as x - x, which is +0, and a sum rounds to -0
+   only from -0 + -0.  So adding a zero of either sign to a*yl, then to
+   e, gives what adding nothing gives; and a non-finite yh makes e NaN
+   already. */
+static void dd_scale(double a, double yh, double yl, double *h, double *l)
+{
+    double p, e;
+    two_prod(a, yh, &p, &e);
+    e = e + a * yl;
+    *h = p + e;               /* quick_two_sum(p, e) */
+    *l = e - (*h - p);
+}
+
 /* dd_sum's pairwise tree over n rows of m double-doubles (th, tl), in
    place: each level dd_adds its back half into its front half, so row 0
    ends with the m column sums. */
+WIDE
 static void dd_tree(ptrdiff_t n, ptrdiff_t m, double *th, double *tl)
 {
     ptrdiff_t len, half, i;
@@ -221,6 +260,7 @@ static void dd_tree(ptrdiff_t n, ptrdiff_t m, double *th, double *tl)
    into rows of n of wh and wl; Gram's rows are (off, diag, off).  Entry
    i is two_prod(diag, v_i), then dd_add of two_prod(off, v_{i+1}), then
    of two_prod(off, v_{i-1}), where those exist. */
+WIDE
 void dd_gram_matvec(ptrdiff_t n, ptrdiff_t k, double diag, double off,
                     const uintptr_t *vs, double *restrict wh, double *restrict wl)
 {
@@ -244,8 +284,10 @@ void dd_gram_matvec(ptrdiff_t n, ptrdiff_t k, double diag, double off,
 
 /* sum_i u_i*(wh_i + wl_i) in double-double for each of the p index pairs
    (a, b) = pairs[2q], pairs[2q + 1], u at us[a], wh at whs[b] and wl at
-   wls[b]: the terms dd_mul((u_i, 0), (wh_i, wl_i)) go to the 2n doubles
-   of scratch, and dd_tree sums them into (out[q], out[p + q]). */
+   wls[b]: the terms dd_mul((u_i, 0), (wh_i, wl_i)), as dd_scale, go to
+   the 2n doubles of scratch, and dd_tree sums them into (out[q],
+   out[p + q]). */
+WIDE
 void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs,
              const uintptr_t *wls, const ptrdiff_t *pairs, double *restrict out,
              double *restrict scratch)
@@ -257,7 +299,7 @@ void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs
         const double *wh = (const double *)whs[pairs[2 * q + 1]];
         const double *wl = (const double *)wls[pairs[2 * q + 1]];
         for (i = 0; i < n; i++)
-            dd_mul(u[i], 0.0, wh[i], wl[i], &th[i], &tl[i]);
+            dd_scale(u[i], wh[i], wl[i], &th[i], &tl[i]);
         dd_tree(n, 1, th, tl);
         out[q] = th[0];
         out[p + q] = tl[0];
@@ -268,6 +310,7 @@ void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs
    zi and zj row-major (d, m): term p is dd_mul((qh_p, ql_p),
    two_prod(zi_p, zj_p)), into t, 2dm doubles, and dd_tree leaves column
    j's sum at (t[j], t[dm + j]). */
+WIDE
 void dd_radicands(ptrdiff_t d, ptrdiff_t m, const double *qh, const double *ql,
                   const double *zi, const double *zj, double *restrict t)
 {
@@ -294,6 +337,7 @@ struct residual {
     double mu;
 };
 
+WIDE
 static void residual_tree(const struct residual *r, int group, ptrdiff_t first,
                           ptrdiff_t n, double *out, double *scratch)
 {
@@ -321,6 +365,7 @@ static void residual_tree(const struct residual *r, int group, ptrdiff_t first,
    the nh coefficients at gamma + j*nh, s mesh entries at a time for
    every point; scratch holds ceil(log2(nh + 2)) + ceil(log2(nh)) rows of
    s partial sums. */
+WIDE
 void residual_rows(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
                    const double *mus, const double *gamma, double *G, ptrdiff_t s,
                    double *scratch)
@@ -339,6 +384,7 @@ void residual_rows(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
 
 /* Gram*g for the k rows g of n of G into the rows of W: entry i is
    (diag*g_i + off*g_{i+1}) + off*g_{i-1}, where those exist. */
+WIDE
 void gram_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
                const double *restrict G, double *restrict W)
 {
@@ -353,8 +399,10 @@ void gram_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
 }
 """
 
-# No -march: the kernels' bits must not depend on the build host's
-# instruction set, and -ffp-contract=off forbids fused multiply-adds.
+# No -march: the build runs on any x86-64, and WIDE's clones bring the
+# host's AVX2 or AVX-512 at load.  -ffp-contract=off forbids fused
+# multiply-adds, which those clones could otherwise emit, so every clone
+# has the baseline's bits.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -395,17 +443,23 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
     return ctypes.CDLL(path)
 
 
-_lib = _build(_SOURCE, _FLAGS)
-_n, _p, _d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-_lib.thomas.argtypes = (_n, _n, _p, _p, _p, _n, _p, _n, _p)
-_lib.thomas.restype = ctypes.c_int
-_lib.dd_gram_matvec.argtypes = (_n, _n, _d, _d, _p, _p, _p)
-_lib.dd_dots.argtypes = (_n, _n, _p, _p, _p, _p, _p, _p)
-_lib.dd_radicands.argtypes = (_n, _n, _p, _p, _p, _p, _p)
-_lib.residual_rows.argtypes = (_n, _n, _n, _p, _p, _p, _p, _n, _p)
-_lib.gram_rows.argtypes = (_n, _n, _d, _d, _p, _p)
-for _name in ("dd_gram_matvec", "dd_dots", "dd_radicands", "residual_rows", "gram_rows"):
-    getattr(_lib, _name).restype = None
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """lib, a build of ``_SOURCE``, with its six kernels' argument and result types set."""
+    n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    for name, args, result in (
+        ("thomas", (n, n, p, p, p, n, p, n, p), ctypes.c_int),
+        ("dd_gram_matvec", (n, n, d, d, p, p, p), None),
+        ("dd_dots", (n, n, p, p, p, p, p, p), None),
+        ("dd_radicands", (n, n, p, p, p, p, p), None),
+        ("residual_rows", (n, n, n, p, p, p, p, n, p), None),
+        ("gram_rows", (n, n, d, d, p, p), None),
+    ):
+        kernel = getattr(lib, name)
+        kernel.argtypes, kernel.restype = args, result
+    return lib
+
+
+_lib = _bind(_build(_SOURCE, _FLAGS))
 _VIEW = ctypes.c_char * 0
 
 
@@ -530,7 +584,9 @@ def residual_rows(vectors, mus, gamma, G) -> np.ndarray:
     (k, n), nh = G.shape, (len(vectors) - 1) // 2
     if nh < 1 or np.shape(mus) != (k,) or np.shape(gamma) != (k, nh) or len(vectors) != 2 * nh + 1:
         raise ValueError(f"{len(vectors)} vectors, mus and gamma do not fit rows {G.shape}")
-    table, s = _table(vectors, "vectors", n), 256  # mesh entries a block: 2 KiB partial sums
+    # s mesh entries a block, 2 KiB of partial sums: 100 points at N = 9999,
+    # N_hat = 12 take 11-12 ms at s = 128, 256 or 512, 13-15 ms at 64 or 2048.
+    table, s = _table(vectors, "vectors", n), 256
     scratch = np.empty(((nh + 1).bit_length() + (nh - 1).bit_length()) * s)
     args = [_address(a, name) for a, name in ((mus, "mus"), (gamma, "gamma"))]
     args += [_address(G, "G", out=True), s, _address(scratch, "scratch", out=True)]

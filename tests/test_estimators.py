@@ -1,9 +1,13 @@
 """Estimators: reference form, compact forms, interpolated form."""
 
+import ctypes
 import dataclasses
 import logging
 import math
+import platform
 import re
+import shutil
+import subprocess
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1028,6 +1032,71 @@ def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
     for g, w, mu, ga in zip(*rows, mus, gamma):
         assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
         assert hex_list(w) == hex_list(Gram.matvec(g))
+
+
+# The flags /proc/cpuinfo lists for the x86-64 levels above the baseline
+# (the x86-64 psABI): x86-64-v3 needs those of x86-64-v2 and AVX2, and
+# x86-64-v4 those of AVX-512 besides.
+X86_64_V3 = {
+    "cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3",
+    "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
+}
+X86_64_V4 = X86_64_V3 | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"}
+
+
+def host_levels():
+    """The -march levels x86-64, x86-64-v3 and x86-64-v4 that this CPU runs."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = set(next(line for line in f if line.startswith("flags")).split(":")[1].split())
+    except (OSError, StopIteration):
+        flags = set()
+    return ["x86-64"] + [level for level, need in (("x86-64-v3", X86_64_V3), ("x86-64-v4", X86_64_V4))
+                         if need <= flags]
+
+
+def kernel_outputs(n):
+    """The bytes of every output of the six kernels on special_stacks(n)
+    and special_rows, by name, each kernel through its entry point in fem.
+    residual_rows takes 17 of the 18 columns: N_hat = 8."""
+    u, wh, wl = special_stacks(n, seed=400 + n)
+    us, whs, wls = columns(u), columns(wh), columns(wl)
+    sys_ = rb.assemble(n + 1)
+    diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
+    mus, gamma = np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n)
+    G = residual_rows(us + whs + wls[:5], mus, gamma, np.empty((3, n)))
+    outputs = {
+        "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
+        "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
+        "dd_gram_matvec": np.array(dd_gram_matvec(sys_, us)),
+        "dd_dots": np.array(dd_dots(us, whs, wls, [(a, b) for a in range(6) for b in range(6)])),
+        "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
+        "residual_rows": G,
+        "gram_rows": gram_rows(sys_, G, np.empty_like(G)),
+    }
+    return {name: a.tobytes() for name, a in outputs.items()}
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or shutil.which("cc") is None,
+    reason="builds x86-64 levels with cc",
+)
+def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
+    # The shipped library runs the widest clone this CPU supports and no
+    # other.  So each level the CPU runs is built on its own, with
+    # -march=<level> and the clones defined away, and all six kernels must
+    # give the shipped library's bits.  N = 9999 runs the vector loops
+    # far past their remainders and residual_rows over 40 blocks.
+    sizes = (1, 2, 7, 300, 9999)
+    shipped = {n: kernel_outputs(n) for n in sizes}
+    for level in host_levels():
+        path = str(tmp_path / f"{level}.so")
+        cmd = ["cc", *fem._FLAGS, f"-march={level}", "-DWIDE=", "-o", path, "-x", "c", "-"]
+        subprocess.run(cmd, input=fem._SOURCE, capture_output=True, text=True, check=True)
+        monkeypatch.setattr(fem, "_lib", fem._bind(ctypes.CDLL(path)))
+        for n in sizes:
+            got = kernel_outputs(n)
+            assert [name for name in got if got[name] != shipped[n][name]] == [], (level, n)
 
 
 def test_e1_block_holds_two_step_buffers():
