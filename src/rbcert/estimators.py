@@ -52,14 +52,14 @@ only as good as its offline data, and the interesting floors live in the
 online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
 greedy grows one alongside the basis.  Every Gram entry is the dd Gram
-matvec of one vector dotted in dd with the other.
+product of one vector dotted in dd with the other.
 
 The length-N and double-double stages run in the compiled kernels of
 :mod:`rbcert.fem`: E2's growth (``dd_gram_matvec``, ``dd_dots``), e1's
 residual rows (``residual_rows``), the Gram products of e1 and the true
-error (``gram_rows``) and e2dd's radicands (``dd_radicands``).  Each makes
-the operations of the numpy code it replaced in their order, so its bits,
-and the tests keep that code as the reference.  The dots of the H1 norms,
+error (``tridiagonal_rows``) and e2dd's radicands (``dd_radicands``).
+Each makes the operations of the numpy code it replaced in their order,
+so its bits, and the tests keep that code as the reference.  The dots of the H1 norms,
 the basis lift and the small solves stay numpy and BLAS.
 """
 
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
-from .fem import dd_radicands, gram_rows, residual_rows
+from .fem import dd_radicands, residual_rows, tridiagonal_rows
 from .precision import dd_add, dd_sqrt
 
 logger = logging.getLogger(__name__)
@@ -121,11 +121,11 @@ class E2Table:
     """E2's double-double Gram table, grown with the basis.
 
     Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
-    a1_1, ...), the dd Gram matvec of each, and F[u, v] = u^T Gram v in
-    double-double (u dotted with v's dd matvec), for every needed pair:
+    a1_1, ...), the dd Gram product of each, and F[u, v] = u^T Gram v in
+    double-double (u dotted with v's dd product), for every needed pair:
     (b, b), (b, r) and (r, r'); (r, b) is never computed.  :meth:`grow`
     adds the vectors of the snapshots the table has not seen yet: one
-    ``dd_gram_matvec`` call forms their dd matvecs, and one ``dd_dots``
+    ``dd_gram_matvec`` call forms their dd products, and one ``dd_dots``
     call reduces every pair that involves one of them, on a scratch of 2N
     doubles.  The model must only grow between calls.  q is read off F in
     z's order: F_II on the diagonal and the dd sum F_IJ + F_JI off it,
@@ -372,12 +372,12 @@ _SOLVE_ELEMENTS = 2 ** 20
 def _h1_norms(sys: TruthSystem, m: int, fill, rows) -> np.ndarray:
     """The H1 norms of m vectors, a step at a time, on the (2, step, N) buffers rows:
     fill(part, G) writes the vectors of the slice part into G, a view of
-    rows[0], ``fem.gram_rows`` forms Gram*G in rows[1], and each norm is one dot."""
+    rows[0], ``fem.tridiagonal_rows`` forms Gram*G in rows[1], and each norm is one dot."""
     out = np.empty(m)
     for k in range(0, m, rows.shape[1]):
         G, W = rows[:, :min(rows.shape[1], m - k)]
         fill(slice(k, k + len(G)), G)
-        gram_rows(sys, G, W)
+        tridiagonal_rows(sys.Gram, G, W)
         out[k:k + len(G)] = [g @ w for g, w in zip(G, W)]
     return np.sqrt(np.maximum(out, 0.0))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ EPS = 2.0 ** -52
 
 class ConfigError(ValueError):
     """Invalid configuration value, file, or artifact/config mismatch."""
+
+
+# The values a field of each type takes: bool("no") is True and 2.5 cells
+# pass the range checks, so validate checks kinds first.  A bool is no number.
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass
@@ -56,6 +62,10 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self) -> "ExperimentConfig":
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), _KINDS[field.type]
+            if not isinstance(value, kind) or kind is not bool and isinstance(value, bool):
+                raise ConfigError(f"{field.name} = {value!r} is not of type {field.type}")
         if self.n_cells < 2:
             raise ConfigError("n_cells must be >= 2")
         if not (math.isfinite(self.mu_min) and math.isfinite(self.mu_max)):

@@ -10,25 +10,26 @@ mass, and load assemble in closed form:
 The parametric operator is affine, A(mu) = K + mu*M, which is what the
 reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 
-Every row of A(mu), of Gram and of F is the same, so each truth solve and
-Riesz lift is Thomas elimination of n equal rows.  One C source,
-``_SOURCE``, holds six kernels: ``thomas`` runs every solve and lift, m
-systems at once; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram
-table; ``residual_rows`` forms e1's residual rows, ``gram_rows`` the Gram
-products of e1 and the true error, and ``dd_radicands`` e2dd's radicands.
-Each makes the operations of the reference the tests keep for it, in
-their order, so its bits.  It is compiled when this module is imported, with ``cc``
-and ``_FLAGS``, into one library in ``__pycache__`` beside this file, and
-loaded with ``ctypes``; a missing or failing compiler is an
-``ImportError``.  With GCC and glibc on x86-64, each kernel is compiled
-three times, for the baseline, AVX2 and AVX-512, and the loader picks the
-widest clone the host runs.  The clones make the same IEEE operations,
-element by element and in the same order: vectors of 2, 4 or 8 doubles
-round each element as one double operation would.  ``-ffp-contract=off``
-keeps fused multiply-adds out of every clone, and the kernels call no BLAS
-and no libm, so their bits depend neither on the host nor on the clone.
-The kernels take bare addresses: every array passes one check per call
-(:func:`_address`).
+Every row of A(mu), of Gram and of F is the same, so an operator is its
+one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
+elimination of n equal rows, and each product applies one row along the
+mesh.  One C source, ``_SOURCE``, holds six kernels: ``thomas`` runs every
+solve and lift, m systems at once, and ``tridiagonal_rows`` every double
+product T*g; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram table;
+``residual_rows`` forms e1's residual rows, and ``dd_radicands`` e2dd's
+radicands.  Each makes the operations of the reference the tests keep for
+it, in their order, so its bits.  It is compiled when this module is
+imported, with ``cc`` and ``_FLAGS``, into one library in ``__pycache__``
+beside this file, and loaded with ``ctypes``; a missing or failing
+compiler is an ``ImportError``.  With GCC and glibc on x86-64, each kernel
+is compiled three times, for the baseline, AVX2 and AVX-512, and the
+loader picks the widest clone the host runs.  The clones make the same
+IEEE operations, element by element and in the same order: vectors of 2, 4
+or 8 doubles round each element as one double operation would.
+``-ffp-contract=off`` keeps fused multiply-adds out of every clone, and
+the kernels call no BLAS and no libm, so their bits depend neither on the
+host nor on the clone.  The kernels take bare addresses: every array
+passes one check per call (:func:`_address`).
 """
 
 from __future__ import annotations
@@ -46,20 +47,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix stored as main diagonal + offdiagonal."""
+    """A symmetric tridiagonal matrix of the mesh as the row (off, diag, off)
+    that all N of its rows share, cut at the boundary (no kernel reads off
+    when N = 1).  A coefficient that varies along the mesh needs runs of rows."""
 
-    diag: np.ndarray
-    off: np.ndarray  # length len(diag) - 1
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A*v, or A*v_j for every row v_j of a (m, n) stack."""
-        w = self.diag * v
-        w[..., :-1] += self.off * v[..., 1:]
-        w[..., 1:] += self.off * v[..., :-1]
-        return w
-
-    def __add__(self, other: "Tridiagonal") -> "Tridiagonal":
-        return Tridiagonal(self.diag + other.diag, self.off + other.off)
+    diag: float
+    off: float
 
 
 @dataclass(frozen=True)
@@ -85,17 +78,17 @@ class TruthSystem:
 def assemble(n_cells: int) -> TruthSystem:
     """Assemble the truth system on a uniform n_cells mesh.
 
-    Every matrix entry is a single rounding away from the closed form
-    (2/h, -1/h, 2h/3, h/6, h), which is what the assembly oracles in the
-    test suite check against exact rational arithmetic.
+    Every entry is one rounding from its closed form (2/h, -1/h, 2h/3, h/6,
+    h; Gram's row is K's plus M's), which the assembly oracles in the test
+    suite check against exact rational arithmetic.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be >= 2 (need at least one interior node)")
-    n = n_cells - 1
     h = 1.0 / n_cells
-    K = Tridiagonal(np.full(n, 2.0 / h), np.full(n - 1, -(1.0 / h)))
-    M = Tridiagonal(np.full(n, 2.0 * h / 3.0), np.full(n - 1, h / 6.0))
-    return TruthSystem(n_cells, h, K, M, K + M, np.full(n, h))
+    K = Tridiagonal(2.0 / h, -(1.0 / h))
+    M = Tridiagonal(2.0 * h / 3.0, h / 6.0)
+    Gram = Tridiagonal(K.diag + M.diag, K.off + M.off)
+    return TruthSystem(n_cells, h, K, M, Gram, np.full(n_cells - 1, h))
 
 
 _SOURCE = r"""
@@ -382,11 +375,11 @@ void residual_rows(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
     }
 }
 
-/* Gram*g for the k rows g of n of G into the rows of W: entry i is
-   (diag*g_i + off*g_{i+1}) + off*g_{i-1}, where those exist. */
+/* T*g for the k rows g of n of G into the rows of W, T's n rows (off, diag,
+   off): entry i is (diag*g_i + off*g_{i+1}) + off*g_{i-1}, where those exist. */
 WIDE
-void gram_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
-               const double *restrict G, double *restrict W)
+void tridiagonal_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
+                      const double *restrict G, double *restrict W)
 {
     ptrdiff_t i, j;
     for (j = 0; j < k; j++, G += n, W += n) {
@@ -452,7 +445,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ("dd_dots", (n, n, p, p, p, p, p, p), None),
         ("dd_radicands", (n, n, p, p, p, p, p), None),
         ("residual_rows", (n, n, n, p, p, p, p, n, p), None),
-        ("gram_rows", (n, n, d, d, p, p), None),
+        ("tridiagonal_rows", (n, n, d, d, p, p), None),
     ):
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = args, result
@@ -525,7 +518,7 @@ def dd_gram_matvec(sys: TruthSystem, vectors) -> tuple:
     table = _table(vectors, "vectors", n)
     wh, wl = np.empty((k, n)), np.empty((k, n))
     args = table.ctypes.data, _address(wh, "wh", out=True), _address(wl, "wl", out=True)
-    _lib.dd_gram_matvec(n, k, sys.Gram.diag[0], sys.Gram.off[0] if n > 1 else 0.0, *args)
+    _lib.dd_gram_matvec(n, k, sys.Gram.diag, sys.Gram.off, *args)
     return wh, wl
 
 
@@ -594,15 +587,15 @@ def residual_rows(vectors, mus, gamma, G) -> np.ndarray:
     return G
 
 
-def gram_rows(sys: TruthSystem, G, W) -> np.ndarray:
-    """Gram*g for every row g of the (k, N) array G, into the rows of W; returns W.
-
-    The operations of ``Gram.matvec``, entry by entry, in one kernel call.
-    """
-    if G.shape != W.shape or G.shape[1:] != (sys.n,):
-        raise ValueError(f"rows {G.shape} and {W.shape} do not fit N = {sys.n}")
+def tridiagonal_rows(T: Tridiagonal, G, W=None) -> np.ndarray:
+    """T*g for every row g of the (k, N) array G into the rows of W, a new
+    array unless given, in one kernel call with the numpy reference's
+    operations, entry by entry; returns W."""
+    W = np.empty(np.shape(G)) if W is None else W
+    if np.ndim(G) != 2 or np.shape(W) != np.shape(G):
+        raise ValueError(f"rows {np.shape(G)} and {np.shape(W)} are not two (k, N) arrays")
     args = _address(G, "G"), _address(W, "W", out=True)
-    _lib.gram_rows(sys.n, len(G), sys.Gram.diag[0], sys.Gram.off[0] if sys.n > 1 else 0.0, *args)
+    _lib.tridiagonal_rows(G.shape[1], G.shape[0], T.diag, T.off, *args)
     return W
 
 
@@ -629,32 +622,28 @@ def parameter_block(mus) -> np.ndarray:
 def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     """Truth solve (K + mu*M) u = F by Thomas elimination.
 
-    The uniform mesh makes every row of A(mu) and of F the same, so the
-    system at mu is one diagonal K_d + mu*M_d, one off-diagonal
-    K_o + mu*M_o and one load value, and one call of the C kernel solves
-    it.  One parameter returns the (n,) solution; a 1-D array of m
-    parameters returns an (n, m) array whose column j is the solution at
-    mu[j], with the bits of the one-parameter solve, and holds no other
-    (n, m) array.  A mu of any other shape raises ``ValueError`` naming
-    it.  A coefficient that varies along the mesh would need runs of equal
-    rows, one kernel call per run.  A zero pivot raises ``LinAlgError``.
+    The system at mu is K's row plus mu times M's, with every load entry
+    h, and one C kernel call solves it.  One parameter returns the (n,)
+    solution; a 1-D array of m parameters an (n, m) array whose column j
+    is the solution at mu[j], with the bits of the one-parameter solve,
+    holding no other (n, m) array.  A mu of any other shape raises
+    ``ValueError`` naming it, a zero pivot ``LinAlgError``.
     """
     scalar = np.ndim(mu) == 0
     if scalar:
         check_parameters(mu)
     mus = np.atleast_1d(np.asarray(mu, dtype=float)) if scalar else parameter_block(mu)
-    K, M = sys.K, sys.M
-    diag = K.diag[0] + mus * M.diag[0]
-    off = K.off[0] + mus * M.off[0] if sys.n > 1 else diag
-    U = _thomas(diag, off, np.full_like(mus, sys.F[0]), np.empty((sys.n, mus.size)))
+    diag, off = sys.K.diag + mus * sys.M.diag, sys.K.off + mus * sys.M.off
+    U = _thomas(diag, off, np.full_like(mus, sys.h), np.empty((sys.n, mus.size)))
     return U[:, 0] if scalar else U
 
 
 def h1_inner(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:
-    """H1 inner product u^T * Gram * v."""
-    if u.shape != v.shape or u.shape != (sys.n,):
+    """H1 inner product u^T * Gram * v of two (N,) real vectors, of any strides."""
+    if np.shape(u) != np.shape(v) or np.shape(u) != (sys.n,):
         raise ValueError("vector shape does not match the truth space")
-    return float(u @ sys.Gram.matvec(v))
+    w = tridiagonal_rows(sys.Gram, np.ascontiguousarray(v, dtype=np.float64)[None])
+    return float(u @ w[0])
 
 
 def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
@@ -664,8 +653,7 @@ def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
 def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Gram^{-1} F into X, both (N, m); F may be X itself.  Returns X."""
     m = X.shape[1]
-    diag = np.full(m, sys.Gram.diag[0])
-    return _thomas(diag, np.full(m, sys.Gram.off[0]) if sys.n > 1 else diag, F, X)
+    return _thomas(np.full(m, sys.Gram.diag), np.full(m, sys.Gram.off), F, X)
 
 
 def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray:

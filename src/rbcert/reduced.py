@@ -49,6 +49,7 @@ from .fem import (
     parameter_block,
     riesz_representative,
     solve_truth,
+    tridiagonal_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -147,8 +148,7 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
     A1 = np.empty((n + 1, n + 1))
     A0[:n, :n] = model.A0_hat
     A1[:n, :n] = model.A1_hat
-    Kv = sys.K.matvec(v)
-    Mv = sys.M.matvec(v)
+    Kv, Mv = (tridiagonal_rows(T, v[None])[0] for T in (sys.K, sys.M))
     for i, w in enumerate(model.snapshots):
         A0[i, n] = A0[n, i] = float(w @ Kv)
         A1[i, n] = A1[n, i] = float(w @ Mv)
@@ -269,8 +269,8 @@ def greedy_build(
 # Bytes are reproducible on the same machine with the same OpenBLAS kernel
 # and numpy SIMD target, and no further: artifacts built under two OpenBLAS
 # kernels differ, raw basis included.  A raw basis vector is a truth solve
-# in Python floats and does not depend on the BLAS, but the e1 history and
-# the E3 picks go through BLAS dots.  An orthonormal basis goes through BLAS
+# in the compiled Thomas kernel, which calls no BLAS, but the e1 history
+# and the E3 picks go through BLAS dots.  An orthonormal basis goes through BLAS
 # dots in Gram-Schmidt, so another kernel replays it with other bits than
 # those q was built from; the hash turns that into a load error.  V is
 # recomputed with the loading machine's e1.

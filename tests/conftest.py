@@ -6,7 +6,9 @@ data are the expensive pieces, so they are session-scoped; every consumer
 treats them as read-only.  The analytic solution of the truth problem and
 the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
-forms the A(mu) whose residual the truth and e1 tests check.  The
+forms the A(mu) whose residual the truth and e1 tests check.
+:class:`TridiagonalArrays`, an operator as numpy arrays of its entries, is
+the reference of the compiled product ``fem.tridiagonal_rows``.  The
 two-pass Thomas solve on Python floats is the reference the compiled
 kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, and the
 allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
@@ -15,6 +17,7 @@ allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
 
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -179,13 +182,31 @@ def make_output_dir(base: str, name: str) -> str:
 
 # --- the parametric operator ----------------------------------------------
 
-def scaled(T: Tridiagonal, c: float) -> Tridiagonal:
-    return Tridiagonal(c * T.diag, c * T.off)
+@dataclass(frozen=True)
+class TridiagonalArrays:
+    """A symmetric tridiagonal matrix as numpy arrays of its n diagonal and
+    n - 1 off-diagonal entries."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    @classmethod
+    def of(cls, T: Tridiagonal, n: int) -> "TridiagonalArrays":
+        """The n rows of fem's one-row operator T."""
+        return cls(np.full(n, T.diag), np.full(n - 1, T.off))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A*v, or A*v_j for every row v_j of a (m, n) stack."""
+        w = self.diag * v
+        w[..., :-1] += self.off * v[..., 1:]
+        w[..., 1:] += self.off * v[..., :-1]
+        return w
 
 
-def operator(sys: TruthSystem, mu: float) -> Tridiagonal:
+def operator(sys: TruthSystem, mu: float) -> TridiagonalArrays:
     """The parametric operator A(mu) = K + mu*M at one parameter."""
-    return sys.K + scaled(sys.M, mu)
+    K, M = sys.K, sys.M
+    return TridiagonalArrays.of(Tridiagonal(K.diag + mu * M.diag, K.off + mu * M.off), sys.n)
 
 
 # --- the two-pass Thomas solve -------------------------------------------

@@ -29,11 +29,11 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, gram_rows, residual_rows
+from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, residual_rows, tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
-from conftest import analytic_solution, build_e2_data, dd_mul, dd_sum, operator
+from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -132,7 +132,7 @@ def test_e2_data_single_snapshot_oracle(truth):
 
 def dd_gram_matvec_oracle(sys_, V):
     """Gram*v in double-double for each row of V, with the allocating kernels."""
-    G = sys_.Gram
+    G = TridiagonalArrays.of(sys_.Gram, sys_.n)
     wh, wl = two_prod(G.diag, V)
     ah, al = two_prod(G.off, V[:, 1:])
     bh, bl = two_prod(G.off, V[:, :-1])
@@ -165,7 +165,7 @@ def h1_inner_dd(sys: TruthSystem, u: np.ndarray, v: np.ndarray):
 def test_h1_inner_dd_against_mpmath(truth):
     mpmath.mp.dps = 60
     rng = np.random.default_rng(13)
-    G = truth.Gram
+    G = TridiagonalArrays.of(truth.Gram, truth.n)
     for _ in range(3):
         u = rng.normal(size=truth.n)
         v = rng.normal(size=truth.n)
@@ -900,9 +900,8 @@ def test_dd_kernels_write_nothing_past_their_buffers(n):
     sys_ = rb.assemble(n + 1)
     V = np.ascontiguousarray(u.T[:3])
     Wh, Wl = (np.full(3 * n + 2 * pad, np.nan) for _ in range(2))
-    G = sys_.Gram
     fem._lib.dd_gram_matvec(
-        n, 3, G.diag[0], G.off[0] if n > 1 else 0.0,
+        n, 3, sys_.Gram.diag, sys_.Gram.off,
         np.array([v.ctypes.data for v in V], dtype=np.uintp).ctypes.data,
         Wh[pad:].ctypes.data, Wl[pad:].ctypes.data,
     )
@@ -957,7 +956,7 @@ def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
         rng.normal(size=(3, n)),
         np.cos(np.arange(n)) * 1e-300,
         (-1.0) ** np.arange(n),
-        sys_.Gram.diag / 3.0,
+        np.full(n, sys_.Gram.diag / 3.0),
     ])
     ref = dd_gram_matvec_oracle(sys_, V)
     for rows in (range(len(V)), [4], [5, 0]):
@@ -990,48 +989,54 @@ def hex_list(a):
 def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
     # N = 513 spans two blocks of 256 mesh entries and one more, N_hat = 1
     # makes the a1 group one term.  Each row of the compiled residual
-    # equals the numpy tree's, and its Gram product Gram.matvec's.
+    # equals the numpy tree's, and its products with Gram, K and M the
+    # numpy matvec's.
     sys_ = rb.assemble(n + 1)
     vectors = special_rows(2 * n_hat + 1, n, seed=n + n_hat)
     b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
     mus = np.array([1.0, 3.0, 1e3, 0.5])
     gamma = special_rows(4, n_hat, seed=n * n_hat)
     G = residual_rows(list(vectors), mus, gamma, np.empty((4, n)))
-    W = gram_rows(sys_, G, np.empty_like(G))
-    for g, w, mu, ga in zip(G, W, mus, gamma):
+    for g, mu, ga in zip(G, mus, gamma):
         assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
-        assert hex_list(w) == hex_list(sys_.Gram.matvec(g))
+    for T in (sys_.Gram, sys_.K, sys_.M):
+        W = tridiagonal_rows(T, G)
+        for g, w in zip(G, W):
+            assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
 
 
 @pytest.mark.parametrize("n_hat", [1, 3])
 @pytest.mark.parametrize("n", [*range(1, 10), 600])
 def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
     # residual_rows writes k rows of n of G and its scratch, levels rows of
-    # s entries, with s = 4 leaving a ragged last block; gram_rows writes k
-    # rows of n of W.  NaN guards on both sides of each must survive,
-    # while the results equal the numpy forms'.
+    # s entries, with s = 4 leaving a ragged last block; tridiagonal_rows
+    # writes k rows of n of W, with Gram's, K's and M's rows.  NaN guards
+    # on both sides of each must survive, while the results equal the
+    # numpy forms'.
     pad, k, s = 7, 3, 4
     vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
     b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
     mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
     levels = (n_hat + 1).bit_length() + (n_hat - 1).bit_length()
-    sizes = (k * n, levels * s, k * n)
-    G, scratch, W = (np.full(size + 2 * pad, np.nan) for size in sizes)
+    sizes = (k * n, levels * s)
+    G, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
     table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
     fem._lib.residual_rows(
         n, k, n_hat, table.ctypes.data, mus.ctypes.data, gamma.ctypes.data, G[pad:].ctypes.data,
         s, scratch[pad:].ctypes.data,
     )
-    Gram = rb.assemble(n + 1).Gram
-    fem._lib.gram_rows(
-        n, k, Gram.diag[0], Gram.off[0] if n > 1 else 0.0, G[pad:].ctypes.data, W[pad:].ctypes.data,
-    )
-    for buf, size in zip((G, scratch, W), sizes):
+    for buf, size in zip((G, scratch), sizes):
         assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
-    rows = (G[pad:pad + k * n].reshape(k, n), W[pad:pad + k * n].reshape(k, n))
-    for g, w, mu, ga in zip(*rows, mus, gamma):
+    rows = G[pad:pad + k * n].reshape(k, n)
+    for g, mu, ga in zip(rows, mus, gamma):
         assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
-        assert hex_list(w) == hex_list(Gram.matvec(g))
+    sys_ = rb.assemble(n + 1)
+    for T in (sys_.Gram, sys_.K, sys_.M):
+        W = np.full(k * n + 2 * pad, np.nan)
+        fem._lib.tridiagonal_rows(n, k, T.diag, T.off, G[pad:].ctypes.data, W[pad:].ctypes.data)
+        assert np.isnan(W[:pad]).all() and np.isnan(W[pad + k * n:]).all(), T
+        for g, w in zip(rows, W[pad:pad + k * n].reshape(k, n)):
+            assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
 
 
 # The flags /proc/cpuinfo lists for the x86-64 levels above the baseline
@@ -1072,7 +1077,7 @@ def kernel_outputs(n):
         "dd_dots": np.array(dd_dots(us, whs, wls, [(a, b) for a in range(6) for b in range(6)])),
         "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
         "residual_rows": G,
-        "gram_rows": gram_rows(sys_, G, np.empty_like(G)),
+        "tridiagonal_rows": tridiagonal_rows(sys_.Gram, G),
     }
     return {name: a.tobytes() for name, a in outputs.items()}
 

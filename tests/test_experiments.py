@@ -133,6 +133,15 @@ def test_config_file_that_is_not_utf8_rejected(tmp_path):
         {"tol": float("inf")},
         {"dependence_tol": float("inf")},
         {"dependence_tol": 1.0},
+        {"orthonormalize": "no"},
+        {"orthonormalize": 1},
+        {"rb_size": 2.5},
+        {"n_cells": 200.5},
+        {"seed": 1.5},
+        {"n_sweep": True},
+        {"mu_max": "1000"},
+        {"tol": None},
+        {"output_dir": 5},
     ],
 )
 def test_validate_rejects(bad):

@@ -14,9 +14,10 @@ import pytest
 
 import rbcert as rb
 from rbcert import fem
-from rbcert.fem import Tridiagonal, _lift, _thomas
+from rbcert.fem import _lift, _thomas
 
 from conftest import (
+    TridiagonalArrays,
     analytic_derivative,
     analytic_solution,
     h1_error_vs_analytic,
@@ -27,7 +28,7 @@ from conftest import (
 )
 
 
-def dense(T: Tridiagonal) -> np.ndarray:
+def dense(T: TridiagonalArrays) -> np.ndarray:
     A = np.diag(T.diag.copy())
     n = len(T.diag)
     for i in range(n - 1):
@@ -39,15 +40,15 @@ def dense(T: Tridiagonal) -> np.ndarray:
 
 
 def test_smallest_mesh_entries():
-    # One interior node, h = 1/2: K = [2/h] = [4], M = [2h/3] = [1/3],
-    # F = [h] = [1/2].  All exactly representable.
+    # One interior node, h = 1/2: K's row is (-1/h, 2/h) = (-2, 4), M's
+    # (h/6, 2h/3) = (1/12, 1/3), Gram's their sum, and F = [h] = [1/2].
+    # Each is its closed form rounded once; N = 1 reads no off-diagonal.
     s = rb.assemble(2)
     assert s.n == 1
-    assert s.K.diag.tolist() == [4.0]
-    assert s.K.off.size == 0
-    assert s.M.diag.tolist() == [1.0 / 3.0]
+    assert (s.K.diag, s.K.off) == (4.0, -2.0)
+    assert (s.M.diag, s.M.off) == (1.0 / 3.0, 1.0 / 12.0)
+    assert (s.Gram.diag, s.Gram.off) == (4.0 + 1.0 / 3.0, -2.0 + 1.0 / 12.0)
     assert s.F.tolist() == [0.5]
-    assert s.Gram.diag.tolist() == [4.0 + 1.0 / 3.0]
 
 
 def test_assembly_single_rounding_from_closed_form():
@@ -56,13 +57,14 @@ def test_assembly_single_rounding_from_closed_form():
     s = rb.assemble(7)
     h = Fraction(s.h)
     assert s.h == 1.0 / 7
-    assert float(s.K.diag[0]) == float(Fraction(2) / h)
-    assert float(-s.K.off[0]) == float(Fraction(1) / h)
-    assert float(s.M.diag[0]) == float(Fraction(float(2.0 * s.h)) / 3)
-    assert float(s.M.off[0]) == float(h / 6)
-    assert float(s.F[0]) == s.h
-    assert np.array_equal(s.Gram.diag, s.K.diag + s.M.diag)
-    assert np.array_equal(s.Gram.off, s.K.off + s.M.off)
+    # Each operator is its one row, so its row is every entry of it.
+    assert s.K.diag == float(Fraction(2) / h)
+    assert -s.K.off == float(Fraction(1) / h)
+    assert s.M.diag == float(Fraction(float(2.0 * s.h)) / 3)
+    assert s.M.off == float(h / 6)
+    assert s.F.tolist() == [s.h] * s.n
+    assert s.Gram.diag == s.K.diag + s.M.diag
+    assert s.Gram.off == s.K.off + s.M.off
 
 
 def test_assemble_rejects_degenerate_mesh():
@@ -74,7 +76,8 @@ def test_operator_is_affine():
     s = rb.assemble(10)
     mu = 37.5
     A = operator(s, mu)
-    assert np.allclose(dense(A), dense(s.K) + mu * dense(s.M), rtol=1e-15, atol=0)
+    K, M = (dense(TridiagonalArrays.of(T, s.n)) for T in (s.K, s.M))
+    assert np.allclose(dense(A), K + mu * M, rtol=1e-15, atol=0)
 
 
 # --- tridiagonal linear algebra -------------------------------------------
@@ -82,7 +85,7 @@ def test_operator_is_affine():
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(3)
-    T = Tridiagonal(rng.normal(size=9), rng.normal(size=8))
+    T = TridiagonalArrays(rng.normal(size=9), rng.normal(size=8))
     v = rng.normal(size=9)
     assert np.allclose(T.matvec(v), dense(T) @ v, rtol=1e-14, atol=1e-14)
 
@@ -110,7 +113,7 @@ def test_thomas_matches_dense_solve():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 50):
         # Diagonally dominant, so both solvers are stable.
-        T = Tridiagonal(4.0 + rng.uniform(size=n), rng.normal(size=n - 1))
+        T = TridiagonalArrays(4.0 + rng.uniform(size=n), rng.normal(size=n - 1))
         rhs = rng.normal(size=n)
         x = thomas(T.diag, T.off, rhs)
         assert np.allclose(x, np.linalg.solve(dense(T), rhs), rtol=1e-12, atol=1e-14)
@@ -186,7 +189,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     cases = {
         "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
         "G": lambda: residual(G=spoil(np.empty((2, n)))),
-        "W": lambda: fem.gram_rows(sys_, rows, spoil(np.empty((2, n)))),
+        "W": lambda: fem.tridiagonal_rows(sys_.Gram, rows, spoil(np.empty((2, n)))),
     }
     if flaw != "read-only":
         cases.update({
@@ -210,8 +213,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         ones = np.ones(3)
         X = _thomas(spoil(row), spoil(ones), spoil(ones), np.empty((n, 3)))
         assert hexes(X[:, 0]) == hexes(column_oracle(n, row, ones, ones, 0))
-        W = fem.gram_rows(sys_, spoil(rows), np.empty((2, n)))
-        assert hexes(W[0]) == hexes(sys_.Gram.matvec(rows[0]))
+        W = fem.tridiagonal_rows(sys_.Gram, spoil(rows))
+        assert hexes(W[0]) == hexes(TridiagonalArrays.of(sys_.Gram, n).matvec(rows[0]))
         G = residual(spoil(v), spoil(v), spoil(two), spoil(np.ones((2, 2))))
         assert hexes(G[1]) == hexes((v + v) + (v + (v + v)))
         hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
@@ -455,7 +458,7 @@ def test_large_mu_interior_plateau():
 def test_h1_inner_matches_dense_quadratic_form():
     s = rb.assemble(30)
     rng = np.random.default_rng(6)
-    G = dense(s.Gram)
+    G = dense(TridiagonalArrays.of(s.Gram, s.n))
     for _ in range(5):
         u = rng.normal(size=s.n)
         v = rng.normal(size=s.n)
@@ -467,6 +470,20 @@ def test_h1_inner_rejects_shape_mismatch():
     s = rb.assemble(10)
     with pytest.raises(ValueError):
         rb.h1_inner(s, np.ones(3), np.ones(9))
+
+
+def test_h1_inner_takes_strided_and_integer_vectors():
+    # The compiled product takes contiguous float64 rows, so h1_inner
+    # converts v first: a strided view and an integer vector give the
+    # numpy oracle's value on the same entries, bit for bit.
+    s = rb.assemble(30)
+    G = TridiagonalArrays.of(s.Gram, s.n)
+    rng = np.random.default_rng(9)
+    u, wide = rng.normal(size=s.n), rng.normal(size=(s.n, 3))
+    ints = np.arange(s.n) * 7 - 100
+    for v in (wide[:, 1], wide[::-1, 2], ints):
+        assert rb.h1_inner(s, u, v).hex() == float(u @ G.matvec(v)).hex()
+        assert rb.h1_inner(s, v, v).hex() == float(v @ G.matvec(v)).hex()
 
 
 def test_h1_norm_is_nonnegative_and_definite():
@@ -499,12 +516,11 @@ def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
     # truth solve's path.  n_cells = 2 is N = 1: no multiplier at all.
     s = rb.assemble(n_cells)
     rng = np.random.default_rng(n_cells)
-    for f in (s.F, rng.normal(size=s.n), s.K.matvec(rng.normal(size=s.n))):
+    K, G = (TridiagonalArrays.of(T, s.n) for T in (s.K, s.Gram))
+    for f in (s.F, rng.normal(size=s.n), K.matvec(rng.normal(size=s.n))):
         w = rb.riesz_representative(s, f)
-        assert hexes(w) == hexes(thomas(s.Gram.diag, s.Gram.off, f))
-    G = s.Gram
-    off = G.off[:1] if s.n > 1 else [0.0]
-    column = thomas_equal_rows(s.n, G.diag[:1], off, s.F[:1])[:, 0]
+        assert hexes(w) == hexes(thomas(G.diag, G.off, f))
+    column = thomas_equal_rows(s.n, [s.Gram.diag], [s.Gram.off], s.F[:1])[:, 0]
     assert hexes(column) == hexes(rb.riesz_representative(s, s.F))
 
 
@@ -512,9 +528,8 @@ def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
 def test_block_gram_substitution_equals_one_vector_lifts(n_cells):
     # The loader lifts its functionals as one block, in place: the kernel's
     # right-hand side is its solution array.  Each column must keep the
-    # one-vector bits, and neither Gram nor a lifted functional changes.
+    # one-vector bits, and no lifted functional changes.
     s = rb.assemble(n_cells)
-    gram = [s.Gram.diag.tobytes(), s.Gram.off.tobytes()]
     rng = np.random.default_rng(n_cells)
     for m in (1, 2, 25):
         rhs = rng.normal(size=(s.n, m))
@@ -525,7 +540,6 @@ def test_block_gram_substitution_equals_one_vector_lifts(n_cells):
             before = f.tobytes()
             assert hexes(W[:, j]) == hexes(rb.riesz_representative(s, f))
             assert f.tobytes() == before
-    assert [s.Gram.diag.tobytes(), s.Gram.off.tobytes()] == gram
 
 
 @pytest.mark.parametrize("shape", [(4,), (6,), (5, 2)])

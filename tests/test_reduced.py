@@ -24,6 +24,8 @@ from rbcert.reduced import (
     model_to_dict,
 )
 
+from conftest import TridiagonalArrays
+
 # ||Riesz(F)||_H1 for n_cells=200: the estimator value of the empty model
 # and the scale delta of every floor prediction.  Frozen from the assembled
 # system (it is just sqrt(F^T Gram^{-1} F)) and cross-checked against an
@@ -48,9 +50,9 @@ def test_empty_model(truth):
 
 def test_delta_matches_dense_computation(truth):
     # delta^2 = F^T Gram^{-1} F, recomputed here with dense numpy algebra.
-    G = np.diag(truth.Gram.diag.copy())
-    for i in range(truth.n - 1):
-        G[i, i + 1] = G[i + 1, i] = truth.Gram.off[i]
+    n, Gram = truth.n, truth.Gram
+    G = np.diag(np.full(n, Gram.diag)) + np.diag(np.full(n - 1, Gram.off), 1)
+    G += np.diag(np.full(n - 1, Gram.off), -1)
     delta_dense = float(np.sqrt(truth.F @ np.linalg.solve(G, truth.F)))
     assert delta_dense == pytest.approx(DELTA_200, rel=1e-13)
 
@@ -59,8 +61,7 @@ def test_first_snapshot_projection_entries(truth):
     model = ReducedModel(truth)
     add_snapshot(model, truth, 1.0)
     u = rb.solve_truth(truth, 1.0)
-    Ku = truth.K.matvec(u)
-    Mu = truth.M.matvec(u)
+    Ku, Mu = (TridiagonalArrays.of(T, truth.n).matvec(u) for T in (truth.K, truth.M))
     assert model.A0_hat[0, 0] == float(u @ Ku)
     assert model.A1_hat[0, 0] == float(u @ Mu)
     assert model.b_hat[0] == float(truth.F @ u)
@@ -89,8 +90,7 @@ def test_near_duplicate_rejected_on_orthonormal_path(truth):
 
 def test_projection_matches_dense(truth, small_model):
     B = small_model.basis_matrix
-    K = np.column_stack([truth.K.matvec(B[:, j]) for j in range(B.shape[1])])
-    M = np.column_stack([truth.M.matvec(B[:, j]) for j in range(B.shape[1])])
+    K, M = (TridiagonalArrays.of(T, truth.n).matvec(B.T).T for T in (truth.K, truth.M))
     assert np.allclose(small_model.A0_hat, B.T @ K, rtol=1e-13, atol=1e-16)
     assert np.allclose(small_model.A1_hat, B.T @ M, rtol=1e-13, atol=1e-16)
     assert np.allclose(small_model.b_hat, B.T @ truth.F, rtol=1e-13, atol=1e-18)
