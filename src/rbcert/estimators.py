@@ -59,7 +59,9 @@ The length-N and double-double stages run in the compiled kernels of
 residual rows (``residual_rows``), the Gram products of e1 and the true
 error (``tridiagonal_rows``) and e2dd's radicands (``dd_radicands``).
 Each makes the operations of the numpy code it replaced in their order,
-so its bits, and the tests keep that code as the reference.  The dots of the H1 norms,
+so its bits, and the tests keep that code as the reference.  e2's
+radicands (``fsum_columns``) are correctly rounded sums, so they have the
+bits of ``math.fsum``, the tests' reference.  The dots of the H1 norms,
 the basis lift and the small solves stay numpy and BLAS.
 """
 
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
-from .fem import dd_radicands, residual_rows, tridiagonal_rows
+from .fem import dd_radicands, fsum_columns, residual_rows, tridiagonal_rows
 from .precision import dd_add, dd_sqrt
 
 logger = logging.getLogger(__name__)
@@ -426,19 +428,19 @@ def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return zi * zj
 
 
-def _e2_block(data: E2Data, X):
-    """Compact-form estimator for the monomial columns X; returns (value, radicand).
+def _e2_block(q, X):
+    """Compact-form estimator for the coefficients q (:func:`q_coefficients`)
+    and the monomial columns X; returns (value, radicand).
 
     The radicand q.X(mu) is evaluated in working precision: each product
-    is a rounded double, and the products are totalled with exact
-    (compensated) summation.  The round-off floor therefore comes from the
-    product roundings - O(eps) relative to the O(delta^2) summands - which
-    is exactly the cancellation effect under study; the signed radicand is
-    returned raw because a negative value is data, not an error.
+    is a rounded double, and the radicand is the correctly rounded sum of
+    the rounded products (:func:`fem.fsum_columns`, ``math.fsum``'s bits).
+    The round-off floor therefore comes from the product roundings - O(eps)
+    relative to the O(delta^2) summands - which is exactly the cancellation
+    effect under study; the signed radicand is returned raw because a
+    negative value is data, not an error.
     """
-    radicand = np.array(
-        [math.fsum(col) for col in (q_coefficients(data)[:, None] * X).T.tolist()]
-    )
+    radicand = fsum_columns(q, X)
     return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
@@ -515,6 +517,7 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     names = ("true_error", "e1", "e2", "e2_radicand", "e2dd", "e3")
     cols = {name: np.empty(mus.size) for name in names}
     cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)
+    q = q_coefficients(e2data)
     chunk = max(1, _SOLVE_ELEMENTS // sys.n)
     step = max(1, _BLOCK_ELEMENTS // e3data.d)
     rows = np.empty((2, max(1, min(chunk, mus.size, step, _CACHE_BLOCK_ELEMENTS // sys.n)), sys.n))
@@ -529,7 +532,7 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
             part = slice(c + k, c + min(k + step, len(m)))
             zi, zj = _monomial_factors(m[k:k + step], gamma[k:k + step])
             X = zi * zj
-            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(e2data, X)
+            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(q, X)
             cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], X)
             cols["e2dd"][part] = _e2dd_block(e2data, zi, zj)[0]
     return {"mu": mus, **cols}

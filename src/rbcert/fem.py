@@ -13,15 +13,17 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds six kernels: ``thomas`` runs every
-solve and lift, m systems at once, and ``tridiagonal_rows`` every double
-product T*g; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram table;
-``residual_rows`` forms e1's residual rows, and ``dd_radicands`` e2dd's
-radicands.  Each makes the operations of the reference the tests keep for
-it, in their order, so its bits.  It is compiled when this module is
-imported, with ``cc`` and ``_FLAGS``, into one library in ``__pycache__``
-beside this file, and loaded with ``ctypes``; a missing or failing
-compiler is an ``ImportError``.  With GCC and glibc on x86-64, each kernel
+mesh.  One C source, ``_SOURCE``, holds seven kernels: ``thomas`` runs
+every solve and lift, m systems at once, and ``tridiagonal_rows`` every
+double product T*g; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram
+table; ``residual_rows`` forms e1's residual rows, ``dd_radicands`` e2dd's
+radicands, and ``fsum_columns`` e2's.  Each of the first six makes the
+operations of the reference the tests keep for it, in their order, so its
+bits; ``fsum_columns`` rounds an exact sum correctly, so it has the bits
+of ``math.fsum``, the tests' reference for it.  It is compiled when this
+module is imported, with ``cc`` and ``_FLAGS``, into one library in
+``__pycache__`` beside this file, and loaded with ``ctypes``; a missing or
+failing compiler is an ``ImportError``.  With GCC and glibc on x86-64, each kernel
 is compiled three times, for the baseline, AVX2 and AVX-512, and the
 loader picks the widest clone the host runs.  The clones make the same
 IEEE operations, element by element and in the same order: vectors of 2, 4
@@ -101,10 +103,11 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the six
-   kernels and the two helpers that are never inlined: dd_tree, and
-   residual_tree, which is recursive.  Off x86-64, GCC or glibc, or with
-   -DWIDE= on the command line, it is empty: one baseline build. */
+   wider vector changes the speed and not the bits.  It marks the seven
+   kernels and the two vector helpers that are never inlined: dd_tree, and
+   residual_tree, which is recursive; fsum_exact is scalar and unmarked.
+   Off x86-64, GCC or glibc, or with -DWIDE= on the command line, it is
+   empty: one baseline build. */
 #ifndef WIDE
 #if defined(__x86_64__) && defined(__GNUC__) && __GNUC__ >= 12 && defined(__GLIBC__)
 #define WIDE __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
@@ -317,6 +320,130 @@ void dd_radicands(ptrdiff_t d, ptrdiff_t m, const double *qh, const double *ql,
     dd_tree(d, m, t, t + d * m);
 }
 
+/* CPython's math.fsum over n finite doubles v whose magnitudes sum far
+   below 2**1024, so no intermediate sum overflows: Shewchuk's
+   non-overlapping partials, in p, then their sum from the top, stopped at
+   its first inexact step, with fsum's half-even fix-up across partials.
+   The result is the exact sum correctly rounded, +0.0 for a zero sum. */
+static double fsum_exact(const double *v, int n, double *p)
+{
+    double x, y, t, hi, yr, lo = 0.0;
+    int i, j, k, np = 0;
+    for (k = 0; k < n; k++) {
+        for (x = v[k], i = j = 0; j < np; j++) {
+            y = p[j];
+            if ((x < 0.0 ? -x : x) < (y < 0.0 ? -y : y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        np = i;
+        if (x != 0.0)
+            p[np++] = x;
+    }
+    if (np == 0)
+        return 0.0;
+    hi = p[--np];
+    while (np > 0) {
+        x = hi;
+        y = p[--np];
+        hi = x + y;
+        yr = hi - x;
+        lo = y - yr;
+        if (lo != 0.0)
+            break;
+    }
+    if (np > 0 && ((lo < 0.0 && p[np - 1] < 0.0) || (lo > 0.0 && p[np - 1] > 0.0))) {
+        y = lo * 2.0;
+        x = hi + y;
+        yr = x - hi;
+        if (y == yr)
+            hi = x;
+    }
+    return hi;
+}
+
+/* e2's radicand: out[j] is the correctly rounded sum of the rounded
+   products t_p = q_p*X_pj over column j of the row-major (d, m) X, so
+   math.fsum's bits, for d < 2**31.  A finite t_p is mant*2**(b - 1074),
+   b = e - 1 for a biased exponent e > 0 and b = 0 for a subnormal.  It
+   adds exactly into 66 int64 chunks, chunk k counting units of
+   2**(32k - 1074): mant, shifted by b % 32, spans chunks b/32 to b/32 + 2
+   in pieces below 2**32, so no chunk reaches 2**63 and nothing carries
+   while summing.  Then truncating division moves each chunk's carry into
+   the next, up to the highest chunk any term reached; it keeps the sign of
+   each chunk's total, so a negative sum does not carry -1 through every
+   chunk above it.  Every chunk is then below 2**32 in magnitude but the
+   highest, which holds only top pieces and a carry, below 2**53, so each
+   non-zero chunk is an exact double, and fsum_exact rounds their sum.  A
+   column with a non-finite t_p, or whose largest exponent emax lets its
+   magnitudes reach 2**1019 (d*2**(emax - 1022) >= 2**1019), gets NaN, for
+   math.fsum to redo.  Below that bound fsum makes no intermediate
+   overflow, no chunk's value reaches the sum of the magnitudes, and the
+   chunks' magnitudes sum below three times that.  Returns the number of
+   NaN columns. */
+#define CHUNKS 66
+
+WIDE
+ptrdiff_t fsum_columns(ptrdiff_t d, ptrdiff_t m, const double *q, const double *X,
+                       double *restrict out)
+{
+    const uint64_t nan = 0x7ff8000000000000u;
+    int64_t acc[CHUNKS];
+    double unit[CHUNKS], v[CHUNKS], partials[CHUNKS];
+    ptrdiff_t p, j, flagged = 0;
+    int k, n, top, log2d = 0, emax;
+    for (k = 0; k < CHUNKS; k++) {
+        int w = 32 * k - 1074;
+        uint64_t u = w < -1022 ? (uint64_t)1 << (w + 1074) : (uint64_t)(w + 1023) << 52;
+        memcpy(&unit[k], &u, sizeof u);
+    }
+    while (((ptrdiff_t)1 << log2d) < d)
+        log2d++;
+    for (j = 0; j < m; j++) {
+        memset(acc, 0, sizeof acc);
+        for (emax = 0, p = 0; p < d; p++) {
+            double t = q[p] * X[p * m + j];
+            uint64_t u, mant, high;
+            int64_t neg;
+            int e, b;
+            memcpy(&u, &t, sizeof u);
+            e = (int)(u >> 52 & 0x7ff);
+            emax = e > emax ? e : emax;
+            mant = (u & 0xfffffffffffffu) | (uint64_t)(e != 0) << 52;
+            b = e ? e - 1 : 0;
+            high = mant >> (32 - (b & 31));
+            neg = -(int64_t)(u >> 63);
+            acc[b >> 5] += ((int64_t)(mant << (b & 31) & 0xffffffffu) ^ neg) - neg;
+            acc[(b >> 5) + 1] += ((int64_t)(high & 0xffffffffu) ^ neg) - neg;
+            acc[(b >> 5) + 2] += ((int64_t)(high >> 32) ^ neg) - neg;
+        }
+        if (emax == 0x7ff || emax + log2d > 2041) {
+            memcpy(&out[j], &nan, sizeof nan);
+            flagged++;
+            continue;
+        }
+        top = (emax ? emax - 1 : 0) / 32 + 3;     /* at most CHUNKS; chunks from top on are 0 */
+        for (k = 0; k + 1 < top; k++) {
+            int64_t carry = acc[k] / ((int64_t)1 << 32);
+            acc[k] -= carry * ((int64_t)1 << 32);
+            acc[k + 1] += carry;
+        }
+        for (n = 0, k = 0; k < top; k++)
+            if (acc[k])
+                v[n++] = (double)acc[k] * unit[k];
+        out[j] = fsum_exact(v, n, partials);
+    }
+    return flagged;
+}
+
 /* e1's g = z . vs, z = (1; gamma; mu*gamma), at one point over the len
    mesh entries from i0.  residual_tree sums terms first, ...,
    first + n - 1 into out: the front n/2 terms, then the back's into
@@ -437,13 +564,14 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """lib, a build of ``_SOURCE``, with its six kernels' argument and result types set."""
+    """lib, a build of ``_SOURCE``, with its seven kernels' argument and result types set."""
     n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     for name, args, result in (
         ("thomas", (n, n, p, p, p, n, p, n, p), ctypes.c_int),
         ("dd_gram_matvec", (n, n, d, d, p, p, p), None),
         ("dd_dots", (n, n, p, p, p, p, p, p), None),
         ("dd_radicands", (n, n, p, p, p, p, p), None),
+        ("fsum_columns", (n, n, p, p, p), n),
         ("residual_rows", (n, n, n, p, p, p, p, n, p), None),
         ("tridiagonal_rows", (n, n, d, d, p, p), None),
     ):
@@ -563,6 +691,29 @@ def dd_radicands(q_dd, zi, zj) -> tuple:
     args = [_address(a, name) for a, name in zip((*q_dd, zi, zj), ("qh", "ql", "zi", "zj"))]
     _lib.dd_radicands(d, m, *args, _address(t, "t", out=True))
     return t[0, 0], t[1, 0]
+
+
+def fsum_columns(q, X) -> np.ndarray:
+    """The correctly rounded sum of the rounded products q_p*X[p, j] for
+    every column j of the (d, m) array X, q (d,), in one kernel call.
+
+    Any correctly rounded sum of the same doubles is one double, so each
+    column has ``math.fsum``'s bits.  A column with a non-finite product,
+    or whose products are large enough that fsum could overflow on the
+    way, is handed to ``math.fsum`` itself: it gets fsum's value, or
+    raises fsum's error.  d must be below 2**31.  Returns an (m,) array.
+    """
+    d, m = np.shape(X)
+    if np.shape(q) != (d,):
+        raise ValueError(f"q of shape {np.shape(q)} does not fit X of shape {np.shape(X)}")
+    if d >= 2 ** 31:
+        raise ValueError(f"X has {d} rows; the kernel sums fewer than 2**31")
+    out = np.empty(m)
+    args = _address(q, "q"), _address(X, "X"), _address(out, "out", out=True)
+    if _lib.fsum_columns(d, m, *args):
+        for j in np.flatnonzero(np.isnan(out)):
+            out[j] = math.fsum((q * X[:, j]).tolist())
+    return out
 
 
 def residual_rows(vectors, mus, gamma, G) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
         mus = sweep_grid(cfg)
         gamma = rb.solve_reduced_block(model, mus)
         e1 = rb.estimator_e1_block(truth, model, mus, gamma)
-        e2, _ = _e2_block(data, rb.x_matrix(mus, gamma))
+        e2, _ = _e2_block(rb.q_coefficients(data), rb.x_matrix(mus, gamma))
         keep = e1 >= 1e-4
         worst_agree = max([worst_agree, *(np.abs(e2 - e1) / e1)[keep].tolist()])
 
@@ -137,7 +137,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     for _ in range(300):
         mu = float(np.exp(rng.uniform(0.0, math.log(1000.0))))
         X = rb.x_matrix(np.array([mu]), rng.normal(size=6)[None])
-        radicand = float(_e2_block(data6, X)[1][0])
+        radicand = float(_e2_block(q, X)[1][0])
         exact = sum(
             (Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, X[:, 0])), Fraction(0)
         )
@@ -289,10 +289,10 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
 
     def e2_scan(data, zi, zj):
         scanned.append(data)
-        return _e2_block(data, zi * zj)
+        return _e2_block(rb.q_coefficients(data), zi * zj)
 
     def e2_at_pick(sys_, model, mus, gamma):
-        return _e2_block(scanned[-1], rb.x_matrix(mus, gamma))[0]
+        return _e2_block(rb.q_coefficients(scanned[-1]), rb.x_matrix(mus, gamma))[0]
 
     monkeypatch.setattr("rbcert.reduced._e2dd_block", e2_scan)
     monkeypatch.setattr("rbcert.reduced.estimator_e1_block", e2_at_pick)

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbcert as rb
 from rbcert import estimators, fem
@@ -29,7 +31,8 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, residual_rows, tridiagonal_rows
+from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, fsum_columns, residual_rows
+from rbcert.fem import tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
@@ -222,7 +225,7 @@ def monomials(mu, gamma):
 
 
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
-    value, radicand = _e2_block(default_e2, monomials(5.0, np.zeros(6))[0])
+    value, radicand = _e2_block(rb.q_coefficients(default_e2), monomials(5.0, np.zeros(6))[0])
     assert value.tolist() == [default_e2.delta]
     assert radicand.tolist() == [rb.q_coefficients(default_e2)[0]]
 
@@ -233,13 +236,27 @@ def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
     assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
 
+def assert_radicands_are_fsums(sys_, model, e2data, e3data, mus):
+    """evaluate's e2 radicands have, bit for bit and sign of zero included,
+    math.fsum's sums of the rounded products q_p*X_p."""
+    q = rb.q_coefficients(e2data)
+    radicands = rb.evaluate(sys_, model, e2data, e3data, mus)["e2_radicand"]
+    X = rb.x_matrix(mus, rb.solve_reduced_block(model, mus))
+    assert hex_list(radicands) == [math.fsum((q * x).tolist()).hex() for x in X.T]
+
+
 def test_e2_radicand_is_the_assembled_linear_form(truth, default_e2, default_e3, default_model):
     model, _ = default_model
-    q = rb.q_coefficients(default_e2)
-    mus = np.array([2.0, 90.0, 800.0])
-    radicands = rb.evaluate(truth, model, default_e2, default_e3, mus)["e2_radicand"]
-    X = rb.x_matrix(mus, rb.solve_reduced_block(model, mus))
-    assert radicands.tolist() == [math.fsum(q * x) for x in X.T]
+    assert_radicands_are_fsums(truth, model, default_e2, default_e3, np.array([2.0, 90.0, 800.0]))
+
+
+def test_e2_radicand_is_the_assembled_linear_form_on_the_converged_basis(
+    floors_config, floors_artifact
+):
+    # N_hat = 12, d = 325: the deepest cancellation, over the whole sweep grid.
+    sys_, model, e2data, e3data, _ = rb.load_artifact(floors_artifact, floors_config)
+    assert (model.n_hat, e3data.d) == (12, 325)
+    assert_radicands_are_fsums(sys_, model, e2data, e3data, sweep_grid(floors_config))
 
 
 def test_e2_and_e2dd_agree_before_convergence(truth, default_config):
@@ -262,7 +279,8 @@ def synthetic_negative_data():
 
 
 def test_e2_clamps_negative_radicand():
-    value, radicand = _e2_block(synthetic_negative_data(), monomials(1.0, [1.0])[0])
+    q = rb.q_coefficients(synthetic_negative_data())
+    value, radicand = _e2_block(q, monomials(1.0, [1.0])[0])
     assert radicand.tolist() == [-3.0]
     assert value.tolist() == [0.0]
 
@@ -1039,6 +1057,118 @@ def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
             assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
 
 
+def fsum_outcome(call):
+    """call()'s values as float.hex strings, or the type and message of
+    the error it raises.  Products that overflow are part of the cases."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hex_list(call())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def fsum_oracle(q, X):
+    """math.fsum of the rounded products q_p*X[p, j], column by column."""
+    return np.array([math.fsum(col) for col in (q[:, None] * X).T.tolist()])
+
+
+def assert_fsum_columns_is_fsum(q, X):
+    q, X = np.ascontiguousarray(q, dtype=float), np.ascontiguousarray(X, dtype=float)
+    assert fsum_outcome(lambda: fsum_columns(q, X)) == fsum_outcome(lambda: fsum_oracle(q, X))
+
+
+def tie_column(rng, d):
+    """d terms whose exact sum is a half-ulp tie of a random double a, a
+    tie split in two, or that tie with a sticky term far below it of either
+    sign, shuffled among pairs x, -x that cancel exactly."""
+    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-900, 900))
+    half = math.ulp(a) / 2
+    kind = rng.integers(3)
+    terms = [a, half] if kind == 0 else [a, half / 2, half / 2] if kind == 1 else [
+        a, half, rng.choice([-1.0, 1.0]) * half * 2.0 ** -int(rng.integers(1, 60))]
+    terms = terms[:d]
+    while len(terms) < d:
+        x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
+        terms += [x, -x][:d - len(terms)]
+    return rng.permutation(np.array(terms))
+
+
+def fsum_cases(d, seed):
+    """(q, X) pairs with d rows: ordinary products with signed zeros and
+    values near underflow; exact ties (q = 1); signed zeros, all -0.0 and
+    products that underflow to zero; subnormal multiples of 5e-324, exact
+    and rounded; and cancellation across the exponent range, +-2**1000
+    beside +-2**-1000."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(d, 4))
+    ones = np.ones(d)
+    ranged = rng.uniform(1.0, 2.0, size=(d, 3)) * 2.0 ** rng.integers(-1074, 1001, size=(d, 3))
+    ranged[:, 0] = np.resize([2.0 ** 1000, 2.0 ** -1000, -(2.0 ** 1000), -3 * 2.0 ** -1000], d)
+    ranged[d // 2:, 1] = -ranged[:d - d // 2, 1]    # pairs cancel; an odd d leaves one
+    zeros = [np.zeros(d), -np.zeros(d), signs[:, 0] * 0.0,
+             np.where(signs[:, 1] > 0, 0.0, signs[:, 2])]
+    return [
+        (special_rows(1, d, seed)[0], special_rows(5, d, seed + 1).T),
+        (ones, np.stack([tie_column(rng, d) for _ in range(6)], axis=1)),
+        (ones, np.stack(zeros, axis=1)),
+        (signs[:, 3] * 1e-200, signs[:, :3] * [1e-200, 1e-170, 1e-123]),
+        (ones, rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
+        (np.full(d, 0.5), rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
+        (rng.choice([1.0, -3.0, 0.75], size=d), ranged),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 91, 325, 5000])
+def test_fsum_columns_is_fsum_bit_for_bit(d):
+    for seed in range(3):
+        for q, X in fsum_cases(d, seed=10 * d + seed):
+            assert_fsum_columns_is_fsum(q, X)
+
+
+# The first three q_p and X_p of a column past the kernel's range.
+SPECIAL_COLUMNS = {
+    "nan": ([1.0, 1.0, 1.0], [1.0, math.nan, 2.0]),
+    "inf": ([1.0, 1.0, 1.0], [1.0, math.inf, -2.0]),
+    "-inf": ([1.0, 1.0, 1.0], [-math.inf, 1e300, -1e300]),
+    "inf - inf": ([1.0, 1.0, 1.0], [math.inf, 1.0, -math.inf]),
+    "overflowing product": ([1e10, 1.0, 1.0], [1e300, 1.0, -1.0]),
+    "intermediate overflow": ([1.0, 1.0, 1.0], [1.7e308, 1.7e308, -1.7e308]),
+    "near overflow, finite": ([1.0, 1.0, 1.0], [2.0 ** 1020, -(2.0 ** 1020), 1.0]),
+    "largest finite sum": ([1.0, 1.0, 1.0], [1.7e308, 1e292, -1e292]),
+}
+
+
+@pytest.mark.parametrize("d", [3, 325])
+@pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
+def test_fsum_columns_gives_fsums_value_or_error_on_special_columns(name, d):
+    # A column past the kernel's range goes to math.fsum, beside ordinary
+    # columns on either side: fsum's value, or its error and message.
+    rng = np.random.default_rng(d)
+    q, X = rng.normal(size=d), rng.normal(size=(d, 3))
+    q[:3], X[:, 1] = SPECIAL_COLUMNS[name][0], 0.0
+    X[:3, 1] = SPECIAL_COLUMNS[name][1]
+    assert_fsum_columns_is_fsum(q, X)
+    assert_fsum_columns_is_fsum(q, X[:, 1:2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=40))
+def test_fsum_columns_is_fsum_on_any_doubles(rows):
+    q, x, y = (np.array(v) for v in zip(*rows))
+    assert_fsum_columns_is_fsum(q, np.stack([x, y], axis=1))
+
+
+def test_fsum_columns_rejects_what_it_cannot_sum():
+    # A strided or float32 X is refused by name, as test_fem checks q.
+    for X in (np.ones((3, 4))[:, ::2], np.ones((3, 2), dtype=np.float32)):
+        with pytest.raises(TypeError, match="X is not a C-contiguous float64 array"):
+            fsum_columns(np.ones(3), X)
+    with pytest.raises(ValueError, match="does not fit"):
+        fsum_columns(np.ones(3), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="fewer than 2"):
+        fsum_columns(np.broadcast_to(1.0, (2 ** 31,)), np.empty((2 ** 31, 0)))
+
+
 # The flags /proc/cpuinfo lists for the x86-64 levels above the baseline
 # (the x86-64 psABI): x86-64-v3 needs those of x86-64-v2 and AVX2, and
 # x86-64-v4 those of AVX-512 besides.
@@ -1061,7 +1191,7 @@ def host_levels():
 
 
 def kernel_outputs(n):
-    """The bytes of every output of the six kernels on special_stacks(n)
+    """The bytes of every output of the seven kernels on special_stacks(n)
     and special_rows, by name, each kernel through its entry point in fem.
     residual_rows takes 17 of the 18 columns: N_hat = 8."""
     u, wh, wl = special_stacks(n, seed=400 + n)
@@ -1076,6 +1206,7 @@ def kernel_outputs(n):
         "dd_gram_matvec": np.array(dd_gram_matvec(sys_, us)),
         "dd_dots": np.array(dd_dots(us, whs, wls, [(a, b) for a in range(6) for b in range(6)])),
         "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
+        "fsum_columns": fsum_columns(u[:, 5].copy(), wh),
         "residual_rows": G,
         "tridiagonal_rows": tridiagonal_rows(sys_.Gram, G),
     }
@@ -1089,7 +1220,7 @@ def kernel_outputs(n):
 def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
     # The shipped library runs the widest clone this CPU supports and no
     # other.  So each level the CPU runs is built on its own, with
-    # -march=<level> and the clones defined away, and all six kernels must
+    # -march=<level> and the clones defined away, and all seven kernels must
     # give the shipped library's bits.  N = 9999 runs the vector loops
     # far past their remainders and residual_rows over 40 blocks.
     sizes = (1, 2, 7, 300, 9999)

@@ -203,6 +203,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "gamma": lambda: residual(gamma=spoil(np.ones((2, 2)))),
             "ql": lambda: fem.dd_radicands((row, spoil(row)), z, z),
             "zj": lambda: fem.dd_radicands((row, row), z, spoil(z)),
+            "q": lambda: fem.fsum_columns(spoil(row), z),
         })
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_lib", NoKernel())
@@ -219,6 +220,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert hexes(G[1]) == hexes((v + v) + (v + (v + v)))
         hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
+        assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
 
 
 def test_thomas_leaves_caller_data_unchanged():
