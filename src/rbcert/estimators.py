@@ -55,14 +55,14 @@ greedy grows one alongside the basis.  Every Gram entry is the dd Gram
 product of one vector dotted in dd with the other.
 
 The length-N and double-double stages run in the compiled kernels of
-:mod:`rbcert.fem`: E2's growth (``dd_gram_matvec``, ``dd_dots``), e1's
-residual rows (``residual_rows``), the Gram products of e1 and the true
-error (``tridiagonal_rows``) and e2dd's radicands (``dd_radicands``).
-Each makes the operations of the numpy code it replaced in their order,
-so its bits, and the tests keep that code as the reference.  e2's
-radicands (``fsum_columns``) are correctly rounded sums, so they have the
-bits of ``math.fsum``, the tests' reference.  The dots of the H1 norms,
-the basis lift and the small solves stay numpy and BLAS.
+:mod:`rbcert.fem`: E2's growth (``dd_gram_matvec``, ``dd_dots``), e1
+(``residual_norms``) and the true error (``error_norms``), each from its
+vector's terms to its norm's last sum, and e2dd's radicands
+(``dd_radicands``).  Each makes the operations of the numpy reference the
+tests keep for it, in their order, so its bits: the residual's pairwise
+tree, the lift in snapshot order, and a dot summed in eight lanes in an
+order fixed by N.  e2's radicands (``fsum_columns``) are correctly rounded
+sums, so they have the bits of ``math.fsum``, the tests' reference.
 """
 
 from __future__ import annotations
@@ -75,19 +75,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
-from .fem import dd_radicands, fsum_columns, residual_rows, tridiagonal_rows
+from .fem import dd_radicands, error_norms, fsum_columns, residual_norms
 from .precision import dd_add, dd_sqrt
 
 logger = logging.getLogger(__name__)
-
-# Entries per (step, N) buffer of e1's or the true error's rows, and of
-# their Gram products; residual_rows reads a block of each Riesz vector
-# once per step.  At N=9999, N_hat=12 (6 points a step) 200 e1 points took
-# 22-32 ms, 36-58 ms point by point and 22-27 ms at four times the budget
-# (2-vCPU AVX-512 host, the kernels' AVX-512 clones, medians of 7 in two
-# processes).  Four times the budget is about 10 % faster in e1 alone, but
-# the large-mesh sweep would then take 25 points a step and hold 3 MB more.
-_CACHE_BLOCK_ELEMENTS = 2 ** 16
 
 
 class EstimatorBuildError(RuntimeError):
@@ -347,12 +338,17 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # --- block evaluation ------------------------------------------------------
 #
 # The functions below evaluate a block of parameters at once.  Each runs one
-# point's operations element by element across the block, and makes the
-# reductions that BLAS may order differently for a matrix than for a vector
-# (the Gram and V dots, the basis lift) one vector at a time.  So a point
-# gets the same bits alone as in any block on the same machine with the
-# same OpenBLAS kernel and numpy SIMD target.  That is the measured scope:
-# under OpenBLAS's oldest x86 kernel (Prescott) block and point differ.
+# point's operations element by element across the block, in an order that
+# does not depend on the block.  e1 and the true error are compiled from
+# their vectors' terms to the norm's last sum (fem.residual_norms,
+# fem.error_norms), so their bits depend neither on the block nor on the
+# host.  The reduced
+# solves (LAPACK) and e3's V dot (BLAS) run one vector's operations per
+# point; their bits hold on one machine with one OpenBLAS kernel and numpy
+# SIMD target.  That is the measured scope.  Under OpenBLAS's oldest x86
+# kernel (Prescott), ddot's result depends on the 16-byte phase of its
+# second operand, which the rows of a (step, N) buffer used to alternate at
+# odd N: block and point differed there until the norms left BLAS.
 
 # Block sizes come from budgets of float64 entries per block temporary.
 # evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters:
@@ -361,53 +357,34 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # bounds memory only (8 MiB; 5269 points at N=199, 104 at N=9999).  A
 # narrower chunk runs more reduced solves and monomials: at N=9999, d=325,
 # 2**17 entries cut the sweep's peak RSS from 49.1 to 44.6 MB and cost it
-# 15-25 % of its time.  The true error and e1 take a chunk in steps of
-# _CACHE_BLOCK_ELEMENTS // N points, on two (step, N) buffers.  The
-# d-length stages run on sub-blocks of _BLOCK_ELEMENTS // d points, whose
-# monomial vectors stay under 64 KiB, which the allocator reuses instead
-# of growing the process: 90 points at d=91, 25 at d=325.  No step is
-# longer than a sub-block.
+# 15-25 % of its time.  The true error and e1 take a whole chunk in one
+# kernel call each, on scratch of a few doubles per point.  The d-length
+# stages run on sub-blocks of _BLOCK_ELEMENTS // d points, whose monomial
+# vectors stay under 64 KiB, which the allocator reuses instead of growing
+# the process: 90 points at d=91, 25 at d=325.
 _BLOCK_ELEMENTS = 2 ** 13
 _SOLVE_ELEMENTS = 2 ** 20
 
 
-def _h1_norms(sys: TruthSystem, m: int, fill, rows) -> np.ndarray:
-    """The H1 norms of m vectors, a step at a time, on the (2, step, N) buffers rows:
-    fill(part, G) writes the vectors of the slice part into G, a view of
-    rows[0], ``fem.tridiagonal_rows`` forms Gram*G in rows[1], and each norm is one dot."""
-    out = np.empty(m)
-    for k in range(0, m, rows.shape[1]):
-        G, W = rows[:, :min(rows.shape[1], m - k)]
-        fill(slice(k, k + len(G)), G)
-        tridiagonal_rows(sys.Gram, G, W)
-        out[k:k + len(G)] = [g @ w for g, w in zip(G, W)]
-    return np.sqrt(np.maximum(out, 0.0))
-
-
-def estimator_e1_block(sys: TruthSystem, model, mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def estimator_e1_block(sys: TruthSystem, model, mus, gamma: np.ndarray) -> np.ndarray:
     """Residual dual norm via the full-size Riesz representative, at every mus[j].
 
     g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i]
     with gamma = gamma[j], summed pairwise over the N_hat+2 vector terms
-    (the mu-scaled group pairwise before scaling) by
-    :func:`fem.residual_rows`, then a single Gram quadratic form.  Cost
-    O(N*N_hat) per point, in steps of _CACHE_BLOCK_ELEMENTS // N points.
-    gamma is (m, N_hat), one row per point and one coefficient per basis
-    vector, or ``ValueError`` is raised, as it is for the empty model.
+    (the mu-scaled group pairwise before scaling), then g.Gram*g summed in
+    a fixed order, all in :func:`fem.residual_norms`.  Cost O(N*N_hat) per
+    point.  mus is a 1-D block of parameters in [1, inf) and gamma (m,
+    N_hat), one row per point and one coefficient per basis vector, or
+    ``ValueError`` is raised, as it is for the empty model.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
+    mus = np.ascontiguousarray(parameter_block(mus))
     if np.shape(gamma) != (len(mus), model.n_hat):
         raise ValueError(f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
                          f"on a basis of {model.n_hat}")
-    rows = np.empty((2, max(1, min(len(mus), _CACHE_BLOCK_ELEMENTS // sys.n)), sys.n))
-    mus, gamma = (np.ascontiguousarray(a, dtype=float) for a in (mus, gamma))
-    return _e1_norms(sys, model, mus, gamma, rows)
-
-
-def _e1_norms(sys, model, mus, gamma, rows):
     vectors = [model.riesz_b, *model.riesz_a0, *model.riesz_a1]
-    return _h1_norms(sys, len(mus), lambda p, G: residual_rows(vectors, mus[p], gamma[p], G), rows)
+    return residual_norms(sys, vectors, mus, np.ascontiguousarray(gamma, dtype=float))
 
 
 def _monomial_factors(mus, gamma):
@@ -482,21 +459,6 @@ def _e3_block(data: E3Data, mus, X):
     return np.sqrt(np.maximum(total, 0.0)), clamped
 
 
-def _true_error_block(sys, B, U, gamma, rows):
-    """H1 distance between each truth solution U[:, j] and the basis matrix B
-    times gamma[j]; the lift B @ gamma[j] is one matrix-vector product per
-    point, into a row allocated once per call."""
-    lift = np.empty(sys.n)
-
-    def fill(part, E):
-        np.copyto(E, U[:, part].T)
-        for e, g in zip(E, gamma[part]):
-            np.matmul(B, g, out=lift)
-            np.subtract(e, lift, e)
-
-    return _h1_norms(sys, len(gamma), fill, rows)
-
-
 def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> dict:
     """True error and all four estimators at every parameter of a block.
 
@@ -506,10 +468,10 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     evaluation.  A mu that is not finite or below 1, or a block that is not
     1-D, raises ``ValueError``.  A block of any size runs in bounded
     working memory: chunks of _SOLVE_ELEMENTS // N points, each with one
-    reduced and one truth solve, whose (N, m) solution is released before
-    e1; the true error and e1 take a chunk in steps, on two (step, N)
-    buffers allocated once per call, and the monomials, e2, e2dd and e3 in
-    sub-blocks of _BLOCK_ELEMENTS entries per monomial array.
+    reduced and one truth solve, whose (N, m) solution is released once the
+    true error has read it; the true error and e1 take a chunk in one
+    kernel call each, and the monomials, e2, e2dd and e3 run in sub-blocks
+    of _BLOCK_ELEMENTS entries per monomial array.
     """
     from .reduced import solve_reduced_block
 
@@ -520,14 +482,13 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     q = q_coefficients(e2data)
     chunk = max(1, _SOLVE_ELEMENTS // sys.n)
     step = max(1, _BLOCK_ELEMENTS // e3data.d)
-    rows = np.empty((2, max(1, min(chunk, mus.size, step, _CACHE_BLOCK_ELEMENTS // sys.n)), sys.n))
     for c in range(0, mus.size, chunk):
         m = mus[c:c + chunk]
         gamma = solve_reduced_block(model, m)
         U = solve_truth(sys, m)
-        cols["true_error"][c:c + len(m)] = _true_error_block(sys, model.basis_matrix, U, gamma, rows)
-        del U  # not alive beside e1's rows or the next chunk's solve
-        cols["e1"][c:c + len(m)] = _e1_norms(sys, model, m, gamma, rows)
+        cols["true_error"][c:c + len(m)] = error_norms(sys, model.snapshots, U, gamma)
+        del U  # not alive beside the next chunk's solve
+        cols["e1"][c:c + len(m)] = estimator_e1_block(sys, model, m, gamma)
         for k in range(0, len(m), step):
             part = slice(c + k, c + min(k + step, len(m)))
             zi, zj = _monomial_factors(m[k:k + step], gamma[k:k + step])

@@ -13,14 +13,17 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds seven kernels: ``thomas`` runs
-every solve and lift, m systems at once, and ``tridiagonal_rows`` every
-double product T*g; ``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram
-table; ``residual_rows`` forms e1's residual rows, ``dd_radicands`` e2dd's
-radicands, and ``fsum_columns`` e2's.  Each of the first six makes the
-operations of the reference the tests keep for it, in their order, so its
-bits; ``fsum_columns`` rounds an exact sum correctly, so it has the bits
-of ``math.fsum``, the tests' reference for it.  It is compiled when this
+mesh.  One C source, ``_SOURCE``, holds eight kernels: ``thomas`` runs
+every solve and lift, m systems at once, and ``tridiagonal_rows`` the
+double products T*g of ``h1_inner`` and the basis extension;
+``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram table;
+``residual_norms`` gives e1 and ``error_norms`` the true error, each an H1
+norm from its vector's terms to the last sum in one pass over the mesh;
+``dd_radicands`` gives e2dd's radicands, and ``fsum_columns`` e2's.  Each
+of the first seven makes the operations of the reference the tests keep
+for it, in their order, so its bits; ``fsum_columns`` rounds an exact sum
+correctly, so it has the bits of ``math.fsum``, the tests' reference for
+it.  It is compiled when this
 module is imported, with ``cc`` and ``_FLAGS``, into one library in
 ``__pycache__`` beside this file, and loaded with ``ctypes``; a missing or
 failing compiler is an ``ImportError``.  With GCC and glibc on x86-64, each kernel
@@ -103,9 +106,11 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the seven
-   kernels and the two vector helpers that are never inlined: dd_tree, and
-   residual_tree, which is recursive; fsum_exact is scalar and unmarked.
+   wider vector changes the speed and not the bits.  It marks the eight
+   kernels and the vector helpers that may not be inlined: dd_tree,
+   residual_tree, which is recursive, gram_entries and error_row.
+   lane_add, lane_total and gram_span are small enough to be inlined, and
+   fsum_exact is scalar; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, it is
    empty: one baseline build. */
 #ifndef WIDE
@@ -481,40 +486,166 @@ static void residual_tree(const struct residual *r, int group, ptrdiff_t first,
         out[i] = c * a[i];
 }
 
-/* e1's g for k points into the k rows of n of G, point j at mus[j] with
-   the nh coefficients at gamma + j*nh, s mesh entries at a time for
-   every point; scratch holds ceil(log2(nh + 2)) + ceil(log2(nh)) rows of
-   s partial sums. */
+/* T*g, T's rows (off, diag, off): entry i is (diag*g_i + off*g_{i+1}) +
+   off*g_{i-1}, without the neighbours past the mesh's ends.  gram_entries
+   writes it for k entries c[t] whose neighbours are nx[t] and pv[t], either
+   NULL where it is past an end; gram_span for the len entries from i0 of a
+   mesh of n, g at entry i0 with its neighbours g[-1] and g[len] where the
+   mesh has them. */
 WIDE
-void residual_rows(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
-                   const double *mus, const double *gamma, double *G, ptrdiff_t s,
-                   double *scratch)
+static void gram_entries(ptrdiff_t k, double diag, double off, const double *restrict c,
+                         const double *restrict nx, const double *restrict pv,
+                         double *restrict w)
 {
-    struct residual r = {nh, 0, 0, vs, gamma, 0.0};
-    ptrdiff_t j;
-    for (r.i0 = 0; r.i0 < n; r.i0 += s) {
-        r.len = n - r.i0 < s ? n - r.i0 : s;
-        for (j = 0; j < k; j++) {
-            r.gamma = gamma + j * nh;
-            r.mu = mus[j];
-            residual_tree(&r, 0, 0, nh + 2, G + j * n + r.i0, scratch);
-        }
-    }
+    ptrdiff_t t;
+    if (nx && pv)
+        for (t = 0; t < k; t++)
+            w[t] = (diag * c[t] + off * nx[t]) + off * pv[t];
+    else if (nx || pv) {
+        const double *restrict b = nx ? nx : pv;
+        for (t = 0; t < k; t++)
+            w[t] = diag * c[t] + off * b[t];
+    } else
+        for (t = 0; t < k; t++)
+            w[t] = diag * c[t];
 }
 
-/* T*g for the k rows g of n of G into the rows of W, T's n rows (off, diag,
-   off): entry i is (diag*g_i + off*g_{i+1}) + off*g_{i-1}, where those exist. */
+static void gram_span(ptrdiff_t n, ptrdiff_t i0, ptrdiff_t len, double diag, double off,
+                      const double *g, double *restrict w)
+{
+    ptrdiff_t a = i0 == 0, b = i0 + len == n ? len - 1 : len;
+    if (a)
+        gram_entries(1, diag, off, g, n > 1 ? g + 1 : NULL, NULL, w);
+    if (b > a)
+        gram_entries(b - a, diag, off, g + a, g + a + 1, g + a - 1, w + a);
+    if (b < len && n > 1)
+        gram_entries(1, diag, off, g + b, NULL, g + b - 1, w + b);
+}
+
+/* T*g for the k rows g of n of G into the rows of W. */
 WIDE
 void tridiagonal_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
                       const double *restrict G, double *restrict W)
 {
-    ptrdiff_t i, j;
-    for (j = 0; j < k; j++, G += n, W += n) {
-        W[0] = n > 1 ? diag * G[0] + off * G[1] : diag * G[0];
-        for (i = 1; i < n - 1; i++)
-            W[i] = (diag * G[i] + off * G[i + 1]) + off * G[i - 1];
-        if (n > 1)
-            W[n - 1] = diag * G[n - 1] + off * G[n - 2];
+    ptrdiff_t j;
+    for (j = 0; j < k; j++)
+        gram_span(n, 0, n, diag, off, G + j * n, W + j * n);
+}
+
+/* The H1 norms' sum of g_i*w_i, w = Gram*g, over the mesh entries i: each
+   product is added into lane i % 8, in increasing i, from +0.0, and the
+   eight lanes l0..l7 are summed as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) +
+   (l6 + l7)).  The order is fixed by n alone.  lane_add adds g[t]*w[t]
+   into lane[t] for t < k, and lane_total sums eight lanes stride apart. */
+static void lane_add(ptrdiff_t k, const double *restrict g, const double *restrict w,
+                     double *restrict lane)
+{
+    ptrdiff_t t;
+    for (t = 0; t < k; t++)
+        lane[t] = lane[t] + g[t] * w[t];
+}
+
+static double lane_total(const double *l, ptrdiff_t stride)
+{
+    return ((l[0] + l[stride]) + (l[2 * stride] + l[3 * stride]))
+         + ((l[4 * stride] + l[5 * stride]) + (l[6 * stride] + l[7 * stride]));
+}
+
+/* e1's squared H1 norms g.Gram*g, g = z . vs at point j, mus[j] and the nh
+   coefficients at gamma + j*nh, into out[j] for k points, Gram's rows
+   (off, diag, off).  Points go p at a time, each with its eight lanes in
+   scratch; for each block of s mesh entries, every point's g is formed
+   over the block and a one-entry halo by residual_tree, then its Gram
+   product and the products into its lanes.  Scratch: 8p lanes, s + 2
+   entries of g and s of Gram*g, then ceil(log2(nh + 2)) + ceil(log2(nh))
+   rows of s + 2 partial sums. */
+WIDE
+void residual_norms(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
+                    const double *mus, const double *gamma, double diag, double off,
+                    double *restrict out, ptrdiff_t s, ptrdiff_t p, double *restrict scratch)
+{
+    double *lanes = scratch, *g = scratch + 8 * p, *w = g + s + 2, *tree = w + s;
+    struct residual r = {nh, 0, 0, vs, gamma, 0.0};
+    ptrdiff_t j0, q, j, i0, len, t;
+    for (j0 = 0; j0 < k; j0 += p) {
+        q = k - j0 < p ? k - j0 : p;
+        for (j = 0; j < 8 * q; j++)
+            lanes[j] = 0.0;
+        for (i0 = 0; i0 < n; i0 += s) {
+            len = n - i0 < s ? n - i0 : s;
+            r.i0 = i0 ? i0 - 1 : 0;
+            r.len = (i0 + len < n ? i0 + len + 1 : n) - r.i0;
+            for (j = 0; j < q; j++) {
+                const double *c = g + (i0 - r.i0);
+                double *lane = lanes + 8 * j;
+                r.gamma = gamma + (j0 + j) * nh;
+                r.mu = mus[j0 + j];
+                residual_tree(&r, 0, 0, nh + 2, g, tree);
+                gram_span(n, i0, len, diag, off, c, w);
+                for (t = 0; t < len && (i0 + t) % 8; t++)
+                    lane_add(1, c + t, w + t, lane + (i0 + t) % 8);
+                for (; t + 8 <= len; t += 8)
+                    lane_add(8, c + t, w + t, lane);
+                for (; t < len; t++)
+                    lane_add(1, c + t, w + t, lane + (i0 + t) % 8);
+            }
+        }
+        for (j = 0; j < q; j++)
+            out[j0 + j] = lane_total(lanes + 8 * j, 1);
+    }
+}
+
+/* Row i of the true error e_j = U[:, j] - sum_k gamma_jk*ss[k] for q
+   points, U's row i at u and coefficient k of point t at gamma[k*m + t]:
+   the lift from gamma_j0*ss[0], adding the snapshots in order. */
+WIDE
+static void error_row(ptrdiff_t i, ptrdiff_t q, ptrdiff_t nh, const uintptr_t *ss,
+                      const double *restrict u, const double *restrict gamma, ptrdiff_t m,
+                      double *restrict e)
+{
+    ptrdiff_t t, k;
+    double v = ((const double *)ss[0])[i];
+    for (t = 0; t < q; t++)
+        e[t] = gamma[t] * v;
+    for (k = 1; k < nh; k++) {
+        v = ((const double *)ss[k])[i];
+        for (t = 0; t < q; t++)
+            e[t] = e[t] + gamma[k * m + t] * v;
+    }
+    for (t = 0; t < q; t++)
+        e[t] = u[t] - e[t];
+}
+
+/* The true error's squared H1 norms e_j.Gram*e_j into out[j] for the m
+   columns of the row-major (n, m) U, e_j as error_row forms it from the nh
+   snapshots at ss and the row-major (nh, m) gamma.  Points go p at a time,
+   across the points of each row: the rows i - 1, i and i + 1 of e in a
+   window of three rows of p, row i's Gram product in one more, and lane l
+   of point t at lanes[l*p + t].  Scratch: 12p. */
+WIDE
+void error_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t nh, const uintptr_t *ss,
+                 const double *U, const double *gamma, double diag, double off,
+                 double *restrict out, ptrdiff_t p, double *restrict scratch)
+{
+    double *lanes = scratch, *w = scratch + 8 * p, *e = w + p;
+    ptrdiff_t j0, q, j, i;
+    for (j0 = 0; j0 < m; j0 += p) {
+        q = m - j0 < p ? m - j0 : p;
+        for (j = 0; j < 8 * p; j++)
+            lanes[j] = 0.0;
+        for (i = 0; i < n && i < 2; i++)
+            error_row(i, q, nh, ss, U + i * m + j0, gamma + j0, m, e + i * p);
+        for (i = 0; i < n; i++) {
+            const double *c = e + i % 3 * p;
+            gram_entries(q, diag, off, c, i + 1 < n ? e + (i + 1) % 3 * p : NULL,
+                         i ? e + (i + 2) % 3 * p : NULL, w);
+            lane_add(q, c, w, lanes + i % 8 * p);
+            if (i + 2 < n)
+                error_row(i + 2, q, nh, ss, U + (i + 2) * m + j0, gamma + j0, m,
+                          e + (i + 2) % 3 * p);
+        }
+        for (j = 0; j < q; j++)
+            out[j0 + j] = lane_total(lanes + j, p);
     }
 }
 """
@@ -564,7 +695,7 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """lib, a build of ``_SOURCE``, with its seven kernels' argument and result types set."""
+    """lib, a build of ``_SOURCE``, with its eight kernels' argument and result types set."""
     n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     for name, args, result in (
         ("thomas", (n, n, p, p, p, n, p, n, p), ctypes.c_int),
@@ -572,7 +703,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ("dd_dots", (n, n, p, p, p, p, p, p), None),
         ("dd_radicands", (n, n, p, p, p, p, p), None),
         ("fsum_columns", (n, n, p, p, p), n),
-        ("residual_rows", (n, n, n, p, p, p, p, n, p), None),
+        ("residual_norms", (n, n, n, p, p, p, d, d, p, n, n, p), None),
+        ("error_norms", (n, n, n, p, p, p, d, d, p, n, p), None),
         ("tridiagonal_rows", (n, n, d, d, p, p), None),
     ):
         kernel = getattr(lib, name)
@@ -716,26 +848,58 @@ def fsum_columns(q, X) -> np.ndarray:
     return out
 
 
-def residual_rows(vectors, mus, gamma, G) -> np.ndarray:
-    """e1's residual representatives g = z . vectors into the rows of the (k, N) array G.
+# The norm kernels pass over the mesh for _NORM_POINTS points at a time,
+# whose lanes and error_norms' rows of e are 8 and 12 doubles a point of
+# scratch; residual_norms forms g over blocks of _NORM_ENTRIES mesh
+# entries.  100 e1 points at N = 9999, N_hat = 12 took 9.8 ms with blocks
+# of 256 or 512 entries and 10.3-10.4 ms with 128 or 1024 (medians of 25,
+# interleaved, 2-vCPU AVX-512 host).
+_NORM_POINTS = 512
+_NORM_ENTRIES = 256
+
+
+def residual_norms(sys: TruthSystem, vectors, mus, gamma) -> np.ndarray:
+    """e1's H1 norms ||g_j|| of g_j = z_j . vectors for every point j, in one kernel call.
 
     vectors are the 2*N_hat + 1 (N,) vectors (b, a0_0, ..., a1_0, ...), and
-    row j's z is (1; gamma[j]; mus[j]*gamma[j]), mus (k,) and gamma (k,
+    point j's z is (1; gamma[j]; mus[j]*gamma[j]), mus (k,) and gamma (k,
     N_hat).  The terms b, gamma_i*a0_i and mu times the a1 group (summed
     alike) are summed pairwise, front half then back half: the tests'
-    numpy tree, operation for operation.  One kernel call; returns G.
+    numpy tree, operation for operation.  g.Gram*g is then summed in eight
+    lanes, lane i % 8 in increasing mesh entry i (the tests' lane
+    reference), so in an order fixed by N.  Returns a (k,) array.
     """
-    (k, n), nh = G.shape, (len(vectors) - 1) // 2
-    if nh < 1 or np.shape(mus) != (k,) or np.shape(gamma) != (k, nh) or len(vectors) != 2 * nh + 1:
-        raise ValueError(f"{len(vectors)} vectors, mus and gamma do not fit rows {G.shape}")
-    # s mesh entries a block, 2 KiB of partial sums: 100 points at N = 9999,
-    # N_hat = 12 take 11-12 ms at s = 128, 256 or 512, 13-15 ms at 64 or 2048.
-    table, s = _table(vectors, "vectors", n), 256
-    scratch = np.empty(((nh + 1).bit_length() + (nh - 1).bit_length()) * s)
+    n, k, nh = sys.n, np.size(mus), (len(vectors) - 1) // 2
+    if nh < 1 or len(vectors) != 2 * nh + 1 or np.shape(mus) != (k,) or np.shape(gamma) != (k, nh):
+        raise ValueError(f"{len(vectors)} vectors, mus and gamma {np.shape(gamma)} do not fit")
+    table, s, p = _table(vectors, "vectors", n), _NORM_ENTRIES, max(1, min(k, _NORM_POINTS))
+    levels = (nh + 1).bit_length() + (nh - 1).bit_length()
+    scratch = np.empty(8 * p + 2 * s + 2 + levels * (s + 2))
+    out = np.empty(k)
     args = [_address(a, name) for a, name in ((mus, "mus"), (gamma, "gamma"))]
-    args += [_address(G, "G", out=True), s, _address(scratch, "scratch", out=True)]
-    _lib.residual_rows(n, k, nh, table.ctypes.data, *args)
-    return G
+    args += [sys.Gram.diag, sys.Gram.off, _address(out, "out", out=True), s, p]
+    _lib.residual_norms(n, k, nh, table.ctypes.data, *args, _address(scratch, "scratch", out=True))
+    return np.sqrt(np.maximum(out, 0.0))
+
+
+def error_norms(sys: TruthSystem, snapshots, U, gamma) -> np.ndarray:
+    """The H1 norms of e_j = U[:, j] - sum_k gamma[j, k]*snapshots[k] for
+    every column j of the (N, m) array U, in one kernel call.
+
+    The lift adds gamma[j, k]*snapshots[k] in snapshot order, from k = 0
+    (the tests' lift reference), across the points of each mesh entry; the
+    norm sums e.Gram*e in the lanes of :func:`residual_norms`.  gamma is (m,
+    N_hat), one row per point.  Returns an (m,) array.
+    """
+    n, m, nh = sys.n, np.shape(U)[-1] if np.ndim(U) == 2 else -1, len(snapshots)
+    if nh < 1 or np.shape(U) != (n, m) or np.shape(gamma) != (m, nh):
+        raise ValueError(f"{nh} snapshots and gamma {np.shape(gamma)} do not fit U {np.shape(U)}")
+    table, p = _table(snapshots, "snapshots", n), max(1, min(m, _NORM_POINTS))
+    gamma_t, out, scratch = np.ascontiguousarray(np.transpose(gamma)), np.empty(m), np.empty(12 * p)
+    args = _address(U, "U"), _address(gamma_t, "gamma"), sys.Gram.diag, sys.Gram.off
+    _lib.error_norms(n, m, nh, table.ctypes.data, *args, _address(out, "out", out=True), p,
+                     _address(scratch, "scratch", out=True))
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 def tridiagonal_rows(T: Tridiagonal, G, W=None) -> np.ndarray:

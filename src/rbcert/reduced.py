@@ -85,10 +85,6 @@ class ReducedModel:
     def n_hat(self) -> int:
         return len(self.snapshots)
 
-    @property
-    def basis_matrix(self) -> np.ndarray:
-        return np.column_stack(self.snapshots)
-
 
 def add_snapshot(
     model: ReducedModel,

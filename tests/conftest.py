@@ -8,7 +8,10 @@ the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
 forms the A(mu) whose residual the truth and e1 tests check.
 :class:`TridiagonalArrays`, an operator as numpy arrays of its entries, is
-the reference of the compiled product ``fem.tridiagonal_rows``.  The
+the reference of the compiled product ``fem.tridiagonal_rows``;
+:func:`h1_norm_lanes` and :func:`lift_in_snapshot_order` are the
+references of the H1 norms and the basis lift that ``fem.residual_norms``
+and ``fem.error_norms`` compile.  The
 two-pass Thomas solve on Python floats is the reference the compiled
 kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, and the
 allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
@@ -207,6 +210,25 @@ def operator(sys: TruthSystem, mu: float) -> TridiagonalArrays:
     """The parametric operator A(mu) = K + mu*M at one parameter."""
     K, M = sys.K, sys.M
     return TridiagonalArrays.of(Tridiagonal(K.diag + mu * M.diag, K.off + mu * M.off), sys.n)
+
+
+def h1_norm_lanes(sys: TruthSystem, v: np.ndarray) -> float:
+    """sqrt(max(v . Gram*v, 0)) with the dot summed as the compiled norms
+    sum it: v_i*(Gram*v)_i added into lane i % 8, in increasing i, from
+    0.0, then the lanes as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
+    l = [0.0] * 8
+    for i, x in enumerate((v * TridiagonalArrays.of(sys.Gram, sys.n).matvec(v)).tolist()):
+        l[i % 8] += x
+    return math.sqrt(max(((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])), 0.0))
+
+
+def lift_in_snapshot_order(snapshots, gamma) -> np.ndarray:
+    """sum_k gamma[k]*snapshots[k], from gamma[0]*snapshots[0], adding the
+    snapshots in order."""
+    lift = gamma[0] * snapshots[0]
+    for c, s in zip(gamma[1:], snapshots[1:]):
+        lift = lift + c * s
+    return lift
 
 
 # --- the two-pass Thomas solve -------------------------------------------

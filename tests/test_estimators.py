@@ -2,12 +2,15 @@
 
 import ctypes
 import dataclasses
+import json
 import logging
 import math
+import os
 import platform
 import re
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,7 +23,6 @@ from hypothesis import strategies as st
 import rbcert as rb
 from rbcert import estimators, fem
 from rbcert.estimators import (
-    _CACHE_BLOCK_ELEMENTS,
     _SOLVE_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
@@ -31,12 +33,13 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, fsum_columns, residual_rows
-from rbcert.fem import tridiagonal_rows
+from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, error_norms, fsum_columns
+from rbcert.fem import residual_norms, tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
+from conftest import h1_norm_lanes, lift_in_snapshot_order
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -61,7 +64,7 @@ def test_e1_matches_direct_residual_norm(truth, default_model):
     # pedestrian way, for arbitrary (not just Galerkin) coefficients.
     model, _ = default_model
     rng = np.random.default_rng(12)
-    B = model.basis_matrix
+    B = np.column_stack(model.snapshots)
     for mu in (1.5, 70.0, 640.0):
         mus = np.array([mu])
         galerkin = rb.solve_reduced_block(model, mus)[0]
@@ -477,7 +480,7 @@ def residual_oracle(b, a0, a1, mu, gamma):
 
 def e1_oracle(sys_, model, mu, gamma):
     g = residual_oracle(model.riesz_b, model.riesz_a0, model.riesz_a1, mu, gamma)
-    return math.sqrt(max(rb.h1_inner(sys_, g, g), 0.0))
+    return h1_norm_lanes(sys_, g)
 
 
 def small_x_oracle(mu, gamma):
@@ -526,9 +529,7 @@ def e3_oracle(data, mu, gamma):
 
 def true_error_oracle(sys_, model, mu, gamma):
     u = rb.solve_truth(sys_, mu)
-    if model.n_hat:
-        u = u - model.basis_matrix @ gamma
-    return math.sqrt(max(rb.h1_inner(sys_, u, u), 0.0))
+    return h1_norm_lanes(sys_, u - lift_in_snapshot_order(model.snapshots, gamma))
 
 
 ORACLE = {
@@ -577,8 +578,8 @@ def small_orthonormal():
 
 @pytest.fixture(scope="module")
 def large_orthonormal():
-    """n_cells=4000, orthonormal basis of 4: one truth chunk holds more
-    points than the cache budget, so the true error lifts it in sub-blocks."""
+    """n_cells=4000, orthonormal basis of 4: one truth chunk, over a mesh
+    that e1's kernel forms in many blocks of entries, the last one ragged."""
     cfg = rb.ExperimentConfig(
         n_cells=4000, n_train=20, rb_size=4, orthonormalize=True, dependence_tol=1e-30
     )
@@ -606,9 +607,10 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
     mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
     if request.param == "large_orthonormal":
-        # One truth chunk, whose lift _true_error_block runs in sub-blocks.
-        n = case[0].n
-        assert _SOLVE_ELEMENTS // n >= len(mus) > _CACHE_BLOCK_ELEMENTS // n
+        # One truth chunk, and e1 over 16 blocks of mesh entries, the last
+        # one ragged.
+        n, s = case[0].n, fem._NORM_ENTRIES
+        assert _SOLVE_ELEMENTS // n >= len(mus) and n // s == 15 and n % s
     else:
         # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
         # mu = 1 on the small one).
@@ -646,12 +648,15 @@ def test_compute_sweep_equals_per_point(evaluation_case):
 
 def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch):
     # 7-point truth chunks with a ragged tail, 3-point sub-blocks that leave
-    # one point at each chunk's end, and e1 and the lift in steps of 2.
+    # one point at each chunk's end, the norm kernels' passes over 2 points
+    # at a time, so with one point in each chunk's last, and e1's g in
+    # blocks of 12 mesh entries, which start off the lanes' period of 8.
     case, mus, reference = evaluation_case
     n, d = case[0].n, case[3].d
     monkeypatch.setattr("rbcert.estimators._SOLVE_ELEMENTS", 7 * n)
     monkeypatch.setattr("rbcert.estimators._BLOCK_ELEMENTS", 3 * d)
-    monkeypatch.setattr("rbcert.estimators._CACHE_BLOCK_ELEMENTS", 2 * n)
+    monkeypatch.setattr("rbcert.fem._NORM_POINTS", 2)
+    monkeypatch.setattr("rbcert.fem._NORM_ENTRIES", 12)
     assert len(mus) > 3 * 7 and len(mus) % 7
     cols = rb.evaluate(*case, mus)
     assert_same_bits({name: cols[name].tolist() for name in FIELDS}, reference)
@@ -661,10 +666,9 @@ def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch)
 
 def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, default_config):
     # The default 400-point grid is one truth chunk, whose solve holds one
-    # (N, 400) array (0.64 MB); e1 and the lift stream it in 90-point steps
-    # and the other stages run on sub-blocks of it: 1.41 MB traced, against
-    # 1.97 MB with the two-array solve and 5.1 MB with every stage across
-    # the whole chunk.
+    # (N, 400) array (0.64 MB); the norm kernels read it with a few doubles
+    # of scratch a point and the other stages run on sub-blocks of it:
+    # 0.78 MB traced, against 1.07 MB with two 90-point row buffers.
     mus = sweep_grid(default_config)
     tracemalloc.start()
     try:
@@ -688,6 +692,19 @@ def test_e1_block_rejects_mis_sized_gamma(misfit, truth, default_model):
         "rows": (np.array([50.0, 60.0]), gamma),
     }[misfit]
     with pytest.raises(ValueError, match="does not fit"):
+        rb.estimator_e1_block(truth, model, mus, gamma)
+
+
+@pytest.mark.parametrize("mus, match", [
+    ([math.nan], "mu = nan outside"), ([math.inf], "mu = inf outside"),
+    ([0.5], "mu = 0.5 outside"), (50.0, re.escape("shape ()")),
+], ids=["nan", "inf", "below-one", "scalar"])
+def test_e1_block_rejects_parameters_outside_the_domain(mus, match, truth, default_model):
+    # The public e1 takes its parameters as evaluate does: a 1-D block of
+    # mu in [1, inf).
+    model, _ = default_model
+    gamma = rb.solve_reduced_block(model, [50.0])
+    with pytest.raises(ValueError, match=match):
         rb.estimator_e1_block(truth, model, mus, gamma)
 
 
@@ -946,8 +963,7 @@ def test_e2_build_holds_no_per_operation_temporaries():
     # the table keeps, the 2N entries of the dots' scratch and arrays of
     # the size of the table.  At n_cells = 4000 the traced peak of the
     # build is 653,387 bytes with N_hat = 4 and 916,391 with N_hat = 6.
-    # The bound is nine arrays of _CACHE_BLOCK_ELEMENTS entries, 4,718,592
-    # bytes.
+    # The bound is nine arrays of 2**16 doubles, 4,718,592 bytes.
     for n_hat in (4, 6):
         sys_ = rb.assemble(4000)
         model = ReducedModel(sys_, orthonormalize=True)
@@ -959,7 +975,7 @@ def test_e2_build_holds_no_per_operation_temporaries():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 8 * _CACHE_BLOCK_ELEMENTS, n_hat
+        assert peak <= 4_718_592, n_hat
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 200])
@@ -1002,21 +1018,35 @@ def hex_list(a):
     return [x.hex() for x in np.ravel(a).tolist()]
 
 
+def norm_hexes(sums):
+    """float.hex of the norms of a norm kernel's raw sums, as its wrapper takes them."""
+    return hex_list(np.sqrt(np.maximum(sums, 0.0)))
+
+
 @pytest.mark.parametrize("n_hat", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 199, 513])
 def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
     # N = 513 spans two blocks of 256 mesh entries and one more, N_hat = 1
-    # makes the a1 group one term.  Each row of the compiled residual
-    # equals the numpy tree's, and its products with Gram, K and M the
-    # numpy matvec's.
+    # makes the a1 group one term and the lift one snapshot.  e1's norm at
+    # each point is the lane-summed norm of the numpy tree's residual, and
+    # the true error's that of U's column less the lift in snapshot order,
+    # alone and in a block.  The residuals' products with Gram, K and M
+    # equal the numpy matvec's.
     sys_ = rb.assemble(n + 1)
     vectors = special_rows(2 * n_hat + 1, n, seed=n + n_hat)
     b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
     mus = np.array([1.0, 3.0, 1e3, 0.5])
     gamma = special_rows(4, n_hat, seed=n * n_hat)
-    G = residual_rows(list(vectors), mus, gamma, np.empty((4, n)))
-    for g, mu, ga in zip(G, mus, gamma):
-        assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
+    G = np.array([residual_oracle(b, a0, a1, mu, ga) for mu, ga in zip(mus, gamma)])
+    block = residual_norms(sys_, list(vectors), mus, gamma)
+    alone = [residual_norms(sys_, list(vectors), mus[[j]], gamma[[j]])[0] for j in range(4)]
+    assert hex_list(block) == hex_list(alone) == hex_list([h1_norm_lanes(sys_, g) for g in G])
+    U = np.ascontiguousarray(special_rows(4, n, seed=1000 + n + n_hat).T)
+    snapshots = list(vectors[:n_hat])
+    errors = [u - lift_in_snapshot_order(snapshots, ga) for u, ga in zip(U.T, gamma)]
+    block = error_norms(sys_, snapshots, U, gamma)
+    alone = [error_norms(sys_, snapshots, U[:, [j]].copy(), gamma[[j]])[0] for j in range(4)]
+    assert hex_list(block) == hex_list(alone) == hex_list([h1_norm_lanes(sys_, e) for e in errors])
     for T in (sys_.Gram, sys_.K, sys_.M):
         W = tridiagonal_rows(T, G)
         for g, w in zip(G, W):
@@ -1026,34 +1056,52 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
 @pytest.mark.parametrize("n_hat", [1, 3])
 @pytest.mark.parametrize("n", [*range(1, 10), 600])
 def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
-    # residual_rows writes k rows of n of G and its scratch, levels rows of
-    # s entries, with s = 4 leaving a ragged last block; tridiagonal_rows
-    # writes k rows of n of W, with Gram's, K's and M's rows.  NaN guards
-    # on both sides of each must survive, while the results equal the
-    # numpy forms'.
-    pad, k, s = 7, 3, 4
+    # residual_norms writes k sums into out and its scratch: 8p lanes, s + 2
+    # entries of g, s of Gram*g and levels rows of s + 2 partial sums.  s =
+    # 12 leaves a ragged last block of mesh entries that starts off the
+    # lanes' period of 8, and p = 2 a last pass over one point.
+    # error_norms writes m sums into out and 12p doubles of scratch, and
+    # tridiagonal_rows k rows of n of W, with Gram's, K's and M's rows.  NaN
+    # guards on both sides of each must survive, while the results equal
+    # the numpy forms'.
+    pad, k, s, p = 7, 3, 12, 2
+    sys_ = rb.assemble(n + 1)
     vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
     b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
     mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
-    levels = (n_hat + 1).bit_length() + (n_hat - 1).bit_length()
-    sizes = (k * n, levels * s)
-    G, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
     table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
-    fem._lib.residual_rows(
-        n, k, n_hat, table.ctypes.data, mus.ctypes.data, gamma.ctypes.data, G[pad:].ctypes.data,
-        s, scratch[pad:].ctypes.data,
+    G = np.array([residual_oracle(b, a0, a1, mu, ga) for mu, ga in zip(mus, gamma)])
+    levels = (n_hat + 1).bit_length() + (n_hat - 1).bit_length()
+    sizes = (k, 8 * p + 2 * s + 2 + levels * (s + 2))
+    out, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
+    fem._lib.residual_norms(
+        n, k, n_hat, table.ctypes.data, mus.ctypes.data, gamma.ctypes.data, sys_.Gram.diag,
+        sys_.Gram.off, out[pad:].ctypes.data, s, p, scratch[pad:].ctypes.data,
     )
-    for buf, size in zip((G, scratch), sizes):
+    for buf, size in zip((out, scratch), sizes):
         assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
-    rows = G[pad:pad + k * n].reshape(k, n)
-    for g, mu, ga in zip(rows, mus, gamma):
-        assert hex_list(g) == hex_list(residual_oracle(b, a0, a1, mu, ga))
-    sys_ = rb.assemble(n + 1)
+    assert norm_hexes(out[pad:pad + k]) == hex_list([h1_norm_lanes(sys_, g) for g in G])
+
+    U = np.ascontiguousarray(special_rows(k, n, seed=400 + n).T)
+    gamma_t = np.ascontiguousarray(gamma.T)
+    sizes = (k, 12 * p)
+    out, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
+    fem._lib.error_norms(
+        n, k, n_hat, table.ctypes.data, U.ctypes.data, gamma_t.ctypes.data, sys_.Gram.diag,
+        sys_.Gram.off, out[pad:].ctypes.data, p, scratch[pad:].ctypes.data,
+    )
+    for buf, size in zip((out, scratch), sizes):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+    errors = [u - lift_in_snapshot_order(list(vectors[:n_hat]), ga) for u, ga in zip(U.T, gamma)]
+    assert norm_hexes(out[pad:pad + k]) == hex_list([h1_norm_lanes(sys_, e) for e in errors])
+
+    rows = np.full(k * n + 2 * pad, np.nan)
+    rows[pad:pad + k * n] = G.ravel()
     for T in (sys_.Gram, sys_.K, sys_.M):
         W = np.full(k * n + 2 * pad, np.nan)
-        fem._lib.tridiagonal_rows(n, k, T.diag, T.off, G[pad:].ctypes.data, W[pad:].ctypes.data)
+        fem._lib.tridiagonal_rows(n, k, T.diag, T.off, rows[pad:].ctypes.data, W[pad:].ctypes.data)
         assert np.isnan(W[:pad]).all() and np.isnan(W[pad + k * n:]).all(), T
-        for g, w in zip(rows, W[pad:pad + k * n].reshape(k, n)):
+        for g, w in zip(G, W[pad:pad + k * n].reshape(k, n)):
             assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
 
 
@@ -1191,15 +1239,15 @@ def host_levels():
 
 
 def kernel_outputs(n):
-    """The bytes of every output of the seven kernels on special_stacks(n)
+    """The bytes of every output of the eight kernels on special_stacks(n)
     and special_rows, by name, each kernel through its entry point in fem.
-    residual_rows takes 17 of the 18 columns: N_hat = 8."""
+    residual_norms takes 17 of the 18 columns: N_hat = 8; error_norms takes
+    wh as U and the columns of u as six snapshots."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
     mus, gamma = np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n)
-    G = residual_rows(us + whs + wls[:5], mus, gamma, np.empty((3, n)))
     outputs = {
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
@@ -1207,8 +1255,9 @@ def kernel_outputs(n):
         "dd_dots": np.array(dd_dots(us, whs, wls, [(a, b) for a in range(6) for b in range(6)])),
         "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
         "fsum_columns": fsum_columns(u[:, 5].copy(), wh),
-        "residual_rows": G,
-        "tridiagonal_rows": tridiagonal_rows(sys_.Gram, G),
+        "residual_norms": residual_norms(sys_, us + whs + wls[:5], mus, gamma),
+        "error_norms": error_norms(sys_, us, wh, special_rows(6, 6, seed=600 + n)),
+        "tridiagonal_rows": tridiagonal_rows(sys_.Gram, np.ascontiguousarray(u.T)),
     }
     return {name: a.tobytes() for name, a in outputs.items()}
 
@@ -1220,9 +1269,9 @@ def kernel_outputs(n):
 def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
     # The shipped library runs the widest clone this CPU supports and no
     # other.  So each level the CPU runs is built on its own, with
-    # -march=<level> and the clones defined away, and all seven kernels must
+    # -march=<level> and the clones defined away, and all eight kernels must
     # give the shipped library's bits.  N = 9999 runs the vector loops
-    # far past their remainders and residual_rows over 40 blocks.
+    # far past their remainders and residual_norms over 40 blocks.
     sizes = (1, 2, 7, 300, 9999)
     shipped = {n: kernel_outputs(n) for n in sizes}
     for level in host_levels():
@@ -1235,23 +1284,95 @@ def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
             assert [name for name in got if got[name] != shipped[n][name]] == [], (level, n)
 
 
-def test_e1_block_holds_two_step_buffers():
-    # At n_cells = 4000 a step is 2**16 // 3999 = 16 points, and e1 holds
-    # two (16, 3999) buffers, its residual rows and their Gram products,
-    # besides arrays of a point's size: about 1,038,000 bytes traced with
-    # N_hat = 4 and 50 points, against about 2,116,000 for the numpy tree.
+def dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE picks when it loads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    config = blas.get("openblas configuration", "")
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in config
+
+
+# Loads the inputs that the test below saves, runs both norm kernels on the
+# block and on each point alone, and prints their float.hex values.
+NORMS_CHILD = r"""
+import json, sys
+import numpy as np
+from rbcert import fem
+
+vectors, snapshots, U, mus, gamma = (
+    np.load(f"{sys.argv[1]}/{k}.npy") for k in ("vectors", "snapshots", "U", "mus", "gamma"))
+sys_ = fem.assemble(len(U) + 1)
+
+def norms(j):
+    e1 = fem.residual_norms(sys_, list(vectors), mus[j], gamma[j])
+    return [*e1, *fem.error_norms(sys_, list(snapshots), np.ascontiguousarray(U[:, j]), gamma[j])]
+
+print(json.dumps({
+    "block": [float(x).hex() for x in norms(slice(None))],
+    "points": [[float(x).hex() for x in norms([j])] for j in range(len(mus))],
+}))
+"""
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs numpy's OpenBLAS with DYNAMIC_ARCH")
+def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
+    # e1 and the true error call no BLAS.  In fresh processes under the
+    # host's default OpenBLAS kernel, Prescott's (whose ddot depends on its
+    # second operand's 16-byte phase) and Haswell's, a raw basis's fixed
+    # inputs give one set of bits, at odd N, and each point alone gives
+    # the block's.
+    sys_ = rb.assemble(200)
+    model = ReducedModel(sys_)
+    for mu in (1.0, 10.0, 100.0, 1000.0):
+        add_snapshot(model, sys_, mu)
+    mus = np.geomspace(1.0, 1000.0, 23)
+    gamma = rb.solve_reduced_block(model, mus)
+    inputs = {
+        "vectors": np.array([model.riesz_b, *model.riesz_a0, *model.riesz_a1]),
+        "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "mus": mus,
+        "gamma": gamma,
+    }
+    for name, a in inputs.items():
+        np.save(tmp_path / f"{name}.npy", a)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(rb.__file__)), env.get("PYTHONPATH")]))
+    env["OPENBLAS_VERBOSE"] = "2"
+    outputs, cores = {}, {}
+    for core in ("", "Prescott", "Haswell"):
+        done = subprocess.run(
+            [sys.executable, "-c", NORMS_CHILD, str(tmp_path)], capture_output=True, text=True,
+            check=True, env=dict(env, OPENBLAS_CORETYPE=core) if core else env,
+        )
+        outputs[core] = json.loads(done.stdout)
+        cores[core] = re.findall(r"Core: (\S+)", done.stderr)
+    assert cores["Prescott"] != cores["Haswell"], cores
+    expect = hex_list(residual_norms(sys_, list(inputs["vectors"]), mus, gamma))
+    expect += hex_list(error_norms(sys_, model.snapshots, inputs["U"], gamma))
+    for core, out in outputs.items():
+        assert out["block"] == expect, core
+        assert [p[0] for p in out["points"]] == expect[:len(mus)], core
+        assert [p[1] for p in out["points"]] == expect[len(mus):], core
+
+
+def test_e1_block_holds_no_truth_size_rows():
+    # At n_cells = 4000 e1's kernel holds eight lanes a point and a few
+    # rows of a block of mesh entries, besides arrays of a point's size:
+    # 19,880 bytes traced with N_hat = 4 and 50 points, below one
+    # (N,) vector, against about 1,038,000 for two (16, N) row buffers.
     sys_ = rb.assemble(4000)
     model = ReducedModel(sys_, orthonormalize=True)
     for mu in (1.0, 10.0, 100.0, 1000.0):
         add_snapshot(model, sys_, mu)
     mus = np.geomspace(1.0, 1000.0, 50)
     gamma = rb.solve_reduced_block(model, mus)
-    step_bytes = (_CACHE_BLOCK_ELEMENTS // sys_.n) * sys_.n * 8
-    assert step_bytes == 511_872
     tracemalloc.start()
     try:
         rb.estimator_e1_block(sys_, model, mus, gamma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * step_bytes
+    assert peak < 8 * sys_.n

@@ -21,6 +21,8 @@ from conftest import (
     analytic_derivative,
     analytic_solution,
     h1_error_vs_analytic,
+    h1_norm_lanes,
+    lift_in_snapshot_order,
     operator,
     thomas,
     thomas_factor,
@@ -183,12 +185,14 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     row, v, rows = np.full(3, 4.0), np.linspace(1.0, 2.0, n), np.ones((2, n))
     two, z = np.ones(2), np.ones((3, 2))
 
-    def residual(b=v, a1=v, mus=two, gamma=np.ones((2, 2)), G=np.empty((2, n))):
-        return fem.residual_rows([b, v, v, v, a1], mus, gamma, G)
+    def residual(b=v, a1=v, mus=two, gamma=np.ones((2, 2))):
+        return fem.residual_norms(sys_, [b, v, v, v, a1], mus, gamma)
+
+    def error(s1=v, U=np.ones((n, 2)), gamma=np.ones((2, 2))):
+        return fem.error_norms(sys_, [v, s1], U, gamma)
 
     cases = {
         "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
-        "G": lambda: residual(G=spoil(np.empty((2, n)))),
         "W": lambda: fem.tridiagonal_rows(sys_.Gram, rows, spoil(np.empty((2, n)))),
     }
     if flaw != "read-only":
@@ -201,6 +205,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "vectors[4]": lambda: residual(a1=spoil(v)),
             "mus": lambda: residual(mus=spoil(two)),
             "gamma": lambda: residual(gamma=spoil(np.ones((2, 2)))),
+            "snapshots[1]": lambda: error(s1=spoil(v)),
+            "U": lambda: error(U=spoil(np.ones((n, 2)))),
             "ql": lambda: fem.dd_radicands((row, spoil(row)), z, z),
             "zj": lambda: fem.dd_radicands((row, row), z, spoil(z)),
             "q": lambda: fem.fsum_columns(spoil(row), z),
@@ -216,8 +222,12 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert hexes(X[:, 0]) == hexes(column_oracle(n, row, ones, ones, 0))
         W = fem.tridiagonal_rows(sys_.Gram, spoil(rows))
         assert hexes(W[0]) == hexes(TridiagonalArrays.of(sys_.Gram, n).matvec(rows[0]))
-        G = residual(spoil(v), spoil(v), spoil(two), spoil(np.ones((2, 2))))
-        assert hexes(G[1]) == hexes((v + v) + (v + (v + v)))
+        g = (v + v) + (v + (v + v))
+        got = residual(spoil(v), spoil(v), spoil(two), spoil(np.ones((2, 2))))
+        assert hexes(got) == hexes([h1_norm_lanes(sys_, g)] * 2)
+        e = v - lift_in_snapshot_order([v, v], np.array([0.5, 0.25]))
+        U, gamma = spoil(np.repeat(v[:, None], 2, axis=1)), spoil(np.tile([0.5, 0.25], (2, 1)))
+        assert hexes(error(spoil(v), U, gamma)) == hexes([h1_norm_lanes(sys_, e)] * 2)
         hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
         assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]

@@ -89,7 +89,7 @@ def test_near_duplicate_rejected_on_orthonormal_path(truth):
 
 
 def test_projection_matches_dense(truth, small_model):
-    B = small_model.basis_matrix
+    B = np.column_stack(small_model.snapshots)
     K, M = (TridiagonalArrays.of(T, truth.n).matvec(B.T).T for T in (truth.K, truth.M))
     assert np.allclose(small_model.A0_hat, B.T @ K, rtol=1e-13, atol=1e-16)
     assert np.allclose(small_model.A1_hat, B.T @ M, rtol=1e-13, atol=1e-16)
@@ -110,7 +110,7 @@ def test_galerkin_reproduces_snapshots(truth, small_model):
     # At a snapshot parameter the reduced solution is the truth solution.
     for mu in small_model.snapshot_params:
         u = rb.solve_truth(truth, mu)
-        u_rb = small_model.basis_matrix @ rb.solve_reduced_block(small_model, [mu])[0]
+        u_rb = np.column_stack(small_model.snapshots) @ rb.solve_reduced_block(small_model, [mu])[0]
         err = rb.h1_norm(truth, u_rb - u) / rb.h1_norm(truth, u)
         assert err <= 1e-10
 
