@@ -30,7 +30,6 @@ from .fem import (
     assemble,
     check_parameters,
     h1_inner,
-    h1_norm,
     riesz_representative,
     solve_truth,
 )

@@ -51,18 +51,21 @@ working-precision estimator reads its correctly-rounded doubles.  It is
 only as good as its offline data, and the interesting floors live in the
 online evaluation, not in data-assembly noise.  q is grown, not built in
 one pass: an ``E2Table`` adds two Riesz vectors per snapshot, and the
-greedy grows one alongside the basis.  Every Gram entry is the dd Gram
-product of one vector dotted in dd with the other.
+greedy grows one alongside the basis, from the empty model, whose q_0
+gives the greedy its delta.  Each Gram pair is computed once, as the dd
+Gram product of the later inserted vector dotted in dd with the earlier
+one, and q_IJ off the diagonal is exactly twice it.
 
 The length-N and double-double stages run in the compiled kernels of
-:mod:`rbcert.fem`: E2's growth (``dd_gram_matvec``, ``dd_dots``), e1
+:mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1
 (``residual_norms``) and the true error (``error_norms``), each from its
 vector's terms to its norm's last sum, and e2dd's radicands
 (``dd_radicands``).  Each makes the operations of the numpy reference the
-tests keep for it, in their order, so its bits: the residual's pairwise
-tree, the lift in snapshot order, and a dot summed in eight lanes in an
-order fixed by N.  e2's radicands (``fsum_columns``) are correctly rounded
-sums, so they have the bits of ``math.fsum``, the tests' reference.
+tests keep for it, in their order, so its bits: the per-pair dd inner
+product, the residual's pairwise tree, the lift in snapshot order, and a
+dot summed in eight lanes in an order fixed by N.  e2's radicands
+(``fsum_columns``) are correctly rounded sums, so they have the bits of
+``math.fsum``, the tests' reference.
 """
 
 from __future__ import annotations
@@ -74,9 +77,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, dd_dots, dd_gram_matvec, parameter_block, solve_truth
-from .fem import dd_radicands, error_norms, fsum_columns, residual_norms
-from .precision import dd_add, dd_sqrt
+from .fem import TruthSystem, dd_gram_table, dd_radicands, error_norms, fsum_columns
+from .fem import parameter_block, residual_norms, solve_truth
+from .precision import dd_sqrt
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +96,12 @@ class E2Data:
 
     q_dd = (hi, lo) holds two arrays of length d in the order of X(mu)
     (see :func:`x_matrix`): for each pair I <= J of indices of z = (1;
-    gamma; mu*gamma), <G_I, G_I> on the diagonal and 2<G_I, G_J> off it.
-    The double-double kernel reads the pairs, the working-precision kernel
-    their correctly-rounded values (:func:`q_coefficients`).
+    gamma; mu*gamma), <G_I, G_I> on the diagonal and 2<G_I, G_J> off it,
+    each pair's dd inner product computed once (:class:`E2Table`) and
+    doubled exactly off the diagonal.  The double-double kernel reads the
+    pairs, the working-precision kernel their correctly-rounded values
+    (:func:`q_coefficients`).  :attr:`delta` is the one delta of the
+    pipeline: the greedy's first e1 and the scale of the floors.
     """
 
     q_dd: tuple              # (hi array, lo array), length d
@@ -113,62 +119,38 @@ class E2Data:
 class E2Table:
     """E2's double-double Gram table, grown with the basis.
 
-    Holds the Riesz vectors in insertion order (riesz_b, a0_0, a1_0, a0_1,
-    a1_1, ...), the dd Gram product of each, and F[u, v] = u^T Gram v in
-    double-double (u dotted with v's dd product), for every needed pair:
-    (b, b), (b, r) and (r, r'); (r, b) is never computed.  :meth:`grow`
-    adds the vectors of the snapshots the table has not seen yet: one
-    ``dd_gram_matvec`` call forms their dd products, and one ``dd_dots``
-    call reduces every pair that involves one of them, on a scratch of 2N
-    doubles.  The model must only grow between calls.  q is read off F in
-    z's order: F_II on the diagonal and the dd sum F_IJ + F_JI off it,
-    with (b, r) standing in for (r, b).
+    Holds the Riesz vectors R in insertion order (riesz_b, a0_0, a1_0,
+    a0_1, a1_1, ...) and, for each pair, F = u^T Gram v in double-double,
+    v the later of the two: a (2, k(k+1)/2) array of hi and lo parts, the
+    pair (R[j], R[i]), i <= j, at column j(j+1)/2 + i.  :meth:`grow` adds
+    the vectors of the snapshots the table has not seen yet in one
+    ``dd_gram_table`` call, which forms each new vector's dd Gram product
+    once and dots it with the vector and every one before it.  The model
+    must only grow between calls.  q is read off F in z's order: F on the
+    diagonal and exactly 2*F off it.
     """
 
     def __init__(self, sys: TruthSystem):
         self.sys = sys
         self.R: list[np.ndarray] = []
-        self.Wh: list[np.ndarray] = []
-        self.Wl: list[np.ndarray] = []
-        self.Fh = np.zeros((0, 0))
-        self.Fl = np.zeros((0, 0))
+        self.F = np.zeros((2, 0))
 
     def grow(self, model) -> E2Data:
         """Add the model's Riesz vectors the table lacks; return the model's E2Data."""
-        new = [] if self.R else [model.riesz_b]
-        for i in range(len(self.R) // 2, model.n_hat):  # len(R) = 1 + 2*N_hat
-            new += [model.riesz_a0[i], model.riesz_a1[i]]
-        if new:
-            self._extend(new)
-        return self._e2_data()
-
-    def _extend(self, vectors) -> None:
-        k0, k = len(self.R), len(self.R) + len(vectors)
-        Wh, Wl = dd_gram_matvec(self.sys, vectors)
-        self.R += vectors
-        self.Wh += list(Wh)
-        self.Wl += list(Wl)
-        # The needed pairs (R[u], R[v]) that involve a new vector.
-        u, v = np.divmod(np.arange(k * k), k)
-        keep = ((u >= k0) | (v >= k0)) & ((u == 0) | (v > 0))
-        u, v = u[keep], v[keep]
-        Fh = np.zeros((k, k))
-        Fl = np.zeros((k, k))
-        Fh[:k0, :k0], Fl[:k0, :k0] = self.Fh, self.Fl
-        Fh[u, v], Fl[u, v] = dd_dots(self.R, self.Wh, self.Wl, np.stack([u, v], axis=1))
-        self.Fh, self.Fl = Fh, Fl
-
-    def _e2_data(self) -> E2Data:
-        # Insertion order to z's order: riesz_b, the a0 block, the a1 block.
+        k0 = len(self.R)
+        if not self.R:
+            self.R.append(model.riesz_b)
+        for i in range(k0 // 2, model.n_hat):  # len(R) = 1 + 2*N_hat
+            self.R += [model.riesz_a0[i], model.riesz_a1[i]]
+        if len(self.R) > k0:
+            self.F = np.concatenate([self.F, dd_gram_table(self.sys, self.R, k0)], axis=1)
+        # z's order, riesz_b, the a0 block, the a1 block, to insertion order.
         n = len(self.R) // 2
         perm = np.concatenate([[0], np.arange(1, 2 * n, 2), np.arange(2, 2 * n + 1, 2)])
-        Fh, Fl = self.Fh[np.ix_(perm, perm)], self.Fl[np.ix_(perm, perm)]
-        # (r, b) is never computed; the Gram table is symmetric.
-        Fh[1:, 0], Fl[1:, 0] = Fh[0, 1:], Fl[0, 1:]
         i, j = np.triu_indices(len(perm))
-        qh, ql = dd_add((Fh[i, j], Fl[i, j]), (Fh[j, i], Fl[j, i]))
-        diag = i == j
-        return E2Data(q_dd=(np.where(diag, Fh[i, j], qh), np.where(diag, Fl[i, j], ql)))
+        late, early = np.maximum(perm[i], perm[j]), np.minimum(perm[i], perm[j])
+        pair, scale = late * (late + 1) // 2 + early, np.where(i == j, 1.0, 2.0)
+        return E2Data(q_dd=(scale * self.F[0, pair], scale * self.F[1, pair]))
 
 
 def x_dimension(n_hat: int) -> int:

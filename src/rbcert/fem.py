@@ -13,20 +13,20 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds eight kernels: ``thomas`` runs
+mesh.  One C source, ``_SOURCE``, holds seven kernels: ``thomas`` runs
 every solve and lift, m systems at once, and ``tridiagonal_rows`` the
 double products T*g of ``h1_inner`` and the basis extension;
-``dd_gram_matvec`` and ``dd_dots`` grow E2's dd Gram table;
+``dd_gram_table`` grows E2's dd Gram table, each pair once;
 ``residual_norms`` gives e1 and ``error_norms`` the true error, each an H1
 norm from its vector's terms to the last sum in one pass over the mesh;
 ``dd_radicands`` gives e2dd's radicands, and ``fsum_columns`` e2's.  Each
-of the first seven makes the operations of the reference the tests keep
+of the first six makes the operations of the reference the tests keep
 for it, in their order, so its bits; ``fsum_columns`` rounds an exact sum
 correctly, so it has the bits of ``math.fsum``, the tests' reference for
-it.  It is compiled when this
-module is imported, with ``cc`` and ``_FLAGS``, into one library in
-``__pycache__`` beside this file, and loaded with ``ctypes``; a missing or
-failing compiler is an ``ImportError``.  With GCC and glibc on x86-64, each kernel
+it.  It is compiled when this module is imported, with ``cc`` and
+``_FLAGS``, into one library in ``__pycache__`` beside this file, and
+loaded with ``ctypes``; a missing or failing compiler is an
+``ImportError``.  With GCC and glibc on x86-64, each kernel
 is compiled three times, for the baseline, AVX2 and AVX-512, and the
 loader picks the widest clone the host runs.  The clones make the same
 IEEE operations, element by element and in the same order: vectors of 2, 4
@@ -106,11 +106,11 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the eight
+   wider vector changes the speed and not the bits.  It marks the seven
    kernels and the vector helpers that may not be inlined: dd_tree,
    residual_tree, which is recursive, gram_entries and error_row.
-   lane_add, lane_total and gram_span are small enough to be inlined, and
-   fsum_exact is scalar; they are unmarked.
+   lane_add, lane_total and gram_span are small enough to be inlined,
+   gram_dd has one caller, and fsum_exact is scalar; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, it is
    empty: one baseline build. */
 #ifndef WIDE
@@ -257,53 +257,50 @@ static void dd_tree(ptrdiff_t n, ptrdiff_t m, double *th, double *tl)
     }
 }
 
-/* Gram*v in double-double for the k vectors of n at the addresses vs,
-   into rows of n of wh and wl; Gram's rows are (off, diag, off).  Entry
-   i is two_prod(diag, v_i), then dd_add of two_prod(off, v_{i+1}), then
-   of two_prod(off, v_{i-1}), where those exist. */
-WIDE
-void dd_gram_matvec(ptrdiff_t n, ptrdiff_t k, double diag, double off,
-                    const uintptr_t *vs, double *restrict wh, double *restrict wl)
+/* Gram*v in double-double into (h, l) for a vector v of n; Gram's rows
+   are (off, diag, off).  Entry i is two_prod(diag, v_i), then dd_add of
+   two_prod(off, v_{i+1}), then of two_prod(off, v_{i-1}), where those
+   exist. */
+static void gram_dd(ptrdiff_t n, double diag, double off, const double *restrict v,
+                    double *restrict h, double *restrict l)
 {
     double p, e;
-    ptrdiff_t i, j;
-    for (j = 0; j < k; j++) {
-        const double *v = (const double *)vs[j];
-        double *h = wh + j * n, *l = wl + j * n;
-        for (i = 0; i < n; i++)
-            two_prod(diag, v[i], &h[i], &l[i]);
-        for (i = 0; i + 1 < n; i++) {
-            two_prod(off, v[i + 1], &p, &e);
-            dd_add(&h[i], &l[i], p, e);
-        }
-        for (i = 1; i < n; i++) {
-            two_prod(off, v[i - 1], &p, &e);
-            dd_add(&h[i], &l[i], p, e);
-        }
+    ptrdiff_t i;
+    for (i = 0; i < n; i++)
+        two_prod(diag, v[i], &h[i], &l[i]);
+    for (i = 0; i + 1 < n; i++) {
+        two_prod(off, v[i + 1], &p, &e);
+        dd_add(&h[i], &l[i], p, e);
+    }
+    for (i = 1; i < n; i++) {
+        two_prod(off, v[i - 1], &p, &e);
+        dd_add(&h[i], &l[i], p, e);
     }
 }
 
-/* sum_i u_i*(wh_i + wl_i) in double-double for each of the p index pairs
-   (a, b) = pairs[2q], pairs[2q + 1], u at us[a], wh at whs[b] and wl at
-   wls[b]: the terms dd_mul((u_i, 0), (wh_i, wl_i)), as dd_scale, go to
-   the 2n doubles of scratch, and dd_tree sums them into (out[q],
-   out[p + q]). */
+/* E2's Gram table F(v, u) = u^T Gram v in double-double for the k vectors
+   of n at the addresses vs, each pair once, from vector k0 on: for each
+   v = vs[j], k0 <= j < k, gram_dd forms (wh, wl) = Gram*v once, in the
+   first 2n doubles of scratch, and for each u = vs[i], i <= j, the terms
+   dd_mul((u_i, 0), (wh_i, wl_i)), as dd_scale, go to the other 2n, and
+   dd_tree sums them into (out[t], out[p + t]).  Pairs are written v then
+   u: t = j(j+1)/2 + i - k0(k0+1)/2, of p = k(k+1)/2 - k0(k0+1)/2. */
 WIDE
-void dd_dots(ptrdiff_t n, ptrdiff_t p, const uintptr_t *us, const uintptr_t *whs,
-             const uintptr_t *wls, const ptrdiff_t *pairs, double *restrict out,
-             double *restrict scratch)
+void dd_gram_table(ptrdiff_t n, ptrdiff_t k0, ptrdiff_t k, double diag, double off,
+                   const uintptr_t *vs, double *restrict out, double *restrict scratch)
 {
-    double *th = scratch, *tl = scratch + n;
-    ptrdiff_t q, i;
-    for (q = 0; q < p; q++) {
-        const double *u = (const double *)us[pairs[2 * q]];
-        const double *wh = (const double *)whs[pairs[2 * q + 1]];
-        const double *wl = (const double *)wls[pairs[2 * q + 1]];
-        for (i = 0; i < n; i++)
-            dd_scale(u[i], wh[i], wl[i], &th[i], &tl[i]);
-        dd_tree(n, 1, th, tl);
-        out[q] = th[0];
-        out[p + q] = tl[0];
+    double *wh = scratch, *wl = scratch + n, *th = scratch + 2 * n, *tl = scratch + 3 * n;
+    ptrdiff_t p = (k * (k + 1) - k0 * (k0 + 1)) / 2, t = 0, i, j, r;
+    for (j = k0; j < k; j++) {
+        gram_dd(n, diag, off, (const double *)vs[j], wh, wl);
+        for (i = 0; i <= j; i++, t++) {
+            const double *u = (const double *)vs[i];
+            for (r = 0; r < n; r++)
+                dd_scale(u[r], wh[r], wl[r], &th[r], &tl[r]);
+            dd_tree(n, 1, th, tl);
+            out[t] = th[0];
+            out[p + t] = tl[0];
+        }
     }
 }
 
@@ -695,12 +692,11 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """lib, a build of ``_SOURCE``, with its eight kernels' argument and result types set."""
+    """lib, a build of ``_SOURCE``, with its seven kernels' argument and result types set."""
     n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     for name, args, result in (
         ("thomas", (n, n, p, p, p, n, p, n, p), ctypes.c_int),
-        ("dd_gram_matvec", (n, n, d, d, p, p, p), None),
-        ("dd_dots", (n, n, p, p, p, p, p, p), None),
+        ("dd_gram_table", (n, n, n, d, d, p, p, p), None),
         ("dd_radicands", (n, n, p, p, p, p, p), None),
         ("fsum_columns", (n, n, p, p, p), n),
         ("residual_norms", (n, n, n, p, p, p, d, d, p, n, n, p), None),
@@ -767,45 +763,26 @@ def _thomas(diag, off, rhs, X, s=None):
     return X
 
 
-def dd_gram_matvec(sys: TruthSystem, vectors) -> tuple:
-    """Gram*v in double-double for every (N,) vector v of a list, in one kernel call.
+def dd_gram_table(sys: TruthSystem, vectors, k0: int) -> np.ndarray:
+    """E2's Gram entries u^T Gram v in double-double for every pair of a list
+    of (N,) vectors that involves one from vectors[k0] on, in one kernel call.
 
-    Returns (wh, wl), two (k, N) arrays whose row j is Gram*vectors[j]:
-    the operations of ``precision.two_prod`` and ``precision.dd_add``,
-    entry by entry, so a vector has the same bits alone as in any list.
+    Each pair is computed once, v the later of the two in the list: Gram*v
+    is formed once in dd, then dotted with v and every vector before it.
+    An entry makes the operations of the tests' per-pair reference (the
+    numpy dd product Gram*v, then ``dd_mul((u, 0), Gram*v)`` summed by
+    ``dd_sum``'s pairwise tree), so it has the same bits in any list.
+    Returns a (2, p) array of hi and lo parts, the pair of v = vectors[j]
+    and u = vectors[i], i <= j, at column j(j+1)/2 + i - k0(k0+1)/2.
     """
     n, k = sys.n, len(vectors)
+    if not 0 <= k0 <= k:
+        raise ValueError(f"k0 = {k0} is not an index into {k} vectors")
     table = _table(vectors, "vectors", n)
-    wh, wl = np.empty((k, n)), np.empty((k, n))
-    args = table.ctypes.data, _address(wh, "wh", out=True), _address(wl, "wl", out=True)
-    _lib.dd_gram_matvec(n, k, sys.Gram.diag, sys.Gram.off, *args)
-    return wh, wl
-
-
-def dd_dots(us, whs, wls, pairs) -> tuple:
-    """sum_i u_i*(wh_i + wl_i) in double-double for every index pair (a, b).
-
-    us, whs and wls are lists of (N,) float64 vectors, and pairs is a
-    (p, 2) integer array of pairs (a, b) that take u = us[a], wh = whs[b]
-    and wl = wls[b].  Each dot is the numpy ``dd_mul((u, 0), (wh, wl))``
-    then ``dd_sum``'s pairwise tree, the same operations in the same
-    order, so the same bits; one kernel call runs them all on a scratch
-    of 2N entries.  Returns (hi, lo), two (p,) arrays.
-    """
-    n = len(us[0])
-    tables = [_table(vs, name, n) for name, vs in (("us", us), ("whs", whs), ("wls", wls))]
-    pairs = np.ascontiguousarray(pairs, dtype=np.intp)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"pairs of shape {pairs.shape} are not a (p, 2) array")
-    if pairs.size and not (pairs.min() >= 0 and pairs[:, 0].max() < len(us)
-                           and pairs[:, 1].max() < min(len(whs), len(wls))):
-        raise ValueError("a pair indexes past the end of its list of vectors")
-    out, scratch = np.empty((2, len(pairs))), np.empty(2 * n)
-    _lib.dd_dots(
-        n, len(pairs), *(t.ctypes.data for t in tables), _address(pairs, "pairs", dtype=np.intp),
-        _address(out, "out", out=True), _address(scratch, "scratch", out=True),
-    )
-    return out[0], out[1]
+    out, scratch = np.empty((2, (k * (k + 1) - k0 * (k0 + 1)) // 2)), np.empty(4 * n)
+    _lib.dd_gram_table(n, k0, k, sys.Gram.diag, sys.Gram.off, table.ctypes.data,
+                       _address(out, "out", out=True), _address(scratch, "scratch", out=True))
+    return out
 
 
 def dd_radicands(q_dd, zi, zj) -> tuple:
@@ -959,10 +936,6 @@ def h1_inner(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("vector shape does not match the truth space")
     w = tridiagonal_rows(sys.Gram, np.ascontiguousarray(v, dtype=np.float64)[None])
     return float(u @ w[0])
-
-
-def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
-    return math.sqrt(max(h1_inner(sys, u, u), 0.0))
 
 
 def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ from .fem import (
     _lift,
     check_parameters,
     h1_inner,
-    h1_norm,
     parameter_block,
     riesz_representative,
     solve_truth,
@@ -194,12 +193,14 @@ def greedy_build(
 
     The first snapshot is the smallest training parameter: the empty model's
     estimator is delta = ||riesz_b|| at every parameter, so every candidate
-    ties, and that delta is its recorded e1.  If delta is already at or
-    below tol there is nothing to build and ``ValueError`` is raised.  Then
-    the greedy repeatedly selects the training parameter maximizing e2dd
-    over all unselected candidates, evaluated as one block, adds its
-    snapshot, and stops at n_max, when e1 at the selected parameter drops
-    to tol, or when the selected snapshot is numerically dependent.  e2dd
+    ties, and that delta is its recorded e1, read off the empty model's E2
+    table (:attr:`E2Data.delta`, sqrt(q_0) in double-double) as every other
+    stage reads it.  If delta is already at or below tol there is nothing
+    to build and ``ValueError`` is raised.  Then the greedy repeatedly
+    selects the training parameter maximizing e2dd over all unselected
+    candidates, evaluated as one block, adds its snapshot, and stops at
+    n_max, when e1 at the selected parameter drops to tol, or when the
+    selected snapshot is numerically dependent.  e2dd
     costs O(N_hat^2) per candidate against e1's O(N*N_hat), and its floor
     lies at or below e1's; the working-precision e2 would stagnate at its
     delta*sqrt(eps) floor and corrupt the selection.  e1 is evaluated at
@@ -220,12 +221,12 @@ def greedy_build(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     model = ReducedModel(sys, orthonormalize=orthonormalize)
-    delta = h1_norm(sys, model.riesz_b)
+    table = E2Table(sys)
+    delta = table.grow(model).delta
     if delta <= tol:
         raise ValueError(f"tol = {tol!r} is at or above the empty model's estimator {delta!r}")
     add_snapshot(model, sys, training[0], dependence_tol=dependence_tol)
     history = [(training[0], delta)]
-    table = E2Table(sys)
     e2data = table.grow(model)
     while model.n_hat < n_max:
         selected = set(model.snapshot_params)

@@ -8,7 +8,8 @@ the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
 forms the A(mu) whose residual the truth and e1 tests check.
 :class:`TridiagonalArrays`, an operator as numpy arrays of its entries, is
-the reference of the compiled product ``fem.tridiagonal_rows``;
+the reference of the compiled product ``fem.tridiagonal_rows``, and
+:func:`h1_norm` the plain double H1 norm of tolerance checks;
 :func:`h1_norm_lanes` and :func:`lift_in_snapshot_order` are the
 references of the H1 norms and the basis lift that ``fem.residual_norms``
 and ``fem.error_norms`` compile.  The
@@ -210,6 +211,12 @@ def operator(sys: TruthSystem, mu: float) -> TridiagonalArrays:
     """The parametric operator A(mu) = K + mu*M at one parameter."""
     K, M = sys.K, sys.M
     return TridiagonalArrays.of(Tridiagonal(K.diag + mu * M.diag, K.off + mu * M.off), sys.n)
+
+
+def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
+    """sqrt(max(u . Gram*u, 0)) in double through ``h1_inner``, whose dot is
+    numpy's (a BLAS ddot): a plain norm for checks that hold to a tolerance."""
+    return math.sqrt(max(rb.h1_inner(sys, u, u), 0.0))
 
 
 def h1_norm_lanes(sys: TruthSystem, v: np.ndarray) -> float:

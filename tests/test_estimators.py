@@ -33,8 +33,8 @@ from rbcert.estimators import (
     _pivoted_gram_schmidt,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_dots, dd_gram_matvec, error_norms, fsum_columns
-from rbcert.fem import residual_norms, tridiagonal_rows
+from rbcert.fem import TruthSystem, dd_gram_table, error_norms, fsum_columns, residual_norms
+from rbcert.fem import tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
@@ -730,29 +730,20 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
 # --- E2 build: block pass against the per-pair reference ---------------------
 
 def per_pair_e2_data(sys_, model):
-    """q_dd from one h1_inner_dd call per pair: delta^2, then 2*s_I, then per
-    row I of S = (S + S^T)/2 the entries S_II, 2*S_IJ for J > I."""
-    riesz = list(model.riesz_a0) + list(model.riesz_a1)
-    m = len(riesz)
-    d2 = h1_inner_dd(sys_, model.riesz_b, model.riesz_b)
-    sh = np.empty(m)
-    sl = np.empty(m)
-    for i, r in enumerate(riesz):
-        sh[i], sl[i] = h1_inner_dd(sys_, model.riesz_b, r)
-    Sh = np.empty((m, m))
-    Sl = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            Sh[i, j], Sl[i, j] = h1_inner_dd(sys_, riesz[i], riesz[j])
-    Sh, Sl = dd_add((Sh, Sl), (Sh.T.copy(), Sl.T.copy()))
-    Sh, Sl = 0.5 * Sh, 0.5 * Sl
-    qh, ql = [np.array([d2[0]]), 2.0 * sh], [np.array([d2[1]]), 2.0 * sl]
-    for i in range(m):
-        rh, rl = 2.0 * Sh[i, i:], 2.0 * Sl[i, i:]
-        rh[0], rl[0] = Sh[i, i], Sl[i, i]
-        qh.append(rh)
-        ql.append(rl)
-    return np.concatenate(qh), np.concatenate(ql)
+    """q_dd from one h1_inner_dd call per pair of Riesz vectors, each pair
+    once: h1_inner_dd(u, v) with v the later inserted of the two (the
+    table's order riesz_b, a0_0, a1_0, a0_1, ...), in z's order I <= J,
+    F itself on the diagonal and exactly 2*F off it."""
+    z = [model.riesz_b, *model.riesz_a0, *model.riesz_a1]
+    n = model.n_hat
+    inserted = [0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]
+    qh, ql = [], []
+    for i, j in zip(*np.triu_indices(len(z))):
+        u, v = sorted((i, j), key=inserted.__getitem__)
+        h, l = h1_inner_dd(sys_, z[u], z[v])
+        qh.append(h if i == j else 2.0 * h)
+        ql.append(l if i == j else 2.0 * l)
+    return np.array(qh), np.array(ql)
 
 
 def assert_e2_data_is_per_pair(data, sys_, model):
@@ -772,20 +763,26 @@ def single_dof():
     return sys_, model, build_e2_data(sys_, model)
 
 
-@pytest.mark.parametrize("case", ["default", "small_orthonormal", "single_dof"])
+@pytest.mark.parametrize("case", ["default", "small_orthonormal", "single_dof", "empty"])
 def test_e2_build_equals_per_pair(case, request, truth, default_model, default_e2):
     if case == "default":
         sys_, model, e2data = truth, default_model[0], default_e2
+    elif case == "empty":  # riesz_b alone: q = (delta^2,), the greedy's first growth
+        sys_, model = truth, ReducedModel(truth)
+        e2data = build_e2_data(sys_, model)
     else:
         sys_, model, e2data = request.getfixturevalue(case)[:3]
     assert_e2_data_is_per_pair(e2data, sys_, model)
 
 
-def grown_in_steps(sys_, model, snapshots_per_growth):
+def grown_in_steps(sys_, model, snapshots_per_growth, start=None):
     """The model's E2Data from one E2Table grown over prefixes of its basis,
-    snapshots_per_growth snapshots at a time."""
+    snapshots_per_growth snapshots at a time, from a prefix of start
+    snapshots if given (0: the empty model, as the greedy grows it)."""
     table = estimators.E2Table(sys_)
-    for end in range(snapshots_per_growth, model.n_hat + snapshots_per_growth, snapshots_per_growth):
+    first = [] if start is None else [start]
+    for end in [*first, *range(snapshots_per_growth, model.n_hat + snapshots_per_growth,
+                               snapshots_per_growth)]:
         n = min(end, model.n_hat)
         prefix = SimpleNamespace(
             n_hat=n,
@@ -797,12 +794,18 @@ def grown_in_steps(sys_, model, snapshots_per_growth):
     return data
 
 
-@pytest.mark.parametrize("snapshots_per_growth", [1, 7])
-def test_e2_build_chunking_is_bit_identical(snapshots_per_growth, truth, default_model):
-    # N_hat = 6: six growths of one snapshot, or the whole basis in one.
+@pytest.mark.parametrize("snapshots_per_growth, start", [
+    pytest.param(1, None, id="1"), pytest.param(7, None, id="7"),
+    pytest.param(1, 0, id="1-from-empty"), pytest.param(7, 0, id="7-from-empty"),
+])
+def test_e2_build_chunking_is_bit_identical(snapshots_per_growth, start, truth, default_model):
+    # N_hat = 6: six growths of one snapshot, or the whole basis in one,
+    # each also after a growth on the empty model (riesz_b alone), as the
+    # greedy grows it.
     model = default_model[0]
     assert model.n_hat == 6
-    assert_e2_data_is_per_pair(grown_in_steps(truth, model, snapshots_per_growth), truth, model)
+    grown = grown_in_steps(truth, model, snapshots_per_growth, start)
+    assert_e2_data_is_per_pair(grown, truth, model)
 
 
 @pytest.mark.parametrize("snapshots_per_growth", [1, 7])
@@ -816,28 +819,31 @@ def test_greedy_e2_data_equals_per_pair(snapshots_per_growth, greedy_case):
     assert [a.tobytes() for a in regrown.q_dd] == [a.tobytes() for a in e2data.q_dd]
 
 
-def test_each_growth_is_one_matvec_call_and_one_dots_call(truth, monkeypatch):
+def test_each_growth_is_one_kernel_call(truth, monkeypatch):
     # One snapshot at a time, as the greedy grows the table, and three at
-    # once into a fresh table; a growth with nothing new calls neither.
+    # once into a fresh table; a growth with nothing new calls nothing.
+    # Each call computes the pairs of the new vectors alone: 3 + 5 for
+    # (a0, a1) joining riesz_b, then 5 + 7 and 7 + 9.
     calls = []
-    for name in ("dd_gram_matvec", "dd_dots"):
-        def counted(*args, _kernel=getattr(estimators, name), _name=name):
-            calls.append(_name)
-            return _kernel(*args)
 
-        monkeypatch.setattr(estimators, name, counted)
+    def counted(sys_, vectors, k0):
+        calls.append((len(vectors), k0))
+        return dd_gram_table(sys_, vectors, k0)
+
+    monkeypatch.setattr(estimators, "dd_gram_table", counted)
     model, table = ReducedModel(truth), estimators.E2Table(truth)
-    for mu in (1.0, 10.0, 100.0):
+    for k, mu in zip((3, 5, 7), (1.0, 10.0, 100.0)):
         add_snapshot(model, truth, mu)
         calls.clear()
-        table.grow(model)
-        assert calls == ["dd_gram_matvec", "dd_dots"], mu
+        data = table.grow(model)
+        assert calls == [(k, 0 if k == 3 else k - 2)], mu
+        assert table.F.shape == (2, k * (k + 1) // 2)
     calls.clear()
     table.grow(model)
     assert calls == []
     fresh = estimators.E2Table(truth).grow(model)
-    assert calls == ["dd_gram_matvec", "dd_dots"]
-    assert [a.tobytes() for a in fresh.q_dd] == [a.tobytes() for a in table.grow(model).q_dd]
+    assert calls == [(7, 0)]
+    assert [a.tobytes() for a in fresh.q_dd] == [a.tobytes() for a in data.q_dd]
 
 
 # --- the compiled dd kernels against the allocating route -------------------
@@ -888,63 +894,63 @@ def columns(a):
     return list(np.ascontiguousarray(a.T))
 
 
+def gram_table_oracle(sys_, vectors):
+    """fem.dd_gram_table's (2, p) entries for k0 = 0 from the allocating
+    route: for each v = vectors[j], Gram*v by dd_gram_matvec_oracle, dotted
+    with vectors[i], i <= j, by dd_dot_oracle."""
+    hi, lo = [], []
+    for j in range(len(vectors)):
+        wh, wl = dd_gram_matvec_oracle(sys_, vectors[j][None])
+        for i in range(j + 1):
+            h, l = dd_dot_oracle(vectors[i][:, None], wh.T, wl.T)
+            hi.append(h[0])
+            lo.append(l[0])
+    return np.array([hi, lo]).reshape(2, -1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
 def test_dd_dots_equal_the_allocating_route_bit_for_bit(n):
-    u, wh, wl = special_stacks(n, seed=n)
-    ref = dd_dot_oracle(u, wh, wl)
-    us, whs, wls = columns(u), columns(wh), columns(wl)
-    got = dd_dots(us, whs, wls, [(j, j) for j in range(6)])
-    assert hexes(got) == hexes(ref)
-    # Some columns in another order, and one column alone.
-    cols = [5, 3, 0]
-    got = dd_dots(us, whs, wls, [(j, j) for j in cols])
-    assert hexes(got) == hexes((ref[0][cols], ref[1][cols]))
-    got = dd_dots([us[3]], [whs[3]], [wls[3]], [(0, 0)])
-    assert hexes(got) == hexes((ref[0][3:4], ref[1][3:4]))
-    # u of one column against w of another, as E2's pairs take them.
-    pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
-    got = dd_dots(us, whs, wls, pairs)
-    expect = [dd_dot_oracle(u[:, [a]], wh[:, [b]], wl[:, [b]]) for a, b in pairs]
-    assert hexes(got) == hexes(([h[0] for h, _ in expect], [l[0] for _, l in expect]))
+    # E2's dd dots u.(Gram*v) for every pair of twelve vectors with +-0.0,
+    # subnormals and exactly representable products among ordinary values
+    # (special_stacks' u and wh columns): all at once, grown from k0 on,
+    # one vector alone and some in another order.
+    u, wh, _ = special_stacks(n, seed=n)
+    sys_ = rb.assemble(n + 1)
+    vectors = columns(u) + columns(wh)
+    ref = gram_table_oracle(sys_, vectors)
+    assert hexes(dd_gram_table(sys_, vectors, 0)) == hexes(ref)
+    for k0 in (1, 5, 11, 12):
+        assert hexes(dd_gram_table(sys_, vectors, k0)) == hexes(ref[:, k0 * (k0 + 1) // 2:]), k0
+    for pick in ([3], [5, 3, 0]):
+        sub = [vectors[j] for j in pick]
+        assert hexes(dd_gram_table(sys_, sub, 0)) == hexes(gram_table_oracle(sys_, sub))
 
 
-@pytest.mark.parametrize("n", [*range(1, 10), 9999])
+@pytest.mark.parametrize("n", [*range(1, 10), 600, 9999])
 def test_dd_kernels_write_nothing_past_their_buffers(n):
-    # The dots write their 2n scratch entries (the terms, then the tree
-    # over them) and p entries of each output half, the matvec k rows of
-    # n of wh and of wl.  Each buffer is passed with NaN guards on both
-    # sides, which must survive, while the results equal the allocating
-    # route's.  n = 1..9 spans trees of every shape up to four levels.
+    # The table writes p entries of each half of out and its 4n scratch
+    # entries: Gram*v's two parts, then the dots' terms and the tree over
+    # them.  Each buffer is passed with NaN guards on both sides, which
+    # must survive, for growths from k0 = 0, 1, k - 1 and k (nothing new),
+    # while the results equal the allocating route's.  n = 1..9 spans
+    # trees of every shape up to four levels.
     pad = 7
     u, wh, wl = special_stacks(n, seed=100 + n)
-    us, whs, wls = columns(u), columns(wh), columns(wl)
-    pairs = np.array([(5, 0), (2, 2), (0, 5), (4, 1)], dtype=np.intp)
-    p = len(pairs)
-    out, scratch = np.full(2 * p + 2 * pad, np.nan), np.full(2 * n + 2 * pad, np.nan)
-    tables = [np.array([v.ctypes.data for v in vs], dtype=np.uintp) for vs in (us, whs, wls)]
-    fem._lib.dd_dots(
-        n, p, *(t.ctypes.data for t in tables), pairs.ctypes.data,
-        out[pad:].ctypes.data, scratch[pad:].ctypes.data,
-    )
-    for buf, k in ((out, 2 * p), (scratch, 2 * n)):
-        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + k:]).all()
-    expect = [dd_dot_oracle(u[:, [a]], wh[:, [b]], wl[:, [b]]) for a, b in pairs]
-    got = out[pad:pad + 2 * p].reshape(2, p)
-    assert hexes(got) == hexes(([h[0] for h, _ in expect], [l[0] for _, l in expect]))
-
     sys_ = rb.assemble(n + 1)
-    V = np.ascontiguousarray(u.T[:3])
-    Wh, Wl = (np.full(3 * n + 2 * pad, np.nan) for _ in range(2))
-    fem._lib.dd_gram_matvec(
-        n, 3, sys_.Gram.diag, sys_.Gram.off,
-        np.array([v.ctypes.data for v in V], dtype=np.uintp).ctypes.data,
-        Wh[pad:].ctypes.data, Wl[pad:].ctypes.data,
-    )
-    for buf in (Wh, Wl):
-        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + 3 * n:]).all()
-    ref = dd_gram_matvec_oracle(sys_, V)
-    got = (Wh[pad:pad + 3 * n], Wl[pad:pad + 3 * n])
-    assert hexes(got) == hexes((ref[0].ravel(), ref[1].ravel()))
+    vectors = columns(u)
+    k, ref = len(vectors), gram_table_oracle(sys_, vectors)
+    table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
+    for k0 in (0, 1, k - 1, k):
+        p = (k * (k + 1) - k0 * (k0 + 1)) // 2
+        out, scratch = np.full(2 * p + 2 * pad, np.nan), np.full(4 * n + 2 * pad, np.nan)
+        fem._lib.dd_gram_table(
+            n, k0, k, sys_.Gram.diag, sys_.Gram.off, table.ctypes.data,
+            out[pad:].ctypes.data, scratch[pad:].ctypes.data,
+        )
+        for buf, size in ((out, 2 * p), (scratch, 4 * n)):
+            assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all(), k0
+        got = out[pad:pad + 2 * p].reshape(2, p)
+        assert hexes(got) == hexes(ref[:, k0 * (k0 + 1) // 2:]), k0
 
     # The radicands write the 2*n*6 doubles of their terms: n monomials of
     # six columns, q the rows of u.
@@ -959,11 +965,13 @@ def test_dd_kernels_write_nothing_past_their_buffers(n):
 
 
 def test_e2_build_holds_no_per_operation_temporaries():
-    # The compiled kernels allocate nothing: a growth holds the dd vectors
-    # the table keeps, the 2N entries of the dots' scratch and arrays of
-    # the size of the table.  At n_cells = 4000 the traced peak of the
-    # build is 653,387 bytes with N_hat = 4 and 916,391 with N_hat = 6.
-    # The bound is nine arrays of 2**16 doubles, 4,718,592 bytes.
+    # The compiled kernel allocates nothing: a growth holds the kernel's 4N
+    # doubles of scratch (one dd Gram product and one dot's terms) and
+    # arrays of the size of the table, and the table keeps no dd product.
+    # At n_cells = 4000 the traced peak of the build is 131,097 bytes with
+    # N_hat = 4 and 132,145 with N_hat = 6 (653,157 and 916,335 when the
+    # table kept every vector's dd product).  The bound is nine arrays of
+    # 2**16 doubles, 4,718,592 bytes.
     for n_hat in (4, 6):
         sys_ = rb.assemble(4000)
         model = ReducedModel(sys_, orthonormalize=True)
@@ -980,9 +988,9 @@ def test_e2_build_holds_no_per_operation_temporaries():
 
 @pytest.mark.parametrize("n_cells", [2, 3, 200])
 def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
-    # Alone and in a list, for random rows,
-    # rows near underflow, alternating signs (the dd sums cancel) and
-    # Gram's own diagonal.
+    # The table's Gram*v in double-double, seen through its dots, alone and
+    # in a list, for random rows, rows near underflow, alternating signs
+    # (the dd sums cancel) and Gram's own diagonal.
     sys_ = rb.assemble(n_cells)
     n = sys_.n
     rng = np.random.default_rng(n_cells)
@@ -992,12 +1000,9 @@ def test_dd_gram_matvec_equals_the_allocating_route_bit_for_bit(n_cells):
         (-1.0) ** np.arange(n),
         np.full(n, sys_.Gram.diag / 3.0),
     ])
-    ref = dd_gram_matvec_oracle(sys_, V)
     for rows in (range(len(V)), [4], [5, 0]):
-        for got, expect in zip(dd_gram_matvec(sys_, [V[r] for r in rows]), ref):
-            assert [x.hex() for x in got.ravel().tolist()] == [
-                x.hex() for x in expect[list(rows)].ravel().tolist()
-            ]
+        sub = [V[r] for r in rows]
+        assert hexes(dd_gram_table(sys_, sub, 0)) == hexes(gram_table_oracle(sys_, sub))
 
 
 # --- the compiled row kernels of e1 and the H1 norms against numpy --------------
@@ -1239,7 +1244,7 @@ def host_levels():
 
 
 def kernel_outputs(n):
-    """The bytes of every output of the eight kernels on special_stacks(n)
+    """The bytes of every output of the seven kernels on special_stacks(n)
     and special_rows, by name, each kernel through its entry point in fem.
     residual_norms takes 17 of the 18 columns: N_hat = 8; error_norms takes
     wh as U and the columns of u as six snapshots."""
@@ -1251,8 +1256,7 @@ def kernel_outputs(n):
     outputs = {
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
-        "dd_gram_matvec": np.array(dd_gram_matvec(sys_, us)),
-        "dd_dots": np.array(dd_dots(us, whs, wls, [(a, b) for a in range(6) for b in range(6)])),
+        "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
         "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
         "fsum_columns": fsum_columns(u[:, 5].copy(), wh),
         "residual_norms": residual_norms(sys_, us + whs + wls[:5], mus, gamma),
@@ -1269,7 +1273,7 @@ def kernel_outputs(n):
 def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
     # The shipped library runs the widest clone this CPU supports and no
     # other.  So each level the CPU runs is built on its own, with
-    # -march=<level> and the clones defined away, and all eight kernels must
+    # -march=<level> and the clones defined away, and all seven kernels must
     # give the shipped library's bits.  N = 9999 runs the vector loops
     # far past their remainders and residual_norms over 40 blocks.
     sizes = (1, 2, 7, 300, 9999)
@@ -1282,6 +1286,44 @@ def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
         for n in sizes:
             got = kernel_outputs(n)
             assert [name for name in got if got[name] != shipped[n][name]] == [], (level, n)
+
+
+# Runs kernel_outputs on the library built at argv[1] for the sizes that
+# follow, and prints each output's bytes in hex.
+SANITIZED_CHILD = r"""
+import ctypes, json, sys
+from rbcert import fem
+import test_estimators
+
+fem._lib = fem._bind(ctypes.CDLL(sys.argv[1]))
+print(json.dumps({n: {name: out.hex() for name, out in test_estimators.kernel_outputs(int(n)).items()}
+                  for n in sys.argv[2:]}))
+"""
+
+
+def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # The source built with ASan and UBSan, every report fatal, runs every
+    # kernel on the special inputs in a fresh process with the ASan runtime
+    # preloaded: it must exit 0 and give the shipped library's bits.
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip() if shutil.which("cc") else ""
+    if not (os.path.isabs(runtime) and os.path.exists(runtime)):
+        pytest.skip("no ASan runtime for cc")
+    path = str(tmp_path / "sanitized.so")
+    cmd = ["cc", *fem._FLAGS, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+           "-DWIDE=", "-o", path, "-x", "c", "-"]
+    if subprocess.run(cmd, input=fem._SOURCE, capture_output=True, text=True).returncode:
+        pytest.skip("cc cannot build with -fsanitize=address,undefined")
+    sizes = ("1", "2", "7", "300")
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(rb.__file__)), os.path.dirname(__file__),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, path, *sizes],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr[-4000:]
+    shipped = {n: {name: out.hex() for name, out in kernel_outputs(int(n)).items()} for n in sizes}
+    assert json.loads(done.stdout) == shipped
 
 
 def dynamic_arch_openblas() -> bool:

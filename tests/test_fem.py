@@ -21,6 +21,7 @@ from conftest import (
     analytic_derivative,
     analytic_solution,
     h1_error_vs_analytic,
+    h1_norm,
     h1_norm_lanes,
     lift_in_snapshot_order,
     operator,
@@ -199,8 +200,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         cases.update({
             "diag": lambda: _thomas(spoil(row), row, row, np.empty((n, 3))),
             "rhs": lambda: _thomas(row, row, spoil(np.ones((n, 3))), np.empty((n, 3))),
-            "vectors[1]": lambda: fem.dd_gram_matvec(sys_, [v, spoil(v)]),
-            "whs[0]": lambda: fem.dd_dots([v], [spoil(v)], [v], [(0, 0)]),
+            "vectors[1]": lambda: fem.dd_gram_table(sys_, [v, spoil(v)], 0),
             "vectors[0]": lambda: residual(b=spoil(v)),
             "vectors[4]": lambda: residual(a1=spoil(v)),
             "mus": lambda: residual(mus=spoil(two)),
@@ -228,6 +228,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         e = v - lift_in_snapshot_order([v, v], np.array([0.5, 0.25]))
         U, gamma = spoil(np.repeat(v[:, None], 2, axis=1)), spoil(np.tile([0.5, 0.25], (2, 1)))
         assert hexes(error(spoil(v), U, gamma)) == hexes([h1_norm_lanes(sys_, e)] * 2)
+        F = fem.dd_gram_table(sys_, [spoil(v), spoil(2.0 * v)], 1)
+        assert hexes(F) == hexes(fem.dd_gram_table(sys_, [v, 2.0 * v], 0)[:, 1:])
         hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
         assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
@@ -500,8 +502,8 @@ def test_h1_inner_takes_strided_and_integer_vectors():
 
 def test_h1_norm_is_nonnegative_and_definite():
     s = rb.assemble(20)
-    assert rb.h1_norm(s, np.zeros(s.n)) == 0.0
-    assert rb.h1_norm(s, np.ones(s.n)) > 1.0  # mass alone contributes ~1
+    assert h1_norm(s, np.zeros(s.n)) == 0.0
+    assert h1_norm(s, np.ones(s.n)) > 1.0  # mass alone contributes ~1
 
 
 def test_riesz_representative_reproduces_functional():

@@ -24,13 +24,16 @@ from rbcert.reduced import (
     model_to_dict,
 )
 
-from conftest import TridiagonalArrays
+from conftest import TridiagonalArrays, build_e2_data, h1_norm
 
 # ||Riesz(F)||_H1 for n_cells=200: the estimator value of the empty model
 # and the scale delta of every floor prediction.  Frozen from the assembled
 # system (it is just sqrt(F^T Gram^{-1} F)) and cross-checked against an
 # independent dense computation in test_delta_matches_dense_computation.
+# DELTA_200 is the plain double norm, DELTA_200_DD the double-double one
+# that the greedy records, E2Data.delta.
 DELTA_200 = 0.27525243598751564
+DELTA_200_DD = 0.2752524359875254
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def test_empty_model(truth):
     model = ReducedModel(truth)
     assert model.n_hat == 0
     assert model.A0_hat.shape == (0, 0)
-    assert rb.h1_norm(truth, model.riesz_b) == DELTA_200
+    assert h1_norm(truth, model.riesz_b) == DELTA_200
 
 
 def test_delta_matches_dense_computation(truth):
@@ -111,7 +114,7 @@ def test_galerkin_reproduces_snapshots(truth, small_model):
     for mu in small_model.snapshot_params:
         u = rb.solve_truth(truth, mu)
         u_rb = np.column_stack(small_model.snapshots) @ rb.solve_reduced_block(small_model, [mu])[0]
-        err = rb.h1_norm(truth, u_rb - u) / rb.h1_norm(truth, u)
+        err = h1_norm(truth, u_rb - u) / h1_norm(truth, u)
         assert err <= 1e-10
 
 
@@ -159,7 +162,7 @@ def test_greedy_first_pick_is_smallest_parameter(truth, default_model):
     # break to the smallest mu by the ascending scan with strict >.
     model, history = default_model
     assert model.snapshot_params[0] == 1.0
-    assert history[0] == (1.0, DELTA_200)
+    assert history[0] == (1.0, DELTA_200_DD)
 
 
 def test_greedy_default_selection(truth, default_model, default_config):
@@ -218,7 +221,7 @@ def test_greedy_rejects_a_tol_the_empty_model_meets(truth):
     with pytest.raises(ValueError, match="tol = 1.0 "):
         rb.greedy_build(truth, [1.0, 2.0], n_max=2, tol=1.0)
     model, history, _ = rb.greedy_build(truth, [1.0, 2.0], n_max=1, tol=0.5 * DELTA_200)
-    assert history == [(1.0, DELTA_200)]
+    assert history == [(1.0, DELTA_200_DD)]
 
 
 def test_greedy_raises_when_its_first_snapshot_is_rejected(truth):
@@ -245,8 +248,8 @@ def e1_greedy_build(sys_, training_set, n_max, tol, *, orthonormalize, dependenc
         if model.n_hat:
             gamma = rb.solve_reduced_block(model, candidates)
             values = rb.estimator_e1_block(sys_, model, candidates, gamma)
-        else:  # the empty model's residual is -F, whatever mu
-            values = np.full(candidates.size, rb.h1_norm(sys_, model.riesz_b))
+        else:  # the empty model's residual is -F, whatever mu: delta
+            values = np.full(candidates.size, build_e2_data(sys_, model).delta)
         best = int(np.argmax(values))
         best_mu, best_val = float(candidates[best]), float(values[best])
         if best_val <= tol:
