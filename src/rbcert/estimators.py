@@ -57,15 +57,16 @@ Gram product of the later inserted vector dotted in dd with the earlier
 one, and q_IJ off the diagonal is exactly twice it.
 
 The length-N and double-double stages run in the compiled kernels of
-:mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1
-(``residual_norms``) and the true error (``error_norms``), each from its
-vector's terms to its norm's last sum, and e2dd's radicands
-(``dd_radicands``).  Each makes the operations of the numpy reference the
-tests keep for it, in their order, so its bits: the per-pair dd inner
-product, the residual's pairwise tree, the lift in snapshot order, and a
-dot summed in eight lanes in an order fixed by N.  e2's radicands
-(``fsum_columns``) are correctly rounded sums, so they have the bits of
-``math.fsum``, the tests' reference.
+:mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1 and the true error
+(``lift_norms``, each from its lift's first term to its norm's last sum),
+and e2dd's radicands (``dd_radicands``).  e1 is the norm of the lift
+sum_I z_I G_I with the rows of z that the monomials multiply, and the true
+error that of U less the lift sum_k gamma_k u_k.  Each kernel makes the
+operations of the numpy reference the tests keep for it, in their order,
+so its bits: the per-pair dd inner product, the lift adding its vectors
+in order, and a dot summed in eight lanes in an order fixed by N.  e2's
+radicands (``fsum_columns``) are correctly rounded sums, so they have the
+bits of ``math.fsum``, the tests' reference.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, dd_gram_table, dd_radicands, error_norms, fsum_columns
-from .fem import parameter_block, residual_norms, solve_truth
+from .fem import TruthSystem, dd_gram_table, dd_radicands, fsum_columns, lift_norms
+from .fem import parameter_block, solve_truth
 from .precision import dd_sqrt
 
 logger = logging.getLogger(__name__)
@@ -280,12 +281,13 @@ def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
 
     nodes = np.asarray(nodes, dtype=float)
     rows = np.asarray(rows, dtype=int)
-    gamma = solve_reduced_block(model, nodes)
-    e1 = estimator_e1_block(sys, model, nodes, gamma)
+    z = _z_rows(nodes, solve_reduced_block(model, nodes))
+    e1 = _e1_block(sys, model, z)
+    zi, zj = _monomial_factors(z)
     return E3Data(
         interp_params=nodes,
         rows=rows,
-        T=x_matrix(nodes, gamma)[rows],
+        T=(zi * zj)[rows],
         V=np.array([e ** 2 for e in e1.tolist()]),
         d=x_dimension(model.n_hat),
     )
@@ -322,9 +324,8 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # The functions below evaluate a block of parameters at once.  Each runs one
 # point's operations element by element across the block, in an order that
 # does not depend on the block.  e1 and the true error are compiled from
-# their vectors' terms to the norm's last sum (fem.residual_norms,
-# fem.error_norms), so their bits depend neither on the block nor on the
-# host.  The reduced
+# their lifts' first terms to the norms' last sums (fem.lift_norms), so
+# their bits depend neither on the block nor on the host.  The reduced
 # solves (LAPACK) and e3's V dot (BLAS) run one vector's operations per
 # point; their bits hold on one machine with one OpenBLAS kernel and numpy
 # SIMD target.  That is the measured scope.  Under OpenBLAS's oldest x86
@@ -339,11 +340,11 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # bounds memory only (8 MiB; 5269 points at N=199, 104 at N=9999).  A
 # narrower chunk runs more reduced solves and monomials: at N=9999, d=325,
 # 2**17 entries cut the sweep's peak RSS from 49.1 to 44.6 MB and cost it
-# 15-25 % of its time.  The true error and e1 take a whole chunk in one
-# kernel call each, on scratch of a few doubles per point.  The d-length
-# stages run on sub-blocks of _BLOCK_ELEMENTS // d points, whose monomial
-# vectors stay under 64 KiB, which the allocator reuses instead of growing
-# the process: 90 points at d=91, 25 at d=325.
+# 15-25 % of its time.  z is formed once a chunk; the true error and e1
+# take the chunk in one kernel call each, on scratch of a few doubles per
+# point.  The d-length stages run on sub-blocks of _BLOCK_ELEMENTS // d
+# points, whose monomial vectors stay under 64 KiB, which the allocator
+# reuses instead of growing the process: 90 points at d=91, 25 at d=325.
 _BLOCK_ELEMENTS = 2 ** 13
 _SOLVE_ELEMENTS = 2 ** 20
 
@@ -351,31 +352,40 @@ _SOLVE_ELEMENTS = 2 ** 20
 def estimator_e1_block(sys: TruthSystem, model, mus, gamma: np.ndarray) -> np.ndarray:
     """Residual dual norm via the full-size Riesz representative, at every mus[j].
 
-    g = riesz_b + sum_i gamma_i*riesz_a0[i] + mu*sum_i gamma_i*riesz_a1[i]
-    with gamma = gamma[j], summed pairwise over the N_hat+2 vector terms
-    (the mu-scaled group pairwise before scaling), then g.Gram*g summed in
-    a fixed order, all in :func:`fem.residual_norms`.  Cost O(N*N_hat) per
+    g = riesz_b + sum_i gamma_i*riesz_a0[i] + sum_i mu*gamma_i*riesz_a1[i]
+    with gamma = gamma[j]: the lift of the Riesz vectors with z's column j
+    (:func:`_z_rows`), its terms added in that order, then g.Gram*g summed
+    in a fixed order, all in :func:`fem.lift_norms`.  Cost O(N*N_hat) per
     point.  mus is a 1-D block of parameters in [1, inf) and gamma (m,
     N_hat), one row per point and one coefficient per basis vector, or
     ``ValueError`` is raised, as it is for the empty model.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
-    mus = np.ascontiguousarray(parameter_block(mus))
+    mus = parameter_block(mus)
     if np.shape(gamma) != (len(mus), model.n_hat):
         raise ValueError(f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
                          f"on a basis of {model.n_hat}")
-    vectors = [model.riesz_b, *model.riesz_a0, *model.riesz_a1]
-    return residual_norms(sys, vectors, mus, np.ascontiguousarray(gamma, dtype=float))
+    return _e1_block(sys, model, _z_rows(mus, np.asarray(gamma, dtype=float)))
 
 
-def _monomial_factors(mus, gamma):
-    """The factor rows (z_I, z_J), I <= J in lexicographic order, of X at every mus[j].
+def _e1_block(sys: TruthSystem, model, z):
+    """e1 at every column of z: the norm of the lift of [riesz_b, *riesz_a0, *riesz_a1]."""
+    return lift_norms(sys, [model.riesz_b, *model.riesz_a0, *model.riesz_a1], z)
 
-    Column j of z is (1; gamma[j]; mus[j]*gamma[j]); both results are
-    (d, m), and their product is :func:`x_matrix`.
-    """
-    z = np.concatenate([np.ones((1, len(mus))), gamma.T, mus * gamma.T])
+
+def _z_rows(mus, gamma):
+    """z = (1; gamma[j]; mus[j]*gamma[j]) at every mus[j]: a (2*N_hat + 1, m)
+    array with one row per Riesz vector, in the order riesz_b, riesz_a0,
+    riesz_a1.  e1 lifts with it, and the monomials are products of its rows."""
+    gamma_t = np.ascontiguousarray(np.transpose(gamma))
+    return np.concatenate([np.ones((1, len(mus))), gamma_t, mus * gamma_t])
+
+
+def _monomial_factors(z):
+    """The factor rows (z_I, z_J), I <= J in lexicographic order, of X at
+    every column of z (:func:`_z_rows`); both are (d, m), and their product
+    is :func:`x_matrix`."""
     i, j = np.triu_indices(len(z))
     return z[i], z[j]
 
@@ -383,7 +393,7 @@ def _monomial_factors(mus, gamma):
 def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The (d, m) matrix whose column j is X(mus[j]) = (1; x_I; x_I*x_J for I <= J,
     lexicographic) with x = (gamma[j]; mus[j]*gamma[j])."""
-    zi, zj = _monomial_factors(mus, gamma)
+    zi, zj = _monomial_factors(_z_rows(mus, gamma))
     return zi * zj
 
 
@@ -450,10 +460,11 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     evaluation.  A mu that is not finite or below 1, or a block that is not
     1-D, raises ``ValueError``.  A block of any size runs in bounded
     working memory: chunks of _SOLVE_ELEMENTS // N points, each with one
-    reduced and one truth solve, whose (N, m) solution is released once the
-    true error has read it; the true error and e1 take a chunk in one
-    kernel call each, and the monomials, e2, e2dd and e3 run in sub-blocks
-    of _BLOCK_ELEMENTS entries per monomial array.
+    reduced and one truth solve and one z (:func:`_z_rows`), whose (N, m)
+    solution is released once the true error has read it; the true error
+    and e1 take a chunk in one kernel call each, and the monomials, e2,
+    e2dd and e3 run in sub-blocks of z of _BLOCK_ELEMENTS entries per
+    monomial array.
     """
     from .reduced import solve_reduced_block
 
@@ -466,14 +477,14 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     step = max(1, _BLOCK_ELEMENTS // e3data.d)
     for c in range(0, mus.size, chunk):
         m = mus[c:c + chunk]
-        gamma = solve_reduced_block(model, m)
+        z = _z_rows(m, solve_reduced_block(model, m))
         U = solve_truth(sys, m)
-        cols["true_error"][c:c + len(m)] = error_norms(sys, model.snapshots, U, gamma)
+        cols["true_error"][c:c + len(m)] = lift_norms(sys, model.snapshots, z[1:model.n_hat + 1], U)
         del U  # not alive beside the next chunk's solve
-        cols["e1"][c:c + len(m)] = estimator_e1_block(sys, model, m, gamma)
+        cols["e1"][c:c + len(m)] = _e1_block(sys, model, z)
         for k in range(0, len(m), step):
             part = slice(c + k, c + min(k + step, len(m)))
-            zi, zj = _monomial_factors(m[k:k + step], gamma[k:k + step])
+            zi, zj = _monomial_factors(z[:, k:k + step])
             X = zi * zj
             cols["e2"][part], cols["e2_radicand"][part] = _e2_block(q, X)
             cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], X)

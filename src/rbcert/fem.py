@@ -13,24 +13,25 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds seven kernels: ``thomas`` runs
-every solve and lift, m systems at once, and ``tridiagonal_rows`` the
-double products T*g of ``h1_inner`` and the basis extension;
-``dd_gram_table`` grows E2's dd Gram table, each pair once;
-``residual_norms`` gives e1 and ``error_norms`` the true error, each an H1
-norm from its vector's terms to the last sum in one pass over the mesh;
-``dd_radicands`` gives e2dd's radicands, and ``fsum_columns`` e2's.  Each
-of the first six makes the operations of the reference the tests keep
-for it, in their order, so its bits; ``fsum_columns`` rounds an exact sum
-correctly, so it has the bits of ``math.fsum``, the tests' reference for
-it.  It is compiled when this module is imported, with ``cc`` and
-``_FLAGS``, into one library in ``__pycache__`` beside this file, and
-loaded with ``ctypes``; a missing or failing compiler is an
-``ImportError``.  With GCC and glibc on x86-64, each kernel
-is compiled three times, for the baseline, AVX2 and AVX-512, and the
-loader picks the widest clone the host runs.  The clones make the same
-IEEE operations, element by element and in the same order: vectors of 2, 4
-or 8 doubles round each element as one double operation would.
+mesh.  One C source, ``_SOURCE``, holds six kernels, listed with their
+types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
+once, and ``tridiagonal_rows`` the double products T*g of ``h1_inner``
+and the basis extension; ``dd_gram_table`` grows E2's dd Gram table, each
+pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
+of a lift of vectors (less U, for the true error) from its first term to
+the norm's last sum in one pass over the mesh; ``dd_radicands`` gives
+e2dd's radicands, and ``fsum_columns`` e2's.  Each of the first five
+makes the operations of the reference the tests keep for it, in their
+order, so its bits; ``fsum_columns`` rounds an exact sum correctly, so it
+has the bits of ``math.fsum``, the tests' reference for it.  It is
+compiled when this module is imported, with ``cc`` and ``_FLAGS``, into
+one library in ``__pycache__`` beside this file, and loaded with
+``ctypes``; a missing or failing compiler is an ``ImportError``.  With
+GCC and glibc on x86-64, each kernel is compiled three times, for the
+baseline, AVX2 and AVX-512, and the loader picks the widest clone the
+host runs.  The clones make the same IEEE operations, element by element
+and in the same order: vectors of 2, 4 or 8 doubles round each element as
+one double operation would.
 ``-ffp-contract=off`` keeps fused multiply-adds out of every clone, and
 the kernels call no BLAS and no libm, so their bits depend neither on the
 host nor on the clone.  The kernels take bare addresses: every array
@@ -106,12 +107,13 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the seven
-   kernels and the vector helpers that may not be inlined: dd_tree,
-   residual_tree, which is recursive, gram_entries and error_row.
-   lane_add, lane_total and gram_span are small enough to be inlined,
+   wider vector changes the speed and not the bits.  It marks the six
+   kernels and dd_tree, the one vector helper with several callers that
+   is not inlined.  INLINE forces gram_entries and lift_row into each
+   clone of their callers, so a one-point lift_norms pays no call per
+   mesh row.  lane_add and lane_total are small enough to be inlined,
    gram_dd has one caller, and fsum_exact is scalar; they are unmarked.
-   Off x86-64, GCC or glibc, or with -DWIDE= on the command line, it is
+   Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
 #if defined(__x86_64__) && defined(__GNUC__) && __GNUC__ >= 12 && defined(__GLIBC__)
@@ -119,6 +121,11 @@ _SOURCE = r"""
 #else
 #define WIDE
 #endif
+#endif
+#ifdef __GNUC__
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
 #endif
 
 /* Thomas elimination of m systems of n equal rows, column j of the
@@ -446,51 +453,11 @@ ptrdiff_t fsum_columns(ptrdiff_t d, ptrdiff_t m, const double *q, const double *
     return flagged;
 }
 
-/* e1's g = z . vs, z = (1; gamma; mu*gamma), at one point over the len
-   mesh entries from i0.  residual_tree sums terms first, ...,
-   first + n - 1 into out: the front n/2 terms, then the back's into
-   scratch, added into them; the back's own tree runs on the scratch after
-   it.  Outer term t is gamma[t-1]*vs[t] (1.0*vs[0] at t = 0), and term
-   nh + 1 mu times the same tree over the nh terms gamma[t]*vs[nh+1+t]. */
-struct residual {
-    ptrdiff_t nh, i0, len;
-    const uintptr_t *vs;
-    const double *gamma;
-    double mu;
-};
-
-WIDE
-static void residual_tree(const struct residual *r, int group, ptrdiff_t first,
-                          ptrdiff_t n, double *out, double *scratch)
-{
-    ptrdiff_t i;
-    const double *a = out;
-    double c = r->mu;
-    if (n > 1) {
-        residual_tree(r, group, first, n / 2, out, scratch);
-        residual_tree(r, group, first + n / 2, n - n / 2, scratch, scratch + r->len);
-        for (i = 0; i < r->len; i++)
-            out[i] = out[i] + scratch[i];
-        return;
-    }
-    if (!group && first > r->nh) {
-        residual_tree(r, 1, 0, r->nh, out, scratch);
-    } else {
-        a = (const double *)r->vs[first + group * (r->nh + 1)] + r->i0;
-        c = group ? r->gamma[first] : first ? r->gamma[first - 1] : 1.0;
-    }
-    for (i = 0; i < r->len; i++)
-        out[i] = c * a[i];
-}
-
 /* T*g, T's rows (off, diag, off): entry i is (diag*g_i + off*g_{i+1}) +
-   off*g_{i-1}, without the neighbours past the mesh's ends.  gram_entries
-   writes it for k entries c[t] whose neighbours are nx[t] and pv[t], either
-   NULL where it is past an end; gram_span for the len entries from i0 of a
-   mesh of n, g at entry i0 with its neighbours g[-1] and g[len] where the
-   mesh has them. */
-WIDE
-static void gram_entries(ptrdiff_t k, double diag, double off, const double *restrict c,
+   off*g_{i-1}, without the neighbours past the mesh's ends, written for k
+   entries c[t] whose neighbours are nx[t] and pv[t], either NULL where it
+   is past an end. */
+INLINE void gram_entries(ptrdiff_t k, double diag, double off, const double *restrict c,
                          const double *restrict nx, const double *restrict pv,
                          double *restrict w)
 {
@@ -507,26 +474,22 @@ static void gram_entries(ptrdiff_t k, double diag, double off, const double *res
             w[t] = diag * c[t];
 }
 
-static void gram_span(ptrdiff_t n, ptrdiff_t i0, ptrdiff_t len, double diag, double off,
-                      const double *g, double *restrict w)
-{
-    ptrdiff_t a = i0 == 0, b = i0 + len == n ? len - 1 : len;
-    if (a)
-        gram_entries(1, diag, off, g, n > 1 ? g + 1 : NULL, NULL, w);
-    if (b > a)
-        gram_entries(b - a, diag, off, g + a, g + a + 1, g + a - 1, w + a);
-    if (b < len && n > 1)
-        gram_entries(1, diag, off, g + b, NULL, g + b - 1, w + b);
-}
-
-/* T*g for the k rows g of n of G into the rows of W. */
+/* T*g for the k rows g of n of G into the rows of W: entry 0, the
+   entries between, and entry n - 1. */
 WIDE
 void tridiagonal_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
                       const double *restrict G, double *restrict W)
 {
     ptrdiff_t j;
-    for (j = 0; j < k; j++)
-        gram_span(n, 0, n, diag, off, G + j * n, W + j * n);
+    for (j = 0; j < k; j++) {
+        const double *g = G + j * n;
+        double *w = W + j * n;
+        gram_entries(1, diag, off, g, n > 1 ? g + 1 : NULL, NULL, w);
+        if (n > 2)
+            gram_entries(n - 2, diag, off, g + 1, g + 2, g, w + 1);
+        if (n > 1)
+            gram_entries(1, diag, off, g + n - 1, NULL, g + n - 2, w + n - 1);
+    }
 }
 
 /* The H1 norms' sum of g_i*w_i, w = Gram*g, over the mesh entries i: each
@@ -548,81 +511,38 @@ static double lane_total(const double *l, ptrdiff_t stride)
          + ((l[4 * stride] + l[5 * stride]) + (l[6 * stride] + l[7 * stride]));
 }
 
-/* e1's squared H1 norms g.Gram*g, g = z . vs at point j, mus[j] and the nh
-   coefficients at gamma + j*nh, into out[j] for k points, Gram's rows
-   (off, diag, off).  Points go p at a time, each with its eight lanes in
-   scratch; for each block of s mesh entries, every point's g is formed
-   over the block and a one-entry halo by residual_tree, then its Gram
-   product and the products into its lanes.  Scratch: 8p lanes, s + 2
-   entries of g and s of Gram*g, then ceil(log2(nh + 2)) + ceil(log2(nh))
-   rows of s + 2 partial sums. */
-WIDE
-void residual_norms(ptrdiff_t n, ptrdiff_t k, ptrdiff_t nh, const uintptr_t *vs,
-                    const double *mus, const double *gamma, double diag, double off,
-                    double *restrict out, ptrdiff_t s, ptrdiff_t p, double *restrict scratch)
+/* Row i of the lift e_t = sum_r c_rt*vs[r] for q points, coefficient r of
+   point t at c[r*m + t]: from c_0t*vs[0], adding the k vectors in order;
+   with u, the row i of q columns of U, e_t = u_t - lift instead. */
+INLINE void lift_row(ptrdiff_t i, ptrdiff_t q, ptrdiff_t k, const uintptr_t *vs,
+                     const double *restrict u, const double *restrict c, ptrdiff_t m,
+                     double *restrict e)
 {
-    double *lanes = scratch, *g = scratch + 8 * p, *w = g + s + 2, *tree = w + s;
-    struct residual r = {nh, 0, 0, vs, gamma, 0.0};
-    ptrdiff_t j0, q, j, i0, len, t;
-    for (j0 = 0; j0 < k; j0 += p) {
-        q = k - j0 < p ? k - j0 : p;
-        for (j = 0; j < 8 * q; j++)
-            lanes[j] = 0.0;
-        for (i0 = 0; i0 < n; i0 += s) {
-            len = n - i0 < s ? n - i0 : s;
-            r.i0 = i0 ? i0 - 1 : 0;
-            r.len = (i0 + len < n ? i0 + len + 1 : n) - r.i0;
-            for (j = 0; j < q; j++) {
-                const double *c = g + (i0 - r.i0);
-                double *lane = lanes + 8 * j;
-                r.gamma = gamma + (j0 + j) * nh;
-                r.mu = mus[j0 + j];
-                residual_tree(&r, 0, 0, nh + 2, g, tree);
-                gram_span(n, i0, len, diag, off, c, w);
-                for (t = 0; t < len && (i0 + t) % 8; t++)
-                    lane_add(1, c + t, w + t, lane + (i0 + t) % 8);
-                for (; t + 8 <= len; t += 8)
-                    lane_add(8, c + t, w + t, lane);
-                for (; t < len; t++)
-                    lane_add(1, c + t, w + t, lane + (i0 + t) % 8);
-            }
-        }
-        for (j = 0; j < q; j++)
-            out[j0 + j] = lane_total(lanes + 8 * j, 1);
-    }
-}
-
-/* Row i of the true error e_j = U[:, j] - sum_k gamma_jk*ss[k] for q
-   points, U's row i at u and coefficient k of point t at gamma[k*m + t]:
-   the lift from gamma_j0*ss[0], adding the snapshots in order. */
-WIDE
-static void error_row(ptrdiff_t i, ptrdiff_t q, ptrdiff_t nh, const uintptr_t *ss,
-                      const double *restrict u, const double *restrict gamma, ptrdiff_t m,
-                      double *restrict e)
-{
-    ptrdiff_t t, k;
-    double v = ((const double *)ss[0])[i];
+    ptrdiff_t t, r;
+    double v = ((const double *)vs[0])[i];
     for (t = 0; t < q; t++)
-        e[t] = gamma[t] * v;
-    for (k = 1; k < nh; k++) {
-        v = ((const double *)ss[k])[i];
+        e[t] = c[t] * v;
+    for (r = 1; r < k; r++) {
+        v = ((const double *)vs[r])[i];
         for (t = 0; t < q; t++)
-            e[t] = e[t] + gamma[k * m + t] * v;
+            e[t] = e[t] + c[r * m + t] * v;
     }
-    for (t = 0; t < q; t++)
-        e[t] = u[t] - e[t];
+    if (u)
+        for (t = 0; t < q; t++)
+            e[t] = u[t] - e[t];
 }
 
-/* The true error's squared H1 norms e_j.Gram*e_j into out[j] for the m
-   columns of the row-major (n, m) U, e_j as error_row forms it from the nh
-   snapshots at ss and the row-major (nh, m) gamma.  Points go p at a time,
-   across the points of each row: the rows i - 1, i and i + 1 of e in a
-   window of three rows of p, row i's Gram product in one more, and lane l
-   of point t at lanes[l*p + t].  Scratch: 12p. */
+/* The squared H1 norms e_j.Gram*e_j into out[j] for m points, e_j as
+   lift_row forms it from the k vectors at vs, the row-major (k, m)
+   coefficients c and, unless U is NULL, the row-major (n, m) U; Gram's
+   rows are (off, diag, off).  Points go p at a time, across the points of
+   each mesh row: row i of e is formed into a window of three rows of p,
+   then row i - 1's Gram product, in one more, and its products into the
+   lanes, lane l of point t at lanes[l*p + t].  Scratch: 12p. */
 WIDE
-void error_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t nh, const uintptr_t *ss,
-                 const double *U, const double *gamma, double diag, double off,
-                 double *restrict out, ptrdiff_t p, double *restrict scratch)
+void lift_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const uintptr_t *vs, const double *U,
+                const double *c, double diag, double off, double *restrict out, ptrdiff_t p,
+                double *restrict scratch)
 {
     double *lanes = scratch, *w = scratch + 8 * p, *e = w + p;
     ptrdiff_t j0, q, j, i;
@@ -630,16 +550,15 @@ void error_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t nh, const uintptr_t *ss,
         q = m - j0 < p ? m - j0 : p;
         for (j = 0; j < 8 * p; j++)
             lanes[j] = 0.0;
-        for (i = 0; i < n && i < 2; i++)
-            error_row(i, q, nh, ss, U + i * m + j0, gamma + j0, m, e + i * p);
-        for (i = 0; i < n; i++) {
-            const double *c = e + i % 3 * p;
-            gram_entries(q, diag, off, c, i + 1 < n ? e + (i + 1) % 3 * p : NULL,
-                         i ? e + (i + 2) % 3 * p : NULL, w);
-            lane_add(q, c, w, lanes + i % 8 * p);
-            if (i + 2 < n)
-                error_row(i + 2, q, nh, ss, U + (i + 2) * m + j0, gamma + j0, m,
-                          e + (i + 2) % 3 * p);
+        for (i = 0; i <= n; i++) {
+            const double *r = e + (i + 2) % 3 * p;     /* row i - 1 */
+            if (i < n)
+                lift_row(i, q, k, vs, U ? U + i * m + j0 : NULL, c + j0, m, e + i % 3 * p);
+            if (i == 0)
+                continue;
+            gram_entries(q, diag, off, r, i < n ? e + i % 3 * p : NULL,
+                         i > 1 ? e + (i + 1) % 3 * p : NULL, w);
+            lane_add(q, r, w, lanes + (i - 1) % 8 * p);
         }
         for (j = 0; j < q; j++)
             out[j0 + j] = lane_total(lanes + j, p);
@@ -691,18 +610,21 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
     return ctypes.CDLL(path)
 
 
+# The kernels of _SOURCE, each with its argument and result types.
+_N, _P, _D = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+_KERNELS = (
+    ("thomas", (_N, _N, _P, _P, _P, _N, _P, _N, _P), ctypes.c_int),
+    ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
+    ("dd_radicands", (_N, _N, _P, _P, _P, _P, _P), None),
+    ("fsum_columns", (_N, _N, _P, _P, _P), _N),
+    ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
+    ("tridiagonal_rows", (_N, _N, _D, _D, _P, _P), None),
+)
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """lib, a build of ``_SOURCE``, with its seven kernels' argument and result types set."""
-    n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    for name, args, result in (
-        ("thomas", (n, n, p, p, p, n, p, n, p), ctypes.c_int),
-        ("dd_gram_table", (n, n, n, d, d, p, p, p), None),
-        ("dd_radicands", (n, n, p, p, p, p, p), None),
-        ("fsum_columns", (n, n, p, p, p), n),
-        ("residual_norms", (n, n, n, p, p, p, d, d, p, n, n, p), None),
-        ("error_norms", (n, n, n, p, p, p, d, d, p, n, p), None),
-        ("tridiagonal_rows", (n, n, d, d, p, p), None),
-    ):
+    """lib, a build of ``_SOURCE``, with the types of every kernel in ``_KERNELS`` set."""
+    for name, args, result in _KERNELS:
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = args, result
     return lib
@@ -825,57 +747,40 @@ def fsum_columns(q, X) -> np.ndarray:
     return out
 
 
-# The norm kernels pass over the mesh for _NORM_POINTS points at a time,
-# whose lanes and error_norms' rows of e are 8 and 12 doubles a point of
-# scratch; residual_norms forms g over blocks of _NORM_ENTRIES mesh
-# entries.  100 e1 points at N = 9999, N_hat = 12 took 9.8 ms with blocks
-# of 256 or 512 entries and 10.3-10.4 ms with 128 or 1024 (medians of 25,
-# interleaved, 2-vCPU AVX-512 host).
+# lift_norms passes over the mesh for up to _NORM_POINTS points at a time,
+# with 12 doubles a point of scratch (eight lanes, the Gram product and
+# three rows of the lift).  e1 over 400 points at N = 199, N_hat = 12 took
+# 0.25-0.53 ms in one pass, 0.26-0.41 ms in passes of 64 and 0.40-0.64 ms
+# in passes of 16; over 100 points at N = 9999, 3.6-5.3 ms in passes of 64
+# or more and 4.8-7.7 ms in passes of 16 (medians of 101 and 31 calls,
+# three rounds in each of three processes, 2-vCPU AVX-512 host).
 _NORM_POINTS = 512
-_NORM_ENTRIES = 256
 
 
-def residual_norms(sys: TruthSystem, vectors, mus, gamma) -> np.ndarray:
-    """e1's H1 norms ||g_j|| of g_j = z_j . vectors for every point j, in one kernel call.
+def lift_norms(sys: TruthSystem, vectors, coefficients, U=None) -> np.ndarray:
+    """The H1 norms of the lifts e_j = sum_k coefficients[k, j]*vectors[k],
+    or of U[:, j] - e_j if U is given, for every point j, in one kernel call.
 
-    vectors are the 2*N_hat + 1 (N,) vectors (b, a0_0, ..., a1_0, ...), and
-    point j's z is (1; gamma[j]; mus[j]*gamma[j]), mus (k,) and gamma (k,
-    N_hat).  The terms b, gamma_i*a0_i and mu times the a1 group (summed
-    alike) are summed pairwise, front half then back half: the tests'
-    numpy tree, operation for operation.  g.Gram*g is then summed in eight
-    lanes, lane i % 8 in increasing mesh entry i (the tests' lane
-    reference), so in an order fixed by N.  Returns a (k,) array.
+    vectors are k (N,) vectors, coefficients a (k, m) array with one row
+    per vector and one column per point, and U an (N, m) array.  The lift
+    adds the terms in the order of the vectors, from
+    coefficients[0, j]*vectors[0] (the tests' lift reference), across the
+    points of each mesh entry; e.Gram*e is then summed in eight lanes, lane
+    i % 8 in increasing mesh entry i (the tests' lane reference), so in an
+    order fixed by N.  e1 is the norm of the lift of the Riesz vectors with
+    z = (1; gamma; mu*gamma), and the true error that of U less the lift of
+    the snapshots with gamma.  Returns an (m,) array.
     """
-    n, k, nh = sys.n, np.size(mus), (len(vectors) - 1) // 2
-    if nh < 1 or len(vectors) != 2 * nh + 1 or np.shape(mus) != (k,) or np.shape(gamma) != (k, nh):
-        raise ValueError(f"{len(vectors)} vectors, mus and gamma {np.shape(gamma)} do not fit")
-    table, s, p = _table(vectors, "vectors", n), _NORM_ENTRIES, max(1, min(k, _NORM_POINTS))
-    levels = (nh + 1).bit_length() + (nh - 1).bit_length()
-    scratch = np.empty(8 * p + 2 * s + 2 + levels * (s + 2))
-    out = np.empty(k)
-    args = [_address(a, name) for a, name in ((mus, "mus"), (gamma, "gamma"))]
-    args += [sys.Gram.diag, sys.Gram.off, _address(out, "out", out=True), s, p]
-    _lib.residual_norms(n, k, nh, table.ctypes.data, *args, _address(scratch, "scratch", out=True))
-    return np.sqrt(np.maximum(out, 0.0))
-
-
-def error_norms(sys: TruthSystem, snapshots, U, gamma) -> np.ndarray:
-    """The H1 norms of e_j = U[:, j] - sum_k gamma[j, k]*snapshots[k] for
-    every column j of the (N, m) array U, in one kernel call.
-
-    The lift adds gamma[j, k]*snapshots[k] in snapshot order, from k = 0
-    (the tests' lift reference), across the points of each mesh entry; the
-    norm sums e.Gram*e in the lanes of :func:`residual_norms`.  gamma is (m,
-    N_hat), one row per point.  Returns an (m,) array.
-    """
-    n, m, nh = sys.n, np.shape(U)[-1] if np.ndim(U) == 2 else -1, len(snapshots)
-    if nh < 1 or np.shape(U) != (n, m) or np.shape(gamma) != (m, nh):
-        raise ValueError(f"{nh} snapshots and gamma {np.shape(gamma)} do not fit U {np.shape(U)}")
-    table, p = _table(snapshots, "snapshots", n), max(1, min(m, _NORM_POINTS))
-    gamma_t, out, scratch = np.ascontiguousarray(np.transpose(gamma)), np.empty(m), np.empty(12 * p)
-    args = _address(U, "U"), _address(gamma_t, "gamma"), sys.Gram.diag, sys.Gram.off
-    _lib.error_norms(n, m, nh, table.ctypes.data, *args, _address(out, "out", out=True), p,
-                     _address(scratch, "scratch", out=True))
+    n, k = sys.n, len(vectors)
+    m = np.shape(coefficients)[1] if np.ndim(coefficients) == 2 else -1
+    if k < 1 or np.shape(coefficients) != (k, m) or U is not None and np.shape(U) != (n, m):
+        raise ValueError(f"{k} vectors, coefficients {np.shape(coefficients)} and U "
+                         f"{np.shape(U)} do not fit")
+    table, p = _table(vectors, "vectors", n), max(1, min(m, _NORM_POINTS))
+    out, scratch = np.empty(m), np.empty(12 * p)
+    args = None if U is None else _address(U, "U"), _address(coefficients, "coefficients")
+    _lib.lift_norms(n, m, k, table.ctypes.data, *args, sys.Gram.diag, sys.Gram.off,
+                    _address(out, "out", out=True), p, _address(scratch, "scratch", out=True))
     return np.sqrt(np.maximum(out, 0.0))
 
 

@@ -37,6 +37,7 @@ from .estimators import (
     E3Data,
     _e2dd_block,
     _monomial_factors,
+    _z_rows,
     e3_data,
     estimator_e1_block,
 )
@@ -234,7 +235,8 @@ def greedy_build(
         if not candidates.size:
             break
         gamma = solve_reduced_block(model, candidates)
-        best = int(np.argmax(_e2dd_block(e2data, *_monomial_factors(candidates, gamma))[0]))
+        z = _z_rows(candidates, gamma)
+        best = int(np.argmax(_e2dd_block(e2data, *_monomial_factors(z))[0]))
         pick = slice(best, best + 1)
         best_mu = float(candidates[best])
         best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])

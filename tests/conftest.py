@@ -11,8 +11,8 @@ forms the A(mu) whose residual the truth and e1 tests check.
 the reference of the compiled product ``fem.tridiagonal_rows``, and
 :func:`h1_norm` the plain double H1 norm of tolerance checks;
 :func:`h1_norm_lanes` and :func:`lift_in_snapshot_order` are the
-references of the H1 norms and the basis lift that ``fem.residual_norms``
-and ``fem.error_norms`` compile.  The
+references of the H1 norm and the lift that ``fem.lift_norms`` compiles,
+for e1 and for the true error.  The
 two-pass Thomas solve on Python floats is the reference the compiled
 kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, and the
 allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,

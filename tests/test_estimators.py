@@ -28,13 +28,14 @@ from rbcert.estimators import (
     E2Data,
     _e2_block,
     _e2dd_block,
+    _e3_block,
     _lu_solve,
     _monomial_factors,
     _pivoted_gram_schmidt,
+    _z_rows,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_gram_table, error_norms, fsum_columns, residual_norms
-from rbcert.fem import tridiagonal_rows
+from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
@@ -223,7 +224,7 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
 def monomials(mu, gamma):
     """The monomial columns of one parameter and its coefficients:
     X(mu) for _e2_block, its factor rows for _e2dd_block."""
-    zi, zj = _monomial_factors(np.array([mu]), np.array([gamma], dtype=float))
+    zi, zj = _monomial_factors(_z_rows(np.array([mu]), np.array([gamma], dtype=float)))
     return zi * zj, (zi, zj)
 
 
@@ -294,12 +295,18 @@ def test_e2dd_clamps_negative_radicand_and_flags():
     assert clamped.tolist() == [True]
 
 
-def test_clamp_logs_name_the_sweep_fields(caplog, truth, default_model, default_e2, default_e3):
-    # The clamp counts log under the SweepRecord field names; on the default
-    # basis e3 clamps at mu = 1000.
+def synthetic_negative_e3():
+    # One node at mu = 2 on X's first row, which is 1 at every mu, with
+    # V = -1: off the node lambda = 1 and the interpolated square is -1.
+    return rb.E3Data(interp_params=np.array([2.0]), rows=np.array([0]), T=np.array([[1.0]]),
+                     V=np.array([-1.0]), d=6)
+
+
+def test_clamp_logs_name_the_sweep_fields(caplog):
+    # The clamp counts log under the SweepRecord field names.
     with caplog.at_level(logging.INFO, logger="rbcert.estimators"):
         _e2dd_block(synthetic_negative_data(), *monomials(1.0, [1.0])[1])
-        rb.evaluate(truth, default_model[0], default_e2, default_e3, [1000.0])
+        _e3_block(synthetic_negative_e3(), np.array([1.0]), monomials(1.0, [1.0])[0])
     assert [r.getMessage() for r in caplog.records] == [
         "e2dd: 1 negative dd radicands clamped",
         "e3: 1 negative interpolated squares clamped",
@@ -440,8 +447,9 @@ def test_small_x_layout():
     # Column j of z is (1; x) with x = (gamma[j]; mus[j]*gamma[j]); the factor
     # rows run over the pairs I <= J of z, row I = 0 first.
     mus, gamma = np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]])
-    zi, zj = _monomial_factors(mus, gamma)
     z = [[1.0, 1.0], [0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]]
+    assert np.array_equal(_z_rows(mus, gamma), z) and _z_rows(mus, gamma).flags.c_contiguous
+    zi, zj = _monomial_factors(_z_rows(mus, gamma))
     assert zi.shape == zj.shape == (rb.x_dimension(2), 2)
     assert np.array_equal(zi[:5], np.ones((5, 2))) and np.array_equal(zj[:5], z)
     assert np.array_equal(zi[5:9], [z[1]] * 4) and np.array_equal(zj[5:9], z[1:])
@@ -462,24 +470,11 @@ def solve_reduced_oracle(model, mu):
     return np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
 
 
-def pairwise_sum(n, term, first=0):
-    """Balanced pairwise sum of term(first), ..., term(first + n - 1): the
-    front half, then the back half, then the two added."""
-    if n == 1:
-        return term(first)
-    half = n // 2
-    return pairwise_sum(half, term, first) + pairwise_sum(n - half, term, first + half)
-
-
-def residual_oracle(b, a0, a1, mu, gamma):
-    """g = b + sum_i gamma_i*a0[i] + mu*sum_i gamma_i*a1[i], pairwise, in numpy."""
-    terms = [b] + [g * r for g, r in zip(gamma, a0)]
-    terms.append(mu * pairwise_sum(gamma.size, lambda i: gamma[i] * a1[i]))
-    return pairwise_sum(len(terms), terms.__getitem__)
-
-
 def e1_oracle(sys_, model, mu, gamma):
-    g = residual_oracle(model.riesz_b, model.riesz_a0, model.riesz_a1, mu, gamma)
+    """The lane-summed norm of the Riesz vectors' lift with z = (1; gamma;
+    mu*gamma), in z's order."""
+    z = np.concatenate([[1.0], gamma, mu * gamma])
+    g = lift_in_snapshot_order([model.riesz_b, *model.riesz_a0, *model.riesz_a1], z)
     return h1_norm_lanes(sys_, g)
 
 
@@ -578,8 +573,7 @@ def small_orthonormal():
 
 @pytest.fixture(scope="module")
 def large_orthonormal():
-    """n_cells=4000, orthonormal basis of 4: one truth chunk, over a mesh
-    that e1's kernel forms in many blocks of entries, the last one ragged."""
+    """n_cells=4000, orthonormal basis of 4: one truth chunk on a large mesh."""
     cfg = rb.ExperimentConfig(
         n_cells=4000, n_train=20, rb_size=4, orthonormalize=True, dependence_tol=1e-30
     )
@@ -607,13 +601,10 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
     mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
     if request.param == "large_orthonormal":
-        # One truth chunk, and e1 over 16 blocks of mesh entries, the last
-        # one ragged.
-        n, s = case[0].n, fem._NORM_ENTRIES
-        assert _SOLVE_ELEMENTS // n >= len(mus) and n // s == 15 and n % s
+        assert _SOLVE_ELEMENTS // case[0].n >= len(mus)  # one truth chunk
     else:
-        # The grid's endpoints clamp e3 (mu = 1000 on the default basis,
-        # mu = 1 on the small one).
+        # Some point clamps e3: a snapshot parameter (mu = 615.1...) on the
+        # default basis, the grid's endpoints on the small one.
         assert any(r["e3_clamped_flag"] for r in reference)
     return case, mus, reference
 
@@ -648,15 +639,13 @@ def test_compute_sweep_equals_per_point(evaluation_case):
 
 def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch):
     # 7-point truth chunks with a ragged tail, 3-point sub-blocks that leave
-    # one point at each chunk's end, the norm kernels' passes over 2 points
-    # at a time, so with one point in each chunk's last, and e1's g in
-    # blocks of 12 mesh entries, which start off the lanes' period of 8.
+    # one point at each chunk's end, and the norm kernel's passes over 2
+    # points at a time, so with one point in each chunk's last.
     case, mus, reference = evaluation_case
     n, d = case[0].n, case[3].d
     monkeypatch.setattr("rbcert.estimators._SOLVE_ELEMENTS", 7 * n)
     monkeypatch.setattr("rbcert.estimators._BLOCK_ELEMENTS", 3 * d)
     monkeypatch.setattr("rbcert.fem._NORM_POINTS", 2)
-    monkeypatch.setattr("rbcert.fem._NORM_ENTRIES", 12)
     assert len(mus) > 3 * 7 and len(mus) % 7
     cols = rb.evaluate(*case, mus)
     assert_same_bits({name: cols[name].tolist() for name in FIELDS}, reference)
@@ -666,9 +655,10 @@ def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch)
 
 def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, default_config):
     # The default 400-point grid is one truth chunk, whose solve holds one
-    # (N, 400) array (0.64 MB); the norm kernels read it with a few doubles
+    # (N, 400) array (0.64 MB); the norm kernel reads it with a few doubles
     # of scratch a point and the other stages run on sub-blocks of it:
-    # 0.78 MB traced, against 1.07 MB with two 90-point row buffers.
+    # 0.81 MB traced, z of the chunk included, against 1.07 MB with two
+    # 90-point row buffers.
     mus = sweep_grid(default_config)
     tracemalloc.start()
     try:
@@ -1028,30 +1018,43 @@ def norm_hexes(sums):
     return hex_list(np.sqrt(np.maximum(sums, 0.0)))
 
 
-@pytest.mark.parametrize("n_hat", [1, 2, 5])
-@pytest.mark.parametrize("n", [1, 2, 199, 513])
-def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
-    # N = 513 spans two blocks of 256 mesh entries and one more, N_hat = 1
-    # makes the a1 group one term and the lift one snapshot.  e1's norm at
-    # each point is the lane-summed norm of the numpy tree's residual, and
-    # the true error's that of U's column less the lift in snapshot order,
-    # alone and in a block.  The residuals' products with Gram, K and M
-    # equal the numpy matvec's.
+def lifts(vectors, coefficients):
+    """The lift of the vectors in their order (lift_in_snapshot_order) for
+    each column of coefficients, one row per vector."""
+    return np.array([lift_in_snapshot_order(list(vectors), c) for c in np.transpose(coefficients)])
+
+
+@pytest.mark.parametrize("n_hat", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 2, 199, 513, 9999])
+def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
+    # N_hat = 1 makes the true error's lift one snapshot.  e1's norm at each
+    # point is the lane-summed norm of the Riesz vectors' lift with z =
+    # (1; gamma; mu*gamma), in z's order, and the true error's that of U's
+    # column less the lift of the snapshots in their order: in a block,
+    # each point alone, and in passes of 3 points, the last one ragged.
+    # Without U the kernel gives the lift's norm, bit for bit that of U = 0
+    # less the lift.  The lifts' products with Gram, K and M equal the
+    # numpy matvec's.
     sys_ = rb.assemble(n + 1)
-    vectors = special_rows(2 * n_hat + 1, n, seed=n + n_hat)
-    b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
-    mus = np.array([1.0, 3.0, 1e3, 0.5])
-    gamma = special_rows(4, n_hat, seed=n * n_hat)
-    G = np.array([residual_oracle(b, a0, a1, mu, ga) for mu, ga in zip(mus, gamma)])
-    block = residual_norms(sys_, list(vectors), mus, gamma)
-    alone = [residual_norms(sys_, list(vectors), mus[[j]], gamma[[j]])[0] for j in range(4)]
-    assert hex_list(block) == hex_list(alone) == hex_list([h1_norm_lanes(sys_, g) for g in G])
+    vectors = list(special_rows(2 * n_hat + 1, n, seed=n + n_hat))
+    mus, gamma = np.array([1.0, 3.0, 1e3, 0.5]), special_rows(4, n_hat, seed=n * n_hat)
+    z = _z_rows(mus, gamma)
     U = np.ascontiguousarray(special_rows(4, n, seed=1000 + n + n_hat).T)
-    snapshots = list(vectors[:n_hat])
-    errors = [u - lift_in_snapshot_order(snapshots, ga) for u, ga in zip(U.T, gamma)]
-    block = error_norms(sys_, snapshots, U, gamma)
-    alone = [error_norms(sys_, snapshots, U[:, [j]].copy(), gamma[[j]])[0] for j in range(4)]
-    assert hex_list(block) == hex_list(alone) == hex_list([h1_norm_lanes(sys_, e) for e in errors])
+    snapshots, coefficients = vectors[:n_hat], np.ascontiguousarray(gamma.T)
+    G = lifts(vectors, z)
+    cases = [
+        (vectors, z, None, G),
+        (vectors, z, np.zeros((n, 4)), G),
+        (snapshots, coefficients, U, U.T - lifts(snapshots, coefficients)),
+    ]
+    for vs, c, u, residuals in cases:
+        expect = hex_list([h1_norm_lanes(sys_, g) for g in residuals])
+        alone = [lift_norms(sys_, vs, c[:, [j]], None if u is None else u[:, [j]])
+                 for j in range(4)]
+        assert hex_list(lift_norms(sys_, vs, c, u)) == hex_list(alone) == expect
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "_NORM_POINTS", 3)
+            assert hex_list(lift_norms(sys_, vs, c, u)) == expect
     for T in (sys_.Gram, sys_.K, sys_.M):
         W = tridiagonal_rows(T, G)
         for g, w in zip(G, W):
@@ -1061,44 +1064,30 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat):
 @pytest.mark.parametrize("n_hat", [1, 3])
 @pytest.mark.parametrize("n", [*range(1, 10), 600])
 def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
-    # residual_norms writes k sums into out and its scratch: 8p lanes, s + 2
-    # entries of g, s of Gram*g and levels rows of s + 2 partial sums.  s =
-    # 12 leaves a ragged last block of mesh entries that starts off the
-    # lanes' period of 8, and p = 2 a last pass over one point.
-    # error_norms writes m sums into out and 12p doubles of scratch, and
-    # tridiagonal_rows k rows of n of W, with Gram's, K's and M's rows.  NaN
-    # guards on both sides of each must survive, while the results equal
-    # the numpy forms'.
-    pad, k, s, p = 7, 3, 12, 2
+    # lift_norms writes m sums into out and 12p doubles of scratch, p = 2
+    # leaving a last pass over one point, without U (e1) and with it (the
+    # true error); tridiagonal_rows writes k rows of n of W, with Gram's,
+    # K's and M's rows.  NaN guards on both sides of each must survive,
+    # while the results equal the numpy forms'.
+    pad, k, p = 7, 3, 2
     sys_ = rb.assemble(n + 1)
     vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
-    b, a0, a1 = vectors[0], list(vectors[1:n_hat + 1]), list(vectors[n_hat + 1:])
-    mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
     table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
-    G = np.array([residual_oracle(b, a0, a1, mu, ga) for mu, ga in zip(mus, gamma)])
-    levels = (n_hat + 1).bit_length() + (n_hat - 1).bit_length()
-    sizes = (k, 8 * p + 2 * s + 2 + levels * (s + 2))
-    out, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
-    fem._lib.residual_norms(
-        n, k, n_hat, table.ctypes.data, mus.ctypes.data, gamma.ctypes.data, sys_.Gram.diag,
-        sys_.Gram.off, out[pad:].ctypes.data, s, p, scratch[pad:].ctypes.data,
-    )
-    for buf, size in zip((out, scratch), sizes):
-        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
-    assert norm_hexes(out[pad:pad + k]) == hex_list([h1_norm_lanes(sys_, g) for g in G])
-
+    mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
+    z, coefficients = _z_rows(mus, gamma), np.ascontiguousarray(gamma.T)
     U = np.ascontiguousarray(special_rows(k, n, seed=400 + n).T)
-    gamma_t = np.ascontiguousarray(gamma.T)
-    sizes = (k, 12 * p)
-    out, scratch = (np.full(size + 2 * pad, np.nan) for size in sizes)
-    fem._lib.error_norms(
-        n, k, n_hat, table.ctypes.data, U.ctypes.data, gamma_t.ctypes.data, sys_.Gram.diag,
-        sys_.Gram.off, out[pad:].ctypes.data, p, scratch[pad:].ctypes.data,
-    )
-    for buf, size in zip((out, scratch), sizes):
-        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
-    errors = [u - lift_in_snapshot_order(list(vectors[:n_hat]), ga) for u, ga in zip(U.T, gamma)]
-    assert norm_hexes(out[pad:pad + k]) == hex_list([h1_norm_lanes(sys_, e) for e in errors])
+    G = lifts(vectors, z)
+    errors = U.T - lifts(vectors[:n_hat], coefficients)
+    for u, c, residuals in ((None, z, G), (U, coefficients, errors)):
+        out, scratch = (np.full(size + 2 * pad, np.nan) for size in (k, 12 * p))
+        fem._lib.lift_norms(
+            n, k, len(c), table.ctypes.data, None if u is None else u.ctypes.data, c.ctypes.data,
+            sys_.Gram.diag, sys_.Gram.off, out[pad:].ctypes.data, p, scratch[pad:].ctypes.data,
+        )
+        for buf, size in zip((out, scratch), (k, 12 * p)):
+            assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+        expect = hex_list([h1_norm_lanes(sys_, g) for g in residuals])
+        assert norm_hexes(out[pad:pad + k]) == expect
 
     rows = np.full(k * n + 2 * pad, np.nan)
     rows[pad:pad + k * n] = G.ravel()
@@ -1244,25 +1233,27 @@ def host_levels():
 
 
 def kernel_outputs(n):
-    """The bytes of every output of the seven kernels on special_stacks(n)
-    and special_rows, by name, each kernel through its entry point in fem.
-    residual_norms takes 17 of the 18 columns: N_hat = 8; error_norms takes
-    wh as U and the columns of u as six snapshots."""
+    """The bytes of outputs of every kernel in fem._KERNELS on
+    special_stacks(n) and special_rows, each through its entry point in
+    fem, keyed by the kernel's name and, after a comma, the case.
+    lift_norms lifts 17 of the 18 columns with z for N_hat = 8, and takes
+    wh less the lift of the columns of u, as six snapshots."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
-    mus, gamma = np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n)
+    z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
     outputs = {
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
         "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
         "fsum_columns": fsum_columns(u[:, 5].copy(), wh),
-        "residual_norms": residual_norms(sys_, us + whs + wls[:5], mus, gamma),
-        "error_norms": error_norms(sys_, us, wh, special_rows(6, 6, seed=600 + n)),
+        "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z),
+        "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n), wh),
         "tridiagonal_rows": tridiagonal_rows(sys_.Gram, np.ascontiguousarray(u.T)),
     }
+    assert {name.split(",")[0] for name in outputs} == {name for name, _, _ in fem._KERNELS}
     return {name: a.tobytes() for name, a in outputs.items()}
 
 
@@ -1273,9 +1264,9 @@ def kernel_outputs(n):
 def test_every_isa_build_gives_the_shipped_bits(tmp_path, monkeypatch):
     # The shipped library runs the widest clone this CPU supports and no
     # other.  So each level the CPU runs is built on its own, with
-    # -march=<level> and the clones defined away, and all seven kernels must
-    # give the shipped library's bits.  N = 9999 runs the vector loops
-    # far past their remainders and residual_norms over 40 blocks.
+    # -march=<level> and the clones defined away, and every kernel of
+    # fem._KERNELS must give the shipped library's bits.  N = 9999 runs the
+    # vector loops far past their remainders.
     sizes = (1, 2, 7, 300, 9999)
     shipped = {n: kernel_outputs(n) for n in sizes}
     for level in host_levels():
@@ -1303,8 +1294,9 @@ print(json.dumps({n: {name: out.hex() for name, out in test_estimators.kernel_ou
 
 def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
     # The source built with ASan and UBSan, every report fatal, runs every
-    # kernel on the special inputs in a fresh process with the ASan runtime
-    # preloaded: it must exit 0 and give the shipped library's bits.
+    # kernel of fem._KERNELS on the special inputs in a fresh process with
+    # the ASan runtime preloaded: it must exit 0 and give the shipped
+    # library's bits.
     runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip() if shutil.which("cc") else ""
     if not (os.path.isabs(runtime) and os.path.exists(runtime)):
@@ -1337,24 +1329,26 @@ def dynamic_arch_openblas() -> bool:
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in config
 
 
-# Loads the inputs that the test below saves, runs both norm kernels on the
-# block and on each point alone, and prints their float.hex values.
+# Loads the inputs that the test below saves, runs the norm kernel for e1
+# and for the true error on the block and on each point alone, and prints
+# their float.hex values.
 NORMS_CHILD = r"""
 import json, sys
 import numpy as np
 from rbcert import fem
 
-vectors, snapshots, U, mus, gamma = (
-    np.load(f"{sys.argv[1]}/{k}.npy") for k in ("vectors", "snapshots", "U", "mus", "gamma"))
+vectors, snapshots, U, z = (
+    np.load(f"{sys.argv[1]}/{k}.npy") for k in ("vectors", "snapshots", "U", "z"))
 sys_ = fem.assemble(len(U) + 1)
 
 def norms(j):
-    e1 = fem.residual_norms(sys_, list(vectors), mus[j], gamma[j])
-    return [*e1, *fem.error_norms(sys_, list(snapshots), np.ascontiguousarray(U[:, j]), gamma[j])]
+    e1 = fem.lift_norms(sys_, list(vectors), np.ascontiguousarray(z[:, j]))
+    gamma = np.ascontiguousarray(z[1:len(snapshots) + 1, j])
+    return [*e1, *fem.lift_norms(sys_, list(snapshots), gamma, np.ascontiguousarray(U[:, j]))]
 
 print(json.dumps({
     "block": [float(x).hex() for x in norms(slice(None))],
-    "points": [[float(x).hex() for x in norms([j])] for j in range(len(mus))],
+    "points": [[float(x).hex() for x in norms([j])] for j in range(z.shape[1])],
 }))
 """
 
@@ -1372,10 +1366,10 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
         add_snapshot(model, sys_, mu)
     mus = np.geomspace(1.0, 1000.0, 23)
     gamma = rb.solve_reduced_block(model, mus)
+    z = _z_rows(mus, gamma)
     inputs = {
         "vectors": np.array([model.riesz_b, *model.riesz_a0, *model.riesz_a1]),
-        "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "mus": mus,
-        "gamma": gamma,
+        "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "z": z,
     }
     for name, a in inputs.items():
         np.save(tmp_path / f"{name}.npy", a)
@@ -1392,8 +1386,8 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
         outputs[core] = json.loads(done.stdout)
         cores[core] = re.findall(r"Core: (\S+)", done.stderr)
     assert cores["Prescott"] != cores["Haswell"], cores
-    expect = hex_list(residual_norms(sys_, list(inputs["vectors"]), mus, gamma))
-    expect += hex_list(error_norms(sys_, model.snapshots, inputs["U"], gamma))
+    expect = hex_list(lift_norms(sys_, list(inputs["vectors"]), z))
+    expect += hex_list(lift_norms(sys_, model.snapshots, z[1:5], inputs["U"]))
     for core, out in outputs.items():
         assert out["block"] == expect, core
         assert [p[0] for p in out["points"]] == expect[:len(mus)], core
@@ -1401,10 +1395,10 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
 
 
 def test_e1_block_holds_no_truth_size_rows():
-    # At n_cells = 4000 e1's kernel holds eight lanes a point and a few
-    # rows of a block of mesh entries, besides arrays of a point's size:
-    # 19,880 bytes traced with N_hat = 4 and 50 points, below one
-    # (N,) vector, against about 1,038,000 for two (16, N) row buffers.
+    # At n_cells = 4000 e1's kernel holds 12 doubles a point of scratch,
+    # besides z and other arrays of a point's size: 10,728 bytes traced
+    # with N_hat = 4 and 50 points, below one (N,) vector, against about
+    # 1,038,000 for two (16, N) row buffers.
     sys_ = rb.assemble(4000)
     model = ReducedModel(sys_, orthonormalize=True)
     for mu in (1.0, 10.0, 100.0, 1000.0):

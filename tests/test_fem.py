@@ -184,13 +184,13 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     sys_ = rb.assemble(6)
     n = sys_.n
     row, v, rows = np.full(3, 4.0), np.linspace(1.0, 2.0, n), np.ones((2, n))
-    two, z = np.ones(2), np.ones((3, 2))
+    z = np.ones((3, 2))
 
-    def residual(b=v, a1=v, mus=two, gamma=np.ones((2, 2))):
-        return fem.residual_norms(sys_, [b, v, v, v, a1], mus, gamma)
+    def lift(b=v, a1=v, coefficients=np.ones((5, 2))):
+        return fem.lift_norms(sys_, [b, v, v, v, a1], coefficients)
 
     def error(s1=v, U=np.ones((n, 2)), gamma=np.ones((2, 2))):
-        return fem.error_norms(sys_, [v, s1], U, gamma)
+        return fem.lift_norms(sys_, [v, s1], gamma, U)
 
     cases = {
         "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
@@ -201,11 +201,9 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "diag": lambda: _thomas(spoil(row), row, row, np.empty((n, 3))),
             "rhs": lambda: _thomas(row, row, spoil(np.ones((n, 3))), np.empty((n, 3))),
             "vectors[1]": lambda: fem.dd_gram_table(sys_, [v, spoil(v)], 0),
-            "vectors[0]": lambda: residual(b=spoil(v)),
-            "vectors[4]": lambda: residual(a1=spoil(v)),
-            "mus": lambda: residual(mus=spoil(two)),
-            "gamma": lambda: residual(gamma=spoil(np.ones((2, 2)))),
-            "snapshots[1]": lambda: error(s1=spoil(v)),
+            "vectors[0]": lambda: lift(b=spoil(v)),
+            "vectors[4]": lambda: lift(a1=spoil(v)),
+            "coefficients": lambda: lift(coefficients=spoil(np.ones((5, 2)))),
             "U": lambda: error(U=spoil(np.ones((n, 2)))),
             "ql": lambda: fem.dd_radicands((row, spoil(row)), z, z),
             "zj": lambda: fem.dd_radicands((row, row), z, spoil(z)),
@@ -222,11 +220,12 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert hexes(X[:, 0]) == hexes(column_oracle(n, row, ones, ones, 0))
         W = fem.tridiagonal_rows(sys_.Gram, spoil(rows))
         assert hexes(W[0]) == hexes(TridiagonalArrays.of(sys_.Gram, n).matvec(rows[0]))
-        g = (v + v) + (v + (v + v))
-        got = residual(spoil(v), spoil(v), spoil(two), spoil(np.ones((2, 2))))
+        c = np.array([1.0, 0.5, -2.0, 0.25, 3.0])
+        g = lift_in_snapshot_order([v, v, v, v, v], c)
+        got = lift(spoil(v), spoil(v), spoil(np.repeat(c[:, None], 2, axis=1)))
         assert hexes(got) == hexes([h1_norm_lanes(sys_, g)] * 2)
         e = v - lift_in_snapshot_order([v, v], np.array([0.5, 0.25]))
-        U, gamma = spoil(np.repeat(v[:, None], 2, axis=1)), spoil(np.tile([0.5, 0.25], (2, 1)))
+        U, gamma = spoil(np.repeat(v[:, None], 2, axis=1)), spoil(np.tile([[0.5], [0.25]], (1, 2)))
         assert hexes(error(spoil(v), U, gamma)) == hexes([h1_norm_lanes(sys_, e)] * 2)
         F = fem.dd_gram_table(sys_, [spoil(v), spoil(2.0 * v)], 1)
         assert hexes(F) == hexes(fem.dd_gram_table(sys_, [v, 2.0 * v], 0)[:, 1:])
