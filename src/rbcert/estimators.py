@@ -56,17 +56,19 @@ gives the greedy its delta.  Each Gram pair is computed once, as the dd
 Gram product of the later inserted vector dotted in dd with the earlier
 one, and q_IJ off the diagonal is exactly twice it.
 
-The length-N and double-double stages run in the compiled kernels of
+Every stage past the reduced solve runs in the compiled kernels of
 :mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1 and the true error
 (``lift_norms``, each from its lift's first term to its norm's last sum),
-and e2dd's radicands (``dd_radicands``).  e1 is the norm of the lift
-sum_I z_I G_I with the rows of z that the monomials multiply, and the true
-error that of U less the lift sum_k gamma_k u_k.  Each kernel makes the
-operations of the numpy reference the tests keep for it, in their order,
-so its bits: the per-pair dd inner product, the lift adding its vectors
-in order, and a dot summed in eight lanes in an order fixed by N.  e2's
-radicands (``fsum_columns``) are correctly rounded sums, so they have the
-bits of ``math.fsum``, the tests' reference.
+and, from z with the monomials formed in the kernel, e2dd's radicands
+(``dd_radicands``), e2's (``fsum_columns``) and e3's interpolated squares
+(``lu_solve_dots``).  e1 is the norm of the lift sum_I z_I G_I with the
+rows of z that the monomials multiply, and the true error that of U less
+the lift sum_k gamma_k u_k.  Each kernel makes the operations of the
+numpy reference the tests keep for it, in their order, so its bits: the
+per-pair dd inner product, the lift adding its vectors in order, a dot
+summed in eight lanes in an order fixed by N, and T's LU solve with its
+dot with V summed left to right.  e2's radicands are correctly rounded
+sums, so they have the bits of ``math.fsum``, the tests' reference.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_gram_table, dd_radicands, fsum_columns, lift_norms
-from .fem import parameter_block, solve_truth
+from .fem import lu_solve_dots, parameter_block, solve_truth
 from .precision import dd_sqrt
 
 logger = logging.getLogger(__name__)
@@ -257,20 +259,6 @@ def _lu_factor(A: np.ndarray):
     return LU, piv
 
 
-def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve with a (n,) or (n, m) right-hand side; columns independently."""
-    LU, piv = lu
-    n = LU.shape[0]
-    x = b[piv].astype(float, copy=True)
-    cols = x.reshape(n, -1)
-    for k in range(n - 1):
-        cols[k + 1:] -= LU[k + 1:, k, None] * cols[k]
-    for k in range(n - 1, -1, -1):
-        cols[k] /= LU[k, k]
-        cols[:k] -= LU[:k, k, None] * cols[k]
-    return x
-
-
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
     """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = E1(nodes)^2.
 
@@ -281,13 +269,12 @@ def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
 
     nodes = np.asarray(nodes, dtype=float)
     rows = np.asarray(rows, dtype=int)
-    z = _z_rows(nodes, solve_reduced_block(model, nodes))
-    e1 = _e1_block(sys, model, z)
-    zi, zj = _monomial_factors(z)
+    gamma = solve_reduced_block(model, nodes)
+    e1 = _e1_block(sys, model, _z_rows(nodes, gamma))
     return E3Data(
         interp_params=nodes,
         rows=rows,
-        T=(zi * zj)[rows],
+        T=x_matrix(nodes, gamma)[rows],
         V=np.array([e ** 2 for e in e1.tolist()]),
         d=x_dimension(model.n_hat),
     )
@@ -324,28 +311,27 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # The functions below evaluate a block of parameters at once.  Each runs one
 # point's operations element by element across the block, in an order that
 # does not depend on the block.  e1 and the true error are compiled from
-# their lifts' first terms to the norms' last sums (fem.lift_norms), so
-# their bits depend neither on the block nor on the host.  The reduced
-# solves (LAPACK) and e3's V dot (BLAS) run one vector's operations per
-# point; their bits hold on one machine with one OpenBLAS kernel and numpy
-# SIMD target.  That is the measured scope.  Under OpenBLAS's oldest x86
-# kernel (Prescott), ddot's result depends on the 16-byte phase of its
-# second operand, which the rows of a (step, N) buffer used to alternate at
-# odd N: block and point differed there until the norms left BLAS.
+# their lifts' first terms to the norms' last sums (fem.lift_norms), and
+# e2, e2dd and e3 from z's entries to their last sums (fem.fsum_columns,
+# fem.dd_radicands, fem.lu_solve_dots), so their bits depend neither on the
+# block nor on the host.  The reduced solves (LAPACK) run one matrix's
+# operations per point; their bits hold on one machine with one OpenBLAS
+# kernel and numpy SIMD target.  That is the measured scope.  Under
+# OpenBLAS's oldest x86 kernel (Prescott), ddot's result depends on the
+# 16-byte phase of its second operand, which the rows of a (step, N) buffer
+# used to alternate at odd N: block and point differed there until the
+# norms left BLAS.
 
-# Block sizes come from budgets of float64 entries per block temporary.
 # evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters:
 # the compiled block Thomas solve holds one (N, m) array, its solution,
 # and costs the same per entry from about 13 columns up, so the chunk
 # bounds memory only (8 MiB; 5269 points at N=199, 104 at N=9999).  A
-# narrower chunk runs more reduced solves and monomials: at N=9999, d=325,
-# 2**17 entries cut the sweep's peak RSS from 49.1 to 44.6 MB and cost it
-# 15-25 % of its time.  z is formed once a chunk; the true error and e1
-# take the chunk in one kernel call each, on scratch of a few doubles per
-# point.  The d-length stages run on sub-blocks of _BLOCK_ELEMENTS // d
-# points, whose monomial vectors stay under 64 KiB, which the allocator
-# reuses instead of growing the process: 90 points at d=91, 25 at d=325.
-_BLOCK_ELEMENTS = 2 ** 13
+# narrower chunk runs more reduced solves: at N=9999, d=325, 2**17 entries
+# cut the sweep's peak RSS from 49.1 to 44.6 MB and cost it 15-25 % of its
+# time.  z is formed once a chunk, and every other stage takes the chunk's
+# z in one kernel call, on scratch that does not grow with the chunk: a few
+# doubles a point for the norms, and passes of fem._BLOCK_ELEMENTS for the
+# dd sums and e3's solves.
 _SOLVE_ELEMENTS = 2 ** 20
 
 
@@ -382,47 +368,44 @@ def _z_rows(mus, gamma):
     return np.concatenate([np.ones((1, len(mus))), gamma_t, mus * gamma_t])
 
 
-def _monomial_factors(z):
-    """The factor rows (z_I, z_J), I <= J in lexicographic order, of X at
-    every column of z (:func:`_z_rows`); both are (d, m), and their product
-    is :func:`x_matrix`."""
-    i, j = np.triu_indices(len(z))
-    return z[i], z[j]
-
-
 def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The (d, m) matrix whose column j is X(mus[j]) = (1; x_I; x_I*x_J for I <= J,
-    lexicographic) with x = (gamma[j]; mus[j]*gamma[j])."""
-    zi, zj = _monomial_factors(_z_rows(mus, gamma))
-    return zi * zj
+    lexicographic) with x = (gamma[j]; mus[j]*gamma[j]): the products z_I*z_J
+    of the rows of z (:func:`_z_rows`) over the pairs I <= J.  The online
+    kernels form these products themselves, from z."""
+    z = _z_rows(mus, gamma)
+    i, j = np.triu_indices(len(z))
+    X = z[i]
+    X *= z[j]
+    return X
 
 
-def _e2_block(q, X):
+def _e2_block(q, z):
     """Compact-form estimator for the coefficients q (:func:`q_coefficients`)
-    and the monomial columns X; returns (value, radicand).
+    at every column of z (:func:`_z_rows`); returns (value, radicand).
 
-    The radicand q.X(mu) is evaluated in working precision: each product
-    is a rounded double, and the radicand is the correctly rounded sum of
-    the rounded products (:func:`fem.fsum_columns`, ``math.fsum``'s bits).
-    The round-off floor therefore comes from the product roundings - O(eps)
-    relative to the O(delta^2) summands - which is exactly the cancellation
-    effect under study; the signed radicand is returned raw because a
-    negative value is data, not an error.
+    The radicand q.X(mu) is evaluated in working precision: each monomial
+    and each product with q is a rounded double, and the radicand is the
+    correctly rounded sum of the rounded products (:func:`fem.fsum_columns`,
+    ``math.fsum``'s bits).  The round-off floor therefore comes from the
+    product roundings - O(eps) relative to the O(delta^2) summands - which
+    is exactly the cancellation effect under study; the signed radicand is
+    returned raw because a negative value is data, not an error.
     """
-    radicand = fsum_columns(q, X)
+    radicand = fsum_columns(q, z)
     return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
-def _e2dd_block(data: E2Data, zi, zj):
-    """Compact form in double-double; returns (value, clamped).
+def _e2dd_block(data: E2Data, z):
+    """Compact form in double-double at every column of z (:func:`_z_rows`);
+    returns (value, clamped).
 
-    zi and zj are the monomials' factor rows (:func:`_monomial_factors`).
-    Each q_p*X_p, X_p the exact product of its factors, and the sum over
-    the d monomials are dd operations on q_dd (:func:`fem.dd_radicands`),
-    rounded back to working precision.  A negative dd radicand is clamped
-    to zero and flagged.
+    Each q_p*X_p, X_p = z_I*z_J the exact product of its factors, and the
+    sum over the d monomials are dd operations on q_dd
+    (:func:`fem.dd_radicands`), rounded back to working precision.  A
+    negative dd radicand is clamped to zero and flagged.
     """
-    rh, rl = dd_radicands(data.q_dd, zi, zj)
+    rh, rl = dd_radicands(data.q_dd, z)
     clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
     if clamped.any():
         logger.info("e2dd: %d negative dd radicands clamped", clamped.sum())
@@ -430,21 +413,20 @@ def _e2dd_block(data: E2Data, zi, zj):
     return np.where(clamped, 0.0, vh + vl), clamped
 
 
-def _e3_block(data: E3Data, mus, X):
-    """Interpolated estimator at mus with monomial columns X; returns (value, clamped).
+def _e3_block(data: E3Data, mus, z):
+    """Interpolated estimator at mus with z's columns (:func:`_z_rows`);
+    returns (value, clamped).
 
     At a stored node (bit-equal mu) the node's value by exact lookup,
-    elsewhere lambda . V with T lambda = X(mu)[rows] solved by T's LU.  A
+    elsewhere lambda . V with T lambda = X(mu)[rows] solved by T's LU, the
+    monomials of X's rows formed from z (:func:`fem.lu_solve_dots`).  A
     negative interpolated square is clamped to zero and flagged.
     """
+    pairs = np.stack(np.triu_indices(len(z)))[:, data.rows]
+    total = lu_solve_dots(data.lu, pairs, z, data.V)
     hit = mus[:, None] == data.interp_params
     node = hit.any(axis=1)
-    total = np.empty(len(mus))
     total[node] = data.V[hit[node].argmax(axis=1)]
-    free = ~node
-    if free.any():
-        lam = _lu_solve(data.lu, X[np.ix_(data.rows, free)])
-        total[free] = [row @ data.V for row in np.ascontiguousarray(lam.T)]
     clamped = total < 0.0
     if clamped.any():
         logger.info("e3: %d negative interpolated squares clamped", clamped.sum())
@@ -461,10 +443,8 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     1-D, raises ``ValueError``.  A block of any size runs in bounded
     working memory: chunks of _SOLVE_ELEMENTS // N points, each with one
     reduced and one truth solve and one z (:func:`_z_rows`), whose (N, m)
-    solution is released once the true error has read it; the true error
-    and e1 take a chunk in one kernel call each, and the monomials, e2,
-    e2dd and e3 run in sub-blocks of z of _BLOCK_ELEMENTS entries per
-    monomial array.
+    solution is released once the true error has read it; the true error,
+    e1, e2, e2dd and e3 take a chunk's z in one kernel call each.
     """
     from .reduced import solve_reduced_block
 
@@ -474,19 +454,15 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     cols["e3_clamped_flag"] = np.empty(mus.size, dtype=int)
     q = q_coefficients(e2data)
     chunk = max(1, _SOLVE_ELEMENTS // sys.n)
-    step = max(1, _BLOCK_ELEMENTS // e3data.d)
     for c in range(0, mus.size, chunk):
         m = mus[c:c + chunk]
+        part = slice(c, c + len(m))
         z = _z_rows(m, solve_reduced_block(model, m))
         U = solve_truth(sys, m)
-        cols["true_error"][c:c + len(m)] = lift_norms(sys, model.snapshots, z[1:model.n_hat + 1], U)
+        cols["true_error"][part] = lift_norms(sys, model.snapshots, z[1:model.n_hat + 1], U)
         del U  # not alive beside the next chunk's solve
-        cols["e1"][c:c + len(m)] = _e1_block(sys, model, z)
-        for k in range(0, len(m), step):
-            part = slice(c + k, c + min(k + step, len(m)))
-            zi, zj = _monomial_factors(z[:, k:k + step])
-            X = zi * zj
-            cols["e2"][part], cols["e2_radicand"][part] = _e2_block(q, X)
-            cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m[k:k + step], X)
-            cols["e2dd"][part] = _e2dd_block(e2data, zi, zj)[0]
+        cols["e1"][part] = _e1_block(sys, model, z)
+        cols["e2"][part], cols["e2_radicand"][part] = _e2_block(q, z)
+        cols["e2dd"][part] = _e2dd_block(e2data, z)[0]
+        cols["e3"][part], cols["e3_clamped_flag"][part] = _e3_block(e3data, m, z)
     return {"mu": mus, **cols}

@@ -13,17 +13,20 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds six kernels, listed with their
+mesh.  One C source, ``_SOURCE``, holds seven kernels, listed with their
 types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
 once, and ``tridiagonal_rows`` the double products T*g of ``h1_inner``
 and the basis extension; ``dd_gram_table`` grows E2's dd Gram table, each
 pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
 of a lift of vectors (less U, for the true error) from its first term to
-the norm's last sum in one pass over the mesh; ``dd_radicands`` gives
-e2dd's radicands, and ``fsum_columns`` e2's.  Each of the first five
-makes the operations of the reference the tests keep for it, in their
-order, so its bits; ``fsum_columns`` rounds an exact sum correctly, so it
-has the bits of ``math.fsum``, the tests' reference for it.  It is
+the norm's last sum in one pass over the mesh.  Three take z = (1; gamma;
+mu*gamma), one column a point, and form the monomials z_I*z_J themselves:
+``dd_radicands`` gives e2dd's radicands, ``fsum_columns`` e2's, and
+``lu_solve_dots`` e3's interpolated squares.  Each kernel but
+``fsum_columns`` makes the operations of the reference the tests keep for
+it, in their order, so its bits; ``fsum_columns`` rounds an exact sum
+correctly, so it has the bits of ``math.fsum``, the tests' reference for
+it.  It is
 compiled when this module is imported, with ``cc`` and ``_FLAGS``, into
 one library in ``__pycache__`` beside this file, and loaded with
 ``ctypes``; a missing or failing compiler is an ``ImportError``.  With
@@ -107,7 +110,7 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the six
+   wider vector changes the speed and not the bits.  It marks the seven
    kernels and dd_tree, the one vector helper with several callers that
    is not inlined.  INLINE forces gram_entries and lift_row into each
    clone of their callers, so a one-point lift_norms pays no call per
@@ -311,22 +314,36 @@ void dd_gram_table(ptrdiff_t n, ptrdiff_t k0, ptrdiff_t k, double diag, double o
     }
 }
 
-/* e2dd's radicand q.X in double-double for the m columns of X = zi*zj,
-   zi and zj row-major (d, m): term p is dd_mul((qh_p, ql_p),
-   two_prod(zi_p, zj_p)), into t, 2dm doubles, and dd_tree leaves column
-   j's sum at (t[j], t[dm + j]). */
+/* e2dd's radicand q.X in double-double for the m columns of z, row-major
+   (k, m), X's d = k(k+1)/2 monomials z_I*z_J over the pairs I <= J in
+   lexicographic order: term (I, J) is dd_mul((qh, ql) at its pair,
+   two_prod(z_I, z_J)), and dd_tree sums a column's d terms.  Columns go p
+   at a time, q <= p in a pass, their terms in rows of q in the 2dp doubles
+   of scratch; column j's sum goes to (out[j], out[m + j]). */
 WIDE
-void dd_radicands(ptrdiff_t d, ptrdiff_t m, const double *qh, const double *ql,
-                  const double *zi, const double *zj, double *restrict t)
+void dd_radicands(ptrdiff_t k, ptrdiff_t m, const double *qh, const double *ql,
+                  const double *z, double *restrict out, ptrdiff_t p, double *restrict scratch)
 {
+    ptrdiff_t d = k * (k + 1) / 2, j0, q, i, j, r, t;
     double xh, xl;
-    ptrdiff_t p, j;
-    for (p = 0; p < d; p++)
-        for (j = p * m; j < (p + 1) * m; j++) {
-            two_prod(zi[j], zj[j], &xh, &xl);
-            dd_mul(qh[p], ql[p], xh, xl, &t[j], &t[d * m + j]);
+    for (j0 = 0; j0 < m; j0 += p) {
+        double *th = scratch, *tl;
+        q = m - j0 < p ? m - j0 : p;
+        tl = scratch + d * q;
+        for (r = 0, i = 0; i < k; i++)
+            for (j = i; j < k; j++, r++) {
+                const double *a = z + i * m + j0, *b = z + j * m + j0;
+                for (t = 0; t < q; t++) {
+                    two_prod(a[t], b[t], &xh, &xl);
+                    dd_mul(qh[r], ql[r], xh, xl, &th[r * q + t], &tl[r * q + t]);
+                }
+            }
+        dd_tree(d, q, th, tl);
+        for (t = 0; t < q; t++) {
+            out[j0 + t] = th[t];
+            out[m + j0 + t] = tl[t];
         }
-    dd_tree(d, m, t, t + d * m);
+    }
 }
 
 /* CPython's math.fsum over n finite doubles v whose magnitudes sum far
@@ -380,11 +397,13 @@ static double fsum_exact(const double *v, int n, double *p)
 }
 
 /* e2's radicand: out[j] is the correctly rounded sum of the rounded
-   products t_p = q_p*X_pj over column j of the row-major (d, m) X, so
-   math.fsum's bits, for d < 2**31.  A finite t_p is mant*2**(b - 1074),
-   b = e - 1 for a biased exponent e > 0 and b = 0 for a subnormal.  It
-   adds exactly into 66 int64 chunks, chunk k counting units of
-   2**(32k - 1074): mant, shifted by b % 32, spans chunks b/32 to b/32 + 2
+   products t_p = q_p*X_p over column j of the row-major (k, m) z, where
+   X_p = z_I*z_J, rounded, for the d = k(k+1)/2 pairs I <= J in
+   lexicographic order, so math.fsum's bits, for d < 2**31.  A finite t_p
+   is mant*2**(b - 1074), b = e - 1 for a biased exponent e > 0 and b = 0
+   for a subnormal.  It
+   adds exactly into 66 int64 chunks, chunk c counting units of
+   2**(32c - 1074): mant, shifted by b % 32, spans chunks b/32 to b/32 + 2
    in pieces below 2**32, so no chunk reaches 2**63 and nothing carries
    while summing.  Then truncating division moves each chunk's carry into
    the next, up to the highest chunk any term reached; it keeps the sign of
@@ -401,56 +420,106 @@ static double fsum_exact(const double *v, int n, double *p)
 #define CHUNKS 66
 
 WIDE
-ptrdiff_t fsum_columns(ptrdiff_t d, ptrdiff_t m, const double *q, const double *X,
+ptrdiff_t fsum_columns(ptrdiff_t k, ptrdiff_t m, const double *q, const double *z,
                        double *restrict out)
 {
     const uint64_t nan = 0x7ff8000000000000u;
     int64_t acc[CHUNKS];
     double unit[CHUNKS], v[CHUNKS], partials[CHUNKS];
-    ptrdiff_t p, j, flagged = 0;
-    int k, n, top, log2d = 0, emax;
-    for (k = 0; k < CHUNKS; k++) {
-        int w = 32 * k - 1074;
+    ptrdiff_t d = k * (k + 1) / 2, p, i, i2, j, flagged = 0;
+    int c, n, top, log2d = 0, emax;
+    for (c = 0; c < CHUNKS; c++) {
+        int w = 32 * c - 1074;
         uint64_t u = w < -1022 ? (uint64_t)1 << (w + 1074) : (uint64_t)(w + 1023) << 52;
-        memcpy(&unit[k], &u, sizeof u);
+        memcpy(&unit[c], &u, sizeof u);
     }
     while (((ptrdiff_t)1 << log2d) < d)
         log2d++;
     for (j = 0; j < m; j++) {
         memset(acc, 0, sizeof acc);
-        for (emax = 0, p = 0; p < d; p++) {
-            double t = q[p] * X[p * m + j];
-            uint64_t u, mant, high;
-            int64_t neg;
-            int e, b;
-            memcpy(&u, &t, sizeof u);
-            e = (int)(u >> 52 & 0x7ff);
-            emax = e > emax ? e : emax;
-            mant = (u & 0xfffffffffffffu) | (uint64_t)(e != 0) << 52;
-            b = e ? e - 1 : 0;
-            high = mant >> (32 - (b & 31));
-            neg = -(int64_t)(u >> 63);
-            acc[b >> 5] += ((int64_t)(mant << (b & 31) & 0xffffffffu) ^ neg) - neg;
-            acc[(b >> 5) + 1] += ((int64_t)(high & 0xffffffffu) ^ neg) - neg;
-            acc[(b >> 5) + 2] += ((int64_t)(high >> 32) ^ neg) - neg;
-        }
+        for (emax = 0, p = 0, i = 0; i < k; i++)
+            for (i2 = i; i2 < k; i2++, p++) {
+                double t = q[p] * (z[i * m + j] * z[i2 * m + j]);
+                uint64_t u, mant, high;
+                int64_t neg;
+                int e, b;
+                memcpy(&u, &t, sizeof u);
+                e = (int)(u >> 52 & 0x7ff);
+                emax = e > emax ? e : emax;
+                mant = (u & 0xfffffffffffffu) | (uint64_t)(e != 0) << 52;
+                b = e ? e - 1 : 0;
+                high = mant >> (32 - (b & 31));
+                neg = -(int64_t)(u >> 63);
+                acc[b >> 5] += ((int64_t)(mant << (b & 31) & 0xffffffffu) ^ neg) - neg;
+                acc[(b >> 5) + 1] += ((int64_t)(high & 0xffffffffu) ^ neg) - neg;
+                acc[(b >> 5) + 2] += ((int64_t)(high >> 32) ^ neg) - neg;
+            }
         if (emax == 0x7ff || emax + log2d > 2041) {
             memcpy(&out[j], &nan, sizeof nan);
             flagged++;
             continue;
         }
         top = (emax ? emax - 1 : 0) / 32 + 3;     /* at most CHUNKS; chunks from top on are 0 */
-        for (k = 0; k + 1 < top; k++) {
-            int64_t carry = acc[k] / ((int64_t)1 << 32);
-            acc[k] -= carry * ((int64_t)1 << 32);
-            acc[k + 1] += carry;
+        for (c = 0; c + 1 < top; c++) {
+            int64_t carry = acc[c] / ((int64_t)1 << 32);
+            acc[c] -= carry * ((int64_t)1 << 32);
+            acc[c + 1] += carry;
         }
-        for (n = 0, k = 0; k < top; k++)
-            if (acc[k])
-                v[n++] = (double)acc[k] * unit[k];
+        for (n = 0, c = 0; c < top; c++)
+            if (acc[c])
+                v[n++] = (double)acc[c] * unit[c];
         out[j] = fsum_exact(v, n, partials);
     }
     return flagged;
+}
+
+/* e3's interpolated squares lambda.v for the m columns of z, row-major
+   (k, m): lambda solves T lambda = b with T's partial-pivoting LU factors,
+   the row-major r x r lu, and b_s = z_I*z_J for the pair (I, J) of T's
+   row s in pivot order, I at pairs[s] and J at pairs[r + s].  Column by
+   column, the operations are those of the numpy LU solve: b_i = b_i -
+   L_is*b_s for i > s, s ascending, then b_s = b_s/U_ss and b_i = b_i -
+   U_is*b_s for i < s, s descending; lambda.v is summed left to right from
+   +0.0 into out[j].  Columns go p at a time, q <= p in a pass, lambda in
+   rows of q in the rp doubles of scratch. */
+WIDE
+void lu_solve_dots(ptrdiff_t r, ptrdiff_t m, const double *lu, const ptrdiff_t *pairs,
+                   const double *z, const double *v, double *restrict out, ptrdiff_t p,
+                   double *restrict scratch)
+{
+    ptrdiff_t j0, q, s, i, t;
+    for (j0 = 0; j0 < m; j0 += p) {
+        q = m - j0 < p ? m - j0 : p;
+        for (s = 0; s < r; s++) {
+            const double *a = z + pairs[s] * m + j0, *b = z + pairs[r + s] * m + j0;
+            double *restrict x = scratch + s * q;
+            for (t = 0; t < q; t++)
+                x[t] = a[t] * b[t];
+        }
+        for (s = 0; s < r; s++) {
+            const double *restrict xs = scratch + s * q;
+            for (i = s + 1; i < r; i++) {
+                double l = lu[i * r + s], *restrict x = scratch + i * q;
+                for (t = 0; t < q; t++)
+                    x[t] = x[t] - l * xs[t];
+            }
+        }
+        for (s = r - 1; s >= 0; s--) {
+            double u = lu[s * r + s], *restrict xs = scratch + s * q;
+            for (t = 0; t < q; t++)
+                xs[t] = xs[t] / u;
+            for (i = 0; i < s; i++) {
+                double l = lu[i * r + s], *restrict x = scratch + i * q;
+                for (t = 0; t < q; t++)
+                    x[t] = x[t] - l * xs[t];
+            }
+        }
+        for (t = 0; t < q; t++)
+            out[j0 + t] = 0.0;
+        for (s = 0; s < r; s++)
+            for (t = 0; t < q; t++)
+                out[j0 + t] = out[j0 + t] + scratch[s * q + t] * v[s];
+    }
 }
 
 /* T*g, T's rows (off, diag, off): entry i is (diag*g_i + off*g_{i+1}) +
@@ -615,9 +684,10 @@ _N, _P, _D = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _KERNELS = (
     ("thomas", (_N, _N, _P, _P, _P, _N, _P, _N, _P), ctypes.c_int),
     ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
-    ("dd_radicands", (_N, _N, _P, _P, _P, _P, _P), None),
+    ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), None),
     ("fsum_columns", (_N, _N, _P, _P, _P), _N),
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
+    ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
     ("tridiagonal_rows", (_N, _N, _D, _D, _P, _P), None),
 )
 
@@ -707,26 +777,49 @@ def dd_gram_table(sys: TruthSystem, vectors, k0: int) -> np.ndarray:
     return out
 
 
-def dd_radicands(q_dd, zi, zj) -> tuple:
-    """q.X in double-double for every column of X = zi*zj, in one kernel call.
+def _monomials(z, *qs) -> tuple:
+    """(k, m, d) of a (k, m) array z, whose monomials z_I*z_J over the
+    d = k(k+1)/2 pairs I <= J are weighted by the (d,) arrays qs, or
+    ``ValueError`` naming the shapes."""
+    k, m = np.shape(z) if np.ndim(z) == 2 else (-1, -1)
+    d = k * (k + 1) // 2
+    if k < 1 or any(np.shape(q) != (d,) for q in qs):
+        raise ValueError(f"{[np.shape(q) for q in qs]} do not fit the monomials of z of "
+                         f"shape {np.shape(z)}")
+    return k, m, d
 
-    q_dd = (qh, ql) are (d,) arrays and zi, zj the (d, m) factor rows of X.
-    Column j is ``dd_sum(*dd_mul(q_dd, two_prod(zi[:, j], zj[:, j])))`` of
-    the numpy dd kernels, the same operations in the same order.  Returns
-    (hi, lo), two (m,) arrays.
+
+# dd_radicands sums in passes over _BLOCK_ELEMENTS // d columns, whose d
+# terms in double-double take two arrays of _BLOCK_ELEMENTS doubles (128 KiB)
+# whatever the number of columns: 25 at d = 325, 90 at d = 91.
+# lu_solve_dots solves in passes over _BLOCK_ELEMENTS // r columns.
+_BLOCK_ELEMENTS = 2 ** 13
+
+
+def dd_radicands(q_dd, z) -> tuple:
+    """q.X in double-double for every column of the (k, m) array z, in one
+    kernel call, X's monomials z_I*z_J over the pairs I <= J in
+    lexicographic order.
+
+    q_dd = (qh, ql) are (d,) arrays, d = k(k+1)/2.  Column j is
+    ``dd_sum(*dd_mul(q_dd, two_prod(z[I, j], z[J, j])))`` of the numpy dd
+    kernels over the pairs, the same operations in the same order, in
+    passes of _BLOCK_ELEMENTS // d columns.  Returns (hi, lo), two (m,)
+    arrays.
     """
-    d, m = np.shape(zi)
-    if np.shape(zj) != (d, m) or any(np.shape(q) != (d,) for q in q_dd):
-        raise ValueError(f"q_dd does not fit the factor rows {np.shape(zi)} and {np.shape(zj)}")
-    t = np.empty((2, d, m))
-    args = [_address(a, name) for a, name in zip((*q_dd, zi, zj), ("qh", "ql", "zi", "zj"))]
-    _lib.dd_radicands(d, m, *args, _address(t, "t", out=True))
-    return t[0, 0], t[1, 0]
+    k, m, d = _monomials(z, *q_dd)
+    p = max(1, min(m, _BLOCK_ELEMENTS // d))
+    out, scratch = np.empty((2, m)), np.empty(2 * d * p)
+    args = [_address(a, name) for a, name in zip((*q_dd, z), ("qh", "ql", "z"))]
+    _lib.dd_radicands(k, m, *args, _address(out, "out", out=True), p,
+                      _address(scratch, "scratch", out=True))
+    return out[0], out[1]
 
 
-def fsum_columns(q, X) -> np.ndarray:
-    """The correctly rounded sum of the rounded products q_p*X[p, j] for
-    every column j of the (d, m) array X, q (d,), in one kernel call.
+def fsum_columns(q, z) -> np.ndarray:
+    """The correctly rounded sum of the rounded products q_p*X_p for every
+    column of the (k, m) array z, in one kernel call, X_p = z_I*z_J rounded
+    for the d = k(k+1)/2 pairs I <= J in lexicographic order and q (d,).
 
     Any correctly rounded sum of the same doubles is one double, so each
     column has ``math.fsum``'s bits.  A column with a non-finite product,
@@ -734,16 +827,44 @@ def fsum_columns(q, X) -> np.ndarray:
     way, is handed to ``math.fsum`` itself: it gets fsum's value, or
     raises fsum's error.  d must be below 2**31.  Returns an (m,) array.
     """
-    d, m = np.shape(X)
-    if np.shape(q) != (d,):
-        raise ValueError(f"q of shape {np.shape(q)} does not fit X of shape {np.shape(X)}")
+    k, m, d = _monomials(z, q)
     if d >= 2 ** 31:
-        raise ValueError(f"X has {d} rows; the kernel sums fewer than 2**31")
+        raise ValueError(f"z has {d} monomials; the kernel sums fewer than 2**31")
     out = np.empty(m)
-    args = _address(q, "q"), _address(X, "X"), _address(out, "out", out=True)
-    if _lib.fsum_columns(d, m, *args):
-        for j in np.flatnonzero(np.isnan(out)):
-            out[j] = math.fsum((q * X[:, j]).tolist())
+    args = _address(q, "q"), _address(z, "z"), _address(out, "out", out=True)
+    if _lib.fsum_columns(k, m, *args):
+        i, j = np.triu_indices(k)
+        for c in np.flatnonzero(np.isnan(out)):
+            out[c] = math.fsum((q * (z[i, c] * z[j, c])).tolist())
+    return out
+
+
+def lu_solve_dots(lu, pairs, z, v) -> np.ndarray:
+    """lambda.v at every column of the (k, m) array z, in one kernel call:
+    lambda solves T lambda = b, b_s = z[I_s]*z[J_s], with T's
+    partial-pivoting LU factors lu = (LU, piv), LU (r, r) and piv its row
+    permutation, for the (2, r) integer array pairs of rows (I_s; J_s).
+
+    lambda makes the operations of the tests' numpy LU solve in their
+    order, the pairs taken in pivot order, so its bits; lambda.v is summed
+    left to right from +0.0, in passes of _BLOCK_ELEMENTS // r columns.
+    Returns an (m,) array.
+    """
+    LU, piv = lu
+    r = len(piv)
+    k, m = np.shape(z) if np.ndim(z) == 2 else (-1, -1)
+    if np.shape(LU) != (r, r) or np.shape(v) != (r,) or np.shape(pairs) != (2, r) or k < 0:
+        raise ValueError(f"LU {np.shape(LU)}, pairs {np.shape(pairs)}, z {np.shape(z)} and v "
+                         f"{np.shape(v)} do not fit")
+    pairs = np.ascontiguousarray(np.asarray(pairs)[:, piv], dtype=np.intp)
+    if r and not (0 <= pairs.min() and pairs.max() < k):
+        raise ValueError(f"pairs index rows outside z's {k}")
+    p = max(1, min(m, _BLOCK_ELEMENTS // max(r, 1)))
+    out, scratch = np.empty(m), np.empty(r * p)
+    args = (_address(LU, "LU"), _address(pairs, "pairs", dtype=np.intp), _address(z, "z"),
+            _address(v, "v"), _address(out, "out", out=True), p,
+            _address(scratch, "scratch", out=True))
+    _lib.lu_solve_dots(r, m, *args)
     return out
 
 

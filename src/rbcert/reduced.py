@@ -36,7 +36,6 @@ from .estimators import (
     E2Table,
     E3Data,
     _e2dd_block,
-    _monomial_factors,
     _z_rows,
     e3_data,
     estimator_e1_block,
@@ -94,13 +93,15 @@ def add_snapshot(
 ) -> ReducedModel:
     """Solve the truth problem at mu_new and extend the model in place.
 
-    :func:`_extend_basis`, then the two Riesz lifts, one vector at a time.
+    :func:`_extend_basis`, then the two Riesz lifts in one block, each
+    column with the bits of a one-vector lift, kept as contiguous rows.
     Replaying a build's calls in order, at any dependence_tol at or below
     the build's, rebuilds its model bit for bit (:func:`model_from_dict`).
     """
-    Kv, Mv = _extend_basis(model, sys, mu_new, dependence_tol)
-    model.riesz_a0.append(riesz_representative(sys, Kv))
-    model.riesz_a1.append(riesz_representative(sys, Mv))
+    functionals = np.column_stack(_extend_basis(model, sys, mu_new, dependence_tol))
+    lifts = np.ascontiguousarray(_lift(sys, functionals, functionals).T)
+    model.riesz_a0.append(lifts[0])
+    model.riesz_a1.append(lifts[1])
     return model
 
 
@@ -235,8 +236,7 @@ def greedy_build(
         if not candidates.size:
             break
         gamma = solve_reduced_block(model, candidates)
-        z = _z_rows(candidates, gamma)
-        best = int(np.argmax(_e2dd_block(e2data, *_monomial_factors(z))[0]))
+        best = int(np.argmax(_e2dd_block(e2data, _z_rows(candidates, gamma))[0]))
         pick = slice(best, best + 1)
         best_mu = float(candidates[best])
         best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])
@@ -268,11 +268,13 @@ def greedy_build(
 # Bytes are reproducible on the same machine with the same OpenBLAS kernel
 # and numpy SIMD target, and no further: artifacts built under two OpenBLAS
 # kernels differ, raw basis included.  A raw basis vector is a truth solve
-# in the compiled Thomas kernel, which calls no BLAS, but the e1 history
-# and the E3 picks go through BLAS dots.  An orthonormal basis goes through BLAS
-# dots in Gram-Schmidt, so another kernel replays it with other bits than
-# those q was built from; the hash turns that into a load error.  V is
-# recomputed with the loading machine's e1.
+# in the compiled Thomas kernel, which calls no BLAS, and e1 is compiled
+# too, but the reduced solves (LAPACK) set the coefficients that the e1
+# history, the greedy's picks and the E3 picks read, and the projections
+# and the E3 build's Gram-Schmidt take BLAS dots.  An orthonormal basis goes
+# through BLAS dots in Gram-Schmidt, so another kernel replays it with other
+# bits than those q was built from; the hash turns that into a load error.
+# V is recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
 FORMAT_VERSION = 7

@@ -14,9 +14,11 @@ the reference of the compiled product ``fem.tridiagonal_rows``, and
 references of the H1 norm and the lift that ``fem.lift_norms`` compiles,
 for e1 and for the true error.  The
 two-pass Thomas solve on Python floats is the reference the compiled
-kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, and the
+kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, the
 allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
-:func:`dd_sum`) are the references of its dd kernels.
+:func:`dd_sum`) are the references of its dd kernels, and the numpy LU
+solve (:func:`_lu_solve`) with a left-to-right dot (:func:`dot_in_order`)
+is the reference of e3's kernel ``fem.lu_solve_dots``.
 """
 
 import math
@@ -313,6 +315,32 @@ def dd_sum(hi, lo):
         h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
         n = half
     return (float(h[0]), float(l[0])) if h.ndim == 1 else (h[0], l[0])
+
+
+# --- the LU solve of e3 ------------------------------------------------------
+
+def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve with T's partial-pivoting LU factors lu = (LU, piv) for a (n,)
+    or (n, m) right-hand side b; columns independently."""
+    LU, piv = lu
+    n = LU.shape[0]
+    x = b[piv].astype(float, copy=True)
+    cols = x.reshape(n, -1)
+    for k in range(n - 1):
+        cols[k + 1:] -= LU[k + 1:, k, None] * cols[k]
+    for k in range(n - 1, -1, -1):
+        cols[k] /= LU[k, k]
+        cols[:k] -= LU[:k, k, None] * cols[k]
+    return x
+
+
+def dot_in_order(a, b) -> float:
+    """sum_i a_i*b_i, each product rounded and added left to right from
+    +0.0.  Not the builtin sum, which compensates floats from Python 3.12."""
+    total = 0.0
+    for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        total = total + x * y
+    return total
 
 
 # --- analytic reference -------------------------------------------------

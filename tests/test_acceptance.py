@@ -17,7 +17,7 @@ import pytest
 import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
-from rbcert.estimators import _e2_block
+from rbcert.estimators import _e2_block, _z_rows
 from rbcert.precision import dd_add, two_prod, two_sum
 
 from conftest import (
@@ -125,7 +125,7 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
         mus = sweep_grid(cfg)
         gamma = rb.solve_reduced_block(model, mus)
         e1 = rb.estimator_e1_block(truth, model, mus, gamma)
-        e2, _ = _e2_block(rb.q_coefficients(data), rb.x_matrix(mus, gamma))
+        e2, _ = _e2_block(rb.q_coefficients(data), _z_rows(mus, gamma))
         keep = e1 >= 1e-4
         worst_agree = max([worst_agree, *(np.abs(e2 - e1) / e1)[keep].tolist()])
 
@@ -136,8 +136,9 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     worst_form = 0.0
     for _ in range(300):
         mu = float(np.exp(rng.uniform(0.0, math.log(1000.0))))
-        X = rb.x_matrix(np.array([mu]), rng.normal(size=6)[None])
-        radicand = float(_e2_block(q, X)[1][0])
+        gamma = rng.normal(size=6)[None]
+        X = rb.x_matrix(np.array([mu]), gamma)
+        radicand = float(_e2_block(q, _z_rows(np.array([mu]), gamma))[1][0])
         exact = sum(
             (Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, X[:, 0])), Fraction(0)
         )
@@ -287,12 +288,12 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
     accurate, _, _ = rb.greedy_build(truth, training_grid(cfg), **kwargs)
     scanned = []
 
-    def e2_scan(data, zi, zj):
+    def e2_scan(data, z):
         scanned.append(data)
-        return _e2_block(rb.q_coefficients(data), zi * zj)
+        return _e2_block(rb.q_coefficients(data), z)
 
     def e2_at_pick(sys_, model, mus, gamma):
-        return _e2_block(rb.q_coefficients(scanned[-1]), rb.x_matrix(mus, gamma))[0]
+        return _e2_block(rb.q_coefficients(scanned[-1]), _z_rows(mus, gamma))[0]
 
     monkeypatch.setattr("rbcert.reduced._e2dd_block", e2_scan)
     monkeypatch.setattr("rbcert.reduced.estimator_e1_block", e2_at_pick)

@@ -29,18 +29,18 @@ from rbcert.estimators import (
     _e2_block,
     _e2dd_block,
     _e3_block,
-    _lu_solve,
-    _monomial_factors,
+    _lu_factor,
     _pivoted_gram_schmidt,
     _z_rows,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, tridiagonal_rows
+from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, lu_solve_dots
+from rbcert.fem import tridiagonal_rows
 from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
-from conftest import h1_norm_lanes, lift_in_snapshot_order
+from conftest import _lu_solve, dot_in_order, h1_norm_lanes, lift_in_snapshot_order
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -221,21 +221,20 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
         assert math.fsum(q * X) == pytest.approx(rb.h1_inner(truth, g, g), rel=1e-10)
 
 
-def monomials(mu, gamma):
-    """The monomial columns of one parameter and its coefficients:
-    X(mu) for _e2_block, its factor rows for _e2dd_block."""
-    zi, zj = _monomial_factors(_z_rows(np.array([mu]), np.array([gamma], dtype=float)))
-    return zi * zj, (zi, zj)
+def one_point_z(mu, gamma):
+    """z = (1; gamma; mu*gamma) of one parameter, the input of the e2, e2dd
+    and e3 kernels."""
+    return _z_rows(np.array([mu]), np.array([gamma], dtype=float))
 
 
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
-    value, radicand = _e2_block(rb.q_coefficients(default_e2), monomials(5.0, np.zeros(6))[0])
+    value, radicand = _e2_block(rb.q_coefficients(default_e2), one_point_z(5.0, np.zeros(6)))
     assert value.tolist() == [default_e2.delta]
     assert radicand.tolist() == [rb.q_coefficients(default_e2)[0]]
 
 
 def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
-    value, clamped = _e2dd_block(default_e2, *monomials(5.0, np.zeros(6))[1])
+    value, clamped = _e2dd_block(default_e2, one_point_z(5.0, np.zeros(6)))
     assert clamped.tolist() == [False]
     assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
@@ -284,13 +283,13 @@ def synthetic_negative_data():
 
 def test_e2_clamps_negative_radicand():
     q = rb.q_coefficients(synthetic_negative_data())
-    value, radicand = _e2_block(q, monomials(1.0, [1.0])[0])
+    value, radicand = _e2_block(q, one_point_z(1.0, [1.0]))
     assert radicand.tolist() == [-3.0]
     assert value.tolist() == [0.0]
 
 
 def test_e2dd_clamps_negative_radicand_and_flags():
-    value, clamped = _e2dd_block(synthetic_negative_data(), *monomials(1.0, [1.0])[1])
+    value, clamped = _e2dd_block(synthetic_negative_data(), one_point_z(1.0, [1.0]))
     assert value.tolist() == [0.0]
     assert clamped.tolist() == [True]
 
@@ -305,8 +304,8 @@ def synthetic_negative_e3():
 def test_clamp_logs_name_the_sweep_fields(caplog):
     # The clamp counts log under the SweepRecord field names.
     with caplog.at_level(logging.INFO, logger="rbcert.estimators"):
-        _e2dd_block(synthetic_negative_data(), *monomials(1.0, [1.0])[1])
-        _e3_block(synthetic_negative_e3(), np.array([1.0]), monomials(1.0, [1.0])[0])
+        _e2dd_block(synthetic_negative_data(), one_point_z(1.0, [1.0]))
+        _e3_block(synthetic_negative_e3(), np.array([1.0]), one_point_z(1.0, [1.0]))
     assert [r.getMessage() for r in caplog.records] == [
         "e2dd: 1 negative dd radicands clamped",
         "e3: 1 negative interpolated squares clamped",
@@ -444,17 +443,16 @@ def test_log_uniform_sampler_is_deterministic():
 
 
 def test_small_x_layout():
-    # Column j of z is (1; x) with x = (gamma[j]; mus[j]*gamma[j]); the factor
-    # rows run over the pairs I <= J of z, row I = 0 first.
+    # Column j of z is (1; x) with x = (gamma[j]; mus[j]*gamma[j]); X's rows
+    # are the products z_I*z_J over the pairs I <= J of z, row I = 0 first.
     mus, gamma = np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]])
-    z = [[1.0, 1.0], [0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]]
+    z = np.array([[1.0, 1.0], [0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]])
     assert np.array_equal(_z_rows(mus, gamma), z) and _z_rows(mus, gamma).flags.c_contiguous
-    zi, zj = _monomial_factors(_z_rows(mus, gamma))
-    assert zi.shape == zj.shape == (rb.x_dimension(2), 2)
-    assert np.array_equal(zi[:5], np.ones((5, 2))) and np.array_equal(zj[:5], z)
-    assert np.array_equal(zi[5:9], [z[1]] * 4) and np.array_equal(zj[5:9], z[1:])
-    assert np.array_equal(zi[-1], z[4]) and np.array_equal(zj[-1], z[4])
-    assert np.array_equal(zi * zj, rb.x_matrix(mus, gamma))
+    X = rb.x_matrix(mus, gamma)
+    assert X.shape == (rb.x_dimension(2), 2)
+    assert np.array_equal(X[:5], z)
+    assert np.array_equal(X[5:9], z[1] * z[1:])
+    assert np.array_equal(X[-1], z[4] * z[4])
 
 
 # --- per-point oracle --------------------------------------------------------------
@@ -513,12 +511,13 @@ def e2dd_oracle(data, mu, gamma):
 
 
 def e3_oracle(data, mu, gamma):
-    """e3 at one point: exact node lookup, else one vector solve with T's LU."""
+    """e3 at one point: exact node lookup, else one vector solve with T's LU
+    dotted with V left to right."""
     hits = np.nonzero(data.interp_params == mu)[0]
     if hits.size:
         total = float(data.V[hits[0]])
     else:
-        total = float(_lu_solve(data.lu, x_vector_oracle(mu, gamma)[data.rows]) @ data.V)
+        total = dot_in_order(_lu_solve(data.lu, x_vector_oracle(mu, gamma)[data.rows]), data.V)
     return math.sqrt(max(total, 0.0)), total < 0.0
 
 
@@ -638,27 +637,29 @@ def test_compute_sweep_equals_per_point(evaluation_case):
 
 
 def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch):
-    # 7-point truth chunks with a ragged tail, 3-point sub-blocks that leave
-    # one point at each chunk's end, and the norm kernel's passes over 2
-    # points at a time, so with one point in each chunk's last.
+    # 7-point truth chunks with a ragged tail, the norm kernel's passes over
+    # 2 points at a time, so with one point in each chunk's last, and pass
+    # budgets that leave one point in each chunk's last pass: over 3 points
+    # in the dd sums, then over 2 in e3's solves.
     case, mus, reference = evaluation_case
-    n, d = case[0].n, case[3].d
+    n, d, rank = case[0].n, case[3].d, case[3].V.size
     monkeypatch.setattr("rbcert.estimators._SOLVE_ELEMENTS", 7 * n)
-    monkeypatch.setattr("rbcert.estimators._BLOCK_ELEMENTS", 3 * d)
     monkeypatch.setattr("rbcert.fem._NORM_POINTS", 2)
     assert len(mus) > 3 * 7 and len(mus) % 7
-    cols = rb.evaluate(*case, mus)
-    assert_same_bits({name: cols[name].tolist() for name in FIELDS}, reference)
-    rows = rb.compute_sweep(*case, mus)
-    assert_same_bits({name: [getattr(r, name) for r in rows] for name in FIELDS}, reference)
+    for budget in (3 * d, 2 * rank):
+        monkeypatch.setattr("rbcert.fem._BLOCK_ELEMENTS", budget)
+        cols = rb.evaluate(*case, mus)
+        assert_same_bits({name: cols[name].tolist() for name in FIELDS}, reference)
+        rows = rb.compute_sweep(*case, mus)
+        assert_same_bits({name: [getattr(r, name) for r in rows] for name in FIELDS}, reference)
 
 
 def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, default_config):
     # The default 400-point grid is one truth chunk, whose solve holds one
     # (N, 400) array (0.64 MB); the norm kernel reads it with a few doubles
-    # of scratch a point and the other stages run on sub-blocks of it:
-    # 0.81 MB traced, z of the chunk included, against 1.07 MB with two
-    # 90-point row buffers.
+    # of scratch a point and the other kernels read z in passes of bounded
+    # scratch: 0.81 MB traced, z of the chunk included, against 1.07 MB with
+    # two 90-point row buffers.
     mus = sweep_grid(default_config)
     tracemalloc.start()
     try:
@@ -667,6 +668,25 @@ def test_sweep_memory_is_bounded(truth, default_model, default_e2, default_e3, d
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6
+
+
+def test_wide_sweep_scratch_does_not_grow_with_the_block(floors_config, floors_artifact):
+    # 3000 points at d = 325 are one truth chunk, whose solve holds one
+    # (N, 3000) array (4.8 MB), beside z (0.6 MB).  The dd sums and e3's
+    # solves run in passes of fem._BLOCK_ELEMENTS columns: 7.15 MB traced,
+    # against 22.7 MB if the dd terms of the whole chunk were held at once,
+    # and 15 MB if its monomial matrix X were.
+    sys_, model, e2data, e3data, _ = rb.load_artifact(floors_artifact, floors_config)
+    assert e3data.d == 325
+    mus = sweep_grid(dataclasses.replace(floors_config, n_sweep=3000))
+    assert estimators._SOLVE_ELEMENTS // sys_.n >= len(mus)
+    tracemalloc.start()
+    try:
+        rb.compute_sweep(sys_, model, e2data, e3data, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6
 
 
 @pytest.mark.parametrize("misfit", ["short", "long", "rows"])
@@ -942,16 +962,23 @@ def test_dd_kernels_write_nothing_past_their_buffers(n):
         got = out[pad:pad + 2 * p].reshape(2, p)
         assert hexes(got) == hexes(ref[:, k0 * (k0 + 1) // 2:]), k0
 
-    # The radicands write the 2*n*6 doubles of their terms: n monomials of
-    # six columns, q the rows of u.
-    qh, ql, zi, zj = u[:, 5].copy(), wl[:, 5].copy(), wh, u
-    t = np.full(12 * n + 2 * pad, np.nan)
+    # The radicands write the 2*6 doubles of their sums, and 2*d*4 doubles of
+    # scratch, in passes over four columns and then two: z is six columns of
+    # min(n, 30) rows, with d = k(k+1)/2 monomials, and q_dd the rows of u
+    # and wl repeated to d.
+    k = min(n, 30)
+    d = k * (k + 1) // 2
+    qh, ql, z = np.resize(u[:, 5], d), np.resize(wl[:, 5], d), u[:k].copy()
+    out, scratch = np.full(12 + 2 * pad, np.nan), np.full(8 * d + 2 * pad, np.nan)
     fem._lib.dd_radicands(
-        n, 6, qh.ctypes.data, ql.ctypes.data, zi.ctypes.data, zj.ctypes.data, t[pad:].ctypes.data,
+        k, 6, qh.ctypes.data, ql.ctypes.data, z.ctypes.data, out[pad:].ctypes.data, 4,
+        scratch[pad:].ctypes.data,
     )
-    assert np.isnan(t[:pad]).all() and np.isnan(t[pad + 12 * n:]).all()
-    got = t[pad:pad + 12 * n].reshape(2, n, 6)[:, 0]
-    assert hexes(got) == hexes(dd_sum(*dd_mul((qh[:, None], ql[:, None]), two_prod(zi, zj))))
+    for buf, size in ((out, 12), (scratch, 8 * d)):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+    i, j = np.triu_indices(k)
+    expect = dd_sum(*dd_mul((qh[:, None], ql[:, None]), two_prod(z[i], z[j])))
+    assert hexes(out[pad:pad + 12].reshape(2, 6)) == hexes(expect)
 
 
 def test_e2_build_holds_no_per_operation_temporaries():
@@ -1109,28 +1136,43 @@ def fsum_outcome(call):
         return type(exc), str(exc)
 
 
-def fsum_oracle(q, X):
-    """math.fsum of the rounded products q_p*X[p, j], column by column."""
-    return np.array([math.fsum(col) for col in (q[:, None] * X).T.tolist()])
+def fsum_oracle(q, z):
+    """math.fsum of the rounded products q_p*X_p, X_p = z_I*z_J rounded over
+    the pairs I <= J of z's rows, column by column."""
+    i, j = np.triu_indices(len(z))
+    return np.array([math.fsum(col) for col in (q[:, None] * (z[i] * z[j])).T.tolist()])
+
+
+def with_leading_ones(q, X):
+    """(q', z) for the d terms q_p*X[p, j] of each column j of X: z = (1; X),
+    whose pairs (0, J), J >= 1, carry X's rows, q' = q at those pairs and 0
+    at the others, whose terms are then zeros while X's products are finite."""
+    d, m = np.shape(X)
+    z = np.concatenate([np.ones((1, m)), X])
+    q_full = np.zeros((d + 1) * (d + 2) // 2)
+    q_full[1:d + 1] = q
+    return q_full, z
 
 
 def assert_fsum_columns_is_fsum(q, X):
-    q, X = np.ascontiguousarray(q, dtype=float), np.ascontiguousarray(X, dtype=float)
-    assert fsum_outcome(lambda: fsum_columns(q, X)) == fsum_outcome(lambda: fsum_oracle(q, X))
+    """fsum_columns on with_leading_ones(q, X) has math.fsum's outcome."""
+    q, z = (np.ascontiguousarray(a, dtype=float) for a in with_leading_ones(q, X))
+    assert fsum_outcome(lambda: fsum_columns(q, z)) == fsum_outcome(lambda: fsum_oracle(q, z))
 
 
 def tie_column(rng, d):
     """d terms whose exact sum is a half-ulp tie of a random double a, a
     tie split in two, or that tie with a sticky term far below it of either
-    sign, shuffled among pairs x, -x that cancel exactly."""
-    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-900, 900))
+    sign, shuffled among pairs x, -x that cancel exactly.  Every magnitude
+    is below 2**511, so the pairs' products are finite."""
+    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-500, 500))
     half = math.ulp(a) / 2
     kind = rng.integers(3)
     terms = [a, half] if kind == 0 else [a, half / 2, half / 2] if kind == 1 else [
         a, half, rng.choice([-1.0, 1.0]) * half * 2.0 ** -int(rng.integers(1, 60))]
     terms = terms[:d]
     while len(terms) < d:
-        x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
+        x = rng.normal() * 2.0 ** int(rng.integers(-500, 500))
         terms += [x, -x][:d - len(terms)]
     return rng.permutation(np.array(terms))
 
@@ -1140,13 +1182,15 @@ def fsum_cases(d, seed):
     values near underflow; exact ties (q = 1); signed zeros, all -0.0 and
     products that underflow to zero; subnormal multiples of 5e-324, exact
     and rounded; and cancellation across the exponent range, +-2**1000
-    beside +-2**-1000."""
+    beside +-2**-1000, where q carries 2**489 or 2**-500 and X at most
+    2**511, so the pairs' products of X stay finite."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(d, 4))
     ones = np.ones(d)
-    ranged = rng.uniform(1.0, 2.0, size=(d, 3)) * 2.0 ** rng.integers(-1074, 1001, size=(d, 3))
-    ranged[:, 0] = np.resize([2.0 ** 1000, 2.0 ** -1000, -(2.0 ** 1000), -3 * 2.0 ** -1000], d)
+    ranged = rng.uniform(1.0, 2.0, size=(d, 3)) * 2.0 ** rng.integers(-574, 512, size=(d, 3))
+    ranged[:, 0] = np.resize([2.0 ** 511, 2.0 ** -500, -(2.0 ** 511), -3 * 2.0 ** -500], d)
     ranged[d // 2:, 1] = -ranged[:d - d // 2, 1]    # pairs cancel; an odd d leaves one
+    scale = np.resize([2.0 ** 489, 2.0 ** -500], d)
     zeros = [np.zeros(d), -np.zeros(d), signs[:, 0] * 0.0,
              np.where(signs[:, 1] > 0, 0.0, signs[:, 2])]
     return [
@@ -1156,27 +1200,34 @@ def fsum_cases(d, seed):
         (signs[:, 3] * 1e-200, signs[:, :3] * [1e-200, 1e-170, 1e-123]),
         (ones, rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
         (np.full(d, 0.5), rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
-        (rng.choice([1.0, -3.0, 0.75], size=d), ranged),
+        (rng.choice([1.0, -3.0, 0.75], size=d) * scale, ranged),
     ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 91, 325, 5000])
 def test_fsum_columns_is_fsum_bit_for_bit(d):
+    # z has the fewest rows k >= 2 whose d_z = k(k+1)/2 pairs are at least
+    # d (d_z = 3, 3, 91, 325, 5050): a row of ones and k - 1 rows of each
+    # case's X, which the pairs (0, J) carry.
+    k = next(k for k in range(2, d + 2) if k * (k + 1) // 2 >= d)
     for seed in range(3):
-        for q, X in fsum_cases(d, seed=10 * d + seed):
+        for q, X in fsum_cases(k - 1, seed=10 * d + seed):
             assert_fsum_columns_is_fsum(q, X)
 
 
-# The first three q_p and X_p of a column past the kernel's range.
+# The first three q_p and X_p of a column past the kernel's range: the
+# products are those of a NaN, an infinity, an overflowing product, an
+# intermediate overflow, and finite sums near overflow.  Large magnitudes
+# sit in q, so that X's pairs' products stay finite.
 SPECIAL_COLUMNS = {
     "nan": ([1.0, 1.0, 1.0], [1.0, math.nan, 2.0]),
-    "inf": ([1.0, 1.0, 1.0], [1.0, math.inf, -2.0]),
-    "-inf": ([1.0, 1.0, 1.0], [-math.inf, 1e300, -1e300]),
-    "inf - inf": ([1.0, 1.0, 1.0], [math.inf, 1.0, -math.inf]),
-    "overflowing product": ([1e10, 1.0, 1.0], [1e300, 1.0, -1.0]),
-    "intermediate overflow": ([1.0, 1.0, 1.0], [1.7e308, 1.7e308, -1.7e308]),
-    "near overflow, finite": ([1.0, 1.0, 1.0], [2.0 ** 1020, -(2.0 ** 1020), 1.0]),
-    "largest finite sum": ([1.0, 1.0, 1.0], [1.7e308, 1e292, -1e292]),
+    "inf": ([1.0, 1e300, 1.0], [1.0, 1e10, -2.0]),
+    "-inf": ([1e300, 1e300, -1e300], [-1e10, 1.0, 1.0]),
+    "inf - inf": ([1e300, 1.0, 1e300], [1e10, 1.0, -1e10]),
+    "overflowing product": ([1e300, 1.0, 1.0], [1e10, 1.0, -1.0]),
+    "intermediate overflow": ([1.7e308, 1.7e308, -1.7e308], [1.0, 1.0, 1.0]),
+    "near overflow, finite": ([2.0 ** 1020, -(2.0 ** 1020), 1.0], [1.0, 1.0, 1.0]),
+    "largest finite sum": ([1.7e308, 1e292, -1e292], [1.0, 1.0, 1.0]),
 }
 
 
@@ -1184,10 +1235,11 @@ SPECIAL_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
 def test_fsum_columns_gives_fsums_value_or_error_on_special_columns(name, d):
     # A column past the kernel's range goes to math.fsum, beside ordinary
-    # columns on either side: fsum's value, or its error and message.
+    # columns on either side, which are 0 where q is special: fsum's value,
+    # or its error and message.
     rng = np.random.default_rng(d)
     q, X = rng.normal(size=d), rng.normal(size=(d, 3))
-    q[:3], X[:, 1] = SPECIAL_COLUMNS[name][0], 0.0
+    q[:3], X[:3] = SPECIAL_COLUMNS[name][0], 0.0
     X[:3, 1] = SPECIAL_COLUMNS[name][1]
     assert_fsum_columns_is_fsum(q, X)
     assert_fsum_columns_is_fsum(q, X[:, 1:2])
@@ -1201,14 +1253,76 @@ def test_fsum_columns_is_fsum_on_any_doubles(rows):
 
 
 def test_fsum_columns_rejects_what_it_cannot_sum():
-    # A strided or float32 X is refused by name, as test_fem checks q.
-    for X in (np.ones((3, 4))[:, ::2], np.ones((3, 2), dtype=np.float32)):
-        with pytest.raises(TypeError, match="X is not a C-contiguous float64 array"):
-            fsum_columns(np.ones(3), X)
-    with pytest.raises(ValueError, match="does not fit"):
-        fsum_columns(np.ones(3), np.ones((2, 3)))
+    # A strided or float32 z is refused by name, as test_fem checks q.
+    for z in (np.ones((2, 4))[:, ::2], np.ones((2, 2), dtype=np.float32)):
+        with pytest.raises(TypeError, match="z is not a C-contiguous float64 array"):
+            fsum_columns(np.ones(3), z)
+    with pytest.raises(ValueError, match="do not fit"):
+        fsum_columns(np.ones(3), np.ones((3, 2)))
     with pytest.raises(ValueError, match="fewer than 2"):
-        fsum_columns(np.broadcast_to(1.0, (2 ** 31,)), np.empty((2 ** 31, 0)))
+        fsum_columns(np.broadcast_to(1.0, (2 ** 15 * (2 ** 16 + 1),)), np.empty((2 ** 16, 0)))
+
+
+# --- e3's compiled LU solve against the numpy solve -------------------------
+
+def e3_case(r, m, seed):
+    """(lu, pairs, z, v): T's factors (e3_factors), r distinct pairs of the
+    rows of a z of r + 2 rows and m columns, z's first row ones as in
+    _z_rows and the others special_rows, and v a special row."""
+    k = r + 2
+    rng = np.random.default_rng(seed)
+    z = special_rows(k, m, seed)
+    z[0] = 1.0
+    i, j = np.triu_indices(k)
+    rows = rng.choice(len(i), size=r, replace=False)
+    return e3_factors(r, seed), np.stack([i[rows], j[rows]]), z, special_rows(1, r, seed + 1)[0]
+
+
+def e3_kernel_oracle(lu, pairs, z, v):
+    """_lu_solve on b_s = z[I_s]*z[J_s] for each column, then lambda.v summed
+    left to right (dot_in_order)."""
+    lam = _lu_solve(lu, z[pairs[0]] * z[pairs[1]])
+    return [dot_in_order(lam[:, c], v) for c in range(z.shape[1])]
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 17])
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_lu_solve_dots_equals_the_numpy_solve_bit_for_bit(r, m, monkeypatch):
+    # In one pass, in passes of 2 columns, the last one ragged at odd m,
+    # and each column alone.
+    lu, pairs, z, v = e3_case(r, m, seed=100 * r + m)
+    expect = hex_list(e3_kernel_oracle(lu, pairs, z, v))
+    assert hex_list(lu_solve_dots(lu, pairs, z, v)) == expect
+    alone = [lu_solve_dots(lu, pairs, z[:, [c]].copy(), v)[0] for c in range(m)]
+    assert hex_list(alone) == expect
+    monkeypatch.setattr(fem, "_BLOCK_ELEMENTS", 2 * r)
+    assert hex_list(lu_solve_dots(lu, pairs, z, v)) == expect
+
+
+@pytest.mark.parametrize("r", [1, 4, 17])
+def test_lu_solve_dots_writes_nothing_past_its_buffers(r):
+    # m sums into out and r*p doubles of scratch, p = 2 leaving a last pass
+    # over one column; NaN guards on both sides of each must survive.
+    pad, m, p = 7, 5, 2
+    (LU, piv), pairs, z, v = e3_case(r, m, seed=r)
+    ordered = np.ascontiguousarray(pairs[:, piv], dtype=np.intp)
+    out, scratch = np.full(m + 2 * pad, np.nan), np.full(r * p + 2 * pad, np.nan)
+    fem._lib.lu_solve_dots(r, m, LU.ctypes.data, ordered.ctypes.data, z.ctypes.data,
+                           v.ctypes.data, out[pad:].ctypes.data, p, scratch[pad:].ctypes.data)
+    for buf, size in ((out, m), (scratch, r * p)):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+    assert hex_list(out[pad:pad + m]) == hex_list(e3_kernel_oracle((LU, piv), pairs, z, v))
+
+
+def test_lu_solve_dots_rejects_what_does_not_fit():
+    lu, pairs, z, v = e3_case(3, 2, seed=0)
+    for bad in (pairs + len(z), pairs - len(z)):
+        with pytest.raises(ValueError, match="outside z's 5"):
+            lu_solve_dots(lu, bad, z, v)
+    with pytest.raises(ValueError, match="do not fit"):
+        lu_solve_dots(lu, pairs, z, v[:2])
+    with pytest.raises(ValueError, match="do not fit"):
+        lu_solve_dots(lu, pairs[:, :2], z, v)
 
 
 # The flags /proc/cpuinfo lists for the x86-64 levels above the baseline
@@ -1232,25 +1346,37 @@ def host_levels():
                          if need <= flags]
 
 
+def e3_factors(r, seed):
+    """Partial-pivoting LU factors of an r x r matrix of special_rows plus
+    4*I, whose pivots are not zero."""
+    return _lu_factor(special_rows(r, r, seed) + 4.0 * np.eye(r))
+
+
 def kernel_outputs(n):
     """The bytes of outputs of every kernel in fem._KERNELS on
     special_stacks(n) and special_rows, each through its entry point in
     fem, keyed by the kernel's name and, after a comma, the case.
     lift_norms lifts 17 of the 18 columns with z for N_hat = 8, and takes
-    wh less the lift of the columns of u, as six snapshots."""
+    wh less the lift of the columns of u, as six snapshots.  The kernels of
+    z take u's transpose, n columns of six rows (21 monomials), and e3's
+    four pairs of its rows."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
     z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
+    zu, q = np.ascontiguousarray(u.T), np.resize(u[:, 5], 21)
+    pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
     outputs = {
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
-        "dd_radicands": np.array(fem.dd_radicands((u[:, 5].copy(), wl[:, 5].copy()), wh, u)),
-        "fsum_columns": fsum_columns(u[:, 5].copy(), wh),
+        "dd_radicands": np.array(fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
+        "fsum_columns": fsum_columns(q, zu),
         "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z),
         "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n), wh),
+        "lu_solve_dots": lu_solve_dots(e3_factors(4, 700 + n), pairs, zu,
+                                       special_rows(1, 4, seed=800 + n)[0]),
         "tridiagonal_rows": tridiagonal_rows(sys_.Gram, np.ascontiguousarray(u.T)),
     }
     assert {name.split(",")[0] for name in outputs} == {name for name, _, _ in fem._KERNELS}

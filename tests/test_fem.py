@@ -184,7 +184,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     sys_ = rb.assemble(6)
     n = sys_.n
     row, v, rows = np.full(3, 4.0), np.linspace(1.0, 2.0, n), np.ones((2, n))
-    z = np.ones((3, 2))
+    z = np.ones((2, 2))  # three monomials, weighted by row
+    lu, pairs = (np.eye(2), np.arange(2)), np.array([[0, 1], [1, 1]])
 
     def lift(b=v, a1=v, coefficients=np.ones((5, 2))):
         return fem.lift_norms(sys_, [b, v, v, v, a1], coefficients)
@@ -205,9 +206,11 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "vectors[4]": lambda: lift(a1=spoil(v)),
             "coefficients": lambda: lift(coefficients=spoil(np.ones((5, 2)))),
             "U": lambda: error(U=spoil(np.ones((n, 2)))),
-            "ql": lambda: fem.dd_radicands((row, spoil(row)), z, z),
-            "zj": lambda: fem.dd_radicands((row, row), z, spoil(z)),
+            "ql": lambda: fem.dd_radicands((row, spoil(row)), z),
+            "z": lambda: fem.dd_radicands((row, row), spoil(z)),
             "q": lambda: fem.fsum_columns(spoil(row), z),
+            "LU": lambda: fem.lu_solve_dots((spoil(lu[0]), lu[1]), pairs, z, row[:2]),
+            "v": lambda: fem.lu_solve_dots(lu, pairs, z, spoil(row[:2])),
         })
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_lib", NoKernel())
@@ -229,9 +232,11 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert hexes(error(spoil(v), U, gamma)) == hexes([h1_norm_lanes(sys_, e)] * 2)
         F = fem.dd_gram_table(sys_, [spoil(v), spoil(2.0 * v)], 1)
         assert hexes(F) == hexes(fem.dd_gram_table(sys_, [v, 2.0 * v], 0)[:, 1:])
-        hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z), spoil(z))
+        hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
         assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
+        got = fem.lu_solve_dots((spoil(lu[0]), spoil(lu[1])), spoil(pairs), spoil(z), spoil(row[:2]))
+        assert got.tolist() == [8.0, 8.0]
 
 
 def test_thomas_leaves_caller_data_unchanged():
