@@ -1143,10 +1143,28 @@ def fsum_oracle(q, z):
     return np.array([math.fsum(col) for col in (q[:, None] * (z[i] * z[j])).T.tolist()])
 
 
+def assert_fsum_columns_is_fsum(q, X):
+    """fsum_columns sums the d rounded products t_p = q_p*X[p, j] of each
+    column j of X with math.fsum's outcome.  Each column is one call with z
+    all ones, whose products z_I*z_J = 1 make every term t_p*1 = t_p
+    exactly: the kernel sees all d terms, whatever their magnitudes.  q'
+    pads t with -0.0, which adds nothing, to k(k+1)/2 pairs."""
+    q, X = np.ascontiguousarray(q, dtype=float), np.ascontiguousarray(X, dtype=float)
+    d = len(q)
+    k = next(k for k in range(1, d + 1) if k * (k + 1) // 2 >= d)
+    for column in X.T:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = q * column
+        padded = np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)])
+        got = fsum_outcome(lambda: fsum_columns(padded, np.ones((k, 1))))
+        assert got == fsum_outcome(lambda: [math.fsum(terms.tolist())])
+
+
 def with_leading_ones(q, X):
     """(q', z) for the d terms q_p*X[p, j] of each column j of X: z = (1; X),
     whose pairs (0, J), J >= 1, carry X's rows, q' = q at those pairs and 0
-    at the others, whose terms are then zeros while X's products are finite."""
+    at the others.  Those terms are zeros where the products of X's entries
+    are finite."""
     d, m = np.shape(X)
     z = np.concatenate([np.ones((1, m)), X])
     q_full = np.zeros((d + 1) * (d + 2) // 2)
@@ -1154,25 +1172,18 @@ def with_leading_ones(q, X):
     return q_full, z
 
 
-def assert_fsum_columns_is_fsum(q, X):
-    """fsum_columns on with_leading_ones(q, X) has math.fsum's outcome."""
-    q, z = (np.ascontiguousarray(a, dtype=float) for a in with_leading_ones(q, X))
-    assert fsum_outcome(lambda: fsum_columns(q, z)) == fsum_outcome(lambda: fsum_oracle(q, z))
-
-
 def tie_column(rng, d):
     """d terms whose exact sum is a half-ulp tie of a random double a, a
     tie split in two, or that tie with a sticky term far below it of either
-    sign, shuffled among pairs x, -x that cancel exactly.  Every magnitude
-    is below 2**511, so the pairs' products are finite."""
-    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-500, 500))
+    sign, shuffled among pairs x, -x that cancel exactly."""
+    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-900, 900))
     half = math.ulp(a) / 2
     kind = rng.integers(3)
     terms = [a, half] if kind == 0 else [a, half / 2, half / 2] if kind == 1 else [
         a, half, rng.choice([-1.0, 1.0]) * half * 2.0 ** -int(rng.integers(1, 60))]
     terms = terms[:d]
     while len(terms) < d:
-        x = rng.normal() * 2.0 ** int(rng.integers(-500, 500))
+        x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
         terms += [x, -x][:d - len(terms)]
     return rng.permutation(np.array(terms))
 
@@ -1182,15 +1193,13 @@ def fsum_cases(d, seed):
     values near underflow; exact ties (q = 1); signed zeros, all -0.0 and
     products that underflow to zero; subnormal multiples of 5e-324, exact
     and rounded; and cancellation across the exponent range, +-2**1000
-    beside +-2**-1000, where q carries 2**489 or 2**-500 and X at most
-    2**511, so the pairs' products of X stay finite."""
+    beside +-2**-1000."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(d, 4))
     ones = np.ones(d)
-    ranged = rng.uniform(1.0, 2.0, size=(d, 3)) * 2.0 ** rng.integers(-574, 512, size=(d, 3))
-    ranged[:, 0] = np.resize([2.0 ** 511, 2.0 ** -500, -(2.0 ** 511), -3 * 2.0 ** -500], d)
+    ranged = rng.uniform(1.0, 2.0, size=(d, 3)) * 2.0 ** rng.integers(-1074, 1001, size=(d, 3))
+    ranged[:, 0] = np.resize([2.0 ** 1000, 2.0 ** -1000, -(2.0 ** 1000), -3 * 2.0 ** -1000], d)
     ranged[d // 2:, 1] = -ranged[:d - d // 2, 1]    # pairs cancel; an odd d leaves one
-    scale = np.resize([2.0 ** 489, 2.0 ** -500], d)
     zeros = [np.zeros(d), -np.zeros(d), signs[:, 0] * 0.0,
              np.where(signs[:, 1] > 0, 0.0, signs[:, 2])]
     return [
@@ -1200,25 +1209,22 @@ def fsum_cases(d, seed):
         (signs[:, 3] * 1e-200, signs[:, :3] * [1e-200, 1e-170, 1e-123]),
         (ones, rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
         (np.full(d, 0.5), rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
-        (rng.choice([1.0, -3.0, 0.75], size=d) * scale, ranged),
+        (rng.choice([1.0, -3.0, 0.75], size=d), ranged),
     ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 91, 325, 5000])
 def test_fsum_columns_is_fsum_bit_for_bit(d):
-    # z has the fewest rows k >= 2 whose d_z = k(k+1)/2 pairs are at least
-    # d (d_z = 3, 3, 91, 325, 5050): a row of ones and k - 1 rows of each
-    # case's X, which the pairs (0, J) carry.
-    k = next(k for k in range(2, d + 2) if k * (k + 1) // 2 >= d)
     for seed in range(3):
-        for q, X in fsum_cases(k - 1, seed=10 * d + seed):
+        for q, X in fsum_cases(d, seed=10 * d + seed):
             assert_fsum_columns_is_fsum(q, X)
 
 
 # The first three q_p and X_p of a column past the kernel's range: the
 # products are those of a NaN, an infinity, an overflowing product, an
 # intermediate overflow, and finite sums near overflow.  Large magnitudes
-# sit in q, so that X's pairs' products stay finite.
+# sit in q, so that with_leading_ones keeps the products of X's entries
+# finite.
 SPECIAL_COLUMNS = {
     "nan": ([1.0, 1.0, 1.0], [1.0, math.nan, 2.0]),
     "inf": ([1.0, 1e300, 1.0], [1.0, 1e10, -2.0]),
@@ -1235,14 +1241,20 @@ SPECIAL_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
 def test_fsum_columns_gives_fsums_value_or_error_on_special_columns(name, d):
     # A column past the kernel's range goes to math.fsum, beside ordinary
-    # columns on either side, which are 0 where q is special: fsum's value,
-    # or its error and message.
+    # columns on either side in one call, which are 0 where q is special:
+    # fsum's value, or its error and message.
     rng = np.random.default_rng(d)
     q, X = rng.normal(size=d), rng.normal(size=(d, 3))
     q[:3], X[:3] = SPECIAL_COLUMNS[name][0], 0.0
     X[:3, 1] = SPECIAL_COLUMNS[name][1]
     assert_fsum_columns_is_fsum(q, X)
-    assert_fsum_columns_is_fsum(q, X[:, 1:2])
+    for columns in (X, X[:, 1:2]):
+        q_full, z = with_leading_ones(q, columns)
+        i, j = np.triu_indices(len(z))
+        with np.errstate(invalid="ignore"):
+            assert not np.isinf(z[i] * z[j]).any()
+        assert fsum_outcome(lambda: fsum_columns(q_full, z)) == fsum_outcome(
+            lambda: fsum_oracle(q_full, z))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1250,6 +1262,25 @@ def test_fsum_columns_gives_fsums_value_or_error_on_special_columns(name, d):
 def test_fsum_columns_is_fsum_on_any_doubles(rows):
     q, x, y = (np.array(v) for v in zip(*rows))
     assert_fsum_columns_is_fsum(q, np.stack([x, y], axis=1))
+
+
+@st.composite
+def q_and_z(draw):
+    """q any doubles and z of k <= 8 rows and two columns whose entries stay
+    below 2**511, so that every product z_I*z_J is finite."""
+    k = draw(st.integers(1, 8))
+    q = draw(st.lists(st.floats(), min_size=k * (k + 1) // 2, max_size=k * (k + 1) // 2))
+    z = draw(st.lists(st.floats(-(2.0 ** 511), 2.0 ** 511), min_size=2 * k, max_size=2 * k))
+    return np.array(q), np.array(z).reshape(k, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(q_and_z())
+def test_fsum_columns_forms_the_pair_products_it_sums(case):
+    # The kernel's own products q_p*(z_I*z_J), over the pairs I <= J in
+    # lexicographic order, against math.fsum of the same rounded products.
+    q, z = case
+    assert fsum_outcome(lambda: fsum_columns(q, z)) == fsum_outcome(lambda: fsum_oracle(q, z))
 
 
 def test_fsum_columns_rejects_what_it_cannot_sum():
