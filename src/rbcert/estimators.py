@@ -68,7 +68,9 @@ numpy reference the tests keep for it, in their order, so its bits: the
 per-pair dd inner product, the lift adding its vectors in order, a dot
 summed in eight lanes in an order fixed by N, and T's LU solve with its
 dot with V summed left to right.  e2's radicands are correctly rounded
-sums, so they have the bits of ``math.fsum``, the tests' reference.
+sums, so they have the bits of ``math.fsum``, the tests' reference: the
+kernel sums by Sum3 with a certificate of correct rounding, and leaves the
+column it cannot certify to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -386,7 +388,8 @@ def _e2_block(q, z):
 
     The radicand q.X(mu) is evaluated in working precision: each monomial
     and each product with q is a rounded double, and the radicand is the
-    correctly rounded sum of the rounded products (:func:`fem.fsum_columns`,
+    correctly rounded sum of the rounded products (:func:`fem.fsum_columns`:
+    a three-fold compensated sum, certified correctly rounded, so
     ``math.fsum``'s bits).  The round-off floor therefore comes from the
     product roundings - O(eps) relative to the O(delta^2) summands - which
     is exactly the cancellation effect under study; the signed radicand is

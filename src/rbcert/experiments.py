@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -307,8 +308,9 @@ def load_artifact(path: str, config: ExperimentConfig):
 
 # --- online sweep ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """One sweep point, a tuple with the CSV's columns as named fields."""
+
     mu: float
     true_error: float
     e1: float
@@ -319,27 +321,22 @@ class SweepRecord:
     e3_clamped_flag: int
 
 
-_SWEEP_FIELDS = dataclasses.fields(SweepRecord)
-CSV_HEADER = ",".join(f.name for f in _SWEEP_FIELDS)
+_SWEEP_FIELDS = SweepRecord._fields
+CSV_HEADER = ",".join(_SWEEP_FIELDS)
+# One CSV line: floats as %.17g (format(x, ".17g")'s text), ints as they are.
+_CSV_LINE = ",".join("%d" if kind is int else "%.17g"
+                     for kind in get_type_hints(SweepRecord).values())
 
 
 def compute_sweep(sys_, model, e2data, e3data, mus) -> list[SweepRecord]:
     """One SweepRecord per mu, from one ``estimators.evaluate`` call."""
     cols = estimators.evaluate(sys_, model, e2data, e3data, mus)
-    return [SweepRecord(*vals) for vals in zip(*(cols[f.name].tolist() for f in _SWEEP_FIELDS))]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return list(map(SweepRecord._make, zip(*(cols[name].tolist() for name in _SWEEP_FIELDS))))
 
 
 def rows_to_csv(rows: list[SweepRecord]) -> str:
     """CSV_HEADER, then one line per record: floats as %.17g, ints as they are."""
-    fmts = [str if f.type == "int" else _fmt for f in _SWEEP_FIELDS]
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(fmt(getattr(r, f.name)) for fmt, f in zip(fmts, _SWEEP_FIELDS)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_CSV_LINE % row for row in rows)]) + "\n"
 
 
 def run_sweep(config: ExperimentConfig, artifact_path: str | None = None, log=print):

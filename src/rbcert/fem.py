@@ -24,9 +24,10 @@ mu*gamma), one column a point, and form the monomials z_I*z_J themselves:
 ``dd_radicands`` gives e2dd's radicands, ``fsum_columns`` e2's, and
 ``lu_solve_dots`` e3's interpolated squares.  Each kernel but
 ``fsum_columns`` makes the operations of the reference the tests keep for
-it, in their order, so its bits; ``fsum_columns`` rounds an exact sum
-correctly, so it has the bits of ``math.fsum``, the tests' reference for
-it.  It is
+it, in their order, so its bits; ``fsum_columns`` sums by a compensated
+Sum3 and certifies that its result is the exact sum correctly rounded, so
+it has the bits of ``math.fsum``, the tests' reference for it, and leaves
+the rare column it cannot certify to ``math.fsum`` itself.  The source is
 compiled when this module is imported, with ``cc`` and ``_FLAGS``, into
 one library in ``__pycache__`` beside this file, and loaded with
 ``ctypes``; a missing or failing compiler is an ``ImportError``.  With
@@ -114,8 +115,8 @@ _SOURCE = r"""
    kernels and dd_tree, the one vector helper with several callers that
    is not inlined.  INLINE forces gram_entries and lift_row into each
    clone of their callers, so a one-point lift_norms pays no call per
-   mesh row.  lane_add and lane_total are small enough to be inlined,
-   gram_dd has one caller, and fsum_exact is scalar; they are unmarked.
+   mesh row.  lane_add, lane_total and two_sum are small enough to be
+   inlined, and gram_dd has one caller; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
@@ -346,129 +347,103 @@ void dd_radicands(ptrdiff_t k, ptrdiff_t m, const double *qh, const double *ql,
     }
 }
 
-/* CPython's math.fsum over n finite doubles v whose magnitudes sum far
-   below 2**1024, so no intermediate sum overflows: Shewchuk's
-   non-overlapping partials, in p, then their sum from the top, stopped at
-   its first inexact step, with fsum's half-even fix-up across partials.
-   The result is the exact sum correctly rounded, +0.0 for a zero sum. */
-static double fsum_exact(const double *v, int n, double *p)
+/* two_sum(a, b) = (s, e): s = a + b rounded and, when nothing overflows,
+   a + b = s + e exactly (Knuth's branch-free form). */
+static void two_sum(double a, double b, double *s, double *e)
 {
-    double x, y, t, hi, yr, lo = 0.0;
-    int i, j, k, np = 0;
-    for (k = 0; k < n; k++) {
-        for (x = v[k], i = j = 0; j < np; j++) {
-            y = p[j];
-            if ((x < 0.0 ? -x : x) < (y < 0.0 ? -y : y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        np = i;
-        if (x != 0.0)
-            p[np++] = x;
-    }
-    if (np == 0)
-        return 0.0;
-    hi = p[--np];
-    while (np > 0) {
-        x = hi;
-        y = p[--np];
-        hi = x + y;
-        yr = hi - x;
-        lo = y - yr;
-        if (lo != 0.0)
-            break;
-    }
-    if (np > 0 && ((lo < 0.0 && p[np - 1] < 0.0) || (lo > 0.0 && p[np - 1] > 0.0))) {
-        y = lo * 2.0;
-        x = hi + y;
-        yr = x - hi;
-        if (y == yr)
-            hi = x;
-    }
-    return hi;
+    double v;
+    *s = a + b;
+    v = *s - a;
+    *e = (a - (*s - v)) + (b - v);
 }
 
-/* e2's radicand: out[j] is the correctly rounded sum of the rounded
+/* e2's radicand: out[j] is the correctly rounded sum S of the rounded
    products t_p = q_p*X_p over column j of the row-major (k, m) z, where
    X_p = z_I*z_J, rounded, for the d = k(k+1)/2 pairs I <= J in
-   lexicographic order, so math.fsum's bits, for d < 2**31.  A finite t_p
-   is mant*2**(b - 1074), b = e - 1 for a biased exponent e > 0 and b = 0
-   for a subnormal.  It
-   adds exactly into 66 int64 chunks, chunk c counting units of
-   2**(32c - 1074): mant, shifted by b % 32, spans chunks b/32 to b/32 + 2
-   in pieces below 2**32, so no chunk reaches 2**63 and nothing carries
-   while summing.  Then truncating division moves each chunk's carry into
-   the next, up to the highest chunk any term reached; it keeps the sign of
-   each chunk's total, so a negative sum does not carry -1 through every
-   chunk above it.  Every chunk is then below 2**32 in magnitude but the
-   highest, which holds only top pieces and a carry, below 2**53, so each
-   non-zero chunk is an exact double, and fsum_exact rounds their sum.  A
-   column with a non-finite t_p, or whose largest exponent emax lets its
-   magnitudes reach 2**1019 (d*2**(emax - 1022) >= 2**1019), gets NaN, for
-   math.fsum to redo.  Below that bound fsum makes no intermediate
-   overflow, no chunk's value reaches the sum of the magnitudes, and the
-   chunks' magnitudes sum below three times that.  Returns the number of
-   NaN columns. */
-#define CHUNKS 66
+   lexicographic order, so math.fsum's bits, for d < 2**31; a column the
+   certificate below cannot settle gets NaN, for math.fsum to redo.
+
+   The sum is Ogita, Rump and Oishi's Sum3 (SumK with K = 3, SIAM J. Sci.
+   Comput. 26(6), 2005), streamed: each t_p is two_summed into s1, that
+   error into s2, and the second error f_p is added into rest and |f_p|
+   into a; mx keeps the largest |t_p|.  So S = s1 + s2 + F, F the exact sum
+   of the f_p.  At the end, two_sum(s1, s2) = (h, l), c = l + rest rounded
+   and two_sum(h, c) = (res, err), so
+       S = res + err + (l + rest - c) + (F - rest).
+   The certificate, after Rump, Ogita and Oishi's NearSum (SIAM J. Sci.
+   Comput. 31(2), 2009).  Let u = 2**-53 and n = d - 1.  A rounded sum of
+   doubles errs by at most u times its result, underflow included, since a
+   sum in the subnormal range is exact; so |l + rest - c| <= u|c|.  rest
+   and a each make n such additions, so |F - rest| <= g_n*sum|f_p| and
+   a >= (1 - g_n)*sum|f_p|, g_n = nu/(1 - nu) (Higham, Accuracy and
+   Stability of Numerical Algorithms, 2nd ed., section 4.2), hence
+   |F - rest| <= nu/(1 - 2nu)*a <= 2du*a for n < 2**51.  So
+       |S - res| <= |err| + u|c| + 2du*a,
+   and res is S correctly rounded, S on no tie, when that is below gap/2,
+   gap = |res| less the double below it, the smaller of the two spacings
+   beside res.  Scaled by 2**53 that reads
+       L = 2**53*|err| + |c| + 2d*a  <  2**52*gap.
+   2**53*|err| is exact (|err| <= 2**970 beside a finite res), 2d*a cannot
+   underflow (a subnormal product of an integer and a double is exact),
+   and L is two additions and one product, so its rounded value is at
+   least (1 - u)**2 times L.  The kernel accepts res when the rounded L is
+   below (2**52 - 4)*gap, exact as gap is a power of two, and
+   (1 - 2**-50)/(1 - u)**2 < 1.  A non-finite L fails the test.
+   Overflow: accepted columns have d*mx < 2**1019, so no sum of the t_p
+   comes near 2**1024, no operation of two_sum overflows and math.fsum
+   makes no intermediate overflow; a non-finite t_p, or any overflow,
+   makes res non-finite.  So a column gets NaN when res is zero,
+   subnormal or not finite, when d*mx reaches 2**1019, or when the test
+   fails.  Columns go FSUM_PASS at a time, n <= FSUM_PASS in a pass, their
+   running values in arrays of that size.  Returns the number of NaN
+   columns. */
+#define FSUM_PASS 64
 
 WIDE
 ptrdiff_t fsum_columns(ptrdiff_t k, ptrdiff_t m, const double *q, const double *z,
                        double *restrict out)
 {
     const uint64_t nan = 0x7ff8000000000000u;
-    int64_t acc[CHUNKS];
-    double unit[CHUNKS], v[CHUNKS], partials[CHUNKS];
-    ptrdiff_t d = k * (k + 1) / 2, p, i, i2, j, flagged = 0;
-    int c, n, top, log2d = 0, emax;
-    for (c = 0; c < CHUNKS; c++) {
-        int w = 32 * c - 1074;
-        uint64_t u = w < -1022 ? (uint64_t)1 << (w + 1074) : (uint64_t)(w + 1023) << 52;
-        memcpy(&unit[c], &u, sizeof u);
-    }
-    while (((ptrdiff_t)1 << log2d) < d)
-        log2d++;
-    for (j = 0; j < m; j++) {
-        memset(acc, 0, sizeof acc);
-        for (emax = 0, p = 0, i = 0; i < k; i++)
+    double s1[FSUM_PASS], s2[FSUM_PASS], rest[FSUM_PASS], a[FSUM_PASS], mx[FSUM_PASS];
+    ptrdiff_t d = k * (k + 1) / 2, j0, n, i, i2, p, t, flagged = 0;
+    for (j0 = 0; j0 < m; j0 += FSUM_PASS) {
+        n = m - j0 < FSUM_PASS ? m - j0 : FSUM_PASS;
+        for (t = 0; t < n; t++)
+            s1[t] = s2[t] = rest[t] = a[t] = mx[t] = 0.0;
+        for (p = 0, i = 0; i < k; i++)
             for (i2 = i; i2 < k; i2++, p++) {
-                double t = q[p] * (z[i * m + j] * z[i2 * m + j]);
-                uint64_t u, mant, high;
-                int64_t neg;
-                int e, b;
-                memcpy(&u, &t, sizeof u);
-                e = (int)(u >> 52 & 0x7ff);
-                emax = e > emax ? e : emax;
-                mant = (u & 0xfffffffffffffu) | (uint64_t)(e != 0) << 52;
-                b = e ? e - 1 : 0;
-                high = mant >> (32 - (b & 31));
-                neg = -(int64_t)(u >> 63);
-                acc[b >> 5] += ((int64_t)(mant << (b & 31) & 0xffffffffu) ^ neg) - neg;
-                acc[(b >> 5) + 1] += ((int64_t)(high & 0xffffffffu) ^ neg) - neg;
-                acc[(b >> 5) + 2] += ((int64_t)(high >> 32) ^ neg) - neg;
+                const double *x = z + i * m + j0, *y = z + i2 * m + j0, qp = q[p];
+                for (t = 0; t < n; t++) {
+                    double tp = qp * (x[t] * y[t]), e, f, s, at;
+                    two_sum(s1[t], tp, &s, &e);
+                    s1[t] = s;
+                    two_sum(s2[t], e, &s, &f);
+                    s2[t] = s;
+                    rest[t] = rest[t] + f;
+                    a[t] = a[t] + (f < 0.0 ? -f : f);
+                    at = tp < 0.0 ? -tp : tp;
+                    mx[t] = mx[t] < at ? at : mx[t];
+                }
             }
-        if (emax == 0x7ff || emax + log2d > 2041) {
-            memcpy(&out[j], &nan, sizeof nan);
-            flagged++;
-            continue;
+        for (t = 0; t < n; t++) {
+            double h, l, c, res, err, r, below, L;
+            uint64_t bits;
+            two_sum(s1[t], s2[t], &h, &l);
+            c = l + rest[t];
+            two_sum(h, c, &res, &err);
+            r = res < 0.0 ? -res : res;
+            memcpy(&bits, &r, sizeof bits);
+            bits -= bits > 0;
+            memcpy(&below, &bits, sizeof bits);
+            L = (0x1p53 * (err < 0.0 ? -err : err) + (c < 0.0 ? -c : c)) + (double)(2 * d) * a[t];
+            if (r >= 0x1p-1022 && r <= 0x1.fffffffffffffp1023 && (double)d * mx[t] < 0x1p1019
+                && L < (r - below) * 4503599627370492.0)
+                out[j0 + t] = res;
+            else {
+                memcpy(&out[j0 + t], &nan, sizeof nan);
+                flagged++;
+            }
         }
-        top = (emax ? emax - 1 : 0) / 32 + 3;     /* at most CHUNKS; chunks from top on are 0 */
-        for (c = 0; c + 1 < top; c++) {
-            int64_t carry = acc[c] / ((int64_t)1 << 32);
-            acc[c] -= carry * ((int64_t)1 << 32);
-            acc[c + 1] += carry;
-        }
-        for (n = 0, c = 0; c < top; c++)
-            if (acc[c])
-                v[n++] = (double)acc[c] * unit[c];
-        out[j] = fsum_exact(v, n, partials);
     }
     return flagged;
 }
@@ -821,11 +796,16 @@ def fsum_columns(q, z) -> np.ndarray:
     column of the (k, m) array z, in one kernel call, X_p = z_I*z_J rounded
     for the d = k(k+1)/2 pairs I <= J in lexicographic order and q (d,).
 
-    Any correctly rounded sum of the same doubles is one double, so each
-    column has ``math.fsum``'s bits.  A column with a non-finite product,
-    or whose products are large enough that fsum could overflow on the
-    way, is handed to ``math.fsum`` itself: it gets fsum's value, or
-    raises fsum's error.  d must be below 2**31.  Returns an (m,) array.
+    The kernel sums each column by Sum3, three-fold compensated, and keeps
+    the result only where a rigorous bound shows it is the exact sum
+    correctly rounded, with no tie; any correctly rounded sum of the same
+    doubles is one double, so such a column has ``math.fsum``'s bits.  A
+    column it cannot certify (a sum that is zero, subnormal or within its
+    error bound of a tie, a non-finite product, or products large enough
+    that fsum could overflow on the way) is handed to ``math.fsum`` itself:
+    it gets fsum's value, or raises fsum's error.  None of the default or
+    converged sweeps' columns is.  d must be below 2**31.  Returns an (m,)
+    array.
     """
     k, m, d = _monomials(z, q)
     if d >= 2 ** 31:

@@ -593,18 +593,22 @@ def evaluation_case(request, truth, default_model, default_e2, default_e3):
         case = truth, default_model[0], default_e2, default_e3
     else:
         case = request.getfixturevalue(request.param)
+    # e3 clamps by construction, whatever the BLAS: node 3's V is negated,
+    # so its exact lookup is negative, and the interpolated squares move
+    # with it.  Whether e3 clamps on its own data is a matter of its noise
+    # (under OpenBLAS's Haswell kernel no default point does).
+    V = case[3].V.copy()
+    V[3] = -V[3]
+    case = (*case[:3], dataclasses.replace(case[3], V=V))
     model, e3data = case[1], case[3]
     # Two stored nodes take e3's exact-lookup path; at the snapshot
     # parameters e1 sits on its floor.
     grid = np.geomspace(1.0, 1000.0, 31)
     mus = np.concatenate([grid, e3data.interp_params[[3, -1]], model.snapshot_params])
     reference = [per_point_record(*case, mu) for mu in mus]
+    assert any(r["e3_clamped_flag"] for r in reference)
     if request.param == "large_orthonormal":
         assert _SOLVE_ELEMENTS // case[0].n >= len(mus)  # one truth chunk
-    else:
-        # Some point clamps e3: a snapshot parameter (mu = 615.1...) on the
-        # default basis, the grid's endpoints on the small one.
-        assert any(r["e3_clamped_flag"] for r in reference)
     return case, mus, reference
 
 
@@ -1292,6 +1296,106 @@ def test_fsum_columns_rejects_what_it_cannot_sum():
         fsum_columns(np.ones(3), np.ones((3, 2)))
     with pytest.raises(ValueError, match="fewer than 2"):
         fsum_columns(np.broadcast_to(1.0, (2 ** 15 * (2 ** 16 + 1),)), np.empty((2 ** 16, 0)))
+
+
+def fsum_kernel(q, z):
+    """The kernel's own outcome on q and z, with no math.fsum after it: the
+    number of columns it leaves to math.fsum and its out, NaN at those."""
+    (k, m), out = z.shape, np.empty(z.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        flagged = fem._lib.fsum_columns(k, m, q.ctypes.data, z.ctypes.data, out.ctypes.data)
+    return flagged, out
+
+
+def terms_as_columns(columns):
+    """(q, z) whose column j has the terms columns[j] and nothing more: z is
+    ones, q'[p] = terms[p]*1 at the pair p, padded with -0.0 to k(k+1)/2
+    pairs.  Each column is one call, as assert_fsum_columns_is_fsum makes."""
+    for terms in columns:
+        d = len(terms)
+        k = next(k for k in range(1, d + 1) if k * (k + 1) // 2 >= d)
+        yield np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)]), np.ones((k, 1))
+
+
+def assert_left_to_fsum(columns):
+    """The kernel leaves each of the columns of terms to math.fsum, and
+    fsum_columns has fsum's bits on it."""
+    for q, z in terms_as_columns(columns):
+        flagged, out = fsum_kernel(q, z)
+        assert flagged == 1 and np.isnan(out).all()
+        assert hex_list(fsum_columns(q, z)) == hex_list(fsum_oracle(q, z))
+
+
+@pytest.mark.parametrize("d", [2, 3, 91, 325])
+def test_fsum_columns_leaves_every_tie_to_fsum(d):
+    # An exact sum on a half-ulp tie is no certified sum: Sum3's result is
+    # one of the two doubles beside it, half an ulp away, so the test
+    # |err| + bound < gap/2 must fail and the column go to math.fsum, which
+    # rounds half to even.  a's last bit is odd and even, a power of two
+    # among them, the tie whole or split in two, among cancelling pairs.
+    rng = np.random.default_rng(d)
+    columns = []
+    randoms = rng.uniform(1.0, 2.0, size=6) * 2.0 ** rng.integers(-900, 900, size=6)
+    for a in (1.0 + 2.0 ** -52, 1.5, 3.0 * 2.0 ** 700, 1.25 * 2.0 ** -700, 1.0, *randoms.tolist()):
+        half = math.ulp(a) / 2
+        split = [[a, half / 2, half / 2]] if d > 2 else []
+        for tie in [[a, half], [-a, -half], *split]:
+            terms = tie + [0.0] * (d - len(tie))
+            for i in range(len(tie), d - 1, 2):
+                x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
+                terms[i:i + 2] = [x, -x]
+            columns.append(rng.permutation(np.array(terms)) if d > 3 else np.array(terms))
+    assert_left_to_fsum(columns)
+
+
+@pytest.mark.parametrize("d", [2, 91, 325])
+def test_fsum_columns_leaves_zero_subnormal_and_huge_sums_to_fsum(d):
+    # A zero sum (the certificate cannot sign it), a subnormal one, and
+    # products near 2**1023, which could overflow fsum on the way, are left
+    # to math.fsum beside the cancelling pairs that fill each column to d.
+    rng = np.random.default_rng(d)
+    big = 2.0 ** 1023
+    heads = ([1.5, -1.5], [2.0 ** -1021, -(2.0 ** -1021 - 2.0 ** -1070)], [0.0, 5e-324],
+             [big * 0.75, 0.5], [-big, big * 0.5], [big * 0.875, -(big * 0.875)])
+    columns = []
+    for head in heads:
+        fill = rng.normal(size=(d - 2) // 2) * 2.0 ** 100
+        columns.append(np.array(head + [0.0] * (d % 2)
+                                + [x for v in fill.tolist() for x in (v, -v)])[:d])
+    assert_left_to_fsum(columns)
+
+
+def test_fsum_columns_certifies_every_sweep_column(truth, default_model, default_e2,
+                                                   default_config, floors_config,
+                                                   floors_artifact):
+    # On the default (d = 91) and converged (d = 325) sweeps, the deepest
+    # cancellation at the floor, the certificate settles every column in the
+    # kernel: none falls back to math.fsum, and all have its bits.
+    sys_, model, e2data, _, _ = rb.load_artifact(floors_artifact, floors_config)
+    for model, e2data, config in ((default_model[0], default_e2, default_config),
+                                  (model, e2data, floors_config)):
+        mus = sweep_grid(config)
+        q, z = rb.q_coefficients(e2data), _z_rows(mus, rb.solve_reduced_block(model, mus))
+        flagged, out = fsum_kernel(q, z)
+        assert flagged == 0
+        assert hex_list(out) == hex_list(fsum_oracle(q, z))
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+def test_fsum_columns_writes_nothing_past_its_buffer(m):
+    # The kernel keeps its running sums on its stack, in passes of 64
+    # columns, and writes the m doubles of out: -inf guards on both sides,
+    # a value it never writes, must survive.  out holds fsum's bits, or NaN
+    # at the columns it counts.  Of 20,000 such columns it flagged 143,
+    # each of them an exact half-ulp tie.
+    pad, rng = 7, np.random.default_rng(m)
+    q, z = rng.normal(size=21), rng.normal(size=(6, m))
+    out = np.full(m + 2 * pad, -np.inf)
+    flagged = fem._lib.fsum_columns(6, m, q.ctypes.data, z.ctypes.data, out[pad:].ctypes.data)
+    assert np.isneginf(out[:pad]).all() and np.isneginf(out[pad + m:]).all()
+    got, kept = out[pad:pad + m], ~np.isnan(out[pad:pad + m])
+    assert flagged == m - kept.sum()
+    assert hex_list(got[kept]) == hex_list(fsum_oracle(q, z)[kept])
 
 
 # --- e3's compiled LU solve against the numpy solve -------------------------
