@@ -1147,20 +1147,26 @@ def fsum_oracle(q, z):
     return np.array([math.fsum(col) for col in (q[:, None] * (z[i] * z[j])).T.tolist()])
 
 
+def terms_as_columns(columns):
+    """(q', z) for each column of terms t_p, one kernel call's inputs: z is
+    one column of ones, whose products z_I*z_J = 1 make every term t_p*1 =
+    t_p exactly, so the kernel sees all d terms, whatever their magnitudes;
+    q' pads t with -0.0, which adds nothing, to k(k+1)/2 pairs."""
+    for terms in columns:
+        d = len(terms)
+        k = next(k for k in range(1, d + 1) if k * (k + 1) // 2 >= d)
+        yield np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)]), np.ones((k, 1))
+
+
 def assert_fsum_columns_is_fsum(q, X):
     """fsum_columns sums the d rounded products t_p = q_p*X[p, j] of each
-    column j of X with math.fsum's outcome.  Each column is one call with z
-    all ones, whose products z_I*z_J = 1 make every term t_p*1 = t_p
-    exactly: the kernel sees all d terms, whatever their magnitudes.  q'
-    pads t with -0.0, which adds nothing, to k(k+1)/2 pairs."""
+    column j of X with math.fsum's outcome, each column in one call
+    (terms_as_columns)."""
     q, X = np.ascontiguousarray(q, dtype=float), np.ascontiguousarray(X, dtype=float)
-    d = len(q)
-    k = next(k for k in range(1, d + 1) if k * (k + 1) // 2 >= d)
-    for column in X.T:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = q * column
-        padded = np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)])
-        got = fsum_outcome(lambda: fsum_columns(padded, np.ones((k, 1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [q * column for column in X.T]
+    for terms, (padded, z) in zip(columns, terms_as_columns(columns)):
+        got = fsum_outcome(lambda: fsum_columns(padded, z))
         assert got == fsum_outcome(lambda: [math.fsum(terms.tolist())])
 
 
@@ -1305,16 +1311,6 @@ def fsum_kernel(q, z):
     with np.errstate(over="ignore", invalid="ignore"):
         flagged = fem._lib.fsum_columns(k, m, q.ctypes.data, z.ctypes.data, out.ctypes.data)
     return flagged, out
-
-
-def terms_as_columns(columns):
-    """(q, z) whose column j has the terms columns[j] and nothing more: z is
-    ones, q'[p] = terms[p]*1 at the pair p, padded with -0.0 to k(k+1)/2
-    pairs.  Each column is one call, as assert_fsum_columns_is_fsum makes."""
-    for terms in columns:
-        d = len(terms)
-        k = next(k for k in range(1, d + 1) if k * (k + 1) // 2 >= d)
-        yield np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)]), np.ones((k, 1))
 
 
 def assert_left_to_fsum(columns):
