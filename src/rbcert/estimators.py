@@ -59,18 +59,21 @@ one, and q_IJ off the diagonal is exactly twice it.
 Every stage past the reduced solve runs in the compiled kernels of
 :mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1 and the true error
 (``lift_norms``, each from its lift's first term to its norm's last sum),
-and, from z with the monomials formed in the kernel, e2dd's radicands
-(``dd_radicands``), e2's (``fsum_columns``) and e3's interpolated squares
-(``lu_solve_dots``).  e1 is the norm of the lift sum_I z_I G_I with the
-rows of z that the monomials multiply, and the true error that of U less
-the lift sum_k gamma_k u_k.  Each kernel makes the operations of the
-numpy reference the tests keep for it, in their order, so its bits: the
-per-pair dd inner product, the lift adding its vectors in order, a dot
-summed in eight lanes in an order fixed by N, and T's LU solve with its
-dot with V summed left to right.  e2's radicands are correctly rounded
-sums, so they have the bits of ``math.fsum``, the tests' reference: the
-kernel sums by Sum3 with a certificate of correct rounding, and leaves the
-column it cannot certify to ``math.fsum``.
+and, from z with the monomials formed in the kernel, e2dd's radicands and
+their square roots (``dd_radicands``), e2's radicands (``fsum_columns``)
+and e3's interpolated squares (``lu_solve_dots``).  e1 is the norm of the
+lift sum_I z_I G_I with the rows of z that the monomials multiply, and the
+true error that of U less the lift sum_k gamma_k u_k.  Each kernel makes
+the operations of the numpy reference the tests keep for it, in their
+order, so its bits: the per-pair dd inner product, the dd sum and square
+root, the lift adding its vectors in order, a dot summed in eight lanes in
+an order fixed by N, and T's LU solve with its dot with V summed left to
+right.  The kernels' C source is the package's only double-double
+arithmetic; the numpy dd operations are the tests' reference for it.
+e2's radicands are correctly rounded sums, so they have the bits of
+``math.fsum``, the tests' reference: the kernel sums by Sum3 with a
+certificate of correct rounding, and leaves the column it cannot certify
+to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ import numpy as np
 
 from .fem import TruthSystem, dd_gram_table, dd_radicands, fsum_columns, lift_norms
 from .fem import lu_solve_dots, parameter_block, solve_truth
-from .precision import dd_sqrt
 
 logger = logging.getLogger(__name__)
 
@@ -116,9 +118,11 @@ class E2Data:
 
     @property
     def delta(self) -> float:
-        """sqrt(q_0) = ||G_0||, rounded from double-double."""
-        dh, dl = dd_sqrt((self.q_dd[0][0], self.q_dd[1][0]))
-        return dh + dl
+        """sqrt(q_0) = ||G_0||, rounded from double-double: e2dd's kernel on
+        q_0 alone at z = 1, whose one term dd_mul(q_0, two_prod(1, 1)) is
+        q_0 itself."""
+        q0 = (self.q_dd[0][:1], self.q_dd[1][:1])
+        return float(dd_radicands(q0, np.ones((1, 1)))[0][2, 0])
 
 
 class E2Table:
@@ -401,19 +405,17 @@ def _e2_block(q, z):
 
 def _e2dd_block(data: E2Data, z):
     """Compact form in double-double at every column of z (:func:`_z_rows`);
-    returns (value, clamped).
+    returns (value, clamps).
 
-    Each q_p*X_p, X_p = z_I*z_J the exact product of its factors, and the
-    sum over the d monomials are dd operations on q_dd
+    Each q_p*X_p, X_p = z_I*z_J the exact product of its factors, the sum
+    over the d monomials and the square root are dd operations on q_dd
     (:func:`fem.dd_radicands`), rounded back to working precision.  A
-    negative dd radicand is clamped to zero and flagged.
+    negative dd radicand is clamped to zero and counted in clamps.
     """
-    rh, rl = dd_radicands(data.q_dd, z)
-    clamped = (rh < 0.0) | ((rh == 0.0) & (rl < 0.0))
-    if clamped.any():
-        logger.info("e2dd: %d negative dd radicands clamped", clamped.sum())
-    vh, vl = dd_sqrt((np.where(clamped, 0.0, rh), np.where(clamped, 0.0, rl)))
-    return np.where(clamped, 0.0, vh + vl), clamped
+    out, clamps = dd_radicands(data.q_dd, z)
+    if clamps:
+        logger.info("e2dd: %d negative dd radicands clamped", clamps)
+    return out[2], clamps
 
 
 def _e3_block(data: E3Data, mus, z):

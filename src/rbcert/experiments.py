@@ -24,7 +24,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from . import estimators, fem, precision, reduced
+from . import estimators, fem, reduced
 
 EPS = 2.0 ** -52
 
@@ -209,8 +209,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         fh.write(reduced.dumps_deterministic(payload))
     log(
         f"offline: N_hat={model.n_hat} d={e3.d} r={e3.T.shape[0]} "
-        f"cond(T)={np.linalg.cond(e3.T):.3e} delta={e2.delta:.6e} "
-        f"[two_prod path: {precision.TWO_PROD_PATH}]"
+        f"cond(T)={np.linalg.cond(e3.T):.3e} delta={e2.delta:.6e}"
     )
     log(f"offline: wrote {path}")
     return path

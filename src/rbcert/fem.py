@@ -21,13 +21,15 @@ pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
 of a lift of vectors (less U, for the true error) from its first term to
 the norm's last sum in one pass over the mesh.  Three take z = (1; gamma;
 mu*gamma), one column a point, and form the monomials z_I*z_J themselves:
-``dd_radicands`` gives e2dd's radicands, ``fsum_columns`` e2's, and
-``lu_solve_dots`` e3's interpolated squares.  Each kernel but
-``fsum_columns`` makes the operations of the reference the tests keep for
-it, in their order, so its bits; ``fsum_columns`` sums by a compensated
-Sum3 and certifies that its result is the exact sum correctly rounded, so
-it has the bits of ``math.fsum``, the tests' reference for it, and leaves
-the rare column it cannot certify to ``math.fsum`` itself.  The source is
+``dd_radicands`` gives e2dd's radicands and their square roots,
+``fsum_columns`` e2's radicands, and ``lu_solve_dots`` e3's interpolated
+squares.  The source holds the package's only double-double arithmetic.
+Each kernel but ``fsum_columns`` makes the operations of the reference
+the tests keep for it, in their order, so its bits; ``fsum_columns`` sums
+by a compensated Sum3 and certifies that its result is the exact sum
+correctly rounded, so it has the bits of ``math.fsum``, the tests'
+reference for it, and leaves the rare column it cannot certify to
+``math.fsum`` itself.  The source is
 compiled when this module is imported, with ``cc`` and ``_FLAGS``, into
 one library in ``__pycache__`` beside this file, and loaded with
 ``ctypes``; a missing or failing compiler is an ``ImportError``.  With
@@ -102,6 +104,7 @@ def assemble(n_cells: int) -> TruthSystem:
 
 
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -116,7 +119,7 @@ _SOURCE = r"""
    is not inlined.  INLINE forces gram_entries and lift_row into each
    clone of their callers, so a one-point lift_norms pays no call per
    mesh row.  lane_add, lane_total and two_sum are small enough to be
-   inlined, and gram_dd has one caller; they are unmarked.
+   inlined, and gram_dd and dd_root have one caller; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
@@ -195,8 +198,9 @@ int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
     return 0;
 }
 
-/* The double-double operations of rbcert.precision, each with the
-   operations of its Python form in their order, so with its bits. */
+/* The package's double-double operations.  The tests keep a numpy form
+   of each as its reference (tests/conftest.py), and each C form makes the
+   operations of its numpy form in their order, so has its bits. */
 
 /* split(a) = (hi, lo), with Dekker's splitter 2**27 + 1. */
 static void split(double a, double *hi, double *lo)
@@ -315,17 +319,45 @@ void dd_gram_table(ptrdiff_t n, ptrdiff_t k0, ptrdiff_t k, double diag, double o
     }
 }
 
+/* e2dd's value at its radicand (h, l): 0 for a negative radicand, h < 0
+   or h = 0 with l < 0, which adds 1 to *clamps; otherwise dd_sqrt((h, l))
+   rounded to a double, 0 at h = 0.  dd_sqrt takes a = sqrt(h), the
+   remainder (h, l) less two_prod(a, a) by dd_add, corr = (its hi + its
+   lo)/(2a), then quick_two_sum(a, corr) = (s, e), and the value is s + e.
+   NaN and infinities are not clamped.  -fno-math-errno makes sqrt one
+   instruction, so no libm call. */
+static double dd_root(double h, double l, ptrdiff_t *clamps)
+{
+    double a, p, e, s;
+    if (h < 0.0 || (h == 0.0 && l < 0.0)) {
+        ++*clamps;
+        return 0.0;
+    }
+    if (h == 0.0)
+        return 0.0;
+    a = sqrt(h);
+    two_prod(a, a, &p, &e);
+    dd_add(&h, &l, -p, -e);
+    e = (h + l) / (2.0 * a);
+    s = a + e;                /* quick_two_sum(a, corr) = (s, e) */
+    e = e - (s - a);
+    return s + e;
+}
+
 /* e2dd's radicand q.X in double-double for the m columns of z, row-major
    (k, m), X's d = k(k+1)/2 monomials z_I*z_J over the pairs I <= J in
    lexicographic order: term (I, J) is dd_mul((qh, ql) at its pair,
    two_prod(z_I, z_J)), and dd_tree sums a column's d terms.  Columns go p
    at a time, q <= p in a pass, their terms in rows of q in the 2dp doubles
-   of scratch; column j's sum goes to (out[j], out[m + j]). */
+   of scratch; column j's sum goes to (out[j], out[m + j]), and its
+   dd_root, e2dd's value, to out[2m + j].  Returns the number of clamped
+   columns. */
 WIDE
-void dd_radicands(ptrdiff_t k, ptrdiff_t m, const double *qh, const double *ql,
-                  const double *z, double *restrict out, ptrdiff_t p, double *restrict scratch)
+ptrdiff_t dd_radicands(ptrdiff_t k, ptrdiff_t m, const double *qh, const double *ql,
+                       const double *z, double *restrict out, ptrdiff_t p,
+                       double *restrict scratch)
 {
-    ptrdiff_t d = k * (k + 1) / 2, j0, q, i, j, r, t;
+    ptrdiff_t d = k * (k + 1) / 2, j0, q, i, j, r, t, clamps = 0;
     double xh, xl;
     for (j0 = 0; j0 < m; j0 += p) {
         double *th = scratch, *tl;
@@ -343,8 +375,10 @@ void dd_radicands(ptrdiff_t k, ptrdiff_t m, const double *qh, const double *ql,
         for (t = 0; t < q; t++) {
             out[j0 + t] = th[t];
             out[m + j0 + t] = tl[t];
+            out[2 * m + j0 + t] = dd_root(th[t], tl[t], &clamps);
         }
     }
+    return clamps;
 }
 
 /* two_sum(a, b) = (s, e): s = a + b rounded and, when nothing overflows,
@@ -613,8 +647,10 @@ void lift_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const uintptr_t *vs, cons
 # No -march: the build runs on any x86-64, and WIDE's clones bring the
 # host's AVX2 or AVX-512 at load.  -ffp-contract=off forbids fused
 # multiply-adds, which those clones could otherwise emit, so every clone
-# has the baseline's bits.
-_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# has the baseline's bits.  -fno-math-errno lets sqrt compile to the IEEE
+# square root instruction, correctly rounded, with no call into libm to
+# set errno.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
 def _build(source: str, flags: tuple) -> ctypes.CDLL:
@@ -659,7 +695,7 @@ _N, _P, _D = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _KERNELS = (
     ("thomas", (_N, _N, _P, _P, _P, _N, _P, _N, _P), ctypes.c_int),
     ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
-    ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), None),
+    ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), _N),
     ("fsum_columns", (_N, _N, _P, _P, _P), _N),
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
@@ -772,23 +808,26 @@ _BLOCK_ELEMENTS = 2 ** 13
 
 
 def dd_radicands(q_dd, z) -> tuple:
-    """q.X in double-double for every column of the (k, m) array z, in one
-    kernel call, X's monomials z_I*z_J over the pairs I <= J in
-    lexicographic order.
+    """q.X in double-double for every column of the (k, m) array z, and its
+    rounded square root, in one kernel call, X's monomials z_I*z_J over the
+    pairs I <= J in lexicographic order.
 
-    q_dd = (qh, ql) are (d,) arrays, d = k(k+1)/2.  Column j is
-    ``dd_sum(*dd_mul(q_dd, two_prod(z[I, j], z[J, j])))`` of the numpy dd
-    kernels over the pairs, the same operations in the same order, in
-    passes of _BLOCK_ELEMENTS // d columns.  Returns (hi, lo), two (m,)
-    arrays.
+    q_dd = (qh, ql) are (d,) arrays, d = k(k+1)/2.  Column j's radicand is
+    ``dd_sum(*dd_mul(q_dd, two_prod(z[I, j], z[J, j])))`` of the tests'
+    numpy dd reference over the pairs, the same operations in the same
+    order, in passes of _BLOCK_ELEMENTS // d columns.  Its root is 0 where
+    the radicand is negative (hi < 0, or hi = 0 with lo < 0: clamped), and
+    elsewhere the reference's ``dd_sqrt`` of it rounded to a double.
+    Returns a (3, m) array, the radicands' hi and lo parts and the roots,
+    and the number of clamped columns.
     """
     k, m, d = _monomials(z, *q_dd)
     p = max(1, min(m, _BLOCK_ELEMENTS // d))
-    out, scratch = np.empty((2, m)), np.empty(2 * d * p)
+    out, scratch = np.empty((3, m)), np.empty(2 * d * p)
     args = [_address(a, name) for a, name in zip((*q_dd, z), ("qh", "ql", "z"))]
-    _lib.dd_radicands(k, m, *args, _address(out, "out", out=True), p,
-                      _address(scratch, "scratch", out=True))
-    return out[0], out[1]
+    clamps = _lib.dd_radicands(k, m, *args, _address(out, "out", out=True), p,
+                               _address(scratch, "scratch", out=True))
+    return out, clamps
 
 
 def fsum_columns(q, z) -> np.ndarray:

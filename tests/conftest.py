@@ -14,21 +14,29 @@ the reference of the compiled product ``fem.tridiagonal_rows``, and
 references of the H1 norm and the lift that ``fem.lift_norms`` compiles,
 for e1 and for the true error.  The
 two-pass Thomas solve on Python floats is the reference the compiled
-kernel in :mod:`rbcert.fem` is checked against by ``float.hex``, the
-allocating numpy dd product and pairwise dd sum (:func:`dd_mul`,
-:func:`dd_sum`) are the references of its dd kernels, and the numpy LU
-solve (:func:`_lu_solve`) with a left-to-right dot (:func:`dot_in_order`)
-is the reference of e3's kernel ``fem.lu_solve_dots``.
+kernel in :mod:`rbcert.fem` is checked against by ``float.hex``.  The
+numpy double-double arithmetic (:func:`two_sum`, :func:`two_prod`,
+:func:`dd_add`, :func:`dd_mul`, :func:`dd_sqrt` and the pairwise sum
+:func:`dd_sum`) is the reference of the package's only dd arithmetic, the
+C source of :mod:`rbcert.fem`, and :func:`dd_root` that of e2dd's clamp
+and square root; ``compiled_dd`` builds that source with a shim that
+exports its static dd operations, for the tests that check them one by
+one.  The numpy LU solve (:func:`_lu_solve`) with a left-to-right dot
+(:func:`dot_in_order`) is the reference of e3's kernel
+``fem.lu_solve_dots``.
 """
 
+import ctypes
 import math
 import os
+import subprocess
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import rbcert as rb
+from rbcert import fem
 from rbcert.estimators import E2Table
 from rbcert.fem import Tridiagonal, TruthSystem, check_parameters
 from rbcert.experiments import (
@@ -38,7 +46,6 @@ from rbcert.experiments import (
     sweep_grid,
     training_grid,
 )
-from rbcert.precision import dd_add, quick_two_sum, two_prod
 
 # Populated by the tests in test_acceptance.py, printed at the end of the
 # run so every criterion gets exactly one visible pass/fail line.
@@ -288,6 +295,104 @@ def thomas(diag, off, rhs):
 
 
 # --- the numpy double-double references ------------------------------------
+#
+# A double-double value represents a real number as an unevaluated sum
+# hi + lo of two floats with |lo| <= ulp(hi)/2, giving roughly 106 bits of
+# significand.  Every operation below is ordinary double arithmetic, so
+# each accepts Python floats or numpy arrays and broadcasts; the compiled
+# forms in fem._SOURCE make the same operations in the same order.
+
+# Dekker's splitter for binary64: 2**27 + 1.
+SPLITTER = 134217729.0
+
+
+def two_sum(a, b):
+    """Return ``(s, e)`` with ``s = fl(a + b)`` and ``s + e == a + b`` exactly.
+
+    Knuth's branch-free version: correct for any ordering of magnitudes,
+    and symmetric in its arguments bit-for-bit.
+    """
+    s = a + b
+    v = s - a
+    e = (a - (s - v)) + (b - v)
+    return s, e
+
+
+def quick_two_sum(a, b):
+    """two_sum specialized to ``|a| >= |b|`` (three flops instead of six)."""
+    s = a + b
+    e = b - (s - a)
+    return s, e
+
+
+def split(a):
+    """Dekker split: ``a == hi + lo`` with both halves 26-bit exact."""
+    t = SPLITTER * a
+    hi = t - (t - a)
+    lo = a - hi
+    return hi, lo
+
+
+def two_prod(a, b):
+    """Return ``(p, e)`` with ``p = fl(a * b)`` and ``p + e == a * b`` exactly,
+    by Dekker's splitting (no fused multiply-add)."""
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e
+
+
+def dd_add(x, y):
+    """Add two double-double values given as (hi, lo) pairs.
+
+    The classic accurate sum: both hi and lo parts go through exact
+    transforms, followed by two renormalizations.  The result is
+    symmetric in x and y bit-for-bit because every intermediate is.
+    """
+    xh, xl = x
+    yh, yl = y
+    s, e = two_sum(xh, yh)
+    t, f = two_sum(xl, yl)
+    e = e + t
+    s, e = quick_two_sum(s, e)
+    e = e + f
+    return quick_two_sum(s, e)
+
+
+def dd_sqrt(x):
+    """Square root of a double-double ``x = (hi, lo)``.
+
+    One Newton/Karp correction on top of the double sqrt; zero maps to
+    (0, 0), and negative input raises ``ValueError`` (callers that want
+    clamping must clamp before calling).  Array pairs are taken element
+    by element; scalars give a pair of floats.
+    """
+    hi, lo = x
+    if np.any(np.less(hi, 0.0)):
+        raise ValueError("dd_sqrt of negative value")
+    zero = np.equal(hi, 0.0)
+    a = np.sqrt(np.where(zero, 1.0, hi))
+    p, e = two_prod(a, a)
+    d = dd_add(x, (-p, -e))
+    corr = (d[0] + d[1]) / (2.0 * a)
+    s, e = quick_two_sum(a, corr)
+    s, e = np.where(zero, 0.0, s), np.where(zero, 0.0, e)
+    return (float(s), float(e)) if s.ndim == 0 else (s, e)
+
+
+def dd_root(hi, lo):
+    """e2dd's value at the double-double radicands (hi, lo), arrays: a
+    negative radicand, hi < 0 or hi = 0 with lo < 0, is clamped to 0;
+    elsewhere :func:`dd_sqrt` rounded to a double.  NaN and infinities are
+    not clamped, and their invalid operations do not warn.  Returns the
+    values and the clamped mask."""
+    hi, lo = np.atleast_1d(np.asarray(hi, dtype=float)), np.atleast_1d(np.asarray(lo, dtype=float))
+    clamped = (hi < 0.0) | ((hi == 0.0) & (lo < 0.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        vh, vl = dd_sqrt((np.where(clamped, 0.0, hi), np.where(clamped, 0.0, lo)))
+        return np.where(clamped, 0.0, vh + vl), clamped
+
 
 def dd_mul(x, y):
     """Multiply two double-double values given as (hi, lo) pairs."""
@@ -315,6 +420,117 @@ def dd_sum(hi, lo):
         h[:m], l[:m] = dd_add((h[:m], l[:m]), (h[half:n], l[half:n]))
         n = half
     return (float(h[0]), float(l[0])) if h.ndim == 1 else (h[0], l[0])
+
+
+# z of two rows (s; t) whose columns, with q = (1, 0, -1) on the monomials
+# (s^2, st, t^2), give fem.dd_radicands the radicands s^2 - t^2 of the cases
+# that e2dd's clamp and square root single out: zero from signed zero
+# factors, a subnormal hi (2**-1040), a hi near 2**996, above which Dekker's
+# splitting overflows, negative his, a negative and a positive one with a
+# lo, and NaN from a NaN or an infinite factor.  A radicand out of the dd
+# sum is never hi = 0 with lo < 0, nor infinite: the compiled dd_root takes
+# those through DD_SHIM.
+SPECIAL_Z = np.array([
+    [0.0, -0.0, 0.0, 2.0**-520, 1.5 * 2.0**497, 1.0, 2.0**-40, 1.0 + 2.0**-30, math.nan,
+     math.inf, -math.inf, 1.0],
+    [0.0, 0.0, -0.0, 0.0, 0.0, 2.0, 1.0 + 2.0**-30, 2.0**-40, 0.0, 0.0, 1.0, math.inf],
+])
+SPECIAL_Q = (np.array([1.0, 0.0, -1.0]), np.zeros(3))
+
+# Exported array forms of fem._SOURCE's static dd operations, appended to
+# it for the tests only: each takes n entries of its operand arrays and
+# writes n of its result arrays; shim_dd_root returns the clamps.
+DD_SHIM = r"""
+ptrdiff_t shim_two_sum(ptrdiff_t n, const double *a, const double *b, double *s, double *e)
+{
+    ptrdiff_t i;
+    for (i = 0; i < n; i++)
+        two_sum(a[i], b[i], &s[i], &e[i]);
+    return 0;
+}
+
+ptrdiff_t shim_two_prod(ptrdiff_t n, const double *a, const double *b, double *p, double *e)
+{
+    ptrdiff_t i;
+    for (i = 0; i < n; i++)
+        two_prod(a[i], b[i], &p[i], &e[i]);
+    return 0;
+}
+
+ptrdiff_t shim_dd_add(ptrdiff_t n, const double *xh, const double *xl, const double *yh,
+                      const double *yl, double *h, double *l)
+{
+    ptrdiff_t i;
+    for (i = 0; i < n; i++) {
+        h[i] = xh[i];
+        l[i] = xl[i];
+        dd_add(&h[i], &l[i], yh[i], yl[i]);
+    }
+    return 0;
+}
+
+ptrdiff_t shim_dd_mul(ptrdiff_t n, const double *xh, const double *xl, const double *yh,
+                      const double *yl, double *h, double *l)
+{
+    ptrdiff_t i;
+    for (i = 0; i < n; i++)
+        dd_mul(xh[i], xl[i], yh[i], yl[i], &h[i], &l[i]);
+    return 0;
+}
+
+ptrdiff_t shim_dd_root(ptrdiff_t n, const double *h, const double *l, double *root)
+{
+    ptrdiff_t i, clamps = 0;
+    for (i = 0; i < n; i++)
+        root[i] = dd_root(h[i], l[i], &clamps);
+    return clamps;
+}
+"""
+
+
+class CompiledDD:
+    """The dd operations of a build of fem._SOURCE with DD_SHIM, taking
+    operands of any one broadcast shape, element by element."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self.lib = lib
+
+    def _run(self, name: str, operands, results: int):
+        ops = [np.ascontiguousarray(a, dtype=float) for a in np.broadcast_arrays(*operands)]
+        outs = [np.empty(ops[0].shape) for _ in range(results)]
+        kernel = getattr(self.lib, name)
+        kernel.restype = ctypes.c_ssize_t
+        clamps = kernel(ctypes.c_ssize_t(ops[0].size),
+                        *(ctypes.c_void_p(a.ctypes.data) for a in ops + outs))
+        return outs, clamps
+
+    def two_sum(self, a, b):
+        return tuple(self._run("shim_two_sum", (a, b), 2)[0])
+
+    def two_prod(self, a, b):
+        return tuple(self._run("shim_two_prod", (a, b), 2)[0])
+
+    def dd_add(self, x, y):
+        return tuple(self._run("shim_dd_add", (*x, *y), 2)[0])
+
+    def dd_mul(self, x, y):
+        return tuple(self._run("shim_dd_mul", (*x, *y), 2)[0])
+
+    def dd_root(self, hi, lo):
+        """e2dd's values at the radicands (hi, lo) and the number clamped."""
+        (root,), clamps = self._run("shim_dd_root", (hi, lo), 1)
+        return root, clamps
+
+
+@pytest.fixture(scope="session")
+def compiled_dd(tmp_path_factory):
+    """fem._SOURCE with DD_SHIM, built with fem._FLAGS into a temporary
+    directory: the package's compiled dd operations, which the shipped
+    library keeps static."""
+    path = str(tmp_path_factory.mktemp("dd_shim") / "dd_shim.so")
+    cmd = ["cc", *fem._FLAGS, "-o", path, "-x", "c", "-"]
+    subprocess.run(cmd, input=fem._SOURCE + DD_SHIM, capture_output=True, text=True, check=True)
+    return CompiledDD(ctypes.CDLL(path))
 
 
 # --- the LU solve of e3 ------------------------------------------------------

@@ -18,12 +18,10 @@ import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
 from rbcert.estimators import _e2_block, _z_rows
-from rbcert.precision import dd_add, two_prod, two_sum
 
 from conftest import (
     analytic_solution,
     build_e2_data,
-    dd_mul,
     h1_error_vs_analytic,
     make_output_dir,
 )
@@ -181,26 +179,29 @@ def test_criterion_6_truth_solver_verification(acceptance):
     assert boundary == [0.0, 0.0]
 
 
-def test_criterion_7_precision_kernels(acceptance):
-    """two_sum/two_prod are exact and compound dd arithmetic agrees with
-    big-rational arithmetic to 1e-30 relative, over 10^4 random cases."""
+def test_criterion_7_precision_kernels(compiled_dd, acceptance):
+    """The compiled two_sum/two_prod, the package's own, are exact and its
+    compound dd arithmetic (dd_add, then dd_mul) agrees with big-rational
+    arithmetic to 1e-30 relative, over 10^4 random cases."""
     rng = np.random.default_rng(1007)
     n_cases = 10_000
     worst = 0.0
-    for _ in range(n_cases):
+    a, b = np.empty(n_cases), np.empty(n_cases)
+    for c in range(n_cases):
         sign = rng.choice([-1.0, 1.0], size=2)
         mant = rng.uniform(1.0, 10.0, size=2)
         expo = rng.uniform(-120.0, 120.0, size=2)
-        a = float(sign[0] * mant[0] * 10.0 ** expo[0])
-        b = float(sign[1] * mant[1] * 10.0 ** expo[1])
-        hi, lo = two_sum(a, b)
-        assert Fraction(hi) + Fraction(lo) == Fraction(a) + Fraction(b)
-        p, e = two_prod(a, b)
-        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
-        # compound: (a (+) b) (*) b, all dd
-        sh, sl = dd_add((a, 0.0), (b, 0.0))
-        ph, pl = dd_mul((sh, sl), (b, 0.0))
-        ref = (Fraction(a) + Fraction(b)) * Fraction(b)
+        a[c], b[c] = sign * mant * 10.0 ** expo
+    zero = np.zeros(n_cases)
+    his, los = compiled_dd.two_sum(a, b)
+    ps, es = compiled_dd.two_prod(a, b)
+    # compound: (a (+) b) (*) b, all dd
+    sh, sl = compiled_dd.dd_add((a, zero), (b, zero))
+    phs, pls = compiled_dd.dd_mul((sh, sl), (b, zero))
+    for x, y, hi, lo, p, e, ph, pl in zip(*(v.tolist() for v in (a, b, his, los, ps, es, phs, pls))):
+        assert Fraction(hi) + Fraction(lo) == Fraction(x) + Fraction(y)
+        assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
+        ref = (Fraction(x) + Fraction(y)) * Fraction(y)
         if ref != 0:
             rel = abs((Fraction(ph) + Fraction(pl)) - ref) / abs(ref)
             worst = max(worst, float(rel))

@@ -36,10 +36,10 @@ from rbcert.estimators import (
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, lu_solve_dots
 from rbcert.fem import tridiagonal_rows
-from rbcert.precision import dd_add, dd_sqrt, two_prod
 from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
+from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, two_prod
 from conftest import _lu_solve, dot_in_order, h1_norm_lanes, lift_in_snapshot_order
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
@@ -234,8 +234,8 @@ def test_e2_at_zero_coefficients_returns_delta(default_e2):
 
 
 def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
-    value, clamped = _e2dd_block(default_e2, one_point_z(5.0, np.zeros(6)))
-    assert clamped.tolist() == [False]
+    value, clamps = _e2dd_block(default_e2, one_point_z(5.0, np.zeros(6)))
+    assert clamps == 0
     assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
 
@@ -289,9 +289,9 @@ def test_e2_clamps_negative_radicand():
 
 
 def test_e2dd_clamps_negative_radicand_and_flags():
-    value, clamped = _e2dd_block(synthetic_negative_data(), one_point_z(1.0, [1.0]))
+    value, clamps = _e2dd_block(synthetic_negative_data(), one_point_z(1.0, [1.0]))
     assert value.tolist() == [0.0]
-    assert clamped.tolist() == [True]
+    assert clamps == 1
 
 
 def synthetic_negative_e3():
@@ -966,23 +966,25 @@ def test_dd_kernels_write_nothing_past_their_buffers(n):
         got = out[pad:pad + 2 * p].reshape(2, p)
         assert hexes(got) == hexes(ref[:, k0 * (k0 + 1) // 2:]), k0
 
-    # The radicands write the 2*6 doubles of their sums, and 2*d*4 doubles of
-    # scratch, in passes over four columns and then two: z is six columns of
-    # min(n, 30) rows, with d = k(k+1)/2 monomials, and q_dd the rows of u
-    # and wl repeated to d.
+    # The radicands write the 3*6 doubles of their sums and roots, and
+    # 2*d*4 doubles of scratch, in passes over four columns and then two: z
+    # is six columns of min(n, 30) rows, with d = k(k+1)/2 monomials, and
+    # q_dd the rows of u and wl repeated to d.
     k = min(n, 30)
     d = k * (k + 1) // 2
     qh, ql, z = np.resize(u[:, 5], d), np.resize(wl[:, 5], d), u[:k].copy()
-    out, scratch = np.full(12 + 2 * pad, np.nan), np.full(8 * d + 2 * pad, np.nan)
-    fem._lib.dd_radicands(
+    out, scratch = np.full(18 + 2 * pad, np.nan), np.full(8 * d + 2 * pad, np.nan)
+    clamps = fem._lib.dd_radicands(
         k, 6, qh.ctypes.data, ql.ctypes.data, z.ctypes.data, out[pad:].ctypes.data, 4,
         scratch[pad:].ctypes.data,
     )
-    for buf, size in ((out, 12), (scratch, 8 * d)):
+    for buf, size in ((out, 18), (scratch, 8 * d)):
         assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
     i, j = np.triu_indices(k)
     expect = dd_sum(*dd_mul((qh[:, None], ql[:, None]), two_prod(z[i], z[j])))
-    assert hexes(out[pad:pad + 12].reshape(2, 6)) == hexes(expect)
+    root, clamped = dd_root(*expect)
+    assert hexes(out[pad:pad + 18].reshape(3, 6)) == hexes(np.array([*expect, root]))
+    assert clamps == clamped.sum()
 
 
 def test_e2_build_holds_no_per_operation_temporaries():
@@ -1490,7 +1492,8 @@ def kernel_outputs(n):
     lift_norms lifts 17 of the 18 columns with z for N_hat = 8, and takes
     wh less the lift of the columns of u, as six snapshots.  The kernels of
     z take u's transpose, n columns of six rows (21 monomials), and e3's
-    four pairs of its rows."""
+    four pairs of its rows, and dd_radicands also conftest's special
+    radicands, so that every branch of its clamp and root runs."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
@@ -1502,7 +1505,8 @@ def kernel_outputs(n):
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
-        "dd_radicands": np.array(fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
+        "dd_radicands": np.append(*fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
+        "dd_radicands, special radicands": np.append(*fem.dd_radicands(SPECIAL_Q, SPECIAL_Z)),
         "fsum_columns": fsum_columns(q, zu),
         "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z),
         "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n), wh),

@@ -20,6 +20,7 @@ from conftest import (
     TridiagonalArrays,
     analytic_derivative,
     analytic_solution,
+    dd_root,
     h1_error_vs_analytic,
     h1_norm,
     h1_norm_lanes,
@@ -232,8 +233,9 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert hexes(error(spoil(v), U, gamma)) == hexes([h1_norm_lanes(sys_, e)] * 2)
         F = fem.dd_gram_table(sys_, [spoil(v), spoil(2.0 * v)], 1)
         assert hexes(F) == hexes(fem.dd_gram_table(sys_, [v, 2.0 * v], 0)[:, 1:])
-        hi, lo = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z))
+        (hi, lo, root), clamps = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
+        assert root.tolist() == dd_root(hi, lo)[0].tolist() and clamps == 0
         assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
         got = fem.lu_solve_dots((spoil(lu[0]), spoil(lu[1])), spoil(pairs), spoil(z), spoil(row[:2]))
         assert got.tolist() == [8.0, 8.0]
