@@ -35,10 +35,10 @@ from .estimators import (
     E2Data,
     E2Table,
     E3Data,
+    _e1_block,
     _e2dd_block,
     _z_rows,
     e3_data,
-    estimator_e1_block,
 )
 from .fem import (
     TruthSystem,
@@ -235,11 +235,10 @@ def greedy_build(
         candidates = np.array([mu for mu in training if mu not in selected])
         if not candidates.size:
             break
-        gamma = solve_reduced_block(model, candidates)
-        best = int(np.argmax(_e2dd_block(e2data, _z_rows(candidates, gamma))[0]))
-        pick = slice(best, best + 1)
+        z = _z_rows(candidates, solve_reduced_block(model, candidates))
+        best = int(np.argmax(_e2dd_block(e2data, z)[0]))
         best_mu = float(candidates[best])
-        best_val = float(estimator_e1_block(sys, model, candidates[pick], gamma[pick])[0])
+        best_val = float(_e1_block(sys, model, np.ascontiguousarray(z[:, best:best + 1]))[0])
         if best_val <= tol:
             break
         try:
