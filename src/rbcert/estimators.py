@@ -56,20 +56,22 @@ gives the greedy its delta.  Each Gram pair is computed once, as the dd
 Gram product of the later inserted vector dotted in dd with the earlier
 one, and q_IJ off the diagonal is exactly twice it.
 
-Every stage past the reduced solve runs in the compiled kernels of
-:mod:`rbcert.fem`: E2's growth (``dd_gram_table``), e1 and the true error
-(``lift_norms``, each from its lift's first term to its norm's last sum),
-and, from z with the monomials formed in the kernel, e2dd's radicands and
-their square roots (``dd_radicands``), e2's radicands (``fsum_columns``)
-and e3's interpolated squares (``lu_solve_dots``).  e1 is the norm of the
-lift sum_I z_I G_I with the rows of z that the monomials multiply, and the
+Every stage runs in the compiled kernels of :mod:`rbcert.fem`: the
+reduced solves and T's factors (``lu_solves``), E2's growth
+(``dd_gram_table``), e1 and the true error (``lift_norms``, each from its
+lift's first term to its norm's last sum), and, from z with the monomials
+formed in the kernel, e2dd's radicands and their square roots
+(``dd_radicands``), e2's radicands (``fsum_columns``) and e3's
+interpolated squares (``lu_solve_dots``).  e1 is the norm of the lift
+sum_I z_I G_I with the rows of z that the monomials multiply, and the
 true error that of U less the lift sum_k gamma_k u_k.  Each kernel makes
 the operations of the numpy reference the tests keep for it, in their
-order, so its bits: the per-pair dd inner product, the dd sum and square
-root, the lift adding its vectors in order, a dot summed in eight lanes in
-an order fixed by N, and T's LU solve with its dot with V summed left to
-right.  The kernels' C source is the package's only double-double
-arithmetic; the numpy dd operations are the tests' reference for it.
+order, so its bits: the partial-pivoting LU and its solve, the per-pair
+dd inner product, the dd sum and square root, the lift adding its vectors
+in order, a dot summed in eight lanes in an order fixed by N, and e3's
+dot with V summed left to right.  The kernels' C source is the package's
+only double-double arithmetic and its only LU; the numpy dd operations
+and LU are the tests' reference for it.
 e2's radicands are correctly rounded sums, so they have the bits of
 ``math.fsum``, the tests' reference: the kernel sums by Sum3 with a
 certificate of correct rounding, and leaves the column it cannot certify
@@ -86,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TruthSystem, dd_gram_table, dd_radicands, fsum_columns, lift_norms
-from .fem import lu_solve_dots, parameter_block, solve_truth
+from .fem import lu_solve_dots, lu_solves, parameter_block, solve_truth
 
 logger = logging.getLogger(__name__)
 
@@ -201,8 +203,10 @@ class E3Data:
 
     @functools.cached_property
     def lu(self):
-        """Partial-pivoting LU of T, factored on first use."""
-        return _lu_factor(self.T)
+        """Partial-pivoting LU of T, (LU, piv), factored on first use by
+        :func:`fem.lu_solves`; a zero pivot raises ``LinAlgError``."""
+        LU = self.T.copy()
+        return LU, lu_solves(LU[None])[0][0]
 
 
 def log_uniform_sampler(mu_min: float, mu_max: float):
@@ -246,25 +250,6 @@ def _pivoted_gram_schmidt(A: np.ndarray, rtol: float):
     return picks, Q
 
 
-def _lu_factor(A: np.ndarray):
-    """Partial-pivoting LU, in place on a copy; returns (LU, piv)."""
-    LU = A.astype(float, copy=True)
-    n = LU.shape[0]
-    piv = np.arange(n)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(LU[k:, k])))
-        if LU[p, k] == 0.0:
-            raise np.linalg.LinAlgError(f"singular matrix: zero pivot at column {k}")
-        if p != k:
-            LU[[k, p]] = LU[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        LU[k + 1:, k] /= LU[k, k]
-        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    if LU[n - 1, n - 1] == 0.0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at column {n - 1}")
-    return LU, piv
-
-
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
     """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = E1(nodes)^2.
 
@@ -276,7 +261,7 @@ def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
     nodes = np.asarray(nodes, dtype=float)
     rows = np.asarray(rows, dtype=int)
     gamma = solve_reduced_block(model, nodes)
-    e1 = _e1_block(sys, model, _z_rows(nodes, gamma))
+    e1 = estimator_e1_block(sys, model, nodes, gamma)
     return E3Data(
         interp_params=nodes,
         rows=rows,
@@ -316,17 +301,13 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 #
 # The functions below evaluate a block of parameters at once.  Each runs one
 # point's operations element by element across the block, in an order that
-# does not depend on the block.  e1 and the true error are compiled from
-# their lifts' first terms to the norms' last sums (fem.lift_norms), and
-# e2, e2dd and e3 from z's entries to their last sums (fem.fsum_columns,
-# fem.dd_radicands, fem.lu_solve_dots), so their bits depend neither on the
-# block nor on the host.  The reduced solves (LAPACK) run one matrix's
-# operations per point; their bits hold on one machine with one OpenBLAS
-# kernel and numpy SIMD target.  That is the measured scope.  Under
-# OpenBLAS's oldest x86 kernel (Prescott), ddot's result depends on the
-# 16-byte phase of its second operand, which the rows of a (step, N) buffer
-# used to alternate at odd N: block and point differed there until the
-# norms left BLAS.
+# does not depend on the block.  The reduced solves are compiled from the
+# systems' entries to the coefficients (fem.lu_solves), e1 and the true
+# error from their lifts' first terms to the norms' last sums
+# (fem.lift_norms), and e2, e2dd and e3 from z's entries to their last sums
+# (fem.fsum_columns, fem.dd_radicands, fem.lu_solve_dots).  So, given the
+# model, their bits depend neither on the block nor on the host; the
+# model's own entries are what BLAS still touches (see reduced).
 
 # evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters:
 # the compiled block Thomas solve holds one (N, m) array, its solution,

@@ -13,17 +13,19 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds seven kernels, listed with their
+mesh.  One C source, ``_SOURCE``, holds eight kernels, listed with their
 types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
 once, and ``tridiagonal_rows`` the double products T*g of ``h1_inner``
 and the basis extension; ``dd_gram_table`` grows E2's dd Gram table, each
 pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
 of a lift of vectors (less U, for the true error) from its first term to
-the norm's last sum in one pass over the mesh.  Three take z = (1; gamma;
-mu*gamma), one column a point, and form the monomials z_I*z_J themselves:
-``dd_radicands`` gives e2dd's radicands and their square roots,
-``fsum_columns`` e2's radicands, and ``lu_solve_dots`` e3's interpolated
-squares.  The source holds the package's only double-double arithmetic.
+the norm's last sum in one pass over the mesh; ``lu_solves`` factors and
+solves the reduced systems, E3's T and the raw basis's pivot system.
+Three take z = (1; gamma; mu*gamma), one column a point, and form the
+monomials z_I*z_J themselves: ``dd_radicands`` gives e2dd's radicands and
+their square roots, ``fsum_columns`` e2's radicands, and
+``lu_solve_dots`` e3's interpolated squares.  The source holds the
+package's only double-double arithmetic and its only LU.
 Each kernel but ``fsum_columns`` makes the operations of the reference
 the tests keep for it, in their order, so its bits; ``fsum_columns`` sums
 by a compensated Sum3 and certifies that its result is the exact sum
@@ -114,12 +116,13 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the seven
+   wider vector changes the speed and not the bits.  It marks the eight
    kernels and dd_tree, the one vector helper with several callers that
-   is not inlined.  INLINE forces gram_entries and lift_row into each
-   clone of their callers, so a one-point lift_norms pays no call per
-   mesh row.  lane_add, lane_total and two_sum are small enough to be
-   inlined, and gram_dd and dd_root have one caller; they are unmarked.
+   is not inlined.  INLINE forces gram_entries, lift_row and
+   lu_substitute into each clone of their callers, so a one-point
+   lift_norms pays no call per mesh row.  lane_add, lane_total and two_sum
+   are small enough to be inlined, and gram_dd and dd_root have one
+   caller; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
@@ -482,21 +485,95 @@ ptrdiff_t fsum_columns(ptrdiff_t k, ptrdiff_t m, const double *q, const double *
     return flagged;
 }
 
+/* The numpy LU solve's substitution in place, column by column, for the q
+   columns of x's r rows in pivot order, row s at x + s*q, with the r x r
+   factors lu: x_i = x_i - L_is*x_s for i > s, s ascending, then x_s =
+   x_s/U_ss and x_i = x_i - U_is*x_s for i < s, s descending. */
+INLINE void lu_substitute(ptrdiff_t r, ptrdiff_t q, const double *restrict lu, double *x)
+{
+    ptrdiff_t s, i, t;
+    for (s = 0; s < r; s++) {
+        const double *restrict xs = x + s * q;
+        for (i = s + 1; i < r; i++) {
+            double l = lu[i * r + s], *restrict xi = x + i * q;
+            for (t = 0; t < q; t++)
+                xi[t] = xi[t] - l * xs[t];
+        }
+    }
+    for (s = r - 1; s >= 0; s--) {
+        double u = lu[s * r + s], *restrict xs = x + s * q;
+        for (t = 0; t < q; t++)
+            xs[t] = xs[t] / u;
+        for (i = 0; i < s; i++) {
+            double l = lu[i * r + s], *restrict xi = x + i * q;
+            for (t = 0; t < q; t++)
+                xi[t] = xi[t] - l * xs[t];
+        }
+    }
+}
+
+/* Partial-pivoting LU of each r x r matrix of the stack A in place, with
+   the numpy factorisation's operations in their order: at column k the
+   first maximal |a_ik|, i >= k, wins (numpy's argmax: the first NaN if
+   any), its whole row swaps with row k, and for i > k, l = a_ik/a_kk goes
+   to a_ik and a_ij = a_ij - l*a_kj for j > k.  Row k of matrix j's
+   factors was its row piv[j*r + k].  Unless b is NULL, x + j*r then gets
+   x_k = b_piv[k], substituted.  Returns the first matrix with a zero pivot,
+   no later one touched, or -1. */
+WIDE
+ptrdiff_t lu_solves(ptrdiff_t r, ptrdiff_t m, double *A, ptrdiff_t *piv, const double *b,
+                    double *x)
+{
+    ptrdiff_t j, k, i, c, p;
+    for (j = 0; j < m; j++) {
+        double *restrict a = A + j * r * r;
+        ptrdiff_t *restrict pj = piv + j * r;
+        for (k = 0; k < r; k++)
+            pj[k] = k;
+        for (k = 0; k < r; k++) {
+            double big = fabs(a[k * r + k]);
+            for (p = k, i = k + 1; i < r && big == big; i++)
+                if (!(fabs(a[i * r + k]) <= big)) {
+                    big = fabs(a[i * r + k]);
+                    p = i;
+                }
+            if (a[p * r + k] == 0.0)
+                return j;
+            for (c = 0; p != k && c < r; c++) {
+                double t = a[k * r + c];
+                a[k * r + c] = a[p * r + c];
+                a[p * r + c] = t;
+            }
+            i = pj[k], pj[k] = pj[p], pj[p] = i;
+            for (i = k + 1; i < r; i++) {
+                double l = a[i * r + k] / a[k * r + k];
+                a[i * r + k] = l;
+                for (c = k + 1; c < r; c++)
+                    a[i * r + c] = a[i * r + c] - l * a[k * r + c];
+            }
+        }
+        if (b) {
+            for (k = 0; k < r; k++)
+                x[j * r + k] = b[pj[k]];
+            lu_substitute(r, 1, a, x + j * r);
+        }
+    }
+    return -1;
+}
+
 /* e3's interpolated squares lambda.v for the m columns of z, row-major
-   (k, m): lambda solves T lambda = b with T's partial-pivoting LU factors,
-   the row-major r x r lu, and b_s = z_I*z_J for the pair (I, J) of T's
-   row s in pivot order, I at pairs[s] and J at pairs[r + s].  Column by
-   column, the operations are those of the numpy LU solve: b_i = b_i -
-   L_is*b_s for i > s, s ascending, then b_s = b_s/U_ss and b_i = b_i -
-   U_is*b_s for i < s, s descending; lambda.v is summed left to right from
-   +0.0 into out[j].  Columns go p at a time, q <= p in a pass, lambda in
-   rows of q in the rp doubles of scratch. */
+   (k, m): lambda solves T lambda = b with T's factors from lu_solves, the
+   row-major r x r lu, and b_s = z_I*z_J for the pair (I, J) of T's row s
+   in pivot order, I at pairs[s] and J at pairs[r + s], by lu_substitute;
+   lambda.v is summed left to right from +0.0 into out[j].  Columns go p
+   at a time, q <= p in a pass, lambda in rows of q in the rp doubles of
+   scratch. */
 WIDE
 void lu_solve_dots(ptrdiff_t r, ptrdiff_t m, const double *lu, const ptrdiff_t *pairs,
                    const double *z, const double *v, double *restrict out, ptrdiff_t p,
                    double *restrict scratch)
 {
-    ptrdiff_t j0, q, s, i, t;
+    ptrdiff_t j0, q, s, t;
     for (j0 = 0; j0 < m; j0 += p) {
         q = m - j0 < p ? m - j0 : p;
         for (s = 0; s < r; s++) {
@@ -505,24 +582,7 @@ void lu_solve_dots(ptrdiff_t r, ptrdiff_t m, const double *lu, const ptrdiff_t *
             for (t = 0; t < q; t++)
                 x[t] = a[t] * b[t];
         }
-        for (s = 0; s < r; s++) {
-            const double *restrict xs = scratch + s * q;
-            for (i = s + 1; i < r; i++) {
-                double l = lu[i * r + s], *restrict x = scratch + i * q;
-                for (t = 0; t < q; t++)
-                    x[t] = x[t] - l * xs[t];
-            }
-        }
-        for (s = r - 1; s >= 0; s--) {
-            double u = lu[s * r + s], *restrict xs = scratch + s * q;
-            for (t = 0; t < q; t++)
-                xs[t] = xs[t] / u;
-            for (i = 0; i < s; i++) {
-                double l = lu[i * r + s], *restrict x = scratch + i * q;
-                for (t = 0; t < q; t++)
-                    x[t] = x[t] - l * xs[t];
-            }
-        }
+        lu_substitute(r, q, lu, scratch);
         for (t = 0; t < q; t++)
             out[j0 + t] = 0.0;
         for (s = 0; s < r; s++)
@@ -699,6 +759,7 @@ _KERNELS = (
     ("fsum_columns", (_N, _N, _P, _P, _P), _N),
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
+    ("lu_solves", (_N, _N, _P, _P, _P, _P), _N),
     ("tridiagonal_rows", (_N, _N, _D, _D, _P, _P), None),
 )
 
@@ -885,6 +946,35 @@ def lu_solve_dots(lu, pairs, z, v) -> np.ndarray:
             _address(scratch, "scratch", out=True))
     _lib.lu_solve_dots(r, m, *args)
     return out
+
+
+class ZeroPivotError(np.linalg.LinAlgError):
+    """A zero pivot in matrix ``index`` of a stack that :func:`lu_solves` factors."""
+
+    def __init__(self, index: int):
+        super().__init__(f"zero pivot in matrix {index}")
+        self.index = index
+
+
+def lu_solves(A, b=None) -> tuple:
+    """Partial-pivoting LU factors of every matrix of the (m, r, r) array A,
+    in place, and its solution for the (r,) array b if given, in one kernel
+    call, with the operations of the tests' numpy LU in their order, so its
+    bits in any stack.  Returns (piv, x): row k of matrix j's factors was
+    its row piv[j, k], and x is (m, r), or None without b.  The first matrix
+    with a zero pivot raises :class:`ZeroPivotError`, no later one touched.
+    """
+    m, r = np.shape(A)[:2] if np.ndim(A) == 3 else (-1, -1)
+    if np.shape(A) != (m, r, r) or b is not None and np.shape(b) != (r,):
+        raise ValueError(f"A {np.shape(A)} and b {np.shape(b)} are not a stack of square "
+                         f"matrices and one right-hand side")
+    piv, x = np.empty((m, r), dtype=np.intp), None if b is None else np.empty((m, r))
+    args = (_address(A, "A", out=True), _address(piv, "piv", out=True, dtype=np.intp),
+            *((None, None) if b is None else (_address(b, "b"), _address(x, "x", out=True))))
+    j = _lib.lu_solves(r, m, *args)
+    if j >= 0:
+        raise ZeroPivotError(j)
+    return piv, x
 
 
 # lift_norms passes over the mesh for up to _NORM_POINTS points at a time,

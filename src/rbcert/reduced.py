@@ -42,9 +42,11 @@ from .estimators import (
 )
 from .fem import (
     TruthSystem,
+    ZeroPivotError,
     _lift,
     check_parameters,
     h1_inner,
+    lu_solves,
     parameter_block,
     riesz_representative,
     solve_truth,
@@ -133,7 +135,7 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
         Gb = np.array(
             [[h1_inner(sys, wi, wj) for wj in model.snapshots] for wi in model.snapshots]
         )
-        pivot = nrm2 - float(g @ np.linalg.solve(Gb, g))
+        pivot = nrm2 - float(g @ lu_solves(Gb[None], g)[1][0])
     else:
         pivot = nrm2
     if pivot <= dependence_tol * nrm2:
@@ -162,24 +164,22 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
 def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
     """Reduced coefficients at every mus[j], as the rows of an (m, N_hat) array.
 
-    One stacked LAPACK solve, O(N_hat^3) per point and truth-free; row j
-    does not depend on the block it was solved in (each matrix of the
-    stack is factored by the same routine on the same entries).  mus must
-    be a 1-D block of valid parameters, or ``ValueError`` is raised.
+    Each system A0_hat + mu*A1_hat is factored by partial pivoting and
+    solved in one compiled call (:func:`fem.lu_solves`), O(N_hat^3) per
+    point and truth-free; row j has the bits of the tests' numpy LU of the
+    system at mus[j], in any block and on any host.  mus must be a 1-D
+    block of valid parameters, or ``ValueError`` is raised; a zero pivot
+    raises ``LinAlgError`` naming its mu.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
     mus = parameter_block(mus)
-    A = model.A0_hat + mus[:, None, None] * model.A1_hat
-    b = np.broadcast_to(model.b_hat[:, None], A.shape[:2] + (1,))
     try:
-        gamma = np.linalg.solve(A, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
+        return lu_solves(model.A0_hat + mus[:, None, None] * model.A1_hat, model.b_hat)[1]
+    except ZeroPivotError as exc:
         raise np.linalg.LinAlgError(
-            f"singular reduced system for mu in [{mus.min()!r}, {mus.max()!r}] "
-            f"(snapshot dependence?): {exc}"
+            f"singular reduced system at mu = {float(mus[exc.index])!r} (snapshot dependence?)"
         ) from exc
-    return np.ascontiguousarray(gamma)
 
 
 def greedy_build(
@@ -266,14 +266,16 @@ def greedy_build(
 #
 # Bytes are reproducible on the same machine with the same OpenBLAS kernel
 # and numpy SIMD target, and no further: artifacts built under two OpenBLAS
-# kernels differ, raw basis included.  A raw basis vector is a truth solve
-# in the compiled Thomas kernel, which calls no BLAS, and e1 is compiled
-# too, but the reduced solves (LAPACK) set the coefficients that the e1
-# history, the greedy's picks and the E3 picks read, and the projections
-# and the E3 build's Gram-Schmidt take BLAS dots.  An orthonormal basis goes
-# through BLAS dots in Gram-Schmidt, so another kernel replays it with other
-# bits than those q was built from; the hash turns that into a load error.
-# V is recomputed with the loading machine's e1.
+# kernels can differ, raw basis included.  A raw basis vector is a truth
+# solve in the compiled Thomas kernel, and the reduced solves, the raw
+# basis's pivot solve, T's factors and e1 are compiled too, so none calls
+# BLAS or LAPACK.  But the projections, the raw pivot's Gram entries and the
+# E3 build's Gram-Schmidt take BLAS dots, and the coefficients that the e1
+# history, the greedy's picks and the E3 picks read solve with those
+# projections.  An orthonormal basis goes through BLAS dots in Gram-Schmidt,
+# so another kernel replays it with other bits than those q was built from;
+# the hash turns that into a load error.  V is recomputed with the loading
+# machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
 FORMAT_VERSION = 7

@@ -21,9 +21,11 @@ numpy double-double arithmetic (:func:`two_sum`, :func:`two_prod`,
 C source of :mod:`rbcert.fem`, and :func:`dd_root` that of e2dd's clamp
 and square root; ``compiled_dd`` builds that source with a shim that
 exports its static dd operations, for the tests that check them one by
-one.  The numpy LU solve (:func:`_lu_solve`) with a left-to-right dot
-(:func:`dot_in_order`) is the reference of e3's kernel
-``fem.lu_solve_dots``.
+one.  The numpy LU, the factorisation :func:`_lu_factor` and the solve
+:func:`_lu_solve`, is the reference of both LU kernels: of
+``fem.lu_solves``, which factors and solves the reduced systems, E3's T
+and the raw basis's pivot system, and, with a left-to-right dot
+(:func:`dot_in_order`), of e3's ``fem.lu_solve_dots``.
 """
 
 import ctypes
@@ -533,11 +535,34 @@ def compiled_dd(tmp_path_factory):
     return CompiledDD(ctypes.CDLL(path))
 
 
-# --- the LU solve of e3 ------------------------------------------------------
+# --- the numpy LU -------------------------------------------------------------
+
+def _lu_factor(A: np.ndarray):
+    """Partial-pivoting LU, in place on a copy; returns (LU, piv).  At
+    column k the first maximal |a_ik|, i >= k, wins, its whole row is
+    swapped with row k, and l = a_ik/a_kk, then a_ij - l*a_kj.  A zero
+    pivot raises ``LinAlgError``."""
+    LU = A.astype(float, copy=True)
+    n = LU.shape[0]
+    piv = np.arange(n)
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(LU[k:, k])))
+        if LU[p, k] == 0.0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot at column {k}")
+        if p != k:
+            LU[[k, p]] = LU[[p, k]]
+            piv[[k, p]] = piv[[p, k]]
+        LU[k + 1:, k] /= LU[k, k]
+        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
+    if LU[n - 1, n - 1] == 0.0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at column {n - 1}")
+    return LU, piv
+
 
 def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve with T's partial-pivoting LU factors lu = (LU, piv) for a (n,)
-    or (n, m) right-hand side b; columns independently."""
+    """Solve with the partial-pivoting LU factors lu = (LU, piv) of
+    :func:`_lu_factor` for a (n,) or (n, m) right-hand side b; columns
+    independently."""
     LU, piv = lu
     n = LU.shape[0]
     x = b[piv].astype(float, copy=True)

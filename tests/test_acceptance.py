@@ -293,11 +293,11 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
         scanned.append(data)
         return _e2_block(rb.q_coefficients(data), z)
 
-    def e2_at_pick(sys_, model, mus, gamma):
-        return _e2_block(rb.q_coefficients(scanned[-1]), _z_rows(mus, gamma))[0]
+    def e2_at_pick(sys_, model, z):
+        return _e2_block(rb.q_coefficients(scanned[-1]), z)[0]
 
     monkeypatch.setattr("rbcert.reduced._e2dd_block", e2_scan)
-    monkeypatch.setattr("rbcert.reduced.estimator_e1_block", e2_at_pick)
+    monkeypatch.setattr("rbcert.reduced._e1_block", e2_at_pick)
     model, history, e2data = rb.greedy_build(truth, training_grid(cfg), **kwargs)
 
     assert model.snapshot_params[:8] == accurate.snapshot_params[:8]

@@ -29,7 +29,6 @@ from rbcert.estimators import (
     _e2_block,
     _e2dd_block,
     _e3_block,
-    _lu_factor,
     _pivoted_gram_schmidt,
     _z_rows,
 )
@@ -40,7 +39,7 @@ from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, two_prod
-from conftest import _lu_solve, dot_in_order, h1_norm_lanes, lift_in_snapshot_order
+from conftest import _lu_factor, _lu_solve, dot_in_order, h1_norm_lanes, lift_in_snapshot_order
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -465,7 +464,7 @@ FIELDS = ("mu", "true_error", "e1", "e2", "e2_radicand", "e2dd", "e3", "e3_clamp
 
 
 def solve_reduced_oracle(model, mu):
-    return np.linalg.solve(model.A0_hat + mu * model.A1_hat, model.b_hat)
+    return _lu_solve(_lu_factor(model.A0_hat + mu * model.A1_hat), model.b_hat)
 
 
 def e1_oracle(sys_, model, mu, gamma):
@@ -1396,6 +1395,109 @@ def test_fsum_columns_writes_nothing_past_its_buffer(m):
     assert hex_list(got[kept]) == hex_list(fsum_oracle(q, z)[kept])
 
 
+# --- the compiled LU against the numpy LU ------------------------------------
+
+def lu_stack(r, m, seed):
+    """(A, b): m matrices r x r of special_rows plus 4*I, whose pivots are
+    not zero, and one right-hand side of r special values."""
+    A = special_rows(m * r, r, seed).reshape(m, r, r) + 4.0 * np.eye(r)
+    return A, special_rows(1, r, seed + 1)[0]
+
+
+def lu_oracle(A, b):
+    """hex lists of each matrix's _lu_factor factors, its permutation and
+    its _lu_solve solution for b."""
+    factors = [_lu_factor(a) for a in A]
+    return ([hex_list(LU) for LU, _ in factors], [piv.tolist() for _, piv in factors],
+            [hex_list(_lu_solve(lu, b)) for lu in factors])
+
+
+@pytest.mark.parametrize("r", [1, 2, 6, 12, 20])
+@pytest.mark.parametrize("m", [1, 5])
+def test_lu_solves_equals_the_numpy_lu_bit_for_bit(r, m):
+    # Each matrix's factors, permutation and solution, in a stack, each
+    # matrix alone, and factored without a right-hand side.
+    A, b = lu_stack(r, m, seed=10 * r + m)
+    expect = lu_oracle(A, b)
+    LU = A.copy()
+    piv, x = fem.lu_solves(LU, b)
+    assert ([hex_list(a) for a in LU], piv.tolist(), [hex_list(row) for row in x]) == expect
+    for j in range(m):
+        one = A[j:j + 1].copy()
+        piv, x = fem.lu_solves(one, b)
+        assert (hex_list(one), piv[0].tolist(), hex_list(x)) == tuple(e[j] for e in expect)
+    LU = A.copy()
+    piv, x = fem.lu_solves(LU)
+    assert x is None and ([hex_list(a) for a in LU], piv.tolist()) == expect[:2]
+
+
+def test_lu_solves_takes_the_first_of_equal_magnitude_pivots():
+    # Column 0 has |-4| = |4| in rows 1 and 2, and after its elimination
+    # column 1 has 2 - (-0.25) = 2.25 and -3.25 - (-1) = -2.25: the first
+    # candidate wins both times, so only rows 0 and 1 swap.
+    A = np.array([[1.0, 2.0, 3.0], [-4.0, 1.0, 0.0], [4.0, -3.25, 6.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    for sign in (1.0, -1.0):
+        LU = sign * A[None]
+        expect = lu_oracle(LU, b)
+        piv, x = fem.lu_solves(LU, b)
+        assert piv.tolist() == expect[1] == [[1, 0, 2]]
+        assert ([hex_list(LU)], [hex_list(x)]) == (expect[0], expect[2])
+
+
+def test_a_zero_pivot_names_its_matrix_and_its_mu():
+    # A0 + mu*A1 = [[mu - 4, 2], [2, 1]] is singular at mu = 8, where
+    # column 1's pivot is 1 - 0.5*2 = 0 exactly.  The stack stops at the
+    # first such matrix and leaves the later ones as they were; the reduced
+    # solve names its mu, and T's factorisation raises too.
+    A0, A1 = np.array([[-4.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
+    mus = np.array([2.0, 8.0, 16.0, 8.0])
+    A = A0 + mus[:, None, None] * A1
+    LU = A.copy()
+    with pytest.raises(fem.ZeroPivotError, match="zero pivot in matrix 1") as caught:
+        fem.lu_solves(LU, np.ones(2))
+    assert caught.value.index == 1
+    assert hex_list(LU[0]) == hex_list(_lu_factor(A[0])[0]) and LU[2:].tolist() == A[2:].tolist()
+    model = SimpleNamespace(n_hat=2, A0_hat=A0, A1_hat=A1, b_hat=np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape("at mu = 8.0 ")):
+        rb.solve_reduced_block(model, mus)
+    e3 = rb.E3Data(interp_params=np.array([2.0, 3.0]), rows=np.array([0, 1]), T=A[1],
+                   V=np.ones(2), d=6)
+    with pytest.raises(np.linalg.LinAlgError):
+        e3.lu
+
+
+def test_lu_solves_rejects_what_does_not_fit():
+    for A, b in ((np.eye(2), None), (np.ones((1, 2, 3)), None), (np.eye(3)[None], np.ones(2))):
+        with pytest.raises(ValueError, match="not a stack of square matrices"):
+            fem.lu_solves(A, b)
+
+
+@pytest.mark.parametrize("r", [1, 4, 17])
+def test_lu_solves_writes_nothing_past_its_buffers(r):
+    # m stacked matrices factored in place, m permutations and m solutions;
+    # NaN guards on both sides of A and x, and -7 guards on both sides of
+    # piv, must survive.  A zero pivot in the last matrix returns its index.
+    pad, m = 7, 3
+    A, b = lu_stack(r, m, seed=r)
+    expect = lu_oracle(A, b)
+    LU, x = np.full(m * r * r + 2 * pad, np.nan), np.full(m * r + 2 * pad, np.nan)
+    piv = np.full(m * r + 2 * pad, -7, dtype=np.intp)
+    LU[pad:pad + m * r * r] = A.ravel()
+    status = fem._lib.lu_solves(r, m, LU[pad:].ctypes.data, piv[pad:].ctypes.data, b.ctypes.data,
+                                x[pad:].ctypes.data)
+    assert status == -1
+    for buf, size in ((LU, m * r * r), (x, m * r)):
+        assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all()
+    assert (piv[:pad] == -7).all() and (piv[pad + m * r:] == -7).all()
+    got = LU[pad:pad + m * r * r].reshape(m, r, r), piv[pad:pad + m * r].reshape(m, r)
+    assert [hex_list(a) for a in got[0]] == expect[0] and got[1].tolist() == expect[1]
+    assert [hex_list(row) for row in x[pad:pad + m * r].reshape(m, r)] == expect[2]
+    LU[pad + (m - 1) * r * r:pad + m * r * r] = 0.0
+    assert fem._lib.lu_solves(r, m, LU[pad:].ctypes.data, piv[pad:].ctypes.data, None,
+                              None) == m - 1
+
+
 # --- e3's compiled LU solve against the numpy solve -------------------------
 
 def e3_case(r, m, seed):
@@ -1493,7 +1595,8 @@ def kernel_outputs(n):
     wh less the lift of the columns of u, as six snapshots.  The kernels of
     z take u's transpose, n columns of six rows (21 monomials), and e3's
     four pairs of its rows, and dd_radicands also conftest's special
-    radicands, so that every branch of its clamp and root runs."""
+    radicands, so that every branch of its clamp and root runs.  lu_solves
+    factors and solves a stack of three matrices of min(n, 20) rows."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
@@ -1501,6 +1604,8 @@ def kernel_outputs(n):
     z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
     zu, q = np.ascontiguousarray(u.T), np.resize(u[:, 5], 21)
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
+    A, b = lu_stack(min(n, 20), 3, seed=900 + n)
+    piv, x = fem.lu_solves(A, b)
     outputs = {
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
@@ -1512,6 +1617,7 @@ def kernel_outputs(n):
         "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n), wh),
         "lu_solve_dots": lu_solve_dots(e3_factors(4, 700 + n), pairs, zu,
                                        special_rows(1, 4, seed=800 + n)[0]),
+        "lu_solves": np.concatenate([A.ravel(), x.ravel(), piv.ravel().astype(float)]),
         "tridiagonal_rows": tridiagonal_rows(sys_.Gram, np.ascontiguousarray(u.T)),
     }
     assert {name.split(",")[0] for name in outputs} == {name for name, _, _ in fem._KERNELS}
@@ -1591,36 +1697,44 @@ def dynamic_arch_openblas() -> bool:
 
 
 # Loads the inputs that the test below saves, runs the norm kernel for e1
-# and for the true error on the block and on each point alone, and prints
-# their float.hex values.
+# and for the true error, and the reduced solve, on the block and on each
+# point alone, and prints their float.hex values.
 NORMS_CHILD = r"""
 import json, sys
+from types import SimpleNamespace
 import numpy as np
-from rbcert import fem
+from rbcert import fem, reduced
 
-vectors, snapshots, U, z = (
-    np.load(f"{sys.argv[1]}/{k}.npy") for k in ("vectors", "snapshots", "U", "z"))
+vectors, snapshots, U, z, A0_hat, A1_hat, b_hat, mus = (
+    np.load(f"{sys.argv[1]}/{k}.npy")
+    for k in ("vectors", "snapshots", "U", "z", "A0_hat", "A1_hat", "b_hat", "mus"))
 sys_ = fem.assemble(len(U) + 1)
+model = SimpleNamespace(n_hat=len(b_hat), A0_hat=A0_hat, A1_hat=A1_hat, b_hat=b_hat)
 
 def norms(j):
     e1 = fem.lift_norms(sys_, list(vectors), np.ascontiguousarray(z[:, j]))
     gamma = np.ascontiguousarray(z[1:len(snapshots) + 1, j])
     return [*e1, *fem.lift_norms(sys_, list(snapshots), gamma, np.ascontiguousarray(U[:, j]))]
 
+def hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
 print(json.dumps({
-    "block": [float(x).hex() for x in norms(slice(None))],
-    "points": [[float(x).hex() for x in norms([j])] for j in range(z.shape[1])],
+    "block": hexes(norms(slice(None))),
+    "points": [hexes(norms([j])) for j in range(z.shape[1])],
+    "gamma": hexes(reduced.solve_reduced_block(model, mus)),
+    "gamma points": [hexes(reduced.solve_reduced_block(model, [mu])) for mu in mus],
 }))
 """
 
 
 @pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs numpy's OpenBLAS with DYNAMIC_ARCH")
 def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
-    # e1 and the true error call no BLAS.  In fresh processes under the
-    # host's default OpenBLAS kernel, Prescott's (whose ddot depends on its
-    # second operand's 16-byte phase) and Haswell's, a raw basis's fixed
-    # inputs give one set of bits, at odd N, and each point alone gives
-    # the block's.
+    # e1, the true error and the reduced solves call no BLAS or LAPACK.  In
+    # fresh processes under the host's default OpenBLAS kernel, Prescott's
+    # (whose ddot depends on its second operand's 16-byte phase) and
+    # Haswell's, a raw basis's fixed inputs give one set of bits, at odd N,
+    # and each point alone gives the block's.
     sys_ = rb.assemble(200)
     model = ReducedModel(sys_)
     for mu in (1.0, 10.0, 100.0, 1000.0):
@@ -1631,6 +1745,7 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
     inputs = {
         "vectors": np.array([model.riesz_b, *model.riesz_a0, *model.riesz_a1]),
         "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "z": z,
+        "A0_hat": model.A0_hat, "A1_hat": model.A1_hat, "b_hat": model.b_hat, "mus": mus,
     }
     for name, a in inputs.items():
         np.save(tmp_path / f"{name}.npy", a)
@@ -1653,6 +1768,7 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
         assert out["block"] == expect, core
         assert [p[0] for p in out["points"]] == expect[:len(mus)], core
         assert [p[1] for p in out["points"]] == expect[len(mus):], core
+        assert out["gamma"] == sum(out["gamma points"], []) == hex_list(gamma), core
 
 
 def test_e1_block_holds_no_truth_size_rows():

@@ -197,6 +197,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     cases = {
         "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
         "W": lambda: fem.tridiagonal_rows(sys_.Gram, rows, spoil(np.empty((2, n)))),
+        "A": lambda: fem.lu_solves(spoil(np.eye(2)[None]), row[:2]),
     }
     if flaw != "read-only":
         cases.update({
@@ -212,6 +213,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "q": lambda: fem.fsum_columns(spoil(row), z),
             "LU": lambda: fem.lu_solve_dots((spoil(lu[0]), lu[1]), pairs, z, row[:2]),
             "v": lambda: fem.lu_solve_dots(lu, pairs, z, spoil(row[:2])),
+            "b": lambda: fem.lu_solves(np.eye(2)[None], spoil(row[:2])),
         })
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_lib", NoKernel())
@@ -239,6 +241,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
         got = fem.lu_solve_dots((spoil(lu[0]), spoil(lu[1])), spoil(pairs), spoil(z), spoil(row[:2]))
         assert got.tolist() == [8.0, 8.0]
+        piv, x = fem.lu_solves(2.0 * np.eye(2)[None], spoil(row[:2]))
+        assert piv.tolist() == [[0, 1]] and x.tolist() == [[2.0, 2.0]]
 
 
 def test_thomas_leaves_caller_data_unchanged():
