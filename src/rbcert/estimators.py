@@ -57,7 +57,8 @@ Gram product of the later inserted vector dotted in dd with the earlier
 one, and q_IJ off the diagonal is exactly twice it.
 
 Every stage runs in the compiled kernels of :mod:`rbcert.fem`: the
-reduced solves and T's factors (``lu_solves``), E2's growth
+reduced solves and T's factors (``lu_solves``), the E3 build's picks of
+nodes and rows (``column_pivots``), E2's growth
 (``dd_gram_table``), e1 and the true error (``lift_norms``, each from its
 lift's first term to its norm's last sum), and, from z with the monomials
 formed in the kernel, e2dd's radicands and their square roots
@@ -75,7 +76,9 @@ and LU are the tests' reference for it.
 e2's radicands are correctly rounded sums, so they have the bits of
 ``math.fsum``, the tests' reference: the kernel sums by Sum3 with a
 certificate of correct rounding, and leaves the column it cannot certify
-to ``math.fsum``.
+to ``math.fsum``.  The pivoted Gram-Schmidt sums its dots in the eight
+lanes, where its numpy reference sums them by BLAS, so the tests hold it
+to that reference's picks, not its bits.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, dd_gram_table, dd_radicands, fsum_columns, lift_norms
-from .fem import lu_solve_dots, lu_solves, parameter_block, solve_truth
+from .fem import TruthSystem, column_pivots, dd_gram_table, dd_radicands, fsum_columns
+from .fem import lift_norms, lu_solve_dots, lu_solves, parameter_block, solve_truth
 
 logger = logging.getLogger(__name__)
 
@@ -220,36 +223,6 @@ def log_uniform_sampler(mu_min: float, mu_max: float):
     return draw
 
 
-def _pivoted_gram_schmidt(A: np.ndarray, rtol: float):
-    """Column-pivoted Gram-Schmidt of A, orthogonalization run twice.
-
-    Each step picks the column with the largest norm left after projecting
-    out the columns picked so far, and the steps stop when that norm is at
-    most rtol times A's largest column norm, or every column is picked.
-    Returns the picked column indices in pick order and the orthonormal
-    basis Q of their span, one column per pick.
-    """
-    R = np.array(A, dtype=float)
-    Q = np.empty((A.shape[0], 0))
-    picks: list[int] = []
-    norms = np.sqrt((R * R).sum(axis=0))
-    tol = rtol * norms.max()
-    for _ in range(min(A.shape)):
-        norms[picks] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = R[:, j]
-        for _ in range(2):  # twice is enough
-            q = q - Q @ (Q.T @ q)
-        q = q / np.linalg.norm(q)
-        Q = np.column_stack([Q, q])
-        R -= np.outer(q, q @ R)
-        picks.append(j)
-        norms = np.sqrt((R * R).sum(axis=0))
-    return picks, Q
-
-
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
     """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = E1(nodes)^2.
 
@@ -281,7 +254,8 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
     3), so that matrix is rank-deficient by construction.  Column-pivoted
     Gram-Schmidt on it picks the r nodes, stopping at :data:`E3_RANK_TOL`;
     pivoted Gram-Schmidt on the transposed orthonormal basis of their
-    columns picks r rows of X (Q-DEIM).  :func:`e3_data` then forms T and
+    columns picks r rows of X (Q-DEIM).  Both are one compiled call
+    (:func:`fem.column_pivots`).  :func:`e3_data` then forms T and
     V at the r nodes.  A pool that repeats a parameter raises
     :class:`EstimatorBuildError`.
     """
@@ -292,8 +266,8 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
     if len(set(pool.tolist())) != pool.size:
         raise EstimatorBuildError("interpolation pool is degenerate: it repeats a parameter")
     X = x_matrix(pool, solve_reduced_block(model, pool))
-    picks, Q = _pivoted_gram_schmidt(X, E3_RANK_TOL)
-    rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
+    picks, Q = column_pivots(X, E3_RANK_TOL)
+    rows, _ = column_pivots(Q.T, 0.0)
     return e3_data(sys, model, pool[picks], rows)
 
 

@@ -13,21 +13,26 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds eight kernels, listed with their
+mesh.  One C source, ``_SOURCE``, holds nine kernels, listed with their
 types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
 once, and ``tridiagonal_rows`` the double products T*g of ``h1_inner``
 and the basis extension; ``dd_gram_table`` grows E2's dd Gram table, each
 pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
 of a lift of vectors (less U, for the true error) from its first term to
 the norm's last sum in one pass over the mesh; ``lu_solves`` factors and
-solves the reduced systems, E3's T and the raw basis's pivot system.
+solves the reduced systems, E3's T and the raw basis's pivot system;
+``column_pivots`` picks E3's nodes and rows by pivoted Gram-Schmidt, its
+dots and norms summed in the norm kernels' eight-lane order.
 Three take z = (1; gamma; mu*gamma), one column a point, and form the
 monomials z_I*z_J themselves: ``dd_radicands`` gives e2dd's radicands and
 their square roots, ``fsum_columns`` e2's radicands, and
 ``lu_solve_dots`` e3's interpolated squares.  The source holds the
 package's only double-double arithmetic and its only LU.
-Each kernel but ``fsum_columns`` makes the operations of the reference
-the tests keep for it, in their order, so its bits; ``fsum_columns`` sums
+Each kernel but ``fsum_columns`` and ``column_pivots`` makes the
+operations of the reference the tests keep for it, in their order, so
+its bits; ``column_pivots`` sums its dots in another order than its
+numpy reference's BLAS, so the tests check its picks against the
+reference's on the benchmark's pools, not its bits; ``fsum_columns`` sums
 by a compensated Sum3 and certifies that its result is the exact sum
 correctly rounded, so it has the bits of ``math.fsum``, the tests'
 reference for it, and leaves the rare column it cannot certify to
@@ -116,13 +121,13 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the eight
+   wider vector changes the speed and not the bits.  It marks the nine
    kernels and dd_tree, the one vector helper with several callers that
-   is not inlined.  INLINE forces gram_entries, lift_row and
-   lu_substitute into each clone of their callers, so a one-point
+   is not inlined.  INLINE forces gram_entries, lift_row, lu_substitute
+   and lane_dot into each clone of their callers, so a one-point
    lift_norms pays no call per mesh row.  lane_add, lane_total and two_sum
-   are small enough to be inlined, and gram_dd and dd_root have one
-   caller; they are unmarked.
+   are small enough to be inlined, and gram_dd, dd_root and first_max
+   have one caller; they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
@@ -702,6 +707,86 @@ void lift_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const uintptr_t *vs, cons
             out[j0 + j] = lane_total(lanes + j, p);
     }
 }
+
+/* sum_i a_i*b_i over n entries in the norms' order: lane_add in blocks of
+   eight from +0.0, so product i goes to lane i % 8, then lane_total. */
+INLINE double lane_dot(ptrdiff_t n, const double *a, const double *b)
+{
+    double lanes[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    ptrdiff_t i;
+    for (i = 0; i + 8 <= n; i += 8)
+        lane_add(8, a + i, b + i, lanes);
+    lane_add(n - i, a + i, b + i, lanes);
+    return lane_total(lanes, 1);
+}
+
+/* The index of the first largest of the c >= 1 values x, as numpy's
+   argmax: the first NaN, if any. */
+static ptrdiff_t first_max(ptrdiff_t c, const double *x)
+{
+    ptrdiff_t j, p = 0;
+    for (j = 1; j < c && x[p] == x[p]; j++)
+        if (!(x[j] <= x[p]))
+            p = j;
+    return p;
+}
+
+/* Column-pivoted Gram-Schmidt, orthogonalisation run twice (CGS2), of the
+   matrix whose c columns of n entries are the rows of the row-major (c, n)
+   R, which it overwrites.  Every dot and norm is lane_dot's, a norm its
+   square root.  The tolerance is rtol times the largest initial norm.
+   Step k takes the first largest norm (first_max), each picked row's at
+   -1, and stops if it is at most the tolerance.  Otherwise its row q, less
+   Q(Q^T q) twice, Q^T q being the k dots with Q's rows and Q(Q^T q) their
+   multiples of those rows summed left to right, then over its norm,
+   becomes row k of the row-major (min(n, c), n) Q, and the row's index
+   picks[k].  Before the next step, each row r not picked gets its dot t
+   with q, then r - t*q, then its new norm.  At most min(n, c) steps.
+   Scratch: c + n + min(n, c) doubles.  Returns the number of picks. */
+WIDE
+ptrdiff_t column_pivots(ptrdiff_t n, ptrdiff_t c, double *restrict R, double rtol,
+                        ptrdiff_t *restrict picks, double *restrict Q,
+                        double *restrict scratch)
+{
+    double *norm = scratch, *s = scratch + c, *coef = s + n, tol, size;
+    ptrdiff_t steps = n < c ? n : c, k, j, i, t, pass;
+    if (steps == 0)
+        return 0;
+    for (j = 0; j < c; j++)
+        norm[j] = sqrt(lane_dot(n, R + j * n, R + j * n));
+    tol = rtol * norm[first_max(c, norm)];
+    for (k = 0; k < steps; k++) {
+        double *q = Q + k * n;
+        j = first_max(c, norm);
+        if (norm[j] <= tol)
+            break;
+        memcpy(q, R + j * n, n * sizeof *q);
+        picks[k] = j;
+        norm[j] = -1.0;
+        for (pass = 0; k > 0 && pass < 2; pass++) {
+            for (i = 0; i < k; i++)
+                coef[i] = lane_dot(n, Q + i * n, q);
+            for (t = 0; t < n; t++)
+                s[t] = coef[0] * Q[t];
+            for (i = 1; i < k; i++)
+                for (t = 0; t < n; t++)
+                    s[t] = s[t] + coef[i] * Q[i * n + t];
+            for (t = 0; t < n; t++)
+                q[t] = q[t] - s[t];
+        }
+        size = sqrt(lane_dot(n, q, q));
+        for (t = 0; t < n; t++)
+            q[t] = q[t] / size;
+        for (j = 0; k + 1 < steps && j < c; j++)
+            if (norm[j] != -1.0) {
+                double *r = R + j * n, dot = lane_dot(n, q, r);
+                for (t = 0; t < n; t++)
+                    r[t] = r[t] - dot * q[t];
+                norm[j] = sqrt(lane_dot(n, r, r));
+            }
+    }
+    return k;
+}
 """
 
 # No -march: the build runs on any x86-64, and WIDE's clones bring the
@@ -754,6 +839,7 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
 _N, _P, _D = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _KERNELS = (
     ("thomas", (_N, _N, _P, _P, _P, _N, _P, _N, _P), ctypes.c_int),
+    ("column_pivots", (_N, _N, _P, _D, _P, _P, _P), _N),
     ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
     ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), _N),
     ("fsum_columns", (_N, _N, _P, _P, _P), _N),
@@ -946,6 +1032,36 @@ def lu_solve_dots(lu, pairs, z, v) -> np.ndarray:
             _address(scratch, "scratch", out=True))
     _lib.lu_solve_dots(r, m, *args)
     return out
+
+
+def column_pivots(A, rtol: float) -> tuple:
+    """Column-pivoted Gram-Schmidt of the (n, c) array A, orthogonalisation
+    run twice, in one kernel call on a transposed copy of A.
+
+    Each step picks the first column of largest norm left after projecting
+    out the columns picked so far, and the steps stop when that norm is at
+    most rtol times A's largest column norm, or after min(n, c) picks.
+    Every dot and norm is summed in the norm kernels' eight-lane order, so
+    the picks and Q's bits are fixed by A and rtol.  Returns the picked
+    column indices in pick order, a list, and the (n, r) orthonormal basis
+    Q of their span, one column per pick.  An A that is not 2-D or has a
+    non-finite entry, or an rtol that is negative or NaN, raises
+    ``ValueError`` naming it.
+    """
+    if np.ndim(A) != 2:
+        raise ValueError(f"A of shape {np.shape(A)} is not a 2-D array")
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol = {rtol} is not a non-negative number")
+    R = np.array(np.transpose(A), dtype=float, order="C")
+    if not np.isfinite(R).all():
+        raise ValueError("A has a non-finite entry")
+    c, n = R.shape
+    picks, Q = np.empty(min(n, c), dtype=np.intp), np.empty((min(n, c), n))
+    scratch = np.empty(c + n + min(n, c))
+    r = _lib.column_pivots(n, c, _address(R, "R", out=True), rtol,
+                           _address(picks, "picks", out=True, dtype=np.intp),
+                           _address(Q, "Q", out=True), _address(scratch, "scratch", out=True))
+    return picks[:r].tolist(), Q[:r].T
 
 
 class ZeroPivotError(np.linalg.LinAlgError):

@@ -268,13 +268,14 @@ def greedy_build(
 # and numpy SIMD target, and no further: artifacts built under two OpenBLAS
 # kernels can differ, raw basis included.  A raw basis vector is a truth
 # solve in the compiled Thomas kernel, and the reduced solves, the raw
-# basis's pivot solve, T's factors and e1 are compiled too, so none calls
-# BLAS or LAPACK.  But the projections, the raw pivot's Gram entries and the
-# E3 build's Gram-Schmidt take BLAS dots, and the coefficients that the e1
-# history, the greedy's picks and the E3 picks read solve with those
-# projections.  An orthonormal basis goes through BLAS dots in Gram-Schmidt,
-# so another kernel replays it with other bits than those q was built from;
-# the hash turns that into a load error.  V is recomputed with the loading
+# basis's pivot solve, T's factors, the E3 build's pivoted Gram-Schmidt and
+# e1 are compiled too, so none calls BLAS or LAPACK.  But the projections
+# and the raw pivot's Gram entries take BLAS dots, and the coefficients
+# that the e1 history, the greedy's picks and the E3 picks read solve with
+# those projections: the E3 picks still follow the BLAS kernel through the
+# pool's monomials.  An orthonormal basis goes through BLAS dots in the
+# basis's own Gram-Schmidt, so another kernel replays it with other bits
+# than those q was built from; the hash turns that into a load error.  V is recomputed with the loading
 # machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"

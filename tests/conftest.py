@@ -535,7 +535,7 @@ def compiled_dd(tmp_path_factory):
     return CompiledDD(ctypes.CDLL(path))
 
 
-# --- the numpy LU -------------------------------------------------------------
+# --- the numpy LU and pivoted Gram-Schmidt ------------------------------------
 
 def _lu_factor(A: np.ndarray):
     """Partial-pivoting LU, in place on a copy; returns (LU, piv).  At
@@ -573,6 +573,38 @@ def _lu_solve(lu, b: np.ndarray) -> np.ndarray:
         cols[k] /= LU[k, k]
         cols[:k] -= LU[:k, k, None] * cols[k]
     return x
+
+
+# The BLAS reference for fem.column_pivots, which sums its dots in the norm
+# kernels' lane order: the same picks, Q to rounding.
+def _pivoted_gram_schmidt(A: np.ndarray, rtol: float):
+    """Column-pivoted Gram-Schmidt of A, orthogonalization run twice.
+
+    Each step picks the column with the largest norm left after projecting
+    out the columns picked so far, and the steps stop when that norm is at
+    most rtol times A's largest column norm, or every column is picked.
+    Returns the picked column indices in pick order and the orthonormal
+    basis Q of their span, one column per pick.
+    """
+    R = np.array(A, dtype=float)
+    Q = np.empty((A.shape[0], 0))
+    picks: list[int] = []
+    norms = np.sqrt((R * R).sum(axis=0))
+    tol = rtol * norms.max()
+    for _ in range(min(A.shape)):
+        norms[picks] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        q = R[:, j]
+        for _ in range(2):  # twice is enough
+            q = q - Q @ (Q.T @ q)
+        q = q / np.linalg.norm(q)
+        Q = np.column_stack([Q, q])
+        R -= np.outer(q, q @ R)
+        picks.append(j)
+        norms = np.sqrt((R * R).sum(axis=0))
+    return picks, Q
 
 
 def dot_in_order(a, b) -> float:

@@ -29,7 +29,6 @@ from rbcert.estimators import (
     _e2_block,
     _e2dd_block,
     _e3_block,
-    _pivoted_gram_schmidt,
     _z_rows,
 )
 from rbcert.experiments import sweep_grid, training_grid
@@ -39,7 +38,8 @@ from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, two_prod
-from conftest import _lu_factor, _lu_solve, dot_in_order, h1_norm_lanes, lift_in_snapshot_order
+from conftest import _lu_factor, _lu_solve, _pivoted_gram_schmidt, dot_in_order, h1_norm_lanes
+from conftest import lift_in_snapshot_order
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load and its correctly rounded double-double counterpart.  They differ
@@ -346,10 +346,10 @@ def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config)
     cfg = default_config
     pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
     T = rb.x_matrix(pool, rb.solve_reduced_block(model, pool))
-    picks, Q = _pivoted_gram_schmidt(T, E3_RANK_TOL)
+    picks, Q = fem.column_pivots(T, E3_RANK_TOL)
     assert np.array_equal(pool[picks], default_e3.interp_params)
     assert np.allclose(Q.T @ Q, np.eye(len(picks)), atol=1e-12)
-    rows, _ = _pivoted_gram_schmidt(Q.T, 0.0)
+    rows, _ = fem.column_pivots(Q.T, 0.0)
     assert np.array_equal(rows, default_e3.rows)
     # The columns left out lie in the picked columns' span, to the tolerance.
     rest = T - Q @ (Q.T @ T)
@@ -362,12 +362,61 @@ def test_pivoted_gram_schmidt_picks_and_stops():
     # ties at 2 after the first projection and loses to the lower index);
     # column 3's remaining 1e-14 is below the tolerance.
     A = np.array([[1.0, 0.0, 3.0, 1.0], [0.0, 2.0, 0.0, 2.0], [0.0, 0.0, 0.0, 1e-14]])
-    picks, Q = _pivoted_gram_schmidt(A, 1e-12)
+    picks, Q = fem.column_pivots(A, 1e-12)
     assert picks == [2, 1]
     assert np.array_equal(Q, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    picks, Q = _pivoted_gram_schmidt(A, 0.0)
+    picks, Q = fem.column_pivots(A, 0.0)
     assert picks == [2, 1, 3]
     assert np.array_equal(Q[:, 2], [0.0, 0.0, 1.0])
+
+
+# The benchmark's three configurations: the paper's default raw basis (d =
+# 91), the converged orthonormal one (d = 325) and the same at N = 9999.
+PIVOT_CONFIGS = {
+    "paper-default": {},
+    "floors-converged": {"rb_size": 24, "orthonormalize": True, "dependence_tol": 1e-30},
+    "large-mesh": {"n_cells": 10000, "rb_size": 12, "orthonormalize": True,
+                   "dependence_tol": 1e-30},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CONFIGS))
+def test_column_pivots_pick_the_numpy_references_nodes_and_rows(name):
+    # On the seed-28 pool of each configuration, and on the pool that the
+    # sampler enlarges by 7, the kernel's lane-ordered dots pick the nodes
+    # and rows that the BLAS reference picks.
+    cfg = rb.ExperimentConfig(**PIVOT_CONFIGS[name])
+    sys_ = rb.assemble(cfg.n_cells)
+    model, _, _ = rb.greedy_build(sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
+                                  orthonormalize=cfg.orthonormalize,
+                                  dependence_tol=cfg.dependence_tol)
+    sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
+    d = rb.x_dimension(model.n_hat)
+    for size in (d, d + 7):
+        pool = sampler(size, cfg.seed)
+        X = rb.x_matrix(pool, rb.solve_reduced_block(model, pool))
+        picks, Q = fem.column_pivots(X, E3_RANK_TOL)
+        expect, Q_ref = _pivoted_gram_schmidt(X, E3_RANK_TOL)
+        assert picks == expect, size
+        assert fem.column_pivots(Q.T, 0.0)[0] == _pivoted_gram_schmidt(Q_ref.T, 0.0)[0], size
+
+
+@pytest.mark.parametrize("A, rtol, match", [
+    ([[1.0, np.nan], [0.0, 5.0]], 0.0, "A has a non-finite entry"),
+    ([[1.0, 2.0], [np.inf, 0.0]], 1e-12, "A has a non-finite entry"),
+    ([[1.0, 2.0], [0.0, -np.inf]], 1e-12, "A has a non-finite entry"),
+    ([[1.0, 2.0], [3.0, 4.0]], -1e-12, "rtol = -1e-12"),
+    ([[1.0, 2.0], [3.0, 4.0]], np.nan, "rtol = nan"),
+    ([1.0, 2.0], 0.0, r"A of shape \(2,\) is not a 2-D array"),
+    (np.ones((2, 2, 2)), 0.0, r"A of shape \(2, 2, 2\) is not a 2-D array"),
+    (3.0, 0.0, r"A of shape \(\) is not a 2-D array"),
+])
+def test_column_pivots_rejects_what_it_cannot_pivot(A, rtol, match, monkeypatch):
+    # A NaN column was numpy argmax's first pick; the entry point now
+    # rejects it, and each of the others, before any kernel runs.
+    monkeypatch.setattr(fem, "_lib", SimpleNamespace())
+    with pytest.raises(ValueError, match=match):
+        fem.column_pivots(np.array(A), rtol)
 
 
 def test_e3_reproduces_e1_at_interpolation_points(truth, default_model, default_e2, default_e3):
@@ -1596,7 +1645,10 @@ def kernel_outputs(n):
     z take u's transpose, n columns of six rows (21 monomials), and e3's
     four pairs of its rows, and dd_radicands also conftest's special
     radicands, so that every branch of its clamp and root runs.  lu_solves
-    factors and solves a stack of three matrices of min(n, 20) rows."""
+    factors and solves a stack of three matrices of min(n, 20) rows.
+    column_pivots pivots u with three columns in its span, -u's column 5
+    beside u's (an exact tie) with rtol = 0, u's first row, and three rows
+    of n + 4 columns; its bytes are the picks, then Q."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
@@ -1606,7 +1658,16 @@ def kernel_outputs(n):
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
     A, b = lu_stack(min(n, 20), 3, seed=900 + n)
     piv, x = fem.lu_solves(A, b)
+    pivots = {
+        "rank-deficient": (np.column_stack([u, u[:, 5], 2.0 * u[:, 2], u[:, 1] - u[:, 5]]),
+                           E3_RANK_TOL),
+        "a tie": (np.column_stack([u[:, 2], -u[:, 5], u[:, 5]]), 0.0),
+        "one row": (u[:1], 0.0),
+        "more columns than rows": (special_rows(3, n + 4, seed=1000 + n), 1e-12),
+    }
     outputs = {
+        **{f"column_pivots, {case}": np.append(*fem.column_pivots(*args))
+           for case, args in pivots.items()},
         "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
         "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
@@ -1698,16 +1759,18 @@ def dynamic_arch_openblas() -> bool:
 
 # Loads the inputs that the test below saves, runs the norm kernel for e1
 # and for the true error, and the reduced solve, on the block and on each
-# point alone, and prints their float.hex values.
+# point alone, and E3's pivoted Gram-Schmidt on the pool's X, and prints
+# their float.hex values and the picks.
 NORMS_CHILD = r"""
 import json, sys
 from types import SimpleNamespace
 import numpy as np
 from rbcert import fem, reduced
+from rbcert.estimators import E3_RANK_TOL
 
-vectors, snapshots, U, z, A0_hat, A1_hat, b_hat, mus = (
+vectors, snapshots, U, z, A0_hat, A1_hat, b_hat, mus, X = (
     np.load(f"{sys.argv[1]}/{k}.npy")
-    for k in ("vectors", "snapshots", "U", "z", "A0_hat", "A1_hat", "b_hat", "mus"))
+    for k in ("vectors", "snapshots", "U", "z", "A0_hat", "A1_hat", "b_hat", "mus", "X"))
 sys_ = fem.assemble(len(U) + 1)
 model = SimpleNamespace(n_hat=len(b_hat), A0_hat=A0_hat, A1_hat=A1_hat, b_hat=b_hat)
 
@@ -1719,22 +1782,26 @@ def norms(j):
 def hexes(a):
     return [float(x).hex() for x in np.ravel(a)]
 
+picks, Q = fem.column_pivots(X, E3_RANK_TOL)
 print(json.dumps({
     "block": hexes(norms(slice(None))),
     "points": [hexes(norms([j])) for j in range(z.shape[1])],
     "gamma": hexes(reduced.solve_reduced_block(model, mus)),
     "gamma points": [hexes(reduced.solve_reduced_block(model, [mu])) for mu in mus],
+    "picks": picks,
+    "Q": hexes(Q),
 }))
 """
 
 
 @pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs numpy's OpenBLAS with DYNAMIC_ARCH")
 def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
-    # e1, the true error and the reduced solves call no BLAS or LAPACK.  In
-    # fresh processes under the host's default OpenBLAS kernel, Prescott's
-    # (whose ddot depends on its second operand's 16-byte phase) and
-    # Haswell's, a raw basis's fixed inputs give one set of bits, at odd N,
-    # and each point alone gives the block's.
+    # e1, the true error, the reduced solves and E3's pivoted Gram-Schmidt
+    # call no BLAS or LAPACK.  In fresh processes under the host's default
+    # OpenBLAS kernel, Prescott's (whose ddot depends on its second
+    # operand's 16-byte phase) and Haswell's, a raw basis's fixed inputs
+    # give one set of bits, at odd N, and each point alone gives the
+    # block's; the pool's saved X gives one set of picks and of Q's bits.
     sys_ = rb.assemble(200)
     model = ReducedModel(sys_)
     for mu in (1.0, 10.0, 100.0, 1000.0):
@@ -1742,10 +1809,12 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
     mus = np.geomspace(1.0, 1000.0, 23)
     gamma = rb.solve_reduced_block(model, mus)
     z = _z_rows(mus, gamma)
+    pool = rb.log_uniform_sampler(1.0, 1000.0)(rb.x_dimension(model.n_hat), 28)
     inputs = {
         "vectors": np.array([model.riesz_b, *model.riesz_a0, *model.riesz_a1]),
         "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "z": z,
         "A0_hat": model.A0_hat, "A1_hat": model.A1_hat, "b_hat": model.b_hat, "mus": mus,
+        "X": rb.x_matrix(pool, rb.solve_reduced_block(model, pool)),
     }
     for name, a in inputs.items():
         np.save(tmp_path / f"{name}.npy", a)
@@ -1764,11 +1833,14 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
     assert cores["Prescott"] != cores["Haswell"], cores
     expect = hex_list(lift_norms(sys_, list(inputs["vectors"]), z))
     expect += hex_list(lift_norms(sys_, model.snapshots, z[1:5], inputs["U"]))
+    picks, Q = fem.column_pivots(inputs["X"], E3_RANK_TOL)
+    assert len(picks) > 1
     for core, out in outputs.items():
         assert out["block"] == expect, core
         assert [p[0] for p in out["points"]] == expect[:len(mus)], core
         assert [p[1] for p in out["points"]] == expect[len(mus):], core
         assert out["gamma"] == sum(out["gamma points"], []) == hex_list(gamma), core
+        assert out["picks"] == picks and out["Q"] == hex_list(Q), core
 
 
 def test_e1_block_holds_no_truth_size_rows():
