@@ -29,7 +29,6 @@ from .fem import (
     TruthSystem,
     assemble,
     check_parameters,
-    h1_inner,
     riesz_representative,
     solve_truth,
 )

@@ -280,8 +280,8 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # error from their lifts' first terms to the norms' last sums
 # (fem.lift_norms), and e2, e2dd and e3 from z's entries to their last sums
 # (fem.fsum_columns, fem.dd_radicands, fem.lu_solve_dots).  So, given the
-# model, their bits depend neither on the block nor on the host; the
-# model's own entries are what BLAS still touches (see reduced).
+# model, their bits depend neither on the block nor on the host, and nor
+# do the model's own entries (see reduced).
 
 # evaluate solves the truth in chunks of _SOLVE_ELEMENTS // N parameters:
 # the compiled block Thomas solve holds one (N, m) array, its solution,

@@ -15,14 +15,15 @@ one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
 mesh.  One C source, ``_SOURCE``, holds nine kernels, listed with their
 types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
-once, and ``tridiagonal_rows`` the double products T*g of ``h1_inner``
-and the basis extension; ``dd_gram_table`` grows E2's dd Gram table, each
-pair once; ``lift_norms`` gives e1 and the true error, each the H1 norm
-of a lift of vectors (less U, for the true error) from its first term to
-the norm's last sum in one pass over the mesh; ``lu_solves`` factors and
-solves the reduced systems, E3's T and the raw basis's pivot system;
-``column_pivots`` picks E3's nodes and rows by pivoted Gram-Schmidt, its
-dots and norms summed in the norm kernels' eight-lane order.
+once, and ``tridiagonal_project`` every product and dot of the basis
+extension, its Gram-Schmidt included; ``dd_gram_table`` grows E2's dd
+Gram table, each pair once; ``lift_norms`` gives e1 and the true error,
+each the H1 norm of a lift of vectors (less U, for the true error) from
+its first term to the norm's last sum in one pass over the mesh;
+``lu_solves`` factors and solves the reduced systems, E3's T and the raw
+basis's pivot system; ``column_pivots`` picks E3's nodes and rows by
+pivoted Gram-Schmidt.  These three sum every double dot in one
+eight-lane order, the package's only one.
 Three take z = (1; gamma; mu*gamma), one column a point, and form the
 monomials z_I*z_J themselves: ``dd_radicands`` gives e2dd's radicands and
 their square roots, ``fsum_columns`` e2's radicands, and
@@ -617,24 +618,6 @@ INLINE void gram_entries(ptrdiff_t k, double diag, double off, const double *res
             w[t] = diag * c[t];
 }
 
-/* T*g for the k rows g of n of G into the rows of W: entry 0, the
-   entries between, and entry n - 1. */
-WIDE
-void tridiagonal_rows(ptrdiff_t n, ptrdiff_t k, double diag, double off,
-                      const double *restrict G, double *restrict W)
-{
-    ptrdiff_t j;
-    for (j = 0; j < k; j++) {
-        const double *g = G + j * n;
-        double *w = W + j * n;
-        gram_entries(1, diag, off, g, n > 1 ? g + 1 : NULL, NULL, w);
-        if (n > 2)
-            gram_entries(n - 2, diag, off, g + 1, g + 2, g, w + 1);
-        if (n > 1)
-            gram_entries(1, diag, off, g + n - 1, NULL, g + n - 2, w + n - 1);
-    }
-}
-
 /* The H1 norms' sum of g_i*w_i, w = Gram*g, over the mesh entries i: each
    product is added into lane i % 8, in increasing i, from +0.0, and the
    eight lanes l0..l7 are summed as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) +
@@ -718,6 +701,38 @@ INLINE double lane_dot(ptrdiff_t n, const double *a, const double *b)
         lane_add(8, a + i, b + i, lanes);
     lane_add(n - i, a + i, b + i, lanes);
     return lane_total(lanes, 1);
+}
+
+/* The dots x.(T v) for the k vectors x of n at the addresses vs, then
+   v.(T v), each by lane_dot, into out, and T*v, by gram_entries (entry 0,
+   the entries between, entry n - 1), into w.  First, passes sweeps of
+   modified Gram-Schmidt in T's inner product over the vectors in order
+   take v in place: w = T*v, c = x.w by lane_dot, then v = v - c*x; v
+   must then not be one of the vectors. */
+WIDE
+void tridiagonal_project(ptrdiff_t n, ptrdiff_t k, double diag, double off,
+                         const uintptr_t *vs, double *v, ptrdiff_t passes,
+                         double *restrict w, double *restrict out)
+{
+    ptrdiff_t s, i, t;
+    for (s = 0;; s++) {
+        const double *x;
+        double c;
+        gram_entries(1, diag, off, v, n > 1 ? v + 1 : NULL, NULL, w);
+        if (n > 2)
+            gram_entries(n - 2, diag, off, v + 1, v + 2, v, w + 1);
+        if (n > 1)
+            gram_entries(1, diag, off, v + n - 1, NULL, v + n - 2, w + n - 1);
+        if (s >= passes * k)
+            break;
+        x = (const double *)vs[s % k];
+        c = lane_dot(n, x, w);
+        for (t = 0; t < n; t++)
+            v[t] = v[t] - c * x[t];
+    }
+    for (i = 0; i < k; i++)
+        out[i] = lane_dot(n, (const double *)vs[i], w);
+    out[k] = lane_dot(n, v, w);
 }
 
 /* The index of the first largest of the c >= 1 values x, as numpy's
@@ -846,7 +861,7 @@ _KERNELS = (
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
     ("lu_solves", (_N, _N, _P, _P, _P, _P), _N),
-    ("tridiagonal_rows", (_N, _N, _D, _D, _P, _P), None),
+    ("tridiagonal_project", (_N, _N, _D, _D, _P, _P, _N, _P, _P), None),
 )
 
 
@@ -1130,16 +1145,22 @@ def lift_norms(sys: TruthSystem, vectors, coefficients, U=None) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0))
 
 
-def tridiagonal_rows(T: Tridiagonal, G, W=None) -> np.ndarray:
-    """T*g for every row g of the (k, N) array G into the rows of W, a new
-    array unless given, in one kernel call with the numpy reference's
-    operations, entry by entry; returns W."""
-    W = np.empty(np.shape(G)) if W is None else W
-    if np.ndim(G) != 2 or np.shape(W) != np.shape(G):
-        raise ValueError(f"rows {np.shape(G)} and {np.shape(W)} are not two (k, N) arrays")
-    args = _address(G, "G"), _address(W, "W", out=True)
-    _lib.tridiagonal_rows(G.shape[1], G.shape[0], T.diag, T.off, *args)
-    return W
+def tridiagonal_project(T: Tridiagonal, vectors, v, passes: int = 0, w=None) -> np.ndarray:
+    """x.(T v) for every (N,) vector x of vectors, then v.(T v), as a new
+    array, in one kernel call with the tests' lane reference's operations;
+    T*v goes into w, an (N,) array, if given.  With passes > 0, v is first
+    swept passes times, in place, by modified Gram-Schmidt in T's inner
+    product, so v must be writeable and none of vectors.  A vector or w
+    that does not fit v raises ``ValueError`` naming it."""
+    n = np.shape(v)[0] if np.ndim(v) == 1 else -1
+    if n < 1 or w is not None and np.shape(w) != (n,):
+        raise ValueError(f"v {np.shape(v)} and w {np.shape(w)} are not two (N,) vectors")
+    table, k = _table(vectors, "vectors", n), len(vectors)
+    w, out = np.empty(n) if w is None else w, np.empty(k + 1)
+    args = (table.ctypes.data, _address(v, "v", out=passes > 0), passes,
+            _address(w, "w", out=True), _address(out, "out", out=True))
+    _lib.tridiagonal_project(n, k, T.diag, T.off, *args)
+    return out
 
 
 def check_parameters(mu) -> None:
@@ -1181,14 +1202,6 @@ def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
     return U[:, 0] if scalar else U
 
 
-def h1_inner(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:
-    """H1 inner product u^T * Gram * v of two (N,) real vectors, of any strides."""
-    if np.shape(u) != np.shape(v) or np.shape(u) != (sys.n,):
-        raise ValueError("vector shape does not match the truth space")
-    w = tridiagonal_rows(sys.Gram, np.ascontiguousarray(v, dtype=np.float64)[None])
-    return float(u @ w[0])
-
-
 def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Gram^{-1} F into X, both (N, m); F may be X itself.  Returns X."""
     m = X.shape[1]
@@ -1196,7 +1209,7 @@ def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray:
-    """Riesz representative w = Gram^{-1} f, so h1_inner(w, v) = f^T v.
+    """Riesz representative w = Gram^{-1} f, so w^T Gram v = f^T v.
 
     Gram's rows are all equal, so one column of the C kernel solves it,
     factoring Gram again on the way: that costs the bits nothing and

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -41,19 +42,23 @@ from .estimators import (
     e3_data,
 )
 from .fem import (
+    Tridiagonal,
     TruthSystem,
     ZeroPivotError,
     _lift,
     check_parameters,
-    h1_inner,
     lu_solves,
     parameter_block,
     riesz_representative,
     solve_truth,
-    tridiagonal_rows,
+    tridiagonal_project,
 )
 
 logger = logging.getLogger(__name__)
+
+# The identity's row: 1*v_i + 0*v_j is v_i for finite v, so its dots with v
+# are plain dots in the eight-lane order (b_hat's F.v).
+_IDENTITY = Tridiagonal(1.0, 0.0)
 
 
 class DependentSnapshotError(RuntimeError):
@@ -121,41 +126,28 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
     mu_new = float(mu_new)
     if mu_new in model.snapshot_params:
         raise ValueError(f"mu={mu_new!r} is already a snapshot parameter")
+    n, basis, Gram = model.n_hat, model.snapshots, sys.Gram
     u = solve_truth(sys, mu_new)
-    nrm2 = h1_inner(sys, u, u)
-    v = u
+    g = tridiagonal_project(Gram, basis, u)
+    nrm2, v = g[n], u.copy() if model.orthonormalize else u
     if model.orthonormalize:
-        v = u.copy()
-        for _ in range(2):  # twice-is-enough re-orthogonalization
-            for w in model.snapshots:
-                v -= h1_inner(sys, w, v) * w
-        pivot = h1_inner(sys, v, v)
-    elif model.n_hat:
-        g = np.array([h1_inner(sys, w, u) for w in model.snapshots])
-        Gb = np.array(
-            [[h1_inner(sys, wi, wj) for wj in model.snapshots] for wi in model.snapshots]
-        )
-        pivot = nrm2 - float(g @ lu_solves(Gb[None], g)[1][0])
+        pivot = tridiagonal_project(Gram, basis, v, passes=2)[n]  # twice is enough
+    elif n:
+        Gb = np.column_stack([tridiagonal_project(Gram, basis, w)[:n] for w in basis])
+        pivot = nrm2 - math.fsum(g[:n] * lu_solves(Gb[None], g[:n])[1][0])
     else:
         pivot = nrm2
     if pivot <= dependence_tol * nrm2:
         raise DependentSnapshotError(mu_new, pivot / nrm2)
     if model.orthonormalize:
         v = v / np.sqrt(pivot)
-    n = model.n_hat
-    A0 = np.empty((n + 1, n + 1))
-    A1 = np.empty((n + 1, n + 1))
-    A0[:n, :n] = model.A0_hat
-    A1[:n, :n] = model.A1_hat
-    Kv, Mv = (tridiagonal_rows(T, v[None])[0] for T in (sys.K, sys.M))
-    for i, w in enumerate(model.snapshots):
-        A0[i, n] = A0[n, i] = float(w @ Kv)
-        A1[i, n] = A1[n, i] = float(w @ Mv)
-    A0[n, n] = float(v @ Kv)
-    A1[n, n] = float(v @ Mv)
-    model.A0_hat = A0
-    model.A1_hat = A1
-    model.b_hat = np.append(model.b_hat, float(sys.F @ v))
+    A0, A1 = np.empty((n + 1, n + 1)), np.empty((n + 1, n + 1))
+    Kv, Mv = np.empty(sys.n), np.empty(sys.n)
+    A0[:n, :n], A1[:n, :n] = model.A0_hat, model.A1_hat
+    A0[n] = A0[:, n] = tridiagonal_project(sys.K, basis, v, w=Kv)
+    A1[n] = A1[:, n] = tridiagonal_project(sys.M, basis, v, w=Mv)
+    model.A0_hat, model.A1_hat = A0, A1
+    model.b_hat = np.append(model.b_hat, tridiagonal_project(_IDENTITY, [sys.F], v)[0])
     model.snapshots.append(v)
     model.snapshot_params.append(mu_new)
     return Kv, Mv
@@ -264,19 +256,14 @@ def greedy_build(
 # problem's constant (see estimators), not data.  Decoding refuses
 # non-finite entries.
 #
-# Bytes are reproducible on the same machine with the same OpenBLAS kernel
-# and numpy SIMD target, and no further: artifacts built under two OpenBLAS
-# kernels can differ, raw basis included.  A raw basis vector is a truth
-# solve in the compiled Thomas kernel, and the reduced solves, the raw
-# basis's pivot solve, T's factors, the E3 build's pivoted Gram-Schmidt and
-# e1 are compiled too, so none calls BLAS or LAPACK.  But the projections
-# and the raw pivot's Gram entries take BLAS dots, and the coefficients
-# that the e1 history, the greedy's picks and the E3 picks read solve with
-# those projections: the E3 picks still follow the BLAS kernel through the
-# pool's monomials.  An orthonormal basis goes through BLAS dots in the
-# basis's own Gram-Schmidt, so another kernel replays it with other bits
-# than those q was built from; the hash turns that into a load error.  V is recomputed with the loading
-# machine's e1.
+# No stage calls BLAS or LAPACK, so the bytes do not depend on the OpenBLAS
+# kernel.  A basis vector is a compiled truth solve, for an orthonormal
+# basis swept by compiled Gram-Schmidt; the projections, the raw pivot's
+# Gram entries and b_hat are the compiled kernel's lane-ordered dots (the
+# pivot's last one a math.fsum); the reduced solves, T's factors, the E3
+# picks and e1 are compiled too.  What still varies is numpy's SIMD np.exp
+# and np.geomspace, hence the grids and every output.  V is recomputed
+# with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
 FORMAT_VERSION = 7

@@ -7,12 +7,12 @@ treats them as read-only.  The analytic solution of the truth problem and
 the H1 error against it are references the truth-solver tests (and
 acceptance criterion 6) check the finite elements with, and ``operator``
 forms the A(mu) whose residual the truth and e1 tests check.
-:class:`TridiagonalArrays`, an operator as numpy arrays of its entries, is
-the reference of the compiled product ``fem.tridiagonal_rows``, and
-:func:`h1_norm` the plain double H1 norm of tolerance checks;
-:func:`h1_norm_lanes` and :func:`lift_in_snapshot_order` are the
-references of the H1 norm and the lift that ``fem.lift_norms`` compiles,
-for e1 and for the true error.  The
+:class:`TridiagonalArrays`, an operator as numpy arrays of its entries,
+and the eight-lane dot :func:`lane_dot` make :func:`project_in_lanes`, the
+reference of ``fem.tridiagonal_project``, and :func:`h1_inner_lanes`, the
+H1 inner product as the package sums it; :func:`h1_norm_lanes` and
+:func:`lift_in_snapshot_order` are the references of the H1 norm and the
+lift that ``fem.lift_norms`` compiles, for e1 and for the true error.  The
 two-pass Thomas solve on Python floats is the reference the compiled
 kernel in :mod:`rbcert.fem` is checked against by ``float.hex``.  The
 numpy double-double arithmetic (:func:`two_sum`, :func:`two_prod`,
@@ -224,20 +224,36 @@ def operator(sys: TruthSystem, mu: float) -> TridiagonalArrays:
     return TridiagonalArrays.of(Tridiagonal(K.diag + mu * M.diag, K.off + mu * M.off), sys.n)
 
 
-def h1_norm(sys: TruthSystem, u: np.ndarray) -> float:
-    """sqrt(max(u . Gram*u, 0)) in double through ``h1_inner``, whose dot is
-    numpy's (a BLAS ddot): a plain norm for checks that hold to a tolerance."""
-    return math.sqrt(max(rb.h1_inner(sys, u, u), 0.0))
+def lane_dot(a, b) -> float:
+    """sum_i a_i*b_i as the compiled kernels sum it: a_i*b_i added into
+    lane i % 8, in increasing i, from 0.0, then the lanes as
+    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
+    l = [0.0] * 8
+    for i, x in enumerate((np.asarray(a) * np.asarray(b)).tolist()):
+        l[i % 8] += x
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+
+
+def project_in_lanes(T: Tridiagonal, vectors, v, passes: int = 0):
+    """``fem.tridiagonal_project``'s operations on a copy of v: passes
+    sweeps of v = v - lane_dot(x, T*v)*x over vectors in order, then the
+    lane dots of every x and of v with w = T*v.  Returns (dots, v, w)."""
+    A, v = TridiagonalArrays.of(T, len(v)), np.array(v, dtype=float)
+    for _ in range(passes):
+        for x in vectors:
+            v = v - lane_dot(x, A.matvec(v)) * x
+    w = A.matvec(v)
+    return np.array([lane_dot(x, w) for x in vectors] + [lane_dot(v, w)]), v, w
+
+
+def h1_inner_lanes(sys: TruthSystem, u: np.ndarray, v: np.ndarray) -> float:
+    """u . Gram*v summed by :func:`lane_dot`, as the package sums it."""
+    return lane_dot(u, TridiagonalArrays.of(sys.Gram, sys.n).matvec(v))
 
 
 def h1_norm_lanes(sys: TruthSystem, v: np.ndarray) -> float:
-    """sqrt(max(v . Gram*v, 0)) with the dot summed as the compiled norms
-    sum it: v_i*(Gram*v)_i added into lane i % 8, in increasing i, from
-    0.0, then the lanes as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
-    l = [0.0] * 8
-    for i, x in enumerate((v * TridiagonalArrays.of(sys.Gram, sys.n).matvec(v)).tolist()):
-        l[i % 8] += x
-    return math.sqrt(max(((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])), 0.0))
+    """sqrt(max(v . Gram*v, 0)) with the dot summed by :func:`lane_dot`."""
+    return math.sqrt(max(h1_inner_lanes(sys, v, v), 0.0))
 
 
 def lift_in_snapshot_order(snapshots, gamma) -> np.ndarray:

@@ -302,7 +302,7 @@ def test_e2_driven_greedy_stagnates_at_its_floor(truth, floors_config, monkeypat
 
     assert model.snapshot_params[:8] == accurate.snapshot_params[:8]
     assert accurate.snapshot_params[8] == pytest.approx(405.546, rel=1e-5)
-    assert model.snapshot_params[8] == pytest.approx(1.3667, rel=1e-4)
+    assert model.snapshot_params[8] == pytest.approx(419.8707, rel=1e-4)
     assert model.n_hat == cfg.rb_size
     assert history[-1][1] > cfg.tol
     floor = e2data.delta * math.sqrt(EPS) / e2data.beta

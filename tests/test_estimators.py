@@ -33,19 +33,18 @@ from rbcert.estimators import (
 )
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, lu_solve_dots
-from rbcert.fem import tridiagonal_rows
 from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, two_prod
 from conftest import _lu_factor, _lu_solve, _pivoted_gram_schmidt, dot_in_order, h1_norm_lanes
-from conftest import lift_in_snapshot_order
+from conftest import h1_inner_lanes, lift_in_snapshot_order, project_in_lanes
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
-# the load and its correctly rounded double-double counterpart.  They differ
-# in the low bits because the dd Gram products do not commit intermediate
-# roundings.
-DELTA_200 = 0.27525243598751564
+# the load, its dot summed in the eight-lane order, and its correctly
+# rounded double-double counterpart.  They differ in the low bits because
+# the dd Gram products do not commit intermediate roundings.
+DELTA_200 = 0.2752524359875157
 DELTA_200_DD = 0.2752524359875254
 
 
@@ -71,7 +70,7 @@ def test_e1_matches_direct_residual_norm(truth, default_model):
         for gamma in (galerkin, galerkin * (1 + 1e-3), rng.normal(size=model.n_hat)):
             residual = operator(truth, mu).matvec(B @ gamma) - truth.F
             w = rb.riesz_representative(truth, residual)
-            direct = math.sqrt(rb.h1_inner(truth, w, w))
+            direct = math.sqrt(h1_inner_lanes(truth, w, w))
             e1 = rb.estimator_e1_block(truth, model, mus, gamma[None])[0]
             assert e1 == pytest.approx(direct, rel=1e-11)
 
@@ -129,11 +128,11 @@ def test_e2_data_single_snapshot_oracle(truth):
     add_snapshot(model, truth, 10.0)
     q = rb.q_coefficients(build_e2_data(truth, model))
     g, r0, r1 = model.riesz_b, model.riesz_a0[0], model.riesz_a1[0]
-    assert q[1] == pytest.approx(2.0 * rb.h1_inner(truth, g, r0), rel=1e-13)
-    assert q[2] == pytest.approx(2.0 * rb.h1_inner(truth, g, r1), rel=1e-13)
-    assert q[3] == pytest.approx(rb.h1_inner(truth, r0, r0), rel=1e-13)
-    assert q[4] == pytest.approx(2.0 * rb.h1_inner(truth, r0, r1), rel=1e-13)
-    assert q[5] == pytest.approx(rb.h1_inner(truth, r1, r1), rel=1e-13)
+    assert q[1] == pytest.approx(2.0 * h1_inner_lanes(truth, g, r0), rel=1e-13)
+    assert q[2] == pytest.approx(2.0 * h1_inner_lanes(truth, g, r1), rel=1e-13)
+    assert q[3] == pytest.approx(h1_inner_lanes(truth, r0, r0), rel=1e-13)
+    assert q[4] == pytest.approx(2.0 * h1_inner_lanes(truth, r0, r1), rel=1e-13)
+    assert q[5] == pytest.approx(h1_inner_lanes(truth, r1, r1), rel=1e-13)
 
 
 def dd_gram_matvec_oracle(sys_, V):
@@ -217,7 +216,7 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
         z = np.concatenate([[1.0], gamma, mu * gamma])
         g = sum(c * r for c, r in zip(z, lifts))
         X = rb.x_matrix(np.array([mu]), gamma[None])[:, 0]
-        assert math.fsum(q * X) == pytest.approx(rb.h1_inner(truth, g, g), rel=1e-10)
+        assert math.fsum(q * X) == pytest.approx(h1_inner_lanes(truth, g, g), rel=1e-10)
 
 
 def one_point_z(mu, gamma):
@@ -1099,6 +1098,14 @@ def norm_hexes(sums):
     return hex_list(np.sqrt(np.maximum(sums, 0.0)))
 
 
+def t_units(T, vectors):
+    """The (N,) vectors over their norms in T's inner product, a zero-norm
+    one as it is, so that Gram-Schmidt over them keeps v bounded."""
+    A = TridiagonalArrays.of(T, len(vectors[0]))
+    norms = [math.sqrt(math.fsum(x * A.matvec(x))) for x in vectors]
+    return [x / s if s > 0.0 else x for x, s in zip(vectors, norms)]
+
+
 def lifts(vectors, coefficients):
     """The lift of the vectors in their order (lift_in_snapshot_order) for
     each column of coefficients, one row per vector."""
@@ -1114,8 +1121,9 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
     # column less the lift of the snapshots in their order: in a block,
     # each point alone, and in passes of 3 points, the last one ragged.
     # Without U the kernel gives the lift's norm, bit for bit that of U = 0
-    # less the lift.  The lifts' products with Gram, K and M equal the
-    # numpy matvec's.
+    # less the lift.  With Gram, K and M, the dots of the other lifts, over
+    # their T-norms, with T times the first, that lift after zero and two
+    # Gram-Schmidt sweeps and its product equal the lane reference's.
     sys_ = rb.assemble(n + 1)
     vectors = list(special_rows(2 * n_hat + 1, n, seed=n + n_hat))
     mus, gamma = np.array([1.0, 3.0, 1e3, 0.5]), special_rows(4, n_hat, seed=n * n_hat)
@@ -1137,9 +1145,12 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
             patch.setattr(fem, "_NORM_POINTS", 3)
             assert hex_list(lift_norms(sys_, vs, c, u)) == expect
     for T in (sys_.Gram, sys_.K, sys_.M):
-        W = tridiagonal_rows(T, G)
-        for g, w in zip(G, W):
-            assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
+        xs = t_units(T, G[1:])
+        for passes in (0, 2):
+            v, w = G[0].copy(), np.empty(n)
+            dots = fem.tridiagonal_project(T, xs, v, passes, w)
+            expect = project_in_lanes(T, xs, G[0], passes)
+            assert [hex_list(a) for a in (dots, v, w)] == [hex_list(a) for a in expect], T
 
 
 @pytest.mark.parametrize("n_hat", [1, 3])
@@ -1147,9 +1158,10 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
 def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
     # lift_norms writes m sums into out and 12p doubles of scratch, p = 2
     # leaving a last pass over one point, without U (e1) and with it (the
-    # true error); tridiagonal_rows writes k rows of n of W, with Gram's,
-    # K's and M's rows.  NaN guards on both sides of each must survive,
-    # while the results equal the numpy forms'.
+    # true error); tridiagonal_project writes k dots, and T*v into w, and
+    # with Gram-Schmidt over the other lifts v too, with Gram's, K's and
+    # M's rows.  NaN guards on both sides of each must survive, while the
+    # results equal the numpy forms'.
     pad, k, p = 7, 3, 2
     sys_ = rb.assemble(n + 1)
     vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
@@ -1170,14 +1182,19 @@ def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
         expect = hex_list([h1_norm_lanes(sys_, g) for g in residuals])
         assert norm_hexes(out[pad:pad + k]) == expect
 
-    rows = np.full(k * n + 2 * pad, np.nan)
-    rows[pad:pad + k * n] = G.ravel()
     for T in (sys_.Gram, sys_.K, sys_.M):
-        W = np.full(k * n + 2 * pad, np.nan)
-        fem._lib.tridiagonal_rows(n, k, T.diag, T.off, rows[pad:].ctypes.data, W[pad:].ctypes.data)
-        assert np.isnan(W[:pad]).all() and np.isnan(W[pad + k * n:]).all(), T
-        for g, w in zip(G, W[pad:pad + k * n].reshape(k, n)):
-            assert hex_list(w) == hex_list(TridiagonalArrays.of(T, n).matvec(g)), T
+        xs = t_units(T, G[1:])
+        rows = np.array([x.ctypes.data for x in xs], dtype=np.uintp)
+        for passes in (0, 2):
+            v, w, out = (np.full(size + 2 * pad, np.nan) for size in (n, n, k))
+            v[pad:pad + n] = G[0]
+            fem._lib.tridiagonal_project(n, k - 1, T.diag, T.off, rows.ctypes.data,
+                                         v[pad:].ctypes.data, passes, w[pad:].ctypes.data,
+                                         out[pad:].ctypes.data)
+            for buf, size in zip((v, w, out), (n, n, k)):
+                assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + size:]).all(), T
+            got = [hex_list(a[pad:pad + size]) for a, size in zip((out, v, w), (k, n, n))]
+            assert got == [hex_list(a) for a in project_in_lanes(T, xs, G[0], passes)], T
 
 
 def fsum_outcome(call):
@@ -1648,7 +1665,11 @@ def kernel_outputs(n):
     factors and solves a stack of three matrices of min(n, 20) rows.
     column_pivots pivots u with three columns in its span, -u's column 5
     beside u's (an exact tie) with rtol = 0, u's first row, and three rows
-    of n + 4 columns; its bytes are the picks, then Q."""
+    of n + 4 columns; its bytes are the picks, then Q.
+    tridiagonal_project takes no vectors, u's columns with wh's column 2
+    and, by two Gram-Schmidt sweeps, wh's columns over their T-norms (so
+    that v stays bounded) with u's column 1 and with v = 0; its bytes are
+    the dots, v, then T*v."""
     u, wh, wl = special_stacks(n, seed=400 + n)
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
@@ -1658,6 +1679,11 @@ def kernel_outputs(n):
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
     A, b = lu_stack(min(n, 20), 3, seed=900 + n)
     piv, x = fem.lu_solves(A, b)
+
+    def project(T, vectors, v, passes=0):
+        v, w = v.copy(), np.empty(n)
+        return np.concatenate([fem.tridiagonal_project(T, vectors, v, passes, w), v, w])
+
     pivots = {
         "rank-deficient": (np.column_stack([u, u[:, 5], 2.0 * u[:, 2], u[:, 1] - u[:, 5]]),
                            E3_RANK_TOL),
@@ -1679,7 +1705,12 @@ def kernel_outputs(n):
         "lu_solve_dots": lu_solve_dots(e3_factors(4, 700 + n), pairs, zu,
                                        special_rows(1, 4, seed=800 + n)[0]),
         "lu_solves": np.concatenate([A.ravel(), x.ravel(), piv.ravel().astype(float)]),
-        "tridiagonal_rows": tridiagonal_rows(sys_.Gram, np.ascontiguousarray(u.T)),
+        "tridiagonal_project, no vectors": project(sys_.K, [], us[5]),
+        "tridiagonal_project, dots": project(sys_.Gram, us, whs[2]),
+        "tridiagonal_project, Gram-Schmidt": project(sys_.Gram, t_units(sys_.Gram, whs), us[1],
+                                                     passes=2),
+        "tridiagonal_project, v = 0": project(sys_.M, t_units(sys_.M, whs), np.zeros(n),
+                                              passes=2),
     }
     assert {name.split(",")[0] for name in outputs} == {name for name, _, _ in fem._KERNELS}
     return {name: a.tobytes() for name, a in outputs.items()}
@@ -1841,6 +1872,38 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
         assert [p[1] for p in out["points"]] == expect[len(mus):], core
         assert out["gamma"] == sum(out["gamma points"], []) == hex_list(gamma), core
         assert out["picks"] == picks and out["Q"] == hex_list(Q), core
+
+
+# Two small configurations, raw and orthonormal, whose artifact and CSV
+# took BLAS dots until the basis extension moved into the compiled kernel.
+PIPELINE_CONFIGS = {
+    "raw": ["--n-cells", "40", "--n-train", "25", "--rb-size", "4", "--n-sweep", "30"],
+    "orthonormal": ["--n-cells", "50", "--n-train", "50", "--rb-size", "8", "--n-sweep", "30",
+                    "--orthonormalize", "true", "--dependence-tol", "1e-30"],
+}
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs numpy's OpenBLAS with DYNAMIC_ARCH")
+def test_pipeline_gives_the_same_bytes_under_every_openblas_kernel(tmp_path):
+    # `rbcert offline` and `rbcert sweep` in fresh processes under the
+    # host's default OpenBLAS kernel, Prescott's and Haswell's write one
+    # artifact and one CSV per configuration, byte for byte.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(rb.__file__)), env.get("PYTHONPATH")]))
+    outputs = {}
+    for core in ("", "Prescott", "Haswell"):
+        for name, flags in PIPELINE_CONFIGS.items():
+            out = tmp_path / f"{name}-{core or 'default'}"
+            for command in ("offline", "sweep"):
+                subprocess.run(
+                    [sys.executable, "-m", "rbcert.cli", command, *flags, "--output-dir", str(out)],
+                    capture_output=True, check=True,
+                    env=dict(env, OPENBLAS_CORETYPE=core) if core else env,
+                )
+            outputs[core, name] = [(out / f).read_bytes() for f in ("artifact.json", "sweep.csv")]
+    for name in PIPELINE_CONFIGS:
+        assert outputs["Prescott", name] == outputs["", name] == outputs["Haswell", name], name
 
 
 def test_e1_block_holds_no_truth_size_rows():

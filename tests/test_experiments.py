@@ -263,10 +263,11 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
 
 
 @pytest.mark.parametrize("orthonormalize", [False, True])
-def test_replay_under_perturbed_h1_inner(cli_workdir, monkeypatch, orthonormalize):
-    # h1_inner scaled by (1 + 2^-52) stands in for another BLAS build.  A raw
-    # basis is a truth solve in Python floats and replays hex-equal; an
-    # orthonormal one goes through h1_inner in Gram-Schmidt, so its replay
+def test_replay_under_perturbed_projections(cli_workdir, monkeypatch, orthonormalize):
+    # Every dot of the basis extension scaled by (1 + 2^-52) stands in for
+    # another summation order.  A raw basis is a truth solve and its Riesz
+    # lifts take K v and M v, not the dots, so both replay hex-equal; an
+    # orthonormal one divides by the pivot's square root, so its replay
     # misses the stored hash and the load is refused.
     cfg = ExperimentConfig(
         n_cells=40, n_train=25, rb_size=4, orthonormalize=orthonormalize,
@@ -274,14 +275,16 @@ def test_replay_under_perturbed_h1_inner(cli_workdir, monkeypatch, orthonormaliz
     )
     path = run_offline(cfg, log=lambda *a: None)
     _, model, _, _, _ = rb.load_artifact(path, cfg)
-    h1_inner = rb.reduced.h1_inner
-    monkeypatch.setattr(rb.reduced, "h1_inner", lambda *args: h1_inner(*args) * (1.0 + EPS))
+    project = rb.reduced.tridiagonal_project
+    monkeypatch.setattr(rb.reduced, "tridiagonal_project",
+                        lambda *args, **kw: project(*args, **kw) * (1.0 + EPS))
     if orthonormalize:
         with pytest.raises(ConfigError, match="basis_sha256"):
             rb.load_artifact(path, cfg)
         return
     _, replayed, _, _, _ = rb.load_artifact(path, cfg)
-    for name in ("snapshots", "A0_hat", "A1_hat", "b_hat", "riesz_b", "riesz_a0", "riesz_a1"):
+    assert replayed.A0_hat.tolist() != model.A0_hat.tolist()
+    for name in ("snapshots", "riesz_b", "riesz_a0", "riesz_a1"):
         got, want = (np.ravel(getattr(m, name)).tolist() for m in (replayed, model))
         assert list(map(float.hex, got)) == list(map(float.hex, want)), name
 

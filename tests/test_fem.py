@@ -22,10 +22,11 @@ from conftest import (
     analytic_solution,
     dd_root,
     h1_error_vs_analytic,
-    h1_norm,
+    h1_inner_lanes,
     h1_norm_lanes,
     lift_in_snapshot_order,
     operator,
+    project_in_lanes,
     thomas,
     thomas_factor,
     thomas_substitute,
@@ -196,7 +197,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
 
     cases = {
         "X": lambda: _thomas(row, row, row, spoil(np.empty((n, 3)))),
-        "W": lambda: fem.tridiagonal_rows(sys_.Gram, rows, spoil(np.empty((2, n)))),
+        "w": lambda: fem.tridiagonal_project(sys_.Gram, [v], v.copy(), w=spoil(np.empty(n))),
         "A": lambda: fem.lu_solves(spoil(np.eye(2)[None]), row[:2]),
     }
     if flaw != "read-only":
@@ -224,8 +225,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         ones = np.ones(3)
         X = _thomas(spoil(row), spoil(ones), spoil(ones), np.empty((n, 3)))
         assert hexes(X[:, 0]) == hexes(column_oracle(n, row, ones, ones, 0))
-        W = fem.tridiagonal_rows(sys_.Gram, spoil(rows))
-        assert hexes(W[0]) == hexes(TridiagonalArrays.of(sys_.Gram, n).matvec(rows[0]))
+        got = fem.tridiagonal_project(sys_.Gram, [spoil(rows[0])], spoil(v))
+        assert hexes(got) == hexes(project_in_lanes(sys_.Gram, [rows[0]], v)[0])
         c = np.array([1.0, 0.5, -2.0, 0.25, 3.0])
         g = lift_in_snapshot_order([v, v, v, v, v], c)
         got = lift(spoil(v), spoil(v), spoil(np.repeat(c[:, None], 2, axis=1)))
@@ -479,6 +480,11 @@ def test_large_mu_interior_plateau():
 # --- H1 inner product and Riesz representative ------------------------------
 
 
+def h1_inner(s, u, v) -> float:
+    """u . Gram*v through the package's one dot kernel."""
+    return float(fem.tridiagonal_project(s.Gram, [u], v)[0])
+
+
 def test_h1_inner_matches_dense_quadratic_form():
     s = rb.assemble(30)
     rng = np.random.default_rng(6)
@@ -486,34 +492,41 @@ def test_h1_inner_matches_dense_quadratic_form():
     for _ in range(5):
         u = rng.normal(size=s.n)
         v = rng.normal(size=s.n)
-        assert rb.h1_inner(s, u, v) == pytest.approx(u @ G @ v, rel=1e-13)
-        assert rb.h1_inner(s, u, v) == pytest.approx(rb.h1_inner(s, v, u), rel=1e-13)
+        assert h1_inner(s, u, v) == pytest.approx(u @ G @ v, rel=1e-13)
+        assert h1_inner(s, u, v) == pytest.approx(h1_inner(s, v, u), rel=1e-13)
 
 
 def test_h1_inner_rejects_shape_mismatch():
     s = rb.assemble(10)
-    with pytest.raises(ValueError):
-        rb.h1_inner(s, np.ones(3), np.ones(9))
+    with pytest.raises(ValueError, match=re.escape("vectors[0]")):
+        h1_inner(s, np.ones(3), np.ones(9))
 
 
-def test_h1_inner_takes_strided_and_integer_vectors():
-    # The compiled product takes contiguous float64 rows, so h1_inner
-    # converts v first: a strided view and an integer vector give the
-    # numpy oracle's value on the same entries, bit for bit.
-    s = rb.assemble(30)
-    G = TridiagonalArrays.of(s.Gram, s.n)
-    rng = np.random.default_rng(9)
-    u, wide = rng.normal(size=s.n), rng.normal(size=(s.n, 3))
-    ints = np.arange(s.n) * 7 - 100
-    for v in (wide[:, 1], wide[::-1, 2], ints):
-        assert rb.h1_inner(s, u, v).hex() == float(u @ G.matvec(v)).hex()
-        assert rb.h1_inner(s, v, v).hex() == float(v @ G.matvec(v)).hex()
+def test_tridiagonal_project_checks_its_vectors():
+    # A vector of another length than v, a w of another shape or a v that is
+    # not one vector raises ValueError naming it; v is an output only when
+    # Gram-Schmidt runs, so a read-only v is refused then and taken without.
+    s = rb.assemble(10)
+    v, x = np.linspace(1.0, 2.0, s.n), np.ones(s.n)
+    for vectors, u, w, name in (
+        ([x, np.ones(3)], v, None, "vectors[1]"),
+        ([x], v, np.empty(3), "w (3,)"),
+        ([x], np.ones((1, s.n)), None, f"v (1, {s.n})"),
+        ([x], np.ones(0), None, "v (0,)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            fem.tridiagonal_project(s.Gram, vectors, u, w=w)
+    v.flags.writeable = False
+    with pytest.raises(TypeError, match="v is read-only"):
+        fem.tridiagonal_project(s.Gram, [x], v, passes=2)
+    assert hexes(fem.tridiagonal_project(s.Gram, [x], v)) == hexes(
+        project_in_lanes(s.Gram, [x], v)[0])
 
 
 def test_h1_norm_is_nonnegative_and_definite():
     s = rb.assemble(20)
-    assert h1_norm(s, np.zeros(s.n)) == 0.0
-    assert h1_norm(s, np.ones(s.n)) > 1.0  # mass alone contributes ~1
+    assert h1_norm_lanes(s, np.zeros(s.n)) == 0.0
+    assert h1_norm_lanes(s, np.ones(s.n)) > 1.0  # mass alone contributes ~1
 
 
 def test_riesz_representative_reproduces_functional():
@@ -523,13 +536,13 @@ def test_riesz_representative_reproduces_functional():
     w = rb.riesz_representative(s, f)
     for _ in range(5):
         v = rng.normal(size=s.n)
-        assert rb.h1_inner(s, w, v) == pytest.approx(float(f @ v), rel=1e-12)
+        assert h1_inner_lanes(s, w, v) == pytest.approx(float(f @ v), rel=1e-12)
 
 
 def test_riesz_norm_squared_equals_functional_applied_to_it():
     s = rb.assemble(200)
     w = rb.riesz_representative(s, s.F)
-    assert rb.h1_inner(s, w, w) == pytest.approx(float(s.F @ w), rel=1e-13)
+    assert h1_inner_lanes(s, w, w) == pytest.approx(float(s.F @ w), rel=1e-13)
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 200, 10000])

@@ -24,15 +24,24 @@ from rbcert.reduced import (
     model_to_dict,
 )
 
-from conftest import TridiagonalArrays, _lu_factor, _lu_solve, build_e2_data, h1_norm
+from conftest import (
+    TridiagonalArrays,
+    _lu_factor,
+    _lu_solve,
+    build_e2_data,
+    h1_inner_lanes,
+    h1_norm_lanes,
+    lane_dot,
+)
 
 # ||Riesz(F)||_H1 for n_cells=200: the estimator value of the empty model
 # and the scale delta of every floor prediction.  Frozen from the assembled
 # system (it is just sqrt(F^T Gram^{-1} F)) and cross-checked against an
 # independent dense computation in test_delta_matches_dense_computation.
-# DELTA_200 is the plain double norm, DELTA_200_DD the double-double one
-# that the greedy records, E2Data.delta.
-DELTA_200 = 0.27525243598751564
+# DELTA_200 is the plain double norm, its dot summed in the eight-lane
+# order, DELTA_200_DD the double-double one that the greedy records,
+# E2Data.delta.
+DELTA_200 = 0.2752524359875157
 DELTA_200_DD = 0.2752524359875254
 
 
@@ -48,7 +57,7 @@ def test_empty_model(truth):
     model = ReducedModel(truth)
     assert model.n_hat == 0
     assert model.A0_hat.shape == (0, 0)
-    assert h1_norm(truth, model.riesz_b) == DELTA_200
+    assert h1_norm_lanes(truth, model.riesz_b) == DELTA_200
 
 
 def test_delta_matches_dense_computation(truth):
@@ -65,9 +74,9 @@ def test_first_snapshot_projection_entries(truth):
     add_snapshot(model, truth, 1.0)
     u = rb.solve_truth(truth, 1.0)
     Ku, Mu = (TridiagonalArrays.of(T, truth.n).matvec(u) for T in (truth.K, truth.M))
-    assert model.A0_hat[0, 0] == float(u @ Ku)
-    assert model.A1_hat[0, 0] == float(u @ Mu)
-    assert model.b_hat[0] == float(truth.F @ u)
+    assert model.A0_hat[0, 0] == lane_dot(u, Ku)
+    assert model.A1_hat[0, 0] == lane_dot(u, Mu)
+    assert model.b_hat[0] == lane_dot(truth.F, u)
     assert model.snapshot_params == [1.0]
 
 
@@ -114,7 +123,7 @@ def test_galerkin_reproduces_snapshots(truth, small_model):
     for mu in small_model.snapshot_params:
         u = rb.solve_truth(truth, mu)
         u_rb = np.column_stack(small_model.snapshots) @ rb.solve_reduced_block(small_model, [mu])[0]
-        err = h1_norm(truth, u_rb - u) / h1_norm(truth, u)
+        err = h1_norm_lanes(truth, u_rb - u) / h1_norm_lanes(truth, u)
         assert err <= 1e-10
 
 
@@ -149,7 +158,7 @@ def test_orthonormal_basis_is_h1_orthonormal(truth):
         add_snapshot(model, truth, mu)
     for i, wi in enumerate(model.snapshots):
         for j, wj in enumerate(model.snapshots):
-            assert rb.h1_inner(truth, wi, wj) == pytest.approx(
+            assert h1_inner_lanes(truth, wi, wj) == pytest.approx(
                 1.0 if i == j else 0.0, abs=1e-12
             )
 
