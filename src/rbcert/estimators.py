@@ -79,6 +79,12 @@ certificate of correct rounding, and leaves the column it cannot certify
 to ``math.fsum``.  The pivoted Gram-Schmidt sums its dots in the eight
 lanes, where its numpy reference sums them by BLAS, so the tests hold it
 to that reference's picks, not its bits.
+
+The E3 build's pool of parameters is drawn by the package's own integer
+arithmetic (:func:`log_uniform_sampler`): numpy's SeedSequence and PCG64
+Generator stream on Python ints, which the tests hold to numpy's
+Generator bit for bit, so the pool's uniform draws are fixed by the seed
+under any numpy, and numpy's random module is never loaded.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,14 +220,72 @@ class E3Data:
 
 
 def log_uniform_sampler(mu_min: float, mu_max: float):
-    """Default interpolation-point sampler: uniform in log(mu), seeded."""
+    """Default interpolation-point sampler: uniform in log(mu), seeded.
+
+    ``draw(n, seed)`` is exp of n uniform draws in [log mu_min, log
+    mu_max), numpy's PCG64 Generator stream for the seed, made on Python
+    ints by :func:`_uniform_draws`, so fixed by the seed on any host and
+    under any numpy; only ``np.exp`` of them follows numpy's SIMD target.
+    A negative seed raises ``ValueError``, as numpy's SeedSequence does.
+    """
     lo, hi = math.log(mu_min), math.log(mu_max)
 
     def draw(n: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return np.exp(rng.uniform(lo, hi, size=n))
+        return np.exp(np.array(_uniform_draws(lo, hi, n, seed), dtype=float))
 
     return draw
+
+
+# numpy's SeedSequence (pool of four 32-bit words) and O'Neill's PCG64
+# (PCG, HMC-CS-2014-0905: 128-bit LCG, XSL-RR output), with their constants.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _hashmix(value: int, h: int, mult: int):
+    """SeedSequence's hash of a 32-bit word under the constant h: (value ^ h)
+    times h' = h * mult, its high half folded in; returns (hash, h')."""
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _uniform_draws(lo: float, hi: float, n: int, seed: int) -> list:
+    """n draws of numpy's Generator(PCG64(seed)).uniform(lo, hi), as floats.
+
+    SeedSequence(seed)'s entropy mixing and generate_state(4, uint64)
+    seed PCG64 (state, then stream); each draw is lo + (hi - lo) * u, u
+    the top 53 bits of the next 64-bit output times 2^-53.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    h, pool = 0x43B0D7E5, []
+    for word in entropy[:4]:
+        word, h = _hashmix(word, h, 0x931E8875)
+        pool.append(word)
+    mixes = [(pool, s, d) for s in range(4) for d in range(4) if s != d]
+    mixes += [(entropy, s, d) for s in range(4, len(entropy)) for d in range(4)]
+    for source, s, d in mixes:
+        word, h = _hashmix(source[s], h, 0x931E8875)
+        word = (0xCA01F9DD * pool[d] - 0x4973F715 * word) & _M32
+        pool[d] = word ^ word >> 16
+    h, words = 0x8B51F9DD, []
+    for i in range(8):
+        word, h = _hashmix(pool[i % 4], h, 0x58F38DED)
+        words.append(word)
+    s_hi, s_lo, i_hi, i_lo = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128
+    span, draws = hi - lo, []
+    for _ in range(n):
+        state = state * _PCG_MULT + inc & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> r | x << (64 - r)) & _M64
+        draws.append(lo + span * ((x >> 11) * 2.0 ** -53))
+    return draws
 
 
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:

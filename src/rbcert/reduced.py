@@ -128,8 +128,9 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
         raise ValueError(f"mu={mu_new!r} is already a snapshot parameter")
     n, basis, Gram = model.n_hat, model.snapshots, sys.Gram
     u = solve_truth(sys, mu_new)
-    g = tridiagonal_project(Gram, basis, u)
-    nrm2, v = g[n], u.copy() if model.orthonormalize else u
+    # u's dots with the basis feed the raw pivot only; g[-1] = u.(Gram u).
+    g = tridiagonal_project(Gram, [] if model.orthonormalize else basis, u)
+    nrm2, v = g[-1], u.copy() if model.orthonormalize else u
     if model.orthonormalize:
         pivot = tridiagonal_project(Gram, basis, v, passes=2)[n]  # twice is enough
     elif n:

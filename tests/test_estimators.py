@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -487,6 +488,47 @@ def test_log_uniform_sampler_is_deterministic():
     assert a.min() >= 1.0 and a.max() <= 1000.0
     # Log-uniform: the median sits near the geometric mean of the range.
     assert 10.0 <= np.median(sampler(4000, 7)) <= 100.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 28, 1009, 2**32 - 1, 2**32, 2**64 + 1, 2**200])
+def test_log_uniform_sampler_draws_numpys_generator_bit_for_bit(seed, default_config):
+    # numpy's SeedSequence and PCG64 are the oracle: seeds of one to seven
+    # 32-bit words cover the pool's padding and its extra entropy words.
+    cfg = default_config
+    sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
+    lo, hi = math.log(cfg.mu_min), math.log(cfg.mu_max)
+    for n in (0, 1, 91, 325, 1000):
+        oracle = np.exp(np.random.default_rng(seed).uniform(lo, hi, n))
+        draws = sampler(n, seed)
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        assert draws.tobytes() == oracle.tobytes(), (seed, n)
+
+
+def test_log_uniform_sampler_draws_are_frozen(default_config):
+    # Seed 28's uniform draws in log(mu), before np.exp: integer arithmetic
+    # fixed by the seed, so these bits hold under any numpy (NEP 19 does not
+    # promise Generator.uniform's stream across releases).  The digest pins
+    # the whole floors-converged pool (d = 325), whose first 91 draws are
+    # paper-default's.
+    lo, hi = math.log(default_config.mu_min), math.log(default_config.mu_max)
+    draws = [x.hex() for x in estimators._uniform_draws(lo, hi, 325, 28)]
+    assert draws[:4] == [
+        "0x1.7897b8cc88007p+2", "0x1.87353b3030d50p+2",
+        "0x1.528455e1cad1ep+2", "0x1.c7842a79608b6p-3",
+    ]
+    assert hashlib.sha256(" ".join(draws).encode()).hexdigest() == (
+        "2f33136e0dd247f7f897493f0e55957a69d70816fdcd833114292f7bda36ac88"
+    )
+
+
+def test_log_uniform_sampler_refuses_a_negative_seed():
+    sampler = rb.log_uniform_sampler(1.0, 1000.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sampler(3, -1)
+    with pytest.raises(TypeError):
+        sampler(3, 1.5)
 
 
 def test_small_x_layout():

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -300,6 +301,30 @@ def test_offline_is_deterministic(cli_workdir):
         with open(path, "rb") as fh:
             digests.append(fh.read())
     assert digests[0] == digests[1]
+
+
+IMPORT_FREE_CHILD = """
+import json, sys
+import rbcert as rb
+before = set(sys.modules)
+cfg = rb.ExperimentConfig(output_dir=sys.argv[1])
+path = rb.run_offline(cfg, log=lambda *a: None)
+sys_, model, e2, e3, _ = rb.load_artifact(path, cfg)
+rows = rb.compute_sweep(sys_, model, e2, e3, rb.sweep_grid(cfg))
+print(json.dumps([len(rows), sorted(set(sys.modules) - before), "numpy.random" in sys.modules]))
+"""
+
+
+def test_offline_load_and_sweep_import_nothing_after_rbcert(tmp_path):
+    # A fresh interpreter, so no other test's imports count: the default
+    # build, its load and its sweep load no module that import rbcert did
+    # not, numpy.random (the E3 pool's draws are the package's own) among them.
+    src = os.path.dirname(os.path.dirname(rb.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_FREE_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [ExperimentConfig().n_sweep, [], False]
 
 
 # --- sweep outputs ---------------------------------------------------------------------
