@@ -13,17 +13,22 @@ reduced-basis machinery in :mod:`rbcert.reduced` relies on.
 Every row of A(mu), of Gram and of F is the same, so an operator is its
 one row (:class:`Tridiagonal`), each truth solve and Riesz lift is Thomas
 elimination of n equal rows, and each product applies one row along the
-mesh.  One C source, ``_SOURCE``, holds nine kernels, listed with their
-types in ``_KERNELS``: ``thomas`` runs every solve and lift, m systems at
-once, and ``tridiagonal_project`` every product and dot of the basis
-extension, its Gram-Schmidt included; ``dd_gram_table`` grows E2's dd
-Gram table, each pair once; ``lift_norms`` gives e1 and the true error,
-each the H1 norm of a lift of vectors (less U, for the true error) from
-its first term to the norm's last sum in one pass over the mesh;
-``lu_solves`` factors and solves the reduced systems, E3's T and the raw
-basis's pivot system; ``column_pivots`` picks E3's nodes and rows by
-pivoted Gram-Schmidt.  These three sum every double dot in one
-eight-lane order, the package's only one.
+mesh.  One C source, ``_SOURCE``, holds twelve kernels, listed with their
+types in ``_KERNELS``: ``thomas`` runs every truth solve, m parameters at
+once; ``thomas_factor`` factors Gram once, in :func:`assemble`, with
+``thomas``'s operations, and ``thomas_substitute`` runs every Riesz lift
+with those factors, so with ``thomas``'s bits; ``tridiagonal_project``
+runs every product and dot of the basis extension, its Gram-Schmidt
+included; ``dd_gram_table`` grows E2's dd Gram table, each pair once;
+``lift_norms`` gives e1 and the true error, each the H1 norm of a lift of
+vectors (less U, for the true error) from its first term to the norm's
+last sum in one pass over the mesh, across the points of each mesh row,
+and ``lift_norms_strips`` the same bits for a chunk of fewer than 8
+points, along the mesh in strips; ``lu_solves`` factors and solves the
+reduced systems, E3's T and the raw basis's pivot system;
+``column_pivots`` picks E3's nodes and rows by pivoted Gram-Schmidt.  The
+norm kernels, ``tridiagonal_project`` and ``column_pivots`` sum every
+double dot in one eight-lane order, the package's only one.
 Three take z = (1; gamma; mu*gamma), one column a point, and form the
 monomials z_I*z_J themselves: ``dd_radicands`` gives e2dd's radicands and
 their square roots, ``fsum_columns`` e2's radicands, and
@@ -80,7 +85,9 @@ class TruthSystem:
     """Assembled truth-level operators for one mesh.
 
     Vectors of length N = n_cells - 1 hold interior nodal values; the
-    boundary values are identically zero and never stored.
+    boundary values are identically zero and never stored.  gram_factors
+    is Gram's Thomas factorisation, a (2, N) array: the pivots, then the
+    multipliers (entry 0 unused), which every Riesz lift substitutes with.
     """
 
     n_cells: int
@@ -89,6 +96,7 @@ class TruthSystem:
     M: Tridiagonal
     Gram: Tridiagonal
     F: np.ndarray
+    gram_factors: np.ndarray
 
     @property
     def n(self) -> int:
@@ -100,7 +108,9 @@ def assemble(n_cells: int) -> TruthSystem:
 
     Every entry is one rounding from its closed form (2/h, -1/h, 2h/3, h/6,
     h; Gram's row is K's plus M's), which the assembly oracles in the test
-    suite check against exact rational arithmetic.
+    suite check against exact rational arithmetic.  Gram is factored once,
+    by one kernel call with the operations of the Thomas solve; it is
+    diagonally dominant, so no pivot is zero.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be >= 2 (need at least one interior node)")
@@ -108,7 +118,9 @@ def assemble(n_cells: int) -> TruthSystem:
     K = Tridiagonal(2.0 / h, -(1.0 / h))
     M = Tridiagonal(2.0 * h / 3.0, h / 6.0)
     Gram = Tridiagonal(K.diag + M.diag, K.off + M.off)
-    return TruthSystem(n_cells, h, K, M, Gram, np.full(n_cells - 1, h))
+    factors = np.empty((2, n_cells - 1))
+    _lib.thomas_factor(n_cells - 1, Gram.diag, Gram.off, _address(factors, "factors", out=True))
+    return TruthSystem(n_cells, h, K, M, Gram, np.full(n_cells - 1, h), factors)
 
 
 _SOURCE = r"""
@@ -122,13 +134,13 @@ _SOURCE = r"""
    widest clone that the CPU and the OS support.  Every loop below makes
    IEEE operations element by element, in the source's order, and
    -ffp-contract=off keeps fused multiply-adds out of every clone, so a
-   wider vector changes the speed and not the bits.  It marks the nine
+   wider vector changes the speed and not the bits.  It marks the twelve
    kernels and dd_tree, the one vector helper with several callers that
    is not inlined.  INLINE forces gram_entries, lift_row, lu_substitute
-   and lane_dot into each clone of their callers, so a one-point
-   lift_norms pays no call per mesh row.  lane_add, lane_total and two_sum
-   are small enough to be inlined, and gram_dd, dd_root and first_max
-   have one caller; they are unmarked.
+   and lane_dot into each clone of their callers, so lift_norms pays no
+   call per mesh row.  lane_add, lane_total and two_sum are small enough
+   to be inlined, and gram_dd, dd_root and first_max have one caller;
+   they are unmarked.
    Off x86-64, GCC or glibc, or with -DWIDE= on the command line, WIDE is
    empty: one baseline build. */
 #ifndef WIDE
@@ -146,9 +158,8 @@ _SOURCE = r"""
 
 /* Thomas elimination of m systems of n equal rows, column j of the
    row-major (n, m) array X.  Column j's rows have diagonal diag[j] and
-   off-diagonal off[j] (off is not read when n = 1).  Row i of the
-   right-hand side starts at rhs + i*rs: rs = 0 shares one row of m
-   values, and rhs may be X itself.  Row for row, and column by column,
+   off-diagonal off[j] (off is not read when n = 1), and every row of its
+   right-hand side is rhs[j].  Row for row, and column by column,
    the operations are those of the two-pass solve on Python floats,
        c_i = off/piv_{i-1},  piv_i = diag - off*c_i,
        x_i = (rhs_i - off*x_{i-1})/piv_i,  x_i = x_i - c_{i+1}*x_{i+1},
@@ -160,7 +171,7 @@ _SOURCE = r"""
    applies them.  Returns 1 on a zero pivot, 0 otherwise. */
 WIDE
 int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
-           const double *restrict off, const double *rhs, ptrdiff_t rs,
+           const double *restrict off, const double *restrict rhs,
            double *X, ptrdiff_t s, double *restrict scratch)
 {
     double *restrict kept = scratch, *restrict work = scratch + (n - 2 + s) / s * m;
@@ -173,14 +184,14 @@ int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
         X[j] = rhs[j] / piv[j];
     }
     for (i = 1; i < n && !zero; i++) {
-        const double *b = rhs + i * rs, *xp = X + (i - 1) * m;
+        const double *xp = X + (i - 1) * m;
         double *x = X + i * m;
         if ((i - 1) % s == 0)
             memcpy(kept + (i - 1) / s * m, piv, m * sizeof *piv);
         for (j = 0; j < m; j++) {
             double c = off[j] / piv[j];
             piv[j] = diag[j] - off[j] * c;
-            x[j] = (b[j] - off[j] * xp[j]) / piv[j];
+            x[j] = (rhs[j] - off[j] * xp[j]) / piv[j];
         }
         for (j = 0; j < m; j++)
             zero |= piv[j] == 0.0;
@@ -205,6 +216,50 @@ int thomas(ptrdiff_t n, ptrdiff_t m, const double *restrict diag,
         }
     }
     return 0;
+}
+
+/* thomas's factors of one system of n equal rows (diag, off), written as
+   the pivots piv_i to piv[0..n) and the multipliers c_i to c = piv + n,
+   with thomas's operations: piv_0 = diag, and for i >= 1, c_i =
+   off/piv_{i-1} and piv_i = diag - off*c_i; c_0 is 0.0 and never read. */
+WIDE
+void thomas_factor(ptrdiff_t n, double diag, double off, double *restrict piv)
+{
+    double *restrict c = piv + n;
+    ptrdiff_t i;
+    piv[0] = diag;
+    c[0] = 0.0;
+    for (i = 1; i < n; i++) {
+        c[i] = off / piv[i - 1];
+        piv[i] = diag - off * c[i];
+    }
+}
+
+/* thomas's two substitution sweeps for m columns of the row-major (n, m)
+   X, with the factors of thomas_factor at piv (n pivots, then n
+   multipliers): x_0 = rhs_0/piv_0, x_i = (rhs_i - off*x_{i-1})/piv_i, then
+   x_i = x_i - c_{i+1}*x_{i+1} for i from n - 2 down.  rhs is (n, m) and
+   may be X itself.  Each column has the bits thomas gives it. */
+WIDE
+void thomas_substitute(ptrdiff_t n, ptrdiff_t m, double off, const double *piv,
+                       const double *rhs, double *X)
+{
+    const double *c = piv + n;
+    ptrdiff_t i, j;
+    for (j = 0; j < m; j++)
+        X[j] = rhs[j] / piv[0];
+    for (i = 1; i < n; i++) {
+        const double *b = rhs + i * m, *xp = X + (i - 1) * m;
+        double *x = X + i * m;
+        for (j = 0; j < m; j++)
+            x[j] = (b[j] - off * xp[j]) / piv[i];
+    }
+    for (i = n - 2; i >= 0; i--) {
+        const double *xn = X + (i + 1) * m;
+        double *x = X + i * m;
+        for (j = 0; j < m; j++)
+            x[j] = x[j] - c[i + 1] * xn[j];
+    }
 }
 
 /* The package's double-double operations.  The tests keep a numpy form
@@ -691,6 +746,66 @@ void lift_norms(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const uintptr_t *vs, cons
     }
 }
 
+/* lift_norms for a few points, along the mesh rather than across the
+   points: the same e_j, Gram products and lanes, so the same bits.  The
+   mesh goes in strips of s rows from row 0, s a multiple of 8.  Rows a - 1
+   to a + s of each point's e, those on the mesh, are formed into a row of
+   s + 2, adding the terms c_rt*vs[r] in the order r = 0, 1, ... as
+   lift_row does, the halo rows a - 1 and a + s with the same operations
+   as in the strips beside; then the strip's Gram products go into a row
+   of s, by gram_entries (row 0, the rows between, row n - 1), and its
+   products into the point's eight lanes, eight rows at a time, so row i
+   goes to lane i % 8 in increasing i.  Scratch: 8m + s + m(s + 2). */
+WIDE
+void lift_norms_strips(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k, const uintptr_t *vs,
+                       const double *U, const double *c, double diag, double off,
+                       double *restrict out, ptrdiff_t s, double *restrict scratch)
+{
+    double *lanes = scratch, *w = scratch + 8 * m, *E = w + s;
+    ptrdiff_t a, t, r, i;
+    for (i = 0; i < 8 * m; i++)
+        lanes[i] = 0.0;
+    for (a = 0; a < n; a += s) {
+        ptrdiff_t lo = a > 0 ? a - 1 : 0, end = n - a < s ? n : a + s;
+        ptrdiff_t len = (end < n ? end + 1 : n) - lo, i0 = a == 0, i1 = end - a - (end == n);
+        for (t = 0; t < m; t++) {
+            const double *restrict v = (const double *)vs[0] + lo;
+            double *restrict e = E + t * (s + 2), ct = c[t];
+            for (i = 0; i < len; i++)
+                e[i] = ct * v[i];
+        }
+        for (r = 1; r < k; r++) {
+            const double *restrict v = (const double *)vs[r] + lo;
+            for (t = 0; t < m; t++) {
+                double *restrict e = E + t * (s + 2), ct = c[r * m + t];
+                for (i = 0; i < len; i++)
+                    e[i] = e[i] + ct * v[i];
+            }
+        }
+        for (t = 0; U && t < m; t++) {
+            const double *u = U + lo * m + t;
+            double *restrict e = E + t * (s + 2);
+            for (i = 0; i < len; i++)
+                e[i] = u[i * m] - e[i];
+        }
+        for (t = 0; t < m; t++) {
+            const double *g = E + t * (s + 2) + (a - lo);   /* row a */
+            double *l = lanes + 8 * t;
+            if (i0)
+                gram_entries(1, diag, off, g, n > 1 ? g + 1 : NULL, NULL, w);
+            if (i1 > i0)
+                gram_entries(i1 - i0, diag, off, g + i0, g + i0 + 1, g + i0 - 1, w + i0);
+            if (end == n && n > 1)
+                gram_entries(1, diag, off, g + i1, NULL, g + i1 - 1, w + i1);
+            for (i = 0; i + 8 <= end - a; i += 8)
+                lane_add(8, g + i, w + i, l);
+            lane_add(end - a - i, g + i, w + i, l);
+        }
+    }
+    for (t = 0; t < m; t++)
+        out[t] = lane_total(lanes + 8 * t, 1);
+}
+
 /* sum_i a_i*b_i over n entries in the norms' order: lane_add in blocks of
    eight from +0.0, so product i goes to lane i % 8, then lane_total. */
 INLINE double lane_dot(ptrdiff_t n, const double *a, const double *b)
@@ -853,12 +968,15 @@ def _build(source: str, flags: tuple) -> ctypes.CDLL:
 # The kernels of _SOURCE, each with its argument and result types.
 _N, _P, _D = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _KERNELS = (
-    ("thomas", (_N, _N, _P, _P, _P, _N, _P, _N, _P), ctypes.c_int),
+    ("thomas", (_N, _N, _P, _P, _P, _P, _N, _P), ctypes.c_int),
+    ("thomas_factor", (_N, _D, _D, _P), None),
+    ("thomas_substitute", (_N, _N, _D, _P, _P, _P), None),
     ("column_pivots", (_N, _N, _P, _D, _P, _P, _P), _N),
     ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
     ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), _N),
     ("fsum_columns", (_N, _N, _P, _P, _P), _N),
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
+    ("lift_norms_strips", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
     ("lu_solves", (_N, _N, _P, _P, _P, _P), _N),
     ("tridiagonal_project", (_N, _N, _D, _D, _P, _P, _N, _P, _P), None),
@@ -908,19 +1026,19 @@ def _thomas(diag, off, rhs, X, s=None):
     """Solve m systems of n equal rows into the (n, m) array X, and return X.
 
     Column j's rows have diagonal diag[j] and off-diagonal off[j], (m,)
-    arrays (off is not read when n = 1).  rhs is one (m,) row that every
-    row shares, or (n, m), and may be X itself.  The kernel keeps the
-    pivot of every s-th row, s = isqrt(n) unless given, so it holds one
-    scratch array of about 2*sqrt(n) rows of m besides X.  A zero pivot
-    raises ``LinAlgError``.
+    arrays (off is not read when n = 1), and rhs is the one (m,) row of
+    right-hand sides that every row shares.  The kernel keeps the pivot of
+    every s-th row, s = isqrt(n) unless given, so it holds one scratch
+    array of about 2*sqrt(n) rows of m besides X.  A zero pivot raises
+    ``LinAlgError``.
     """
     n, m = X.shape
-    if diag.shape != (m,) or off.shape != (m,) or rhs.shape not in ((m,), (n, m)):
+    if diag.shape != (m,) or off.shape != (m,) or rhs.shape != (m,):
         raise ValueError(f"rows {diag.shape}, {off.shape} and rhs {rhs.shape} do not fit {X.shape}")
     s = max(1, s or math.isqrt(n))
     scratch = np.empty((-(-(n - 1) // s) + s) * m)
     args = (
-        _address(diag, "diag"), _address(off, "off"), _address(rhs, "rhs"), m * (rhs.ndim - 1),
+        _address(diag, "diag"), _address(off, "off"), _address(rhs, "rhs"),
         _address(X, "X", out=True), s, _address(scratch, "scratch", out=True),
     )
     if n and _lib.thomas(n, m, *args):
@@ -1117,6 +1235,22 @@ def lu_solves(A, b=None) -> tuple:
 # three rounds in each of three processes, 2-vCPU AVX-512 host).
 _NORM_POINTS = 512
 
+# Chunks of at most _STRIP_POINTS points, fewer than an AVX-512 vector
+# holds, take lift_norms_strips instead: along the mesh in strips of
+# _NORM_STRIP rows (a multiple of 8), with 8 + _NORM_STRIP + 2 doubles a
+# point and _NORM_STRIP more of scratch.  Across the points, one point
+# adds each mesh row's terms in a chain of dependent additions through
+# memory.  At N = 9999 with 25 vectors the paths cross near 24 points:
+# 0.61-1.08 against 0.13-0.19 ms at one point, 1.12-2.09 against
+# 0.35-0.51 ms at seven, 1.15-1.54 against 0.72-1.08 ms at 16 and
+# 1.31-1.76 against 1.29-1.77 ms at 24.  At N = 199 with 13 vectors,
+# mostly the call's overhead, the strips took 0.059-0.063 ms against
+# 0.069-0.079 ms from one point to seven (medians of 31 calls, three
+# rounds, 2-vCPU AVX-512 host).  Strips of 128, 256 and 512 rows took the
+# same time.  Chunks of 8 points and more keep the across-points loop.
+_STRIP_POINTS = 7
+_NORM_STRIP = 256
+
 
 def lift_norms(sys: TruthSystem, vectors, coefficients, U=None) -> np.ndarray:
     """The H1 norms of the lifts e_j = sum_k coefficients[k, j]*vectors[k],
@@ -1126,22 +1260,26 @@ def lift_norms(sys: TruthSystem, vectors, coefficients, U=None) -> np.ndarray:
     per vector and one column per point, and U an (N, m) array.  The lift
     adds the terms in the order of the vectors, from
     coefficients[0, j]*vectors[0] (the tests' lift reference), across the
-    points of each mesh entry; e.Gram*e is then summed in eight lanes, lane
-    i % 8 in increasing mesh entry i (the tests' lane reference), so in an
-    order fixed by N.  e1 is the norm of the lift of the Riesz vectors with
-    z = (1; gamma; mu*gamma), and the true error that of U less the lift of
-    the snapshots with gamma.  Returns an (m,) array.
+    points of each mesh entry, or along the mesh for at most _STRIP_POINTS
+    points; e.Gram*e is then summed in eight lanes, lane i % 8 in
+    increasing mesh entry i (the tests' lane reference), so in an order
+    fixed by N, whichever kernel runs.  e1 is the norm of the lift of the
+    Riesz vectors with z = (1; gamma; mu*gamma), and the true error that of
+    U less the lift of the snapshots with gamma.  Returns an (m,) array.
     """
     n, k = sys.n, len(vectors)
     m = np.shape(coefficients)[1] if np.ndim(coefficients) == 2 else -1
     if k < 1 or np.shape(coefficients) != (k, m) or U is not None and np.shape(U) != (n, m):
         raise ValueError(f"{k} vectors, coefficients {np.shape(coefficients)} and U "
                          f"{np.shape(U)} do not fit")
-    table, p = _table(vectors, "vectors", n), max(1, min(m, _NORM_POINTS))
-    out, scratch = np.empty(m), np.empty(12 * p)
+    table = _table(vectors, "vectors", n)
     args = None if U is None else _address(U, "U"), _address(coefficients, "coefficients")
-    _lib.lift_norms(n, m, k, table.ctypes.data, *args, sys.Gram.diag, sys.Gram.off,
-                    _address(out, "out", out=True), p, _address(scratch, "scratch", out=True))
+    strips = m <= _STRIP_POINTS
+    p = _NORM_STRIP if strips else max(1, min(m, _NORM_POINTS))
+    out, scratch = np.empty(m), np.empty(p + m * (p + 10) if strips else 12 * p)
+    kernel = _lib.lift_norms_strips if strips else _lib.lift_norms
+    kernel(n, m, k, table.ctypes.data, *args, sys.Gram.diag, sys.Gram.off,
+           _address(out, "out", out=True), p, _address(scratch, "scratch", out=True))
     return np.sqrt(np.maximum(out, 0.0))
 
 
@@ -1203,17 +1341,22 @@ def solve_truth(sys: TruthSystem, mu) -> np.ndarray:
 
 
 def _lift(sys: TruthSystem, F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Gram^{-1} F into X, both (N, m); F may be X itself.  Returns X."""
-    m = X.shape[1]
-    return _thomas(np.full(m, sys.Gram.diag), np.full(m, sys.Gram.off), F, X)
+    """Gram^{-1} F into X, both (N, m), by one substitution kernel call with
+    Gram's stored factors, each column with the bits of a Thomas solve; F
+    may be X itself.  Returns X."""
+    if F.shape != X.shape or X.shape[0] != sys.n:
+        raise ValueError(f"F {F.shape} and X {X.shape} are not two ({sys.n}, m) arrays")
+    args = _address(sys.gram_factors, "factors"), _address(F, "F"), _address(X, "X", out=True)
+    _lib.thomas_substitute(sys.n, X.shape[1], sys.Gram.off, *args)
+    return X
 
 
 def riesz_representative(sys: TruthSystem, functional: np.ndarray) -> np.ndarray:
     """Riesz representative w = Gram^{-1} f, so w^T Gram v = f^T v.
 
-    Gram's rows are all equal, so one column of the C kernel solves it,
-    factoring Gram again on the way: that costs the bits nothing and
-    stores no factors.  f must be one (N,) functional; any other shape
+    One column of the substitution kernel solves it with the factors that
+    :func:`assemble` stored, so with the bits of a Thomas solve that
+    factors Gram afresh.  f must be one (N,) functional; any other shape
     raises ``ValueError``.
     """
     if functional.shape != (sys.n,):

@@ -723,6 +723,35 @@ def test_evaluate_equals_per_point_bit_for_bit(evaluation_case, block):
     assert_same_bits(got, reference)
 
 
+@pytest.fixture(scope="module")
+def large_mesh():
+    """n_cells=10000, orthonormal basis of 12: the large-mesh benchmark's sizes."""
+    cfg = rb.ExperimentConfig(
+        n_cells=10000, n_train=30, rb_size=12, orthonormalize=True, dependence_tol=1e-30
+    )
+    sys_ = rb.assemble(cfg.n_cells)
+    model, _, e2data = rb.greedy_build(
+        sys_, training_grid(cfg), n_max=cfg.rb_size, orthonormalize=True,
+        dependence_tol=cfg.dependence_tol,
+    )
+    e3data = rb.build_e3_data(
+        sys_, model, rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max), seed=cfg.seed
+    )
+    return sys_, model, e2data, e3data
+
+
+def test_one_point_blocks_equal_the_large_mesh_block(large_mesh):
+    # At N = 9999 a 100-point block runs e1 and the true error across the
+    # points, and a one-point block along the mesh in strips: every field
+    # of every point has the same bits.
+    mus = np.geomspace(1.0, 1000.0, 100)
+    block = rb.evaluate(*large_mesh, mus)
+    for j, mu in enumerate(mus):
+        alone = rb.evaluate(*large_mesh, [mu])
+        for name in FIELDS:
+            assert [float(alone[name][0]).hex()] == [float(block[name][j]).hex()], (name, mu)
+
+
 def test_compute_sweep_equals_per_point(evaluation_case):
     case, mus, reference = evaluation_case
     rows = rb.compute_sweep(*case, mus)
@@ -1161,7 +1190,9 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
     # point is the lane-summed norm of the Riesz vectors' lift with z =
     # (1; gamma; mu*gamma), in z's order, and the true error's that of U's
     # column less the lift of the snapshots in their order: in a block,
-    # each point alone, and in passes of 3 points, the last one ragged.
+    # each point alone, both along the mesh (lift_norms_strips, which the
+    # entry point picks for so few points) and across the points in one
+    # pass and in passes of 3 points, the last one ragged.
     # Without U the kernel gives the lift's norm, bit for bit that of U = 0
     # less the lift.  With Gram, K and M, the dots of the other lifts, over
     # their T-norms, with T times the first, that lift after zero and two
@@ -1184,6 +1215,8 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
                  for j in range(4)]
         assert hex_list(lift_norms(sys_, vs, c, u)) == hex_list(alone) == expect
         with monkeypatch.context() as patch:
+            patch.setattr(fem, "_STRIP_POINTS", 0)
+            assert hex_list(lift_norms(sys_, vs, c, u)) == expect
             patch.setattr(fem, "_NORM_POINTS", 3)
             assert hex_list(lift_norms(sys_, vs, c, u)) == expect
     for T in (sys_.Gram, sys_.K, sys_.M):
@@ -1193,6 +1226,41 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
             dots = fem.tridiagonal_project(T, xs, v, passes, w)
             expect = project_in_lanes(T, xs, G[0], passes)
             assert [hex_list(a) for a in (dots, v, w)] == [hex_list(a) for a in expect], T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, fem._NORM_STRIP - 1, fem._NORM_STRIP,
+                               fem._NORM_STRIP + 1, 9999])
+def test_strip_kernel_equals_the_numpy_forms_and_writes_nothing_past_its_buffers(n):
+    # lift_norms_strips, for every m from 1 to 9 points, writes m sums into
+    # out and s + m(s + 10) doubles of scratch, in strips of s rows: the
+    # entry point's, and 8, for many strip edges at small n.  Without U
+    # (e1: five Riesz vectors with z for N_hat = 2) and with it (the true
+    # error: U less the first two vectors' lift), each norm equals the lane
+    # reference's of the lift reference's, and NaN guards on both sides of
+    # out and scratch survive.
+    pad = 7
+    sys_ = rb.assemble(n + 1)
+    vectors = special_rows(5, n, seed=1300 + n)
+    table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
+    for m in range(1, 10):
+        mus, gamma = np.geomspace(1.0, 1e3, m), special_rows(m, 2, seed=1400 + n + m)
+        z, coefficients = _z_rows(mus, gamma), np.ascontiguousarray(gamma.T)
+        U = np.ascontiguousarray(special_rows(m, n, seed=1500 + n + m).T)
+        cases = ((None, z, lifts(vectors, z)),
+                 (U, coefficients, U.T - lifts(vectors[:2], coefficients)))
+        for u, c, residuals in cases:
+            expect = hex_list([h1_norm_lanes(sys_, g) for g in residuals])
+            for s in (8, fem._NORM_STRIP):
+                size = s + m * (s + 10)
+                out, scratch = (np.full(k + 2 * pad, np.nan) for k in (m, size))
+                fem._lib.lift_norms_strips(
+                    n, m, len(c), table.ctypes.data, None if u is None else u.ctypes.data,
+                    c.ctypes.data, sys_.Gram.diag, sys_.Gram.off, out[pad:].ctypes.data, s,
+                    scratch[pad:].ctypes.data,
+                )
+                for buf, k in zip((out, scratch), (m, size)):
+                    assert np.isnan(buf[:pad]).all() and np.isnan(buf[pad + k:]).all(), (m, s)
+                assert norm_hexes(out[pad:pad + m]) == expect, (m, s, u is None)
 
 
 @pytest.mark.parametrize("n_hat", [1, 3])
@@ -1699,8 +1767,13 @@ def kernel_outputs(n):
     """The bytes of outputs of every kernel in fem._KERNELS on
     special_stacks(n) and special_rows, each through its entry point in
     fem, keyed by the kernel's name and, after a comma, the case.
-    lift_norms lifts 17 of the 18 columns with z for N_hat = 8, and takes
-    wh less the lift of the columns of u, as six snapshots.  The kernels of
+    lift_norms lifts 17 of the 18 columns with z for N_hat = 8 at 9
+    points, and takes wh's and wl's 9 columns less the lift of the columns
+    of u, as six snapshots; lift_norms_strips, which the entry point picks
+    for at most 7 points, does the same at 3 points of z, at the first
+    alone, and for wh's 6 columns.  thomas_factor is the assembled
+    system's Gram factors, and thomas_substitute lifts wh's columns into
+    a new array and wl's in place.  The kernels of
     z take u's transpose, n columns of six rows (21 monomials), and e3's
     four pairs of its rows, and dd_radicands also conftest's special
     radicands, so that every branch of its clamp and root runs.  lu_solves
@@ -1717,6 +1790,8 @@ def kernel_outputs(n):
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
     z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
+    z9 = _z_rows(np.geomspace(1.0, 1e3, 9), special_rows(9, 8, seed=1100 + n))
+    wide = np.hstack([wh, wl[:, :3]])
     zu, q = np.ascontiguousarray(u.T), np.resize(u[:, 5], 21)
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
     A, b = lu_stack(min(n, 20), 3, seed=900 + n)
@@ -1736,14 +1811,21 @@ def kernel_outputs(n):
     outputs = {
         **{f"column_pivots, {case}": np.append(*fem.column_pivots(*args))
            for case, args in pivots.items()},
-        "thomas, a row per mesh row": fem._thomas(diag, off, wh, np.empty((n, 6))),
-        "thomas, one shared row": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
+        "thomas": fem._thomas(diag, off, wh[0], np.empty((n, 6))),
+        "thomas, two rows a segment": fem._thomas(diag, off, wl[0], np.empty((n, 6)), s=2),
+        "thomas_factor": sys_.gram_factors,
+        "thomas_substitute": fem._lift(sys_, wh, np.empty((n, 6))),
+        "thomas_substitute, in place": fem._lift(sys_, *[wl.copy()] * 2),
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
         "dd_radicands": np.append(*fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
         "dd_radicands, special radicands": np.append(*fem.dd_radicands(SPECIAL_Q, SPECIAL_Z)),
         "fsum_columns": fsum_columns(q, zu),
-        "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z),
-        "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n), wh),
+        "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z9),
+        "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 9, seed=600 + n), wide),
+        "lift_norms_strips, a lift": lift_norms(sys_, us + whs + wls[:5], z),
+        "lift_norms_strips, one point": lift_norms(sys_, us + whs + wls[:5], z[:, :1].copy()),
+        "lift_norms_strips, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n),
+                                                       wh),
         "lu_solve_dots": lu_solve_dots(e3_factors(4, 700 + n), pairs, zu,
                                        special_rows(1, 4, seed=800 + n)[0]),
         "lu_solves": np.concatenate([A.ravel(), x.ravel(), piv.ravel().astype(float)]),
@@ -1952,17 +2034,19 @@ def test_e1_block_holds_no_truth_size_rows():
     # At n_cells = 4000 e1's kernel holds 12 doubles a point of scratch,
     # besides z and other arrays of a point's size: 10,728 bytes traced
     # with N_hat = 4 and 50 points, below one (N,) vector, against about
-    # 1,038,000 for two (16, N) row buffers.
+    # 1,038,000 for two (16, N) row buffers.  One point and three take the
+    # strips along the mesh, 266 doubles a point and 256 more.
     sys_ = rb.assemble(4000)
     model = ReducedModel(sys_, orthonormalize=True)
     for mu in (1.0, 10.0, 100.0, 1000.0):
         add_snapshot(model, sys_, mu)
-    mus = np.geomspace(1.0, 1000.0, 50)
-    gamma = rb.solve_reduced_block(model, mus)
-    tracemalloc.start()
-    try:
-        rb.estimator_e1_block(sys_, model, mus, gamma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * sys_.n
+    for points in (1, 3, 50):
+        mus = np.geomspace(1.0, 1000.0, points)
+        gamma = rb.solve_reduced_block(model, mus)
+        tracemalloc.start()
+        try:
+            rb.estimator_e1_block(sys_, model, mus, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sys_.n, points

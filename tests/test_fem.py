@@ -102,7 +102,7 @@ def hexes(a):
 def thomas_equal_rows(n, diag, off, rhs, s=None):
     """Columns of n equal rows through the compiled kernel, as solve_truth runs it.
 
-    rhs is one (m,) row every row shares, or (n, m); s as the kernel takes it.
+    rhs is the one (m,) row every row shares; s as the kernel takes it.
     """
     diag, off, rhs = (np.asarray(a, dtype=float) for a in (diag, off, rhs))
     return _thomas(diag, off, rhs, np.empty((n, diag.size)), s)
@@ -110,8 +110,7 @@ def thomas_equal_rows(n, diag, off, rhs, s=None):
 
 def column_oracle(n, diag, off, rhs, j):
     """Column j of :func:`thomas_equal_rows` by the two-pass solve."""
-    b = rhs[:, j] if rhs.ndim == 2 else [rhs[j]] * n
-    return thomas([diag[j]] * n, [off[j]] * (n - 1), b)
+    return thomas([diag[j]] * n, [off[j]] * (n - 1), [rhs[j]] * n)
 
 
 def test_thomas_matches_dense_solve():
@@ -147,12 +146,12 @@ def test_thomas_kernel_writes_nothing_past_its_buffers(s):
         for m in (1, 5):
             diag = 4.0 + rng.uniform(size=m)
             off = rng.normal(size=m)
-            rhs = rng.normal(size=(n, m) if n % 2 else m)
+            rhs = rng.normal(size=m)
             sizes = (n * m, (-(-(n - 1) // s) + s) * m)
             X, scratch = (np.full(k + 2 * pad, np.nan) for k in sizes)
             status = fem._lib.thomas(
-                n, m, diag.ctypes.data, off.ctypes.data, rhs.ctypes.data, m * (rhs.ndim - 1),
-                X[pad:].ctypes.data, s, scratch[pad:].ctypes.data,
+                n, m, diag.ctypes.data, off.ctypes.data, rhs.ctypes.data, X[pad:].ctypes.data, s,
+                scratch[pad:].ctypes.data,
             )
             assert status == 0
             for buf, k in zip((X, scratch), sizes):
@@ -203,7 +202,8 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
     if flaw != "read-only":
         cases.update({
             "diag": lambda: _thomas(spoil(row), row, row, np.empty((n, 3))),
-            "rhs": lambda: _thomas(row, row, spoil(np.ones((n, 3))), np.empty((n, 3))),
+            "rhs": lambda: _thomas(row, row, spoil(row), np.empty((n, 3))),
+            "F": lambda: _lift(sys_, spoil(np.ones((n, 3))), np.empty((n, 3))),
             "vectors[1]": lambda: fem.dd_gram_table(sys_, [v, spoil(v)], 0),
             "vectors[0]": lambda: lift(b=spoil(v)),
             "vectors[4]": lambda: lift(a1=spoil(v)),
@@ -249,7 +249,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
 def test_thomas_leaves_caller_data_unchanged():
     # The two passes only read their lists, and the kernel its (m,) rows of
     # diagonal and off-diagonal and its right-hand side, one (m,) row that
-    # every row shares or one row per mesh row.
+    # every row shares.
     rng = np.random.default_rng(12)
     n, m = 9, 4
     diag = (4.0 + rng.uniform(size=n)).tolist()
@@ -259,10 +259,8 @@ def test_thomas_leaves_caller_data_unchanged():
     thomas_substitute(off, *thomas_factor(diag, off), rhs)
     assert [diag, off, rhs] == before
     rows = [4.0 + rng.uniform(size=m), rng.normal(size=m), rng.normal(size=m)]
-    rows.append(rng.normal(size=(n, m)))
     saved = [r.tobytes() for r in rows]
-    thomas_equal_rows(n, *rows[:3])
-    thomas_equal_rows(n, *rows[:2], rows[3])
+    thomas_equal_rows(n, *rows)
     assert [r.tobytes() for r in rows] == saved
 
 
@@ -272,23 +270,20 @@ def test_block_thomas_matches_column_solves_bit_for_bit():
     # unless given, and recomputes a segment of multipliers on the way
     # back: n = 1, 2, 3 have one segment at most, and n = t*t - 1, t*t,
     # t*t + 1 end one row short of a segment boundary, on it, and one past
-    # it.  s = 2 leaves a short last segment whenever n is even.  The
-    # right-hand side is shared by every row (the truth solve) or one per
-    # row (the Riesz lift).
+    # it.  s = 2 leaves a short last segment whenever n is even.
     rng = np.random.default_rng(11)
     sizes = [1, 2, 3] + [t * t + k for t in (3, 7) for k in (-1, 0, 1)]
     for n in sizes:
         for m in (1, 5, 100):
             for s in (None, 2):
-                for rhs_shape in ((m,), (n, m)):
-                    diag = 4.0 + rng.uniform(size=m)
-                    off = rng.normal(size=m)
-                    rhs = rng.normal(size=rhs_shape)
-                    X = thomas_equal_rows(n, diag, off, rhs, s)
-                    assert X.shape == (n, m)
-                    for j in range(m):
-                        ref = column_oracle(n, diag, off, rhs, j)
-                        assert hexes(X[:, j]) == hexes(ref), (n, m, s, rhs_shape, j)
+                diag = 4.0 + rng.uniform(size=m)
+                off = rng.normal(size=m)
+                rhs = rng.normal(size=m)
+                X = thomas_equal_rows(n, diag, off, rhs, s)
+                assert X.shape == (n, m)
+                for j in range(m):
+                    ref = column_oracle(n, diag, off, rhs, j)
+                    assert hexes(X[:, j]) == hexes(ref), (n, m, s, j)
 
 
 def test_fused_thomas_raises_on_zero_pivot():
@@ -545,12 +540,47 @@ def test_riesz_norm_squared_equals_functional_applied_to_it():
     assert h1_inner_lanes(s, w, w) == pytest.approx(float(s.F @ w), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [*range(1, 50), 9999])
+def test_stored_gram_factors_are_the_two_pass_solves(n):
+    # assemble factors Gram once: row 0 of gram_factors holds the pivots
+    # and row 1 the multipliers, entry 0 unused and 0.0, each with the bits
+    # of the two-pass solve's factorisation of Gram's n equal rows.
+    s = rb.assemble(n + 1)
+    cs, pivs = thomas_factor([s.Gram.diag] * n, [s.Gram.off] * (n - 1))
+    assert s.gram_factors.shape == (2, n)
+    assert hexes(s.gram_factors[0]) == hexes(pivs)
+    assert hexes(s.gram_factors[1]) == hexes([0.0, *cs])
+
+
+@pytest.mark.parametrize("m", [1, 2, 24])
+def test_substitution_kernel_writes_nothing_past_its_buffers(m):
+    # thomas_substitute writes the (n, m) X from the (n, m) right-hand side,
+    # another array or X itself, with the stored factors.  X is passed with
+    # NaN guards on both sides, which must survive, while all of X is
+    # written with the bits of the two-pass solve, which factors afresh.
+    pad = 7
+    rng = np.random.default_rng(m)
+    for n in (*range(1, 20), 200, 9999):
+        s = rb.assemble(n + 1)
+        rhs = rng.normal(size=(n, m))
+        G = TridiagonalArrays.of(s.Gram, n)
+        expect = np.column_stack([thomas(G.diag, G.off, rhs[:, j]) for j in range(m)])
+        for in_place in (False, True):
+            X = np.full(n * m + 2 * pad, np.nan)
+            F = X[pad:pad + n * m] if in_place else rhs.ravel().copy()
+            F[:] = rhs.ravel()
+            fem._lib.thomas_substitute(n, m, s.Gram.off, s.gram_factors.ctypes.data,
+                                       F.ctypes.data, X[pad:].ctypes.data)
+            assert np.isnan(X[:pad]).all() and np.isnan(X[pad + n * m:]).all(), (n, in_place)
+            assert hexes(X[pad:pad + n * m]) == hexes(expect), (n, in_place)
+
+
 @pytest.mark.parametrize("n_cells", [2, 3, 200, 10000])
 def test_factored_riesz_solve_equals_a_fresh_thomas_solve(n_cells):
-    # A Riesz lift factors Gram again inside the kernel, one mesh row at a
-    # time.  It must give the bits of the two-pass solve, and for the load,
-    # whose rows are all equal, those of the kernel on one shared row, the
-    # truth solve's path.  n_cells = 2 is N = 1: no multiplier at all.
+    # A Riesz lift substitutes with the factors that assemble stored.  It
+    # must give the bits of the two-pass solve, and for the load, whose
+    # rows are all equal, those of the kernel on one shared row, the truth
+    # solve's path.  n_cells = 2 is N = 1: no multiplier at all.
     s = rb.assemble(n_cells)
     rng = np.random.default_rng(n_cells)
     K, G = (TridiagonalArrays.of(T, s.n) for T in (s.K, s.Gram))

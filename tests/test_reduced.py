@@ -341,19 +341,30 @@ def test_model_roundtrip_is_bit_exact(
 def test_loading_lifts_every_functional_in_one_block(
     monkeypatch, large_truth, large_orthonormal_model
 ):
-    # The replay solves the truth at all 12 parameters, then lifts the 24
-    # functionals K v_i, M v_i as one block; riesz_b is one lift alone.
-    # Each is one call of the kernel: 13 of width 1 and one of width 24.
-    widths = []
-    kernel = fem._thomas
+    # The replay solves the truth at all 12 parameters, one Thomas kernel
+    # call of width 1 each, then lifts the 24 functionals K v_i, M v_i as
+    # one block; riesz_b is one lift alone.  The lifts substitute with
+    # Gram's stored factors: one substitution call of width 1 and one of
+    # width 24, and Gram is not factored again.
+    calls = []
+    lib = fem._lib
 
-    def counted(diag, off, rhs, X, s=None):
-        widths.append(X.shape[1])
-        return kernel(diag, off, rhs, X, s)
+    class Counted:
+        def __getattr__(self, name):
+            kernel = getattr(lib, name)
 
-    monkeypatch.setattr(fem, "_thomas", counted)
+            def counted(n, m, *args):
+                calls.append((name, m))
+                return kernel(n, m, *args)
+
+            return counted
+
+    monkeypatch.setattr(fem, "_lib", Counted())
     model_from_dict(model_to_dict(large_orthonormal_model), large_truth)
-    assert sorted(widths) == [1] * 13 + [24]
+    widths = {name: sorted(m for k, m in calls if k == name) for name, _ in calls}
+    assert widths["thomas"] == [1] * 12
+    assert widths["thomas_substitute"] == [1, 24]
+    assert "thomas_factor" not in widths
 
 
 def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
