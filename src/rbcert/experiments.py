@@ -224,7 +224,6 @@ def _has_shape(x, *shape: int) -> bool:
 
 def _check_shapes(payload: dict) -> None:
     """Raise ConfigError unless the stored arrays fit each other."""
-    e2, e3 = payload["e2"], payload["e3"]
     params = payload["model"]["snapshot_params"]
     n_hat = len(params) if isinstance(params, list) else 0
     if n_hat < 1:
@@ -232,9 +231,7 @@ def _check_shapes(payload: dict) -> None:
     if not _has_shape(payload["history"], n_hat):
         raise ConfigError(f"artifact history needs {n_hat} e1 entries, one per snapshot")
     d = estimators.x_dimension(n_hat)
-    if not _has_shape(e2["q_dd"], 2, d):
-        raise ConfigError(f"artifact e2 data needs q_dd of 2 x {d} entries")
-    nodes, rows = e3["interp_params"], e3["rows"]
+    nodes, rows = payload["e3"]["interp_params"], payload["e3"]["rows"]
     r = len(nodes) if isinstance(nodes, list) else 0
     if not 1 <= r <= d:
         raise ConfigError(f"artifact e3 data needs between 1 and {d} nodes, not {r}")
@@ -250,16 +247,16 @@ def load_artifact(path: str, config: ExperimentConfig):
     """Deserialize an artifact and check it matches the config dimensions.
 
     The model, E2Data and E3Data are rebuilt from what the artifact stores
-    (see ``reduced``): the model by replaying its snapshot parameters, E3's
-    T and V at the stored nodes and rows on the replayed model.  The
-    history pairs each replayed snapshot parameter with its stored e1.  No
-    beta is stored or read: it is 1 on mu >= 1 (``estimators``), so an
+    (see ``reduced``): the model by replaying its snapshot parameters, then
+    q from its Riesz vectors, and E3's T and V at the stored nodes and rows.
+    The history pairs each replayed snapshot parameter with its stored e1.
+    No beta is stored or read: it is 1 on mu >= 1 (``estimators``), so an
     artifact cannot change the certified bound.  An unreadable file, bytes
     that are not ASCII JSON, another format version, a missing key,
     mis-shaped arrays, e3 data with r outside [1, d], rows that are not
     distinct integers in [0, d) or repeated nodes, entries that are not
-    finite floats, q_0 <= 0, a snapshot the replay rejects and parameters
-    or a replayed basis that miss the stored sha256 all raise ConfigError.
+    finite floats, a snapshot the replay rejects, and a replayed basis or
+    q that misses its stored sha256 all raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -287,7 +284,7 @@ def load_artifact(path: str, config: ExperimentConfig):
         _check_shapes(payload)
         model = reduced.model_from_dict(payload["model"], sys_)
         history = list(zip(model.snapshot_params, map(float.fromhex, payload["history"])))
-        e2 = reduced.e2data_from_dict(payload["e2"])
+        e2 = reduced.e2data_from_dict(payload["e2"], sys_, model)
         e3 = reduced.e3data_from_dict(payload["e3"], sys_, model)
         if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
             raise ConfigError("artifact e3 nodes must be distinct")
@@ -297,8 +294,8 @@ def load_artifact(path: str, config: ExperimentConfig):
         raise ConfigError(f"artifact {path} lacks the key {exc}") from exc
     except (TypeError, ValueError, OverflowError, reduced.DependentSnapshotError) as exc:
         # malformed entries, and replay errors (a dependent snapshot, a
-        # basis hash miss, a node below 1, a singular reduced system) that
-        # only a damaged artifact can cause
+        # basis or q hash miss, a node below 1, a singular reduced system)
+        # that only a damaged artifact can cause
         raise ConfigError(f"artifact {path} is damaged: {exc}") from exc
     if not np.all(np.isfinite(history)):
         raise ConfigError(f"artifact {path} has a non-finite history entry")

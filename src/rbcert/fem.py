@@ -23,7 +23,7 @@ included; ``dd_gram_table`` grows E2's dd Gram table, each pair once;
 ``lift_norms`` gives e1 and the true error, each the H1 norm of a lift of
 vectors (less U, for the true error) from its first term to the norm's
 last sum in one pass over the mesh, across the points of each mesh row,
-and ``lift_norms_strips`` the same bits for a chunk of fewer than 8
+and ``lift_norms_strips`` the same bits for a chunk of at most 20
 points, along the mesh in strips; ``lu_solves`` factors and solves the
 reduced systems, E3's T and the raw basis's pivot system;
 ``column_pivots`` picks E3's nodes and rows by pivoted Gram-Schmidt.  The
@@ -1235,20 +1235,21 @@ def lu_solves(A, b=None) -> tuple:
 # three rounds in each of three processes, 2-vCPU AVX-512 host).
 _NORM_POINTS = 512
 
-# Chunks of at most _STRIP_POINTS points, fewer than an AVX-512 vector
-# holds, take lift_norms_strips instead: along the mesh in strips of
-# _NORM_STRIP rows (a multiple of 8), with 8 + _NORM_STRIP + 2 doubles a
-# point and _NORM_STRIP more of scratch.  Across the points, one point
-# adds each mesh row's terms in a chain of dependent additions through
-# memory.  At N = 9999 with 25 vectors the paths cross near 24 points:
-# 0.61-1.08 against 0.13-0.19 ms at one point, 1.12-2.09 against
-# 0.35-0.51 ms at seven, 1.15-1.54 against 0.72-1.08 ms at 16 and
-# 1.31-1.76 against 1.29-1.77 ms at 24.  At N = 199 with 13 vectors,
-# mostly the call's overhead, the strips took 0.059-0.063 ms against
-# 0.069-0.079 ms from one point to seven (medians of 31 calls, three
-# rounds, 2-vCPU AVX-512 host).  Strips of 128, 256 and 512 rows took the
-# same time.  Chunks of 8 points and more keep the across-points loop.
-_STRIP_POINTS = 7
+# Chunks of at most _STRIP_POINTS points take lift_norms_strips instead:
+# along the mesh in strips of _NORM_STRIP rows (a multiple of 8), with
+# 8 + _NORM_STRIP + 2 doubles a point and _NORM_STRIP more of scratch.
+# Across the points, one point adds each mesh row's terms in a chain of
+# dependent additions through memory.  Across / along, in ms, the lowest of
+# six medians of 31 calls (2-vCPU AVX-512 host), for k vectors:
+#   points  N = 199, k = 13  N = 199, k = 25  N = 9999, k = 13  N = 9999, k = 25
+#        8   0.036 / 0.033    0.058 / 0.051     0.36 / 0.22       0.69 / 0.40
+#       17   0.042 / 0.038    0.067 / 0.061     0.64 / 0.40       1.13 / 0.73
+#       20   0.043 / 0.039    0.072 / 0.064     0.69 / 0.50       1.22 / 0.91
+#       24   0.042 / 0.042    0.077 / 0.066     0.60 / 0.69       1.27 / 1.25
+#       32   0.045 / 0.050    0.077 / 0.086     1.03 / 0.98       1.90 / 1.77
+# So the strips take up to 20 points (E3's r = 17 nodes at N = 9999 among
+# them).  Strips of 128, 256 and 512 rows took the same time.
+_STRIP_POINTS = 20
 _NORM_STRIP = 256
 
 

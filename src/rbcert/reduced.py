@@ -251,23 +251,23 @@ def greedy_build(
 #
 # Only what cannot be cheaply recomputed is stored: the snapshot
 # parameters (the model is replayed from them by model_from_dict, and a sha256
-# of the parameters and the replayed basis must match the stored one), the
-# double-double coefficients q of E2 (its doubles are their roundings), and
-# E3's nodes and rows (e3_data recomputes T and V from them).  beta is the
-# problem's constant (see estimators), not data.  Decoding refuses
-# non-finite entries.
+# of the parameters and the replayed basis must match the stored one), a
+# sha256 of E2's double-double q (e2data_from_dict rebuilds q from the
+# replayed Riesz vectors and must match it), and E3's nodes and rows
+# (e3_data recomputes T and V from them).  beta is the problem's constant
+# (see estimators), not data.  Decoding refuses non-finite entries.
 #
 # No stage calls BLAS or LAPACK, so the bytes do not depend on the OpenBLAS
 # kernel.  A basis vector is a compiled truth solve, for an orthonormal
 # basis swept by compiled Gram-Schmidt; the projections, the raw pivot's
 # Gram entries and b_hat are the compiled kernel's lane-ordered dots (the
 # pivot's last one a math.fsum); the reduced solves, T's factors, the E3
-# picks and e1 are compiled too.  What still varies is numpy's SIMD np.exp
-# and np.geomspace, hence the grids and every output.  V is recomputed
-# with the loading machine's e1.
+# picks, E2's dd Gram table and e1 are compiled too.  What still varies is
+# numpy's SIMD np.exp and np.geomspace, hence the grids and every output.
+# V is recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 def _enc_vec(v) -> list:
@@ -280,17 +280,17 @@ def _dec_vec(v) -> np.ndarray:
     return out
 
 
-def basis_sha256(model: ReducedModel) -> str:
-    """sha256 hex digest of the snapshot parameters, then the basis vectors.
-
-    Both in order, as little-endian float64, so a stored parameter that
-    changed is caught even where it replays the same basis bits.
-    """
+def _sha256(*arrays) -> str:
+    """sha256 hex digest of the arrays in order, as little-endian float64."""
     h = hashlib.sha256()
-    h.update(np.asarray(model.snapshot_params, dtype="<f8").tobytes())
-    for u in model.snapshots:
-        h.update(np.asarray(u, dtype="<f8").tobytes())
+    for a in arrays:
+        h.update(np.asarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def basis_sha256(model: ReducedModel) -> str:
+    """_sha256 of the snapshot parameters, then the basis: a moved parameter misses it."""
+    return _sha256(model.snapshot_params, *model.snapshots)
 
 
 def model_to_dict(model: ReducedModel) -> dict:
@@ -324,15 +324,16 @@ def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
 
 
 def e2data_to_dict(data: E2Data) -> dict:
-    return {"q_dd": [_enc_vec(data.q_dd[0]), _enc_vec(data.q_dd[1])]}
+    return {"q_sha256": _sha256(*data.q_dd)}
 
 
-def e2data_from_dict(d: dict) -> E2Data:
-    """Decode q; raises ValueError unless q_0 = delta^2 = ||G_0||^2 is > 0."""
-    hi, lo = map(_dec_vec, d["q_dd"])
-    if not hi[0] + lo[0] > 0.0:
-        raise ValueError("e2 data needs q_0 = delta^2 > 0")
-    return E2Data(q_dd=(hi, lo))
+def e2data_from_dict(d: dict, sys: TruthSystem, model: ReducedModel) -> E2Data:
+    """Rebuild q from the model's Riesz vectors in one :class:`E2Table` growth;
+    ValueError if it misses the stored q_sha256 (of q's hi, then lo part)."""
+    data = E2Table(sys).grow(model)
+    if _sha256(*data.q_dd) != d["q_sha256"]:
+        raise ValueError("the rebuilt q misses the stored q_sha256")
+    return data
 
 
 def e3data_to_dict(data: E3Data) -> dict:

@@ -760,12 +760,14 @@ def test_compute_sweep_equals_per_point(evaluation_case):
 
 def test_truth_chunks_and_sub_blocks_keep_the_bits(evaluation_case, monkeypatch):
     # 7-point truth chunks with a ragged tail, the norm kernel's passes over
-    # 2 points at a time, so with one point in each chunk's last, and pass
-    # budgets that leave one point in each chunk's last pass: over 3 points
-    # in the dd sums, then over 2 in e3's solves.
+    # 2 points at a time across the points (not along the mesh, which
+    # chunks this narrow take by default), so with one point in each
+    # chunk's last, and pass budgets that leave one point in each chunk's
+    # last pass: over 3 points in the dd sums, then over 2 in e3's solves.
     case, mus, reference = evaluation_case
     n, d, rank = case[0].n, case[3].d, case[3].V.size
     monkeypatch.setattr("rbcert.estimators._SOLVE_ELEMENTS", 7 * n)
+    monkeypatch.setattr("rbcert.fem._STRIP_POINTS", 0)
     monkeypatch.setattr("rbcert.fem._NORM_POINTS", 2)
     assert len(mus) > 3 * 7 and len(mus) % 7
     for budget in (3 * d, 2 * rank):
@@ -1767,11 +1769,11 @@ def kernel_outputs(n):
     """The bytes of outputs of every kernel in fem._KERNELS on
     special_stacks(n) and special_rows, each through its entry point in
     fem, keyed by the kernel's name and, after a comma, the case.
-    lift_norms lifts 17 of the 18 columns with z for N_hat = 8 at 9
-    points, and takes wh's and wl's 9 columns less the lift of the columns
-    of u, as six snapshots; lift_norms_strips, which the entry point picks
-    for at most 7 points, does the same at 3 points of z, at the first
-    alone, and for wh's 6 columns.  thomas_factor is the assembled
+    lift_norms lifts 17 of the 18 columns with z for N_hat = 8 at 21
+    points, and takes 21 columns of wh, wl and u less the lift of the
+    columns of u, as six snapshots; lift_norms_strips, which the entry
+    point picks for at most 20 points, does the same at 3 points of z, at
+    the first alone, and for wh's 6 columns.  thomas_factor is the assembled
     system's Gram factors, and thomas_substitute lifts wh's columns into
     a new array and wl's in place.  The kernels of
     z take u's transpose, n columns of six rows (21 monomials), and e3's
@@ -1790,8 +1792,8 @@ def kernel_outputs(n):
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
     z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
-    z9 = _z_rows(np.geomspace(1.0, 1e3, 9), special_rows(9, 8, seed=1100 + n))
-    wide = np.hstack([wh, wl[:, :3]])
+    z21 = _z_rows(np.geomspace(1.0, 1e3, 21), special_rows(21, 8, seed=1100 + n))
+    wide = np.hstack([wh, wl, u, wh[:, :3]])
     zu, q = np.ascontiguousarray(u.T), np.resize(u[:, 5], 21)
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
     A, b = lu_stack(min(n, 20), 3, seed=900 + n)
@@ -1820,8 +1822,8 @@ def kernel_outputs(n):
         "dd_radicands": np.append(*fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
         "dd_radicands, special radicands": np.append(*fem.dd_radicands(SPECIAL_Q, SPECIAL_Z)),
         "fsum_columns": fsum_columns(q, zu),
-        "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z9),
-        "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 9, seed=600 + n), wide),
+        "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z21),
+        "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 21, seed=600 + n), wide),
         "lift_norms_strips, a lift": lift_norms(sys_, us + whs + wls[:5], z),
         "lift_norms_strips, one point": lift_norms(sys_, us + whs + wls[:5], z[:, :1].copy()),
         "lift_norms_strips, U less a lift": lift_norms(sys_, us, special_rows(6, 6, seed=600 + n),

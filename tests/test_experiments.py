@@ -6,12 +6,15 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rbcert as rb
 from rbcert import cli
@@ -210,11 +213,11 @@ def test_offline_artifact_roundtrip(cli_workdir):
     with open(path, "rb") as fh:
         payload = json.loads(fh.read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 7
+    assert payload["version"] == 8
     assert sorted(payload["config"]) == ["mu_max", "mu_min", "n_cells"]
     assert sorted(payload["model"]) == ["basis_sha256", "orthonormalize", "snapshot_params"]
-    assert sorted(payload["e2"]) == ["q_dd"]
-    assert [len(part) for part in payload["e2"]["q_dd"]] == [rb.x_dimension(3)] * 2
+    assert sorted(payload["e2"]) == ["q_sha256"]
+    assert re.fullmatch("[0-9a-f]{64}", payload["e2"]["q_sha256"])
     assert sorted(payload["e3"]) == ["interp_params", "rows"]
     sys_, model, e2data, e3data, meta = rb.load_artifact(path, cfg)
     assert model.n_hat == 3
@@ -226,20 +229,34 @@ def test_offline_artifact_roundtrip(cli_workdir):
         rb.load_artifact(path, ExperimentConfig(n_cells=50))
 
 
-@pytest.mark.parametrize("orthonormalize", [False, True])
-def test_loaded_artifact_equals_fresh_build(cli_workdir, orthonormalize):
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"n_cells": 40, "rb_size": 4},
+        {"n_cells": 40, "rb_size": 4, "orthonormalize": True},
+        # a converged orthonormal basis (it stops on tol at N_hat = 12), and
+        # a raw one on a large mesh
+        {"n_train": 200, "rb_size": 24, "orthonormalize": True, "dependence_tol": 1e-30},
+        {"n_cells": 4000, "rb_size": 4},
+    ],
+    ids=["raw", "orthonormal", "orthonormal-converged", "raw-n_cells-4000"],
+)
+def test_loaded_artifact_equals_fresh_build(cli_workdir, case):
     # Every field of the loaded model, E2Data and E3Data, the recomputed
-    # ones (T and V among them) included, equals a fresh build bit for bit.
+    # ones (q, T and V among them) included, equals a fresh build bit for
+    # bit.
     cfg = ExperimentConfig(
-        n_cells=40, n_train=25, rb_size=4, orthonormalize=orthonormalize,
-        output_dir=make_output_dir(cli_workdir, f"fresh_{orthonormalize}"),
+        **{"n_train": 25, **case},
+        output_dir=make_output_dir(cli_workdir, "fresh_" + "_".join(map(str, case.values()))),
     )
     path = run_offline(cfg, log=lambda *a: None)
     sys_, model, e2data, e3data, history = rb.load_artifact(path, cfg)
     fresh, fresh_history, _ = rb.greedy_build(
         sys_, training_grid(cfg), n_max=cfg.rb_size, tol=cfg.tol,
-        orthonormalize=orthonormalize, dependence_tol=cfg.dependence_tol,
+        orthonormalize=cfg.orthonormalize, dependence_tol=cfg.dependence_tol,
     )
+    if cfg.rb_size == 24:
+        assert model.n_hat == 12
     fresh_e2 = build_e2_data(sys_, fresh)
     sampler = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)
     fresh_e3 = rb.build_e3_data(sys_, fresh, sampler, seed=cfg.seed)
@@ -562,18 +579,19 @@ def _mu_near_duplicate(payload):
 
 
 @_edited
-def _q0_negative(payload):
-    payload["e2"]["q_dd"][0][0] = (-1.0).hex()
+def _q_sha256_altered(payload):
+    digest = payload["e2"]["q_sha256"]
+    payload["e2"]["q_sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
+
+
+@_edited
+def _q_sha256_dropped(payload):
+    del payload["e2"]["q_sha256"]
 
 
 @_edited
 def _nan_entry(payload):
-    payload["e2"]["q_dd"][0][2] = "nan"
-
-
-@_edited
-def _e2_one_short(payload):
-    payload["e2"]["q_dd"][1].pop()
+    payload["model"]["snapshot_params"][2] = "nan"
 
 
 @_edited
@@ -619,6 +637,11 @@ def _version_5(payload):
 @_edited
 def _version_6(payload):
     payload["version"] = 6
+
+
+@_edited
+def _version_7(payload):
+    payload["version"] = 7
 
 
 @_edited
@@ -678,10 +701,10 @@ def _e3_node_repeated(payload):
         _truncate, _non_ascii, _nan_entry,
         _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
         _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
-        _e3_one_node_short, _e3_node_repeated, _e2_one_short, _drop_e2,
+        _e3_one_node_short, _e3_node_repeated, _q_sha256_altered, _drop_e2,
         _history_one_short, _history_nan, _version_3, _version_4, _version_5,
         _sha256_altered, _sha256_dropped, _mu_one_ulp, _mu_first_one_ulp,
-        _mu_near_duplicate, _q0_negative, _version_6,
+        _mu_near_duplicate, _q_sha256_dropped, _version_6, _version_7,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -701,7 +724,10 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _version_4: "unsupported artifact version 4",
         _version_5: "unsupported artifact version 5",
         _version_6: "unsupported artifact version 6",
-        _e2_one_short: "e2 data needs q_dd",
+        _version_7: "unsupported artifact version 7",
+        _nan_entry: "non-finite artifact entry",
+        _q_sha256_altered: "misses the stored q_sha256",
+        _q_sha256_dropped: "lacks the key 'q_sha256'",
         _drop_e2: "lacks the key 'e2'",
         _history_one_short: "history needs 3 e1 entries",
         _history_nan: "non-finite history entry",
@@ -710,9 +736,94 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _mu_one_ulp: "misses the stored basis_sha256",
         _mu_first_one_ulp: "misses the stored basis_sha256",
         _mu_near_duplicate: "signals linear dependence",
-        _q0_negative: "e2 data needs q_0 = delta^2 > 0",
     }
     assert reached.get(damage, "") in err
+
+
+# Any JSON value, for edits that put one in the artifact.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 64, 2 ** 64) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+def _edit_paths(node, path=()):
+    """The path of every node of the artifact but the root and "e3"'s."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        if path or key != "e3":
+            yield path + (key,)
+            yield from _edit_paths(child, path + (key,))
+
+
+def _nudged(value, draw):
+    """value moved as little as its kind allows: a float's hex by one ulp,
+    another string by one character, a number by one, a bool negated."""
+    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        x = float.fromhex(value)
+        return math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf]))).hex()
+    if isinstance(value, str):
+        k = draw(st.integers(0, max(len(value) - 1, 0)))
+        return value[:k] + draw(st.sampled_from("0a1f.-x")) + value[k + 1:]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + draw(st.sampled_from([-1, 1]))
+    return draw(_JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def edit_dir(cli_workdir):
+    return make_output_dir(cli_workdir, "single_edits")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_single_edit_outside_e3_exits_2_or_keeps_the_csv(small_sweep_dir, edit_dir, data):
+    # One edit of the small artifact outside its "e3" part (a value nudged,
+    # replaced, deleted or inserted) is refused with exit 2, or the sweep
+    # writes the CSV of the unedited artifact.  Edits inside "e3" stay
+    # open: its nodes are stored floats, and nudging one moves e3's column
+    # (ROADMAP item 7, step 2).
+    with open(os.path.join(small_sweep_dir, "artifact.json"), "rb") as fh:
+        payload = json.loads(fh.read())
+    with open(os.path.join(small_sweep_dir, "sweep.csv"), "rb") as fh:
+        want = fh.read()
+    *parents, key = data.draw(st.sampled_from(list(_edit_paths(payload))), label="path")
+    parent = payload
+    for k in parents:
+        parent = parent[k]
+    kind = data.draw(st.sampled_from(["nudge", "replace", "delete", "insert"]), label="kind")
+    if kind == "nudge":
+        parent[key] = _nudged(parent[key], data.draw)
+    elif kind == "replace":
+        parent[key] = data.draw(_JSON_VALUES, label="value")
+    elif kind == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=4), label="new key")] = data.draw(_JSON_VALUES)
+    else:
+        parent.insert(key, data.draw(_JSON_VALUES, label="value"))
+    edited = os.path.join(edit_dir, "artifact.json")
+    with open(edited, "wb") as fh:
+        fh.write(json.dumps(payload).encode("ascii"))
+    csv = os.path.join(edit_dir, "sweep.csv")
+    if os.path.exists(csv):
+        os.remove(csv)
+    args = ["--n-cells", "40", "--n-train", "25", "--n-sweep", "30", "--rb-size", "3"]
+    code = cli.main(["sweep", *args, "--artifact", edited, "--output-dir", edit_dir])
+    assert code in (0, 2)
+    if code == 0:
+        with open(csv, "rb") as fh:
+            assert fh.read() == want
 
 
 def test_stored_beta_cannot_change_an_estimate(small_sweep_dir, tmp_path):

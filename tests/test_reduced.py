@@ -1,5 +1,6 @@
 """Reduced model: projection algebra, greedy selection, serialization."""
 
+import hashlib
 import json
 import re
 
@@ -14,6 +15,8 @@ from rbcert.reduced import (
     FORMAT_VERSION,
     DependentSnapshotError,
     ReducedModel,
+    _dec_vec,
+    _enc_vec,
     add_snapshot,
     dumps_deterministic,
     e2data_from_dict,
@@ -367,13 +370,31 @@ def test_loading_lifts_every_functional_in_one_block(
     assert "thomas_factor" not in widths
 
 
-def test_e2data_roundtrip_is_bit_exact(truth, default_e2):
+def test_e2data_roundtrip_is_bit_exact(monkeypatch, truth, default_model, default_e2):
+    # Only q's sha256 is stored, of its hi and then its lo part as
+    # little-endian float64; q is rebuilt from the replayed model's Riesz
+    # vectors in one dd Gram table, bit for bit, and a digest it misses is
+    # refused.
+    model, _ = default_model
     d = e2data_to_dict(default_e2)
-    assert sorted(d) == ["q_dd"]
-    back = e2data_from_dict(json.loads(dumps_deterministic(d)))
+    assert sorted(d) == ["q_sha256"]
+    hi, lo = default_e2.q_dd
+    raw = hi.astype("<f8").tobytes() + lo.astype("<f8").tobytes()
+    assert d["q_sha256"] == hashlib.sha256(raw).hexdigest()
+    tables = []
+    table = rb.estimators.dd_gram_table
+    monkeypatch.setattr(rb.estimators, "dd_gram_table",
+                        lambda *args: tables.append(args[2]) or table(*args))
+    back = e2data_from_dict(json.loads(dumps_deterministic(d)), truth, model)
+    assert tables == [0]
     assert _hex(back.delta) == _hex(default_e2.delta)
     for k in (0, 1):
         assert _hex(back.q_dd[k]) == _hex(default_e2.q_dd[k])
+    d["q_sha256"] = d["q_sha256"][::-1]
+    with pytest.raises(ValueError, match="the rebuilt q misses the stored q_sha256"):
+        e2data_from_dict(d, truth, model)
+    with pytest.raises(KeyError, match="q_sha256"):
+        e2data_from_dict({}, truth, model)
 
 
 def test_e3data_roundtrip_is_bit_exact(truth, default_model, default_e3, default_config):
@@ -401,18 +422,15 @@ def test_dumps_deterministic_is_deterministic(small_model):
     assert dumps_deterministic(d) == dumps_deterministic(json.loads(dumps_deterministic(d)))
 
 
-def test_float_hex_survives_extreme_values(default_e2):
+def test_float_hex_survives_extreme_values():
     # The encoding must not lose subnormals or huge magnitudes.
-    hi, lo = (part.copy() for part in default_e2.q_dd)
-    hi[3] = 1.7976931348623157e308
-    lo[5] = 5e-324
-    data = rb.E2Data(q_dd=(hi, lo))
-    back = e2data_from_dict(json.loads(dumps_deterministic(e2data_to_dict(data))))
-    assert back.q_dd[0][3] == 1.7976931348623157e308
-    assert back.q_dd[1][5] == 5e-324
-    assert _hex(back.q_dd) == _hex(data.q_dd)
+    values = [1.7976931348623157e308, 5e-324, -0.0, 0.1, -2.5e-310]
+    back = _dec_vec(json.loads(dumps_deterministic(_enc_vec(values))))
+    assert _hex(back) == _hex(np.array(values))
+    with pytest.raises(ValueError, match="non-finite"):
+        _dec_vec([(1.0).hex(), "inf"])
 
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
