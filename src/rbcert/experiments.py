@@ -180,7 +180,7 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
     config.validate()
     _check_output_dir(config)
     sys_ = fem.assemble(config.n_cells)
-    model, history, e2 = reduced.greedy_build(
+    model, _, e2 = reduced.greedy_build(
         sys_,
         training_grid(config),
         n_max=config.rb_size,
@@ -201,7 +201,6 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
         "model": reduced.model_to_dict(model),
         "e2": reduced.e2data_to_dict(e2),
         "e3": reduced.e3data_to_dict(e3),
-        "history": [float(est).hex() for _, est in history],
     }
     _make_output_dir(config)
     path = config.artifact_path()
@@ -215,27 +214,18 @@ def run_offline(config: ExperimentConfig, log=print) -> str:
     return path
 
 
-def _has_shape(x, *shape: int) -> bool:
-    """Whether x is a nested list of the given shape (its leaves unchecked)."""
-    if not isinstance(x, list) or len(x) != shape[0]:
-        return False
-    return len(shape) == 1 or all(_has_shape(row, *shape[1:]) for row in x)
-
-
 def _check_shapes(payload: dict) -> None:
     """Raise ConfigError unless the stored arrays fit each other."""
     params = payload["model"]["snapshot_params"]
     n_hat = len(params) if isinstance(params, list) else 0
     if n_hat < 1:
         raise ConfigError("artifact needs at least one snapshot parameter")
-    if not _has_shape(payload["history"], n_hat):
-        raise ConfigError(f"artifact history needs {n_hat} e1 entries, one per snapshot")
     d = estimators.x_dimension(n_hat)
     nodes, rows = payload["e3"]["interp_params"], payload["e3"]["rows"]
     r = len(nodes) if isinstance(nodes, list) else 0
     if not 1 <= r <= d:
         raise ConfigError(f"artifact e3 data needs between 1 and {d} nodes, not {r}")
-    if not _has_shape(rows, r):
+    if not isinstance(rows, list) or len(rows) != r:
         raise ConfigError(f"artifact e3 data needs one row per node ({r})")
     if not all(type(k) is int and 0 <= k < d for k in rows):
         raise ConfigError(f"artifact e3 rows must be integers in [0, {d})")
@@ -247,16 +237,19 @@ def load_artifact(path: str, config: ExperimentConfig):
     """Deserialize an artifact and check it matches the config dimensions.
 
     The model, E2Data and E3Data are rebuilt from what the artifact stores
-    (see ``reduced``): the model by replaying its snapshot parameters, then
-    q from its Riesz vectors, and E3's T and V at the stored nodes and rows.
-    The history pairs each replayed snapshot parameter with its stored e1.
-    No beta is stored or read: it is 1 on mu >= 1 (``estimators``), so an
-    artifact cannot change the certified bound.  An unreadable file, bytes
-    that are not ASCII JSON, another format version, a missing key,
-    mis-shaped arrays, e3 data with r outside [1, d], rows that are not
-    distinct integers in [0, d) or repeated nodes, entries that are not
-    finite floats, a snapshot the replay rejects, and a replayed basis or
-    q that misses its stored sha256 all raise ConfigError.
+    (see ``reduced``): the model by replaying the greedy's ``add_snapshot``
+    calls at its snapshot parameters, then q from its Riesz vectors, and
+    E3's T and V at the stored nodes and rows.  The greedy's history is
+    not stored but recomputed: it pairs each snapshot parameter with the
+    rebuilt q's delta for the first, and with e1 on the model before it
+    was added for every later one.  No beta is stored or read: it is 1 on
+    mu >= 1 (``estimators``), so an artifact cannot change the certified
+    bound.  An unreadable file, bytes that are not ASCII JSON, another
+    format version, a missing key, mis-shaped arrays, e3 data with r
+    outside [1, d], rows that are not distinct integers in [0, d) or
+    repeated nodes, entries that are not finite floats, a snapshot the
+    replay rejects, and a replayed basis or q that misses its stored
+    sha256 all raise ConfigError.
     """
     try:
         with open(path, "rb") as fh:
@@ -282,9 +275,9 @@ def load_artifact(path: str, config: ExperimentConfig):
             raise ConfigError("artifact parameter range does not match config")
         sys_ = fem.assemble(config.n_cells)
         _check_shapes(payload)
-        model = reduced.model_from_dict(payload["model"], sys_)
-        history = list(zip(model.snapshot_params, map(float.fromhex, payload["history"])))
+        model, e1s = reduced.model_from_dict(payload["model"], sys_)
         e2 = reduced.e2data_from_dict(payload["e2"], sys_, model)
+        history = list(zip(model.snapshot_params, [e2.delta, *e1s]))
         e3 = reduced.e3data_from_dict(payload["e3"], sys_, model)
         if len(set(e3.interp_params.tolist())) != e3.interp_params.size:
             raise ConfigError("artifact e3 nodes must be distinct")
@@ -297,8 +290,6 @@ def load_artifact(path: str, config: ExperimentConfig):
         # basis or q hash miss, a node below 1, a singular reduced system)
         # that only a damaged artifact can cause
         raise ConfigError(f"artifact {path} is damaged: {exc}") from exc
-    if not np.all(np.isfinite(history)):
-        raise ConfigError(f"artifact {path} has a non-finite history entry")
     return sys_, model, e2, e3, history
 
 

@@ -18,9 +18,10 @@ study); an optional Gram-Schmidt flag orthonormalizes the basis vectors
 as they are added, which is what a run pushed to round-off-floor
 convergence needs.
 
-:func:`_extend_basis` is the only code that extends a basis: the greedy
-runs it in :func:`add_snapshot`, and loading an artifact replays it at
-the stored snapshot parameters, so the artifact holds no truth-size vector.
+:func:`add_snapshot` is the only code that extends a model: the greedy
+calls it at each pick, and loading an artifact replays those calls at the
+stored snapshot parameters and recomputes the greedy's history on the way,
+so the artifact holds neither a truth-size vector nor the history.
 """
 
 from __future__ import annotations
@@ -100,37 +101,26 @@ def add_snapshot(
 ) -> ReducedModel:
     """Solve the truth problem at mu_new and extend the model in place.
 
-    :func:`_extend_basis`, then the two Riesz lifts in one block, each
-    column with the bits of a one-vector lift, kept as contiguous rows.
-    Replaying a build's calls in order, at any dependence_tol at or below
-    the build's, rebuilds its model bit for bit (:func:`model_from_dict`).
-    """
-    functionals = np.column_stack(_extend_basis(model, sys, mu_new, dependence_tol))
-    lifts = np.ascontiguousarray(_lift(sys, functionals, functionals).T)
-    model.riesz_a0.append(lifts[0])
-    model.riesz_a1.append(lifts[1])
-    return model
-
-
-def _extend_basis(model, sys, mu_new, dependence_tol):
-    """Append the basis vector v at mu_new, its projections and parameter.
-
-    v is the truth solution, or what survives Gram-Schmidt of it,
-    normalized.  Returns (K v, M v), the functionals to Riesz-lift.  Raises
-    ``ValueError`` if mu_new is already a snapshot parameter, and
+    Appends the basis vector v, the truth solution or what survives
+    Gram-Schmidt of it, normalized; its projections and parameter; and the
+    Riesz lifts of K v and M v, in one block, each column with the bits of
+    a one-vector lift, kept as contiguous rows.  Raises ``ValueError`` if
+    mu_new is already a snapshot parameter, and
     :class:`DependentSnapshotError` if v's Gram pivot against the basis is
     at most dependence_tol * ||u_new||^2: the Schur complement of the
     snapshot Gram matrix for a raw basis, the squared norm surviving
-    Gram-Schmidt for an orthonormalized one.
+    Gram-Schmidt for an orthonormalized one.  Replaying a build's calls in
+    order, at any dependence_tol at or below the build's, rebuilds its
+    model bit for bit (:func:`model_from_dict`).
     """
     mu_new = float(mu_new)
     if mu_new in model.snapshot_params:
         raise ValueError(f"mu={mu_new!r} is already a snapshot parameter")
     n, basis, Gram = model.n_hat, model.snapshots, sys.Gram
-    u = solve_truth(sys, mu_new)
-    # u's dots with the basis feed the raw pivot only; g[-1] = u.(Gram u).
-    g = tridiagonal_project(Gram, [] if model.orthonormalize else basis, u)
-    nrm2, v = g[-1], u.copy() if model.orthonormalize else u
+    v = solve_truth(sys, mu_new)
+    # v's dots with the basis feed the raw pivot only; g[-1] = v.(Gram v).
+    g = tridiagonal_project(Gram, [] if model.orthonormalize else basis, v)
+    nrm2 = g[-1]
     if model.orthonormalize:
         pivot = tridiagonal_project(Gram, basis, v, passes=2)[n]  # twice is enough
     elif n:
@@ -141,7 +131,7 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
     if pivot <= dependence_tol * nrm2:
         raise DependentSnapshotError(mu_new, pivot / nrm2)
     if model.orthonormalize:
-        v = v / np.sqrt(pivot)
+        v /= np.sqrt(pivot)
     A0, A1 = np.empty((n + 1, n + 1)), np.empty((n + 1, n + 1))
     Kv, Mv = np.empty(sys.n), np.empty(sys.n)
     A0[:n, :n], A1[:n, :n] = model.A0_hat, model.A1_hat
@@ -151,7 +141,12 @@ def _extend_basis(model, sys, mu_new, dependence_tol):
     model.b_hat = np.append(model.b_hat, tridiagonal_project(_IDENTITY, [sys.F], v)[0])
     model.snapshots.append(v)
     model.snapshot_params.append(mu_new)
-    return Kv, Mv
+    functionals = np.column_stack([Kv, Mv])
+    del Kv, Mv  # freed before the lift: the peak RSS at N = 9999 follows them
+    lifts = np.ascontiguousarray(_lift(sys, functionals, functionals).T)
+    model.riesz_a0.append(lifts[0])
+    model.riesz_a1.append(lifts[1])
+    return model
 
 
 def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
@@ -173,6 +168,13 @@ def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"singular reduced system at mu = {float(mus[exc.index])!r} (snapshot dependence?)"
         ) from exc
+
+
+def _e1_at(sys: TruthSystem, model: ReducedModel, mu: float) -> float:
+    """e1 at mu from its one-point reduced solve, which has the bits of any
+    block's: what the greedy records for its pick, and the load recomputes."""
+    mus = np.array([mu])
+    return float(_e1_block(sys, model, _z_rows(mus, solve_reduced_block(model, mus)))[0])
 
 
 def greedy_build(
@@ -199,10 +201,11 @@ def greedy_build(
     costs O(N_hat^2) per candidate against e1's O(N*N_hat), and its floor
     lies at or below e1's; the working-precision e2 would stagnate at its
     delta*sqrt(eps) floor and corrupt the selection.  e1 is evaluated at
-    the selected parameter only, and is what the history records.  E2's
-    data grow with the basis (:class:`E2Table`), two Riesz vectors per
-    snapshot.  Ties break to the smallest mu: candidates are in ascending
-    order and the first maximum wins.
+    the selected parameter only (:func:`_e1_at`), and is what the history
+    records; an artifact's load recomputes it (:func:`model_from_dict`).
+    E2's data grow with the basis (:class:`E2Table`), two Riesz vectors
+    per snapshot.  Ties break to the smallest mu: candidates are in
+    ascending order and the first maximum wins.
 
     Returns (model, history, e2data): history has one (mu_selected, e1)
     pair per accepted snapshot, and e2data is the final model's E2Data,
@@ -229,9 +232,8 @@ def greedy_build(
         if not candidates.size:
             break
         z = _z_rows(candidates, solve_reduced_block(model, candidates))
-        best = int(np.argmax(_e2dd_block(e2data, z)[0]))
-        best_mu = float(candidates[best])
-        best_val = float(_e1_block(sys, model, np.ascontiguousarray(z[:, best:best + 1]))[0])
+        best_mu = float(candidates[int(np.argmax(_e2dd_block(e2data, z)[0]))])
+        best_val = _e1_at(sys, model, best_mu)
         if best_val <= tol:
             break
         try:
@@ -250,12 +252,15 @@ def greedy_build(
 # human-greppable, and deterministic bytes (sorted keys, fixed separators).
 #
 # Only what cannot be cheaply recomputed is stored: the snapshot
-# parameters (the model is replayed from them by model_from_dict, and a sha256
-# of the parameters and the replayed basis must match the stored one), a
-# sha256 of E2's double-double q (e2data_from_dict rebuilds q from the
-# replayed Riesz vectors and must match it), and E3's nodes and rows
-# (e3_data recomputes T and V from them).  beta is the problem's constant
-# (see estimators), not data.  Decoding refuses non-finite entries.
+# parameters (model_from_dict replays the greedy's add_snapshot calls at
+# them, and a sha256 of the parameters and the replayed basis must match
+# the stored one), a sha256 of E2's double-double q (e2data_from_dict
+# rebuilds q from the replayed Riesz vectors and must match it), and E3's
+# nodes and rows (e3_data recomputes T and V from them).  The greedy's
+# history is not stored: the replay takes e1 at each parameter before
+# adding it, as the greedy did, and the first entry is the rebuilt q's
+# delta.  beta is the problem's constant (see estimators), not data.
+# Decoding refuses non-finite entries.
 #
 # No stage calls BLAS or LAPACK, so the bytes do not depend on the OpenBLAS
 # kernel.  A basis vector is a compiled truth solve, for an orthonormal
@@ -267,7 +272,7 @@ def greedy_build(
 # V is recomputed with the loading machine's e1.
 
 FORMAT_NAME = "rbcert-artifact"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def _enc_vec(v) -> list:
@@ -301,26 +306,25 @@ def model_to_dict(model: ReducedModel) -> dict:
     }
 
 
-def model_from_dict(d: dict, sys: TruthSystem) -> ReducedModel:
-    """Rebuild the model: extend the basis at each stored parameter, then lift.
+def model_from_dict(d: dict, sys: TruthSystem) -> tuple[ReducedModel, list[float]]:
+    """Replay the greedy's :func:`add_snapshot` calls at the stored parameters.
 
-    The 2 N_hat functionals are lifted in one block, with the bits of
-    :func:`add_snapshot`'s one-vector lifts, and kept as contiguous rows.
-    Tolerance 0 accepts every snapshot the build accepted (each had a
-    positive pivot) and rejects only a pivot that cannot be normalized.
-    Raises ValueError if the replayed basis misses the stored sha256.
+    Returns the model and, for every parameter after the first, e1 on the
+    model before that parameter was added (:func:`_e1_at`): the greedy's
+    history after its first entry, which is E2's delta.  Tolerance 0
+    accepts every snapshot the build accepted (each had a positive pivot)
+    and rejects only a pivot that cannot be normalized.  Raises ValueError
+    if the replayed basis misses the stored sha256.
     """
     model = ReducedModel(sys, orthonormalize=bool(d["orthonormalize"]))
-    mus = _dec_vec(d["snapshot_params"]).tolist()
-    n = len(mus)
-    functionals = np.empty((sys.n, 2 * n))  # K v_0 ... K v_n-1, M v_0 ... M v_n-1
-    for k, mu in enumerate(mus):
-        functionals[:, k], functionals[:, n + k] = _extend_basis(model, sys, mu, 0.0)
+    e1s = []
+    for k, mu in enumerate(_dec_vec(d["snapshot_params"]).tolist()):
+        if k:
+            e1s.append(_e1_at(sys, model, mu))
+        add_snapshot(model, sys, mu, 0.0)
     if basis_sha256(model) != d["basis_sha256"]:
         raise ValueError("the replayed basis misses the stored basis_sha256")
-    lifts = np.ascontiguousarray(_lift(sys, functionals, functionals).T)
-    model.riesz_a0, model.riesz_a1 = list(lifts[:n]), list(lifts[n:])
-    return model
+    return model, e1s
 
 
 def e2data_to_dict(data: E2Data) -> dict:

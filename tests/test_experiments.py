@@ -213,7 +213,8 @@ def test_offline_artifact_roundtrip(cli_workdir):
     with open(path, "rb") as fh:
         payload = json.loads(fh.read())
     assert payload["format"] == "rbcert-artifact"
-    assert payload["version"] == 8
+    assert payload["version"] == 9
+    assert sorted(payload) == ["config", "e2", "e3", "format", "model", "version"]
     assert sorted(payload["config"]) == ["mu_max", "mu_min", "n_cells"]
     assert sorted(payload["model"]) == ["basis_sha256", "orthonormalize", "snapshot_params"]
     assert sorted(payload["e2"]) == ["q_sha256"]
@@ -244,7 +245,7 @@ def test_offline_artifact_roundtrip(cli_workdir):
 def test_loaded_artifact_equals_fresh_build(cli_workdir, case):
     # Every field of the loaded model, E2Data and E3Data, the recomputed
     # ones (q, T and V among them) included, equals a fresh build bit for
-    # bit.
+    # bit, and so does the history, which the load recomputes too.
     cfg = ExperimentConfig(
         **{"n_train": 25, **case},
         output_dir=make_output_dir(cli_workdir, "fresh_" + "_".join(map(str, case.values()))),
@@ -267,6 +268,7 @@ def test_loaded_artifact_equals_fresh_build(cli_workdir, case):
         return [float(v).hex() for v in np.ravel(x)]
 
     assert history == fresh_history
+    assert hexes(history) == hexes(fresh_history)
     assert model.snapshot_params == fresh.snapshot_params
     for name in ("A0_hat", "A1_hat", "b_hat", "riesz_b", "snapshots",
                  "riesz_a0", "riesz_a1"):
@@ -579,6 +581,19 @@ def _mu_near_duplicate(payload):
 
 
 @_edited
+def _mu_order_swapped(payload):
+    # the same parameters in another order replay another basis, and the
+    # recomputed history follows that order
+    params = payload["model"]["snapshot_params"]
+    params[1], params[2] = params[2], params[1]
+
+
+@_edited
+def _mu_last_dropped(payload):
+    payload["model"]["snapshot_params"].pop()
+
+
+@_edited
 def _q_sha256_altered(payload):
     digest = payload["e2"]["q_sha256"]
     payload["e2"]["q_sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
@@ -597,16 +612,6 @@ def _nan_entry(payload):
 @_edited
 def _drop_e2(payload):
     del payload["e2"]
-
-
-@_edited
-def _history_one_short(payload):
-    payload["history"].pop()
-
-
-@_edited
-def _history_nan(payload):
-    payload["history"][0] = "nan"
 
 
 @_edited
@@ -642,6 +647,11 @@ def _version_6(payload):
 @_edited
 def _version_7(payload):
     payload["version"] = 7
+
+
+@_edited
+def _version_8(payload):
+    payload["version"] = 8
 
 
 @_edited
@@ -702,9 +712,10 @@ def _e3_node_repeated(payload):
         _version_1, _version_2, _e3_row_negative, _e3_row_past_d, _e3_row_repeated,
         _e3_row_not_integer, _e3_rank_zero, _e3_rank_past_d, _e3_one_row_short,
         _e3_one_node_short, _e3_node_repeated, _q_sha256_altered, _drop_e2,
-        _history_one_short, _history_nan, _version_3, _version_4, _version_5,
+        _version_3, _version_4, _version_5,
         _sha256_altered, _sha256_dropped, _mu_one_ulp, _mu_first_one_ulp,
-        _mu_near_duplicate, _q_sha256_dropped, _version_6, _version_7,
+        _mu_near_duplicate, _q_sha256_dropped, _version_6, _version_7, _version_8,
+        _mu_order_swapped, _mu_last_dropped,
     ],
 )
 def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage):
@@ -725,17 +736,17 @@ def test_cli_damaged_artifact_exits_2(small_sweep_dir, tmp_path, capsys, damage)
         _version_5: "unsupported artifact version 5",
         _version_6: "unsupported artifact version 6",
         _version_7: "unsupported artifact version 7",
+        _version_8: "unsupported artifact version 8",
         _nan_entry: "non-finite artifact entry",
         _q_sha256_altered: "misses the stored q_sha256",
         _q_sha256_dropped: "lacks the key 'q_sha256'",
         _drop_e2: "lacks the key 'e2'",
-        _history_one_short: "history needs 3 e1 entries",
-        _history_nan: "non-finite history entry",
         _sha256_altered: "misses the stored basis_sha256",
         _sha256_dropped: "lacks the key 'basis_sha256'",
         _mu_one_ulp: "misses the stored basis_sha256",
         _mu_first_one_ulp: "misses the stored basis_sha256",
         _mu_near_duplicate: "signals linear dependence",
+        _mu_order_swapped: "misses the stored basis_sha256",
     }
     assert reached.get(damage, "") in err
 

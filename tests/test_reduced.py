@@ -327,7 +327,7 @@ def test_model_roundtrip_is_bit_exact(
 ):
     # Only the flag, the parameters and the basis hash are stored; the
     # snapshots, projections and Riesz lifts are replayed on load, bit for
-    # bit: the replay's block lifts against the greedy's one-vector lifts.
+    # bit, by the build's own add_snapshot calls.
     for sys_, model in (
         (truth, small_model),
         (truth, orthonormal_model),
@@ -335,20 +335,21 @@ def test_model_roundtrip_is_bit_exact(
     ):
         d = model_to_dict(model)
         assert sorted(d) == ["basis_sha256", "orthonormalize", "snapshot_params"]
-        back = model_from_dict(json.loads(dumps_deterministic(d)), sys_)
+        back, _ = model_from_dict(json.loads(dumps_deterministic(d)), sys_)
         _assert_same_model(back, model)
         for lift in back.riesz_a0 + back.riesz_a1:
             assert lift.shape == (sys_.n,) and lift.flags.c_contiguous
 
 
-def test_loading_lifts_every_functional_in_one_block(
+def test_loading_makes_the_builds_kernel_calls(
     monkeypatch, large_truth, large_orthonormal_model
 ):
-    # The replay solves the truth at all 12 parameters, one Thomas kernel
-    # call of width 1 each, then lifts the 24 functionals K v_i, M v_i as
-    # one block; riesz_b is one lift alone.  The lifts substitute with
-    # Gram's stored factors: one substitution call of width 1 and one of
-    # width 24, and Gram is not factored again.
+    # The replay is the build's add_snapshot calls: riesz_b is one lift of
+    # width 1, then each of the 12 parameters has one truth solve, a Thomas
+    # kernel call of width 1, and one lift of its K v_i and M v_i, a
+    # substitution call of width 2 with Gram's stored factors; Gram is not
+    # factored again.  The e1 the replay takes between them calls no
+    # Thomas kernel.
     calls = []
     lib = fem._lib
 
@@ -357,17 +358,21 @@ def test_loading_lifts_every_functional_in_one_block(
             kernel = getattr(lib, name)
 
             def counted(n, m, *args):
-                calls.append((name, m))
+                if name.startswith("thomas"):
+                    calls.append((name, m))
                 return kernel(n, m, *args)
 
             return counted
 
     monkeypatch.setattr(fem, "_lib", Counted())
     model_from_dict(model_to_dict(large_orthonormal_model), large_truth)
-    widths = {name: sorted(m for k, m in calls if k == name) for name, _ in calls}
-    assert widths["thomas"] == [1] * 12
-    assert widths["thomas_substitute"] == [1, 24]
-    assert "thomas_factor" not in widths
+    loaded = calls.copy()
+    calls.clear()
+    build = ReducedModel(large_truth, orthonormalize=True)
+    for mu in large_orthonormal_model.snapshot_params:
+        add_snapshot(build, large_truth, mu, dependence_tol=1e-30)
+    assert loaded == calls
+    assert loaded == [("thomas_substitute", 1)] + [("thomas", 1), ("thomas_substitute", 2)] * 12
 
 
 def test_e2data_roundtrip_is_bit_exact(monkeypatch, truth, default_model, default_e2):
@@ -433,4 +438,4 @@ def test_float_hex_survives_extreme_values():
 
 def test_format_tag():
     assert FORMAT_NAME == "rbcert-artifact"
-    assert FORMAT_VERSION == 8
+    assert FORMAT_VERSION == 9
