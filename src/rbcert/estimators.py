@@ -62,23 +62,20 @@ nodes and rows (``column_pivots``), E2's growth
 (``dd_gram_table``), e1 and the true error (``lift_norms``, each from its
 lift's first term to its norm's last sum), and, from z with the monomials
 formed in the kernel, e2dd's radicands and their square roots
-(``dd_radicands``), e2's radicands (``fsum_columns``) and e3's
+(``dd_radicands``), e2's radicands (``sum2_columns``) and e3's
 interpolated squares (``lu_solve_dots``).  e1 is the norm of the lift
 sum_I z_I G_I with the rows of z that the monomials multiply, and the
 true error that of U less the lift sum_k gamma_k u_k.  Each kernel makes
 the operations of the numpy reference the tests keep for it, in their
 order, so its bits: the partial-pivoting LU and its solve, the per-pair
-dd inner product, the dd sum and square root, the lift adding its vectors
-in order, a dot summed in eight lanes in an order fixed by N, and e3's
-dot with V summed left to right.  The kernels' C source is the package's
-only double-double arithmetic and its only LU; the numpy dd operations
-and LU are the tests' reference for it.
-e2's radicands are correctly rounded sums, so they have the bits of
-``math.fsum``, the tests' reference: the kernel sums by Sum3 with a
-certificate of correct rounding, and leaves the column it cannot certify
-to ``math.fsum``.  The pivoted Gram-Schmidt sums its dots in the eight
-lanes, where its numpy reference sums them by BLAS, so the tests hold it
-to that reference's picks, not its bits.
+dd inner product, the dd sum and square root, e2's compensated Sum2, the
+lift adding its vectors in order, a dot summed in eight lanes in an order
+fixed by N, and e3's dot with V summed left to right.  The kernels' C
+source is the package's only double-double arithmetic and its only LU;
+the numpy dd operations and LU are the tests' reference for it.  The
+pivoted Gram-Schmidt sums its dots in the eight lanes, where its numpy
+reference sums them by BLAS, so the tests hold it to that reference's
+picks, not its bits.
 
 The E3 build's pool of parameters is drawn by the package's own integer
 arithmetic (:func:`log_uniform_sampler`): numpy's SeedSequence and PCG64
@@ -97,8 +94,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, column_pivots, dd_gram_table, dd_radicands, fsum_columns
-from .fem import lift_norms, lu_solve_dots, lu_solves, parameter_block, solve_truth
+from .fem import TruthSystem, column_pivots, dd_gram_table, dd_radicands, lift_norms
+from .fem import lu_solve_dots, lu_solves, parameter_block, solve_truth, sum2_columns
 
 logger = logging.getLogger(__name__)
 
@@ -344,7 +341,7 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 # systems' entries to the coefficients (fem.lu_solves), e1 and the true
 # error from their lifts' first terms to the norms' last sums
 # (fem.lift_norms), and e2, e2dd and e3 from z's entries to their last sums
-# (fem.fsum_columns, fem.dd_radicands, fem.lu_solve_dots).  So, given the
+# (fem.sum2_columns, fem.dd_radicands, fem.lu_solve_dots).  So, given the
 # model, their bits depend neither on the block nor on the host, and nor
 # do the model's own entries (see reduced).
 
@@ -411,15 +408,15 @@ def _e2_block(q, z):
     at every column of z (:func:`_z_rows`); returns (value, radicand).
 
     The radicand q.X(mu) is evaluated in working precision: each monomial
-    and each product with q is a rounded double, and the radicand is the
-    correctly rounded sum of the rounded products (:func:`fem.fsum_columns`:
-    a three-fold compensated sum, certified correctly rounded, so
-    ``math.fsum``'s bits).  The round-off floor therefore comes from the
-    product roundings - O(eps) relative to the O(delta^2) summands - which
-    is exactly the cancellation effect under study; the signed radicand is
+    and each product with q is a rounded double, and the radicand is their
+    Sum2 (:func:`fem.sum2_columns`), which errs from their exact sum S by
+    at most u|S| + gamma_{d-1}**2 * sum|q_p*X_p|.  The round-off floor
+    therefore comes from the product roundings - O(eps) relative to the
+    O(delta^2) summands - which is exactly the cancellation effect under
+    study; the summation's error is second order.  The signed radicand is
     returned raw because a negative value is data, not an error.
     """
-    radicand = fsum_columns(q, z)
+    radicand = sum2_columns(q, z)
     return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 

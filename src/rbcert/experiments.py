@@ -382,7 +382,9 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     and delta*sqrt(eps)/beta with beta = 1 (a(v,v;mu) >= ||v||_H1^2 on
     mu >= 1, see ``estimators``), observed minima of e1/e2/e2dd, and
     pass/fail against the acceptance bands (factor 100 on e1, factor 30
-    on e2, e1/e2 separation >= 1e4, e2dd no higher than e1).
+    on e2, e1/e2 separation >= 1e4, e2dd no higher than e1).  The e2 and
+    e2dd minima are taken over the rows where the estimate is positive,
+    the others counted as clamped; with no such row, their checks fail.
     """
     config.validate()
     _check_output_dir(config)
@@ -397,12 +399,14 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     positive_e2 = [r.e2 for r in rows if r.e2_radicand > 0.0]
     min_e2 = min(positive_e2) if positive_e2 else 0.0
     n_clamped_e2 = len(rows) - len(positive_e2)
-    min_e2dd = min(r.e2dd for r in rows)
+    positive_e2dd = [r.e2dd for r in rows if r.e2dd > 0.0]
+    min_e2dd = min(positive_e2dd) if positive_e2dd else 0.0
+    n_clamped_e2dd = len(rows) - len(positive_e2dd)
     checks = {
         "e1_within_factor_100": floor_e1 / 100.0 <= min_e1 <= floor_e1 * 100.0,
         "e2_within_factor_30": floor_e2 / 30.0 <= min_e2 <= floor_e2 * 30.0,
         "separation_1e4": min_e2 >= 1e4 * min_e1,
-        "e2dd_at_or_below_e1": min_e2dd <= min_e1,
+        "e2dd_at_or_below_e1": 0.0 < min_e2dd <= min_e1,
     }
     report = {
         "delta": delta,
@@ -413,6 +417,7 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
         "observed_min_e2": min_e2,
         "observed_min_e2dd": min_e2dd,
         "clamped_e2_rows": n_clamped_e2,
+        "clamped_e2dd_rows": n_clamped_e2dd,
         "checks": checks,
         "all_pass": all(checks.values()),
     }
@@ -421,7 +426,7 @@ def measure_floors(config: ExperimentConfig, artifact_path: str | None = None, l
     log(f"floors: predicted e2 floor delta*sqrt(eps)/beta = {floor_e2:.6e}")
     log(f"floors: observed min e1   = {min_e1:.6e}")
     log(f"floors: observed min e2   = {min_e2:.6e} ({n_clamped_e2} clamped rows excluded)")
-    log(f"floors: observed min e2dd = {min_e2dd:.6e}")
+    log(f"floors: observed min e2dd = {min_e2dd:.6e} ({n_clamped_e2dd} clamped rows excluded)")
     for name, ok in checks.items():
         log(f"floors: {'PASS' if ok else 'FAIL'} {name}")
     _make_output_dir(config)

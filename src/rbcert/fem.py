@@ -31,18 +31,15 @@ norm kernels, ``tridiagonal_project`` and ``column_pivots`` sum every
 double dot in one eight-lane order, the package's only one.
 Three take z = (1; gamma; mu*gamma), one column a point, and form the
 monomials z_I*z_J themselves: ``dd_radicands`` gives e2dd's radicands and
-their square roots, ``fsum_columns`` e2's radicands, and
-``lu_solve_dots`` e3's interpolated squares.  The source holds the
-package's only double-double arithmetic and its only LU.
-Each kernel but ``fsum_columns`` and ``column_pivots`` makes the
-operations of the reference the tests keep for it, in their order, so
-its bits; ``column_pivots`` sums its dots in another order than its
-numpy reference's BLAS, so the tests check its picks against the
-reference's on the benchmark's pools, not its bits; ``fsum_columns`` sums
-by a compensated Sum3 and certifies that its result is the exact sum
-correctly rounded, so it has the bits of ``math.fsum``, the tests'
-reference for it, and leaves the rare column it cannot certify to
-``math.fsum`` itself.  The source is
+their square roots, ``sum2_columns`` e2's radicands by Ogita, Rump and
+Oishi's compensated Sum2, and ``lu_solve_dots`` e3's interpolated
+squares.  The source holds the package's only double-double
+arithmetic and its only LU.
+Each kernel but ``column_pivots`` makes the operations of the reference
+the tests keep for it, in their order, so its bits; ``column_pivots``
+sums its dots in another order than its numpy reference's BLAS, so the
+tests check its picks against the reference's on the benchmark's pools,
+not its bits.  The source is
 compiled when this module is imported, with ``cc`` and ``_FLAGS``, into
 one library in ``__pycache__`` beside this file, and loaded with
 ``ctypes``; a missing or failing compiler is an ``ImportError``.  With
@@ -455,95 +452,41 @@ static void two_sum(double a, double b, double *s, double *e)
     *e = (a - (*s - v)) + (b - v);
 }
 
-/* e2's radicand: out[j] is the correctly rounded sum S of the rounded
-   products t_p = q_p*X_p over column j of the row-major (k, m) z, where
-   X_p = z_I*z_J, rounded, for the d = k(k+1)/2 pairs I <= J in
-   lexicographic order, so math.fsum's bits, for d < 2**31; a column the
-   certificate below cannot settle gets NaN, for math.fsum to redo.
-
-   The sum is Ogita, Rump and Oishi's Sum3 (SumK with K = 3, SIAM J. Sci.
-   Comput. 26(6), 2005), streamed: each t_p is two_summed into s1, that
-   error into s2, and the second error f_p is added into rest and |f_p|
-   into a; mx keeps the largest |t_p|.  So S = s1 + s2 + F, F the exact sum
-   of the f_p.  At the end, two_sum(s1, s2) = (h, l), c = l + rest rounded
-   and two_sum(h, c) = (res, err), so
-       S = res + err + (l + rest - c) + (F - rest).
-   The certificate, after Rump, Ogita and Oishi's NearSum (SIAM J. Sci.
-   Comput. 31(2), 2009).  Let u = 2**-53 and n = d - 1.  A rounded sum of
-   doubles errs by at most u times its result, underflow included, since a
-   sum in the subnormal range is exact; so |l + rest - c| <= u|c|.  rest
-   and a each make n such additions, so |F - rest| <= g_n*sum|f_p| and
-   a >= (1 - g_n)*sum|f_p|, g_n = nu/(1 - nu) (Higham, Accuracy and
-   Stability of Numerical Algorithms, 2nd ed., section 4.2), hence
-   |F - rest| <= nu/(1 - 2nu)*a <= 2du*a for n < 2**51.  So
-       |S - res| <= |err| + u|c| + 2du*a,
-   and res is S correctly rounded, S on no tie, when that is below gap/2,
-   gap = |res| less the double below it, the smaller of the two spacings
-   beside res.  Scaled by 2**53 that reads
-       L = 2**53*|err| + |c| + 2d*a  <  2**52*gap.
-   2**53*|err| is exact (|err| <= 2**970 beside a finite res), 2d*a cannot
-   underflow (a subnormal product of an integer and a double is exact),
-   and L is two additions and one product, so its rounded value is at
-   least (1 - u)**2 times L.  The kernel accepts res when the rounded L is
-   below (2**52 - 4)*gap, exact as gap is a power of two, and
-   (1 - 2**-50)/(1 - u)**2 < 1.  A non-finite L fails the test.
-   Overflow: accepted columns have d*mx < 2**1019, so no sum of the t_p
-   comes near 2**1024, no operation of two_sum overflows and math.fsum
-   makes no intermediate overflow; a non-finite t_p, or any overflow,
-   makes res non-finite.  So a column gets NaN when res is zero,
-   subnormal or not finite, when d*mx reaches 2**1019, or when the test
-   fails.  Columns go FSUM_PASS at a time, n <= FSUM_PASS in a pass, their
-   running values in arrays of that size.  Returns the number of NaN
-   columns. */
-#define FSUM_PASS 64
+/* e2's radicand by Ogita, Rump and Oishi's Sum2 (SIAM J. Sci. Comput.
+   26(6), 2005), for each column j of the row-major (k, m) z: the rounded
+   products t_p = q_p*X_p, X_p = z_I*z_J rounded, over the d = k(k+1)/2
+   pairs I <= J in lexicographic order, are two_summed in turn into s, from
+   +0.0, each error added into c, from +0.0, and out[j] = s + c.  With
+   u = 2**-53 and g_n = nu/(1 - nu), out[j] errs from the exact sum S of
+   the t_p by at most u|S| + g_{d-1}**2 sum|t_p|, underflow included (their
+   Proposition 4.5): second order, below the products' own roundings.  A
+   non-finite t_p, or an overflow, makes out[j] non-finite.  Columns go
+   SUM2_PASS at a time, n <= SUM2_PASS in a pass, s and c in arrays of that
+   size. */
+#define SUM2_PASS 64
 
 WIDE
-ptrdiff_t fsum_columns(ptrdiff_t k, ptrdiff_t m, const double *q, const double *z,
-                       double *restrict out)
+void sum2_columns(ptrdiff_t k, ptrdiff_t m, const double *q, const double *z,
+                  double *restrict out)
 {
-    const uint64_t nan = 0x7ff8000000000000u;
-    double s1[FSUM_PASS], s2[FSUM_PASS], rest[FSUM_PASS], a[FSUM_PASS], mx[FSUM_PASS];
-    ptrdiff_t d = k * (k + 1) / 2, j0, n, i, i2, p, t, flagged = 0;
-    for (j0 = 0; j0 < m; j0 += FSUM_PASS) {
-        n = m - j0 < FSUM_PASS ? m - j0 : FSUM_PASS;
+    double s[SUM2_PASS], c[SUM2_PASS];
+    ptrdiff_t j0, n, i, i2, p, t;
+    for (j0 = 0; j0 < m; j0 += SUM2_PASS) {
+        n = m - j0 < SUM2_PASS ? m - j0 : SUM2_PASS;
         for (t = 0; t < n; t++)
-            s1[t] = s2[t] = rest[t] = a[t] = mx[t] = 0.0;
+            s[t] = c[t] = 0.0;
         for (p = 0, i = 0; i < k; i++)
             for (i2 = i; i2 < k; i2++, p++) {
                 const double *x = z + i * m + j0, *y = z + i2 * m + j0, qp = q[p];
                 for (t = 0; t < n; t++) {
-                    double tp = qp * (x[t] * y[t]), e, f, s, at;
-                    two_sum(s1[t], tp, &s, &e);
-                    s1[t] = s;
-                    two_sum(s2[t], e, &s, &f);
-                    s2[t] = s;
-                    rest[t] = rest[t] + f;
-                    a[t] = a[t] + (f < 0.0 ? -f : f);
-                    at = tp < 0.0 ? -tp : tp;
-                    mx[t] = mx[t] < at ? at : mx[t];
+                    double e;
+                    two_sum(s[t], qp * (x[t] * y[t]), &s[t], &e);
+                    c[t] = c[t] + e;
                 }
             }
-        for (t = 0; t < n; t++) {
-            double h, l, c, res, err, r, below, L;
-            uint64_t bits;
-            two_sum(s1[t], s2[t], &h, &l);
-            c = l + rest[t];
-            two_sum(h, c, &res, &err);
-            r = res < 0.0 ? -res : res;
-            memcpy(&bits, &r, sizeof bits);
-            bits -= bits > 0;
-            memcpy(&below, &bits, sizeof bits);
-            L = (0x1p53 * (err < 0.0 ? -err : err) + (c < 0.0 ? -c : c)) + (double)(2 * d) * a[t];
-            if (r >= 0x1p-1022 && r <= 0x1.fffffffffffffp1023 && (double)d * mx[t] < 0x1p1019
-                && L < (r - below) * 4503599627370492.0)
-                out[j0 + t] = res;
-            else {
-                memcpy(&out[j0 + t], &nan, sizeof nan);
-                flagged++;
-            }
-        }
+        for (t = 0; t < n; t++)
+            out[j0 + t] = s[t] + c[t];
     }
-    return flagged;
 }
 
 /* The numpy LU solve's substitution in place, column by column, for the q
@@ -974,7 +917,7 @@ _KERNELS = (
     ("column_pivots", (_N, _N, _P, _D, _P, _P, _P), _N),
     ("dd_gram_table", (_N, _N, _N, _D, _D, _P, _P, _P), None),
     ("dd_radicands", (_N, _N, _P, _P, _P, _P, _N, _P), _N),
-    ("fsum_columns", (_N, _N, _P, _P, _P), _N),
+    ("sum2_columns", (_N, _N, _P, _P, _P), None),
     ("lift_norms", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lift_norms_strips", (_N, _N, _N, _P, _P, _P, _D, _D, _P, _N, _P), None),
     ("lu_solve_dots", (_N, _N, _P, _P, _P, _P, _P, _N, _P), None),
@@ -1110,31 +1053,22 @@ def dd_radicands(q_dd, z) -> tuple:
     return out, clamps
 
 
-def fsum_columns(q, z) -> np.ndarray:
-    """The correctly rounded sum of the rounded products q_p*X_p for every
-    column of the (k, m) array z, in one kernel call, X_p = z_I*z_J rounded
-    for the d = k(k+1)/2 pairs I <= J in lexicographic order and q (d,).
+def sum2_columns(q, z) -> np.ndarray:
+    """Sum2 of the rounded products q_p*X_p for every column of the (k, m)
+    array z, in one kernel call, X_p = z_I*z_J rounded for the d = k(k+1)/2
+    pairs I <= J in lexicographic order and q (d,).
 
-    The kernel sums each column by Sum3, three-fold compensated, and keeps
-    the result only where a rigorous bound shows it is the exact sum
-    correctly rounded, with no tie; any correctly rounded sum of the same
-    doubles is one double, so such a column has ``math.fsum``'s bits.  A
-    column it cannot certify (a sum that is zero, subnormal or within its
-    error bound of a tie, a non-finite product, or products large enough
-    that fsum could overflow on the way) is handed to ``math.fsum`` itself:
-    it gets fsum's value, or raises fsum's error.  None of the default or
-    converged sweeps' columns is.  d must be below 2**31.  Returns an (m,)
-    array.
+    Each column's products are two_summed in order into a running sum and
+    their errors added into a second one, and the two are added at the end,
+    with the operations of the tests' numpy Sum2 in their order, so its
+    bits.  The result errs from the exact sum S of the products by at most
+    u|S| + gamma_{d-1}**2 * sum|q_p*X_p|, u = 2**-53.  A non-finite product,
+    or an overflow, gives a non-finite value.  Returns an (m,) array.
     """
-    k, m, d = _monomials(z, q)
-    if d >= 2 ** 31:
-        raise ValueError(f"z has {d} monomials; the kernel sums fewer than 2**31")
+    k, m, _ = _monomials(z, q)
     out = np.empty(m)
     args = _address(q, "q"), _address(z, "z"), _address(out, "out", out=True)
-    if _lib.fsum_columns(k, m, *args):
-        i, j = np.triu_indices(k)
-        for c in np.flatnonzero(np.isnan(out)):
-            out[c] = math.fsum((q * (z[i, c] * z[j, c])).tolist())
+    _lib.sum2_columns(k, m, *args)
     return out
 
 

@@ -18,8 +18,9 @@ kernel in :mod:`rbcert.fem` is checked against by ``float.hex``.  The
 numpy double-double arithmetic (:func:`two_sum`, :func:`two_prod`,
 :func:`dd_add`, :func:`dd_mul`, :func:`dd_sqrt` and the pairwise sum
 :func:`dd_sum`) is the reference of the package's only dd arithmetic, the
-C source of :mod:`rbcert.fem`, and :func:`dd_root` that of e2dd's clamp
-and square root; ``compiled_dd`` builds that source with a shim that
+C source of :mod:`rbcert.fem`, :func:`dd_root` that of e2dd's clamp and
+square root, and :func:`sum2`, two_sum's compensated sum, that of e2's
+radicands; ``compiled_dd`` builds that source with a shim that
 exports its static dd operations, for the tests that check them one by
 one.  The numpy LU, the factorisation :func:`_lu_factor` and the solve
 :func:`_lu_solve`, is the reference of both LU kernels: of
@@ -334,6 +335,17 @@ def two_sum(a, b):
     v = s - a
     e = (a - (s - v)) + (b - v)
     return s, e
+
+
+def sum2(terms):
+    """Ogita, Rump and Oishi's Sum2 of the rows of terms, column by column:
+    each row is two_summed into s, from +0.0, its error added into c, from
+    +0.0, and s + c returned.  The reference of ``fem.sum2_columns``."""
+    s = c = np.zeros(np.shape(terms)[1:])
+    for t in terms:
+        s, e = two_sum(s, t)
+        c = c + e
+    return s + c
 
 
 def quick_two_sum(a, b):

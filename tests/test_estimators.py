@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -33,11 +34,11 @@ from rbcert.estimators import (
     _z_rows,
 )
 from rbcert.experiments import sweep_grid, training_grid
-from rbcert.fem import TruthSystem, dd_gram_table, fsum_columns, lift_norms, lu_solve_dots
+from rbcert.fem import TruthSystem, dd_gram_table, lift_norms, lu_solve_dots, sum2_columns
 from rbcert.reduced import ReducedModel, add_snapshot
 
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
-from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, two_prod
+from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, sum2, two_prod
 from conftest import _lu_factor, _lu_solve, _pivoted_gram_schmidt, dot_in_order, h1_norm_lanes
 from conftest import h1_inner_lanes, lift_in_snapshot_order, project_in_lanes
 
@@ -238,18 +239,18 @@ def test_e2dd_at_zero_coefficients_returns_delta(default_e2):
     assert value[0] == pytest.approx(default_e2.delta, rel=1e-15)
 
 
-def assert_radicands_are_fsums(sys_, model, e2data, e3data, mus):
+def assert_radicands_are_sum2s(sys_, model, e2data, e3data, mus):
     """evaluate's e2 radicands have, bit for bit and sign of zero included,
-    math.fsum's sums of the rounded products q_p*X_p."""
+    the Sum2 of the rounded products q_p*X_p."""
     q = rb.q_coefficients(e2data)
     radicands = rb.evaluate(sys_, model, e2data, e3data, mus)["e2_radicand"]
     X = rb.x_matrix(mus, rb.solve_reduced_block(model, mus))
-    assert hex_list(radicands) == [math.fsum((q * x).tolist()).hex() for x in X.T]
+    assert hex_list(radicands) == hex_list(sum2(q[:, None] * X))
 
 
 def test_e2_radicand_is_the_assembled_linear_form(truth, default_e2, default_e3, default_model):
     model, _ = default_model
-    assert_radicands_are_fsums(truth, model, default_e2, default_e3, np.array([2.0, 90.0, 800.0]))
+    assert_radicands_are_sum2s(truth, model, default_e2, default_e3, np.array([2.0, 90.0, 800.0]))
 
 
 def test_e2_radicand_is_the_assembled_linear_form_on_the_converged_basis(
@@ -258,7 +259,7 @@ def test_e2_radicand_is_the_assembled_linear_form_on_the_converged_basis(
     # N_hat = 12, d = 325: the deepest cancellation, over the whole sweep grid.
     sys_, model, e2data, e3data, _ = rb.load_artifact(floors_artifact, floors_config)
     assert (model.n_hat, e3data.d) == (12, 325)
-    assert_radicands_are_fsums(sys_, model, e2data, e3data, sweep_grid(floors_config))
+    assert_radicands_are_sum2s(sys_, model, e2data, e3data, sweep_grid(floors_config))
 
 
 def test_e2_and_e2dd_agree_before_convergence(truth, default_config):
@@ -578,7 +579,7 @@ def x_vector_oracle(mu, gamma):
 
 def e2_oracle(data, mu, gamma):
     q = data.q_dd[0] + data.q_dd[1]
-    radicand = math.fsum(q * x_vector_oracle(mu, gamma))
+    radicand = float(sum2(q * x_vector_oracle(mu, gamma)))
     return math.sqrt(max(radicand, 0.0)), radicand
 
 
@@ -1309,21 +1310,13 @@ def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
             assert got == [hex_list(a) for a in project_in_lanes(T, xs, G[0], passes)], T
 
 
-def fsum_outcome(call):
-    """call()'s values as float.hex strings, or the type and message of
-    the error it raises.  Products that overflow are part of the cases."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return hex_list(call())
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-def fsum_oracle(q, z):
-    """math.fsum of the rounded products q_p*X_p, X_p = z_I*z_J rounded over
-    the pairs I <= J of z's rows, column by column."""
+def sum2_oracle(q, z):
+    """sum2 of the rounded products q_p*X_p, X_p = z_I*z_J rounded over the
+    pairs I <= J of z's rows, column by column.  Products and sums that
+    overflow are part of the cases."""
     i, j = np.triu_indices(len(z))
-    return np.array([math.fsum(col) for col in (q[:, None] * (z[i] * z[j])).T.tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum2(q[:, None] * (z[i] * z[j]))
 
 
 def terms_as_columns(columns):
@@ -1337,52 +1330,23 @@ def terms_as_columns(columns):
         yield np.concatenate([terms, np.full(k * (k + 1) // 2 - d, -0.0)]), np.ones((k, 1))
 
 
-def assert_fsum_columns_is_fsum(q, X):
-    """fsum_columns sums the d rounded products t_p = q_p*X[p, j] of each
-    column j of X with math.fsum's outcome, each column in one call
+def assert_sum2_columns_is_sum2(q, X):
+    """sum2_columns sums the d rounded products t_p = q_p*X[p, j] of each
+    column j of X with sum2's bits, each column in one call
     (terms_as_columns)."""
     q, X = np.ascontiguousarray(q, dtype=float), np.ascontiguousarray(X, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         columns = [q * column for column in X.T]
-    for terms, (padded, z) in zip(columns, terms_as_columns(columns)):
-        got = fsum_outcome(lambda: fsum_columns(padded, z))
-        assert got == fsum_outcome(lambda: [math.fsum(terms.tolist())])
+    for padded, z in terms_as_columns(columns):
+        assert hex_list(sum2_columns(padded, z)) == hex_list(sum2_oracle(padded, z))
 
 
-def with_leading_ones(q, X):
-    """(q', z) for the d terms q_p*X[p, j] of each column j of X: z = (1; X),
-    whose pairs (0, J), J >= 1, carry X's rows, q' = q at those pairs and 0
-    at the others.  Those terms are zeros where the products of X's entries
-    are finite."""
-    d, m = np.shape(X)
-    z = np.concatenate([np.ones((1, m)), X])
-    q_full = np.zeros((d + 1) * (d + 2) // 2)
-    q_full[1:d + 1] = q
-    return q_full, z
-
-
-def tie_column(rng, d):
-    """d terms whose exact sum is a half-ulp tie of a random double a, a
-    tie split in two, or that tie with a sticky term far below it of either
-    sign, shuffled among pairs x, -x that cancel exactly."""
-    a = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-900, 900))
-    half = math.ulp(a) / 2
-    kind = rng.integers(3)
-    terms = [a, half] if kind == 0 else [a, half / 2, half / 2] if kind == 1 else [
-        a, half, rng.choice([-1.0, 1.0]) * half * 2.0 ** -int(rng.integers(1, 60))]
-    terms = terms[:d]
-    while len(terms) < d:
-        x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
-        terms += [x, -x][:d - len(terms)]
-    return rng.permutation(np.array(terms))
-
-
-def fsum_cases(d, seed):
+def sum2_cases(d, seed):
     """(q, X) pairs with d rows: ordinary products with signed zeros and
-    values near underflow; exact ties (q = 1); signed zeros, all -0.0 and
-    products that underflow to zero; subnormal multiples of 5e-324, exact
-    and rounded; and cancellation across the exponent range, +-2**1000
-    beside +-2**-1000."""
+    values near underflow; signed zeros, all -0.0 and products that
+    underflow to zero; subnormal multiples of 5e-324, exact and rounded;
+    and cancellation across the exponent range, +-2**1000 beside
+    +-2**-1000."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(d, 4))
     ones = np.ones(d)
@@ -1393,7 +1357,6 @@ def fsum_cases(d, seed):
              np.where(signs[:, 1] > 0, 0.0, signs[:, 2])]
     return [
         (special_rows(1, d, seed)[0], special_rows(5, d, seed + 1).T),
-        (ones, np.stack([tie_column(rng, d) for _ in range(6)], axis=1)),
         (ones, np.stack(zeros, axis=1)),
         (signs[:, 3] * 1e-200, signs[:, :3] * [1e-200, 1e-170, 1e-123]),
         (ones, rng.integers(-2 ** 40, 2 ** 40, size=(d, 2)) * 5e-324),
@@ -1403,54 +1366,17 @@ def fsum_cases(d, seed):
 
 
 @pytest.mark.parametrize("d", [1, 2, 91, 325, 5000])
-def test_fsum_columns_is_fsum_bit_for_bit(d):
+def test_sum2_columns_is_sum2_bit_for_bit(d):
     for seed in range(3):
-        for q, X in fsum_cases(d, seed=10 * d + seed):
-            assert_fsum_columns_is_fsum(q, X)
-
-
-# The first three q_p and X_p of a column past the kernel's range: the
-# products are those of a NaN, an infinity, an overflowing product, an
-# intermediate overflow, and finite sums near overflow.  Large magnitudes
-# sit in q, so that with_leading_ones keeps the products of X's entries
-# finite.
-SPECIAL_COLUMNS = {
-    "nan": ([1.0, 1.0, 1.0], [1.0, math.nan, 2.0]),
-    "inf": ([1.0, 1e300, 1.0], [1.0, 1e10, -2.0]),
-    "-inf": ([1e300, 1e300, -1e300], [-1e10, 1.0, 1.0]),
-    "inf - inf": ([1e300, 1.0, 1e300], [1e10, 1.0, -1e10]),
-    "overflowing product": ([1e300, 1.0, 1.0], [1e10, 1.0, -1.0]),
-    "intermediate overflow": ([1.7e308, 1.7e308, -1.7e308], [1.0, 1.0, 1.0]),
-    "near overflow, finite": ([2.0 ** 1020, -(2.0 ** 1020), 1.0], [1.0, 1.0, 1.0]),
-    "largest finite sum": ([1.7e308, 1e292, -1e292], [1.0, 1.0, 1.0]),
-}
-
-
-@pytest.mark.parametrize("d", [3, 325])
-@pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
-def test_fsum_columns_gives_fsums_value_or_error_on_special_columns(name, d):
-    # A column past the kernel's range goes to math.fsum, beside ordinary
-    # columns on either side in one call, which are 0 where q is special:
-    # fsum's value, or its error and message.
-    rng = np.random.default_rng(d)
-    q, X = rng.normal(size=d), rng.normal(size=(d, 3))
-    q[:3], X[:3] = SPECIAL_COLUMNS[name][0], 0.0
-    X[:3, 1] = SPECIAL_COLUMNS[name][1]
-    assert_fsum_columns_is_fsum(q, X)
-    for columns in (X, X[:, 1:2]):
-        q_full, z = with_leading_ones(q, columns)
-        i, j = np.triu_indices(len(z))
-        with np.errstate(invalid="ignore"):
-            assert not np.isinf(z[i] * z[j]).any()
-        assert fsum_outcome(lambda: fsum_columns(q_full, z)) == fsum_outcome(
-            lambda: fsum_oracle(q_full, z))
+        for q, X in sum2_cases(d, seed=10 * d + seed):
+            assert_sum2_columns_is_sum2(q, X)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=40))
-def test_fsum_columns_is_fsum_on_any_doubles(rows):
+def test_sum2_columns_is_sum2_on_any_doubles(rows):
     q, x, y = (np.array(v) for v in zip(*rows))
-    assert_fsum_columns_is_fsum(q, np.stack([x, y], axis=1))
+    assert_sum2_columns_is_sum2(q, np.stack([x, y], axis=1))
 
 
 @st.composite
@@ -1465,49 +1391,96 @@ def q_and_z(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(q_and_z())
-def test_fsum_columns_forms_the_pair_products_it_sums(case):
+def test_sum2_columns_forms_the_pair_products_it_sums(case):
     # The kernel's own products q_p*(z_I*z_J), over the pairs I <= J in
-    # lexicographic order, against math.fsum of the same rounded products.
+    # lexicographic order, against sum2 of the same rounded products.
     q, z = case
-    assert fsum_outcome(lambda: fsum_columns(q, z)) == fsum_outcome(lambda: fsum_oracle(q, z))
+    assert hex_list(sum2_columns(q, z)) == hex_list(sum2_oracle(q, z))
 
 
-def test_fsum_columns_rejects_what_it_cannot_sum():
-    # A strided or float32 z is refused by name, as test_fem checks q.
-    for z in (np.ones((2, 4))[:, ::2], np.ones((2, 2), dtype=np.float32)):
-        with pytest.raises(TypeError, match="z is not a C-contiguous float64 array"):
-            fsum_columns(np.ones(3), z)
-    with pytest.raises(ValueError, match="do not fit"):
-        fsum_columns(np.ones(3), np.ones((3, 2)))
-    with pytest.raises(ValueError, match="fewer than 2"):
-        fsum_columns(np.broadcast_to(1.0, (2 ** 15 * (2 ** 16 + 1),)), np.empty((2 ** 16, 0)))
+def test_sum2_columns_is_not_finite_past_its_range():
+    # A NaN or an infinite product, or a running sum that overflows, gives
+    # a non-finite radicand, as in e2dd's kernel, whatever follows it.
+    rng = np.random.default_rng(5)
+    heads = ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 2.0], [math.inf, -math.inf],
+             [1.7e308, 1.7e308, -1.7e308])
+    for head in heads:
+        for d in (len(head), 325):
+            column = np.concatenate([head, rng.normal(size=d - len(head))])
+            for q, z in terms_as_columns([column]):
+                assert not np.isfinite(sum2_columns(q, z)).any(), head
 
 
-def fsum_kernel(q, z):
-    """The kernel's own outcome on q and z, with no math.fsum after it: the
-    number of columns it leaves to math.fsum and its out, NaN at those."""
-    (k, m), out = z.shape, np.empty(z.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        flagged = fem._lib.fsum_columns(k, m, q.ctypes.data, z.ctypes.data, out.ctypes.data)
-    return flagged, out
+def with_leading_ones(q, X):
+    """(q', z) for the d terms q_p*X[p, j] of each column j of X: z = (1; X),
+    whose pairs (0, J), J >= 1, carry X's rows, q' = q at those pairs and 0
+    at the others.  Those terms are zeros where the products of X's entries
+    are finite."""
+    d, m = np.shape(X)
+    z = np.concatenate([np.ones((1, m)), X])
+    q_full = np.zeros((d + 1) * (d + 2) // 2)
+    q_full[1:d + 1] = q
+    return q_full, z
 
 
-def assert_left_to_fsum(columns):
-    """The kernel leaves each of the columns of terms to math.fsum, and
-    fsum_columns has fsum's bits on it."""
-    for q, z in terms_as_columns(columns):
-        flagged, out = fsum_kernel(q, z)
-        assert flagged == 1 and np.isnan(out).all()
-        assert hex_list(fsum_columns(q, z)) == hex_list(fsum_oracle(q, z))
+# The first three q_p and X_p of a column past the kernel's range, and
+# whether Sum2 keeps it finite: the products are those of a NaN, an
+# infinity, an overflowing product, an intermediate overflow, and finite
+# sums near overflow.  Large magnitudes sit in q, so that with_leading_ones
+# keeps the products of X's entries finite.
+SPECIAL_COLUMNS = {
+    "nan": ([1.0, 1.0, 1.0], [1.0, math.nan, 2.0], False),
+    "inf": ([1.0, 1e300, 1.0], [1.0, 1e10, -2.0], False),
+    "-inf": ([1e300, 1e300, -1e300], [-1e10, 1.0, 1.0], False),
+    "inf - inf": ([1e300, 1.0, 1e300], [1e10, 1.0, -1e10], False),
+    "overflowing product": ([1e300, 1.0, 1.0], [1e10, 1.0, -1.0], False),
+    "intermediate overflow": ([1.7e308, 1.7e308, -1.7e308], [1.0, 1.0, 1.0], False),
+    "near overflow, finite": ([2.0 ** 1020, -(2.0 ** 1020), 1.0], [1.0, 1.0, 1.0], True),
+    "largest finite sum": ([1.7e308, 1e292, -1e292], [1.0, 1.0, 1.0], True),
+}
+
+
+@pytest.mark.parametrize("d", [3, 325])
+@pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
+def test_sum2_columns_gives_sum2s_value_on_special_columns(name, d):
+    # A column past the kernel's range, beside ordinary columns on either
+    # side in one call, which are 0 where q is special: sum2's bits, finite
+    # or not as the column's running sums are, and the ordinary columns
+    # untouched by it.
+    rng = np.random.default_rng(d)
+    q, X = rng.normal(size=d), rng.normal(size=(d, 3))
+    head_q, head_x, finite = SPECIAL_COLUMNS[name]
+    q[:3], X[:3] = head_q, 0.0
+    X[:3, 1] = head_x
+    assert_sum2_columns_is_sum2(q, X)
+    for columns in (X, X[:, 1:2]):
+        q_full, z = with_leading_ones(q, columns)
+        i, j = np.triu_indices(len(z))
+        with np.errstate(invalid="ignore"):
+            assert not np.isinf(z[i] * z[j]).any()
+        out = sum2_columns(q_full, z)
+        assert hex_list(out) == hex_list(sum2_oracle(q_full, z))
+        assert np.isfinite(out[0 if columns.shape[1] == 1 else 1]) == finite
+    ordinary = sum2_columns(*with_leading_ones(q, X[:, ::2].copy()))
+    assert np.isfinite(ordinary).all()
+    assert hex_list(ordinary) == hex_list(sum2_columns(*with_leading_ones(q, X))[::2])
+
+
+def assert_sum2_columns_is_sum2_within_its_bound(columns):
+    """sum2_columns has sum2's bits on each column of terms, in one call
+    each (terms_as_columns), and meets Sum2's bound on it."""
+    for column, (q, z) in zip(columns, terms_as_columns(columns)):
+        total = sum2_columns(q, z)
+        assert hex_list(total) == hex_list(sum2_oracle(q, z))
+        assert_within_sum2s_bound(column, float(total[0]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 91, 325])
-def test_fsum_columns_leaves_every_tie_to_fsum(d):
-    # An exact sum on a half-ulp tie is no certified sum: Sum3's result is
-    # one of the two doubles beside it, half an ulp away, so the test
-    # |err| + bound < gap/2 must fail and the column go to math.fsum, which
-    # rounds half to even.  a's last bit is odd and even, a power of two
-    # among them, the tie whole or split in two, among cancelling pairs.
+def test_sum2_columns_is_sum2_on_every_tie(d):
+    # An exact sum on a half-ulp tie: s + c rounds it half to even, after
+    # the error terms of the cancelling pairs have gone into c.  a's last
+    # bit is odd and even, a power of two among them, the tie whole or
+    # split in two, among cancelling pairs.
     rng = np.random.default_rng(d)
     columns = []
     randoms = rng.uniform(1.0, 2.0, size=6) * 2.0 ** rng.integers(-900, 900, size=6)
@@ -1520,14 +1493,13 @@ def test_fsum_columns_leaves_every_tie_to_fsum(d):
                 x = rng.normal() * 2.0 ** int(rng.integers(-900, 900))
                 terms[i:i + 2] = [x, -x]
             columns.append(rng.permutation(np.array(terms)) if d > 3 else np.array(terms))
-    assert_left_to_fsum(columns)
+    assert_sum2_columns_is_sum2_within_its_bound(columns)
 
 
 @pytest.mark.parametrize("d", [2, 91, 325])
-def test_fsum_columns_leaves_zero_subnormal_and_huge_sums_to_fsum(d):
-    # A zero sum (the certificate cannot sign it), a subnormal one, and
-    # products near 2**1023, which could overflow fsum on the way, are left
-    # to math.fsum beside the cancelling pairs that fill each column to d.
+def test_sum2_columns_is_sum2_on_zero_subnormal_and_huge_sums(d):
+    # A zero sum, a subnormal one, and terms near 2**1023 whose sum stays
+    # finite, beside the cancelling pairs that fill each column to d.
     rng = np.random.default_rng(d)
     big = 2.0 ** 1023
     heads = ([1.5, -1.5], [2.0 ** -1021, -(2.0 ** -1021 - 2.0 ** -1070)], [0.0, 5e-324],
@@ -1537,40 +1509,83 @@ def test_fsum_columns_leaves_zero_subnormal_and_huge_sums_to_fsum(d):
         fill = rng.normal(size=(d - 2) // 2) * 2.0 ** 100
         columns.append(np.array(head + [0.0] * (d % 2)
                                 + [x for v in fill.tolist() for x in (v, -v)])[:d])
-    assert_left_to_fsum(columns)
+    assert_sum2_columns_is_sum2_within_its_bound(columns)
 
 
-def test_fsum_columns_certifies_every_sweep_column(truth, default_model, default_e2,
-                                                   default_config, floors_config,
-                                                   floors_artifact):
-    # On the default (d = 91) and converged (d = 325) sweeps, the deepest
-    # cancellation at the floor, the certificate settles every column in the
-    # kernel: none falls back to math.fsum, and all have its bits.
-    sys_, model, e2data, _, _ = rb.load_artifact(floors_artifact, floors_config)
-    for model, e2data, config in ((default_model[0], default_e2, default_config),
-                                  (model, e2data, floors_config)):
-        mus = sweep_grid(config)
-        q, z = rb.q_coefficients(e2data), _z_rows(mus, rb.solve_reduced_block(model, mus))
-        flagged, out = fsum_kernel(q, z)
-        assert flagged == 0
-        assert hex_list(out) == hex_list(fsum_oracle(q, z))
+def test_sum2_columns_rejects_what_it_cannot_sum():
+    # A strided or float32 z is refused by name, as test_fem checks q.
+    for z in (np.ones((2, 4))[:, ::2], np.ones((2, 2), dtype=np.float32)):
+        with pytest.raises(TypeError, match="z is not a C-contiguous float64 array"):
+            sum2_columns(np.ones(3), z)
+    with pytest.raises(ValueError, match="do not fit"):
+        sum2_columns(np.ones(3), np.ones((3, 2)))
+
+
+def sweep_columns(model, e2data, config):
+    """(q, z) of every point of config's sweep grid on model."""
+    mus = sweep_grid(config)
+    return rb.q_coefficients(e2data), _z_rows(mus, rb.solve_reduced_block(model, mus))
+
+
+def test_sum2_columns_is_sum2_on_every_sweep_column(default_model, default_e2, default_config,
+                                                    floors_config, floors_artifact):
+    # The default (d = 91) and converged (d = 325) sweeps, the deepest
+    # cancellation at the floor, through the wrapper in one call each.
+    _, model, e2data, _, _ = rb.load_artifact(floors_artifact, floors_config)
+    for q, z in (sweep_columns(default_model[0], default_e2, default_config),
+                 sweep_columns(model, e2data, floors_config)):
+        assert hex_list(sum2_columns(q, z)) == hex_list(sum2_oracle(q, z))
+
+
+def ulps_of_1074(x: float) -> int:
+    """x, a finite double, as the integer x*2**1074."""
+    num, den = x.as_integer_ratio()
+    return num * (2 ** 1074 // den)
+
+
+def assert_within_sum2s_bound(terms, total: float):
+    """|total - S| <= u|S| + gamma_{d-1}**2 * sum|t_p| exactly, for the d
+    terms t_p and their exact sum S, u = 2**-53 and gamma_n = nu/(1 - nu):
+    Sum2's bound (Ogita, Rump and Oishi, Proposition 4.5)."""
+    t = [ulps_of_1074(x) for x in terms.tolist()]
+    S, nu = sum(t), Fraction(len(t) - 1, 2 ** 53)
+    bound = Fraction(abs(S), 2 ** 53) + (nu / (1 - nu)) ** 2 * sum(map(abs, t))
+    assert abs(ulps_of_1074(total) - S) <= bound, (total, float(Fraction(S, 2 ** 1074)))
+
+
+def test_sum2_columns_meets_sum2s_bound(floors_config, floors_artifact):
+    # Every converged sweep column, all on the plateau where the radicand is
+    # rounding noise around zero (d = 325), and columns of terms of either
+    # sign from 2**-1074 to 2**1000, some among pairs that cancel exactly.
+    _, model, e2data, _, _ = rb.load_artifact(floors_artifact, floors_config)
+    q, z = sweep_columns(model, e2data, floors_config)
+    i, j = np.triu_indices(len(z))
+    terms = q[:, None] * (z[i] * z[j])
+    for column, total in zip(terms.T, sum2_columns(q, z).tolist()):
+        assert_within_sum2s_bound(column, total)
+    rng = np.random.default_rng(325)
+    for d in (2, 91, 325, 5000):
+        for _ in range(8):
+            column = rng.choice([-1.0, 1.0], size=d) * rng.uniform(1.0, 2.0, size=d) \
+                * 2.0 ** rng.integers(-1074, 1001, size=d)
+            column[d // 2:] = np.where(rng.uniform(size=d - d // 2) < 0.5,
+                                       -column[:d - d // 2], column[d // 2:])
+            column = rng.permutation(column)
+            for padded, ones in terms_as_columns([column]):
+                assert_within_sum2s_bound(column, float(sum2_columns(padded, ones)[0]))
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
-def test_fsum_columns_writes_nothing_past_its_buffer(m):
+def test_sum2_columns_writes_nothing_past_its_buffer(m):
     # The kernel keeps its running sums on its stack, in passes of 64
     # columns, and writes the m doubles of out: -inf guards on both sides,
-    # a value it never writes, must survive.  out holds fsum's bits, or NaN
-    # at the columns it counts.  Of 20,000 such columns it flagged 143,
-    # each of them an exact half-ulp tie.
+    # a value it never writes, must survive, and out holds sum2's bits.
     pad, rng = 7, np.random.default_rng(m)
     q, z = rng.normal(size=21), rng.normal(size=(6, m))
     out = np.full(m + 2 * pad, -np.inf)
-    flagged = fem._lib.fsum_columns(6, m, q.ctypes.data, z.ctypes.data, out[pad:].ctypes.data)
+    fem._lib.sum2_columns(6, m, q.ctypes.data, z.ctypes.data, out[pad:].ctypes.data)
     assert np.isneginf(out[:pad]).all() and np.isneginf(out[pad + m:]).all()
-    got, kept = out[pad:pad + m], ~np.isnan(out[pad:pad + m])
-    assert flagged == m - kept.sum()
-    assert hex_list(got[kept]) == hex_list(fsum_oracle(q, z)[kept])
+    assert hex_list(out[pad:pad + m]) == hex_list(sum2_oracle(q, z))
 
 
 # --- the compiled LU against the numpy LU ------------------------------------
@@ -1821,7 +1836,7 @@ def kernel_outputs(n):
         "dd_gram_table": dd_gram_table(sys_, us + whs, 0),
         "dd_radicands": np.append(*fem.dd_radicands((q, np.resize(wl[:, 5], 21)), zu)),
         "dd_radicands, special radicands": np.append(*fem.dd_radicands(SPECIAL_Q, SPECIAL_Z)),
-        "fsum_columns": fsum_columns(q, zu),
+        "sum2_columns": sum2_columns(q, zu),
         "lift_norms, a lift": lift_norms(sys_, us + whs + wls[:5], z21),
         "lift_norms, U less a lift": lift_norms(sys_, us, special_rows(6, 21, seed=600 + n), wide),
         "lift_norms_strips, a lift": lift_norms(sys_, us + whs + wls[:5], z),

@@ -415,6 +415,34 @@ def test_flatness_invariant():
     assert spread_e1 > 0.5
 
 
+def test_floors_e2dd_check_takes_its_minimum_over_positive_e2dd(
+    floors_config, floors_artifact, floors_report, tmp_path, monkeypatch
+):
+    # A clamped e2dd reads 0, which would pass "min e2dd <= min e1" at once.
+    # Like e2's, the e2dd minimum is taken over the positive values, the
+    # clamped rows are counted, and with no positive value the check fails.
+    assert floors_report["clamped_e2dd_rows"] == 0
+    assert floors_report["checks"]["e2dd_at_or_below_e1"]
+    config = dataclasses.replace(floors_config, output_dir=str(tmp_path))
+
+    def floors_with_e2dd(e2dd_of):
+        def sweep(*args):
+            return [r._replace(e2dd=e2dd_of(i, r)) for i, r in enumerate(compute_sweep(*args))]
+
+        monkeypatch.setattr(rb.experiments, "compute_sweep", sweep)
+        return rb.measure_floors(config, floors_artifact, log=lambda *a: None)
+
+    report = floors_with_e2dd(lambda i, r: 0.0 if i == 0 else 10.0 * r.e1)
+    assert report["clamped_e2dd_rows"] == 1
+    assert report["observed_min_e2dd"] > report["observed_min_e1"]
+    assert not report["checks"]["e2dd_at_or_below_e1"]
+    report = floors_with_e2dd(lambda i, r: 0.0)
+    assert report["clamped_e2dd_rows"] == len(sweep_grid(config))
+    assert not report["checks"]["e2dd_at_or_below_e1"]
+    with open(tmp_path / "floors.json", encoding="ascii") as fh:
+        assert json.load(fh)["clamped_e2dd_rows"] == len(sweep_grid(config))
+
+
 # --- CLI ------------------------------------------------------------------------------
 
 

@@ -211,7 +211,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
             "U": lambda: error(U=spoil(np.ones((n, 2)))),
             "ql": lambda: fem.dd_radicands((row, spoil(row)), z),
             "z": lambda: fem.dd_radicands((row, row), spoil(z)),
-            "q": lambda: fem.fsum_columns(spoil(row), z),
+            "q": lambda: fem.sum2_columns(spoil(row), z),
             "LU": lambda: fem.lu_solve_dots((spoil(lu[0]), lu[1]), pairs, z, row[:2]),
             "v": lambda: fem.lu_solve_dots(lu, pairs, z, spoil(row[:2])),
             "b": lambda: fem.lu_solves(np.eye(2)[None], spoil(row[:2])),
@@ -239,7 +239,7 @@ def test_kernels_refuse_arrays_they_cannot_take(flaw, monkeypatch):
         (hi, lo, root), clamps = fem.dd_radicands((spoil(row), spoil(ones)), spoil(z))
         assert hi.tolist() == [15.0, 15.0] and lo.tolist() == [0.0, 0.0]
         assert root.tolist() == dd_root(hi, lo)[0].tolist() and clamps == 0
-        assert fem.fsum_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
+        assert fem.sum2_columns(spoil(row), spoil(z)).tolist() == [12.0, 12.0]
         got = fem.lu_solve_dots((spoil(lu[0]), spoil(lu[1])), spoil(pairs), spoil(z), spoil(row[:2]))
         assert got.tolist() == [8.0, 8.0]
         piv, x = fem.lu_solves(2.0 * np.eye(2)[None], spoil(row[:2]))
