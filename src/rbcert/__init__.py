@@ -5,12 +5,12 @@ from .estimators import (
     E3Data,
     EstimatorBuildError,
     build_e3_data,
-    estimator_e1_block,
     evaluate,
     log_uniform_sampler,
     q_coefficients,
     x_dimension,
     x_matrix,
+    z_block,
 )
 from .experiments import (
     ConfigError,
@@ -38,7 +38,6 @@ from .reduced import (
     ReducedModel,
     add_snapshot,
     greedy_build,
-    solve_reduced_block,
 )
 
 __version__ = "0.1.0"

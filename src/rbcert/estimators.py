@@ -37,14 +37,13 @@ different round-off floors:
   T lambda = X(mu)[rows].  All summands are non-negative at the
   reference points, hence no cancellation.
 
-There is one evaluation path: block kernels that take a block of
-parameters with their reduced coefficients and run every operation
-element by element across the block.  The API is :func:`evaluate`, the
-true error and all four estimators for a block of parameters, and
-:func:`estimator_e1_block`, e1 alone for given reduced coefficients;
-:func:`x_matrix` gives the monomial vectors.  The greedy scan and the E3
-build call the same kernels, and a single parameter is a one-point
-block.
+There is one evaluation path: one reduced solve makes z for a block of
+parameters (:func:`z_block`), and block kernels take that z and run every
+operation element by element across the block.  The API is
+:func:`evaluate`, the true error and all four estimators for a block of
+parameters, and :func:`z_block`, whose z :func:`x_matrix` turns into the
+monomial vectors.  The greedy scan and the E3 build call the same
+kernels, and a single parameter is a one-point block.
 
 E2's offline data are q itself, in double-double (:class:`E2Data`); the
 working-precision estimator reads its correctly-rounded doubles.  It is
@@ -94,8 +93,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TruthSystem, column_pivots, dd_gram_table, dd_radicands, lift_norms
-from .fem import lu_solve_dots, lu_solves, parameter_block, solve_truth, sum2_columns
+from .fem import TruthSystem, ZeroPivotError, column_pivots, dd_gram_table, dd_radicands
+from .fem import lift_norms, lu_solve_dots, lu_solves, parameter_block, solve_truth, sum2_columns
 
 logger = logging.getLogger(__name__)
 
@@ -288,20 +287,21 @@ def _uniform_draws(lo: float, hi: float, n: int, seed: int) -> list:
 def e3_data(sys: TruthSystem, model, nodes, rows) -> E3Data:
     """E3Data at the given nodes and rows of X: T = X(nodes)[rows], V = E1(nodes)^2.
 
-    The build calls it with its picks, and loading an artifact with the
-    stored ones, so both get the same bits.
+    T and e1 come from one z (:func:`z_block`), and V is e1 * e1, one
+    correctly rounded product, where a float's ``e ** 2`` calls libm's pow,
+    which is not correctly rounded and varies with the host.  The build
+    calls it with its picks, and loading an artifact with the stored ones,
+    so both get the same bits.
     """
-    from .reduced import solve_reduced_block
-
     nodes = np.asarray(nodes, dtype=float)
     rows = np.asarray(rows, dtype=int)
-    gamma = solve_reduced_block(model, nodes)
-    e1 = estimator_e1_block(sys, model, nodes, gamma)
+    z = z_block(model, nodes)
+    e1 = _e1_block(sys, model, z)
     return E3Data(
         interp_params=nodes,
         rows=rows,
-        T=x_matrix(nodes, gamma)[rows],
-        V=np.array([e ** 2 for e in e1.tolist()]),
+        T=x_matrix(z)[rows],
+        V=e1 * e1,
         d=x_dimension(model.n_hat),
     )
 
@@ -321,13 +321,11 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
     V at the r nodes.  A pool that repeats a parameter raises
     :class:`EstimatorBuildError`.
     """
-    from .reduced import solve_reduced_block
-
     d = x_dimension(model.n_hat)
     pool = np.asarray(sampler(d, seed), dtype=float)
     if len(set(pool.tolist())) != pool.size:
         raise EstimatorBuildError("interpolation pool is degenerate: it repeats a parameter")
-    X = x_matrix(pool, solve_reduced_block(model, pool))
+    X = x_matrix(z_block(model, pool))
     picks, Q = column_pivots(X, E3_RANK_TOL)
     rows, _ = column_pivots(Q.T, 0.0)
     return e3_data(sys, model, pool[picks], rows)
@@ -358,45 +356,43 @@ def build_e3_data(sys: TruthSystem, model, sampler, seed: int) -> E3Data:
 _SOLVE_ELEMENTS = 2 ** 20
 
 
-def estimator_e1_block(sys: TruthSystem, model, mus, gamma: np.ndarray) -> np.ndarray:
-    """Residual dual norm via the full-size Riesz representative, at every mus[j].
+def z_block(model, mus) -> np.ndarray:
+    """z = (1; gamma; mu*gamma) at every mus[j]: a (2*N_hat + 1, m) array,
+    one row per Riesz vector in the order riesz_b, riesz_a0, riesz_a1.
 
-    g = riesz_b + sum_i gamma_i*riesz_a0[i] + sum_i mu*gamma_i*riesz_a1[i]
-    with gamma = gamma[j]: the lift of the Riesz vectors with z's column j
-    (:func:`_z_rows`), its terms added in that order, then g.Gram*g summed
-    in a fixed order, all in :func:`fem.lift_norms`.  Cost O(N*N_hat) per
-    point.  mus is a 1-D block of parameters in [1, inf) and gamma (m,
-    N_hat), one row per point and one coefficient per basis vector, or
-    ``ValueError`` is raised, as it is for the empty model.
+    gamma solves the reduced system (A0_hat + mu*A1_hat) gamma = b_hat,
+    factored by partial pivoting and solved in one compiled call
+    (:func:`fem.lu_solves`), O(N_hat^3) per point and truth-free; column
+    j has the bits of the tests' numpy LU of the system at mus[j], in any
+    block and on any host.  e1 lifts with z, and every monomial is a
+    product of its rows.  mus must be a 1-D block of valid parameters, and
+    the model not empty, or ``ValueError`` is raised; a zero pivot raises
+    ``LinAlgError`` naming its mu.
     """
     if model.n_hat < 1:
         raise ValueError("reduced model is empty")
     mus = parameter_block(mus)
-    if np.shape(gamma) != (len(mus), model.n_hat):
-        raise ValueError(f"gamma of shape {np.shape(gamma)} does not fit {len(mus)} points "
-                         f"on a basis of {model.n_hat}")
-    return _e1_block(sys, model, _z_rows(mus, np.asarray(gamma, dtype=float)))
-
-
-def _e1_block(sys: TruthSystem, model, z):
-    """e1 at every column of z: the norm of the lift of [riesz_b, *riesz_a0, *riesz_a1]."""
-    return lift_norms(sys, [model.riesz_b, *model.riesz_a0, *model.riesz_a1], z)
-
-
-def _z_rows(mus, gamma):
-    """z = (1; gamma[j]; mus[j]*gamma[j]) at every mus[j]: a (2*N_hat + 1, m)
-    array with one row per Riesz vector, in the order riesz_b, riesz_a0,
-    riesz_a1.  e1 lifts with it, and the monomials are products of its rows."""
+    try:
+        gamma = lu_solves(model.A0_hat + mus[:, None, None] * model.A1_hat, model.b_hat)[1]
+    except ZeroPivotError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular reduced system at mu = {float(mus[exc.index])!r} (snapshot dependence?)"
+        ) from exc
     gamma_t = np.ascontiguousarray(np.transpose(gamma))
     return np.concatenate([np.ones((1, len(mus))), gamma_t, mus * gamma_t])
 
 
-def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _e1_block(sys: TruthSystem, model, z):
+    """e1 at every column of z: the norm of the lift of [riesz_b, *riesz_a0, *riesz_a1]
+    with z's rows, added in that order (:func:`fem.lift_norms`), O(N*N_hat) a point."""
+    return lift_norms(sys, [model.riesz_b, *model.riesz_a0, *model.riesz_a1], z)
+
+
+def x_matrix(z: np.ndarray) -> np.ndarray:
     """The (d, m) matrix whose column j is X(mus[j]) = (1; x_I; x_I*x_J for I <= J,
     lexicographic) with x = (gamma[j]; mus[j]*gamma[j]): the products z_I*z_J
-    of the rows of z (:func:`_z_rows`) over the pairs I <= J.  The online
+    of the rows of z (:func:`z_block`) over the pairs I <= J.  The online
     kernels form these products themselves, from z."""
-    z = _z_rows(mus, gamma)
     i, j = np.triu_indices(len(z))
     X = z[i]
     X *= z[j]
@@ -405,7 +401,7 @@ def x_matrix(mus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 def _e2_block(q, z):
     """Compact-form estimator for the coefficients q (:func:`q_coefficients`)
-    at every column of z (:func:`_z_rows`); returns (value, radicand).
+    at every column of z (:func:`z_block`); returns (value, radicand).
 
     The radicand q.X(mu) is evaluated in working precision: each monomial
     and each product with q is a rounded double, and the radicand is their
@@ -421,7 +417,7 @@ def _e2_block(q, z):
 
 
 def _e2dd_block(data: E2Data, z):
-    """Compact form in double-double at every column of z (:func:`_z_rows`);
+    """Compact form in double-double at every column of z (:func:`z_block`);
     returns (value, clamps).
 
     Each q_p*X_p, X_p = z_I*z_J the exact product of its factors, the sum
@@ -436,7 +432,7 @@ def _e2dd_block(data: E2Data, z):
 
 
 def _e3_block(data: E3Data, mus, z):
-    """Interpolated estimator at mus with z's columns (:func:`_z_rows`);
+    """Interpolated estimator at mus with z's columns (:func:`z_block`);
     returns (value, clamped).
 
     At a stored node (bit-equal mu) the node's value by exact lookup,
@@ -464,12 +460,10 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     evaluation.  A mu that is not finite or below 1, or a block that is not
     1-D, raises ``ValueError``.  A block of any size runs in bounded
     working memory: chunks of _SOLVE_ELEMENTS // N points, each with one
-    reduced and one truth solve and one z (:func:`_z_rows`), whose (N, m)
-    solution is released once the true error has read it; the true error,
-    e1, e2, e2dd and e3 take a chunk's z in one kernel call each.
+    z from one reduced solve (:func:`z_block`) and one truth solve, whose
+    (N, m) solution is released once the true error has read it; the true
+    error, e1, e2, e2dd and e3 take a chunk's z in one kernel call each.
     """
-    from .reduced import solve_reduced_block
-
     mus = parameter_block(mus)
     names = ("true_error", "e1", "e2", "e2_radicand", "e2dd", "e3")
     cols = {name: np.empty(mus.size) for name in names}
@@ -479,7 +473,7 @@ def evaluate(sys: TruthSystem, model, e2data: E2Data, e3data: E3Data, mus) -> di
     for c in range(0, mus.size, chunk):
         m = mus[c:c + chunk]
         part = slice(c, c + len(m))
-        z = _z_rows(m, solve_reduced_block(model, m))
+        z = z_block(model, m)
         U = solve_truth(sys, m)
         cols["true_error"][part] = lift_norms(sys, model.snapshots, z[1:model.n_hat + 1], U)
         del U  # not alive beside the next chunk's solve

@@ -6,7 +6,8 @@ Riesz-lifted quantity the online stage needs:
 * ``A0_hat``, ``A1_hat``, ``b_hat`` - Galerkin projections of the affine
   operator blocks a0 = K, a1 = M and the load, so the reduced system
   (A0_hat + mu*A1_hat) gamma = b_hat solves in O(N_hat^3) independently
-  of the truth size.
+  of the truth size, in :func:`estimators.z_block`, which returns gamma
+  as z = (1; gamma; mu*gamma), what every estimator reads.
 * ``riesz_b``, ``riesz_a0[i]``, ``riesz_a1[i]`` - Riesz representatives
   of the residual pieces.  Sign convention: riesz_b = -Gram^{-1} F, so
   the residual representative is riesz_b + sum_I x_I * riesz-terms with
@@ -39,17 +40,15 @@ from .estimators import (
     E3Data,
     _e1_block,
     _e2dd_block,
-    _z_rows,
     e3_data,
+    z_block,
 )
 from .fem import (
     Tridiagonal,
     TruthSystem,
-    ZeroPivotError,
     _lift,
     check_parameters,
     lu_solves,
-    parameter_block,
     riesz_representative,
     solve_truth,
     tridiagonal_project,
@@ -149,32 +148,10 @@ def add_snapshot(
     return model
 
 
-def solve_reduced_block(model: ReducedModel, mus) -> np.ndarray:
-    """Reduced coefficients at every mus[j], as the rows of an (m, N_hat) array.
-
-    Each system A0_hat + mu*A1_hat is factored by partial pivoting and
-    solved in one compiled call (:func:`fem.lu_solves`), O(N_hat^3) per
-    point and truth-free; row j has the bits of the tests' numpy LU of the
-    system at mus[j], in any block and on any host.  mus must be a 1-D
-    block of valid parameters, or ``ValueError`` is raised; a zero pivot
-    raises ``LinAlgError`` naming its mu.
-    """
-    if model.n_hat < 1:
-        raise ValueError("reduced model is empty")
-    mus = parameter_block(mus)
-    try:
-        return lu_solves(model.A0_hat + mus[:, None, None] * model.A1_hat, model.b_hat)[1]
-    except ZeroPivotError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular reduced system at mu = {float(mus[exc.index])!r} (snapshot dependence?)"
-        ) from exc
-
-
 def _e1_at(sys: TruthSystem, model: ReducedModel, mu: float) -> float:
-    """e1 at mu from its one-point reduced solve, which has the bits of any
-    block's: what the greedy records for its pick, and the load recomputes."""
-    mus = np.array([mu])
-    return float(_e1_block(sys, model, _z_rows(mus, solve_reduced_block(model, mus)))[0])
+    """e1 at mu from its one-point z (:func:`z_block`), which has the bits of
+    any block's: what the greedy records for its pick, and the load recomputes."""
+    return float(_e1_block(sys, model, z_block(model, [mu]))[0])
 
 
 def greedy_build(
@@ -231,7 +208,7 @@ def greedy_build(
         candidates = np.array([mu for mu in training if mu not in selected])
         if not candidates.size:
             break
-        z = _z_rows(candidates, solve_reduced_block(model, candidates))
+        z = z_block(model, candidates)
         best_mu = float(candidates[int(np.argmax(_e2dd_block(e2data, z)[0]))])
         best_val = _e1_at(sys, model, best_mu)
         if best_val <= tol:

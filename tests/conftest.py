@@ -257,6 +257,15 @@ def h1_norm_lanes(sys: TruthSystem, v: np.ndarray) -> float:
     return math.sqrt(max(h1_inner_lanes(sys, v, v), 0.0))
 
 
+def z_of(mus, gamma) -> np.ndarray:
+    """z = (1; gamma[j]; mus[j]*gamma[j]) for the rows gamma[j] of an (m,
+    N_hat) array: the (2*N_hat + 1, m) array that ``z_block`` forms from
+    the reduced solve, here for coefficients and parameters of a test's
+    choosing, out of the domain too."""
+    gamma_t = np.ascontiguousarray(np.transpose(gamma))
+    return np.concatenate([np.ones((1, len(mus))), gamma_t, mus * gamma_t])
+
+
 def lift_in_snapshot_order(snapshots, gamma) -> np.ndarray:
     """sum_k gamma[k]*snapshots[k], from gamma[0]*snapshots[0], adding the
     snapshots in order."""

@@ -17,13 +17,14 @@ import pytest
 import rbcert as rb
 from rbcert import cli
 from rbcert.experiments import EPS, ExperimentConfig, sweep_grid, training_grid
-from rbcert.estimators import _e2_block, _z_rows
+from rbcert.estimators import _e1_block, _e2_block
 
 from conftest import (
     analytic_solution,
     build_e2_data,
     h1_error_vs_analytic,
     make_output_dir,
+    z_of,
 )
 
 
@@ -122,9 +123,9 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
         model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         data = build_e2_data(truth, model)
         mus = sweep_grid(cfg)
-        gamma = rb.solve_reduced_block(model, mus)
-        e1 = rb.estimator_e1_block(truth, model, mus, gamma)
-        e2, _ = _e2_block(rb.q_coefficients(data), _z_rows(mus, gamma))
+        z = rb.z_block(model, mus)
+        e1 = _e1_block(truth, model, z)
+        e2, _ = _e2_block(rb.q_coefficients(data), z)
         keep = e1 >= 1e-4
         worst_agree = max([worst_agree, *(np.abs(e2 - e1) / e1)[keep].tolist()])
 
@@ -135,9 +136,9 @@ def test_criterion_5_formula_equivalence(truth, default_config, acceptance):
     worst_form = 0.0
     for _ in range(300):
         mu = float(np.exp(rng.uniform(0.0, math.log(1000.0))))
-        gamma = rng.normal(size=6)[None]
-        X = rb.x_matrix(np.array([mu]), gamma)
-        radicand = float(_e2_block(q, _z_rows(np.array([mu]), gamma))[1][0])
+        z = z_of(np.array([mu]), rng.normal(size=6)[None])
+        X = rb.x_matrix(z)
+        radicand = float(_e2_block(q, z)[1][0])
         exact = sum(
             (Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, X[:, 0])), Fraction(0)
         )
@@ -229,7 +230,7 @@ def test_criterion_8_conditioning_trend(
     for n_hat in range(2, 7):
         model, _, _ = rb.greedy_build(truth, train, n_max=n_hat, tol=cfg.tol)
         pool = sampler(rb.x_dimension(n_hat), cfg.seed)
-        conds.append(np.linalg.cond(rb.x_matrix(pool, rb.solve_reduced_block(model, pool))))
+        conds.append(np.linalg.cond(rb.x_matrix(rb.z_block(model, pool))))
     inversions = sum(1 for a, b in zip(conds, conds[1:]) if b < a)
 
     model6, _ = default_model

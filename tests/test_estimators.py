@@ -28,10 +28,10 @@ from rbcert.estimators import (
     _SOLVE_ELEMENTS,
     E3_RANK_TOL,
     E2Data,
+    _e1_block,
     _e2_block,
     _e2dd_block,
     _e3_block,
-    _z_rows,
 )
 from rbcert.experiments import sweep_grid, training_grid
 from rbcert.fem import TruthSystem, dd_gram_table, lift_norms, lu_solve_dots, sum2_columns
@@ -40,7 +40,7 @@ from rbcert.reduced import ReducedModel, add_snapshot
 from conftest import TridiagonalArrays, analytic_solution, build_e2_data, dd_mul, dd_sum, operator
 from conftest import SPECIAL_Q, SPECIAL_Z, dd_add, dd_root, dd_sqrt, sum2, two_prod
 from conftest import _lu_factor, _lu_solve, _pivoted_gram_schmidt, dot_in_order, h1_norm_lanes
-from conftest import h1_inner_lanes, lift_in_snapshot_order, project_in_lanes
+from conftest import h1_inner_lanes, lift_in_snapshot_order, project_in_lanes, z_of
 
 # Frozen from the assembled default system: the plain-double Riesz norm of
 # the load, its dot summed in the eight-lane order, and its correctly
@@ -53,11 +53,11 @@ DELTA_200_DD = 0.2752524359875254
 # --- E1 ----------------------------------------------------------------------
 
 
-def test_e1_block_rejects_the_empty_model(truth):
+def test_z_block_rejects_the_empty_model(truth):
     # The greedy seeds its first snapshot without an estimate, so the empty
     # model is never evaluated: its e1 would be delta at every mu.
     with pytest.raises(ValueError, match="reduced model is empty"):
-        rb.estimator_e1_block(truth, ReducedModel(truth), np.array([1.0, 31.0]), np.empty((2, 0)))
+        rb.z_block(ReducedModel(truth), np.array([1.0, 31.0]))
 
 
 def test_e1_matches_direct_residual_norm(truth, default_model):
@@ -68,12 +68,12 @@ def test_e1_matches_direct_residual_norm(truth, default_model):
     B = np.column_stack(model.snapshots)
     for mu in (1.5, 70.0, 640.0):
         mus = np.array([mu])
-        galerkin = rb.solve_reduced_block(model, mus)[0]
+        galerkin = rb.z_block(model, mus)[1:model.n_hat + 1, 0]
         for gamma in (galerkin, galerkin * (1 + 1e-3), rng.normal(size=model.n_hat)):
             residual = operator(truth, mu).matvec(B @ gamma) - truth.F
             w = rb.riesz_representative(truth, residual)
             direct = math.sqrt(h1_inner_lanes(truth, w, w))
-            e1 = rb.estimator_e1_block(truth, model, mus, gamma[None])[0]
+            e1 = _e1_block(truth, model, z_of(mus, gamma[None]))[0]
             assert e1 == pytest.approx(direct, rel=1e-11)
 
 
@@ -195,7 +195,7 @@ def test_x_vector_layout_single_snapshot():
     mu, gamma = 7.0, 0.3
     mg = mu * gamma
     expected = np.array([1.0, gamma, mg, gamma * gamma, gamma * mg, mg * mg])
-    assert np.array_equal(rb.x_matrix(np.array([mu]), np.array([[gamma]]))[:, 0], expected)
+    assert np.array_equal(rb.x_matrix(np.array([[1.0], [gamma], [mg]]))[:, 0], expected)
     assert rb.x_dimension(1) == 6
 
 
@@ -217,14 +217,14 @@ def test_q_coefficients_layout(truth, default_model, default_e2):
         gamma = rng.normal(size=6)
         z = np.concatenate([[1.0], gamma, mu * gamma])
         g = sum(c * r for c, r in zip(z, lifts))
-        X = rb.x_matrix(np.array([mu]), gamma[None])[:, 0]
+        X = rb.x_matrix(z[:, None])[:, 0]
         assert math.fsum(q * X) == pytest.approx(h1_inner_lanes(truth, g, g), rel=1e-10)
 
 
 def one_point_z(mu, gamma):
     """z = (1; gamma; mu*gamma) of one parameter, the input of the e2, e2dd
     and e3 kernels."""
-    return _z_rows(np.array([mu]), np.array([gamma], dtype=float))
+    return z_of(np.array([mu]), np.array([gamma], dtype=float))
 
 
 def test_e2_at_zero_coefficients_returns_delta(default_e2):
@@ -244,7 +244,7 @@ def assert_radicands_are_sum2s(sys_, model, e2data, e3data, mus):
     the Sum2 of the rounded products q_p*X_p."""
     q = rb.q_coefficients(e2data)
     radicands = rb.evaluate(sys_, model, e2data, e3data, mus)["e2_radicand"]
-    X = rb.x_matrix(mus, rb.solve_reduced_block(model, mus))
+    X = rb.x_matrix(rb.z_block(model, mus))
     assert hex_list(radicands) == hex_list(sum2(q[:, None] * X))
 
 
@@ -327,17 +327,27 @@ def test_e3_shapes(default_model, default_e3, default_config):
     model, _ = default_model
     cfg = default_config
     pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
-    assert np.linalg.cond(rb.x_matrix(pool, rb.solve_reduced_block(model, pool))) > 1e14
+    assert np.linalg.cond(rb.x_matrix(rb.z_block(model, pool))) > 1e14
 
 
 def test_e3_columns_recomputable_bit_for_bit(truth, default_model, default_e3):
     model, _ = default_model
     for i, mu_i in enumerate(default_e3.interp_params.tolist()):
-        mus = np.array([mu_i])
-        gamma = rb.solve_reduced_block(model, mus)
-        assert np.array_equal(rb.x_matrix(mus, gamma)[default_e3.rows, 0], default_e3.T[:, i])
-        e1 = float(rb.estimator_e1_block(truth, model, mus, gamma)[0])
-        assert default_e3.V[i] == e1 ** 2
+        z = rb.z_block(model, [mu_i])
+        assert np.array_equal(rb.x_matrix(z)[default_e3.rows, 0], default_e3.T[:, i])
+        e1 = float(_e1_block(truth, model, z)[0])
+        assert default_e3.V[i] == e1 * e1
+
+
+def test_e3_values_are_the_correctly_rounded_squares_of_e1(truth, default_model):
+    # V = e1 * e1, one correctly rounded product per node.  A float's
+    # e ** 2 is libm's pow, which is not correctly rounded: at these 5,000
+    # nodes glibc's pow misses the product at 3 of them.
+    model, _ = default_model
+    nodes = np.geomspace(1.0, 1000.0, 5000)
+    e1 = _e1_block(truth, model, rb.z_block(model, nodes))
+    V = estimators.e3_data(truth, model, nodes, np.arange(3)).V
+    assert hex_list(V) == hex_list(e1 * e1)
 
 
 def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config):
@@ -346,7 +356,7 @@ def test_e3_nodes_and_rows_are_pivots(default_model, default_e3, default_config)
     model, _ = default_model
     cfg = default_config
     pool = rb.log_uniform_sampler(cfg.mu_min, cfg.mu_max)(91, cfg.seed)
-    T = rb.x_matrix(pool, rb.solve_reduced_block(model, pool))
+    T = rb.x_matrix(rb.z_block(model, pool))
     picks, Q = fem.column_pivots(T, E3_RANK_TOL)
     assert np.array_equal(pool[picks], default_e3.interp_params)
     assert np.allclose(Q.T @ Q, np.eye(len(picks)), atol=1e-12)
@@ -395,7 +405,7 @@ def test_column_pivots_pick_the_numpy_references_nodes_and_rows(name):
     d = rb.x_dimension(model.n_hat)
     for size in (d, d + 7):
         pool = sampler(size, cfg.seed)
-        X = rb.x_matrix(pool, rb.solve_reduced_block(model, pool))
+        X = rb.x_matrix(rb.z_block(model, pool))
         picks, Q = fem.column_pivots(X, E3_RANK_TOL)
         expect, Q_ref = _pivoted_gram_schmidt(X, E3_RANK_TOL)
         assert picks == expect, size
@@ -535,10 +545,13 @@ def test_log_uniform_sampler_refuses_a_negative_seed():
 def test_small_x_layout():
     # Column j of z is (1; x) with x = (gamma[j]; mus[j]*gamma[j]); X's rows
     # are the products z_I*z_J over the pairs I <= J of z, row I = 0 first.
-    mus, gamma = np.array([3.0, 2.0]), np.array([[0.5, -2.0], [1.0, 4.0]])
-    z = np.array([[1.0, 1.0], [0.5, 1.0], [-2.0, 4.0], [1.5, 2.0], [-6.0, 8.0]])
-    assert np.array_equal(_z_rows(mus, gamma), z) and _z_rows(mus, gamma).flags.c_contiguous
-    X = rb.x_matrix(mus, gamma)
+    # The reduced system mu*I gamma = b_hat has gamma = b_hat/mu, exactly.
+    model = SimpleNamespace(n_hat=2, A0_hat=np.zeros((2, 2)), A1_hat=np.eye(2),
+                            b_hat=np.array([1.0, -4.0]))
+    z = np.array([[1.0, 1.0], [0.5, 0.25], [-2.0, -1.0], [1.0, 1.0], [-4.0, -4.0]])
+    got = rb.z_block(model, [2.0, 4.0])
+    assert np.array_equal(got, z) and got.flags.c_contiguous
+    X = rb.x_matrix(z)
     assert X.shape == (rb.x_dimension(2), 2)
     assert np.array_equal(X[:5], z)
     assert np.array_equal(X[5:9], z[1] * z[1:])
@@ -814,33 +827,30 @@ def test_wide_sweep_scratch_does_not_grow_with_the_block(floors_config, floors_a
     assert peak <= 9e6
 
 
-@pytest.mark.parametrize("misfit", ["short", "long", "rows"])
-def test_e1_block_rejects_mis_sized_gamma(misfit, truth, default_model):
-    # 4 or N_hat + 1 = 7 coefficients for a basis of 6, or one row of
-    # coefficients for two points.
+@pytest.mark.parametrize("misfit", ["short", "long", "1-d"])
+def test_e1_block_rejects_a_z_that_does_not_fit(misfit, truth, default_model):
+    # The 13 Riesz vectors of a basis of 6 against a z of 9 or 14 rows, or
+    # one point's z as a 1-D array.
     model, _ = default_model
-    mus = np.array([50.0])
-    gamma = rb.solve_reduced_block(model, mus)
-    mus, gamma = {
-        "short": (mus, gamma[:, :4]),
-        "long": (mus, np.append(gamma, [[0.0]], axis=1)),
-        "rows": (np.array([50.0, 60.0]), gamma),
+    z = rb.z_block(model, [50.0])
+    z = {
+        "short": z[:9],
+        "long": np.append(z, [[0.0]], axis=0),
+        "1-d": z[:, 0],
     }[misfit]
-    with pytest.raises(ValueError, match="does not fit"):
-        rb.estimator_e1_block(truth, model, mus, gamma)
+    with pytest.raises(ValueError, match="do not fit"):
+        _e1_block(truth, model, z)
 
 
 @pytest.mark.parametrize("mus, match", [
     ([math.nan], "mu = nan outside"), ([math.inf], "mu = inf outside"),
     ([0.5], "mu = 0.5 outside"), (50.0, re.escape("shape ()")),
 ], ids=["nan", "inf", "below-one", "scalar"])
-def test_e1_block_rejects_parameters_outside_the_domain(mus, match, truth, default_model):
-    # The public e1 takes its parameters as evaluate does: a 1-D block of
-    # mu in [1, inf).
+def test_z_block_rejects_parameters_outside_the_domain(mus, match, default_model):
+    # z takes its parameters as evaluate does: a 1-D block of mu in [1, inf).
     model, _ = default_model
-    gamma = rb.solve_reduced_block(model, [50.0])
     with pytest.raises(ValueError, match=match):
-        rb.estimator_e1_block(truth, model, mus, gamma)
+        rb.z_block(model, mus)
 
 
 @pytest.mark.parametrize("mus", [5.0, [[2.0, 3.0]]], ids=["scalar", "2d"])
@@ -855,7 +865,7 @@ def test_nonfinite_mu_rejected(bad, truth, default_model, default_e2, default_e3
     with pytest.raises(ValueError):
         rb.solve_truth(truth, bad)
     with pytest.raises(ValueError):
-        rb.solve_reduced_block(model, [bad])
+        rb.z_block(model, [bad])
     with pytest.raises(ValueError):
         analytic_solution(bad, 0.5)
     with pytest.raises(ValueError):
@@ -1203,7 +1213,7 @@ def test_row_kernels_equal_the_numpy_forms_bit_for_bit(n, n_hat, monkeypatch):
     sys_ = rb.assemble(n + 1)
     vectors = list(special_rows(2 * n_hat + 1, n, seed=n + n_hat))
     mus, gamma = np.array([1.0, 3.0, 1e3, 0.5]), special_rows(4, n_hat, seed=n * n_hat)
-    z = _z_rows(mus, gamma)
+    z = z_of(mus, gamma)
     U = np.ascontiguousarray(special_rows(4, n, seed=1000 + n + n_hat).T)
     snapshots, coefficients = vectors[:n_hat], np.ascontiguousarray(gamma.T)
     G = lifts(vectors, z)
@@ -1247,7 +1257,7 @@ def test_strip_kernel_equals_the_numpy_forms_and_writes_nothing_past_its_buffers
     table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
     for m in range(1, 10):
         mus, gamma = np.geomspace(1.0, 1e3, m), special_rows(m, 2, seed=1400 + n + m)
-        z, coefficients = _z_rows(mus, gamma), np.ascontiguousarray(gamma.T)
+        z, coefficients = z_of(mus, gamma), np.ascontiguousarray(gamma.T)
         U = np.ascontiguousarray(special_rows(m, n, seed=1500 + n + m).T)
         cases = ((None, z, lifts(vectors, z)),
                  (U, coefficients, U.T - lifts(vectors[:2], coefficients)))
@@ -1280,7 +1290,7 @@ def test_row_kernels_write_nothing_past_their_buffers(n, n_hat):
     vectors = special_rows(2 * n_hat + 1, n, seed=200 + n)
     table = np.array([v.ctypes.data for v in vectors], dtype=np.uintp)
     mus, gamma = np.array([1.0, 7.5, 300.0]), special_rows(k, n_hat, seed=300 + n)
-    z, coefficients = _z_rows(mus, gamma), np.ascontiguousarray(gamma.T)
+    z, coefficients = z_of(mus, gamma), np.ascontiguousarray(gamma.T)
     U = np.ascontiguousarray(special_rows(k, n, seed=400 + n).T)
     G = lifts(vectors, z)
     errors = U.T - lifts(vectors[:n_hat], coefficients)
@@ -1524,7 +1534,7 @@ def test_sum2_columns_rejects_what_it_cannot_sum():
 def sweep_columns(model, e2data, config):
     """(q, z) of every point of config's sweep grid on model."""
     mus = sweep_grid(config)
-    return rb.q_coefficients(e2data), _z_rows(mus, rb.solve_reduced_block(model, mus))
+    return rb.q_coefficients(e2data), rb.z_block(model, mus)
 
 
 def test_sum2_columns_is_sum2_on_every_sweep_column(default_model, default_e2, default_config,
@@ -1653,7 +1663,7 @@ def test_a_zero_pivot_names_its_matrix_and_its_mu():
     assert hex_list(LU[0]) == hex_list(_lu_factor(A[0])[0]) and LU[2:].tolist() == A[2:].tolist()
     model = SimpleNamespace(n_hat=2, A0_hat=A0, A1_hat=A1, b_hat=np.ones(2))
     with pytest.raises(np.linalg.LinAlgError, match=re.escape("at mu = 8.0 ")):
-        rb.solve_reduced_block(model, mus)
+        rb.z_block(model, mus)
     e3 = rb.E3Data(interp_params=np.array([2.0, 3.0]), rows=np.array([0, 1]), T=A[1],
                    V=np.ones(2), d=6)
     with pytest.raises(np.linalg.LinAlgError):
@@ -1696,7 +1706,7 @@ def test_lu_solves_writes_nothing_past_its_buffers(r):
 def e3_case(r, m, seed):
     """(lu, pairs, z, v): T's factors (e3_factors), r distinct pairs of the
     rows of a z of r + 2 rows and m columns, z's first row ones as in
-    _z_rows and the others special_rows, and v a special row."""
+    z_block's and the others special_rows, and v a special row."""
     k = r + 2
     rng = np.random.default_rng(seed)
     z = special_rows(k, m, seed)
@@ -1806,8 +1816,8 @@ def kernel_outputs(n):
     us, whs, wls = columns(u), columns(wh), columns(wl)
     sys_ = rb.assemble(n + 1)
     diag, off = np.array([4.0, 2.5, 3.0, 4.0, 2.0, 6.0]), np.clip(wh[0], -1.0, 1.0)
-    z = _z_rows(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
-    z21 = _z_rows(np.geomspace(1.0, 1e3, 21), special_rows(21, 8, seed=1100 + n))
+    z = z_of(np.array([1.0, 7.5, 1e3]), special_rows(3, 8, seed=500 + n))
+    z21 = z_of(np.geomspace(1.0, 1e3, 21), special_rows(21, 8, seed=1100 + n))
     wide = np.hstack([wh, wl, u, wh[:, :3]])
     zu, q = np.ascontiguousarray(u.T), np.resize(u[:, 5], 21)
     pairs = np.array([[0, 1, 5, 2], [3, 1, 5, 4]])
@@ -1937,8 +1947,8 @@ NORMS_CHILD = r"""
 import json, sys
 from types import SimpleNamespace
 import numpy as np
-from rbcert import fem, reduced
-from rbcert.estimators import E3_RANK_TOL
+from rbcert import fem
+from rbcert.estimators import E3_RANK_TOL, z_block
 
 vectors, snapshots, U, z, A0_hat, A1_hat, b_hat, mus, X = (
     np.load(f"{sys.argv[1]}/{k}.npy")
@@ -1958,8 +1968,8 @@ picks, Q = fem.column_pivots(X, E3_RANK_TOL)
 print(json.dumps({
     "block": hexes(norms(slice(None))),
     "points": [hexes(norms([j])) for j in range(z.shape[1])],
-    "gamma": hexes(reduced.solve_reduced_block(model, mus)),
-    "gamma points": [hexes(reduced.solve_reduced_block(model, [mu])) for mu in mus],
+    "z": hexes(z_block(model, mus)),
+    "z points": [hexes(z_block(model, [mu])) for mu in mus],
     "picks": picks,
     "Q": hexes(Q),
 }))
@@ -1979,14 +1989,13 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
     for mu in (1.0, 10.0, 100.0, 1000.0):
         add_snapshot(model, sys_, mu)
     mus = np.geomspace(1.0, 1000.0, 23)
-    gamma = rb.solve_reduced_block(model, mus)
-    z = _z_rows(mus, gamma)
+    z = rb.z_block(model, mus)
     pool = rb.log_uniform_sampler(1.0, 1000.0)(rb.x_dimension(model.n_hat), 28)
     inputs = {
         "vectors": np.array([model.riesz_b, *model.riesz_a0, *model.riesz_a1]),
         "snapshots": np.array(model.snapshots), "U": rb.solve_truth(sys_, mus), "z": z,
         "A0_hat": model.A0_hat, "A1_hat": model.A1_hat, "b_hat": model.b_hat, "mus": mus,
-        "X": rb.x_matrix(pool, rb.solve_reduced_block(model, pool)),
+        "X": rb.x_matrix(rb.z_block(model, pool)),
     }
     for name, a in inputs.items():
         np.save(tmp_path / f"{name}.npy", a)
@@ -2011,7 +2020,7 @@ def test_norm_kernels_give_the_same_bits_under_every_openblas_kernel(tmp_path):
         assert out["block"] == expect, core
         assert [p[0] for p in out["points"]] == expect[:len(mus)], core
         assert [p[1] for p in out["points"]] == expect[len(mus):], core
-        assert out["gamma"] == sum(out["gamma points"], []) == hex_list(gamma), core
+        assert out["z"] == hex_list(z) and out["z points"] == [hex_list(c) for c in z.T], core
         assert out["picks"] == picks and out["Q"] == hex_list(Q), core
 
 
@@ -2059,10 +2068,10 @@ def test_e1_block_holds_no_truth_size_rows():
         add_snapshot(model, sys_, mu)
     for points in (1, 3, 50):
         mus = np.geomspace(1.0, 1000.0, points)
-        gamma = rb.solve_reduced_block(model, mus)
+        z = rb.z_block(model, mus)
         tracemalloc.start()
         try:
-            rb.estimator_e1_block(sys_, model, mus, gamma)
+            _e1_block(sys_, model, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,6 +9,7 @@ import pytest
 
 import rbcert as rb
 from rbcert import fem
+from rbcert.estimators import _e1_block
 from rbcert.experiments import training_grid
 from rbcert.reduced import (
     FORMAT_NAME,
@@ -115,44 +116,47 @@ def test_single_snapshot_solve_is_scalar_division(truth):
     model = ReducedModel(truth)
     add_snapshot(model, truth, 2.0)
     mu = 17.0
-    gamma = rb.solve_reduced_block(model, [mu])
+    z = rb.z_block(model, [mu])
     expected = model.b_hat[0] / (model.A0_hat[0, 0] + mu * model.A1_hat[0, 0])
-    assert gamma.shape == (1, 1)
-    assert gamma[0, 0] == pytest.approx(expected, rel=1e-15)
+    assert z.shape == (3, 1)
+    assert z[1, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_galerkin_reproduces_snapshots(truth, small_model):
     # At a snapshot parameter the reduced solution is the truth solution.
     for mu in small_model.snapshot_params:
         u = rb.solve_truth(truth, mu)
-        u_rb = np.column_stack(small_model.snapshots) @ rb.solve_reduced_block(small_model, [mu])[0]
+        gamma = rb.z_block(small_model, [mu])[1:small_model.n_hat + 1, 0]
+        u_rb = np.column_stack(small_model.snapshots) @ gamma
         err = h1_norm_lanes(truth, u_rb - u) / h1_norm_lanes(truth, u)
         assert err <= 1e-10
 
 
-def test_solve_reduced_rejects_empty_and_out_of_domain(truth, small_model):
+def test_z_block_rejects_empty_and_out_of_domain(truth, small_model):
+    with pytest.raises(ValueError, match="reduced model is empty"):
+        rb.z_block(ReducedModel(truth), [2.0])
     with pytest.raises(ValueError):
-        rb.solve_reduced_block(ReducedModel(truth), [2.0])
-    with pytest.raises(ValueError):
-        rb.solve_reduced_block(small_model, [2.0, 0.25])
+        rb.z_block(small_model, [2.0, 0.25])
 
 
 @pytest.mark.parametrize("mus", [5.0, [[2.0, 3.0]]], ids=["scalar", "2d"])
-def test_solve_reduced_block_rejects_a_block_that_is_not_1d(mus, small_model):
+def test_z_block_rejects_a_block_that_is_not_1d(mus, small_model):
     shape = np.shape(mus)
     with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-        rb.solve_reduced_block(small_model, mus)
+        rb.z_block(small_model, mus)
 
 
-def test_solve_reduced_block_rows_are_solve_reduced_bit_for_bit(default_model):
+def test_z_block_columns_are_the_numpy_lu_bit_for_bit(default_model):
+    # Column j is (1; gamma; mu*gamma) for gamma the numpy LU's solution at
+    # mus[j], and a one-point block's column.
     model, _ = default_model
     mus = np.geomspace(1.0, 1000.0, 57)
-    gamma = rb.solve_reduced_block(model, mus)
-    assert gamma.shape == (57, model.n_hat)
-    for mu, row in zip(mus, gamma):
+    z = rb.z_block(model, mus)
+    assert z.shape == (2 * model.n_hat + 1, 57) and z.flags.c_contiguous
+    for mu, column in zip(mus, z.T):
         direct = _lu_solve(_lu_factor(model.A0_hat + mu * model.A1_hat), model.b_hat)
-        one = rb.solve_reduced_block(model, [mu])[0]
-        assert _hex(row) == _hex(one) == _hex(direct)
+        one = rb.z_block(model, [mu])[:, 0]
+        assert _hex(column) == _hex(one) == _hex(np.concatenate([[1.0], direct, mu * direct]))
 
 
 def test_orthonormal_basis_is_h1_orthonormal(truth):
@@ -258,8 +262,7 @@ def e1_greedy_build(sys_, training_set, n_max, tol, *, orthonormalize, dependenc
         if not candidates.size:
             break
         if model.n_hat:
-            gamma = rb.solve_reduced_block(model, candidates)
-            values = rb.estimator_e1_block(sys_, model, candidates, gamma)
+            values = _e1_block(sys_, model, rb.z_block(model, candidates))
         else:  # the empty model's residual is -F, whatever mu: delta
             values = np.full(candidates.size, build_e2_data(sys_, model).delta)
         best = int(np.argmax(values))
